@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-check bench-shards repro repro-quick fuzz cover examples profile trace analyze cluster-smoke watch-smoke profile-smoke chaos-smoke lint-http clean
+.PHONY: all build test race bench bench-build bench-json bench-check bench-shards repro repro-quick fuzz cover examples profile trace analyze cluster-smoke watch-smoke profile-smoke chaos-smoke lint-http clean
 
 all: build test
 
@@ -21,6 +21,13 @@ race:
 # plus ablations.
 bench:
 	$(GO) test -bench=. -benchmem
+
+# The repo benchmark (BENCHMARK.json, bench/) is its own Go module, so
+# `go build ./...` and `go test ./...` at the root never compile it.
+# This does: a refactor that breaks an import the benchmark uses fails
+# here instead of in the benchmark run.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Refresh the committed machine-readable benchmark baseline
 # (BENCH_PR9.json) after a deliberate performance change. See
@@ -132,6 +139,8 @@ fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzReader -fuzztime 20s
 	$(GO) test ./internal/core -fuzz FuzzDecodeAppMsg -fuzztime 20s
 	$(GO) test ./internal/onion -fuzz FuzzParseConstructLayer -fuzztime 20s
+	$(GO) test ./internal/onion -run '^$$' -fuzz FuzzRelayTable -fuzztime 20s
+	$(GO) test ./internal/livenet -run '^$$' -fuzz FuzzReadFrame -fuzztime 20s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzParsePrometheus -fuzztime 20s
 	$(GO) test ./internal/obs/prof -run '^$$' -fuzz FuzzParsePprof -fuzztime 20s
 

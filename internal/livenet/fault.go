@@ -209,24 +209,15 @@ func (n *Node) FaultHandler() http.Handler {
 	})
 }
 
-// noteBlackholed records a frame refused by the local fault controller.
-func (n *Node) noteBlackholed(to netsim.NodeID, f frame) {
-	n.reg.Counter("live.fault.refused").Inc()
+// noteDropped counts a frame that went nowhere — refused by the fault
+// controller, consumed by the injected drop rate, or failed on the wire
+// — and traces why.
+func (n *Node) noteDropped(counter string, peer netsim.NodeID, f frame, why obs.Reason) {
+	n.reg.Counter(counter).Inc()
 	n.emit(obs.Event{
 		Type: obs.MsgDropped, At: time.Now().UnixMicro(),
-		Node: int(n.cfg.ID), Peer: int(to), ID: f.sid,
+		Node: int(n.cfg.ID), Peer: int(peer), ID: f.sid,
 		Slot: -1, Hop: -1, Size: len(f.body),
-		Reason: obs.ReasonBlackholed,
-	})
-}
-
-// noteInjectedDrop records a frame consumed by the injected drop rate.
-func (n *Node) noteInjectedDrop(to netsim.NodeID, f frame) {
-	n.reg.Counter("live.fault.dropped").Inc()
-	n.emit(obs.Event{
-		Type: obs.MsgDropped, At: time.Now().UnixMicro(),
-		Node: int(n.cfg.ID), Peer: int(to), ID: f.sid,
-		Slot: -1, Hop: -1, Size: len(f.body),
-		Reason: obs.ReasonInjectedDrop,
+		Reason: why,
 	})
 }

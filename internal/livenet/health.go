@@ -73,9 +73,10 @@ type Health struct {
 func (n *Node) Health() Health {
 	n.mu.Lock()
 	roster := n.cfg.Roster
-	fwd, rev, paths := len(n.forward), len(n.reverse), len(n.paths)
+	paths := len(n.paths)
 	responder := n.cfg.OnData != nil
 	n.mu.Unlock()
+	fwd, rev := n.tab.States()
 	h := Health{
 		ID:                  int(n.cfg.ID),
 		Addr:                n.Addr(),

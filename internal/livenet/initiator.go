@@ -2,10 +2,8 @@ package livenet
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/binary"
-	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"resilientmix/internal/netsim"
@@ -19,62 +17,73 @@ type Path struct {
 	Relays    []netsim.NodeID
 	Responder netsim.NodeID
 
-	node          *Node
-	keys          [][]byte
-	respKey       []byte
-	sealedRespKey []byte
-	replies       chan []byte
+	node    *Node
+	keys    onion.PathKeys
+	replies chan []byte
+	// gone is closed by Teardown; a session's ack loop ends with it.
+	gone     chan struct{}
+	goneOnce sync.Once
 }
 
-// preparePath validates the endpoints, generates the per-hop and
-// responder keys, and builds the construction onion — everything a
-// path needs before its first frame leaves.
-func (n *Node) preparePath(relays []netsim.NodeID, responder netsim.NodeID) (*Path, []byte, error) {
-	if len(relays) == 0 {
-		return nil, nil, errors.New("livenet: path needs at least one relay")
-	}
+// launch vets the endpoints against the roster, keys a path — with data
+// riding the construction onion when withData is set (§4.2) — sends its
+// first frame and blocks until the end-to-end construction ack arrives
+// or ctx ends. Both the outbound dial and the ack wait observe ctx, so
+// a blackholed or silent first relay cannot stall the initiator past
+// its deadline.
+func (n *Node) launch(ctx context.Context, relays []netsim.NodeID, responder netsim.NodeID, data []byte, withData bool) (*Path, error) {
 	roster := n.roster()
-	for _, r := range relays {
-		if r == n.cfg.ID || r == responder {
-			return nil, nil, fmt.Errorf("livenet: relay %d collides with an endpoint", r)
-		}
-		if _, err := roster.Peer(r); err != nil {
-			return nil, nil, err
+	for _, id := range relays {
+		if _, err := roster.Peer(id); err != nil {
+			return nil, err
 		}
 	}
 	if _, err := roster.Peer(responder); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	keys := make([][]byte, len(relays))
-	for i := range keys {
-		k, err := n.cfg.Suite.NewSymKey(rand.Reader)
-		if err != nil {
-			return nil, nil, err
+	keys, first, err := onion.NewPathKeys(n.env, roster, n.cfg.ID, relays, responder, data, withData)
+	if err != nil {
+		return nil, err
+	}
+	p := &Path{
+		SID:       uint64(first.SID),
+		Relays:    append([]netsim.NodeID(nil), relays...),
+		Responder: responder,
+		node:      n,
+		keys:      keys,
+		replies:   make(chan []byte, 64),
+		gone:      make(chan struct{}),
+	}
+	ack := make(chan struct{})
+	n.mu.Lock()
+	n.acks[p.SID] = ack
+	// Registered before sending, so reverse replies racing the ack of a
+	// combined pass are not lost.
+	n.paths[p.SID] = p
+	n.mu.Unlock()
+
+	err = n.sendCtx(ctx, first.To, n.frameOf(first))
+	if err == nil {
+		select {
+		case <-ack:
+		case <-ctx.Done():
+			err = fmt.Errorf("livenet: construction ack: %w", ctx.Err())
 		}
-		keys[i] = k
 	}
-	respKey, err := n.cfg.Suite.NewSymKey(rand.Reader)
 	if err != nil {
-		return nil, nil, err
+		n.mu.Lock()
+		delete(n.acks, p.SID)
+		delete(n.paths, p.SID)
+		n.mu.Unlock()
+		return nil, err
 	}
-	sealed, err := n.cfg.Suite.Seal(rand.Reader, roster.Public(responder), respKey)
-	if err != nil {
-		return nil, nil, err
-	}
-	onionBytes, err := onion.BuildConstructOnion(n.cfg.Suite, rand.Reader, roster, relays, responder, keys)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &Path{
-		SID:           newSID(),
-		Relays:        append([]netsim.NodeID(nil), relays...),
-		Responder:     responder,
-		node:          n,
-		keys:          keys,
-		respKey:       respKey,
-		sealedRespKey: sealed,
-		replies:       make(chan []byte, 64),
-	}, onionBytes, nil
+	n.emit(obs.Event{
+		Type: obs.PathBuilt, At: time.Now().UnixMicro(),
+		Node: int(n.cfg.ID), Peer: int(p.Responder),
+		ID: p.SID, Seq: int64(len(p.Relays)), Slot: -1, Hop: -1,
+	})
+	n.reg.Counter("live.paths_built").Inc()
+	return p, nil
 }
 
 // Construct builds an onion path through the given relays to the
@@ -90,49 +99,7 @@ func (n *Node) Construct(relays []netsim.NodeID, responder netsim.NodeID) (*Path
 // outbound dial and the ack wait observe ctx, so a blackholed or
 // silent first relay cannot stall the initiator past its deadline.
 func (n *Node) ConstructCtx(ctx context.Context, relays []netsim.NodeID, responder netsim.NodeID) (*Path, error) {
-	p, onionBytes, err := n.preparePath(relays, responder)
-	if err != nil {
-		return nil, err
-	}
-	ack := make(chan struct{})
-	n.mu.Lock()
-	n.acks[p.SID] = ack
-	n.mu.Unlock()
-
-	if err := n.sendCtx(ctx, relays[0], frame{
-		kind: kindConstruct,
-		sid:  p.SID,
-		body: prependSender(n.cfg.ID, onionBytes),
-	}); err != nil {
-		n.mu.Lock()
-		delete(n.acks, p.SID)
-		n.mu.Unlock()
-		return nil, err
-	}
-
-	select {
-	case <-ack:
-	case <-ctx.Done():
-		n.mu.Lock()
-		delete(n.acks, p.SID)
-		n.mu.Unlock()
-		return nil, fmt.Errorf("livenet: construction ack: %w", ctx.Err())
-	}
-	n.mu.Lock()
-	n.paths[p.SID] = p
-	n.mu.Unlock()
-	n.notePathBuilt(p)
-	return p, nil
-}
-
-// notePathBuilt records a successfully acked path construction.
-func (n *Node) notePathBuilt(p *Path) {
-	n.emit(obs.Event{
-		Type: obs.PathBuilt, At: time.Now().UnixMicro(),
-		Node: int(n.cfg.ID), Peer: int(p.Responder),
-		ID: p.SID, Seq: int64(len(p.Relays)), Slot: -1, Hop: -1,
-	})
-	n.reg.Counter("live.paths_built").Inc()
+	return n.launch(ctx, relays, responder, nil, false)
 }
 
 // ConstructWithData builds the path with the first payload riding the
@@ -148,63 +115,21 @@ func (n *Node) ConstructWithData(relays []netsim.NodeID, responder netsim.NodeID
 // ConstructWithDataCtx is ConstructWithData under a caller-supplied
 // context.
 func (n *Node) ConstructWithDataCtx(ctx context.Context, relays []netsim.NodeID, responder netsim.NodeID, data []byte) (*Path, error) {
-	p, onionBytes, err := n.preparePath(relays, responder)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := onion.BuildPayloadOnion(n.cfg.Suite, rand.Reader, p.keys, responder, p.respKey, p.sealedRespKey, data)
-	if err != nil {
-		return nil, err
-	}
-
-	ack := make(chan struct{})
-	n.mu.Lock()
-	n.acks[p.SID] = ack
-	// Register the path before sending so reverse replies racing the ack
-	// are not lost.
-	n.paths[p.SID] = p
-	n.mu.Unlock()
-
-	body := make([]byte, 4+len(onionBytes)+len(payload))
-	binary.BigEndian.PutUint32(body, uint32(len(onionBytes)))
-	copy(body[4:], onionBytes)
-	copy(body[4+len(onionBytes):], payload)
-	if err := n.sendCtx(ctx, relays[0], frame{
-		kind: kindConstructData,
-		sid:  p.SID,
-		body: prependSender(n.cfg.ID, body),
-	}); err != nil {
-		n.mu.Lock()
-		delete(n.acks, p.SID)
-		delete(n.paths, p.SID)
-		n.mu.Unlock()
-		return nil, err
-	}
-	select {
-	case <-ack:
-	case <-ctx.Done():
-		n.mu.Lock()
-		delete(n.acks, p.SID)
-		delete(n.paths, p.SID)
-		n.mu.Unlock()
-		return nil, fmt.Errorf("livenet: construction ack: %w", ctx.Err())
-	}
-	n.notePathBuilt(p)
-	return p, nil
+	return n.launch(ctx, relays, responder, data, true)
 }
 
 // Send routes an application payload down the path to its responder
 // (§4.2).
-func (p *Path) Send(data []byte) error {
-	return p.sendTo(p.Responder, data, p.respKey, p.sealedRespKey)
-}
+func (p *Path) Send(data []byte) error { return p.sendTo(p.Responder, data) }
 
-func (p *Path) sendTo(dest netsim.NodeID, data, respKey, sealed []byte) error {
-	body, err := onion.BuildPayloadOnion(p.node.cfg.Suite, rand.Reader, p.keys, dest, respKey, sealed, data)
+// sendTo routes a payload over the path to any responder, reusing the
+// relays' state (§4.4).
+func (p *Path) sendTo(dest netsim.NodeID, data []byte) error {
+	s, err := p.keys.Data(p.node.roster(), dest, data)
 	if err != nil {
 		return err
 	}
-	return p.node.send(p.Relays[0], frame{kind: kindData, sid: p.SID, body: body})
+	return p.node.send(s.To, p.node.frameOf(s))
 }
 
 // Replies streams decrypted reverse-path payloads (responder answers).
@@ -217,20 +142,14 @@ func (p *Path) Teardown() {
 	p.node.mu.Lock()
 	delete(p.node.paths, p.SID)
 	p.node.mu.Unlock()
+	p.goneOnce.Do(func() { close(p.gone) })
 }
 
 // deliverReverse peels all layers of a reverse message and hands the
 // plaintext to the replies channel.
 func (p *Path) deliverReverse(body []byte) {
-	for _, k := range p.keys {
-		pt, err := p.node.cfg.Suite.SymOpen(k, body)
-		if err != nil {
-			return
-		}
-		body = pt
-	}
-	pt, err := p.node.cfg.Suite.SymOpen(p.respKey, body)
-	if err != nil {
+	_, pt, ok := p.keys.OpenReverse(body)
+	if !ok {
 		return
 	}
 	select {

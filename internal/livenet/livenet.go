@@ -1,17 +1,25 @@
-// Package livenet is a prototype transport that runs the paper's onion
-// protocol over real TCP sockets with real cryptography — the bridge
-// from the simulation (internal/netsim and friends) to a deployable
-// node. It reuses the exact onion construction and payload formats of
-// internal/onion (ParseConstructLayer et al.), the ECIES suite, and the
-// erasure coder; what it replaces is the message plane: frames over TCP
-// connections instead of simulated links, goroutines and mutexes instead
-// of a single-threaded event loop, crypto/rand instead of a seeded PRNG.
+// Package livenet runs the paper's protocol over real TCP sockets with
+// real cryptography — the bridge from the simulation (internal/netsim
+// and friends) to a deployable node.
 //
-// Scope: static roster (the PKI directory with addresses), one TCP
-// connection per message, path construction with end-to-end acks,
-// forward payloads, reverse replies, relay state TTLs. Churn handling,
-// gossip and the full session layer remain simulation-side; this package
-// demonstrates the mechanics end to end on a real network.
+// The hop layer is not re-implemented here: relay state, stream-id
+// mapping, TTL expiry, the responder's open and the initiator's path
+// keys are internal/onion's transport- and clock-agnostic core (Table,
+// Streams, PathKeys), the same code the simulator runs. Node is its TCP
+// driver: it injects crypto/rand, wall-clock time and one short lock,
+// and adds what only a socket needs — frames, the in-band sender id,
+// roster and fault-injection admission, dial retries, metrics and trace
+// events.
+//
+// On top of that sits the live session layer (session.go): LiveSession
+// erasure-codes messages over k live paths, collects end-to-end acks,
+// and — with SessionOptions.Repair — probes path liveness, condemns
+// silent paths, rebuilds them through fresh relays and retransmits
+// unacknowledged segments (§4.5); LiveCollector is the responder side.
+//
+// Scope: static roster (the PKI directory with addresses) and one TCP
+// connection per frame. Gossip membership, the liveness predictor and
+// biased mix choice remain simulation-side.
 package livenet
 
 import (
@@ -24,19 +32,20 @@ import (
 	"time"
 
 	"resilientmix/internal/netsim"
+	"resilientmix/internal/onion"
 	"resilientmix/internal/onioncrypt"
 )
 
-// Message kinds on the wire.
+// Message kinds on the wire: the hop layer's, byte for byte (1..6).
 const (
-	kindConstruct byte = 1
-	kindAck       byte = 2
-	kindData      byte = 3
-	kindDeliver   byte = 4
-	kindReverse   byte = 5
+	kindConstruct = byte(onion.KindConstruct)
+	kindAck       = byte(onion.KindAck)
+	kindData      = byte(onion.KindData)
+	kindDeliver   = byte(onion.KindDeliver)
+	kindReverse   = byte(onion.KindReverse)
 	// kindConstructData combines construction and the first payload in
 	// one pass (§4.2). Body: sender(4) | onionLen(4) | onion | payload.
-	kindConstructData byte = 6
+	kindConstructData = byte(onion.KindConstructData)
 )
 
 // maxFrameSize bounds a frame to keep hostile peers from forcing huge

@@ -18,7 +18,7 @@ type cluster struct {
 	nodes  []*Node
 }
 
-func startCluster(t testing.TB, n int, onData map[int]DataFunc) *cluster {
+func startCluster(t testing.TB, n int, onData map[int]DataFunc, tweak ...func(*Config)) *cluster {
 	t.Helper()
 	suite := onioncrypt.ECIES{}
 	keys := make([]onioncrypt.KeyPair, n)
@@ -53,6 +53,9 @@ func startCluster(t testing.TB, n int, onData map[int]DataFunc) *cluster {
 		}
 		if onData != nil {
 			cfg.OnData = onData[i]
+		}
+		for _, f := range tweak {
+			f(&cfg)
 		}
 		node, err := Start("127.0.0.1:0", cfg)
 		if err != nil {
@@ -305,16 +308,8 @@ func TestLivePathReuse(t *testing.T) {
 	if err := p.Send([]byte("to four")); err != nil {
 		t.Fatal(err)
 	}
-	// Retarget to node 5 using a fresh responder key.
-	respKey, err := c.nodes[0].cfg.Suite.NewSymKey(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sealed, err := c.nodes[0].cfg.Suite.Seal(rand.Reader, c.roster.Public(5), respKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.sendTo(5, []byte("to five"), respKey, sealed); err != nil {
+	// Retarget to node 5: the path keys a fresh responder on first use.
+	if err := p.sendTo(5, []byte("to five")); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[int]string{}
@@ -329,5 +324,63 @@ func TestLivePathReuse(t *testing.T) {
 	}
 	if seen[4] != "to four" || seen[5] != "to five" {
 		t.Fatalf("deliveries = %v", seen)
+	}
+}
+
+// FuzzReadFrame feeds arbitrary bytes to the socket-facing frame
+// parser: it must fail cleanly or return a frame that fits its input,
+// never panic or allocate past maxFrameSize.
+func FuzzReadFrame(f *testing.F) {
+	var good bytes.Buffer
+	writeFrame(&good, frame{kind: kindData, sid: 7, body: []byte("payload")})
+	f.Add(good.Bytes())
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 9, 1, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fr, err := readFrame(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if 4+9+len(fr.body) > len(data) || len(fr.body) > maxFrameSize {
+			t.Fatalf("frame body of %d bytes from %d input bytes", len(fr.body), len(data))
+		}
+		var out bytes.Buffer
+		if err := writeFrame(&out, fr); err != nil || !bytes.Equal(out.Bytes(), data[:out.Len()]) {
+			t.Fatalf("accepted frame does not re-encode to its input (err %v)", err)
+		}
+	})
+}
+
+// TestLiveResponderStreamSweep is the live analogue of the simulator's
+// TestResponderStreamSweep: a live responder's inbound stream records
+// expire with the relay-state TTL instead of accumulating for the life
+// of the process.
+func TestLiveResponderStreamSweep(t *testing.T) {
+	got := make(chan []byte, 1)
+	c := startCluster(t, 4, map[int]DataFunc{3: func(_ ReplyHandle, data []byte) { got <- data }},
+		func(cfg *Config) { cfg.StateTTL = 300 * time.Millisecond })
+	p, err := c.nodes[0].Construct([]netsim.NodeID{1, 2}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Send([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-got:
+	case <-time.After(5 * time.Second):
+		t.Fatal("delivery timeout")
+	}
+	if n := c.nodes[3].streams.Len(); n != 1 {
+		t.Fatalf("responder streams = %d, want 1", n)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.nodes[3].streams.Len() != 0 || c.nodes[1].Health().ForwardStates != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("state not swept after TTL: %d responder streams, %d forward states at relay 1",
+				c.nodes[3].streams.Len(), c.nodes[1].Health().ForwardStates)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }

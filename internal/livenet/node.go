@@ -59,40 +59,27 @@ type Config struct {
 // liveMetrics holds the node's registry instruments, resolved once at
 // startup.
 type liveMetrics struct {
-	framesOut, sendErrors, badFrames *obs.Counter
-	framesIn                         [kindConstructData + 1]*obs.Counter
-	forwardStates, reverseStates     *obs.Gauge
+	framesOut, badFrames         *obs.Counter
+	framesIn                     [kindConstructData + 1]*obs.Counter
+	forwardStates, reverseStates *obs.Gauge
 }
 
-// kindName names a frame kind for metrics and docs.
-func kindName(k byte) string {
-	switch k {
-	case kindConstruct:
-		return "construct"
-	case kindAck:
-		return "ack"
-	case kindData:
-		return "data"
-	case kindDeliver:
-		return "deliver"
-	case kindReverse:
-		return "reverse"
-	case kindConstructData:
-		return "construct_data"
-	}
-	return "unknown"
+// kindNames names the frame kinds for metrics.
+var kindNames = [kindConstructData + 1]string{
+	kindConstruct: "construct", kindAck: "ack", kindData: "data",
+	kindDeliver: "deliver", kindReverse: "reverse", kindConstructData: "construct_data",
 }
 
 func newLiveMetrics(reg *obs.Registry) *liveMetrics {
 	m := &liveMetrics{
 		framesOut:     reg.Counter("live.frames_out"),
-		sendErrors:    reg.Counter("live.send_errors"),
 		badFrames:     reg.Counter("live.bad_frames"),
 		forwardStates: reg.Gauge("live.forward_states"),
 		reverseStates: reg.Gauge("live.reverse_states"),
 	}
+	reg.Counter("live.send_errors") // exported from the start; bumped by noteDropped
 	for k := kindConstruct; k <= kindConstructData; k++ {
-		m.framesIn[k] = reg.Counter("live.frames_in." + kindName(k))
+		m.framesIn[k] = reg.Counter("live.frames_in." + kindNames[k])
 	}
 	return m
 }
@@ -136,31 +123,21 @@ type Node struct {
 	readyAt  time.Time
 	readyErr error
 
-	mu       sync.Mutex
-	forward  map[uint64]*liveState
-	reverse  map[uint64]*liveState
-	acks     map[uint64]chan struct{} // initiator: pending construction acks
-	paths    map[uint64]*Path         // initiator: established paths by sid
-	respKeys map[uint64]respStream    // responder: inbound stream keys
+	// The hop layer proper is internal/onion's: env carries what this
+	// driver injects (crypto/rand, its own short lock), tab is the relay
+	// state table and streams the responder endpoint. Their clock is
+	// wall-clock nanoseconds.
+	env     onion.Env
+	tab     *onion.Table
+	streams *onion.Streams
+
+	mu    sync.Mutex
+	acks  map[uint64]chan struct{} // initiator: pending construction acks
+	paths map[uint64]*Path         // initiator: established paths by sid
 
 	quit      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
-}
-
-type liveState struct {
-	prev     netsim.NodeID
-	prevSID  uint64
-	next     netsim.NodeID
-	nextSID  uint64
-	key      []byte
-	terminal bool
-	expires  time.Time
-}
-
-type respStream struct {
-	relay netsim.NodeID
-	key   []byte
 }
 
 // Start launches a node listening on addr ("127.0.0.1:0" in tests; the
@@ -201,22 +178,28 @@ func Start(addr string, cfg Config) (*Node, error) {
 	}
 	reg := obs.NewRegistry()
 	hub := obs.NewHub()
+	env := onion.Env{
+		Suite:  cfg.Suite,
+		Rand:   rand.Reader,
+		NewSID: func() onion.StreamID { return onion.StreamID(newSID()) },
+		Lock:   new(sync.Mutex),
+	}
 	n := &Node{
-		cfg:      cfg,
-		ln:       ln,
-		reg:      reg,
-		m:        newLiveMetrics(reg),
-		rt:       obs.NewRuntimeCollector(reg),
-		hub:      hub,
-		trc:      obs.Multi(cfg.Tracer, hub),
-		started:  time.Now(),
-		flt:      newFaultCtl(),
-		forward:  make(map[uint64]*liveState),
-		reverse:  make(map[uint64]*liveState),
-		acks:     make(map[uint64]chan struct{}),
-		paths:    make(map[uint64]*Path),
-		respKeys: make(map[uint64]respStream),
-		quit:     make(chan struct{}),
+		cfg:     cfg,
+		ln:      ln,
+		reg:     reg,
+		m:       newLiveMetrics(reg),
+		rt:      obs.NewRuntimeCollector(reg),
+		hub:     hub,
+		trc:     obs.Multi(cfg.Tracer, hub),
+		started: time.Now(),
+		flt:     newFaultCtl(),
+		env:     env,
+		tab:     onion.NewTable(env, cfg.Private, int64(cfg.StateTTL)),
+		streams: onion.NewStreams(env, cfg.Private, int64(cfg.StateTTL)),
+		acks:    make(map[uint64]chan struct{}),
+		paths:   make(map[uint64]*Path),
+		quit:    make(chan struct{}),
 	}
 	n.wg.Add(2)
 	go n.acceptLoop()
@@ -276,11 +259,11 @@ func (n *Node) AttachTracer(t obs.Tracer) (detach func()) {
 	return n.hub.Attach(t)
 }
 
-// syncStateGauges refreshes the relay-state gauges. Callers must hold
-// n.mu.
+// syncStateGauges refreshes the relay-state gauges.
 func (n *Node) syncStateGauges() {
-	n.m.forwardStates.Set(float64(len(n.forward)))
-	n.m.reverseStates.Set(float64(len(n.reverse)))
+	forward, reverse := n.tab.States()
+	n.m.forwardStates.Set(float64(forward))
+	n.m.reverseStates.Set(float64(reverse))
 }
 
 // Close stops the listener and waits for in-flight handlers. It is
@@ -316,7 +299,7 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// sweepLoop reclaims expired relay state (§4.3's TTL).
+// sweepLoop reclaims expired relay and responder state (§4.3's TTL).
 func (n *Node) sweepLoop() {
 	defer n.wg.Done()
 	ticker := time.NewTicker(n.cfg.StateTTL / 2)
@@ -326,20 +309,10 @@ func (n *Node) sweepLoop() {
 		case <-n.quit:
 			return
 		case <-ticker.C:
-			now := time.Now()
-			n.mu.Lock()
-			for sid, st := range n.forward {
-				if st.expires.Before(now) {
-					delete(n.forward, sid)
-				}
-			}
-			for sid, st := range n.reverse {
-				if st.expires.Before(now) {
-					delete(n.reverse, sid)
-				}
-			}
+			now := time.Now().UnixNano()
+			n.tab.Sweep(now)
+			n.streams.Sweep(now)
 			n.syncStateGauges()
-			n.mu.Unlock()
 		}
 	}
 }
@@ -378,11 +351,11 @@ func (n *Node) sendBudget() time.Duration {
 // risks duplicate relay state.
 func (n *Node) sendCtx(ctx context.Context, to netsim.NodeID, f frame) error {
 	if n.flt.blackholed(to) {
-		n.noteBlackholed(to, f)
+		n.noteDropped("live.fault.refused", to, f, obs.ReasonBlackholed)
 		return fmt.Errorf("livenet: peer %d blackholed", to)
 	}
 	if delay, dropped := n.flt.outboundFault(); dropped {
-		n.noteInjectedDrop(to, f)
+		n.noteDropped("live.fault.dropped", to, f, obs.ReasonInjectedDrop)
 		return nil // the frame "left" but will never arrive
 	} else if delay > 0 {
 		t := time.NewTimer(delay)
@@ -390,7 +363,7 @@ func (n *Node) sendCtx(ctx context.Context, to netsim.NodeID, f frame) error {
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			n.noteSendError(to, f)
+			n.noteDropped("live.send_errors", to, f, obs.ReasonSendFailed)
 			return ctx.Err()
 		}
 	}
@@ -413,7 +386,7 @@ func (n *Node) sendCtx(ctx context.Context, to netsim.NodeID, f frame) error {
 		return nil
 	})
 	if err != nil {
-		n.noteSendError(to, f)
+		n.noteDropped("live.send_errors", to, f, obs.ReasonSendFailed)
 		return err
 	}
 	n.m.framesOut.Inc()
@@ -428,16 +401,6 @@ func (n *Node) sendCtx(ctx context.Context, to netsim.NodeID, f frame) error {
 	return nil
 }
 
-func (n *Node) noteSendError(to netsim.NodeID, f frame) {
-	n.m.sendErrors.Inc()
-	n.emit(obs.Event{
-		Type: obs.MsgDropped, At: time.Now().UnixMicro(),
-		Node: int(n.cfg.ID), Peer: int(to), ID: f.sid,
-		Slot: -1, Hop: -1, Size: len(f.body),
-		Reason: obs.ReasonSendFailed,
-	})
-}
-
 func newSID() uint64 {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -446,209 +409,107 @@ func newSID() uint64 {
 	return binary.BigEndian.Uint64(b[:])
 }
 
-// prependSender tags a frame body with the sending node's roster id.
-func prependSender(id netsim.NodeID, body []byte) []byte {
-	out := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(out, uint32(id))
-	copy(out[4:], body)
-	return out
-}
-
-func splitSender(body []byte) (netsim.NodeID, []byte, error) {
-	if len(body) < 4 {
-		return netsim.Invalid, nil, errors.New("livenet: short body")
+// frameOf lays one hop-layer output out as a wire frame. Construct and
+// deliver bodies lead with this node's roster id (see the backward
+// routing note on Node); the combined pass is
+// sender(4) | onionLen(4) | onion | payload.
+func (n *Node) frameOf(s onion.Send) frame {
+	f := frame{kind: byte(s.Kind), sid: uint64(s.SID), body: s.Body}
+	if s.Kind == onion.KindConstruct || s.Kind == onion.KindDeliver || s.Kind == onion.KindConstructData {
+		f.body = binary.BigEndian.AppendUint32(make([]byte, 0, 8+len(s.Onion)+len(s.Body)), uint32(n.cfg.ID))
+		if s.Kind == onion.KindConstructData {
+			f.body = binary.BigEndian.AppendUint32(f.body, uint32(len(s.Onion)))
+		}
+		f.body = append(append(f.body, s.Onion...), s.Body...)
 	}
-	return netsim.NodeID(binary.BigEndian.Uint32(body)), body[4:], nil
+	return f
 }
 
+// admit strips the in-band sender id off a construct or deliver frame
+// and vets it: a roster member, not blackholed.
+func (n *Node) admit(f frame) (from netsim.NodeID, rest []byte, ok bool) {
+	if len(f.body) < 4 {
+		return netsim.Invalid, nil, false
+	}
+	from, rest = netsim.NodeID(binary.BigEndian.Uint32(f.body)), f.body[4:]
+	if _, err := n.roster().Peer(from); err != nil {
+		return netsim.Invalid, nil, false
+	}
+	if n.flt.blackholed(from) {
+		n.noteDropped("live.fault.refused", from, f, obs.ReasonBlackholed)
+		return netsim.Invalid, nil, false
+	}
+	return from, rest, true
+}
+
+// handle dispatches one inbound frame: frames of this node's own paths
+// go to its initiator role, deliveries to its responder role, and the
+// rest through the relay table, whose answers go back out as frames.
 func (n *Node) handle(f frame) {
-	n.lastFrameAt.Store(time.Now().UnixMicro())
+	wall := time.Now()
+	n.lastFrameAt.Store(wall.UnixMicro())
+	now := wall.UnixNano() // the hop layer's clock
 	if f.kind < kindConstruct || f.kind > kindConstructData {
 		n.m.badFrames.Inc()
 		return
 	}
 	n.m.framesIn[f.kind].Inc()
+	sid := onion.StreamID(f.sid)
+	var step onion.Step
 	switch f.kind {
-	case kindConstruct:
-		n.handleConstruct(f)
-	case kindAck:
-		n.handleAck(f)
-	case kindData:
-		n.handleData(f)
-	case kindDeliver:
-		n.handleDeliver(f)
-	case kindReverse:
-		n.handleReverse(f)
-	case kindConstructData:
-		n.handleConstructData(f)
-	}
-}
-
-// handleConstruct installs relay path state from one onion layer and
-// either forwards the inner onion or acknowledges back (terminal).
-func (n *Node) handleConstruct(f frame) {
-	from, onionBytes, err := splitSender(f.body)
-	if err != nil {
-		return
-	}
-	if _, err := n.roster().Peer(from); err != nil {
-		return
-	}
-	if n.flt.blackholed(from) {
-		n.noteBlackholed(from, f)
-		return
-	}
-	layer, err := onion.ParseConstructLayer(n.cfg.Suite, n.cfg.Private, onionBytes)
-	if err != nil {
-		return
-	}
-	st := &liveState{
-		prev:     from,
-		prevSID:  f.sid,
-		next:     layer.Next,
-		nextSID:  newSID(),
-		key:      layer.Key,
-		terminal: layer.Terminal,
-		expires:  time.Now().Add(n.cfg.StateTTL),
-	}
-	n.mu.Lock()
-	n.forward[f.sid] = st
-	n.reverse[st.nextSID] = st
-	n.syncStateGauges()
-	n.mu.Unlock()
-	if layer.Terminal {
-		n.send(from, frame{kind: kindAck, sid: f.sid})
-		return
-	}
-	n.send(layer.Next, frame{kind: kindConstruct, sid: st.nextSID, body: prependSender(n.cfg.ID, layer.Inner)})
-}
-
-// handleConstructData is the §4.2 combined pass over TCP: install path
-// state from the onion layer, strip one payload layer, and forward (or
-// deliver + ack at the terminal relay).
-func (n *Node) handleConstructData(f frame) {
-	from, rest, err := splitSender(f.body)
-	if err != nil || len(rest) < 4 {
-		return
-	}
-	if _, err := n.roster().Peer(from); err != nil {
-		return
-	}
-	if n.flt.blackholed(from) {
-		n.noteBlackholed(from, f)
-		return
-	}
-	onionLen := binary.BigEndian.Uint32(rest)
-	if uint64(onionLen) > uint64(len(rest)-4) {
-		return
-	}
-	onionBytes := rest[4 : 4+onionLen]
-	payload := rest[4+onionLen:]
-
-	layer, err := onion.ParseConstructLayer(n.cfg.Suite, n.cfg.Private, onionBytes)
-	if err != nil {
-		return
-	}
-	pt, err := n.cfg.Suite.SymOpen(layer.Key, payload)
-	if err != nil {
-		return
-	}
-	st := &liveState{
-		prev:     from,
-		prevSID:  f.sid,
-		next:     layer.Next,
-		nextSID:  newSID(),
-		key:      layer.Key,
-		terminal: layer.Terminal,
-		expires:  time.Now().Add(n.cfg.StateTTL),
-	}
-	n.mu.Lock()
-	n.forward[f.sid] = st
-	n.reverse[st.nextSID] = st
-	n.syncStateGauges()
-	n.mu.Unlock()
-
-	if layer.Terminal {
-		dest, blob, err := onion.ParseTerminalPayload(pt)
-		if err != nil {
+	case kindConstruct, kindConstructData:
+		from, rest, ok := n.admit(f)
+		if !ok {
 			return
 		}
-		n.mu.Lock()
-		if dest != st.next {
-			delete(n.reverse, st.nextSID)
-			st.next = dest
-			st.nextSID = newSID()
-			n.reverse[st.nextSID] = st
+		if f.kind == kindConstruct {
+			step = n.tab.Construct(now, from, sid, rest)
+		} else {
+			if len(rest) < 4 {
+				return
+			}
+			onionLen := binary.BigEndian.Uint32(rest)
+			if uint64(onionLen) > uint64(len(rest)-4) {
+				return
+			}
+			step = n.tab.ConstructData(now, from, sid, rest[4:4+onionLen], rest[4+onionLen:])
 		}
-		sid := st.nextSID
-		n.mu.Unlock()
-		n.send(dest, frame{kind: kindDeliver, sid: sid, body: prependSender(n.cfg.ID, blob)})
-		n.send(from, frame{kind: kindAck, sid: f.sid})
+		n.syncStateGauges()
+	case kindAck:
+		if n.completeAck(f.sid) {
+			return
+		}
+		step = n.tab.Ack(now, sid)
+	case kindData:
+		step = n.tab.Data(now, sid, f.body)
+	case kindDeliver:
+		n.handleDeliver(f)
 		return
+	case kindReverse:
+		n.mu.Lock()
+		p := n.paths[f.sid]
+		n.mu.Unlock()
+		if p != nil {
+			p.deliverReverse(f.body)
+			return
+		}
+		step = n.tab.Reverse(now, sid, f.body)
 	}
-	inner := make([]byte, 4+len(layer.Inner)+len(pt))
-	binary.BigEndian.PutUint32(inner, uint32(len(layer.Inner)))
-	copy(inner[4:], layer.Inner)
-	copy(inner[4+len(layer.Inner):], pt)
-	n.send(layer.Next, frame{kind: kindConstructData, sid: st.nextSID, body: prependSender(n.cfg.ID, inner)})
+	for i := 0; i < step.N; i++ {
+		n.send(step.Out[i].To, n.frameOf(step.Out[i]))
+	}
 }
 
-// handleAck completes a local construction or forwards the ack backward.
-func (n *Node) handleAck(f frame) {
+// completeAck resolves a pending local construction, if sid is one.
+func (n *Node) completeAck(sid uint64) bool {
 	n.mu.Lock()
-	if ch, ok := n.acks[f.sid]; ok {
-		delete(n.acks, f.sid)
-		n.mu.Unlock()
+	ch, ok := n.acks[sid]
+	delete(n.acks, sid)
+	n.mu.Unlock()
+	if ok {
 		close(ch)
-		return
 	}
-	st, ok := n.reverse[f.sid]
-	n.mu.Unlock()
-	if !ok {
-		return
-	}
-	n.send(st.prev, frame{kind: kindAck, sid: st.prevSID})
-}
-
-// handleData strips one payload layer and forwards it; at the terminal
-// relay the inner destination receives the responder blob.
-func (n *Node) handleData(f frame) {
-	n.mu.Lock()
-	st, ok := n.forward[f.sid]
-	if ok && st.expires.Before(time.Now()) {
-		delete(n.forward, f.sid)
-		ok = false
-	}
-	n.mu.Unlock()
-	if !ok {
-		return
-	}
-	pt, err := n.cfg.Suite.SymOpen(st.key, f.body)
-	if err != nil {
-		return
-	}
-	n.mu.Lock()
-	st.expires = time.Now().Add(n.cfg.StateTTL)
-	n.mu.Unlock()
-	if !st.terminal {
-		n.send(st.next, frame{kind: kindData, sid: st.nextSID, body: pt})
-		return
-	}
-	dest, blob, err := onion.ParseTerminalPayload(pt)
-	if err != nil {
-		return
-	}
-	n.mu.Lock()
-	if dest != st.next {
-		// §4.4 path reuse: rebind the downstream stream.
-		delete(n.reverse, st.nextSID)
-		st.next = dest
-		st.nextSID = newSID()
-		n.reverse[st.nextSID] = st
-	}
-	sid := st.nextSID
-	n.mu.Unlock()
-	n.send(dest, frame{kind: kindDeliver, sid: sid, body: prependSender(n.cfg.ID, blob)})
+	return ok
 }
 
 // handleDeliver runs the responder role.
@@ -656,66 +517,20 @@ func (n *Node) handleDeliver(f frame) {
 	if n.cfg.OnData == nil {
 		return
 	}
-	relay, blob, err := splitSender(f.body)
-	if err != nil {
+	relay, blob, ok := n.admit(f)
+	if !ok {
 		return
 	}
-	if _, err := n.roster().Peer(relay); err != nil {
+	key, data, ok := n.streams.Open(time.Now().UnixNano(), onion.StreamID(f.sid), blob)
+	if !ok {
 		return
 	}
-	if n.flt.blackholed(relay) {
-		n.noteBlackholed(relay, f)
-		return
-	}
-	sealedKey, ct, err := onion.ParseResponderBlob(blob)
-	if err != nil {
-		return
-	}
-	key, err := n.cfg.Suite.Open(n.cfg.Private, sealedKey)
-	if err != nil || len(key) != onioncrypt.SymKeySize {
-		return
-	}
-	data, err := n.cfg.Suite.SymOpen(key, ct)
-	if err != nil {
-		return
-	}
-	n.mu.Lock()
-	n.respKeys[f.sid] = respStream{relay: relay, key: key}
-	n.mu.Unlock()
 	n.emit(obs.Event{
 		Type: obs.MsgDelivered, At: time.Now().UnixMicro(),
 		Node: int(n.cfg.ID), Peer: int(relay), ID: f.sid,
 		Slot: -1, Hop: -1, Size: len(data),
 	})
 	n.cfg.OnData(ReplyHandle{node: n, sid: f.sid, relay: relay, key: key}, data)
-}
-
-// handleReverse peels replies at the initiator or wraps-and-forwards at
-// a relay.
-func (n *Node) handleReverse(f frame) {
-	n.mu.Lock()
-	if p, ok := n.paths[f.sid]; ok {
-		n.mu.Unlock()
-		p.deliverReverse(f.body)
-		return
-	}
-	st, ok := n.reverse[f.sid]
-	if ok && st.expires.Before(time.Now()) {
-		delete(n.reverse, f.sid)
-		ok = false
-	}
-	if ok {
-		st.expires = time.Now().Add(n.cfg.StateTTL)
-	}
-	n.mu.Unlock()
-	if !ok {
-		return
-	}
-	wrapped, err := n.cfg.Suite.SymSeal(rand.Reader, st.key, f.body)
-	if err != nil {
-		return
-	}
-	n.send(st.prev, frame{kind: kindReverse, sid: st.prevSID, body: wrapped})
 }
 
 // ReplyHandle lets a live responder answer along the delivering path.
@@ -732,9 +547,9 @@ func (h ReplyHandle) From() netsim.NodeID { return h.relay }
 // Reply encrypts data with the stream key and sends it up the reverse
 // path.
 func (h ReplyHandle) Reply(data []byte) error {
-	ct, err := h.node.cfg.Suite.SymSeal(rand.Reader, h.key, data)
+	s, err := h.node.streams.Reply(h.relay, onion.StreamID(h.sid), h.key, data)
 	if err != nil {
 		return err
 	}
-	return h.node.send(h.relay, frame{kind: kindReverse, sid: h.sid, body: ct})
+	return h.node.send(s.To, h.node.frameOf(s))
 }

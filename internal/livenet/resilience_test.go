@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -432,5 +433,62 @@ func TestSendBoundedInflight(t *testing.T) {
 	}
 	if v := e.c.nodes[0].Metrics().Counter("session.send_rejected").Value(); v != 1 {
 		t.Fatalf("session.send_rejected = %d, want 1", v)
+	}
+}
+
+// TestTeardownLeavesNoGoroutines pins the session's goroutine hygiene:
+// construct, send, lose a relay and repair its slot, then Teardown and
+// Close the fleet — the goroutine count must return to its baseline.
+// Every ack loop, of the original paths and of the repaired one, has to
+// end with its path or its session.
+func TestTeardownLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := newLiveSessionEnv(t, 12, 11)
+	sess, err := e.c.nodes[0].NewLiveSessionOpts([][]netsim.NodeID{
+		{1, 2}, {3, 4}, {5, 6}, {7, 8},
+	}, 11, SessionOptions{
+		R:             2,
+		AckTimeout:    500 * time.Millisecond,
+		Repair:        true,
+		ProbeInterval: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	mid, err := sess.Send([]byte("before the crash"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Await(ctx, mid); err != nil {
+		t.Fatal(err)
+	}
+
+	e.c.nodes[2].Close()
+	repaired := e.c.nodes[0].Metrics().Counter("live.repair.repaired")
+	deadline := time.Now().Add(20 * time.Second)
+	for repaired.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("slot never repaired")
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	awaitRepair(t, sess, 4)
+
+	sess.Teardown()
+	for _, node := range e.c.nodes {
+		node.Close()
+	}
+	// Armed ack-timeout timers may still fire once; give them and the
+	// closing connection handlers a moment to drain.
+	deadline = time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines above the baseline of %d after Teardown and Close:\n%s",
+				runtime.NumGoroutine()-base, base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 }

@@ -407,10 +407,11 @@ func (n *Node) NewLiveSessionOpts(relayLists [][]netsim.NodeID, responder netsim
 		}
 		s.paths = append(s.paths, p)
 		s.alive[i] = true
+		s.wg.Add(1)
 		go s.ackLoop(p)
 	}
 	if s.AlivePaths() < k/r {
-		cancel()
+		s.Teardown()
 		return nil, fmt.Errorf("livenet: only %d/%d paths constructed (need %d): %w",
 			s.AlivePaths(), k, k/r, firstErr)
 	}
@@ -504,10 +505,19 @@ func (s *LiveSession) kickRepair() {
 }
 
 // ackLoop consumes a path's reverse traffic, recording segment acks
-// and probe echoes. A message with m distinct acks resolves as
-// delivered immediately.
+// and probe echoes, until the session or the path is torn down. A
+// message with m distinct acks resolves as delivered immediately.
 func (s *LiveSession) ackLoop(p *Path) {
-	for body := range p.replies {
+	defer s.wg.Done()
+	for {
+		var body []byte
+		select {
+		case body = <-p.replies:
+		case <-p.gone:
+			return
+		case <-s.quit:
+			return
+		}
 		kind, _, ack, nonce, err := decodeLive(body)
 		if err != nil {
 			continue
@@ -904,6 +914,7 @@ func (s *LiveSession) repairSlot(slot int) {
 	if old != nil {
 		old.Teardown()
 	}
+	s.wg.Add(1)
 	go s.ackLoop(built)
 	s.node.reg.Counter("live.repair.repaired").Inc()
 	s.node.emit(obs.Event{

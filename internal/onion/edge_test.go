@@ -102,11 +102,11 @@ func TestResponderStreamSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run(eng.Now() + 5*sim.Second)
-	if len(nodes[7].Responder.streams) != 1 {
-		t.Fatalf("responder streams = %d, want 1", len(nodes[7].Responder.streams))
+	if got := nodes[7].Responder.streams.Len(); got != 1 {
+		t.Fatalf("responder streams = %d, want 1", got)
 	}
 	eng.Run(eng.Now() + 2*sim.Minute)
-	if len(nodes[7].Responder.streams) != 0 {
+	if nodes[7].Responder.streams.Len() != 0 {
 		t.Fatal("responder stream not swept after TTL")
 	}
 }
@@ -140,8 +140,8 @@ func TestSendDataToUnknownTargetKeyGeneration(t *testing.T) {
 	if err := e.nodes[0].Initiator.SendDataTo(p, 9, []byte("b"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.targets) != 2 { // responder 7 (from construct) + 9
-		t.Fatalf("targets = %d, want 2", len(p.targets))
+	if got := p.keys.Targets(); got != 2 { // responder 7 (from construct) + 9
+		t.Fatalf("targets = %d, want 2", got)
 	}
 	e.eng.Run(e.eng.Now() + 10*sim.Second)
 	if len(e.received) != 2 {

@@ -58,3 +58,69 @@ func FuzzResponderBlob(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRelayTable feeds arbitrary (kind, from, sid, body) inputs to a
+// relay table that already holds one real path: hostile input must
+// never panic, never yield more than two well-formed sends, and never
+// grow the table beyond the constructs it accepted.
+func FuzzRelayTable(f *testing.F) {
+	suite := onioncrypt.Null{}
+	eng := sim.NewEngine(1)
+	dir, err := NewDirectory(suite, eng.RNG(), 6)
+	if err != nil {
+		f.Fatal(err)
+	}
+	env := simEnv(eng.RNG(), suite)
+	relays := []netsim.NodeID{1, 2}
+	_, launch, err := NewPathKeys(env, dir, 0, relays, 5, []byte("first"), true)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// ConstructData inputs carry onionLen(1) | onion | body in one slice.
+	joined := append(append([]byte{byte(len(launch.Onion))}, launch.Onion...), launch.Body...)
+	f.Add(uint8(KindConstruct), int32(0), uint64(9), launch.Onion)
+	f.Add(uint8(KindConstructData), int32(0), uint64(launch.SID), joined)
+	f.Add(uint8(KindData), int32(0), uint64(launch.SID), launch.Body)
+	f.Add(uint8(KindAck), int32(3), uint64(0), []byte{})
+	f.Add(uint8(KindReverse), int32(-1), uint64(1<<63), make([]byte, 64))
+
+	f.Fuzz(func(t *testing.T, kind uint8, from int32, sid uint64, body []byte) {
+		tab := NewTable(env, dir.Private(1), 100)
+		if st := tab.ConstructData(0, 0, launch.SID, launch.Onion, launch.Body); st.N != 1 {
+			t.Fatalf("seed path rejected: %+v", st)
+		}
+		for now := int64(1); now <= 201; now += 100 { // live, then expired
+			var st Step
+			switch Kind(kind) {
+			case KindConstruct:
+				st = tab.Construct(now, netsim.NodeID(from), StreamID(sid), body)
+			case KindConstructData:
+				onion, rest := body, []byte(nil)
+				if len(body) > 0 && int(body[0]) < len(body) {
+					onion, rest = body[1:1+body[0]], body[1+body[0]:]
+				}
+				st = tab.ConstructData(now, netsim.NodeID(from), StreamID(sid), onion, rest)
+			case KindAck:
+				st = tab.Ack(now, StreamID(sid))
+			case KindData:
+				st = tab.Data(now, StreamID(sid), body)
+			case KindReverse:
+				st = tab.Reverse(now, StreamID(sid), body)
+			default:
+				return
+			}
+			if st.N < 0 || st.N > 2 || (st.N > 0 && st.Drop != DropNone) {
+				t.Fatalf("step %+v", st)
+			}
+			for i := 0; i < st.N; i++ {
+				if k := st.Out[i].Kind; k < KindConstruct || k > KindConstructData {
+					t.Fatalf("send of kind %d", k)
+				}
+			}
+			accepted := int(tab.Stats().Constructed)
+			if fwd, rev := tab.States(); fwd > accepted || rev > accepted {
+				t.Fatalf("%d forward / %d reverse states from %d accepted constructs", fwd, rev, accepted)
+			}
+		}
+	})
+}

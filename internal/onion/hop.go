@@ -1,0 +1,522 @@
+package onion
+
+import (
+	"fmt"
+	"io"
+	"sync"
+
+	"resilientmix/internal/netsim"
+	"resilientmix/internal/onioncrypt"
+)
+
+// This file is the hop layer of the paper with no transport and no
+// clock in it: the relay state table (§4.1, §4.3, §4.4 and the combined
+// pass of §4.2), the responder's open, and the initiator's path keys.
+// Every input is (now, from, sid, bytes); every output is a Send value
+// the caller puts on its own wire. The simulator (relay.go,
+// initiator.go, responder.go) and the TCP node (internal/livenet) are
+// the two drivers; neither holds protocol state of its own.
+
+// Kind names a hop-layer message. The values are the live wire's frame
+// kinds.
+type Kind uint8
+
+// Hop-layer message kinds.
+const (
+	KindConstruct Kind = 1 + iota
+	KindAck
+	KindData
+	KindDeliver
+	KindReverse
+	// KindConstructData is construction and first payload in one pass
+	// (§4.2).
+	KindConstructData
+)
+
+// Send is one output of the hop layer: a message of this kind, on this
+// stream, for the driver to transmit to To.
+type Send struct {
+	To    netsim.NodeID
+	Kind  Kind
+	SID   StreamID
+	Onion []byte // construction onion (KindConstruct, KindConstructData)
+	Body  []byte // payload layer, responder blob or reverse body
+}
+
+// Drop says why an input went no further.
+type Drop uint8
+
+// Drop verdicts.
+const (
+	DropNone  Drop = iota
+	DropNoSID      // unknown or expired stream
+	DropBad        // failed to decrypt or parse
+)
+
+// Step is what one input to the relay table produced: at most two
+// sends, in transmission order.
+type Step struct {
+	Out  [2]Send
+	N    int
+	Drop Drop
+}
+
+func one(a Send) Step { return Step{Out: [2]Send{a}, N: 1} }
+
+// Env is what a driver injects: the cipher suite, the randomness behind
+// seals and keys, the stream-id source, and the lock that guards table
+// maps. A single-threaded driver leaves Lock nil. The lock is never
+// held across a Suite call.
+type Env struct {
+	Suite  onioncrypt.Suite
+	Rand   io.Reader
+	NewSID func() StreamID
+	Lock   sync.Locker
+}
+
+type noLock struct{}
+
+func (noLock) Lock()   {}
+func (noLock) Unlock() {}
+
+// locked returns e with a usable Lock.
+func (e Env) locked() Env {
+	if e.Lock == nil {
+		e.Lock = noLock{}
+	}
+	return e
+}
+
+// RelayStats counts a relay's activity.
+type RelayStats struct {
+	Constructed  uint64 // path states installed
+	DataRelayed  uint64 // payload onion layers forwarded
+	Delivered    uint64 // responder deliveries (terminal hops)
+	ReverseHops  uint64 // reverse messages wrapped and forwarded
+	AcksRelayed  uint64 // construction acks forwarded backward
+	DroppedNoSID uint64 // messages with unknown or expired stream IDs
+	DroppedBad   uint64 // messages that failed to decrypt or parse
+	Expired      uint64 // path states reclaimed by the TTL sweeper
+	Wiped        uint64 // path states lost to a node failure
+}
+
+// pathState is one relay's cached tuple for a stream:
+// [P_{i-1}, sid_{i-1}, P_{i+1}, sid_i, R_i] plus a TTL (§4.3).
+type pathState struct {
+	prev     netsim.NodeID
+	prevSID  StreamID
+	next     netsim.NodeID
+	nextSID  StreamID
+	key      []byte
+	terminal bool // next hop is the responder
+	expires  int64
+}
+
+// Table is one node's relay state: it installs path state from
+// construction onions and maps payload, reverse and ack traffic along
+// the cached streams. Times are ticks of the driver's clock.
+type Table struct {
+	env  Env
+	mu   sync.Locker // env.Lock
+	priv onioncrypt.PrivateKey
+	ttl  int64
+
+	forward map[StreamID]*pathState // keyed by upstream (inbound) stream ID
+	reverse map[StreamID]*pathState // keyed by downstream (outbound) stream ID
+	stats   RelayStats
+}
+
+// NewTable creates an empty relay table whose idle states live ttl
+// ticks.
+func NewTable(env Env, priv onioncrypt.PrivateKey, ttl int64) *Table {
+	env = env.locked()
+	return &Table{
+		env:     env,
+		mu:      env.Lock,
+		priv:    priv,
+		ttl:     ttl,
+		forward: make(map[StreamID]*pathState),
+		reverse: make(map[StreamID]*pathState),
+	}
+}
+
+// Stats returns a snapshot of the counters.
+func (t *Table) Stats() RelayStats {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.stats
+}
+
+// States returns the number of live forward and reverse states.
+func (t *Table) States() (forward, reverse int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.forward), len(t.reverse)
+}
+
+// Wipe loses all state, as a failing node does.
+func (t *Table) Wipe() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.stats.Wiped += uint64(len(t.forward))
+	t.forward = make(map[StreamID]*pathState)
+	t.reverse = make(map[StreamID]*pathState)
+}
+
+// Sweep reclaims states whose TTL ran out (§4.3).
+func (t *Table) Sweep(now int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for sid, st := range t.forward {
+		if st.expires <= now {
+			delete(t.forward, sid)
+			t.stats.Expired++
+		}
+	}
+	for sid, st := range t.reverse {
+		if st.expires <= now {
+			delete(t.reverse, sid)
+		}
+	}
+}
+
+// lookup returns a live state from the map, dropping expired entries.
+// Callers hold t.mu.
+func (t *Table) lookup(m map[StreamID]*pathState, sid StreamID, now int64) *pathState {
+	st, ok := m[sid]
+	if ok && st.expires <= now {
+		delete(m, sid)
+		ok = false
+	}
+	if !ok {
+		t.stats.DroppedNoSID++
+		return nil
+	}
+	return st
+}
+
+func (t *Table) bad() Step {
+	t.mu.Lock()
+	t.stats.DroppedBad++
+	t.mu.Unlock()
+	return Step{Drop: DropBad}
+}
+
+// Construct installs path state from one construction onion layer and
+// either forwards the inner onion or, at the terminal relay,
+// acknowledges back toward the initiator.
+func (t *Table) Construct(now int64, from netsim.NodeID, sid StreamID, onion []byte) Step {
+	return t.construct(now, from, sid, onion, nil, false)
+}
+
+// ConstructData installs path state AND strips one layer of the
+// piggybacked payload in one pass (§4.2). The terminal relay delivers
+// the responder blob and acks like an ordinary construction.
+func (t *Table) ConstructData(now int64, from netsim.NodeID, sid StreamID, onion, body []byte) Step {
+	return t.construct(now, from, sid, onion, body, true)
+}
+
+func (t *Table) construct(now int64, from netsim.NodeID, sid StreamID, onion, body []byte, withData bool) Step {
+	layer, err := ParseConstructLayer(t.env.Suite, t.priv, onion)
+	if err != nil {
+		return t.bad()
+	}
+	var pt []byte
+	if withData {
+		if pt, err = t.env.Suite.SymOpen(layer.Key, body); err != nil {
+			return t.bad()
+		}
+	}
+	st := &pathState{
+		prev:     from,
+		prevSID:  sid,
+		next:     layer.Next,
+		nextSID:  t.env.NewSID(),
+		key:      layer.Key,
+		terminal: layer.Terminal,
+		expires:  now + t.ttl,
+	}
+	t.mu.Lock()
+	t.forward[sid] = st
+	t.reverse[st.nextSID] = st
+	t.stats.Constructed++
+	if withData && !layer.Terminal {
+		t.stats.DataRelayed++
+	}
+	t.mu.Unlock()
+
+	if !layer.Terminal {
+		kind := KindConstruct
+		if withData {
+			kind = KindConstructData
+		}
+		return one(Send{To: layer.Next, Kind: kind, SID: st.nextSID, Onion: layer.Inner, Body: pt})
+	}
+	ack := Send{To: from, Kind: KindAck, SID: sid}
+	if !withData {
+		return one(ack)
+	}
+	step := t.deliver(st, pt)
+	if step.N == 1 { // delivered: the ack follows it
+		step.Out[1], step.N = ack, 2
+	}
+	return step
+}
+
+// deliver is the terminal relay's step: the decrypted layer names the
+// destination — normally the cached responder; a different one rebinds
+// the stream under a fresh downstream id (path reuse, §4.4) — and
+// carries the blob for it.
+func (t *Table) deliver(st *pathState, pt []byte) Step {
+	dest, blob, err := ParseTerminalPayload(pt)
+	if err != nil {
+		return t.bad()
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if dest != st.next {
+		delete(t.reverse, st.nextSID)
+		st.next = dest
+		st.nextSID = t.env.NewSID()
+		t.reverse[st.nextSID] = st
+	}
+	t.stats.Delivered++
+	return one(Send{To: dest, Kind: KindDeliver, SID: st.nextSID, Body: blob})
+}
+
+// Ack maps a construction ack one hop back toward the initiator.
+func (t *Table) Ack(now int64, sid StreamID) Step {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	st := t.lookup(t.reverse, sid, now)
+	if st == nil {
+		return Step{Drop: DropNoSID}
+	}
+	t.stats.AcksRelayed++
+	return one(Send{To: st.prev, Kind: KindAck, SID: st.prevSID})
+}
+
+// Data strips one payload layer and forwards it; at the terminal relay
+// the blob goes to the destination the layer names.
+func (t *Table) Data(now int64, sid StreamID, body []byte) Step {
+	t.mu.Lock()
+	st := t.lookup(t.forward, sid, now)
+	t.mu.Unlock()
+	if st == nil {
+		return Step{Drop: DropNoSID}
+	}
+	pt, err := t.env.Suite.SymOpen(st.key, body)
+	if err != nil {
+		return t.bad()
+	}
+	t.mu.Lock()
+	st.expires = now + t.ttl // payload refreshes the TTL (§4.3)
+	if !st.terminal {
+		t.stats.DataRelayed++
+	}
+	t.mu.Unlock()
+	if !st.terminal {
+		// next and nextSID of a non-terminal state never change.
+		return one(Send{To: st.next, Kind: KindData, SID: st.nextSID, Body: pt})
+	}
+	return t.deliver(st, pt)
+}
+
+// Reverse wraps a response in this relay's symmetric layer and maps it
+// one hop toward the initiator (§4.2).
+func (t *Table) Reverse(now int64, sid StreamID, body []byte) Step {
+	t.mu.Lock()
+	st := t.lookup(t.reverse, sid, now)
+	t.mu.Unlock()
+	if st == nil {
+		return Step{Drop: DropNoSID}
+	}
+	wrapped, err := t.env.Suite.SymSeal(t.env.Rand, st.key, body)
+	if err != nil {
+		return t.bad()
+	}
+	t.mu.Lock()
+	st.expires = now + t.ttl
+	t.stats.ReverseHops++
+	t.mu.Unlock()
+	return one(Send{To: st.prev, Kind: KindReverse, SID: st.prevSID, Body: wrapped})
+}
+
+// Streams is the responder endpoint D: it unseals the per-path
+// symmetric key with its private key, decrypts application payloads,
+// seals replies for the delivering path (§4.2), and remembers which
+// inbound streams are live, with the relay table's TTL.
+type Streams struct {
+	env  Env
+	priv onioncrypt.PrivateKey
+	ttl  int64
+	live map[StreamID]int64 // expiry, keyed by the terminal relay's downstream sid
+}
+
+// NewStreams creates the responder endpoint of a node.
+func NewStreams(env Env, priv onioncrypt.PrivateKey, ttl int64) *Streams {
+	return &Streams{env: env.locked(), priv: priv, ttl: ttl, live: make(map[StreamID]int64)}
+}
+
+// Open processes a delivery from a terminal relay: the stream's
+// symmetric key and the application plaintext, or false for a blob
+// that does not open.
+func (s *Streams) Open(now int64, sid StreamID, blob []byte) (key, plain []byte, ok bool) {
+	sealedKey, ct, err := ParseResponderBlob(blob)
+	if err != nil {
+		return nil, nil, false
+	}
+	key, err = s.env.Suite.Open(s.priv, sealedKey)
+	if err != nil || len(key) != onioncrypt.SymKeySize {
+		return nil, nil, false
+	}
+	if plain, err = s.env.Suite.SymOpen(key, ct); err != nil {
+		return nil, nil, false
+	}
+	s.env.Lock.Lock()
+	s.live[sid] = now + s.ttl
+	s.env.Lock.Unlock()
+	return key, plain, true
+}
+
+// Reply seals plain under a delivering stream's key for the way back
+// up its path through the terminal relay.
+func (s *Streams) Reply(relay netsim.NodeID, sid StreamID, key, plain []byte) (Send, error) {
+	ct, err := s.env.Suite.SymSeal(s.env.Rand, key, plain)
+	return Send{To: relay, Kind: KindReverse, SID: sid, Body: ct}, err
+}
+
+// Sweep forgets streams idle past the TTL.
+func (s *Streams) Sweep(now int64) {
+	s.env.Lock.Lock()
+	defer s.env.Lock.Unlock()
+	for sid, expires := range s.live {
+		if expires <= now {
+			delete(s.live, sid)
+		}
+	}
+}
+
+// Wipe forgets every stream, as a failing node does.
+func (s *Streams) Wipe() {
+	s.env.Lock.Lock()
+	defer s.env.Lock.Unlock()
+	s.live = make(map[StreamID]int64)
+}
+
+// Len returns the number of live inbound streams.
+func (s *Streams) Len() int {
+	s.env.Lock.Lock()
+	defer s.env.Lock.Unlock()
+	return len(s.live)
+}
+
+// target holds the per-responder keys of a path (a reused path can
+// multiplex several responders, §4.4).
+type target struct {
+	dest   netsim.NodeID
+	key    []byte
+	sealed []byte
+}
+
+// PathKeys is the initiator's half of one path: the hop keys R_1..R_L,
+// the responder keys, and the stream id and first relay its messages
+// leave on. Sending to a responder the path already has keys for only
+// reads, so an established path may be used concurrently; introducing
+// a new responder (§4.4) must not race other calls on the same path.
+type PathKeys struct {
+	env     Env
+	sid     StreamID
+	first   netsim.NodeID
+	hops    [][]byte
+	targets []target
+}
+
+// NewPathKeys keys a fresh path from self through the relays to the
+// responder and returns the message that launches it: the construction
+// onion (§4.1), carrying data's payload onion in the same pass when
+// withData is set (§4.2).
+func NewPathKeys(env Env, dir KeyLookup, self netsim.NodeID, relays []netsim.NodeID, responder netsim.NodeID, data []byte, withData bool) (k PathKeys, launch Send, err error) {
+	if len(relays) == 0 {
+		return k, launch, fmt.Errorf("onion: path needs at least one relay")
+	}
+	for _, rid := range relays {
+		if rid == self || rid == responder {
+			return k, launch, fmt.Errorf("onion: relay %d collides with an endpoint", rid)
+		}
+	}
+	k = PathKeys{env: env, first: relays[0], hops: make([][]byte, len(relays))}
+	for i := range k.hops {
+		if k.hops[i], err = env.Suite.NewSymKey(env.Rand); err != nil {
+			return k, launch, fmt.Errorf("onion: generating hop key: %w", err)
+		}
+	}
+	k.sid = env.NewSID()
+	if _, err = k.target(dir, responder); err != nil {
+		return k, launch, err
+	}
+	launch = Send{To: k.first, Kind: KindConstruct, SID: k.sid}
+	if launch.Onion, err = BuildConstructOnion(env.Suite, env.Rand, dir, relays, responder, k.hops); err != nil {
+		return k, launch, err
+	}
+	if withData {
+		var d Send
+		d, err = k.Data(dir, responder, data)
+		launch.Kind, launch.Body = KindConstructData, d.Body
+	}
+	return k, launch, err
+}
+
+// Targets returns how many responders the path has keys for.
+func (k *PathKeys) Targets() int { return len(k.targets) }
+
+// target returns the path's keys for a responder, creating and sealing
+// them on first use.
+func (k *PathKeys) target(dir KeyLookup, responder netsim.NodeID) (target, error) {
+	for _, t := range k.targets {
+		if t.dest == responder {
+			return t, nil
+		}
+	}
+	key, err := k.env.Suite.NewSymKey(k.env.Rand)
+	if err != nil {
+		return target{}, fmt.Errorf("onion: generating responder key: %w", err)
+	}
+	sealed, err := k.env.Suite.Seal(k.env.Rand, dir.Public(responder), key)
+	if err != nil {
+		return target{}, fmt.Errorf("onion: sealing responder key: %w", err)
+	}
+	k.targets = append(k.targets, target{dest: responder, key: key, sealed: sealed})
+	return k.targets[len(k.targets)-1], nil
+}
+
+// Data builds the payload onion carrying plain over the path to a
+// responder — its default one or, reusing the relays' state, any other
+// (§4.4).
+func (k *PathKeys) Data(dir KeyLookup, responder netsim.NodeID, plain []byte) (Send, error) {
+	t, err := k.target(dir, responder)
+	if err != nil {
+		return Send{}, err
+	}
+	body, err := BuildPayloadOnion(k.env.Suite, k.env.Rand, k.hops, responder, t.key, t.sealed, plain)
+	return Send{To: k.first, Kind: KindData, SID: k.sid, Body: body}, err
+}
+
+// OpenReverse peels every relay layer and the responder layer off a
+// reverse-path body, identifying the sending responder by which target
+// key decrypts.
+func (k *PathKeys) OpenReverse(body []byte) (from netsim.NodeID, plain []byte, ok bool) {
+	for _, key := range k.hops {
+		pt, err := k.env.Suite.SymOpen(key, body)
+		if err != nil {
+			return netsim.Invalid, nil, false // corrupted or replayed
+		}
+		body = pt
+	}
+	for _, t := range k.targets {
+		if pt, err := k.env.Suite.SymOpen(t.key, body); err == nil {
+			return t.dest, pt, true
+		}
+	}
+	return netsim.Invalid, nil, false
+}

@@ -2,12 +2,10 @@ package onion
 
 import (
 	"fmt"
-	"math/rand"
 
 	"resilientmix/internal/metrics"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
-	"resilientmix/internal/onioncrypt"
 	"resilientmix/internal/sim"
 )
 
@@ -40,13 +38,6 @@ func (s PathState) String() string {
 	}
 }
 
-// target holds the per-responder keys of a path (a reused path can
-// multiplex several responders, §4.4).
-type target struct {
-	key    []byte
-	sealed []byte
-}
-
 // Path is the initiator's record of one anonymous forwarding path.
 type Path struct {
 	// SID is the stream ID on the initiator→first-relay link.
@@ -60,8 +51,7 @@ type Path struct {
 	// EstablishedAt is when the construction ack arrived.
 	EstablishedAt sim.Time
 
-	keys    [][]byte // R_1..R_L
-	targets map[netsim.NodeID]*target
+	keys PathKeys
 
 	onResult func(*Path, bool) // construction outcome callback
 	timer    *sim.Timer
@@ -79,8 +69,7 @@ type Initiator struct {
 	id      netsim.NodeID
 	net     *netsim.Network
 	eng     *sim.Engine
-	rng     *rand.Rand
-	suite   onioncrypt.Suite
+	env     Env
 	dir     *Directory
 	timeout sim.Time
 
@@ -98,8 +87,7 @@ func NewInitiator(net *netsim.Network, id netsim.NodeID, dir *Directory, timeout
 		id:        id,
 		net:       net,
 		eng:       net.Engine(),
-		rng:       net.Engine().RNG(),
-		suite:     dir.Suite(),
+		env:       simEnv(net.Engine().RNG(), dir.Suite()),
 		dir:       dir,
 		timeout:   timeout,
 		paths:     make(map[StreamID]*Path),
@@ -125,48 +113,7 @@ func (in *Initiator) Forget(p *Path) { delete(in.paths, p.SID) }
 // construction ack arrives, with false on timeout or on immediate
 // failure (in which case Construct also returns the error).
 func (in *Initiator) Construct(relays []netsim.NodeID, responder netsim.NodeID, flow *metrics.Flow, done func(*Path, bool)) (*Path, error) {
-	if len(relays) == 0 {
-		return nil, fmt.Errorf("onion: path needs at least one relay")
-	}
-	for _, rid := range relays {
-		if rid == in.id || rid == responder {
-			return nil, fmt.Errorf("onion: relay %d collides with an endpoint", rid)
-		}
-	}
-	keys := make([][]byte, len(relays))
-	for i := range keys {
-		k, err := in.suite.NewSymKey(in.rng)
-		if err != nil {
-			return nil, fmt.Errorf("onion: generating hop key: %w", err)
-		}
-		keys[i] = k
-	}
-	p := &Path{
-		SID:       StreamID(in.rng.Uint64()),
-		Relays:    append([]netsim.NodeID(nil), relays...),
-		Responder: responder,
-		State:     PathConstructing,
-		keys:      keys,
-		targets:   make(map[netsim.NodeID]*target),
-		onResult:  done,
-	}
-	if _, err := in.ensureTarget(p, responder); err != nil {
-		return nil, err
-	}
-	onionBytes, err := BuildConstructOnion(in.suite, in.rng, in.dir, relays, responder, keys)
-	if err != nil {
-		return nil, err
-	}
-	in.paths[p.SID] = p
-	msg := ConstructMsg{SID: p.SID, Onion: onionBytes, Flow: flow}
-	send(in.net, in.id, relays[0], msg, msg.WireSize(), flow, obs.Tag{})
-	p.timer = in.eng.After(in.timeout, func() {
-		if p.State == PathConstructing {
-			p.State = PathFailed
-			in.finish(p, false)
-		}
-	})
-	return p, nil
+	return in.launch(relays, responder, nil, false, flow, obs.Tag{}, done)
 }
 
 // ConstructWithData builds a path AND sends the first payload in the
@@ -181,46 +128,26 @@ func (in *Initiator) ConstructWithData(relays []netsim.NodeID, responder netsim.
 // ConstructWithDataTagged is ConstructWithData with a data-plane trace
 // tag stamped on the piggybacked payload's wire journey.
 func (in *Initiator) ConstructWithDataTagged(relays []netsim.NodeID, responder netsim.NodeID, plain []byte, flow *metrics.Flow, tag obs.Tag, done func(*Path, bool)) (*Path, error) {
-	if len(relays) == 0 {
-		return nil, fmt.Errorf("onion: path needs at least one relay")
-	}
-	for _, rid := range relays {
-		if rid == in.id || rid == responder {
-			return nil, fmt.Errorf("onion: relay %d collides with an endpoint", rid)
-		}
-	}
-	keys := make([][]byte, len(relays))
-	for i := range keys {
-		k, err := in.suite.NewSymKey(in.rng)
-		if err != nil {
-			return nil, fmt.Errorf("onion: generating hop key: %w", err)
-		}
-		keys[i] = k
+	return in.launch(relays, responder, plain, true, flow, tag, done)
+}
+
+// launch keys a path, records it, sends its first message and arms the
+// construction timeout.
+func (in *Initiator) launch(relays []netsim.NodeID, responder netsim.NodeID, plain []byte, withData bool, flow *metrics.Flow, tag obs.Tag, done func(*Path, bool)) (*Path, error) {
+	keys, first, err := NewPathKeys(in.env, in.dir, in.id, relays, responder, plain, withData)
+	if err != nil {
+		return nil, err
 	}
 	p := &Path{
-		SID:       StreamID(in.rng.Uint64()),
+		SID:       first.SID,
 		Relays:    append([]netsim.NodeID(nil), relays...),
 		Responder: responder,
 		State:     PathConstructing,
 		keys:      keys,
-		targets:   make(map[netsim.NodeID]*target),
 		onResult:  done,
 	}
-	t, err := in.ensureTarget(p, responder)
-	if err != nil {
-		return nil, err
-	}
-	onionBytes, err := BuildConstructOnion(in.suite, in.rng, in.dir, relays, responder, keys)
-	if err != nil {
-		return nil, err
-	}
-	body, err := BuildPayloadOnion(in.suite, in.rng, keys, responder, t.key, t.sealed, plain)
-	if err != nil {
-		return nil, err
-	}
 	in.paths[p.SID] = p
-	msg := ConstructDataMsg{SID: p.SID, Onion: onionBytes, Body: body, Flow: flow, Trace: tag}
-	send(in.net, in.id, relays[0], msg, msg.WireSize(), flow, tag)
+	transmit(in.net, in.id, first, flow, tag)
 	p.timer = in.eng.After(in.timeout, func() {
 		if p.State == PathConstructing {
 			p.State = PathFailed
@@ -235,25 +162,6 @@ func (in *Initiator) finish(p *Path, ok bool) {
 		p.onResult = nil
 		cb(p, ok)
 	}
-}
-
-// ensureTarget returns the per-responder keys of a path, creating and
-// sealing them on first use.
-func (in *Initiator) ensureTarget(p *Path, responder netsim.NodeID) (*target, error) {
-	if t, ok := p.targets[responder]; ok {
-		return t, nil
-	}
-	key, err := in.suite.NewSymKey(in.rng)
-	if err != nil {
-		return nil, fmt.Errorf("onion: generating responder key: %w", err)
-	}
-	sealed, err := in.suite.Seal(in.rng, in.dir.Public(responder), key)
-	if err != nil {
-		return nil, fmt.Errorf("onion: sealing responder key: %w", err)
-	}
-	t := &target{key: key, sealed: sealed}
-	p.targets[responder] = t
-	return t, nil
 }
 
 // SendData sends an application payload to the path's default responder.
@@ -275,21 +183,16 @@ func (in *Initiator) SendDataTagged(p *Path, responder netsim.NodeID, plain []by
 	if p.State != PathEstablished {
 		return fmt.Errorf("onion: path is %v, not established", p.State)
 	}
-	t, err := in.ensureTarget(p, responder)
+	msg, err := p.keys.Data(in.dir, responder, plain)
 	if err != nil {
 		return err
 	}
-	body, err := BuildPayloadOnion(in.suite, in.rng, p.keys, responder, t.key, t.sealed, plain)
-	if err != nil {
-		return err
-	}
-	msg := DataMsg{SID: p.SID, Body: body, Flow: flow, Trace: tag}
-	send(in.net, in.id, p.Relays[0], msg, msg.WireSize(), flow, tag)
+	transmit(in.net, in.id, msg, flow, tag)
 	return nil
 }
 
 // handleConstructAck completes a pending construction.
-func (in *Initiator) handleConstructAck(_ netsim.NodeID, msg ConstructAck) {
+func (in *Initiator) handleConstructAck(msg ConstructAck) {
 	p, ok := in.paths[msg.SID]
 	if !ok || p.State != PathConstructing {
 		return
@@ -302,26 +205,12 @@ func (in *Initiator) handleConstructAck(_ netsim.NodeID, msg ConstructAck) {
 
 // handleReverse peels all relay layers plus the responder layer and
 // hands the plaintext to the application callback.
-func (in *Initiator) handleReverse(_ netsim.NodeID, msg ReverseMsg) {
+func (in *Initiator) handleReverse(msg ReverseMsg) {
 	p, ok := in.paths[msg.SID]
 	if !ok {
 		return
 	}
-	body := msg.Body
-	for _, k := range p.keys {
-		pt, err := in.suite.SymOpen(k, body)
-		if err != nil {
-			return // corrupted or replayed
-		}
-		body = pt
-	}
-	// Identify the sending responder by which target key decrypts.
-	for dest, t := range p.targets {
-		if pt, err := in.suite.SymOpen(t.key, body); err == nil {
-			if in.onReverse != nil {
-				in.onReverse(p, dest, pt, msg.Flow)
-			}
-			return
-		}
+	if dest, plain, ok := p.keys.OpenReverse(msg.Body); ok && in.onReverse != nil {
+		in.onReverse(p, dest, plain, msg.Flow)
 	}
 }

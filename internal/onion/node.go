@@ -51,30 +51,30 @@ func (n *Node) attach(mux *netsim.Mux) {
 	mux.Route(ConstructDataMsg{}, netsim.HandlerFunc(func(from netsim.NodeID, m netsim.Message) {
 		n.Relay.handleConstructData(from, m.Payload.(ConstructDataMsg))
 	}))
-	mux.Route(ConstructAck{}, netsim.HandlerFunc(func(from netsim.NodeID, m netsim.Message) {
+	mux.Route(ConstructAck{}, netsim.HandlerFunc(func(_ netsim.NodeID, m netsim.Message) {
 		ack := m.Payload.(ConstructAck)
 		// The initiator's own streams take priority; otherwise this node
 		// is an intermediate relay on someone else's path.
 		if n.Initiator != nil && n.Initiator.Owns(ack.SID) {
-			n.Initiator.handleConstructAck(from, ack)
+			n.Initiator.handleConstructAck(ack)
 			return
 		}
-		n.Relay.handleConstructAck(from, ack)
+		n.Relay.handleConstructAck(ack)
 	}))
-	mux.Route(DataMsg{}, netsim.HandlerFunc(func(from netsim.NodeID, m netsim.Message) {
-		n.Relay.handleData(from, m.Payload.(DataMsg))
+	mux.Route(DataMsg{}, netsim.HandlerFunc(func(_ netsim.NodeID, m netsim.Message) {
+		n.Relay.handleData(m.Payload.(DataMsg))
 	}))
 	mux.Route(DeliverMsg{}, netsim.HandlerFunc(func(from netsim.NodeID, m netsim.Message) {
 		if n.Responder != nil {
 			n.Responder.handleDeliver(from, m.Payload.(DeliverMsg))
 		}
 	}))
-	mux.Route(ReverseMsg{}, netsim.HandlerFunc(func(from netsim.NodeID, m netsim.Message) {
+	mux.Route(ReverseMsg{}, netsim.HandlerFunc(func(_ netsim.NodeID, m netsim.Message) {
 		rev := m.Payload.(ReverseMsg)
 		if n.Initiator != nil && n.Initiator.Owns(rev.SID) {
-			n.Initiator.handleReverse(from, rev)
+			n.Initiator.handleReverse(rev)
 			return
 		}
-		n.Relay.handleReverse(from, rev)
+		n.Relay.handleReverse(rev)
 	}))
 }

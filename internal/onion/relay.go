@@ -1,8 +1,7 @@
 package onion
 
 import (
-	"math/rand"
-
+	"resilientmix/internal/metrics"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
 	"resilientmix/internal/onioncrypt"
@@ -13,36 +12,15 @@ import (
 // reclaiming it (§4.3). Payload traffic refreshes the TTL.
 const DefaultStateTTL = 10 * sim.Minute
 
-// RelayStats counts a relay's activity.
-type RelayStats struct {
-	Constructed  uint64 // path states installed
-	DataRelayed  uint64 // payload onion layers forwarded
-	Delivered    uint64 // responder deliveries (terminal hops)
-	ReverseHops  uint64 // reverse messages wrapped and forwarded
-	AcksRelayed  uint64 // construction acks forwarded backward
-	DroppedNoSID uint64 // messages with unknown or expired stream IDs
-	DroppedBad   uint64 // messages that failed to decrypt or parse
-	Expired      uint64 // path states reclaimed by the TTL sweeper
-	Wiped        uint64 // path states lost to a node failure
-}
-
-// Relay is one node's mix functionality: it installs path state from
-// construction onions and forwards payload, delivery, reverse and ack
-// traffic along cached streams. All state is lost when the node fails,
-// which is exactly the fragility the paper studies.
+// Relay is one node's mix functionality in the simulator: it feeds the
+// node's relay Table from the simulated network and puts what the table
+// answers back on it. All state is lost when the node fails, which is
+// exactly the fragility the paper studies.
 type Relay struct {
-	id    netsim.NodeID
-	net   *netsim.Network
-	eng   *sim.Engine
-	rng   *rand.Rand
-	suite onioncrypt.Suite
-	priv  onioncrypt.PrivateKey
-	ttl   sim.Time
-
-	forward map[StreamID]*pathState // keyed by upstream (inbound) stream ID
-	reverse map[StreamID]*pathState // keyed by downstream (outbound) stream ID
-
-	stats RelayStats
+	id  netsim.NodeID
+	net *netsim.Network
+	eng *sim.Engine
+	tab *Table
 }
 
 // NewRelay creates the relay for a node, registers its churn listener
@@ -51,228 +29,60 @@ func NewRelay(net *netsim.Network, id netsim.NodeID, suite onioncrypt.Suite, pri
 	if ttl <= 0 {
 		ttl = DefaultStateTTL
 	}
-	r := &Relay{
-		id:      id,
-		net:     net,
-		eng:     net.Engine(),
-		rng:     net.Engine().RNG(),
-		suite:   suite,
-		priv:    priv,
-		ttl:     ttl,
-		forward: make(map[StreamID]*pathState),
-		reverse: make(map[StreamID]*pathState),
-	}
+	eng := net.Engine()
+	r := &Relay{id: id, net: net, eng: eng, tab: NewTable(simEnv(eng.RNG(), suite), priv, int64(ttl))}
 	net.AddStateListener(func(nid netsim.NodeID, up bool) {
 		if nid == id && !up {
-			r.wipe()
+			r.tab.Wipe()
 		}
 	})
-	r.eng.Every(ttl, ttl, r.sweep)
+	eng.Every(ttl, ttl, func() { r.tab.Sweep(int64(eng.Now())) })
 	return r
 }
 
 // Stats returns a snapshot of the relay's counters.
-func (r *Relay) Stats() RelayStats { return r.stats }
+func (r *Relay) Stats() RelayStats { return r.tab.Stats() }
 
 // States returns the number of live path states.
-func (r *Relay) States() int { return len(r.forward) }
-
-func (r *Relay) wipe() {
-	r.stats.Wiped += uint64(len(r.forward))
-	r.forward = make(map[StreamID]*pathState)
-	r.reverse = make(map[StreamID]*pathState)
+func (r *Relay) States() int {
+	forward, _ := r.tab.States()
+	return forward
 }
 
-func (r *Relay) sweep() {
-	now := r.eng.Now()
-	for sid, st := range r.forward {
-		if st.expires <= now {
-			delete(r.forward, sid)
-			r.stats.Expired++
-		}
+// dropReasons maps the table's verdicts to trace reasons.
+var dropReasons = [...]obs.Reason{DropNoSID: obs.ReasonNoState, DropBad: obs.ReasonBadLayer}
+
+// apply transmits a step's sends, each data-plane one carrying tag
+// advanced one hop, and records a tagged message the table consumed:
+// without that event its causal chain would end at a MsgDelivered with
+// no explanation.
+func (r *Relay) apply(st Step, flow *metrics.Flow, tag obs.Tag, size int) {
+	if st.Drop != DropNone {
+		emitRelayDropped(r.net, r.id, tag, size, dropReasons[st.Drop])
 	}
-	for sid, st := range r.reverse {
-		if st.expires <= now {
-			delete(r.reverse, sid)
-		}
+	for i := 0; i < st.N; i++ {
+		transmit(r.net, r.id, st.Out[i], flow, tag.Next())
 	}
 }
 
-// lookup returns a live state from the map, dropping expired entries.
-func (r *Relay) lookup(m map[StreamID]*pathState, sid StreamID) *pathState {
-	st, ok := m[sid]
-	if !ok {
-		r.stats.DroppedNoSID++
-		return nil
-	}
-	if st.expires <= r.eng.Now() {
-		delete(m, sid)
-		r.stats.DroppedNoSID++
-		return nil
-	}
-	return st
-}
+func (r *Relay) now() int64 { return int64(r.eng.Now()) }
 
-func (r *Relay) newSID() StreamID { return StreamID(r.rng.Uint64()) }
-
-// handleConstruct installs path state from one construction onion layer
-// and either forwards the inner onion or, at the terminal relay,
-// acknowledges back toward the initiator.
 func (r *Relay) handleConstruct(from netsim.NodeID, msg ConstructMsg) {
-	layer, err := ParseConstructLayer(r.suite, r.priv, msg.Onion)
-	if err != nil {
-		r.stats.DroppedBad++
-		return
-	}
-	st := &pathState{
-		prev:     from,
-		prevSID:  msg.SID,
-		next:     layer.Next,
-		nextSID:  r.newSID(),
-		key:      layer.Key,
-		terminal: layer.Terminal,
-		expires:  r.eng.Now() + r.ttl,
-	}
-	r.forward[msg.SID] = st
-	r.reverse[st.nextSID] = st
-	r.stats.Constructed++
-	if layer.Terminal {
-		ack := ConstructAck{SID: msg.SID, Flow: msg.Flow}
-		send(r.net, r.id, from, ack, ack.WireSize(), msg.Flow, obs.Tag{})
-		return
-	}
-	fwd := ConstructMsg{SID: st.nextSID, Onion: layer.Inner, Flow: msg.Flow}
-	send(r.net, r.id, layer.Next, fwd, fwd.WireSize(), msg.Flow, obs.Tag{})
+	r.apply(r.tab.Construct(r.now(), from, msg.SID, msg.Onion), msg.Flow, obs.Tag{}, 0)
 }
 
-// handleConstructData installs path state AND forwards the piggybacked
-// payload in one pass (§4.2's combined construction/sending). The
-// terminal relay delivers the responder blob and acks like an ordinary
-// construction.
 func (r *Relay) handleConstructData(from netsim.NodeID, msg ConstructDataMsg) {
-	layer, err := ParseConstructLayer(r.suite, r.priv, msg.Onion)
-	if err != nil {
-		r.stats.DroppedBad++
-		emitRelayDropped(r.net, r.id, msg.Trace, msg.WireSize(), obs.ReasonBadLayer)
-		return
-	}
-	pt, err := r.suite.SymOpen(layer.Key, msg.Body)
-	if err != nil {
-		r.stats.DroppedBad++
-		emitRelayDropped(r.net, r.id, msg.Trace, msg.WireSize(), obs.ReasonBadLayer)
-		return
-	}
-	st := &pathState{
-		prev:     from,
-		prevSID:  msg.SID,
-		next:     layer.Next,
-		nextSID:  r.newSID(),
-		key:      layer.Key,
-		terminal: layer.Terminal,
-		expires:  r.eng.Now() + r.ttl,
-	}
-	r.forward[msg.SID] = st
-	r.reverse[st.nextSID] = st
-	r.stats.Constructed++
-	if layer.Terminal {
-		dest, blob, err := ParseTerminalPayload(pt)
-		if err != nil {
-			r.stats.DroppedBad++
-			emitRelayDropped(r.net, r.id, msg.Trace, msg.WireSize(), obs.ReasonBadLayer)
-			return
-		}
-		if dest != st.next {
-			delete(r.reverse, st.nextSID)
-			st.next = dest
-			st.nextSID = r.newSID()
-			r.reverse[st.nextSID] = st
-		}
-		r.stats.Delivered++
-		d := DeliverMsg{SID: st.nextSID, Body: blob, Flow: msg.Flow, Trace: msg.Trace.Next()}
-		send(r.net, r.id, dest, d, d.WireSize(), msg.Flow, d.Trace)
-		ack := ConstructAck{SID: msg.SID, Flow: msg.Flow}
-		send(r.net, r.id, from, ack, ack.WireSize(), msg.Flow, obs.Tag{})
-		return
-	}
-	r.stats.DataRelayed++
-	fwd := ConstructDataMsg{SID: st.nextSID, Onion: layer.Inner, Body: pt, Flow: msg.Flow, Trace: msg.Trace.Next()}
-	send(r.net, r.id, layer.Next, fwd, fwd.WireSize(), msg.Flow, fwd.Trace)
+	r.apply(r.tab.ConstructData(r.now(), from, msg.SID, msg.Onion, msg.Body), msg.Flow, msg.Trace, msg.WireSize())
 }
 
-// handleConstructAck forwards an ack one hop back toward the initiator.
-func (r *Relay) handleConstructAck(_ netsim.NodeID, msg ConstructAck) {
-	st := r.lookup(r.reverse, msg.SID)
-	if st == nil {
-		return
-	}
-	r.stats.AcksRelayed++
-	ack := ConstructAck{SID: st.prevSID, Flow: msg.Flow}
-	send(r.net, r.id, st.prev, ack, ack.WireSize(), msg.Flow, obs.Tag{})
+func (r *Relay) handleConstructAck(msg ConstructAck) {
+	r.apply(r.tab.Ack(r.now(), msg.SID), msg.Flow, obs.Tag{}, 0)
 }
 
-// handleData strips one payload layer and forwards it. At the terminal
-// relay the layer reveals the destination (normally the cached
-// responder; a different one rebinds the stream — path reuse, §4.4) and
-// the blob is delivered to it.
-func (r *Relay) handleData(_ netsim.NodeID, msg DataMsg) {
-	st := r.lookup(r.forward, msg.SID)
-	if st == nil {
-		emitRelayDropped(r.net, r.id, msg.Trace, msg.WireSize(), obs.ReasonNoState)
-		return
-	}
-	pt, err := r.suite.SymOpen(st.key, msg.Body)
-	if err != nil {
-		r.stats.DroppedBad++
-		emitRelayDropped(r.net, r.id, msg.Trace, msg.WireSize(), obs.ReasonBadLayer)
-		return
-	}
-	st.expires = r.eng.Now() + r.ttl // payload refreshes the TTL (§4.3)
-	if !st.terminal {
-		r.stats.DataRelayed++
-		fwd := DataMsg{SID: st.nextSID, Body: pt, Flow: msg.Flow, Trace: msg.Trace.Next()}
-		send(r.net, r.id, st.next, fwd, fwd.WireSize(), msg.Flow, fwd.Trace)
-		return
-	}
-	dest, blob, err := ParseTerminalPayload(pt)
-	if err != nil {
-		r.stats.DroppedBad++
-		emitRelayDropped(r.net, r.id, msg.Trace, msg.WireSize(), obs.ReasonBadLayer)
-		return
-	}
-	if dest != st.next {
-		// §4.4: the initiator multiplexed a new responder onto this
-		// path; generate a fresh downstream stream ID for it.
-		delete(r.reverse, st.nextSID)
-		st.next = dest
-		st.nextSID = r.newSID()
-		r.reverse[st.nextSID] = st
-	}
-	r.stats.Delivered++
-	d := DeliverMsg{SID: st.nextSID, Body: blob, Flow: msg.Flow, Trace: msg.Trace.Next()}
-	send(r.net, r.id, dest, d, d.WireSize(), msg.Flow, d.Trace)
+func (r *Relay) handleData(msg DataMsg) {
+	r.apply(r.tab.Data(r.now(), msg.SID, msg.Body), msg.Flow, msg.Trace, msg.WireSize())
 }
 
-// handleReverse wraps a response in this relay's symmetric layer and
-// forwards it toward the initiator.
-func (r *Relay) handleReverse(_ netsim.NodeID, msg ReverseMsg) {
-	st := r.lookup(r.reverse, msg.SID)
-	if st == nil {
-		return
-	}
-	wrapped, err := r.suite.SymSeal(r.rng, st.key, msg.Body)
-	if err != nil {
-		r.stats.DroppedBad++
-		return
-	}
-	st.expires = r.eng.Now() + r.ttl
-	r.stats.ReverseHops++
-	rev := ReverseMsg{SID: st.prevSID, Body: wrapped, Flow: msg.Flow}
-	send(r.net, r.id, st.prev, rev, rev.WireSize(), msg.Flow, obs.Tag{})
-}
-
-// hasReverse reports whether sid belongs to one of this relay's
-// downstream streams (used by the node dispatcher).
-func (r *Relay) hasReverse(sid StreamID) bool {
-	_, ok := r.reverse[sid]
-	return ok
+func (r *Relay) handleReverse(msg ReverseMsg) {
+	r.apply(r.tab.Reverse(r.now(), msg.SID, msg.Body), msg.Flow, obs.Tag{}, 0)
 }

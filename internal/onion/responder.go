@@ -1,8 +1,6 @@
 package onion
 
 import (
-	"math/rand"
-
 	"resilientmix/internal/metrics"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
@@ -14,27 +12,16 @@ import (
 // with a handle for replying along the reverse path.
 type DataFunc func(h ReplyHandle, plain []byte)
 
-// Responder is the destination-side endpoint D: it unseals the per-path
-// symmetric key with its private key, decrypts application payloads,
-// and can send replies back along the delivering path (§4.2).
+// Responder is the destination-side endpoint D in the simulator: it
+// feeds deliveries to the node's Streams and hands what opens to the
+// application, which can reply along the delivering path (§4.2).
 type Responder struct {
-	id     netsim.NodeID
-	net    *netsim.Network
-	eng    *sim.Engine
-	rng    *rand.Rand
-	suite  onioncrypt.Suite
-	priv   onioncrypt.PrivateKey
-	onData DataFunc
-	ttl    sim.Time
-
-	streams map[StreamID]*respStream // keyed by the terminal relay's downstream sid
+	id      netsim.NodeID
+	net     *netsim.Network
+	eng     *sim.Engine
+	streams *Streams
+	onData  DataFunc
 	dropped uint64
-}
-
-type respStream struct {
-	relay   netsim.NodeID
-	key     []byte
-	expires sim.Time
 }
 
 // NewResponder creates the responder endpoint for a node. The onData
@@ -43,62 +30,30 @@ func NewResponder(net *netsim.Network, id netsim.NodeID, suite onioncrypt.Suite,
 	if ttl <= 0 {
 		ttl = DefaultStateTTL
 	}
-	r := &Responder{
-		id:      id,
-		net:     net,
-		eng:     net.Engine(),
-		rng:     net.Engine().RNG(),
-		suite:   suite,
-		priv:    priv,
-		onData:  onData,
-		ttl:     ttl,
-		streams: make(map[StreamID]*respStream),
-	}
+	eng := net.Engine()
+	r := &Responder{id: id, net: net, eng: eng, streams: NewStreams(simEnv(eng.RNG(), suite), priv, int64(ttl)), onData: onData}
 	net.AddStateListener(func(nid netsim.NodeID, up bool) {
 		if nid == id && !up {
-			r.streams = make(map[StreamID]*respStream)
+			r.streams.Wipe()
 		}
 	})
-	r.eng.Every(ttl, ttl, r.sweep)
+	eng.Every(ttl, ttl, func() { r.streams.Sweep(int64(eng.Now())) })
 	return r
 }
 
 // Dropped returns the number of undecryptable deliveries.
 func (r *Responder) Dropped() uint64 { return r.dropped }
 
-func (r *Responder) sweep() {
-	now := r.eng.Now()
-	for sid, st := range r.streams {
-		if st.expires <= now {
-			delete(r.streams, sid)
-		}
-	}
-}
-
 // handleDeliver processes a delivery from a terminal relay.
 func (r *Responder) handleDeliver(from netsim.NodeID, msg DeliverMsg) {
-	sealedKey, ct, err := ParseResponderBlob(msg.Body)
-	if err != nil {
+	key, plain, ok := r.streams.Open(int64(r.eng.Now()), msg.SID, msg.Body)
+	if !ok {
 		r.dropped++
 		emitRelayDropped(r.net, r.id, msg.Trace, msg.WireSize(), obs.ReasonBadLayer)
 		return
 	}
-	key, err := r.suite.Open(r.priv, sealedKey)
-	if err != nil || len(key) != onioncrypt.SymKeySize {
-		r.dropped++
-		emitRelayDropped(r.net, r.id, msg.Trace, msg.WireSize(), obs.ReasonBadLayer)
-		return
-	}
-	plain, err := r.suite.SymOpen(key, ct)
-	if err != nil {
-		r.dropped++
-		emitRelayDropped(r.net, r.id, msg.Trace, msg.WireSize(), obs.ReasonBadLayer)
-		return
-	}
-	r.streams[msg.SID] = &respStream{relay: from, key: key, expires: r.eng.Now() + r.ttl}
 	if r.onData != nil {
-		h := ReplyHandle{resp: r, relay: from, sid: msg.SID, key: key, Flow: msg.Flow}
-		r.onData(h, plain)
+		r.onData(ReplyHandle{resp: r, relay: from, sid: msg.SID, key: key, Flow: msg.Flow}, plain)
 	}
 }
 
@@ -123,11 +78,9 @@ func (h ReplyHandle) StreamID() StreamID { return h.sid }
 // Reply encrypts plain with the stream's symmetric key and sends it
 // back up the path. It reports whether the message entered the network.
 func (h ReplyHandle) Reply(plain []byte, flow *metrics.Flow) bool {
-	r := h.resp
-	ct, err := r.suite.SymSeal(r.rng, h.key, plain)
+	s, err := h.resp.streams.Reply(h.relay, h.sid, h.key, plain)
 	if err != nil {
 		return false
 	}
-	msg := ReverseMsg{SID: h.sid, Body: ct, Flow: flow}
-	return send(r.net, r.id, h.relay, msg, msg.WireSize(), flow, obs.Tag{})
+	return transmit(h.resp.net, h.resp.id, s, flow, obs.Tag{})
 }

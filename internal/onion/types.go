@@ -1,9 +1,15 @@
-// Package onion implements the paper's anonymous routing machinery on
-// top of the simulated network: layered path-construction onions (§4.1),
-// symmetric payload onions with the responder key sealed to the
-// responder's public key (§4.2), relay path-state caches with TTL
-// expiry (§4.3), last-hop destination override for path reuse (§4.4),
-// construction acknowledgments and reverse-path (response) routing.
+// Package onion implements the paper's anonymous routing machinery:
+// layered path-construction onions (§4.1), symmetric payload onions with
+// the responder key sealed to the responder's public key (§4.2), relay
+// path-state caches with TTL expiry (§4.3), last-hop destination
+// override for path reuse (§4.4), construction acknowledgments and
+// reverse-path (response) routing.
+//
+// codec.go is the onion formats and hop.go the hop roles — relay Table,
+// responder Streams, initiator PathKeys — with no transport and no
+// clock in them. The rest of the package (Relay, Initiator, Responder,
+// Node and the typed messages) drives that core on the simulated
+// network; internal/livenet drives the same core on TCP sockets.
 //
 // The protocols of internal/core (CurMix, SimRep, SimEra) are thin
 // orchestrations over this package: they decide which paths exist and
@@ -12,10 +18,12 @@
 package onion
 
 import (
+	"math/rand"
+
 	"resilientmix/internal/metrics"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
-	"resilientmix/internal/sim"
+	"resilientmix/internal/onioncrypt"
 )
 
 // StreamID identifies one hop-to-hop stream. Each relay maps the
@@ -106,17 +114,6 @@ type ReverseMsg struct {
 // WireSize returns the on-the-wire size.
 func (m ReverseMsg) WireSize() int { return msgHeaderSize + 4 + len(m.Body) }
 
-// send transmits a payload and charges its size to the flow if it was
-// actually placed on the wire. tag is the data-plane correlation tag
-// stamped on the wire message (zero for untagged traffic).
-func send(net *netsim.Network, from, to netsim.NodeID, payload any, size int, flow *metrics.Flow, tag obs.Tag) bool {
-	if net.Send(from, to, netsim.Message{Payload: payload, Size: size, Trace: tag}) {
-		flow.Add(size)
-		return true
-	}
-	return false
-}
-
 // emitRelayDropped records a tagged data-plane message consumed above
 // the wire — a relay or responder that could not process it. Without
 // this event the message's causal chain would end at a MsgDelivered
@@ -137,14 +134,41 @@ func emitRelayDropped(net *netsim.Network, node netsim.NodeID, tag obs.Tag, size
 	})
 }
 
-// pathState is one relay's cached tuple for a stream:
-// [P_{i-1}, sid_{i-1}, P_{i+1}, sid_i, R_i] plus a TTL (§4.3).
-type pathState struct {
-	prev     netsim.NodeID
-	prevSID  StreamID
-	next     netsim.NodeID
-	nextSID  StreamID
-	key      []byte
-	terminal bool // next hop is the responder
-	expires  sim.Time
+// simEnv is the simulator's hop-layer environment: every draw comes
+// from the engine's seeded source, so a seed fixes the whole history.
+func simEnv(rng *rand.Rand, suite onioncrypt.Suite) Env {
+	return Env{Suite: suite, Rand: rng, NewSID: func() StreamID { return StreamID(rng.Uint64()) }}
+}
+
+// transmit puts one hop-layer output on the simulated wire as its
+// typed message and charges its size to the flow if it was actually
+// placed on the wire. tag is the data-plane correlation tag; it rides
+// the data-plane kinds only.
+func transmit(net *netsim.Network, from netsim.NodeID, s Send, flow *metrics.Flow, tag obs.Tag) bool {
+	var m netsim.Message
+	switch s.Kind {
+	case KindConstruct:
+		p := ConstructMsg{SID: s.SID, Onion: s.Onion, Flow: flow}
+		m = netsim.Message{Payload: p, Size: p.WireSize()}
+	case KindConstructData:
+		p := ConstructDataMsg{SID: s.SID, Onion: s.Onion, Body: s.Body, Flow: flow, Trace: tag}
+		m = netsim.Message{Payload: p, Size: p.WireSize(), Trace: tag}
+	case KindAck:
+		p := ConstructAck{SID: s.SID, Flow: flow}
+		m = netsim.Message{Payload: p, Size: p.WireSize()}
+	case KindData:
+		p := DataMsg{SID: s.SID, Body: s.Body, Flow: flow, Trace: tag}
+		m = netsim.Message{Payload: p, Size: p.WireSize(), Trace: tag}
+	case KindDeliver:
+		p := DeliverMsg{SID: s.SID, Body: s.Body, Flow: flow, Trace: tag}
+		m = netsim.Message{Payload: p, Size: p.WireSize(), Trace: tag}
+	case KindReverse:
+		p := ReverseMsg{SID: s.SID, Body: s.Body, Flow: flow}
+		m = netsim.Message{Payload: p, Size: p.WireSize()}
+	}
+	if !net.Send(from, s.To, m) {
+		return false
+	}
+	flow.Add(m.Size)
+	return true
 }
