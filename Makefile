@@ -141,6 +141,7 @@ fuzz:
 	$(GO) test ./internal/onion -fuzz FuzzParseConstructLayer -fuzztime 20s
 	$(GO) test ./internal/onion -run '^$$' -fuzz FuzzRelayTable -fuzztime 20s
 	$(GO) test ./internal/livenet -run '^$$' -fuzz FuzzReadFrame -fuzztime 20s
+	$(GO) test ./internal/livenet -run '^$$' -fuzz FuzzDecodeLive -fuzztime 20s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzParsePrometheus -fuzztime 20s
 	$(GO) test ./internal/obs/prof -run '^$$' -fuzz FuzzParsePprof -fuzztime 20s
 

@@ -82,7 +82,7 @@ func (n *Node) launch(ctx context.Context, relays []netsim.NodeID, responder net
 		Node: int(n.cfg.ID), Peer: int(p.Responder),
 		ID: p.SID, Seq: int64(len(p.Relays)), Slot: -1, Hop: -1,
 	})
-	n.reg.Counter("live.paths_built").Inc()
+	n.m.pathsBuilt.Inc()
 	return p, nil
 }
 
@@ -133,8 +133,8 @@ func (p *Path) sendTo(dest netsim.NodeID, data []byte) error {
 }
 
 // Replies streams decrypted reverse-path payloads (responder answers).
-// The channel is buffered; a full buffer drops the oldest semantics are
-// NOT provided — slow consumers lose newest messages instead.
+// The channel is buffered and a slow consumer loses the newest messages:
+// a reply that finds the buffer full is dropped, not queued.
 func (p *Path) Replies() <-chan []byte { return p.replies }
 
 // Teardown forgets the path locally; relay-side state ages out via TTL.

@@ -17,6 +17,16 @@
 // silent paths, rebuilds them through fresh relays and retransmits
 // unacknowledged segments (§4.5); LiveCollector is the responder side.
 //
+// The data plane is one TCP connection per frame, and everything else
+// about a frame is kept off it: the frame leaves in a single write (one
+// packet), the receiver reads a 13-byte header and then the body, the
+// connection skips keep-alive set-up it would never use, metric handles
+// are resolved once, and the responder's asymmetric open runs once per
+// path, not per segment (onion.Streams' key memo). Frame bodies are
+// freshly allocated and owned by the handler that receives them —
+// decrypted payloads alias them, so DataFunc's data is the callee's to
+// keep; only the write side's staging buffers are pooled.
+//
 // Scope: static roster (the PKI directory with addresses) and one TCP
 // connection per frame. Gossip membership, the liveness predictor and
 // biased mix choice remain simulation-side.
@@ -29,6 +39,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"time"
 
 	"resilientmix/internal/netsim"
@@ -59,38 +70,54 @@ type frame struct {
 	body []byte
 }
 
-// writeFrame emits length | kind | sid | body.
+// frameHeader is length(4) | kind(1) | sid(8); length counts kind, sid
+// and body.
+const frameHeader = 4 + 1 + 8
+
+// frameScratch recycles writeFrame's staging buffers. Only the write
+// side is pooled: a buffer is dead once Write returns, whereas a read
+// body lives on in whatever the handlers keep of it.
+var frameScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeFrame emits length | kind | sid | body in a single Write, so a
+// frame leaves as one packet (TCP_NODELAY is Go's default: a separate
+// header write is a separate segment, and the reader wakes twice).
 func writeFrame(w io.Writer, f frame) error {
-	hdr := make([]byte, 4+1+8)
-	binary.BigEndian.PutUint32(hdr, uint32(1+8+len(f.body)))
-	hdr[4] = f.kind
-	binary.BigEndian.PutUint64(hdr[5:], f.sid)
-	if _, err := w.Write(hdr); err != nil {
-		return err
+	bp := frameScratch.Get().(*[]byte)
+	buf := *bp
+	if need := frameHeader + len(f.body); cap(buf) < need {
+		buf = make([]byte, need)
+	} else {
+		buf = buf[:need]
 	}
-	_, err := w.Write(f.body)
+	binary.BigEndian.PutUint32(buf, uint32(1+8+len(f.body)))
+	buf[4] = f.kind
+	binary.BigEndian.PutUint64(buf[5:], f.sid)
+	copy(buf[frameHeader:], f.body)
+	_, err := w.Write(buf)
+	if cap(buf) <= frameHeader+maxFrameSize {
+		*bp = buf
+		frameScratch.Put(bp)
+	}
 	return err
 }
 
-// readFrame parses one frame, rejecting oversize lengths.
+// readFrame parses one frame, rejecting oversize lengths. The header
+// arrives in one read; the body is a fresh buffer the caller owns.
 func readFrame(r io.Reader) (frame, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	var hdr [frameHeader]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return frame{}, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := binary.BigEndian.Uint32(hdr[:])
 	if n < 9 || n > maxFrameSize {
 		return frame{}, fmt.Errorf("livenet: bad frame length %d", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	body := make([]byte, n-9)
+	if _, err := io.ReadFull(r, body); err != nil {
 		return frame{}, err
 	}
-	return frame{
-		kind: buf[0],
-		sid:  binary.BigEndian.Uint64(buf[1:9]),
-		body: buf[9:],
-	}, nil
+	return frame{kind: hdr[4], sid: binary.BigEndian.Uint64(hdr[5:]), body: body}, nil
 }
 
 // Peer is one roster entry: identity, address, and public key.
@@ -159,7 +186,8 @@ func (r *Roster) dialContext(ctx context.Context, id netsim.NodeID) (net.Conn, e
 	if err != nil {
 		return nil, err
 	}
-	var d net.Dialer
+	// A connection carries one frame and closes: no keep-alive set-up.
+	d := net.Dialer{KeepAlive: -1}
 	return d.DialContext(ctx, "tcp", p.Addr)
 }
 

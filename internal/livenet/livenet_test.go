@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"resilientmix/internal/erasure"
@@ -127,6 +128,71 @@ func TestFrameRejectsOversize(t *testing.T) {
 	buf.Write([]byte{0, 0, 0, 2, 1, 2}) // shorter than minimum (9)
 	if _, err := readFrame(&buf); err == nil {
 		t.Fatal("undersize frame accepted")
+	}
+}
+
+// countingWriter counts Write calls.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestFrameOneWrite pins the framing's syscall shape: a frame leaves in
+// one Write (one TCP segment for anything under the MSS), whatever the
+// pooled scratch buffer held before.
+func TestFrameOneWrite(t *testing.T) {
+	for _, size := range []int{0, 7, 1 << 17, 3} {
+		in := frame{kind: kindData, sid: uint64(size), body: bytes.Repeat([]byte{byte(size)}, size)}
+		var w countingWriter
+		if err := writeFrame(&w, in); err != nil {
+			t.Fatal(err)
+		}
+		if w.writes != 1 {
+			t.Fatalf("%d-byte body took %d writes, want 1", size, w.writes)
+		}
+		if w.Len() != frameHeader+size {
+			t.Fatalf("%d-byte body wrote %d bytes, want %d", size, w.Len(), frameHeader+size)
+		}
+		out, err := readFrame(&w.Buffer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.kind != in.kind || out.sid != in.sid || !bytes.Equal(out.body, in.body) {
+			t.Fatalf("%d-byte body did not round-trip", size)
+		}
+	}
+}
+
+// TestFrameReadShortReads feeds readFrame a stream that trickles in one
+// byte per Read, and every truncation of a valid frame.
+func TestFrameReadShortReads(t *testing.T) {
+	in := frame{kind: kindReverse, sid: 0x0102030405060708, body: []byte("some reverse body")}
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	out, err := readFrame(iotest.OneByteReader(bytes.NewReader(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.kind != in.kind || out.sid != in.sid || !bytes.Equal(out.body, in.body) {
+		t.Fatalf("one-byte reads: %+v vs %+v", out, in)
+	}
+	for cut := 0; cut < len(raw); cut++ {
+		if _, err := readFrame(bytes.NewReader(raw[:cut])); err == nil {
+			t.Fatalf("frame truncated to %d of %d bytes accepted", cut, len(raw))
+		}
+	}
+	// The body is the caller's: it shares nothing with the input.
+	raw[frameHeader] ^= 0xff
+	if !bytes.Equal(out.body, in.body) {
+		t.Fatal("frame body aliases the reader's buffer")
 	}
 }
 

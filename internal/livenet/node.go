@@ -21,7 +21,8 @@ import (
 )
 
 // DataFunc receives a decrypted application payload at a live responder
-// together with a reply handle.
+// together with a reply handle. data is the callee's to keep: nothing
+// else reads or writes its backing buffer after the call.
 type DataFunc func(h ReplyHandle, data []byte)
 
 // Config assembles a live node.
@@ -57,11 +58,25 @@ type Config struct {
 }
 
 // liveMetrics holds the node's registry instruments, resolved once at
-// startup.
+// startup: nothing on the per-frame or per-segment path looks a metric
+// up by name.
 type liveMetrics struct {
 	framesOut, badFrames         *obs.Counter
 	framesIn                     [kindConstructData + 1]*obs.Counter
 	forwardStates, reverseStates *obs.Gauge
+	pathsBuilt                   *obs.Counter
+
+	// Initiator sessions (session.*, live.repair.*, live.cover_*).
+	messagesSent, messagesDelivered, messagesLost *obs.Counter
+	segmentsSent, segmentsAcked, retransmits      *obs.Counter
+	sendRejected, pathsDead                       *obs.Counter
+	probes, probeTimeouts, repaired, repairFailed *obs.Counter
+	coverSent, coverShed                          *obs.Counter
+	degraded                                      *obs.Gauge
+
+	// Responder collector (recv.*).
+	recvSegments, recvDupSegments, recvDelivered *obs.Counter
+	recvProbes, recvCover                        *obs.Counter
 }
 
 // kindNames names the frame kinds for metrics.
@@ -76,6 +91,29 @@ func newLiveMetrics(reg *obs.Registry) *liveMetrics {
 		badFrames:     reg.Counter("live.bad_frames"),
 		forwardStates: reg.Gauge("live.forward_states"),
 		reverseStates: reg.Gauge("live.reverse_states"),
+		pathsBuilt:    reg.Counter("live.paths_built"),
+
+		messagesSent:      reg.Counter("session.messages_sent"),
+		messagesDelivered: reg.Counter("session.messages_delivered"),
+		messagesLost:      reg.Counter("session.messages_lost"),
+		segmentsSent:      reg.Counter("session.segments_sent"),
+		segmentsAcked:     reg.Counter("session.segments_acked"),
+		retransmits:       reg.Counter("session.retransmits"),
+		sendRejected:      reg.Counter("session.send_rejected"),
+		pathsDead:         reg.Counter("session.paths_dead"),
+		probes:            reg.Counter("live.repair.probes"),
+		probeTimeouts:     reg.Counter("live.repair.probe_timeouts"),
+		repaired:          reg.Counter("live.repair.repaired"),
+		repairFailed:      reg.Counter("live.repair.failed"),
+		coverSent:         reg.Counter("live.cover_sent"),
+		coverShed:         reg.Counter("live.cover_shed"),
+		degraded:          reg.Gauge("live.degraded"),
+
+		recvSegments:    reg.Counter("recv.segments"),
+		recvDupSegments: reg.Counter("recv.dup_segments"),
+		recvDelivered:   reg.Counter("recv.delivered"),
+		recvProbes:      reg.Counter("recv.probes"),
+		recvCover:       reg.Counter("recv.cover"),
 	}
 	reg.Counter("live.send_errors") // exported from the start; bumped by noteDropped
 	for k := kindConstruct; k <= kindConstructData; k++ {
@@ -134,6 +172,9 @@ type Node struct {
 	mu    sync.Mutex
 	acks  map[uint64]chan struct{} // initiator: pending construction acks
 	paths map[uint64]*Path         // initiator: established paths by sid
+	// peerOut holds the live.peer_out.<id> counters, each resolved on
+	// the first frame to its peer.
+	peerOut map[netsim.NodeID]*obs.Counter
 
 	quit      chan struct{}
 	closeOnce sync.Once
@@ -172,7 +213,10 @@ func Start(addr string, cfg Config) (*Node, error) {
 			Jitter:     0.5,
 		}
 	}
-	ln, err := net.Listen("tcp", addr)
+	// An inbound connection carries one frame and closes: no keep-alive
+	// set-up.
+	lc := net.ListenConfig{KeepAlive: -1}
+	ln, err := lc.Listen(context.Background(), "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("livenet: listen: %w", err)
 	}
@@ -199,6 +243,7 @@ func Start(addr string, cfg Config) (*Node, error) {
 		streams: onion.NewStreams(env, cfg.Private, int64(cfg.StateTTL)),
 		acks:    make(map[uint64]chan struct{}),
 		paths:   make(map[uint64]*Path),
+		peerOut: make(map[netsim.NodeID]*obs.Counter),
 		quit:    make(chan struct{}),
 	}
 	n.wg.Add(2)
@@ -390,15 +435,27 @@ func (n *Node) sendCtx(ctx context.Context, to netsim.NodeID, f frame) error {
 		return err
 	}
 	n.m.framesOut.Inc()
-	// Per-relay egress counter: anonctl's cluster aggregation uses the
-	// live.peer_out.* family to spot silent relays.
-	n.reg.Counter("live.peer_out." + strconv.Itoa(int(to))).Inc()
+	n.peerOutCounter(to).Inc()
 	n.emit(obs.Event{
 		Type: obs.MsgSent, At: time.Now().UnixMicro(),
 		Node: int(n.cfg.ID), Peer: int(to), ID: f.sid,
 		Slot: -1, Hop: -1, Size: len(f.body),
 	})
 	return nil
+}
+
+// peerOutCounter returns the per-relay egress counter of a peer:
+// anonctl's cluster aggregation uses the live.peer_out.* family to spot
+// silent relays.
+func (n *Node) peerOutCounter(to netsim.NodeID) *obs.Counter {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	c := n.peerOut[to]
+	if c == nil {
+		c = n.reg.Counter("live.peer_out." + strconv.Itoa(int(to)))
+		n.peerOut[to] = c
+	}
+	return c
 }
 
 func newSID() uint64 {

@@ -108,7 +108,7 @@ func decodeLive(b []byte) (kind byte, seg liveSegment, ack liveAck, nonce uint64
 			total:  rd.Int32(),
 			needed: rd.Int32(),
 		}
-		seg.data = append([]byte(nil), rd.Bytes32()...)
+		seg.data = rd.Bytes32() // aliases b, which the caller owns
 	case liveKindAck:
 		ack = liveAck{mid: rd.Uint64(), index: rd.Int32()}
 	case liveKindProbe, liveKindProbeAck:
@@ -127,12 +127,36 @@ func decodeLive(b []byte) (kind byte, seg liveSegment, ack liveAck, nonce uint64
 // LiveDelivered is invoked when the collector reconstructs a message.
 type LiveDelivered func(mid uint64, data []byte)
 
+// collectorHorizon is how long the collector is sure to remember a
+// message: at least the span over which an initiator with default
+// options can still retransmit it, AckTimeout × (MaxRetransmits+1).
+const collectorHorizon = 30 * time.Second
+
+// collectorGen is one generation of collector memory.
+type collectorGen struct {
+	pending map[uint64]map[int32]erasure.Segment
+	done    map[uint64]bool
+}
+
+func newCollectorGen() collectorGen {
+	return collectorGen{
+		pending: make(map[uint64]map[int32]erasure.Segment),
+		done:    make(map[uint64]bool),
+	}
+}
+
 // LiveCollector is the responder-side reassembler. Install its Handle
-// method as the node's OnData.
+// method as the node's OnData. Its memory is bounded by the arrival
+// rate, not the run length: message ids live in two generations, the
+// older of which is dropped on the first segment to arrive a horizon
+// after the last rotation. A delivered id suppresses duplicates — and a
+// message short of m segments keeps them — for at least one horizon
+// after its last segment, and is forgotten at the second rotation.
 type LiveCollector struct {
 	mu        sync.Mutex
-	pending   map[uint64]map[int32]erasure.Segment
-	done      map[uint64]bool
+	cur, prev collectorGen
+	rotateAt  time.Time
+	now       func() time.Time // time.Now outside tests
 	delivered LiveDelivered
 }
 
@@ -140,10 +164,21 @@ type LiveCollector struct {
 // messages to the callback.
 func NewLiveCollector(delivered LiveDelivered) *LiveCollector {
 	return &LiveCollector{
-		pending:   make(map[uint64]map[int32]erasure.Segment),
-		done:      make(map[uint64]bool),
+		cur:       newCollectorGen(), // prev starts empty: nil maps read fine
+		now:       time.Now,
 		delivered: delivered,
 	}
+}
+
+// rotateLocked retires the older generation once a horizon has passed
+// since the last rotation. Callers hold c.mu.
+func (c *LiveCollector) rotateLocked() {
+	now := c.now()
+	if now.Before(c.rotateAt) {
+		return
+	}
+	c.prev, c.cur = c.cur, newCollectorGen()
+	c.rotateAt = now.Add(collectorHorizon)
 }
 
 // Handle is the node's OnData: it acks every segment and reconstructs
@@ -163,13 +198,13 @@ func (c *LiveCollector) Handle(h ReplyHandle, data []byte) {
 		// Echo the nonce back up the reverse path — the initiator's
 		// liveness detector keys on the round trip.
 		if h.node != nil {
-			h.node.reg.Counter("recv.probes").Inc()
+			h.node.m.recvProbes.Inc()
 		}
 		h.Reply(encodeProbe(liveKindProbeAck, nonce))
 		return
 	case liveKindCover:
 		if h.node != nil {
-			h.node.reg.Counter("recv.cover").Inc()
+			h.node.m.recvCover.Inc()
 		}
 		return
 	case liveKindSegment:
@@ -184,17 +219,23 @@ func (c *LiveCollector) Handle(h ReplyHandle, data []byte) {
 	h.Reply(liveAck{mid: seg.mid, index: seg.index}.encode())
 
 	c.mu.Lock()
-	if c.done[seg.mid] {
+	c.rotateLocked()
+	if c.cur.done[seg.mid] || c.prev.done[seg.mid] {
 		c.mu.Unlock()
 		if h.node != nil {
-			h.node.reg.Counter("recv.dup_segments").Inc()
+			h.node.m.recvDupSegments.Inc()
 		}
 		return
 	}
-	segs := c.pending[seg.mid]
+	segs := c.cur.pending[seg.mid]
 	if segs == nil {
-		segs = make(map[int32]erasure.Segment)
-		c.pending[seg.mid] = segs
+		// A message still arriving moves to the current generation.
+		if segs = c.prev.pending[seg.mid]; segs != nil {
+			delete(c.prev.pending, seg.mid)
+		} else {
+			segs = make(map[int32]erasure.Segment)
+		}
+		c.cur.pending[seg.mid] = segs
 	}
 	dup := false
 	if _, dup = segs[seg.index]; !dup {
@@ -203,8 +244,8 @@ func (c *LiveCollector) Handle(h ReplyHandle, data []byte) {
 	ready := int32(len(segs)) >= seg.needed
 	var batch []erasure.Segment
 	if ready {
-		c.done[seg.mid] = true
-		delete(c.pending, seg.mid)
+		c.cur.done[seg.mid] = true
+		delete(c.cur.pending, seg.mid)
 		for _, s := range segs {
 			batch = append(batch, s)
 		}
@@ -212,9 +253,9 @@ func (c *LiveCollector) Handle(h ReplyHandle, data []byte) {
 	c.mu.Unlock()
 	if h.node != nil {
 		if dup {
-			h.node.reg.Counter("recv.dup_segments").Inc()
+			h.node.m.recvDupSegments.Inc()
 		} else {
-			h.node.reg.Counter("recv.segments").Inc()
+			h.node.m.recvSegments.Inc()
 		}
 	}
 	if !ready {
@@ -229,7 +270,7 @@ func (c *LiveCollector) Handle(h ReplyHandle, data []byte) {
 		return
 	}
 	if h.node != nil {
-		h.node.reg.Counter("recv.delivered").Inc()
+		h.node.m.recvDelivered.Inc()
 		h.node.emit(obs.Event{
 			Type: obs.SegmentReconstructed, At: time.Now().UnixMicro(),
 			Node: int(h.node.cfg.ID), Peer: -1, ID: seg.mid,
@@ -473,7 +514,7 @@ func (s *LiveSession) syncDegradedLocked() {
 		delta = -1
 	}
 	total := s.node.degraded.Add(delta)
-	s.node.reg.Gauge("live.degraded").Set(float64(total))
+	s.node.m.degraded.Set(float64(total))
 }
 
 // markDeadLocked condemns a path slot: §4.5's detector verdict.
@@ -484,7 +525,7 @@ func (s *LiveSession) markDeadLocked(slot int, p *Path, reason obs.Reason) {
 	}
 	s.alive[slot] = false
 	s.syncDegradedLocked()
-	s.node.reg.Counter("session.paths_dead").Inc()
+	s.node.m.pathsDead.Inc()
 	s.node.emit(obs.Event{
 		Type: obs.PathBroken, At: time.Now().UnixMicro(),
 		Node: int(s.node.cfg.ID), Peer: int(s.responder),
@@ -527,7 +568,7 @@ func (s *LiveSession) ackLoop(p *Path) {
 			s.mu.Lock()
 			if m := s.acked[ack.mid]; m != nil && !m[ack.index] {
 				m[ack.index] = true
-				s.node.reg.Counter("session.segments_acked").Inc()
+				s.node.m.segmentsAcked.Inc()
 				if len(m) >= s.code.M() {
 					s.resolveLocked(ack.mid, nil)
 				}
@@ -562,9 +603,9 @@ func (s *LiveSession) resolveLocked(mid uint64, err error) {
 	}
 	s.resolved[mid] = err
 	if err == nil {
-		s.node.reg.Counter("session.messages_delivered").Inc()
+		s.node.m.messagesDelivered.Inc()
 	} else {
-		s.node.reg.Counter("session.messages_lost").Inc()
+		s.node.m.messagesLost.Inc()
 	}
 	close(pm.done)
 }
@@ -579,7 +620,7 @@ func (s *LiveSession) Send(data []byte) (uint64, error) {
 	s.mu.Lock()
 	if len(s.pending) >= s.opts.MaxInflight {
 		s.mu.Unlock()
-		s.node.reg.Counter("session.send_rejected").Inc()
+		s.node.m.sendRejected.Inc()
 		return 0, errors.New("livenet: in-flight queue full")
 	}
 	s.mu.Unlock()
@@ -615,7 +656,7 @@ func (s *LiveSession) Send(data []byte) (uint64, error) {
 		s.mu.Unlock()
 		return 0, errors.New("livenet: no live paths")
 	}
-	s.node.reg.Counter("session.messages_sent").Inc()
+	s.node.m.messagesSent.Inc()
 	jobs := s.sendRound(mid, pm, idxs)
 	s.armRound(mid, pm, jobs)
 	return mid, nil
@@ -660,7 +701,7 @@ func (s *LiveSession) sendRound(mid uint64, pm *pendingMsg, idxs []int32) []roun
 		}
 		p.Send(msg.encode())
 		jobs = append(jobs, roundJob{slot: slot, p: p, idx: idx})
-		s.node.reg.Counter("session.segments_sent").Inc()
+		s.node.m.segmentsSent.Inc()
 		s.node.emit(obs.Event{
 			Type: obs.SegmentSent, At: time.Now().UnixMicro(),
 			Node: int(s.node.cfg.ID), Peer: int(p.Responder), ID: mid,
@@ -716,7 +757,7 @@ func (s *LiveSession) armRound(mid uint64, pm *pendingMsg, jobs []roundJob) {
 			}
 		}
 		s.mu.Unlock()
-		s.node.reg.Counter("session.retransmits").Inc()
+		s.node.m.retransmits.Inc()
 		next := s.sendRound(mid, pm, missing)
 		s.armRound(mid, pm, next)
 	})
@@ -775,14 +816,14 @@ func (s *LiveSession) probeLoop() {
 			s.mu.Lock()
 			s.probes[nonce] = t
 			s.mu.Unlock()
-			s.node.reg.Counter("live.repair.probes").Inc()
+			s.node.m.probes.Inc()
 			t.p.Send(encodeProbe(liveKindProbe, nonce))
 			time.AfterFunc(s.opts.AckTimeout, func() {
 				s.mu.Lock()
 				ref, outstanding := s.probes[nonce]
 				delete(s.probes, nonce)
 				if outstanding {
-					s.node.reg.Counter("live.repair.probe_timeouts").Inc()
+					s.node.m.probeTimeouts.Inc()
 					s.markDeadLocked(ref.slot, ref.p, obs.ReasonProbeTimeout)
 				}
 				s.mu.Unlock()
@@ -898,7 +939,7 @@ func (s *LiveSession) repairSlot(slot int) {
 		return nil
 	})
 	if err != nil {
-		s.node.reg.Counter("live.repair.failed").Inc()
+		s.node.m.repairFailed.Inc()
 		// Leave the slot dead; the next probe round or send failure will
 		// kick the worker again, and a later retransmit may still get
 		// through over surviving paths.
@@ -916,7 +957,7 @@ func (s *LiveSession) repairSlot(slot int) {
 	}
 	s.wg.Add(1)
 	go s.ackLoop(built)
-	s.node.reg.Counter("live.repair.repaired").Inc()
+	s.node.m.repaired.Inc()
 	s.node.emit(obs.Event{
 		Type: obs.PathBuilt, At: time.Now().UnixMicro(),
 		Node: int(s.node.cfg.ID), Peer: int(s.responder),
@@ -955,13 +996,13 @@ func (s *LiveSession) coverLoop() {
 		}
 		s.mu.Unlock()
 		if shed {
-			s.node.reg.Counter("live.cover_shed").Inc()
+			s.node.m.coverShed.Inc()
 			continue
 		}
 		pad := make([]byte, s.opts.CoverSize)
 		rand.Read(pad)
 		p.Send(encodeCover(pad))
-		s.node.reg.Counter("live.cover_sent").Inc()
+		s.node.m.coverSent.Inc()
 	}
 }
 
@@ -975,7 +1016,7 @@ func (s *LiveSession) Teardown() {
 		if s.degraded {
 			s.degraded = false
 			total := s.node.degraded.Add(-1)
-			s.node.reg.Gauge("live.degraded").Set(float64(total))
+			s.node.m.degraded.Set(float64(total))
 		}
 		paths := append([]*Path(nil), s.paths...)
 		s.mu.Unlock()

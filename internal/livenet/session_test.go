@@ -2,11 +2,15 @@ package livenet
 
 import (
 	"bytes"
+	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"resilientmix/internal/erasure"
 	"resilientmix/internal/netsim"
+	"resilientmix/internal/onioncrypt"
 )
 
 // liveSessionEnv wires a cluster with a collector on the responder.
@@ -146,6 +150,123 @@ func TestLiveCollectorRejectsGarbage(t *testing.T) {
 	c.Handle(ReplyHandle{}, bad.encode())
 }
 
+// TestLiveCollectorBounded pins the collector's memory: message ids —
+// delivered or stuck short of m segments — age out by generation, while
+// a duplicate or a late segment inside the horizon still finds its
+// message.
+func TestLiveCollectorBounded(t *testing.T) {
+	var delivered []uint64
+	c := NewLiveCollector(func(mid uint64, _ []byte) { delivered = append(delivered, mid) })
+	clock := time.Unix(1_000_000, 0)
+	c.now = func() time.Time { return clock }
+	// The acks go nowhere: the handle's relay is blackholed, so Reply
+	// seals and returns without dialling.
+	cl := startCluster(t, 2, nil, func(cfg *Config) { cfg.Suite = onioncrypt.Null{} })
+	node := cl.nodes[0]
+	node.BlackholePeer(1, 0)
+	h := ReplyHandle{node: node, sid: 1, relay: 1, key: make([]byte, onioncrypt.SymKeySize)}
+	// split[m] is one message coded m-of-2.
+	var split [3][]erasure.Segment
+	for m := 1; m <= 2; m++ {
+		code, err := erasure.New(m, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if split[m], err = code.Split([]byte("a message")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segment := func(mid uint64, index, needed int32) {
+		c.Handle(h, liveSegment{mid: mid, index: index, total: 2, needed: needed, data: split[needed][index].Data}.encode())
+	}
+	size := func() int {
+		return len(c.cur.done) + len(c.prev.done) + len(c.cur.pending) + len(c.prev.pending)
+	}
+
+	// One id per millisecond, alternately delivered at once (m=1) and
+	// stuck at one of two segments.
+	const mids, step = 200_000, time.Millisecond
+	for mid := uint64(0); mid < mids; mid++ {
+		clock = clock.Add(step)
+		segment(mid, 0, int32(1+mid%2))
+	}
+	if len(delivered) != mids/2 {
+		t.Fatalf("delivered %d of %d complete messages", len(delivered), mids/2)
+	}
+	if limit := 2 * int(collectorHorizon/step); size() > limit {
+		t.Fatalf("collector holds %d ids after %d, want at most %d", size(), mids, limit)
+	}
+
+	dups := node.Metrics().Counter("recv.dup_segments").Value()
+	last, stuck := uint64(mids-2), uint64(mids-1)
+	clock = clock.Add(collectorHorizon - step) // across at least one rotation
+	segment(last, 0, 1)
+	if len(delivered) != mids/2 {
+		t.Fatal("duplicate inside the horizon delivered again")
+	}
+	if got := node.Metrics().Counter("recv.dup_segments").Value(); got != dups+1 {
+		t.Fatalf("recv.dup_segments = %d, want %d", got, dups+1)
+	}
+	segment(stuck, 1, 2)
+	if len(delivered) != mids/2+1 || delivered[mids/2] != stuck {
+		t.Fatal("second segment inside the horizon did not complete its message")
+	}
+	for i := uint64(0); i < 2; i++ { // two rotations forget everything before them
+		clock = clock.Add(collectorHorizon)
+		segment(mids+i, 0, 2)
+	}
+	if size() != 2 {
+		t.Fatalf("collector holds %d ids two rotations later, want 2", size())
+	}
+}
+
+// TestLiveSessionAsymmetricOpens counts X25519 opens across a whole
+// fleet: a path costs one at each relay (its construction layer) and one
+// at the responder (its sealed key), and messages cost none (§4.2).
+func TestLiveSessionAsymmetricOpens(t *testing.T) {
+	var opens atomic.Int64
+	e := &liveSessionEnv{delivered: make(map[uint64][]byte), gotCh: make(chan uint64, 16)}
+	collector := NewLiveCollector(func(mid uint64, _ []byte) { e.gotCh <- mid })
+	e.c = startCluster(t, 6, map[int]DataFunc{5: collector.Handle}, func(cfg *Config) {
+		cfg.Suite = countingSuite{cfg.Suite, &opens}
+	})
+	relayLists := [][]netsim.NodeID{{1, 2}, {3, 4}}
+	// r=1: a message resolves only once both paths acked it, so no
+	// stream ever has two first deliveries racing to record its key and
+	// the count repeats exactly.
+	sess, err := e.c.nodes[0].NewLiveSession(relayLists, 5, 1, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Teardown()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i := 0; i < 200; i++ {
+		mid, err := sess.Send([]byte("one kilobyte, or thereabouts"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Await(ctx, mid); err != nil {
+			t.Fatal(err)
+		}
+		e.await(t, mid)
+	}
+	if got, want := opens.Load(), int64(len(relayLists)*(len(relayLists[0])+1)); got != want {
+		t.Fatalf("asymmetric opens for 200 messages = %d, want %d", got, want)
+	}
+}
+
+// countingSuite counts the asymmetric opens it is asked for.
+type countingSuite struct {
+	onioncrypt.Suite
+	opens *atomic.Int64
+}
+
+func (c countingSuite) Open(priv onioncrypt.PrivateKey, ct []byte) ([]byte, error) {
+	c.opens.Add(1)
+	return c.Suite.Open(priv, ct)
+}
+
 func TestLiveConstructWithData(t *testing.T) {
 	got := make(chan []byte, 2)
 	onData := map[int]DataFunc{
@@ -225,4 +346,43 @@ func BenchmarkLiveSessionSend(b *testing.B) {
 			}
 		}
 	}
+}
+
+// FuzzDecodeLive feeds arbitrary bytes to the application-layer decoder
+// both ends of a live path run on what came off a socket: it must fail
+// cleanly or return exactly what re-encodes to its input, and a
+// segment's data — which aliases the input — must lie inside it.
+func FuzzDecodeLive(f *testing.F) {
+	f.Add(liveSegment{mid: 7, index: 1, total: 4, needed: 2, data: []byte("segment")}.encode())
+	f.Add(liveAck{mid: 7, index: 1}.encode())
+	f.Add(encodeProbe(liveKindProbe, 9))
+	f.Add(encodeProbe(liveKindProbeAck, 9))
+	f.Add(encodeCover([]byte("padding")))
+	f.Add([]byte{})
+	f.Add([]byte{liveKindSegment, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		kind, seg, ack, nonce, err := decodeLive(data)
+		if err != nil {
+			return
+		}
+		var again []byte
+		switch kind {
+		case liveKindSegment:
+			if len(seg.data) > len(data) {
+				t.Fatalf("segment data of %d bytes from %d input bytes", len(seg.data), len(data))
+			}
+			again = seg.encode()
+		case liveKindAck:
+			again = ack.encode()
+		case liveKindProbe, liveKindProbeAck:
+			again = encodeProbe(kind, nonce)
+		case liveKindCover:
+			again = data // the padding is discarded, not returned
+		default:
+			t.Fatalf("decoded unknown kind %d", kind)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("kind %d does not re-encode to its input", kind)
+		}
+	})
 }

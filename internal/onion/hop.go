@@ -1,6 +1,7 @@
 package onion
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sync"
@@ -345,38 +346,64 @@ func (t *Table) Reverse(now int64, sid StreamID, body []byte) Step {
 // Streams is the responder endpoint D: it unseals the per-path
 // symmetric key with its private key, decrypts application payloads,
 // seals replies for the delivering path (§4.2), and remembers which
-// inbound streams are live, with the relay table's TTL.
+// inbound streams are live — and the key each one unsealed to — with
+// the relay table's TTL.
 type Streams struct {
 	env  Env
 	priv onioncrypt.PrivateKey
 	ttl  int64
-	live map[StreamID]int64 // expiry, keyed by the terminal relay's downstream sid
+	live map[StreamID]stream // keyed by the terminal relay's downstream sid
+}
+
+// stream is the record of one live inbound stream: its expiry, and the
+// sealed responder key <respKey>_{PubKey(D)} its last delivery carried
+// together with what that opened to. The initiator seals the key once
+// per path and ships the same bytes beside every payload (§4.2), so the
+// pair is a memo of Suite.Open(priv, sealed): a delivery on the stream
+// carrying exactly these bytes skips the asymmetric open. Both slices
+// are private copies, shared read-only once recorded.
+type stream struct {
+	expires     int64
+	sealed, key []byte
 }
 
 // NewStreams creates the responder endpoint of a node.
 func NewStreams(env Env, priv onioncrypt.PrivateKey, ttl int64) *Streams {
-	return &Streams{env: env.locked(), priv: priv, ttl: ttl, live: make(map[StreamID]int64)}
+	return &Streams{env: env.locked(), priv: priv, ttl: ttl, live: make(map[StreamID]stream)}
 }
 
 // Open processes a delivery from a terminal relay: the stream's
 // symmetric key and the application plaintext, or false for a blob
-// that does not open.
+// that does not open. The asymmetric open runs on a stream's first
+// delivery and whenever the sealed key differs from the stream's
+// unexpired record in any byte (a §4.4 rebind, tampering, a reused
+// sid); every payload is authenticated by SymOpen regardless. A
+// delivery that does not open leaves the record as it was.
 func (s *Streams) Open(now int64, sid StreamID, blob []byte) (key, plain []byte, ok bool) {
 	sealedKey, ct, err := ParseResponderBlob(blob)
 	if err != nil {
 		return nil, nil, false
 	}
-	key, err = s.env.Suite.Open(s.priv, sealedKey)
-	if err != nil || len(key) != onioncrypt.SymKeySize {
-		return nil, nil, false
-	}
-	if plain, err = s.env.Suite.SymOpen(key, ct); err != nil {
-		return nil, nil, false
-	}
 	s.env.Lock.Lock()
-	s.live[sid] = now + s.ttl
+	rec := s.live[sid]
 	s.env.Lock.Unlock()
-	return key, plain, true
+	if rec.expires <= now || !bytes.Equal(rec.sealed, sealedKey) {
+		key, err = s.env.Suite.Open(s.priv, sealedKey)
+		if err != nil || len(key) != onioncrypt.SymKeySize {
+			return nil, nil, false
+		}
+		// Private copies: the blob belongs to the caller's frame, and
+		// Null.Open returns a slice of it.
+		rec.sealed, rec.key = bytes.Clone(sealedKey), bytes.Clone(key)
+	}
+	if plain, err = s.env.Suite.SymOpen(rec.key, ct); err != nil {
+		return nil, nil, false
+	}
+	rec.expires = now + s.ttl
+	s.env.Lock.Lock()
+	s.live[sid] = rec
+	s.env.Lock.Unlock()
+	return rec.key, plain, true
 }
 
 // Reply seals plain under a delivering stream's key for the way back
@@ -390,8 +417,8 @@ func (s *Streams) Reply(relay netsim.NodeID, sid StreamID, key, plain []byte) (S
 func (s *Streams) Sweep(now int64) {
 	s.env.Lock.Lock()
 	defer s.env.Lock.Unlock()
-	for sid, expires := range s.live {
-		if expires <= now {
+	for sid, rec := range s.live {
+		if rec.expires <= now {
 			delete(s.live, sid)
 		}
 	}
@@ -401,7 +428,7 @@ func (s *Streams) Sweep(now int64) {
 func (s *Streams) Wipe() {
 	s.env.Lock.Lock()
 	defer s.env.Lock.Unlock()
-	s.live = make(map[StreamID]int64)
+	s.live = make(map[StreamID]stream)
 }
 
 // Len returns the number of live inbound streams.

@@ -9,6 +9,7 @@ import (
 
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/onioncrypt"
+	"resilientmix/internal/wire"
 )
 
 // hopNet wires relay tables, responder endpoints and one initiator
@@ -487,4 +488,280 @@ func (l lockedReader) Read(p []byte) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.r.Read(p)
+}
+
+// countingSuite counts the asymmetric opens it is asked for.
+type countingSuite struct {
+	onioncrypt.Suite
+	opens *atomic.Int64
+}
+
+func (c countingSuite) Open(priv onioncrypt.PrivateKey, ct []byte) ([]byte, error) {
+	c.opens.Add(1)
+	return c.Suite.Open(priv, ct)
+}
+
+// sealedStream is one path's worth of responder-side input: the key the
+// initiator sealed once, and blobs carrying it beside fresh payloads.
+type sealedStream struct {
+	suite       onioncrypt.Suite
+	rng         *rand.Rand
+	key, sealed []byte
+}
+
+func newSealedStream(t testing.TB, suite onioncrypt.Suite, rng *rand.Rand, pub onioncrypt.PublicKey) sealedStream {
+	t.Helper()
+	key, err := suite.NewSymKey(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := suite.Seal(rng, pub, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sealedStream{suite: suite, rng: rng, key: key, sealed: sealed}
+}
+
+// blob is the responder blob for plain, shipping the given sealed key.
+func (s sealedStream) blob(t testing.TB, sealed []byte, plain string) []byte {
+	t.Helper()
+	ct, err := s.suite.SymSeal(s.rng, s.key, []byte(plain))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := wire.NewWriter()
+	w.Bytes32(sealed)
+	w.Bytes32(ct)
+	return w.Bytes()
+}
+
+// TestStreamsKeyMemo pins the responder key memo's contract: the
+// asymmetric open runs once per (stream, sealed key) while the record
+// lives, and a record is only ever used for byte-identical sealed keys.
+func TestStreamsKeyMemo(t *testing.T) {
+	const (
+		sid StreamID = 42
+		ttl int64    = 600
+	)
+	for _, tc := range []struct {
+		suite onioncrypt.Suite
+		flip  []int // sealed-key bytes the suite authenticates
+	}{
+		// Null has no integrity: only its recipient tag and length do.
+		{onioncrypt.Null{}, []int{0, 31, 35}},
+		{onioncrypt.ECIES{}, []int{0, 31, 32, 60, 79}},
+	} {
+		t.Run(tc.suite.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			kp, err := tc.suite.GenerateKeyPair(rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var opens atomic.Int64
+			env := simEnv(rng, countingSuite{tc.suite, &opens})
+			a := newSealedStream(t, tc.suite, rng, kp.Public)
+			b := newSealedStream(t, tc.suite, rng, kp.Public)
+
+			// deliver opens one blob on sid and checks verdict, key,
+			// plaintext and how many asymmetric opens it took.
+			deliver := func(t *testing.T, s *Streams, now int64, from sealedStream, sealed []byte, wantOK bool, wantOpens int64) {
+				t.Helper()
+				before := opens.Load()
+				key, plain, ok := s.Open(now, sid, from.blob(t, sealed, "payload"))
+				if ok != wantOK {
+					t.Fatalf("Open ok = %v, want %v", ok, wantOK)
+				}
+				if ok && (!bytes.Equal(key, from.key) || string(plain) != "payload") {
+					t.Fatalf("Open = key %x plain %q, want key %x", key, plain, from.key)
+				}
+				if got := opens.Load() - before; got != wantOpens {
+					t.Fatalf("asymmetric opens = %d, want %d", got, wantOpens)
+				}
+			}
+
+			for _, step := range []struct {
+				name string
+				run  func(t *testing.T, s *Streams)
+			}{
+				{"one open per stream", func(t *testing.T, s *Streams) {
+					deliver(t, s, 1000, a, a.sealed, true, 1)
+					for i := int64(1); i < 50; i++ {
+						deliver(t, s, 1000+i, a, a.sealed, true, 0)
+					}
+				}},
+				{"the record is a private copy", func(t *testing.T, s *Streams) {
+					blob := a.blob(t, a.sealed, "payload")
+					if _, _, ok := s.Open(1000, sid, blob); !ok {
+						t.Fatal("first delivery failed")
+					}
+					for i := range blob {
+						blob[i] = 0xff // the frame buffer is reused or freed
+					}
+					deliver(t, s, 1001, a, a.sealed, true, 0)
+				}},
+				{"a different sealed key re-opens", func(t *testing.T, s *Streams) {
+					deliver(t, s, 1000, a, a.sealed, true, 1)
+					deliver(t, s, 1001, b, b.sealed, true, 1) // the new key, not the recorded one
+					deliver(t, s, 1002, b, b.sealed, true, 0)
+					deliver(t, s, 1003, a, a.sealed, true, 1)
+				}},
+				{"a flipped bit fails and keeps the record", func(t *testing.T, s *Streams) {
+					deliver(t, s, 1000, a, a.sealed, true, 1)
+					for _, i := range tc.flip {
+						bad := append([]byte(nil), a.sealed...)
+						bad[i] ^= 0x01
+						deliver(t, s, 1001, a, bad, false, 1)
+						deliver(t, s, 1002, a, a.sealed, true, 0)
+					}
+					// Right sealed key, payload under another key: the
+					// memo does not stand in for SymOpen.
+					deliver(t, s, 1003, b, a.sealed, false, 0)
+					deliver(t, s, 1004, a, a.sealed, true, 0)
+				}},
+				{"an expired record is not used", func(t *testing.T, s *Streams) {
+					deliver(t, s, 1000, a, a.sealed, true, 1)
+					deliver(t, s, 1000+ttl-1, a, a.sealed, true, 0) // refreshes the TTL
+					deliver(t, s, 1000+2*ttl-2, a, a.sealed, true, 0)
+					deliver(t, s, 1000+3*ttl-2, a, a.sealed, true, 1) // unswept, but past its expiry
+				}},
+				{"sweep and wipe drop records", func(t *testing.T, s *Streams) {
+					deliver(t, s, 1000, a, a.sealed, true, 1)
+					s.Sweep(1000 + ttl - 1)
+					deliver(t, s, 1001, a, a.sealed, true, 0)
+					s.Sweep(1001 + ttl)
+					if s.Len() != 0 {
+						t.Fatalf("streams after sweep = %d", s.Len())
+					}
+					deliver(t, s, 1002, a, a.sealed, true, 1)
+					s.Wipe()
+					if s.Len() != 0 {
+						t.Fatalf("streams after wipe = %d", s.Len())
+					}
+					deliver(t, s, 1003, a, a.sealed, true, 1)
+				}},
+			} {
+				t.Run(step.name, func(t *testing.T) {
+					step.run(t, NewStreams(env, kp.Private, ttl))
+				})
+			}
+		})
+	}
+}
+
+// TestStreamsOpenConcurrent opens deliveries on shared and distinct
+// streams from many goroutines, the way the TCP node's handlers do, for
+// the race detector; once every stream is recorded, nothing opens
+// asymmetrically again.
+func TestStreamsOpenConcurrent(t *testing.T) {
+	for _, suite := range []onioncrypt.Suite{onioncrypt.Null{}, onioncrypt.ECIES{}} {
+		t.Run(suite.Name(), func(t *testing.T) {
+			var rngMu sync.Mutex
+			rng := rand.New(rand.NewSource(12))
+			kp, err := suite.GenerateKeyPair(rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var opens atomic.Int64
+			env := Env{Suite: countingSuite{suite, &opens}, Rand: lockedReader{&rngMu, rng}, Lock: new(sync.Mutex)}
+			s := NewStreams(env, kp.Private, 1000)
+
+			const workers, rounds = 8, 40
+			// Stream 0 is shared by every worker, stream g+1 is worker g's
+			// own; the shared one alternates between two sealed keys.
+			streams := make([]sealedStream, workers+2)
+			blobs := make([][]byte, len(streams))
+			for i := range streams {
+				streams[i] = newSealedStream(t, suite, rng, kp.Public)
+				blobs[i] = streams[i].blob(t, streams[i].sealed, "x")
+			}
+			run := func() {
+				var wg sync.WaitGroup
+				for g := 0; g < workers; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						for i := 0; i < rounds; i++ {
+							for _, c := range []struct {
+								sid StreamID
+								idx int
+							}{{0, (g + i) % 2 * (workers + 1)}, {StreamID(g + 1), g + 1}} {
+								key, plain, ok := s.Open(int64(i), c.sid, blobs[c.idx])
+								if !ok || !bytes.Equal(key, streams[c.idx].key) || string(plain) != "x" {
+									t.Errorf("worker %d round %d stream %d: ok=%v key=%x", g, i, c.sid, ok, key)
+									return
+								}
+							}
+							s.Sweep(int64(i) - 10)
+							s.Len()
+						}
+					}(g)
+				}
+				wg.Wait()
+			}
+			run()
+			if s.Len() != workers+1 {
+				t.Fatalf("streams = %d, want %d", s.Len(), workers+1)
+			}
+			// Own streams are recorded now; only the alternating shared
+			// stream can still miss.
+			before := opens.Load()
+			var wg sync.WaitGroup
+			for g := 0; g < workers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < rounds; i++ {
+						if _, _, ok := s.Open(rounds, StreamID(g+1), blobs[g+1]); !ok {
+							t.Errorf("worker %d: recorded stream failed to open", g)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			if got := opens.Load() - before; got != 0 {
+				t.Fatalf("asymmetric opens on recorded streams = %d, want 0", got)
+			}
+		})
+	}
+}
+
+// BenchmarkStreamsOpen prices one responder delivery of a 1 KB payload:
+// a hit reuses the stream's recorded key, a miss (two sealed keys
+// alternating on one stream) pays the asymmetric open every time.
+func BenchmarkStreamsOpen(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		suite onioncrypt.Suite
+		miss  bool
+	}{
+		{"ecies/hit", onioncrypt.ECIES{}, false},
+		{"ecies/miss", onioncrypt.ECIES{}, true},
+		{"null/hit", onioncrypt.Null{}, false},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(13))
+			kp, err := bc.suite.GenerateKeyPair(rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := NewStreams(simEnv(rng, bc.suite), kp.Private, 1<<40)
+			plain := string(make([]byte, 1024))
+			var blobs [2][]byte
+			for i := range blobs {
+				st := newSealedStream(b, bc.suite, rng, kp.Public)
+				blobs[i] = st.blob(b, st.sealed, plain)
+			}
+			if !bc.miss {
+				blobs[1] = blobs[0]
+			}
+			b.SetBytes(int64(len(plain)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, ok := s.Open(int64(i), 1, blobs[i%2]); !ok {
+					b.Fatal("delivery did not open")
+				}
+			}
+		})
+	}
 }
