@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-build bench-json bench-check bench-shards repro repro-quick fuzz cover examples profile trace analyze cluster-smoke watch-smoke profile-smoke chaos-smoke lint-http clean
+.PHONY: all build test race bench bench-build bench-json bench-check bench-shards repro repro-quick fuzz cover examples profile trace analyze cluster-smoke watch-smoke profile-smoke chaos-smoke lint-http lint-session clean
 
 all: build test
 
@@ -134,14 +134,22 @@ chaos-smoke:
 lint-http:
 	$(GO) run ./ci/linthttp
 
-# Short fuzz passes over the wire-facing parsers.
+# Keep internal/session sans-IO: no socket, clock, context, randomness,
+# engine or driver import and no `go` statement in its non-test files.
+# See ci/lintsession.
+lint-session:
+	$(GO) run ./ci/lintsession
+
+# Short fuzz passes over the wire-facing parsers. (core.FuzzDecodeAppMsg
+# and livenet.FuzzDecodeLive, which fuzz the two drivers' entry points
+# over the same codec, run their seed corpora in `make test`.)
 fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzReader -fuzztime 20s
-	$(GO) test ./internal/core -fuzz FuzzDecodeAppMsg -fuzztime 20s
+	$(GO) test ./internal/session -run '^$$' -fuzz FuzzDecodeApp -fuzztime 20s
+	$(GO) test ./internal/session -run '^$$' -fuzz FuzzReassembler -fuzztime 20s
 	$(GO) test ./internal/onion -fuzz FuzzParseConstructLayer -fuzztime 20s
 	$(GO) test ./internal/onion -run '^$$' -fuzz FuzzRelayTable -fuzztime 20s
 	$(GO) test ./internal/livenet -run '^$$' -fuzz FuzzReadFrame -fuzztime 20s
-	$(GO) test ./internal/livenet -run '^$$' -fuzz FuzzDecodeLive -fuzztime 20s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzParsePrometheus -fuzztime 20s
 	$(GO) test ./internal/obs/prof -run '^$$' -fuzz FuzzParsePprof -fuzztime 20s
 

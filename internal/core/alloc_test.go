@@ -3,25 +3,43 @@ package core
 import (
 	"testing"
 	"testing/quick"
+
+	"resilientmix/internal/onion"
+	"resilientmix/internal/session"
 )
 
-// allocSession builds an established session for allocation tests.
+// allocSession builds a session whose slots stand except deadSlots —
+// no world: allocation is the machine's and needs none.
 func allocSession(t *testing.T, k, s int, weighted bool, deadSlots []int) *Session {
 	t.Helper()
-	w := testWorld(t, 96, int64(1000+k*31+s*7))
-	sess, err := w.NewSession(0, 1, Params{
-		Protocol: SimEra, K: k, R: 2, SegmentsPerPath: s, Weighted: weighted,
-	})
-	if err != nil {
+	params := Params{Protocol: SimEra, K: k, R: 2, SegmentsPerPath: s, Weighted: weighted}.withDefaults()
+	if err := params.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !establish(t, w, sess) {
-		t.Fatal("establishment failed")
+	m, n := params.codeShape()
+	sess := &Session{
+		params: params,
+		paths:  make([]*onion.Path, k),
+		m:      session.New(session.Config{K: k, M: m, N: n}),
 	}
+	dead := make(map[int]bool)
 	for _, d := range deadSlots {
-		sess.slots[d].alive = false
+		dead[d] = true
+	}
+	for i := 0; i < k; i++ {
+		if !dead[i] {
+			sess.m.PathUp(i, nil)
+		}
 	}
 	return sess
+}
+
+// allocate is the session's allocation of n segments, as Send and the
+// service API use it.
+func (s *Session) allocate(n int) [][]int {
+	assign := make([][]int, len(s.paths))
+	s.m.Each(n, s.scores(), func(slot, idx int) { assign[slot] = append(assign[slot], idx) })
+	return assign
 }
 
 // TestAllocationPartition checks the core invariant of both allocators:
@@ -101,26 +119,20 @@ func TestEvenAllocationRemainderRoundRobin(t *testing.T) {
 // TestQuickAllocationInvariants is the property form over random shapes
 // and random dead-slot patterns.
 func TestQuickAllocationInvariants(t *testing.T) {
-	w := testWorld(t, 128, 77)
-	sess, err := w.NewSession(0, 1, Params{Protocol: SimEra, K: 8, R: 2, SegmentsPerPath: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !establish(t, w, sess) {
-		t.Fatal("establishment failed")
-	}
 	f := func(deadMask uint8, weighted bool) bool {
-		for i, sl := range sess.slots {
-			sl.alive = deadMask&(1<<i) == 0
-		}
 		// Keep at least one slot alive (allocation over zero live slots
 		// is legitimately empty for the weighted allocator).
-		sess.slots[0].alive = true
-		sess.params.Weighted = weighted
+		var dead []int
+		for i := 1; i < 8; i++ {
+			if deadMask&(1<<i) != 0 {
+				dead = append(dead, i)
+			}
+		}
+		sess := allocSession(t, 8, 2, weighted, dead)
 		assign := sess.allocate(16)
 		seen := make(map[int]bool)
 		for slot, idxs := range assign {
-			if weighted && !sess.slots[slot].alive && len(idxs) > 0 {
+			if weighted && !sess.m.SlotAlive(slot) && len(idxs) > 0 {
 				return false // weighted must not target dead slots
 			}
 			for _, idx := range idxs {
@@ -134,9 +146,5 @@ func TestQuickAllocationInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-	// Restore state for any later use of the world in this test file.
-	for _, sl := range sess.slots {
-		sl.alive = true
 	}
 }

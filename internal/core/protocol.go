@@ -9,10 +9,17 @@
 //     divided evenly among k disjoint paths, tolerating up to k(1-1/r)
 //     path failures (§1.2, §4.7).
 //
-// plus segment allocation (even and the §7 "weighted" extension),
-// biased/random mix choice, end-to-end failure detection and proactive
-// path reconstruction (§4.5), and cover traffic (§4.6). The package
-// builds on internal/onion for individual path mechanics.
+// in the simulated world: protocol parameters, world wiring,
+// establishment attempts, responses, the rendezvous service of mutual
+// anonymity, liveness prediction (§4.5) and cover agents (§4.6). The
+// session itself — segment allocation (even and the §7 "weighted"
+// extension), the ack ledger, end-to-end failure detection, probing and
+// path reconstruction (§4.5) — is internal/session's state machine,
+// shared with the live TCP node; Session and Receiver here are its
+// simulator driver: engine timers, engine RNG (message IDs, then
+// biased/random mix choice over the membership view), onion sends,
+// trace events. The package builds on internal/onion for individual
+// path mechanics.
 package core
 
 import (

@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 
+	"resilientmix/internal/session"
+	"resilientmix/internal/sessiontest"
 	"resilientmix/internal/sim"
 )
 
@@ -102,52 +104,53 @@ func TestProtocolStrings(t *testing.T) {
 }
 
 func TestSegmentEncodingRoundTrip(t *testing.T) {
-	seg := segmentMsg{MID: 7, Index: 2, Total: 8, Needed: 4, Data: []byte{1, 2, 3}}
-	m, err := decodeAppMsg(seg.encode())
+	seg := session.Segment{MID: 7, Index: 2, Total: 8, Needed: 4, Data: []byte{1, 2, 3}}
+	m, err := session.DecodeApp(seg.Encode(session.KindSegment))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.kind != kindSegment || m.seg.MID != 7 || m.seg.Index != 2 || m.seg.Total != 8 ||
-		m.seg.Needed != 4 || string(m.seg.Data) != string([]byte{1, 2, 3}) {
-		t.Fatalf("decoded %+v", m.seg)
+	if m.Kind != session.KindSegment || m.Seg.MID != 7 || m.Seg.Index != 2 || m.Seg.Total != 8 ||
+		m.Seg.Needed != 4 || string(m.Seg.Data) != string([]byte{1, 2, 3}) {
+		t.Fatalf("decoded %+v", m.Seg)
 	}
-	if got := len(seg.encode()); got != segmentWireOverhead+3 {
-		t.Fatalf("encoded size %d, want %d", got, segmentWireOverhead+3)
+	// The static model (static.go) prices a segment by this overhead.
+	if got := len(seg.Encode(session.KindSegment)); got != session.SegmentOverhead+3 {
+		t.Fatalf("encoded size %d, want %d", got, session.SegmentOverhead+3)
 	}
 
-	ack := segAckMsg{MID: 9, Index: 1}
-	m, err = decodeAppMsg(ack.encode())
-	if err != nil || m.kind != kindSegAck || m.ack != ack {
+	ack := session.Ack{MID: 9, Index: 1}
+	m, err = session.DecodeApp(ack.Encode(session.KindSegAck))
+	if err != nil || m.Kind != session.KindSegAck || m.Ack != ack {
 		t.Fatalf("ack round trip: %+v, %v", m, err)
 	}
 
-	resp := respSegMsg{MID: 11, Index: 0, Total: 4, Needed: 2, Data: []byte("r")}
-	m, err = decodeAppMsg(resp.encode())
-	if err != nil || m.kind != kindRespSeg || m.resp.MID != 11 || string(m.resp.Data) != "r" {
+	resp := session.Segment{MID: 11, Index: 0, Total: 4, Needed: 2, Data: []byte("r")}
+	m, err = session.DecodeApp(resp.Encode(session.KindRespSeg))
+	if err != nil || m.Kind != session.KindRespSeg || m.Seg.MID != 11 || string(m.Seg.Data) != "r" {
 		t.Fatalf("resp round trip: %+v, %v", m, err)
 	}
 }
 
 func TestDecodeAppMsgRejectsGarbage(t *testing.T) {
-	if _, err := decodeAppMsg([]byte{99, 0, 0}); err == nil {
+	if _, err := session.DecodeApp([]byte{99, 0, 0}); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	if _, err := decodeAppMsg(nil); err == nil {
+	if _, err := session.DecodeApp(nil); err == nil {
 		t.Error("empty message accepted")
 	}
 	// Trailing garbage after a valid ack.
-	b := append(segAckMsg{MID: 1, Index: 0}.encode(), 0xff)
-	if _, err := decodeAppMsg(b); err == nil {
+	b := append(session.Ack{MID: 1, Index: 0}.Encode(session.KindSegAck), 0xff)
+	if _, err := session.DecodeApp(b); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 }
 
 func TestValidCodeShape(t *testing.T) {
-	if !validCodeShape(1, 1) || !validCodeShape(4, 8) {
+	if !session.ValidCodeShape(1, 1) || !session.ValidCodeShape(4, 8) {
 		t.Error("valid shapes rejected")
 	}
 	for _, c := range []struct{ m, n int32 }{{0, 4}, {5, 4}, {1, 300}, {-1, 2}} {
-		if validCodeShape(c.m, c.n) {
+		if session.ValidCodeShape(c.m, c.n) {
 			t.Errorf("shape (%d,%d) accepted", c.m, c.n)
 		}
 	}
@@ -172,5 +175,35 @@ func TestSessionValidation(t *testing.T) {
 	}
 	if _, err := w.NewSession(0, 1, Params{Protocol: SimEra, K: 3, R: 2}); err == nil {
 		t.Error("invalid params accepted")
+	}
+}
+
+// TestReceiverReassemblyCases runs the shared arrival-sequence table
+// through the simulator driver's entry point: every segment travels an
+// onion path to the responder's Receiver.
+func TestReceiverReassemblyCases(t *testing.T) {
+	w := testWorld(t, 16, 27)
+	s, err := w.NewSession(0, 1, Params{Protocol: CurMix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !establish(t, w, s) {
+		t.Fatal("establishment failed")
+	}
+	var delivered [][]byte
+	w.Receivers[1].SetOnDelivered(func(_ uint64, data []byte, _ sim.Time) { delivered = append(delivered, data) })
+	for _, tc := range sessiontest.ReassemblyCases() {
+		t.Run(tc.Name, func(t *testing.T) {
+			delivered = nil
+			for _, seg := range tc.Segments {
+				if err := w.Nodes[0].Initiator.SendData(s.paths[0], seg.Encode(session.KindSegment), nil); err != nil {
+					t.Fatal(err)
+				}
+				w.Run(w.Eng.Now() + sim.Second)
+			}
+			if err := tc.Check(delivered); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
 	"resilientmix/internal/onion"
+	"resilientmix/internal/session"
 	"resilientmix/internal/sim"
 )
 
@@ -23,23 +24,25 @@ type DeliveredFunc func(mid uint64, data []byte, at sim.Time)
 // sweep either way.
 const inboundTTL = 30 * sim.Minute
 
-// Receiver is the responder-side application: it collects coded
-// segments by message ID, acknowledges each (feeding the initiator's
-// failure detector), reconstructs the message once m distinct segments
-// arrived (§4.2), and can erasure-code a response back over the
-// delivering paths.
+// Receiver is the responder-side application, the simulator's driver of
+// the session reassembler: it acknowledges each arriving coded segment
+// (feeding the initiator's failure detector), delivers the message once
+// m distinct segments arrived (§4.2), and can erasure-code a response
+// back over the delivering paths, whose reply handles it keeps.
 type Receiver struct {
 	id  netsim.NodeID
 	eng *sim.Engine
 
 	onDelivered DeliveredFunc
-	ackSegments bool
 	hooks       serviceHooks
 
 	tracer obs.Tracer
 	m      *worldMetrics
 
-	pending   map[uint64]*inbound
+	asm *session.Reassembler
+	// replies holds, per message the reassembler remembers, one handle
+	// per distinct delivering path: the reverse paths a response can use.
+	replies   map[uint64][]onion.ReplyHandle
 	delivered uint64
 	badSegs   uint64
 }
@@ -54,22 +57,12 @@ func (r *Receiver) bindObs(t obs.Tracer, m *worldMetrics) {
 
 // serviceHooks is implemented by a Rendezvous attached to this node.
 type serviceHooks interface {
-	handleRegister(h onion.ReplyHandle, msg registerMsg)
-	handleService(h onion.ReplyHandle, msg serviceSegMsg)
+	handleRegister(h onion.ReplyHandle, tag uint64)
+	handleService(h onion.ReplyHandle, msg session.ServiceSegment)
 }
 
 // setServiceHooks installs the rendezvous handlers.
 func (r *Receiver) setServiceHooks(h serviceHooks) { r.hooks = h }
-
-type inbound struct {
-	needed, total int32
-	segs          map[int32]erasure.Segment
-	handles       []onion.ReplyHandle // one per distinct delivering path
-	handleSeen    map[netsim.NodeID]map[onion.StreamID]bool
-	done          bool
-	firstAt       sim.Time
-	expires       sim.Time
-}
 
 // NewReceiver creates the responder application for a node.
 func NewReceiver(id netsim.NodeID, eng *sim.Engine, onDelivered DeliveredFunc) *Receiver {
@@ -77,8 +70,8 @@ func NewReceiver(id netsim.NodeID, eng *sim.Engine, onDelivered DeliveredFunc) *
 		id:          id,
 		eng:         eng,
 		onDelivered: onDelivered,
-		ackSegments: true,
-		pending:     make(map[uint64]*inbound),
+		asm:         session.NewReassembler(int64(inboundTTL)),
+		replies:     make(map[uint64][]onion.ReplyHandle),
 	}
 	eng.Every(inboundTTL, inboundTTL, r.sweep)
 	return r
@@ -91,10 +84,10 @@ func (r *Receiver) Delivered() uint64 { return r.delivered }
 func (r *Receiver) SetOnDelivered(f DeliveredFunc) { r.onDelivered = f }
 
 func (r *Receiver) sweep() {
-	now := r.eng.Now()
-	for mid, in := range r.pending {
-		if in.expires <= now {
-			delete(r.pending, mid)
+	r.asm.Sweep(int64(r.eng.Now()))
+	for mid := range r.replies {
+		if _, _, _, ok := r.asm.Shape(mid); !ok {
+			delete(r.replies, mid)
 		}
 	}
 }
@@ -102,108 +95,61 @@ func (r *Receiver) sweep() {
 // HandleData is the onion.DataFunc for this node: it decodes an
 // application payload and processes segments and probes.
 func (r *Receiver) HandleData(h onion.ReplyHandle, plain []byte) {
-	msg, err := decodeAppMsg(plain)
+	msg, err := session.DecodeApp(plain)
 	if err != nil {
 		r.badSegs++
 		return
 	}
-	if msg.kind == kindProbe {
+	switch msg.Kind {
+	case session.KindProbe:
 		// Probes are acknowledged but never delivered.
-		h.Reply(segAckMsg{MID: msg.probe.MID, Index: msg.probe.Index}.encode(), h.Flow)
+		h.Reply(msg.Ack.Encode(session.KindSegAck), h.Flow)
 		return
-	}
-	if msg.kind == kindRegister || msg.kind == kindToService || msg.kind == kindServiceReply {
-		if r.hooks != nil {
-			if msg.kind == kindRegister {
-				r.hooks.handleRegister(h, msg.register)
-			} else {
-				r.hooks.handleService(h, msg.service)
-			}
-		} else {
+	case session.KindRegister, session.KindToService, session.KindServiceReply:
+		switch {
+		case r.hooks == nil:
 			r.badSegs++ // service traffic at a node running no rendezvous
+		case msg.Kind == session.KindRegister:
+			r.hooks.handleRegister(h, msg.Tag)
+		default:
+			r.hooks.handleService(h, msg.Service)
 		}
 		return
-	}
-	if msg.kind != kindSegment {
+	case session.KindSegment:
+	default:
 		r.badSegs++
 		return
 	}
-	seg := msg.seg
-	if !validCodeShape(seg.Needed, seg.Total) || seg.Index < 0 || seg.Index >= seg.Total {
-		r.badSegs++
+	seg := msg.Seg
+	verdict := r.asm.Add(int64(r.eng.Now()), seg)
+	if verdict == session.Rejected {
+		r.badSegs++ // bad shape, or one that disagrees with the MID's earlier segments
 		return
 	}
-	in, ok := r.pending[seg.MID]
+	r.replies[seg.MID] = addHandle(r.replies[seg.MID], h)
+	h.Reply(session.Ack{MID: seg.MID, Index: seg.Index}.Encode(session.KindSegAck), h.Flow)
+	if verdict == session.Ready {
+		r.reconstruct(seg.MID)
+	}
+}
+
+func (r *Receiver) reconstruct(mid uint64) {
+	data, segments, first, ok := r.asm.Reconstruct(mid)
 	if !ok {
-		in = &inbound{
-			needed:     seg.Needed,
-			total:      seg.Total,
-			segs:       make(map[int32]erasure.Segment),
-			handleSeen: make(map[netsim.NodeID]map[onion.StreamID]bool),
-			firstAt:    r.eng.Now(),
-		}
-		r.pending[seg.MID] = in
-	}
-	in.expires = r.eng.Now() + inboundTTL
-	if in.needed != seg.Needed || in.total != seg.Total {
-		r.badSegs++ // inconsistent shape across segments of one MID
-		return
-	}
-	if _, dup := in.segs[seg.Index]; !dup {
-		in.segs[seg.Index] = erasure.Segment{Index: int(seg.Index), Data: seg.Data}
-	}
-	r.rememberHandle(in, h)
-	if r.ackSegments {
-		h.Reply(segAckMsg{MID: seg.MID, Index: seg.Index}.encode(), h.Flow)
-	}
-	if !in.done && int32(len(in.segs)) >= in.needed {
-		r.reconstruct(seg.MID, in, h.Flow)
-	}
-}
-
-func (r *Receiver) rememberHandle(in *inbound, h onion.ReplyHandle) {
-	// Track one handle per distinct (terminal relay, stream): these are
-	// the reverse paths a response can use.
-	relay := h.From()
-	streams := in.handleSeen[relay]
-	if streams == nil {
-		streams = make(map[onion.StreamID]bool)
-		in.handleSeen[relay] = streams
-	}
-	key := h.StreamID()
-	if !streams[key] {
-		streams[key] = true
-		in.handles = append(in.handles, h)
-	}
-}
-
-func (r *Receiver) reconstruct(mid uint64, in *inbound, flow *metrics.Flow) {
-	code, err := erasure.New(int(in.needed), int(in.total))
-	if err != nil {
 		r.badSegs++
 		return
 	}
-	segs := make([]erasure.Segment, 0, len(in.segs))
-	for _, s := range in.segs {
-		segs = append(segs, s)
-	}
-	data, err := code.Reconstruct(segs)
-	if err != nil {
-		r.badSegs++
-		return
-	}
-	in.done = true
 	r.delivered++
 	now := r.eng.Now()
 	if r.m != nil {
 		r.m.recvDelivered.Inc()
-		r.m.reconstructMs.Observe(float64(now-in.firstAt) / float64(sim.Millisecond))
+		r.m.reconstructMs.Observe(float64(now-sim.Time(first)) / float64(sim.Millisecond))
 	}
 	if r.tracer != nil {
 		r.tracer.Emit(obs.Event{
 			Type: obs.SegmentReconstructed, At: int64(now),
 			Node: int(r.id), Peer: -1, ID: mid,
-			Seq: int64(len(in.segs)), Slot: -1, Hop: -1, Size: len(data),
+			Seq: int64(segments), Slot: -1, Hop: -1, Size: len(data),
 		})
 	}
 	if r.onDelivered != nil {
@@ -216,14 +162,15 @@ func (r *Receiver) reconstruct(mid uint64, in *inbound, flow *metrics.Flow) {
 // request, distributed round-robin (§4.2: "sends the message segments
 // back over the k paths"). It returns the number of segments sent.
 func (r *Receiver) Respond(mid uint64, data []byte, flow *metrics.Flow) (int, error) {
-	in, ok := r.pending[mid]
-	if !ok || !in.done {
+	needed, total, done, _ := r.asm.Shape(mid)
+	if !done {
 		return 0, fmt.Errorf("core: no reconstructed message %d to respond to", mid)
 	}
-	if len(in.handles) == 0 {
+	handles := r.replies[mid]
+	if len(handles) == 0 {
 		return 0, fmt.Errorf("core: no reverse paths for message %d", mid)
 	}
-	code, err := erasure.New(int(in.needed), int(in.total))
+	code, err := erasure.New(int(needed), int(total))
 	if err != nil {
 		return 0, err
 	}
@@ -233,15 +180,8 @@ func (r *Receiver) Respond(mid uint64, data []byte, flow *metrics.Flow) (int, er
 	}
 	sent := 0
 	for i, s := range segs {
-		h := in.handles[i%len(in.handles)]
-		msg := respSegMsg{
-			MID:    mid,
-			Index:  int32(s.Index),
-			Total:  in.total,
-			Needed: in.needed,
-			Data:   s.Data,
-		}
-		if h.Reply(msg.encode(), flow) {
+		msg := session.Segment{MID: mid, Index: int32(s.Index), Total: total, Needed: needed, Data: s.Data}
+		if handles[i%len(handles)].Reply(msg.Encode(session.KindRespSeg), flow) {
 			sent++
 		}
 	}

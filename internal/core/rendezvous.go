@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 
-	"resilientmix/internal/erasure"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/onion"
+	"resilientmix/internal/session"
 	"resilientmix/internal/sim"
 )
 
@@ -25,8 +25,8 @@ type Rendezvous struct {
 	w  *World
 	id netsim.NodeID
 
-	tags  map[uint64]*registration
-	convs map[uint64]*conversation
+	tags  map[uint64]*replyPaths // by service tag
+	convs map[uint64]*replyPaths // by conversation: the initiator's reverse paths
 
 	stats RendezvousStats
 }
@@ -40,22 +40,22 @@ type RendezvousStats struct {
 	DroppedNoConv    int
 }
 
-type registration struct {
+// replyPaths is the reverse half of one anonymous path set — a service's
+// registration, or an initiator's conversation — one handle per distinct
+// path, with the time the rendezvous forgets it.
+type replyPaths struct {
 	handles []onion.ReplyHandle
-	seen    map[handleKey]bool
 	expires sim.Time
 }
 
-type conversation struct {
-	handles []onion.ReplyHandle // the initiator's reverse paths
-	seen    map[handleKey]bool
-	tag     uint64
-	expires sim.Time
-}
-
-type handleKey struct {
-	relay netsim.NodeID
-	sid   onion.StreamID
+// addHandle appends h unless the set already holds its path.
+func addHandle(handles []onion.ReplyHandle, h onion.ReplyHandle) []onion.ReplyHandle {
+	for _, have := range handles {
+		if have.From() == h.From() && have.StreamID() == h.StreamID() {
+			return handles
+		}
+	}
+	return append(handles, h)
 }
 
 // rendezvousTTL bounds idle registrations and conversations.
@@ -67,8 +67,8 @@ func (w *World) NewRendezvous(id netsim.NodeID) *Rendezvous {
 	r := &Rendezvous{
 		w:     w,
 		id:    id,
-		tags:  make(map[uint64]*registration),
-		convs: make(map[uint64]*conversation),
+		tags:  make(map[uint64]*replyPaths),
+		convs: make(map[uint64]*replyPaths),
 	}
 	w.Receivers[id].setServiceHooks(r)
 	w.Eng.Every(rendezvousTTL, rendezvousTTL, r.sweep)
@@ -80,80 +80,51 @@ func (r *Rendezvous) Stats() RendezvousStats { return r.stats }
 
 func (r *Rendezvous) sweep() {
 	now := r.w.Eng.Now()
-	for tag, reg := range r.tags {
-		if reg.expires <= now {
-			delete(r.tags, tag)
-		}
-	}
-	for conv, c := range r.convs {
-		if c.expires <= now {
-			delete(r.convs, conv)
+	for _, sets := range []map[uint64]*replyPaths{r.tags, r.convs} {
+		for id, set := range sets {
+			if set.expires <= now {
+				delete(sets, id)
+			}
 		}
 	}
 }
 
+// remember adds h to the path set id of sets and refreshes its expiry.
+func (r *Rendezvous) remember(sets map[uint64]*replyPaths, id uint64, h onion.ReplyHandle) {
+	set := sets[id]
+	if set == nil {
+		set = &replyPaths{}
+		sets[id] = set
+	}
+	set.handles = addHandle(set.handles, h)
+	set.expires = r.w.Eng.Now() + rendezvousTTL
+}
+
 // handleRegister implements serviceHooks.
-func (r *Rendezvous) handleRegister(h onion.ReplyHandle, msg registerMsg) {
-	reg := r.tags[msg.Tag]
-	if reg == nil {
-		reg = &registration{seen: make(map[handleKey]bool)}
-		r.tags[msg.Tag] = reg
-	}
-	key := handleKey{h.From(), h.StreamID()}
-	if !reg.seen[key] {
-		reg.seen[key] = true
-		reg.handles = append(reg.handles, h)
-	}
-	reg.expires = r.w.Eng.Now() + rendezvousTTL
+func (r *Rendezvous) handleRegister(h onion.ReplyHandle, tag uint64) {
+	r.remember(r.tags, tag, h)
 	r.stats.Registrations++
 }
 
 // handleService implements serviceHooks: forward segments between the
 // two path sets.
-func (r *Rendezvous) handleService(h onion.ReplyHandle, msg serviceSegMsg) {
-	switch msg.Kind {
-	case kindToService:
-		reg := r.tags[msg.Tag]
-		if reg == nil || len(reg.handles) == 0 {
-			r.stats.DroppedNoTag++
-			return
-		}
-		reg.expires = r.w.Eng.Now() + rendezvousTTL
+func (r *Rendezvous) handleService(h onion.ReplyHandle, msg session.ServiceSegment) {
+	to, forwarded, dropped := r.tags[msg.Tag], &r.stats.SegmentsInbound, &r.stats.DroppedNoTag
+	if msg.Kind == session.KindServiceReply {
+		to, forwarded, dropped = r.convs[msg.Conv()], &r.stats.SegmentsOutbound, &r.stats.DroppedNoConv
+	}
+	if to == nil || len(to.handles) == 0 {
+		*dropped++
+		return
+	}
+	to.expires = r.w.Eng.Now() + rendezvousTTL
+	if msg.Kind == session.KindToService {
 		// Remember the initiator's reverse paths for the reply leg.
-		c := r.convs[msg.Conv]
-		if c == nil {
-			c = &conversation{seen: make(map[handleKey]bool), tag: msg.Tag}
-			r.convs[msg.Conv] = c
-		}
-		c.expires = r.w.Eng.Now() + rendezvousTTL
-		key := handleKey{h.From(), h.StreamID()}
-		if !c.seen[key] {
-			c.seen[key] = true
-			c.handles = append(c.handles, h)
-		}
-		fwd := serviceSegMsg{
-			Kind: kindInbound, Conv: msg.Conv,
-			Index: msg.Index, Total: msg.Total, Needed: msg.Needed, Data: msg.Data,
-		}
-		target := reg.handles[int(msg.Index)%len(reg.handles)]
-		if target.Reply(fwd.encode(), h.Flow) {
-			r.stats.SegmentsInbound++
-		}
-	case kindServiceReply:
-		c := r.convs[msg.Conv]
-		if c == nil || len(c.handles) == 0 {
-			r.stats.DroppedNoConv++
-			return
-		}
-		c.expires = r.w.Eng.Now() + rendezvousTTL
-		fwd := serviceSegMsg{
-			Kind: kindInbound, Conv: msg.Conv,
-			Index: msg.Index, Total: msg.Total, Needed: msg.Needed, Data: msg.Data,
-		}
-		target := c.handles[int(msg.Index)%len(c.handles)]
-		if target.Reply(fwd.encode(), h.Flow) {
-			r.stats.SegmentsOutbound++
-		}
+		r.remember(r.convs, msg.Conv(), h)
+	}
+	fwd := session.ServiceSegment{Kind: session.KindInbound, Segment: msg.Segment}
+	if to.handles[int(msg.Index)%len(to.handles)].Reply(fwd.Encode(), h.Flow) {
+		*forwarded++
 	}
 }
 
@@ -169,13 +140,13 @@ func (s *Session) RegisterService(tag uint64) error {
 		return fmt.Errorf("core: session not established")
 	}
 	initiator := s.w.Nodes[s.self].Initiator
-	msg := registerMsg{Tag: tag}.encode()
+	msg := session.EncodeRegister(tag)
 	sent := 0
-	for _, sl := range s.slots {
-		if sl == nil || !sl.alive {
+	for i, p := range s.paths {
+		if !s.m.SlotAlive(i) {
 			continue
 		}
-		if err := initiator.SendData(sl.path, msg, &s.stats.DataFlow); err == nil {
+		if err := initiator.SendData(p, msg, &s.stats.DataFlow); err == nil {
 			sent++
 		}
 	}
@@ -191,7 +162,7 @@ func (s *Session) RegisterService(tag uint64) error {
 // OnInbound.
 func (s *Session) SendServiceMessage(tag uint64, data []byte) (uint64, error) {
 	conv := s.w.Eng.RNG().Uint64()
-	if err := s.sendServiceSegments(kindToService, tag, conv, data); err != nil {
+	if err := s.sendServiceSegments(session.KindToService, tag, conv, data); err != nil {
 		return 0, err
 	}
 	return conv, nil
@@ -200,9 +171,11 @@ func (s *Session) SendServiceMessage(tag uint64, data []byte) (uint64, error) {
 // SendServiceReply answers a conversation previously delivered through
 // OnInbound (hidden-responder side).
 func (s *Session) SendServiceReply(conv uint64, data []byte) error {
-	return s.sendServiceSegments(kindServiceReply, 0, conv, data)
+	return s.sendServiceSegments(session.KindServiceReply, 0, conv, data)
 }
 
+// sendServiceSegments sends a message's segments per the session's
+// allocation, unacknowledged: the rendezvous forwards, it does not ack.
 func (s *Session) sendServiceSegments(kind byte, tag, conv uint64, data []byte) error {
 	if !s.established {
 		return fmt.Errorf("core: session not established")
@@ -211,73 +184,24 @@ func (s *Session) sendServiceSegments(kind byte, tag, conv uint64, data []byte) 
 	if err != nil {
 		return err
 	}
-	assign := s.allocate(len(segs))
 	initiator := s.w.Nodes[s.self].Initiator
 	m, n := s.params.codeShape()
 	sent := 0
-	for slotIdx, segIdxs := range assign {
-		sl := s.slots[slotIdx]
-		if sl == nil || !sl.alive {
-			continue
+	s.m.Each(len(segs), s.scores(), func(slot, si int) {
+		if !s.m.SlotAlive(slot) {
+			return
 		}
-		for _, si := range segIdxs {
-			msg := serviceSegMsg{
-				Kind: kind, Tag: tag, Conv: conv,
-				Index: int32(segs[si].Index), Total: int32(n), Needed: int32(m),
-				Data: segs[si].Data,
-			}
-			if err := initiator.SendData(sl.path, msg.encode(), &s.stats.DataFlow); err == nil {
-				sent++
-				s.stats.SegmentsSent++
-			}
+		msg := session.ServiceSegment{Kind: kind, Tag: tag, Segment: session.Segment{
+			MID: conv, Index: int32(segs[si].Index), Total: int32(n), Needed: int32(m),
+			Data: segs[si].Data,
+		}}
+		if initiator.SendData(s.paths[slot], msg.Encode(), &s.stats.DataFlow) == nil {
+			sent++
+			s.stats.SegmentsSent++
 		}
-	}
+	})
 	if sent == 0 {
 		return fmt.Errorf("core: no live paths")
 	}
 	return nil
-}
-
-// handleInbound collects kindInbound segments arriving on the reverse
-// paths and reconstructs conversations.
-func (s *Session) handleInbound(msg serviceSegMsg) {
-	if !validCodeShape(msg.Needed, msg.Total) || msg.Index < 0 || msg.Index >= msg.Total {
-		return
-	}
-	c := s.inbound[msg.Conv]
-	if c == nil {
-		c = &inboundConv{segs: make(map[int32]erasure.Segment)}
-		s.inbound[msg.Conv] = c
-	}
-	if c.done {
-		return
-	}
-	if _, dup := c.segs[msg.Index]; dup {
-		return
-	}
-	c.segs[msg.Index] = erasure.Segment{Index: int(msg.Index), Data: msg.Data}
-	if int32(len(c.segs)) < msg.Needed {
-		return
-	}
-	code, err := erasure.New(int(msg.Needed), int(msg.Total))
-	if err != nil {
-		return
-	}
-	segs := make([]erasure.Segment, 0, len(c.segs))
-	for _, sg := range c.segs {
-		segs = append(segs, sg)
-	}
-	data, err := code.Reconstruct(segs)
-	if err != nil {
-		return
-	}
-	c.done = true
-	if s.OnInbound != nil {
-		s.OnInbound(msg.Conv, data, s.w.Eng.Now())
-	}
-}
-
-type inboundConv struct {
-	segs map[int32]erasure.Segment
-	done bool
 }

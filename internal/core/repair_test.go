@@ -6,6 +6,7 @@ import (
 
 	"resilientmix/internal/mixchoice"
 	"resilientmix/internal/netsim"
+	"resilientmix/internal/session"
 	"resilientmix/internal/sim"
 )
 
@@ -72,8 +73,8 @@ func TestRepairReplacesFailedPath(t *testing.T) {
 	}
 	s.EnableRepair(10 * sim.Second)
 	// Kill one relay on each path: without repair the set would die.
-	for _, sl := range s.slots {
-		w.Net.SetUp(sl.path.Relays[0], false)
+	for _, p := range s.paths {
+		w.Net.SetUp(p.Relays[0], false)
 	}
 	w.Run(w.Eng.Now() + 2*sim.Minute)
 	st := s.Stats()
@@ -153,29 +154,38 @@ func TestOnDemandPathCarriesSegment(t *testing.T) {
 	if !establish(t, w, s) {
 		t.Fatal("establishment failed")
 	}
-	s.repair = true // on-demand mode without the probe ticker
-	// Kill one slot outright (mark dead; its relay also really dies so
-	// the old path cannot carry anything).
-	victim := s.slots[0]
-	w.Net.SetUp(victim.path.Relays[0], false)
-	victim.alive = false
+	// Kill one slot outright: its relay really dies, and a message
+	// whose segment vanishes there gets the slot condemned at its ack
+	// deadline. Repair is switched on only afterwards — on-demand mode
+	// without the probe ticker — so nothing has rebuilt the slot yet.
+	w.Net.SetUp(s.paths[0].Relays[0], false)
+	msg := make([]byte, 1024)
+	if _, err := s.SendMessage(msg); err != nil {
+		t.Fatal(err)
+	}
+	w.Run(w.Eng.Now() + 10*sim.Second)
+	if s.m.SlotAlive(0) || s.AlivePaths() != 1 {
+		t.Fatalf("ack timeout did not condemn the dead slot (alive %d)", s.AlivePaths())
+	}
+	s.repair = true
+	s.m.EnableRepair()
 
 	delivered := 0
 	w.Receivers[1].SetOnDelivered(func(uint64, []byte, sim.Time) { delivered++ })
-	msg := make([]byte, 1024)
+	sent := s.Stats().SegmentsSent
 	if _, err := s.SendMessage(msg); err != nil {
 		t.Fatal(err)
 	}
 	// Both segments must be sent: one on the live path, one riding a
 	// fresh on-demand construction.
-	if s.Stats().SegmentsSent != 2 {
-		t.Fatalf("segments sent = %d, want 2 (one on-demand)", s.Stats().SegmentsSent)
+	if got := s.Stats().SegmentsSent - sent; got != 2 {
+		t.Fatalf("segments sent = %d, want 2 (one on-demand)", got)
 	}
 	w.Run(w.Eng.Now() + 30*sim.Second)
 	if delivered != 1 {
 		t.Fatal("message did not reconstruct with an on-demand path")
 	}
-	if !victim.alive {
+	if !s.m.SlotAlive(0) {
 		t.Fatal("on-demand construction did not revive the slot")
 	}
 	if s.Stats().PathsReplaced != 1 {
@@ -214,12 +224,12 @@ func TestProbesAreNotDelivered(t *testing.T) {
 }
 
 func TestProbeEncodingRoundTrip(t *testing.T) {
-	p := probeMsg{MID: 77, Index: 3}
-	m, err := decodeAppMsg(p.encode())
+	p := session.Ack{MID: 77, Index: 3}
+	m, err := session.DecodeApp(p.Encode(session.KindProbe))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.kind != kindProbe || m.probe != p {
+	if m.Kind != session.KindProbe || m.Ack != p {
 		t.Fatalf("decoded %+v", m)
 	}
 }

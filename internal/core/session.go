@@ -10,6 +10,7 @@ import (
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
 	"resilientmix/internal/onion"
+	"resilientmix/internal/session"
 	"resilientmix/internal/sim"
 )
 
@@ -27,11 +28,14 @@ type SessionStats struct {
 }
 
 // Session is an initiator's communication session with one responder
-// under one protocol configuration: it owns the k path slots, splits
-// messages into coded segments, allocates them to paths, tracks
-// end-to-end acknowledgments to detect path failures, and optionally
-// replaces paths proactively when liveness prediction flags a relay
-// (§4.5).
+// under one protocol configuration, as the simulator's driver of the
+// session machine (internal/session): the machine owns the k path
+// slots, the segment allocation, the ack ledger and §4.5's probing,
+// condemnation and repair; this type turns its outputs into onion
+// sends, engine timers, path constructions, trace events and counters,
+// draws message IDs and relay choices from the engine RNG, and keeps
+// what is not between "a message is sent" and "a slot is rebuilt":
+// establishment attempts, responses and the rendezvous service API.
 type Session struct {
 	w         *World
 	self      netsim.NodeID
@@ -40,16 +44,25 @@ type Session struct {
 	code      *erasure.Code
 	provider  membership.Provider
 
-	slots       []*pathSlot
+	m *session.Machine
+	// paths holds the path standing (or last standing) in each slot.
+	paths []*onion.Path
+	// choose picks n disjoint relay lists avoiding exclude: the mix
+	// choice of §4.9 over the membership view (tests script it).
+	choose func(n int, exclude []netsim.NodeID) ([][]netsim.NodeID, error)
+
 	established bool
 	failed      bool
 	establishAt sim.Time
 	setDead     bool
 	setDeadAt   sim.Time
-	repair      bool
+	repair      bool // EnableRepair was called: the path set heals instead of dying
 
-	pending map[uint64]*outMsg
-	inbound map[uint64]*inboundConv
+	// Responses reassemble by the ID of a message this session sent,
+	// rendezvous-forwarded conversations by their conversation ID.
+	sent      map[uint64]struct{}
+	responses *session.Reassembler
+	inbound   *session.Reassembler
 
 	stats SessionStats
 
@@ -64,24 +77,9 @@ type Session struct {
 	// initiator.
 	OnResponse func(mid uint64, data []byte, at sim.Time)
 	// OnInbound fires when an unsolicited rendezvous-forwarded message
-	// (mutual anonymity, kindInbound) reconstructs: hidden services
+	// (mutual anonymity, KindInbound) reconstructs: hidden services
 	// receive requests here, initiators receive service replies.
 	OnInbound func(conv uint64, data []byte, at sim.Time)
-}
-
-type pathSlot struct {
-	index     int
-	path      *onion.Path
-	alive     bool
-	lastAck   sim.Time
-	repairing bool // a replacement construction is in flight
-}
-
-type outMsg struct {
-	sentAt  sim.Time
-	bySlot  map[int][]int32 // slot -> segment indices awaiting ack
-	respSeg map[int32]erasure.Segment
-	respGot bool
 }
 
 // NewSession creates a session; Establish starts it.
@@ -104,27 +102,49 @@ func (w *World) NewSession(self, responder netsim.NodeID, params Params) (*Sessi
 		params:    params,
 		code:      code,
 		provider:  w.Provider(self),
-		pending:   make(map[uint64]*outMsg),
-		inbound:   make(map[uint64]*inboundConv),
+		paths:     make([]*onion.Path, params.K),
+		sent:      make(map[uint64]struct{}),
+		responses: session.NewReassembler(int64(inboundTTL)),
+		inbound:   session.NewReassembler(int64(inboundTTL)),
 	}
+	s.choose = func(n int, exclude []netsim.NodeID) ([][]netsim.NodeID, error) {
+		return mixchoice.SelectPaths(w.Eng.RNG(), params.Strategy, s.provider.Candidates(self), n, params.L, exclude...)
+	}
+	m, n := params.codeShape()
+	// MaxRetransmits and MaxInflight stay zero: the simulator's message
+	// gets one round and its queue no bound, so the machine arms one
+	// deadline per message and nothing more. BlameSlot is the
+	// condemnation rule the pinned traces were recorded under.
+	s.m = session.New(session.Config{
+		K: params.K, M: m, N: n,
+		Responder:  responder,
+		AckTimeout: int64(params.AckTimeout),
+		BlameSlot:  true,
+	})
 	return s, nil
 }
 
 // Params returns the session's (defaulted) parameters.
 func (s *Session) Params() Params { return s.params }
 
+// release drops a path's routing and initiator-side record.
+func (s *Session) release(p *onion.Path) {
+	if p != nil {
+		s.w.unbindPath(p)
+		s.w.Nodes[s.self].Initiator.Forget(p)
+	}
+}
+
 // Teardown releases the session's paths at the initiator (relay-side
 // state ages out via the TTL of §4.3 — failed upstream nodes mean the
 // initiator cannot reliably release remote state, which is exactly why
-// the TTL exists).
+// the TTL exists). Timers still armed for it fire as no-ops.
 func (s *Session) Teardown() {
-	for _, sl := range s.slots {
-		if sl != nil && sl.path != nil {
-			s.w.unbindPath(sl.path)
-			s.w.Nodes[s.self].Initiator.Forget(sl.path)
-		}
+	s.m.Teardown()
+	for i, p := range s.paths {
+		s.release(p)
+		s.paths[i] = nil
 	}
-	s.slots = nil
 }
 
 // Stats returns a snapshot of the session counters.
@@ -140,15 +160,7 @@ func (s *Session) EstablishedAt() sim.Time { return s.establishAt }
 func (s *Session) SetDeadAt() sim.Time { return s.setDeadAt }
 
 // AlivePaths returns the number of live path slots.
-func (s *Session) AlivePaths() int {
-	n := 0
-	for _, sl := range s.slots {
-		if sl.alive {
-			n++
-		}
-	}
-	return n
-}
+func (s *Session) AlivePaths() int { return s.m.Alive() }
 
 // Establish runs construction attempts until MinPaths paths stand or
 // MaxEstablishAttempts is exhausted, then fires OnEstablished.
@@ -162,40 +174,27 @@ func (s *Session) Establish() {
 func (s *Session) attempt() {
 	s.stats.EstablishAttempts++
 	s.w.m.establishAttempts.Inc()
-	cands := s.provider.Candidates(s.self)
-	paths, err := mixchoice.SelectPaths(
-		s.w.Eng.RNG(), s.params.Strategy, cands,
-		s.params.K, s.params.L, s.self, s.responder,
-	)
+	lists, err := s.choose(s.params.K, []netsim.NodeID{s.self, s.responder})
 	if err != nil {
-		s.concludeAttempt(nil, 0)
+		s.concludeAttempt(nil, nil)
 		return
 	}
 	initiator := s.w.Nodes[s.self].Initiator
-	slots := make([]*pathSlot, s.params.K)
+	paths := make([]*onion.Path, s.params.K)
+	stood := make([]bool, s.params.K)
 	done := 0
 	succeeded := 0
-	for i, relays := range paths {
-		slot := &pathSlot{index: i}
-		slots[i] = slot
+	for i, relays := range lists {
+		i := i
 		p, err := initiator.Construct(relays, s.responder, &s.stats.ConstructFlow, func(p *onion.Path, ok bool) {
 			done++
 			if ok {
-				slot.alive = true
-				slot.lastAck = s.w.Eng.Now()
+				stood[i] = true
 				succeeded++
-				s.w.m.pathsBuilt.Inc()
-				if s.w.tracer != nil {
-					s.w.tracer.Emit(obs.Event{
-						Type: obs.PathBuilt, At: int64(s.w.Eng.Now()),
-						Node: int(s.self), Peer: int(s.responder),
-						ID: uint64(p.SID), Seq: int64(slot.index),
-						Slot: slot.index, Hop: -1,
-					})
-				}
+				s.notePath(obs.PathBuilt, p, i, obs.ReasonNone, s.w.m.pathsBuilt)
 			}
 			if done == s.params.K {
-				s.concludeAttempt(slots, succeeded)
+				s.concludeAttempt(paths, stood)
 			}
 		})
 		if err != nil {
@@ -204,28 +203,35 @@ func (s *Session) attempt() {
 			done++
 			continue
 		}
-		slot.path = p
+		paths[i] = p
 		s.w.bindPath(p, s)
 	}
 	if done == s.params.K && succeeded == 0 {
 		// All constructions failed synchronously.
-		s.concludeAttempt(slots, 0)
+		s.concludeAttempt(paths, stood)
 	}
 }
 
-func (s *Session) concludeAttempt(slots []*pathSlot, succeeded int) {
+func (s *Session) concludeAttempt(paths []*onion.Path, stood []bool) {
 	if s.established || s.failed {
 		return
 	}
+	succeeded := 0
+	for _, ok := range stood {
+		if ok {
+			succeeded++
+		}
+	}
 	if succeeded >= s.params.MinPaths() {
-		s.slots = slots
 		s.established = true
 		s.establishAt = s.w.Eng.Now()
 		// Slots that failed construction already count as failed paths.
-		for _, sl := range slots {
-			if !sl.alive && sl.path != nil {
-				s.w.unbindPath(sl.path)
-				s.w.Nodes[s.self].Initiator.Forget(sl.path)
+		for i, p := range paths {
+			if stood[i] {
+				s.paths[i] = p
+				s.m.PathUp(i, p.Relays)
+			} else {
+				s.release(p)
 			}
 		}
 		if s.OnEstablished != nil {
@@ -234,11 +240,8 @@ func (s *Session) concludeAttempt(slots []*pathSlot, succeeded int) {
 		return
 	}
 	// Failed attempt: release everything and maybe retry.
-	for _, sl := range slots {
-		if sl != nil && sl.path != nil {
-			s.w.unbindPath(sl.path)
-			s.w.Nodes[s.self].Initiator.Forget(sl.path)
-		}
+	for _, p := range paths {
+		s.release(p)
 	}
 	if s.stats.EstablishAttempts < s.params.MaxEstablishAttempts {
 		s.w.Eng.Schedule(0, s.attempt)
@@ -273,167 +276,39 @@ func (s *Session) SendMessageTo(dest netsim.NodeID, data []byte) (uint64, error)
 		return 0, err
 	}
 	mid := s.w.Eng.RNG().Uint64()
-	assign := s.allocate(len(segs))
-	out := &outMsg{
-		sentAt:  s.w.Eng.Now(),
-		bySlot:  make(map[int][]int32),
-		respSeg: make(map[int32]erasure.Segment),
+	var buf [session.Scratch]session.Output
+	outs, err := s.m.Send(buf[:0], int64(s.w.Eng.Now()), mid, dest, segs, s.scores())
+	if err != nil {
+		return 0, err
 	}
-	initiator := s.w.Nodes[s.self].Initiator
-	m, n := s.params.codeShape()
-	for slotIdx, segIdxs := range assign {
-		slot := s.slots[slotIdx]
-		if len(segIdxs) == 0 {
-			continue
-		}
-		if !slot.alive {
-			// §4.2 + §4.5: with repair enabled, form a replacement path
-			// on demand and ride the first segment on the construction
-			// onion itself — no message delay waiting for a separate
-			// construction round trip. Without repair, segments on dead
-			// paths are lost (the Bernoulli model of §4.7).
-			if s.repair && dest == s.responder && len(segIdxs) == 1 {
-				si := segIdxs[0]
-				msg := segmentMsg{
-					MID:    mid,
-					Index:  int32(segs[si].Index),
-					Total:  int32(n),
-					Needed: int32(m),
-					Data:   segs[si].Data,
-				}
-				tag := obs.Tag{ID: mid, Seg: msg.Index, Slot: int32(slotIdx)}
-				if s.sendOnDemand(slot, msg.encode(), tag) {
-					out.bySlot[slotIdx] = append(out.bySlot[slotIdx], int32(segs[si].Index))
-					s.noteSegmentSent(dest, mid, msg.Index, len(msg.Data), slotIdx)
-				}
-			}
-			continue
-		}
-		for _, si := range segIdxs {
-			msg := segmentMsg{
-				MID:    mid,
-				Index:  int32(segs[si].Index),
-				Total:  int32(n),
-				Needed: int32(m),
-				Data:   segs[si].Data,
-			}
-			tag := obs.Tag{ID: mid, Seg: msg.Index, Slot: int32(slotIdx)}
-			if err := initiator.SendDataTagged(slot.path, dest, msg.encode(), &s.stats.DataFlow, tag); err != nil {
-				continue
-			}
-			out.bySlot[slotIdx] = append(out.bySlot[slotIdx], int32(segs[si].Index))
-			s.noteSegmentSent(dest, mid, msg.Index, len(msg.Data), slotIdx)
-		}
-	}
-	s.pending[mid] = out
+	s.sent[mid] = struct{}{}
 	s.stats.MessagesSent++
 	s.w.m.messagesSent.Inc()
-	s.w.Eng.Schedule(s.params.AckTimeout, func() { s.checkAcks(mid) })
+	s.run(outs)
 	return mid, nil
 }
 
-// noteSegmentSent records one coded data segment leaving the
-// initiator, in the session stats, the registry, and the trace.
-func (s *Session) noteSegmentSent(dest netsim.NodeID, mid uint64, index int32, size, slot int) {
-	s.stats.SegmentsSent++
-	s.w.m.segmentsSent.Inc()
-	if s.w.tracer != nil {
-		s.w.tracer.Emit(obs.Event{
-			Type: obs.SegmentSent, At: int64(s.w.Eng.Now()),
-			Node: int(s.self), Peer: int(dest), ID: mid,
-			Seq: int64(index), Slot: slot, Hop: -1, Size: size,
-		})
+// scores returns the per-slot stability scores the weighted allocation
+// (§7) deals segments by, or nil for the even split of §4.7.
+func (s *Session) scores() []float64 {
+	if !s.params.Weighted {
+		return nil
 	}
+	scores := make([]float64, len(s.paths))
+	for i := range scores {
+		scores[i] = s.pathStability(i)
+	}
+	return scores
 }
 
-// allocate maps segment indices to path slots: the even split of §4.7,
-// or the weighted extension of §7 when enabled.
-func (s *Session) allocate(nSegs int) [][]int {
-	if s.params.Weighted {
-		return s.allocateWeighted(nSegs)
-	}
-	assign := make([][]int, len(s.slots))
-	per := nSegs / len(s.slots)
-	idx := 0
-	for i := range s.slots {
-		for j := 0; j < per && idx < nSegs; j++ {
-			assign[i] = append(assign[i], idx)
-			idx++
-		}
-	}
-	// Distribute any remainder round-robin (only possible when nSegs is
-	// not a multiple of k, which the paper excludes but we permit).
-	for i := 0; idx < nSegs; i, idx = i+1, idx+1 {
-		assign[i%len(s.slots)] = append(assign[i%len(s.slots)], idx)
-	}
-	return assign
-}
-
-// allocateWeighted gives stable paths more segments: each live slot is
-// scored by the minimum liveness predictor q over its relays, and
-// segments are dealt to slots proportionally to score.
-func (s *Session) allocateWeighted(nSegs int) [][]int {
-	type scored struct {
-		slot  int
-		score float64
-	}
-	var live []scored
-	var total float64
-	for i, sl := range s.slots {
-		if !sl.alive {
-			continue
-		}
-		score := s.pathStability(sl)
-		// Floor so every live path gets some share.
-		if score < 0.01 {
-			score = 0.01
-		}
-		live = append(live, scored{i, score})
-		total += score
-	}
-	assign := make([][]int, len(s.slots))
-	if len(live) == 0 {
-		return assign
-	}
-	// Largest-remainder apportionment of nSegs by score.
-	counts := make([]int, len(live))
-	rem := make([]float64, len(live))
-	used := 0
-	for i, sc := range live {
-		exact := float64(nSegs) * sc.score / total
-		counts[i] = int(exact)
-		rem[i] = exact - float64(counts[i])
-		used += counts[i]
-	}
-	for used < nSegs {
-		best := 0
-		for i := range rem {
-			if rem[i] > rem[best] {
-				best = i
-			}
-		}
-		counts[best]++
-		rem[best] = -1
-		used++
-	}
-	idx := 0
-	for i, sc := range live {
-		for j := 0; j < counts[i]; j++ {
-			assign[sc.slot] = append(assign[sc.slot], idx)
-			idx++
-		}
-	}
-	return assign
-}
-
-// pathStability returns the minimum predictor q across a path's relays.
-func (s *Session) pathStability(sl *pathSlot) float64 {
+// pathStability returns the minimum predictor q across a slot's relays.
+func (s *Session) pathStability(slot int) float64 {
 	qp, ok := s.provider.(membership.QProvider)
-	if !ok || sl.path == nil {
+	if !ok {
 		return 1
 	}
 	min := 1.0
-	for _, relay := range sl.path.Relays {
+	for _, relay := range s.m.Relays(slot) {
 		if q := qp.Q(relay); q < min {
 			min = q
 		}
@@ -441,48 +316,131 @@ func (s *Session) pathStability(sl *pathSlot) float64 {
 	return min
 }
 
-// checkAcks runs at AckTimeout after a message: any live slot with
-// unacknowledged segments is declared failed (§4.5 timeout detection).
-func (s *Session) checkAcks(mid uint64) {
-	out, ok := s.pending[mid]
-	if !ok {
-		return
-	}
-	// Iterate slots in index order, not map order: markSlotDead draws
-	// from the engine RNG in repair mode, so the visit order must be
-	// deterministic for same-seed runs to stay byte-identical.
-	for slotIdx := range s.slots {
-		if len(out.bySlot[slotIdx]) == 0 {
-			continue
+// run carries out the machine's outputs in order. The order is part of
+// the simulator's determinism: sends and constructions draw from the
+// engine RNG and take engine sequence numbers as they happen.
+func (s *Session) run(outs []session.Output) {
+	initiator := s.w.Nodes[s.self].Initiator
+	for _, o := range outs {
+		switch o.Kind {
+		case session.Transmit:
+			tag := obs.Tag{ID: o.MID, Seg: o.Index, Slot: int32(o.Slot)}
+			if initiator.SendDataTagged(s.paths[o.Slot], o.Dest, s.m.Payload(o), &s.stats.DataFlow, tag) == nil {
+				s.noteSegmentSent(o)
+			}
+		case session.Probe:
+			initiator.SendData(s.paths[o.Slot], s.m.Payload(o), &s.stats.DataFlow)
+		case session.Arm:
+			mid := o.MID
+			s.w.Eng.Schedule(sim.Time(o.At)-s.w.Eng.Now(), func() {
+				// No scratch: a round that was acknowledged has no outputs.
+				s.run(s.m.Deadline(nil, int64(s.w.Eng.Now()), mid))
+			})
+		case session.Build:
+			s.build(o)
+		case session.Broken:
+			s.noteBroken(o)
+		case session.Repaired:
+			s.stats.PathsReplaced++
+			s.notePath(obs.PathRepaired, s.paths[o.Slot], o.Slot, obs.ReasonNone, s.w.m.pathsReplaced)
+		case session.Acked:
+			s.stats.SegmentsAcked++
+			s.w.m.segmentsAcked.Inc()
 		}
-		s.markSlotDead(s.slots[slotIdx])
 	}
 }
 
-func (s *Session) markSlotDead(sl *pathSlot) {
-	if !sl.alive {
+// build constructs the replacement path a Build output asks for
+// (§4.5 reconstruction), with its first segment riding the
+// construction onion when there is one (§4.2's combined mode — no
+// message delay waiting for a separate construction round trip). The
+// old path stays bound until the replacement stands.
+func (s *Session) build(b session.Output) {
+	// The exclusion set is the request's, not the present one: the pinned
+	// traces have a slot's replacement chosen before the same deadline
+	// condemns the next slot, whose relays it therefore still avoids.
+	lists, err := s.choose(1, append([]netsim.NodeID{s.self, s.responder}, b.Exclude...))
+	if err != nil {
+		s.m.Abandon(b)
 		return
 	}
-	sl.alive = false
-	s.stats.PathsDied++
-	s.w.m.pathsDied.Inc()
-	if s.w.tracer != nil {
-		var sid uint64
-		if sl.path != nil {
-			sid = uint64(sl.path.SID)
+	relays := lists[0]
+	initiator := s.w.Nodes[s.self].Initiator
+	slot := b.Slot // the callback must not keep b's segment alive
+	done := func(p *onion.Path, ok bool) {
+		if !ok {
+			s.release(p)
+			s.m.PathFailed(slot)
+			return
 		}
+		s.release(s.paths[slot])
+		s.paths[slot] = p
+		var buf [1]session.Output
+		s.run(s.m.PathBuilt(buf[:0], slot, p.Relays))
+	}
+	var p *onion.Path
+	if b.First {
+		tag := obs.Tag{ID: b.MID, Seg: b.Index, Slot: int32(b.Slot)}
+		p, err = initiator.ConstructWithDataTagged(relays, s.responder, s.m.Payload(b), &s.stats.DataFlow, tag, done)
+	} else {
+		p, err = initiator.Construct(relays, s.responder, &s.stats.ConstructFlow, done)
+	}
+	if err != nil {
+		s.m.Abandon(b)
+		return
+	}
+	s.w.bindPath(p, s)
+	if b.First {
+		s.noteSegmentSent(b)
+	}
+}
+
+// noteSegmentSent records one coded data segment leaving the
+// initiator, in the session stats, the registry, and the trace.
+func (s *Session) noteSegmentSent(o session.Output) {
+	s.stats.SegmentsSent++
+	s.w.m.segmentsSent.Inc()
+	if s.w.tracer != nil {
 		s.w.tracer.Emit(obs.Event{
-			Type: obs.PathBroken, At: int64(s.w.Eng.Now()),
-			Node: int(s.self), Peer: int(s.responder),
-			ID: sid, Seq: int64(sl.index), Slot: sl.index, Hop: -1,
-			Reason: obs.ReasonAckTimeout,
+			Type: obs.SegmentSent, At: int64(s.w.Eng.Now()),
+			Node: int(s.self), Peer: int(o.Dest), ID: o.MID,
+			Seq: int64(o.Index), Slot: o.Slot, Hop: -1, Size: len(o.Data),
 		})
 	}
-	if s.repair {
-		// Self-healing mode (§4.5 reconstruction): replace the failed
-		// path instead of counting toward set death.
-		s.replaceSlot(sl)
+}
+
+// notePath counts and traces one path lifecycle event of a slot.
+func (s *Session) notePath(typ obs.Type, p *onion.Path, slot int, reason obs.Reason, c *obs.Counter) {
+	if c != nil {
+		c.Inc()
+	}
+	if s.w.tracer != nil {
+		var sid uint64
+		if p != nil {
+			sid = uint64(p.SID)
+		}
+		s.w.tracer.Emit(obs.Event{
+			Type: typ, At: int64(s.w.Eng.Now()),
+			Node: int(s.self), Peer: int(s.responder),
+			ID: sid, Seq: int64(slot), Slot: slot, Hop: -1,
+			Reason: reason,
+		})
+	}
+}
+
+// noteBroken records a slot's path being given up. A predicted
+// replacement keeps the slot in use; a timeout (the trace names probe
+// and data rounds alike, as it always has) takes it out, and without
+// repair enough of those end the path set.
+func (s *Session) noteBroken(o session.Output) {
+	if o.Reason == session.Predicted {
+		s.notePath(obs.PathBroken, s.paths[o.Slot], o.Slot, obs.ReasonPredicted, nil)
 		return
+	}
+	s.stats.PathsDied++
+	s.notePath(obs.PathBroken, s.paths[o.Slot], o.Slot, obs.ReasonAckTimeout, s.w.m.pathsDied)
+	if s.repair {
+		return // self-healing mode replaces the path instead (§4.5 reconstruction)
 	}
 	if s.AlivePaths() < s.params.MinPaths() && !s.setDead {
 		s.setDead = true
@@ -504,123 +462,18 @@ func (s *Session) EnableRepair(probeInterval sim.Time) {
 		probeInterval = 30 * sim.Second
 	}
 	s.repair = true
+	s.m.EnableRepair()
 	s.w.Eng.Every(probeInterval, probeInterval, func() {
 		if !s.established {
 			return
 		}
-		// Retry slots whose earlier replacement failed.
-		for _, sl := range s.slots {
-			if sl != nil && !sl.alive {
-				s.replaceSlot(sl)
-			}
-		}
-		s.sendProbes()
+		// Retry slots whose earlier replacement failed, then probe. Two
+		// inputs, because the probe round's ID is drawn after the
+		// retries' constructions drew theirs.
+		var buf [session.Scratch]session.Output
+		s.run(s.m.Repairs(buf[:0]))
+		s.run(s.m.ProbeRound(buf[:0], int64(s.w.Eng.Now()), s.w.Eng.RNG().Uint64()))
 	})
-}
-
-// sendProbes sends one tiny probe down every live path and arms the ack
-// timeout; unacked probes mark (and, in repair mode, replace) the path.
-func (s *Session) sendProbes() {
-	mid := s.w.Eng.RNG().Uint64()
-	out := &outMsg{
-		sentAt:  s.w.Eng.Now(),
-		bySlot:  make(map[int][]int32),
-		respSeg: make(map[int32]erasure.Segment),
-	}
-	initiator := s.w.Nodes[s.self].Initiator
-	sentAny := false
-	for i, sl := range s.slots {
-		if sl == nil || !sl.alive {
-			continue
-		}
-		probe := probeMsg{MID: mid, Index: int32(i)}
-		if err := initiator.SendData(sl.path, probe.encode(), &s.stats.DataFlow); err != nil {
-			continue
-		}
-		out.bySlot[i] = append(out.bySlot[i], int32(i))
-		sentAny = true
-	}
-	if !sentAny {
-		return
-	}
-	s.pending[mid] = out
-	s.w.Eng.Schedule(s.params.AckTimeout, func() {
-		s.checkAcks(mid)
-		delete(s.pending, mid)
-	})
-}
-
-// handleReverse processes decrypted reverse-path payloads routed to this
-// session by the world.
-func (s *Session) handleReverse(p *onion.Path, plain []byte) {
-	msg, err := decodeAppMsg(plain)
-	if err != nil {
-		return
-	}
-	switch msg.kind {
-	case kindSegAck:
-		s.handleAck(p, msg.ack)
-	case kindRespSeg:
-		s.handleRespSeg(msg.resp)
-	case kindInbound:
-		s.handleInbound(msg.service)
-	}
-}
-
-func (s *Session) handleAck(p *onion.Path, ack segAckMsg) {
-	out, ok := s.pending[ack.MID]
-	if !ok {
-		return
-	}
-	s.stats.SegmentsAcked++
-	s.w.m.segmentsAcked.Inc()
-	for slotIdx := range s.slots {
-		waiting := out.bySlot[slotIdx]
-		for i, idx := range waiting {
-			if idx == ack.Index {
-				out.bySlot[slotIdx] = append(waiting[:i], waiting[i+1:]...)
-				if sl := s.slots[slotIdx]; sl != nil {
-					sl.lastAck = s.w.Eng.Now()
-				}
-				return
-			}
-		}
-	}
-}
-
-func (s *Session) handleRespSeg(rs respSegMsg) {
-	out, ok := s.pending[rs.MID]
-	if !ok || out.respGot {
-		return
-	}
-	if !validCodeShape(rs.Needed, rs.Total) || rs.Index < 0 || rs.Index >= rs.Total {
-		return
-	}
-	if _, dup := out.respSeg[rs.Index]; dup {
-		return
-	}
-	out.respSeg[rs.Index] = erasure.Segment{Index: int(rs.Index), Data: rs.Data}
-	if int32(len(out.respSeg)) < rs.Needed {
-		return
-	}
-	code, err := erasure.New(int(rs.Needed), int(rs.Total))
-	if err != nil {
-		return
-	}
-	segs := make([]erasure.Segment, 0, len(out.respSeg))
-	for _, sg := range out.respSeg {
-		segs = append(segs, sg)
-	}
-	data, err := code.Reconstruct(segs)
-	if err != nil {
-		return
-	}
-	out.respGot = true
-	s.stats.ResponsesReceived++
-	s.w.m.responsesReceived.Inc()
-	if s.OnResponse != nil {
-		s.OnResponse(rs.MID, data, s.w.Eng.Now())
-	}
 }
 
 // EnablePrediction starts the §4.5 proactive failure predictor: every
@@ -634,130 +487,50 @@ func (s *Session) EnablePrediction(threshold float64, interval sim.Time) {
 		if !s.established || s.setDead {
 			return
 		}
-		for _, sl := range s.slots {
-			if sl.alive && s.pathStability(sl) < threshold {
-				if s.w.tracer != nil {
-					var sid uint64
-					if sl.path != nil {
-						sid = uint64(sl.path.SID)
-					}
-					s.w.tracer.Emit(obs.Event{
-						Type: obs.PathBroken, At: int64(s.w.Eng.Now()),
-						Node: int(s.self), Peer: int(s.responder),
-						ID: sid, Seq: int64(sl.index), Slot: sl.index, Hop: -1,
-						Reason: obs.ReasonPredicted,
-					})
-				}
-				s.replaceSlot(sl)
+		for i := range s.paths {
+			if s.m.SlotAlive(i) && s.pathStability(i) < threshold {
+				var buf [2]session.Output
+				s.run(s.m.Replace(buf[:0], i))
 			}
 		}
 	})
 }
 
-// sendOnDemand forms a replacement path for a dead slot with the
-// payload riding the construction onion (§4.2's combined mode). It
-// reports whether the combined message entered the network; the slot
-// revives when the construction ack arrives.
-func (s *Session) sendOnDemand(sl *pathSlot, plain []byte, tag obs.Tag) bool {
-	if sl.repairing {
-		return false
+// handleReverse processes decrypted reverse-path payloads routed to this
+// session by the world.
+func (s *Session) handleReverse(plain []byte) {
+	msg, err := session.DecodeApp(plain)
+	if err != nil {
+		return
 	}
-	relays, ok := s.freshRelays(sl)
-	if !ok {
-		return false
-	}
-	initiator := s.w.Nodes[s.self].Initiator
-	old := sl.path
-	sl.repairing = true
-	p, err := initiator.ConstructWithDataTagged(relays, s.responder, plain, &s.stats.DataFlow, tag, func(p *onion.Path, ok bool) {
-		sl.repairing = false
-		if !ok {
-			s.w.unbindPath(p)
-			initiator.Forget(p)
+	switch msg.Kind {
+	case session.KindSegAck:
+		var buf [2]session.Output
+		s.run(s.m.Ack(buf[:0], msg.Ack.MID, msg.Ack.Index))
+	case session.KindRespSeg:
+		if _, ours := s.sent[msg.Seg.MID]; !ours {
 			return
 		}
-		if old != nil {
-			s.w.unbindPath(old)
-			initiator.Forget(old)
+		if data, ok := reassemble(s.responses, s.w.Eng.Now(), msg.Seg); ok {
+			s.stats.ResponsesReceived++
+			s.w.m.responsesReceived.Inc()
+			if s.OnResponse != nil {
+				s.OnResponse(msg.Seg.MID, data, s.w.Eng.Now())
+			}
 		}
-		sl.path = p
-		sl.alive = true
-		sl.lastAck = s.w.Eng.Now()
-		s.stats.PathsReplaced++
-		s.notePathRepaired(p, sl)
-	})
-	if err != nil {
-		sl.repairing = false
-		return false
-	}
-	s.w.bindPath(p, s)
-	return true
-}
-
-// notePathRepaired records a successful path replacement (§4.5
-// reconstruction) in the registry and the trace.
-func (s *Session) notePathRepaired(p *onion.Path, sl *pathSlot) {
-	s.w.m.pathsReplaced.Inc()
-	if s.w.tracer != nil {
-		s.w.tracer.Emit(obs.Event{
-			Type: obs.PathRepaired, At: int64(s.w.Eng.Now()),
-			Node: int(s.self), Peer: int(s.responder),
-			ID: uint64(p.SID), Seq: int64(sl.index),
-			Slot: sl.index, Hop: -1,
-		})
+	case session.KindInbound:
+		if data, ok := reassemble(s.inbound, s.w.Eng.Now(), msg.Service.Segment); ok && s.OnInbound != nil {
+			s.OnInbound(msg.Service.Conv(), data, s.w.Eng.Now())
+		}
 	}
 }
 
-// freshRelays selects one new relay list avoiding the session's live
-// relays and endpoints.
-func (s *Session) freshRelays(sl *pathSlot) ([]netsim.NodeID, bool) {
-	cands := s.provider.Candidates(s.self)
-	exclude := []netsim.NodeID{s.self, s.responder}
-	for _, other := range s.slots {
-		if other != sl && other.alive && other.path != nil {
-			exclude = append(exclude, other.path.Relays...)
-		}
-	}
-	paths, err := mixchoice.SelectPaths(s.w.Eng.RNG(), s.params.Strategy, cands, 1, s.params.L, exclude...)
-	if err != nil {
+// reassemble adds one segment and returns the message when it is the
+// one that completes it.
+func reassemble(r *session.Reassembler, now sim.Time, seg session.Segment) ([]byte, bool) {
+	if r.Add(int64(now), seg) != session.Ready {
 		return nil, false
 	}
-	return paths[0], true
-}
-
-// replaceSlot constructs a replacement path for a slot (reconstruction
-// per §4.5). The old path stays in use until the replacement stands.
-func (s *Session) replaceSlot(sl *pathSlot) {
-	if sl.repairing {
-		return
-	}
-	relays, ok := s.freshRelays(sl)
-	if !ok {
-		return
-	}
-	initiator := s.w.Nodes[s.self].Initiator
-	old := sl.path
-	sl.repairing = true
-	p, err := initiator.Construct(relays, s.responder, &s.stats.ConstructFlow, func(p *onion.Path, ok bool) {
-		sl.repairing = false
-		if !ok {
-			s.w.unbindPath(p)
-			initiator.Forget(p)
-			return
-		}
-		if old != nil {
-			s.w.unbindPath(old)
-			initiator.Forget(old)
-		}
-		sl.path = p
-		sl.alive = true
-		sl.lastAck = s.w.Eng.Now()
-		s.stats.PathsReplaced++
-		s.notePathRepaired(p, sl)
-	})
-	if err != nil {
-		sl.repairing = false
-		return
-	}
-	s.w.bindPath(p, s)
+	data, _, _, ok := r.Reconstruct(seg.MID)
+	return data, ok
 }

@@ -110,8 +110,8 @@ func TestSimEraSurvivesToleratedFailures(t *testing.T) {
 	}
 	// Kill the first relay of two paths.
 	killed := 0
-	for _, sl := range s.slots[:2] {
-		w.Net.SetUp(sl.path.Relays[0], false)
+	for _, p := range s.paths[:2] {
+		w.Net.SetUp(p.Relays[0], false)
 		killed++
 	}
 	if killed != 2 {
@@ -135,7 +135,7 @@ func TestSimEraSurvivesToleratedFailures(t *testing.T) {
 		t.Fatal("path set declared dead while still deliverable")
 	}
 	// One more failure exceeds k(1-1/r): the set must die.
-	w.Net.SetUp(s.slots[2].path.Relays[1], false)
+	w.Net.SetUp(s.paths[2].Relays[1], false)
 	var deadAt sim.Time
 	s.OnSetDead = func(at sim.Time) { deadAt = at }
 	if _, err := s.SendMessage(make([]byte, 1024)); err != nil {
@@ -160,7 +160,7 @@ func TestSimRepAnyCopySuffices(t *testing.T) {
 		t.Fatal("establishment failed")
 	}
 	// Kill one of the two paths: the other copy still delivers.
-	w.Net.SetUp(s.slots[0].path.Relays[0], false)
+	w.Net.SetUp(s.paths[0].Relays[0], false)
 	delivered := 0
 	w.Receivers[1].SetOnDelivered(func(uint64, []byte, sim.Time) { delivered++ })
 	if _, err := s.SendMessage([]byte("replicated")); err != nil {
@@ -319,7 +319,7 @@ func TestPredictionReplacesWeakPaths(t *testing.T) {
 	s.EnablePrediction(0.5, 10*sim.Second)
 	// Kill a relay on path 0: its oracle q decays below threshold, and
 	// the predictor should proactively construct a replacement.
-	victim := s.slots[0].path.Relays[1]
+	victim := s.paths[0].Relays[1]
 	w.Net.SetUp(victim, false)
 	w.Run(w.Eng.Now() + 5*sim.Minute)
 	if s.Stats().PathsReplaced == 0 {

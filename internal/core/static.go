@@ -7,6 +7,7 @@ import (
 	"resilientmix/internal/erasure"
 	"resilientmix/internal/onion"
 	"resilientmix/internal/onioncrypt"
+	"resilientmix/internal/session"
 )
 
 // StaticResult summarizes a static-availability Monte Carlo run
@@ -79,7 +80,7 @@ func SimulateStatic(rng *rand.Rand, cfg StaticConfig) (StaticResult, error) {
 
 	// Per-link sizes of one path's traffic: the outer onion shrinks by
 	// SymOverhead per hop; the final link carries the responder blob.
-	segPlain := cfg.SegmentsPerPath * (segmentWireOverhead + code.SegmentSize(cfg.MessageSize))
+	segPlain := cfg.SegmentsPerPath * (session.SegmentOverhead + code.SegmentSize(cfg.MessageSize))
 	linkSizes := staticLinkSizes(cfg.Suite, cfg.L, segPlain)
 
 	var successes int

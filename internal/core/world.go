@@ -224,7 +224,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 			ConstructTimeout: cfg.ConstructTimeout,
 			OnReverse: func(p *onion.Path, _ netsim.NodeID, plain []byte, _ *metrics.Flow) {
 				if s, ok := w.sessions[p.SID]; ok {
-					s.handleReverse(p, plain)
+					s.handleReverse(plain)
 				}
 			},
 			OnData: recv.HandleData,

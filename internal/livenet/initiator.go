@@ -3,7 +3,6 @@ package livenet
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"resilientmix/internal/netsim"
@@ -20,9 +19,10 @@ type Path struct {
 	node    *Node
 	keys    onion.PathKeys
 	replies chan []byte
-	// gone is closed by Teardown; a session's ack loop ends with it.
-	gone     chan struct{}
-	goneOnce sync.Once
+	// onReply, when set, receives the decrypted reverse-path payloads
+	// instead of the replies channel, on the goroutine of the connection
+	// that carried them (a session's paths).
+	onReply func([]byte)
 }
 
 // launch vets the endpoints against the roster, keys a path — with data
@@ -30,8 +30,10 @@ type Path struct {
 // first frame and blocks until the end-to-end construction ack arrives
 // or ctx ends. Both the outbound dial and the ack wait observe ctx, so
 // a blackholed or silent first relay cannot stall the initiator past
-// its deadline.
-func (n *Node) launch(ctx context.Context, relays []netsim.NodeID, responder netsim.NodeID, data []byte, withData bool) (*Path, error) {
+// its deadline. onReply (may be nil) is in place before the first frame
+// leaves, so the ack of a payload that rode the construction is not
+// lost to the race with the construction ack.
+func (n *Node) launch(ctx context.Context, relays []netsim.NodeID, responder netsim.NodeID, data []byte, withData bool, onReply func([]byte)) (*Path, error) {
 	roster := n.roster()
 	for _, id := range relays {
 		if _, err := roster.Peer(id); err != nil {
@@ -52,7 +54,7 @@ func (n *Node) launch(ctx context.Context, relays []netsim.NodeID, responder net
 		node:      n,
 		keys:      keys,
 		replies:   make(chan []byte, 64),
-		gone:      make(chan struct{}),
+		onReply:   onReply,
 	}
 	ack := make(chan struct{})
 	n.mu.Lock()
@@ -99,7 +101,7 @@ func (n *Node) Construct(relays []netsim.NodeID, responder netsim.NodeID) (*Path
 // outbound dial and the ack wait observe ctx, so a blackholed or
 // silent first relay cannot stall the initiator past its deadline.
 func (n *Node) ConstructCtx(ctx context.Context, relays []netsim.NodeID, responder netsim.NodeID) (*Path, error) {
-	return n.launch(ctx, relays, responder, nil, false)
+	return n.launch(ctx, relays, responder, nil, false, nil)
 }
 
 // ConstructWithData builds the path with the first payload riding the
@@ -115,7 +117,7 @@ func (n *Node) ConstructWithData(relays []netsim.NodeID, responder netsim.NodeID
 // ConstructWithDataCtx is ConstructWithData under a caller-supplied
 // context.
 func (n *Node) ConstructWithDataCtx(ctx context.Context, relays []netsim.NodeID, responder netsim.NodeID, data []byte) (*Path, error) {
-	return n.launch(ctx, relays, responder, data, true)
+	return n.launch(ctx, relays, responder, data, true, nil)
 }
 
 // Send routes an application payload down the path to its responder
@@ -142,14 +144,17 @@ func (p *Path) Teardown() {
 	p.node.mu.Lock()
 	delete(p.node.paths, p.SID)
 	p.node.mu.Unlock()
-	p.goneOnce.Do(func() { close(p.gone) })
 }
 
 // deliverReverse peels all layers of a reverse message and hands the
-// plaintext to the replies channel.
+// plaintext to the path's callback or its replies channel.
 func (p *Path) deliverReverse(body []byte) {
 	_, pt, ok := p.keys.OpenReverse(body)
 	if !ok {
+		return
+	}
+	if p.onReply != nil {
+		p.onReply(pt)
 		return
 	}
 	select {

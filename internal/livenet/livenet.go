@@ -11,11 +11,17 @@
 // roster and fault-injection admission, dial retries, metrics and trace
 // events.
 //
-// On top of that sits the live session layer (session.go): LiveSession
-// erasure-codes messages over k live paths, collects end-to-end acks,
-// and — with SessionOptions.Repair — probes path liveness, condemns
-// silent paths, rebuilds them through fresh relays and retransmits
-// unacknowledged segments (§4.5); LiveCollector is the responder side.
+// Nor is the session layer: segment allocation, the ack ledger, probe
+// rounds, condemnation, retransmission, repair requests, the in-flight
+// bound and cover shedding (§4.5, §4.7) are internal/session's state
+// machine, and the application codec and the responder's reassembly are
+// that package's too — the same code core.Session and core.Receiver
+// drive in the simulator. LiveSession (session.go) is the machine's TCP
+// driver: one mutex around its inputs, time.AfterFunc for its deadlines
+// and the probe and cover ticks, one goroutine (only with
+// SessionOptions.Repair) that builds replacement paths, biased mix
+// choice over the roster for their relays, and Await, metrics and trace
+// events on top. LiveCollector is the responder side.
 //
 // The data plane is one TCP connection per frame, and everything else
 // about a frame is kept off it: the frame leaves in a single write (one
@@ -28,8 +34,9 @@
 // keep; only the write side's staging buffers are pooled.
 //
 // Scope: static roster (the PKI directory with addresses) and one TCP
-// connection per frame. Gossip membership, the liveness predictor and
-// biased mix choice remain simulation-side.
+// connection per frame. Gossip membership and the liveness predictor
+// remain simulation-side; the live mix choice ranks relays only by what
+// the session itself has condemned.
 package livenet
 
 import (

@@ -262,7 +262,7 @@ func TestLiveConstructTimeoutOnDeadRelay(t *testing.T) {
 	// Kill relay 2 before constructing through it.
 	c.nodes[2].Close()
 	start := time.Now()
-	c.nodes[0].cfg.ConstructTimeout = 2 * time.Second
+	c.nodes[0].cfg.ConstructTimeout = 300 * time.Millisecond
 	_, err := c.nodes[0].Construct([]netsim.NodeID{1, 2}, 3)
 	if err == nil {
 		t.Fatal("construction through a dead relay succeeded")

@@ -9,10 +9,12 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"resilientmix/internal/netsim"
+	"resilientmix/internal/obs"
 )
 
 // silentServer accepts TCP connections and never answers — the shape
@@ -62,7 +64,7 @@ func TestBlackholedPeerCannotStallInitiator(t *testing.T) {
 	}
 	c.nodes[0].SetRoster(hijacked)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	start := time.Now()
 	_, err = c.nodes[0].ConstructCtx(ctx, []netsim.NodeID{1, 2}, 4)
@@ -73,8 +75,8 @@ func TestBlackholedPeerCannotStallInitiator(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want deadline error, got %v", err)
 	}
-	if elapsed > 4*time.Second {
-		t.Fatalf("initiator stalled %v past its 2s deadline", elapsed)
+	if elapsed > 2*time.Second {
+		t.Fatalf("initiator stalled %v past its 300ms deadline", elapsed)
 	}
 }
 
@@ -165,9 +167,9 @@ func repairEnv(t *testing.T) (*liveSessionEnv, *LiveSession) {
 		{1, 2}, {3, 4}, {5, 6}, {7, 8},
 	}, 11, SessionOptions{
 		R:             2,
-		AckTimeout:    1500 * time.Millisecond,
+		AckTimeout:    300 * time.Millisecond,
 		Repair:        true,
-		ProbeInterval: 300 * time.Millisecond,
+		ProbeInterval: 100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -179,21 +181,17 @@ func repairEnv(t *testing.T) (*liveSessionEnv, *LiveSession) {
 // awaitRepair polls until the session is back at full path width.
 func awaitRepair(t *testing.T, sess *LiveSession, want int) {
 	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		if sess.AlivePaths() >= want {
-			return
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	t.Fatalf("session stuck at %d alive paths, want %d", sess.AlivePaths(), want)
+	waitFor(t, "the session to return to full width", func() bool { return sess.AlivePaths() >= want })
 }
 
 // TestLiveSessionRepairSurvivesFaults is the chaos-oracle's live half
-// in-process, table-driven over the fault kinds the live backend
-// injects: a session under each fault detects the dead path via
-// probe/ack liveness, rebuilds through fresh relays, and keeps
-// delivering with zero message loss.
+// in-process, as a short smoke on real sockets over the fault kinds the
+// live backend injects: a session under each fault detects the dead
+// path via probe/ack liveness, rebuilds through fresh relays, and keeps
+// delivering with zero message loss. The scenario's exact counts, its
+// variants and the storms run under the virtual clock in
+// internal/session; what is checked here is the TCP driver — timers,
+// the build goroutine, metrics and trace events.
 func TestLiveSessionRepairSurvivesFaults(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -220,7 +218,7 @@ func TestLiveSessionRepairSurvivesFaults(t *testing.T) {
 			// ack timeout, indistinguishable from dead to §4.5.
 			name: "slow-link",
 			inject: func(t *testing.T, e *liveSessionEnv) {
-				e.c.nodes[5].SetFaultLatency(4 * time.Second)
+				e.c.nodes[5].SetFaultLatency(time.Second)
 			},
 		},
 	}
@@ -230,6 +228,8 @@ func TestLiveSessionRepairSurvivesFaults(t *testing.T) {
 			e, sess := repairEnv(t)
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
+			var events pathEvents
+			defer e.c.nodes[0].AttachTracer(&events)()
 
 			// Healthy baseline.
 			mid, err := sess.Send([]byte("before the fault"))
@@ -251,25 +251,21 @@ func TestLiveSessionRepairSurvivesFaults(t *testing.T) {
 				t.Fatalf("mid-fault message lost: %v", err)
 			}
 
-			// The probe detector must condemn the path (paths_dead > 0),
-			// and repair must then restore full width through the spare
-			// relays (repaired > 0).
+			// The detector must condemn the path (paths_dead > 0), and
+			// repair must then restore full width through the spare
+			// relays (repaired > 0) — traced as one path_repaired, the
+			// event the simulator emits, not as a second path_built.
 			reg := e.c.nodes[0].Metrics()
-			deadline := time.Now().Add(20 * time.Second)
-			for reg.Counter("session.paths_dead").Value() == 0 {
-				if time.Now().After(deadline) {
-					t.Fatal("detector never condemned the faulted path")
-				}
-				time.Sleep(100 * time.Millisecond)
-			}
-			for reg.Counter("live.repair.repaired").Value() == 0 {
-				if time.Now().After(deadline) {
-					t.Fatalf("repair never completed (failed=%d)",
-						reg.Counter("live.repair.failed").Value())
-				}
-				time.Sleep(100 * time.Millisecond)
-			}
+			waitFor(t, "the detector to condemn the faulted path", func() bool {
+				return reg.Counter("session.paths_dead").Value() > 0
+			})
+			waitFor(t, "the repair to complete", func() bool {
+				return reg.Counter("live.repair.repaired").Value() > 0
+			})
 			awaitRepair(t, sess, 4)
+			if built, repaired := events.count(obs.PathBuilt), events.count(obs.PathRepaired); built != 1 || repaired != 1 {
+				t.Fatalf("the repair traced %d path_built and %d path_repaired, want the construction and the repair, one each", built, repaired)
+			}
 
 			// Post-repair traffic at full width.
 			mid3, err := sess.Send([]byte("after repair"))
@@ -284,6 +280,72 @@ func TestLiveSessionRepairSurvivesFaults(t *testing.T) {
 	}
 }
 
+// TestLiveRepairKeepsPathsDisjoint is the regression for replacement
+// paths sharing a relay: three slots die in one probe round, so their
+// replacements are asked for together and built one after another. Each
+// must avoid the relays of the ones built just before it, which no
+// exclusion set computed at condemnation can name. Six spares for three
+// 2-relay replacements: a choice made on stale knowledge collides more
+// than nine times in ten. (A replacement may first try through a dead
+// relay — once its slot stands again, a condemned path's relays are as
+// fresh as any — hence the short construction timeout.)
+func TestLiveRepairKeepsPathsDisjoint(t *testing.T) {
+	e := newLiveSessionEnv(t, 16, 15, func(c *Config) { c.ConstructTimeout = 300 * time.Millisecond })
+	sess, err := e.c.nodes[0].NewLiveSessionOpts([][]netsim.NodeID{
+		{1, 2}, {3, 4}, {5, 6}, {7, 8},
+	}, 15, SessionOptions{
+		R:             2,
+		AckTimeout:    200 * time.Millisecond,
+		Repair:        true,
+		ProbeInterval: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Teardown()
+	for _, id := range []int{2, 4, 6} {
+		e.c.nodes[id].Close()
+	}
+	repaired := e.c.nodes[0].Metrics().Counter("live.repair.repaired")
+	waitFor(t, "three slots to be repaired", func() bool { return repaired.Value() >= 3 })
+	awaitRepair(t, sess, 4)
+	slotOf := make(map[netsim.NodeID]int)
+	for i := range sess.paths {
+		for _, r := range sess.paths[i].Load().Relays {
+			if j, dup := slotOf[r]; dup {
+				t.Fatalf("relay %d serves slots %d and %d", r, j, i)
+			}
+			slotOf[r] = i
+		}
+	}
+}
+
+// pathEvents records a node's path lifecycle trace events.
+type pathEvents struct {
+	mu  sync.Mutex
+	got []obs.Event
+}
+
+func (p *pathEvents) Emit(e obs.Event) {
+	if e.Type == obs.PathBuilt || e.Type == obs.PathRepaired {
+		p.mu.Lock()
+		p.got = append(p.got, e)
+		p.mu.Unlock()
+	}
+}
+
+func (p *pathEvents) count(typ obs.Type) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, e := range p.got {
+		if e.Type == typ {
+			n++
+		}
+	}
+	return n
+}
+
 // TestLiveSessionRetransmitDeliversWithoutRepair pins the zero-loss
 // guarantee of the retransmission layer alone: a message whose first
 // round loses a segment to a dead path is completed by retransmitting
@@ -294,7 +356,7 @@ func TestLiveSessionRetransmitDeliversWithoutRepair(t *testing.T) {
 		{1, 2}, {3, 4},
 	}, 7, SessionOptions{
 		R:          1, // m = 2 of 2: every segment must arrive
-		AckTimeout: time.Second,
+		AckTimeout: 300 * time.Millisecond,
 		Repair:     true,
 		// Long probe interval: this test exercises retransmission, not
 		// probing; spare relays 5, 6 exist but repair is incidental.
@@ -334,8 +396,8 @@ func TestDegradedSheddingAndReadyz(t *testing.T) {
 		{1, 2}, {3, 4}, {5, 6}, {7, 8},
 	}, 9, SessionOptions{
 		R:             2,
-		AckTimeout:    time.Second,
-		CoverInterval: 100 * time.Millisecond,
+		AckTimeout:    300 * time.Millisecond,
+		CoverInterval: 20 * time.Millisecond,
 		CoverSize:     32,
 	})
 	if err != nil {
@@ -344,26 +406,16 @@ func TestDegradedSheddingAndReadyz(t *testing.T) {
 	defer sess.Teardown()
 
 	// Cover flows while healthy.
-	deadline := time.Now().Add(10 * time.Second)
 	node := e.c.nodes[0]
-	for node.Metrics().Counter("live.cover_sent").Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no cover traffic emitted")
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	waitFor(t, "cover traffic", func() bool { return node.Metrics().Counter("live.cover_sent").Value() > 0 })
 
 	// Kill both relays of one path and force the detector's hand.
 	e.c.nodes[1].Close()
 	e.c.nodes[2].Close()
-	mid, _ := sess.Send([]byte("trigger the detector"))
-	_ = mid
-	for sess.AlivePaths() == 4 {
-		if time.Now().After(deadline) {
-			t.Fatal("detector never condemned the dead path")
-		}
-		time.Sleep(100 * time.Millisecond)
+	if _, err := sess.Send([]byte("trigger the detector")); err != nil {
+		t.Fatal(err)
 	}
+	waitFor(t, "the detector to condemn the dead path", func() bool { return sess.AlivePaths() < 4 })
 
 	if !sess.Degraded() {
 		t.Fatal("session below full width not degraded")
@@ -377,13 +429,9 @@ func TestDegradedSheddingAndReadyz(t *testing.T) {
 
 	// Cover is shed while degraded.
 	shedBefore := node.Metrics().Counter("live.cover_shed").Value()
-	deadline = time.Now().Add(10 * time.Second)
-	for node.Metrics().Counter("live.cover_shed").Value() == shedBefore {
-		if time.Now().After(deadline) {
-			t.Fatal("degraded session never shed cover traffic")
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	waitFor(t, "the degraded session to shed cover", func() bool {
+		return node.Metrics().Counter("live.cover_shed").Value() > shedBefore
+	})
 
 	// /readyz: still 200, but the body says degraded.
 	readyCacheTTLSaved := readyCacheTTL
@@ -439,8 +487,7 @@ func TestSendBoundedInflight(t *testing.T) {
 // TestTeardownLeavesNoGoroutines pins the session's goroutine hygiene:
 // construct, send, lose a relay and repair its slot, then Teardown and
 // Close the fleet — the goroutine count must return to its baseline.
-// Every ack loop, of the original paths and of the repaired one, has to
-// end with its path or its session.
+// The session's one goroutine, the path builder, has to end with it.
 func TestTeardownLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := newLiveSessionEnv(t, 12, 11)
@@ -467,13 +514,7 @@ func TestTeardownLeavesNoGoroutines(t *testing.T) {
 
 	e.c.nodes[2].Close()
 	repaired := e.c.nodes[0].Metrics().Counter("live.repair.repaired")
-	deadline := time.Now().Add(20 * time.Second)
-	for repaired.Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("slot never repaired")
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	waitFor(t, "the slot to be repaired", func() bool { return repaired.Value() > 0 })
 	awaitRepair(t, sess, 4)
 
 	sess.Teardown()
@@ -482,7 +523,7 @@ func TestTeardownLeavesNoGoroutines(t *testing.T) {
 	}
 	// Armed ack-timeout timers may still fire once; give them and the
 	// closing connection handlers a moment to drain.
-	deadline = time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
@@ -490,5 +531,38 @@ func TestTeardownLeavesNoGoroutines(t *testing.T) {
 				runtime.NumGoroutine()-base, base, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestTeardownStopsTimers is the real-socket half of the regression for
+// timers outliving Teardown (the virtual-clock half is
+// session.TestTeardownDisarms): the old session's probe timers had no
+// quit check, so probes outstanding at Teardown condemned the paths of
+// a session that no longer existed — session.paths_dead +1 per path and
+// a node.degraded +1 that nothing ever undid (/readyz "degraded: 1
+// sessions" for good). 2×2 session, a responder with no collector so
+// nothing is ever acked, Teardown while the first probe rounds are
+// outstanding.
+func TestTeardownStopsTimers(t *testing.T) {
+	c := startCluster(t, 6, map[int]DataFunc{5: func(ReplyHandle, []byte) {}})
+	node := c.nodes[0]
+	sess, err := node.NewLiveSessionOpts([][]netsim.NodeID{{1, 2}, {3, 4}}, 5, SessionOptions{
+		R:             2,
+		AckTimeout:    300 * time.Millisecond,
+		Repair:        true,
+		ProbeInterval: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := node.Metrics().Counter("live.repair.probes")
+	waitFor(t, "a probe round to go out", func() bool { return probes.Value() >= 2 })
+	sess.Teardown()
+	time.Sleep(500 * time.Millisecond) // every armed deadline has fired by now
+	if dead := node.Metrics().Counter("session.paths_dead").Value(); dead != 0 {
+		t.Errorf("session.paths_dead = %d after Teardown, want 0", dead)
+	}
+	if g := node.Metrics().Gauge("live.degraded").Value(); g != 0 || node.Health().DegradedSessions != 0 {
+		t.Errorf("live.degraded = %v (%d sessions) after Teardown, want 0", g, node.Health().DegradedSessions)
 	}
 }

@@ -3,159 +3,54 @@ package livenet
 import (
 	"context"
 	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	mrand "math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"resilientmix/internal/erasure"
+	"resilientmix/internal/membership"
+	"resilientmix/internal/mixchoice"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
 	"resilientmix/internal/retrypolicy"
-	"resilientmix/internal/wire"
+	"resilientmix/internal/session"
 )
 
-// This file is SimEra over real sockets: a LiveSession owns k live onion
-// paths to one responder, erasure-codes each message over them (§4.7's
-// even allocation), collects end-to-end acknowledgments, and marks paths
-// dead on ack timeout (§4.5). The LiveCollector is the responder side:
-// it reassembles messages from any m segments and acks each one.
-//
-// With SessionOptions.Repair enabled the session becomes the paper's
-// full failure-resilient loop on a real network: a probe/echo liveness
-// detector condemns silent paths, a repair worker tears them down and
-// reconstructs replacements through fresh relays (with jittered
-// exponential backoff on path setup), unacknowledged segments are
-// retransmitted until m distinct acks confirm delivery, and when the
-// session runs below its full path width it reports itself degraded —
-// shedding cover traffic first — so operators see graceful degradation
-// instead of silent loss.
-
-// Application-layer kinds inside live payloads.
-const (
-	liveKindSegment byte = 1
-	liveKindAck     byte = 2
-	// liveKindProbe / liveKindProbeAck are the §4.5 liveness probes over
-	// real sockets: the initiator sends a nonce down the path; the
-	// responder echoes it back up the reverse path. A missed echo within
-	// the ack timeout condemns the path.
-	liveKindProbe    byte = 3
-	liveKindProbeAck byte = 4
-	// liveKindCover is sheddable cover traffic: random padding the
-	// responder counts and discards. Under degradation it is the first
-	// load shed.
-	liveKindCover byte = 5
-)
-
-type liveSegment struct {
-	mid    uint64
-	index  int32
-	total  int32
-	needed int32
-	data   []byte
-}
-
-func (s liveSegment) encode() []byte {
-	w := wire.NewWriter()
-	w.Byte(liveKindSegment)
-	w.Uint64(s.mid)
-	w.Int32(s.index)
-	w.Int32(s.total)
-	w.Int32(s.needed)
-	w.Bytes32(s.data)
-	return w.Bytes()
-}
-
-type liveAck struct {
-	mid   uint64
-	index int32
-}
-
-func (a liveAck) encode() []byte {
-	w := wire.NewWriter()
-	w.Byte(liveKindAck)
-	w.Uint64(a.mid)
-	w.Int32(a.index)
-	return w.Bytes()
-}
-
-// encodeProbe encodes a probe or probe-ack with its nonce.
-func encodeProbe(kind byte, nonce uint64) []byte {
-	w := wire.NewWriter()
-	w.Byte(kind)
-	w.Uint64(nonce)
-	return w.Bytes()
-}
-
-// encodeCover encodes a cover payload of random padding.
-func encodeCover(pad []byte) []byte {
-	w := wire.NewWriter()
-	w.Byte(liveKindCover)
-	w.Bytes32(pad)
-	return w.Bytes()
-}
-
-func decodeLive(b []byte) (kind byte, seg liveSegment, ack liveAck, nonce uint64, err error) {
-	rd := wire.NewReader(b)
-	kind = rd.Byte()
-	switch kind {
-	case liveKindSegment:
-		seg = liveSegment{
-			mid:    rd.Uint64(),
-			index:  rd.Int32(),
-			total:  rd.Int32(),
-			needed: rd.Int32(),
-		}
-		seg.data = rd.Bytes32() // aliases b, which the caller owns
-	case liveKindAck:
-		ack = liveAck{mid: rd.Uint64(), index: rd.Int32()}
-	case liveKindProbe, liveKindProbeAck:
-		nonce = rd.Uint64()
-	case liveKindCover:
-		rd.Bytes32()
-	default:
-		return 0, seg, ack, 0, fmt.Errorf("livenet: unknown app kind %d", kind)
-	}
-	if e := rd.Done(); e != nil {
-		return 0, seg, ack, 0, e
-	}
-	return kind, seg, ack, nonce, nil
-}
+// This file is SimEra over real sockets, as the TCP driver of the
+// session machine (internal/session) and of its reassembler. The
+// machine owns the k path slots, §4.7's allocation, the ack ledger,
+// §4.5's probe rounds, condemnation, retransmission and repair
+// requests, the in-flight bound and the cover-shed decision; the
+// LiveSession feeds it reverse-path payloads, timer firings and
+// construction outcomes under one mutex, and — after releasing it —
+// turns its outputs into frames on live paths, time.AfterFunc timers,
+// path constructions, Await verdicts, trace events and the node's
+// metrics. The LiveCollector is the responder side.
 
 // LiveDelivered is invoked when the collector reconstructs a message.
 type LiveDelivered func(mid uint64, data []byte)
 
 // collectorHorizon is how long the collector is sure to remember a
-// message: at least the span over which an initiator with default
-// options can still retransmit it, AckTimeout × (MaxRetransmits+1).
+// message after its last segment: at least the span over which an
+// initiator with default options can still retransmit it, AckTimeout ×
+// (MaxRetransmits+1).
 const collectorHorizon = 30 * time.Second
 
-// collectorGen is one generation of collector memory.
-type collectorGen struct {
-	pending map[uint64]map[int32]erasure.Segment
-	done    map[uint64]bool
-}
-
-func newCollectorGen() collectorGen {
-	return collectorGen{
-		pending: make(map[uint64]map[int32]erasure.Segment),
-		done:    make(map[uint64]bool),
-	}
-}
-
-// LiveCollector is the responder-side reassembler. Install its Handle
-// method as the node's OnData. Its memory is bounded by the arrival
-// rate, not the run length: message ids live in two generations, the
-// older of which is dropped on the first segment to arrive a horizon
-// after the last rotation. A delivered id suppresses duplicates — and a
-// message short of m segments keeps them — for at least one horizon
-// after its last segment, and is forgotten at the second rotation.
+// LiveCollector is the responder-side application: it acknowledges
+// every segment, delivers a message once any m of its segments arrived,
+// acknowledges liveness probes and counts-and-discards cover traffic.
+// Install its Handle method as the node's OnData. Its memory is bounded
+// by the arrival rate, not the run length: a message — delivered, so
+// that late duplicates are recognised, or still short of m — is
+// forgotten between one and two horizons after its last segment, by a
+// sweep the first arrival of each horizon runs.
 type LiveCollector struct {
 	mu        sync.Mutex
-	cur, prev collectorGen
-	rotateAt  time.Time
+	asm       *session.Reassembler
+	sweepAt   time.Time
 	now       func() time.Time // time.Now outside tests
 	delivered LiveDelivered
 }
@@ -164,121 +59,70 @@ type LiveCollector struct {
 // messages to the callback.
 func NewLiveCollector(delivered LiveDelivered) *LiveCollector {
 	return &LiveCollector{
-		cur:       newCollectorGen(), // prev starts empty: nil maps read fine
+		asm:       session.NewReassembler(int64(collectorHorizon)),
 		now:       time.Now,
 		delivered: delivered,
 	}
 }
 
-// rotateLocked retires the older generation once a horizon has passed
-// since the last rotation. Callers hold c.mu.
-func (c *LiveCollector) rotateLocked() {
-	now := c.now()
-	if now.Before(c.rotateAt) {
-		return
-	}
-	c.prev, c.cur = c.cur, newCollectorGen()
-	c.rotateAt = now.Add(collectorHorizon)
-}
-
-// Handle is the node's OnData: it acks every segment and reconstructs
-// once m distinct segments of a message arrived; it echoes liveness
-// probes and counts-and-discards cover traffic. When the handle is
-// bound to a live node it also maintains the receiver-side registry
-// counters (recv.segments, recv.dup_segments, recv.delivered) and
-// emits a SegmentReconstructed trace event, so live runs reconcile
-// with trace analytics exactly the way simulated runs do.
+// Handle is the node's OnData. It maintains the receiver-side registry
+// counters (recv.segments, recv.dup_segments, recv.delivered) and emits
+// a SegmentReconstructed trace event, so live runs reconcile with trace
+// analytics exactly the way simulated runs do.
 func (c *LiveCollector) Handle(h ReplyHandle, data []byte) {
-	kind, seg, _, nonce, err := decodeLive(data)
+	msg, err := session.DecodeApp(data)
 	if err != nil {
 		return
 	}
-	switch kind {
-	case liveKindProbe:
-		// Echo the nonce back up the reverse path — the initiator's
-		// liveness detector keys on the round trip.
-		if h.node != nil {
-			h.node.m.recvProbes.Inc()
-		}
-		h.Reply(encodeProbe(liveKindProbeAck, nonce))
+	switch msg.Kind {
+	case session.KindProbe:
+		h.node.m.recvProbes.Inc()
+		h.Reply(msg.Ack.Encode(session.KindSegAck))
 		return
-	case liveKindCover:
-		if h.node != nil {
-			h.node.m.recvCover.Inc()
-		}
+	case session.KindCover:
+		h.node.m.recvCover.Inc()
 		return
-	case liveKindSegment:
+	case session.KindSegment:
 	default:
 		return
 	}
-	if seg.needed < 1 || seg.total < seg.needed || seg.index < 0 || seg.index >= seg.total ||
-		seg.total > int32(erasure.MaxSegments) {
-		return
-	}
-	// Ack first — the initiator's failure detector keys on this.
-	h.Reply(liveAck{mid: seg.mid, index: seg.index}.encode())
-
+	seg := msg.Seg
 	c.mu.Lock()
-	c.rotateLocked()
-	if c.cur.done[seg.mid] || c.prev.done[seg.mid] {
-		c.mu.Unlock()
-		if h.node != nil {
-			h.node.m.recvDupSegments.Inc()
-		}
-		return
+	now := c.now()
+	if !now.Before(c.sweepAt) {
+		c.asm.Sweep(now.UnixNano())
+		c.sweepAt = now.Add(collectorHorizon)
 	}
-	segs := c.cur.pending[seg.mid]
-	if segs == nil {
-		// A message still arriving moves to the current generation.
-		if segs = c.prev.pending[seg.mid]; segs != nil {
-			delete(c.prev.pending, seg.mid)
-		} else {
-			segs = make(map[int32]erasure.Segment)
-		}
-		c.cur.pending[seg.mid] = segs
-	}
-	dup := false
-	if _, dup = segs[seg.index]; !dup {
-		segs[seg.index] = erasure.Segment{Index: int(seg.index), Data: seg.data}
-	}
-	ready := int32(len(segs)) >= seg.needed
-	var batch []erasure.Segment
-	if ready {
-		c.cur.done[seg.mid] = true
-		delete(c.cur.pending, seg.mid)
-		for _, s := range segs {
-			batch = append(batch, s)
-		}
-	}
+	verdict := c.asm.Add(now.UnixNano(), seg)
 	c.mu.Unlock()
-	if h.node != nil {
-		if dup {
-			h.node.m.recvDupSegments.Inc()
-		} else {
-			h.node.m.recvSegments.Inc()
-		}
-	}
-	if !ready {
+	if verdict == session.Rejected {
 		return
 	}
-	code, err := erasure.New(int(seg.needed), int(seg.total))
-	if err != nil {
+	// Ack before reconstructing — the initiator's failure detector keys
+	// on this.
+	h.Reply(session.Ack{MID: seg.MID, Index: seg.Index}.Encode(session.KindSegAck))
+	if verdict == session.Duplicate || verdict == session.Late {
+		h.node.m.recvDupSegments.Inc()
+	} else {
+		h.node.m.recvSegments.Inc()
+	}
+	if verdict != session.Ready {
 		return
 	}
-	msg, err := code.Reconstruct(batch)
-	if err != nil {
+	c.mu.Lock()
+	out, segments, _, ok := c.asm.Reconstruct(seg.MID)
+	c.mu.Unlock()
+	if !ok {
 		return
 	}
-	if h.node != nil {
-		h.node.m.recvDelivered.Inc()
-		h.node.emit(obs.Event{
-			Type: obs.SegmentReconstructed, At: time.Now().UnixMicro(),
-			Node: int(h.node.cfg.ID), Peer: -1, ID: seg.mid,
-			Seq: int64(len(batch)), Slot: -1, Hop: -1, Size: len(msg),
-		})
-	}
+	h.node.m.recvDelivered.Inc()
+	h.node.emit(obs.Event{
+		Type: obs.SegmentReconstructed, At: time.Now().UnixMicro(),
+		Node: int(h.node.cfg.ID), Peer: -1, ID: seg.MID,
+		Seq: int64(segments), Slot: -1, Hop: -1, Size: len(out),
+	})
 	if c.delivered != nil {
-		c.delivered(seg.mid, msg)
+		c.delivered(seg.MID, out)
 	}
 }
 
@@ -312,8 +156,9 @@ type SessionOptions struct {
 	// CoverSize is the cover payload size. Zero selects 64 bytes.
 	CoverSize int
 	// ConstructRetry governs path-reconstruction retries during repair
-	// (jittered exponential backoff, §4.5). The zero value selects 3
-	// attempts with 200ms backoff, a 2s cap and 50% jitter.
+	// (jittered exponential backoff, §4.5); every attempt chooses its
+	// relays afresh. The zero value selects 3 attempts with 200ms
+	// backoff, a 2s cap and 50% jitter.
 	ConstructRetry retrypolicy.Policy
 }
 
@@ -347,48 +192,36 @@ func (o SessionOptions) withDefaults() SessionOptions {
 	return o
 }
 
-// pendingMsg tracks one outbound message until m distinct acks confirm
-// it (delivered) or the retransmit budget runs out (lost).
-type pendingMsg struct {
-	segs   []erasure.Segment
-	rounds int
-	done   chan struct{}
-}
-
-// roundJob records which slot carried which segment in one send round,
-// for the round's failure detector.
-type roundJob struct {
-	slot int
-	p    *Path
-	idx  int32
-}
-
 // LiveSession is an erasure-coded multipath session over live paths.
 type LiveSession struct {
 	node      *Node
 	code      *erasure.Code
-	k, r      int
 	opts      SessionOptions
 	responder netsim.NodeID
+	start     time.Time // the machine's clock is the time since start
 
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu       sync.Mutex
-	paths    []*Path
-	alive    []bool
-	relays   [][]netsim.NodeID // current relay assignment per slot
-	acked    map[uint64]map[int32]bool
-	pending  map[uint64]*pendingMsg
-	resolved map[uint64]error // terminal verdicts awaiting Await
-	probes   map[uint64]roundJob
-	degraded bool
-	rng      *mrand.Rand
+	// paths holds the path standing (or last standing) in each slot;
+	// outputs are transmitted outside mu, so the slots are atomic.
+	paths []atomic.Pointer[Path]
 
-	repairKick chan struct{}
-	quit       chan struct{}
-	closeOnce  sync.Once
-	wg         sync.WaitGroup
+	mu       sync.Mutex // serialises the machine's inputs; guards the rest
+	m        *session.Machine
+	waits    map[uint64]chan struct{} // unresolved messages, closed at the verdict
+	verdicts map[uint64]error         // verdicts awaiting Await
+	degraded bool                     // mirrored into the node's degraded gauge
+	rng      *mrand.Rand              // relay choice, cover path pick
+	probe    *time.Timer
+	cover    *time.Timer
+
+	// builds feeds the one goroutine a repairing session runs: path
+	// constructions block. At most one Build per slot is outstanding, so
+	// k slots of buffer never block the sender.
+	builds    chan session.Output
+	closeOnce sync.Once
+	wg        sync.WaitGroup
 }
 
 // errMessageLost is the Await verdict when the retransmit budget runs
@@ -418,73 +251,76 @@ func (n *Node) NewLiveSessionOpts(relayLists [][]netsim.NodeID, responder netsim
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &LiveSession{
-		node:       n,
-		code:       code,
-		k:          k,
-		r:          r,
-		opts:       opts,
-		responder:  responder,
-		ctx:        ctx,
-		cancel:     cancel,
-		alive:      make([]bool, k),
-		acked:      make(map[uint64]map[int32]bool),
-		pending:    make(map[uint64]*pendingMsg),
-		resolved:   make(map[uint64]error),
-		probes:     make(map[uint64]roundJob),
-		rng:        mrand.New(mrand.NewSource(int64(newSID()))),
-		repairKick: make(chan struct{}, 1),
-		quit:       make(chan struct{}),
+		node:      n,
+		code:      code,
+		opts:      opts,
+		responder: responder,
+		start:     time.Now(),
+		ctx:       ctx,
+		cancel:    cancel,
+		paths:     make([]atomic.Pointer[Path], k),
+		waits:     make(map[uint64]chan struct{}),
+		verdicts:  make(map[uint64]error),
+		rng:       mrand.New(mrand.NewSource(int64(newSID()))),
+		builds:    make(chan session.Output, k),
+	}
+	s.m = session.New(session.Config{
+		K: k, M: k / r, N: k,
+		Responder:      responder,
+		AckTimeout:     int64(opts.AckTimeout),
+		MaxRetransmits: opts.MaxRetransmits,
+		MaxInflight:    opts.MaxInflight,
+	})
+	if opts.Repair {
+		s.m.EnableRepair()
 	}
 	var firstErr error
 	for i, relays := range relayLists {
-		s.relays = append(s.relays, append([]netsim.NodeID(nil), relays...))
-		p, err := n.Construct(relays, responder)
+		cctx, cancel := context.WithTimeout(ctx, n.cfg.ConstructTimeout)
+		p, err := n.launch(cctx, relays, responder, nil, false, s.reverse)
+		cancel()
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
-			s.paths = append(s.paths, nil)
+			// A slot that never stood is still a slot of this width:
+			// its replacement has as many relays.
+			s.m.PathDown(i, append([]netsim.NodeID(nil), relays...))
 			continue
 		}
-		s.paths = append(s.paths, p)
-		s.alive[i] = true
-		s.wg.Add(1)
-		go s.ackLoop(p)
+		s.paths[i].Store(p)
+		s.m.PathUp(i, p.Relays)
 	}
-	if s.AlivePaths() < k/r {
+	if alive := s.AlivePaths(); alive < k/r {
 		s.Teardown()
-		return nil, fmt.Errorf("livenet: only %d/%d paths constructed (need %d): %w",
-			s.AlivePaths(), k, k/r, firstErr)
+		return nil, fmt.Errorf("livenet: only %d/%d paths constructed (need %d): %w", alive, k, k/r, firstErr)
 	}
 	s.mu.Lock()
 	s.syncDegradedLocked()
-	s.mu.Unlock()
+	var buf [session.Scratch]session.Output
+	outs := buf[:0]
 	if opts.Repair {
-		s.wg.Add(2)
-		go s.probeLoop()
-		go s.repairLoop()
-		if s.AlivePaths() < k {
-			s.kickRepair()
-		}
+		s.wg.Add(1)
+		go s.buildLoop()
+		outs = s.m.Repairs(outs) // slots that failed construction
+		s.probe = time.AfterFunc(opts.ProbeInterval, s.probeTick)
 	}
 	if opts.CoverInterval > 0 {
-		s.wg.Add(1)
-		go s.coverLoop()
+		s.cover = time.AfterFunc(opts.CoverInterval, s.coverTick)
 	}
+	s.mu.Unlock()
+	s.run(outs)
 	return s, nil
 }
+
+// now is the machine's clock.
+func (s *LiveSession) now() int64 { return int64(time.Since(s.start)) }
 
 // AlivePaths returns the number of live path slots.
 func (s *LiveSession) AlivePaths() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, a := range s.alive {
-		if a {
-			n++
-		}
-	}
-	return n
+	return s.m.Alive()
 }
 
 // Degraded reports whether the session is running below its full path
@@ -495,16 +331,10 @@ func (s *LiveSession) Degraded() bool {
 	return s.degraded
 }
 
-// syncDegradedLocked recomputes the degraded flag and maintains the
+// syncDegradedLocked mirrors the machine's degraded flag into the
 // node-wide degraded-session count and gauge. Callers hold s.mu.
 func (s *LiveSession) syncDegradedLocked() {
-	alive := 0
-	for _, a := range s.alive {
-		if a {
-			alive++
-		}
-	}
-	deg := alive < s.k
+	deg := s.m.Degraded()
 	if deg == s.degraded {
 		return
 	}
@@ -513,101 +343,60 @@ func (s *LiveSession) syncDegradedLocked() {
 	if !deg {
 		delta = -1
 	}
-	total := s.node.degraded.Add(delta)
-	s.node.m.degraded.Set(float64(total))
+	s.node.m.degraded.Set(float64(s.node.degraded.Add(delta)))
 }
 
-// markDeadLocked condemns a path slot: §4.5's detector verdict.
-// Callers hold s.mu; the repair worker is kicked if enabled.
-func (s *LiveSession) markDeadLocked(slot int, p *Path, reason obs.Reason) {
-	if !s.alive[slot] || s.paths[slot] != p {
-		return // already condemned or already repaired
-	}
-	s.alive[slot] = false
-	s.syncDegradedLocked()
-	s.node.m.pathsDead.Inc()
-	s.node.emit(obs.Event{
-		Type: obs.PathBroken, At: time.Now().UnixMicro(),
-		Node: int(s.node.cfg.ID), Peer: int(s.responder),
-		ID: p.SID, Slot: slot, Hop: -1,
-		Reason: reason,
-	})
-	if s.opts.Repair {
-		s.kickRepair()
-	}
-}
-
-// kickRepair nudges the repair worker (non-blocking).
-func (s *LiveSession) kickRepair() {
-	select {
-	case s.repairKick <- struct{}{}:
-	default:
-	}
-}
-
-// ackLoop consumes a path's reverse traffic, recording segment acks
-// and probe echoes, until the session or the path is torn down. A
-// message with m distinct acks resolves as delivered immediately.
-func (s *LiveSession) ackLoop(p *Path) {
-	defer s.wg.Done()
-	for {
-		var body []byte
-		select {
-		case body = <-p.replies:
-		case <-p.gone:
-			return
-		case <-s.quit:
-			return
-		}
-		kind, _, ack, nonce, err := decodeLive(body)
-		if err != nil {
-			continue
-		}
-		switch kind {
-		case liveKindAck:
-			s.mu.Lock()
-			if m := s.acked[ack.mid]; m != nil && !m[ack.index] {
-				m[ack.index] = true
-				s.node.m.segmentsAcked.Inc()
-				if len(m) >= s.code.M() {
-					s.resolveLocked(ack.mid, nil)
-				}
-			}
-			s.mu.Unlock()
-		case liveKindProbeAck:
-			s.mu.Lock()
-			delete(s.probes, nonce)
-			s.mu.Unlock()
-		}
-	}
-}
-
-// resolveLocked moves a message to its terminal verdict. Callers hold
-// s.mu.
-func (s *LiveSession) resolveLocked(mid uint64, err error) {
-	pm, ok := s.pending[mid]
-	if !ok {
+// reverse is every path's reply callback: a segment or probe ack goes
+// into the machine's ledger.
+func (s *LiveSession) reverse(body []byte) {
+	msg, err := session.DecodeApp(body)
+	if err != nil || msg.Kind != session.KindSegAck {
 		return
 	}
-	delete(s.pending, mid)
-	// s.acked[mid] stays until the round timer's dead-slot sweep runs —
-	// a message delivered over the survivors must not exempt the slots
-	// that never acked from §4.5's verdict.
-	// Bound the unread-verdict map: callers that never Await must not
-	// leak memory.
-	if len(s.resolved) >= 4096 {
-		for k := range s.resolved {
-			delete(s.resolved, k)
-			break
-		}
+	var buf [2]session.Output
+	s.mu.Lock()
+	outs := s.m.Ack(buf[:0], msg.Ack.MID, msg.Ack.Index)
+	s.mu.Unlock()
+	s.run(outs)
+}
+
+// deadline is an armed round timer firing. After Teardown the machine
+// knows no round, so a late timer does nothing.
+func (s *LiveSession) deadline(mid uint64) {
+	var buf [session.Scratch]session.Output
+	s.mu.Lock()
+	outs := s.m.Deadline(buf[:0], s.now(), mid)
+	s.syncDegradedLocked()
+	s.mu.Unlock()
+	s.run(outs)
+}
+
+// probeTick asks again for every missing replacement and sends one
+// probe round down the live paths (§4.5's probing failure detector on
+// real sockets). The next tick is armed before this one's frames go
+// out, so a first hop that is slow to refuse does not stretch the
+// cadence.
+func (s *LiveSession) probeTick() {
+	var buf [session.Scratch]session.Output
+	s.mu.Lock()
+	outs := s.m.ProbeRound(s.m.Repairs(buf[:0]), s.now(), newSID())
+	if s.ctx.Err() == nil {
+		s.probe.Reset(s.opts.ProbeInterval)
 	}
-	s.resolved[mid] = err
-	if err == nil {
-		s.node.m.messagesDelivered.Inc()
-	} else {
-		s.node.m.messagesLost.Inc()
+	s.mu.Unlock()
+	s.run(outs)
+}
+
+// coverTick emits the cover message due now, or sheds it.
+func (s *LiveSession) coverTick() {
+	var buf [1]session.Output
+	s.mu.Lock()
+	outs := s.m.CoverTick(buf[:0], s.rng.Uint64())
+	if s.ctx.Err() == nil {
+		s.cover.Reset(s.opts.CoverInterval)
 	}
-	close(pm.done)
+	s.mu.Unlock()
+	s.run(outs)
 }
 
 // Send erasure-codes data over the live paths (one segment per path,
@@ -617,150 +406,128 @@ func (s *LiveSession) resolveLocked(mid uint64, err error) {
 // surviving or repaired paths until m distinct acks confirm delivery.
 // It returns the message id; Await blocks on the verdict.
 func (s *LiveSession) Send(data []byte) (uint64, error) {
-	s.mu.Lock()
-	if len(s.pending) >= s.opts.MaxInflight {
-		s.mu.Unlock()
-		s.node.m.sendRejected.Inc()
-		return 0, errors.New("livenet: in-flight queue full")
-	}
-	s.mu.Unlock()
 	segs, err := s.code.Split(data)
 	if err != nil {
 		return 0, err
 	}
-	var midBuf [8]byte
-	if _, err := rand.Read(midBuf[:]); err != nil {
+	mid := newSID()
+	var buf [session.Scratch]session.Output
+	s.mu.Lock()
+	outs, err := s.m.Send(buf[:0], s.now(), mid, s.responder, segs, nil)
+	if err == nil {
+		s.waits[mid] = make(chan struct{})
+	}
+	s.mu.Unlock()
+	if err != nil {
+		if errors.Is(err, session.ErrFull) {
+			s.node.m.sendRejected.Inc()
+		}
 		return 0, err
 	}
-	mid := binary.BigEndian.Uint64(midBuf[:])
-	pm := &pendingMsg{segs: segs, done: make(chan struct{})}
-
-	s.mu.Lock()
-	s.acked[mid] = make(map[int32]bool)
-	s.pending[mid] = pm
-	s.mu.Unlock()
-
-	// Initial round: segment i rides path slot i (even allocation).
-	var idxs []int32
-	s.mu.Lock()
-	for i, p := range s.paths {
-		if p != nil && s.alive[i] {
-			idxs = append(idxs, int32(segs[i].Index))
-		}
-	}
-	s.mu.Unlock()
-	if len(idxs) == 0 {
-		s.mu.Lock()
-		delete(s.pending, mid)
-		delete(s.acked, mid)
-		s.mu.Unlock()
-		return 0, errors.New("livenet: no live paths")
-	}
 	s.node.m.messagesSent.Inc()
-	jobs := s.sendRound(mid, pm, idxs)
-	s.armRound(mid, pm, jobs)
+	s.run(outs)
 	return mid, nil
 }
 
-// sendRound transmits the given segment indexes over live paths —
-// each segment on its home slot when that slot is alive, otherwise
-// round-robin over the survivors — and returns what went where.
-func (s *LiveSession) sendRound(mid uint64, pm *pendingMsg, idxs []int32) []roundJob {
-	s.mu.Lock()
-	var slots []int
-	for i, a := range s.alive {
-		if a && s.paths[i] != nil {
-			slots = append(slots, i)
+// run carries out the machine's outputs. Callers have released s.mu: a
+// frame can block in a dial, and the acks of a round's first segments
+// may arrive — and resolve the message — while its last is being
+// written.
+func (s *LiveSession) run(outs []session.Output) {
+	for _, o := range outs {
+		switch o.Kind {
+		case session.Transmit:
+			s.paths[o.Slot].Load().sendTo(o.Dest, s.m.Payload(o))
+			s.noteSegmentSent(o)
+		case session.Probe:
+			s.node.m.probes.Inc()
+			s.paths[o.Slot].Load().Send(s.m.Payload(o))
+		case session.Cover:
+			pad := make([]byte, s.opts.CoverSize)
+			rand.Read(pad)
+			s.paths[o.Slot].Load().Send(session.EncodeCover(pad))
+			s.node.m.coverSent.Inc()
+		case session.CoverShed:
+			s.node.m.coverShed.Inc()
+		case session.Arm:
+			// A round's Arm follows its Transmits, so the timeout counts
+			// from when the round's last frame was written, not from At:
+			// a first hop that is slow to refuse its frame must not eat
+			// the other paths' time to acknowledge theirs.
+			mid := o.MID
+			time.AfterFunc(s.opts.AckTimeout, func() { s.deadline(mid) })
+		case session.Build:
+			s.builds <- o
+		case session.Broken:
+			s.node.m.pathsDead.Inc()
+			reason := obs.ReasonAckTimeout
+			if o.Reason == session.ProbeTimeout {
+				reason = obs.ReasonProbeTimeout
+				s.node.m.probeTimeouts.Inc()
+			}
+			s.notePath(obs.PathBroken, o.Slot, reason)
+		case session.Repaired:
+			s.node.m.repaired.Inc()
+			s.notePath(obs.PathRepaired, o.Slot, obs.ReasonNone)
+		case session.Acked:
+			if !o.OfProbe {
+				s.node.m.segmentsAcked.Inc()
+			}
+		case session.Retransmit:
+			s.node.m.retransmits.Inc()
+		case session.Resolved:
+			s.resolve(o.MID, o.Delivered)
 		}
 	}
-	paths := append([]*Path(nil), s.paths...)
-	s.mu.Unlock()
-	if len(slots) == 0 {
-		return nil
-	}
-	aliveSet := make(map[int]bool, len(slots))
-	for _, sl := range slots {
-		aliveSet[sl] = true
-	}
-	var jobs []roundJob
-	rr := 0
-	for _, idx := range idxs {
-		slot := int(idx)
-		if slot >= len(paths) || !aliveSet[slot] {
-			slot = slots[rr%len(slots)]
-			rr++
-		}
-		p := paths[slot]
-		seg := pm.segs[idx]
-		msg := liveSegment{
-			mid:    mid,
-			index:  int32(seg.Index),
-			total:  int32(s.code.N()),
-			needed: int32(s.code.M()),
-			data:   seg.Data,
-		}
-		p.Send(msg.encode())
-		jobs = append(jobs, roundJob{slot: slot, p: p, idx: idx})
-		s.node.m.segmentsSent.Inc()
-		s.node.emit(obs.Event{
-			Type: obs.SegmentSent, At: time.Now().UnixMicro(),
-			Node: int(s.node.cfg.ID), Peer: int(p.Responder), ID: mid,
-			Seq: int64(seg.Index), Slot: slot, Hop: -1,
-			Size: len(seg.Data),
-		})
-	}
-	return jobs
 }
 
-// armRound schedules the round's failure detector: after the ack
-// timeout, slots whose segment went unacknowledged are condemned and —
-// within the retransmit budget — missing segments go out again.
-func (s *LiveSession) armRound(mid uint64, pm *pendingMsg, jobs []roundJob) {
-	time.AfterFunc(s.opts.AckTimeout, func() {
-		select {
-		case <-s.quit:
-			return
-		default:
-		}
-		s.mu.Lock()
-		acks := s.acked[mid]
-		for _, j := range jobs {
-			if acks == nil || !acks[j.idx] {
-				s.markDeadLocked(j.slot, j.p, obs.ReasonAckTimeout)
-			}
-		}
-		if _, live := s.pending[mid]; !live {
-			// Already resolved (delivered via early ack count); the sweep
-			// above was this timer's last duty.
-			delete(s.acked, mid)
-			s.mu.Unlock()
-			return
-		}
-		if len(acks) >= s.code.M() {
-			s.resolveLocked(mid, nil)
-			delete(s.acked, mid)
-			s.mu.Unlock()
-			return
-		}
-		if pm.rounds >= s.opts.MaxRetransmits {
-			s.resolveLocked(mid, errMessageLost)
-			delete(s.acked, mid)
-			s.mu.Unlock()
-			return
-		}
-		pm.rounds++
-		// Retransmit every unacknowledged segment index.
-		var missing []int32
-		for i := 0; i < s.code.N(); i++ {
-			if !acks[int32(i)] {
-				missing = append(missing, int32(i))
-			}
-		}
-		s.mu.Unlock()
-		s.node.m.retransmits.Inc()
-		next := s.sendRound(mid, pm, missing)
-		s.armRound(mid, pm, next)
+func (s *LiveSession) noteSegmentSent(o session.Output) {
+	s.node.m.segmentsSent.Inc()
+	s.node.emit(obs.Event{
+		Type: obs.SegmentSent, At: time.Now().UnixMicro(),
+		Node: int(s.node.cfg.ID), Peer: int(o.Dest), ID: o.MID,
+		Seq: int64(o.Index), Slot: o.Slot, Hop: -1, Size: len(o.Data),
 	})
+}
+
+func (s *LiveSession) notePath(typ obs.Type, slot int, reason obs.Reason) {
+	var sid uint64
+	if p := s.paths[slot].Load(); p != nil {
+		sid = p.SID
+	}
+	s.node.emit(obs.Event{
+		Type: typ, At: time.Now().UnixMicro(),
+		Node: int(s.node.cfg.ID), Peer: int(s.responder),
+		ID: sid, Slot: slot, Hop: -1, Reason: reason,
+	})
+}
+
+// resolve records a message's verdict and wakes its Await.
+func (s *LiveSession) resolve(mid uint64, delivered bool) {
+	var err error
+	if delivered {
+		s.node.m.messagesDelivered.Inc()
+	} else {
+		err = errMessageLost
+		s.node.m.messagesLost.Inc()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	done, ok := s.waits[mid]
+	if !ok {
+		return
+	}
+	delete(s.waits, mid)
+	// Bound the unread-verdict map: callers that never Await must not
+	// leak memory.
+	if len(s.verdicts) >= 4096 {
+		for k := range s.verdicts {
+			delete(s.verdicts, k)
+			break
+		}
+	}
+	s.verdicts[mid] = err
+	close(done)
 }
 
 // Await blocks until the message's verdict is in: nil once m distinct
@@ -769,259 +536,150 @@ func (s *LiveSession) armRound(mid uint64, pm *pendingMsg, jobs []roundJob) {
 func (s *LiveSession) Await(ctx context.Context, mid uint64) error {
 	for {
 		s.mu.Lock()
-		if err, ok := s.resolved[mid]; ok {
-			delete(s.resolved, mid)
+		if err, ok := s.verdicts[mid]; ok {
+			delete(s.verdicts, mid)
 			s.mu.Unlock()
 			return err
 		}
-		pm, ok := s.pending[mid]
+		done, ok := s.waits[mid]
 		s.mu.Unlock()
 		if !ok {
 			return fmt.Errorf("livenet: unknown message %d", mid)
 		}
 		select {
-		case <-pm.done:
+		case <-done:
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-s.quit:
+		case <-s.ctx.Done():
 			return errors.New("livenet: session torn down")
 		}
 	}
 }
 
-// probeLoop sends a nonce down every live path at the probe cadence;
-// an echo that fails to return within the ack timeout condemns the
-// path (§4.5's probing failure detector on real sockets).
-func (s *LiveSession) probeLoop() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(s.opts.ProbeInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-ticker.C:
-		}
-		s.mu.Lock()
-		var targets []roundJob
-		for i, p := range s.paths {
-			if p != nil && s.alive[i] {
-				targets = append(targets, roundJob{slot: i, p: p})
-			}
-		}
-		s.mu.Unlock()
-		for _, t := range targets {
-			t := t
-			nonce := newSID()
-			s.mu.Lock()
-			s.probes[nonce] = t
-			s.mu.Unlock()
-			s.node.m.probes.Inc()
-			t.p.Send(encodeProbe(liveKindProbe, nonce))
-			time.AfterFunc(s.opts.AckTimeout, func() {
-				s.mu.Lock()
-				ref, outstanding := s.probes[nonce]
-				delete(s.probes, nonce)
-				if outstanding {
-					s.node.m.probeTimeouts.Inc()
-					s.markDeadLocked(ref.slot, ref.p, obs.ReasonProbeTimeout)
-				}
-				s.mu.Unlock()
-			})
-		}
-	}
-}
+// condemnedLast is the live membership view the mix choice of §4.9 runs
+// over: every roster peer, with liveness predictor 0 for the relays of a
+// slot this session has condemned and 1 for the rest — so the biased
+// strategy takes fresh relays first and falls back on a dead path's
+// relays only when the roster is too small for strict freshness. Callers
+// hold s.mu.
+type condemnedLast struct{ s *LiveSession }
 
-// repairLoop reconstructs condemned path slots through fresh relays
-// (§4.5's path replacement): tear down the dead path, pick relays not
-// serving any live slot, and rebuild with jittered exponential backoff.
-func (s *LiveSession) repairLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-s.repairKick:
-		}
-		for {
-			select {
-			case <-s.quit:
-				return
-			default:
-			}
-			slot := s.deadSlot()
-			if slot < 0 {
-				break
-			}
-			s.repairSlot(slot)
-		}
-	}
-}
-
-// deadSlot returns the first condemned slot, or -1.
-func (s *LiveSession) deadSlot() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, a := range s.alive {
-		if !a {
-			return i
-		}
-	}
-	return -1
-}
-
-// freshRelays picks a relay list for a slot repair: relays not serving
-// any live slot are preferred; relays of dead paths fill the remainder
-// when the roster is too small for strict freshness.
-func (s *LiveSession) freshRelays(slot int) []netsim.NodeID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	want := len(s.relays[slot])
-	inUse := make(map[netsim.NodeID]bool)
-	for i, rl := range s.relays {
-		if i != slot && s.alive[i] {
-			for _, r := range rl {
-				inUse[r] = true
+func (v condemnedLast) Candidates(self netsim.NodeID) []membership.Candidate {
+	suspect := make(map[netsim.NodeID]bool)
+	for i := range v.s.paths {
+		if !v.s.m.SlotAlive(i) {
+			for _, r := range v.s.m.Relays(i) {
+				suspect[r] = true
 			}
 		}
 	}
-	roster := s.node.roster()
-	var fresh, fallback []netsim.NodeID
-	for id := 0; id < roster.Size(); id++ {
-		nid := netsim.NodeID(id)
-		if nid == s.node.cfg.ID || nid == s.responder {
+	size := v.s.node.roster().Size()
+	cands := make([]membership.Candidate, 0, size)
+	for id := netsim.NodeID(0); int(id) < size; id++ {
+		if id == self {
 			continue
 		}
-		if inUse[nid] {
-			continue
+		c := membership.Candidate{ID: id, Q: 1}
+		if suspect[id] {
+			c.Q = 0
 		}
-		used := false
-		for _, r := range s.relays[slot] {
-			if r == nid {
-				used = true
-				break
-			}
-		}
-		if used {
-			fallback = append(fallback, nid)
-		} else {
-			fresh = append(fresh, nid)
-		}
+		cands = append(cands, c)
 	}
-	s.rng.Shuffle(len(fresh), func(i, j int) { fresh[i], fresh[j] = fresh[j], fresh[i] })
-	s.rng.Shuffle(len(fallback), func(i, j int) { fallback[i], fallback[j] = fallback[j], fallback[i] })
-	pick := append(fresh, fallback...)
-	if len(pick) < want {
-		return nil
-	}
-	return pick[:want]
+	return cands
 }
 
-// repairSlot rebuilds one condemned slot, retrying per the construct
-// policy. On success the slot goes live again and pending messages'
-// next retransmit round uses it.
-func (s *LiveSession) repairSlot(slot int) {
+// choose picks the relays of slot's replacement path, disjoint from
+// every path standing now — not when the slot was condemned: other
+// slots may have been rebuilt since, through relays no earlier
+// exclusion set could name.
+func (s *LiveSession) choose(slot int) ([]netsim.NodeID, error) {
+	self := s.node.cfg.ID
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	paths, err := mixchoice.SelectPaths(s.rng, mixchoice.Biased, condemnedLast{s}.Candidates(self),
+		1, len(s.m.Relays(slot)), append(s.m.InUse(slot), self, s.responder)...)
+	if err != nil {
+		return nil, err
+	}
+	return paths[0], nil
+}
+
+// buildLoop is the session's one goroutine: it constructs the
+// replacement paths the machine asks for, one at a time.
+func (s *LiveSession) buildLoop() {
+	defer s.wg.Done()
+	for {
+		select {
+		case <-s.ctx.Done():
+			return
+		case b := <-s.builds:
+			s.build(b)
+		}
+	}
+}
+
+// build constructs one replacement path (§4.5's path replacement),
+// retrying per the construct policy with freshly chosen relays, the
+// slot's segment riding each attempt's construction onion when the
+// machine sent one along (§4.2). The condemned path keeps receiving
+// until its replacement stands.
+func (s *LiveSession) build(b session.Output) {
+	var payload []byte
+	if b.First {
+		payload = s.m.Payload(b)
+	}
 	var built *Path
-	var builtRelays []netsim.NodeID
 	err := s.opts.ConstructRetry.Do(s.ctx, func(ctx context.Context) error {
-		relays := s.freshRelays(slot)
-		if relays == nil {
-			return errors.New("livenet: no candidate relays for repair")
-		}
-		cctx, cancel := context.WithTimeout(ctx, s.node.cfg.ConstructTimeout)
-		defer cancel()
-		p, err := s.node.ConstructCtx(cctx, relays, s.responder)
+		relays, err := s.choose(b.Slot)
 		if err != nil {
 			return err
 		}
-		built = p
-		builtRelays = relays
-		return nil
+		cctx, cancel := context.WithTimeout(ctx, s.node.cfg.ConstructTimeout)
+		defer cancel()
+		if b.First {
+			s.noteSegmentSent(b) // every attempt sends the segment again
+		}
+		built, err = s.node.launch(cctx, relays, s.responder, payload, b.First, s.reverse)
+		return err
 	})
+	var buf [1]session.Output
+	s.mu.Lock()
 	if err != nil {
+		s.m.PathFailed(b.Slot)
+		s.mu.Unlock()
+		// The slot stays dead; the next probe tick asks again, and a
+		// retransmit may still get through over surviving paths.
 		s.node.m.repairFailed.Inc()
-		// Leave the slot dead; the next probe round or send failure will
-		// kick the worker again, and a later retransmit may still get
-		// through over surviving paths.
 		return
 	}
-	s.mu.Lock()
-	old := s.paths[slot]
-	s.paths[slot] = built
-	s.relays[slot] = builtRelays
-	s.alive[slot] = true
+	old := s.paths[b.Slot].Swap(built)
+	outs := s.m.PathBuilt(buf[:0], b.Slot, built.Relays)
 	s.syncDegradedLocked()
 	s.mu.Unlock()
 	if old != nil {
 		old.Teardown()
 	}
-	s.wg.Add(1)
-	go s.ackLoop(built)
-	s.node.m.repaired.Inc()
-	s.node.emit(obs.Event{
-		Type: obs.PathBuilt, At: time.Now().UnixMicro(),
-		Node: int(s.node.cfg.ID), Peer: int(s.responder),
-		ID: built.SID, Seq: int64(len(builtRelays)), Slot: slot, Hop: -1,
-		Reason: obs.ReasonPredicted,
-	})
+	s.run(outs)
 }
 
-// coverLoop emits cover traffic down a random live path — and sheds it
-// first (before any real traffic suffers) when the session is degraded
-// or the in-flight queue is half full.
-func (s *LiveSession) coverLoop() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(s.opts.CoverInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-ticker.C:
-		}
-		s.mu.Lock()
-		shed := s.degraded || len(s.pending) >= s.opts.MaxInflight/2
-		var candidates []*Path
-		if !shed {
-			for i, p := range s.paths {
-				if p != nil && s.alive[i] {
-					candidates = append(candidates, p)
-				}
-			}
-			shed = len(candidates) == 0
-		}
-		var p *Path
-		if !shed {
-			p = candidates[s.rng.Intn(len(candidates))]
-		}
-		s.mu.Unlock()
-		if shed {
-			s.node.m.coverShed.Inc()
-			continue
-		}
-		pad := make([]byte, s.opts.CoverSize)
-		rand.Read(pad)
-		p.Send(encodeCover(pad))
-		s.node.m.coverSent.Inc()
-	}
-}
-
-// Teardown stops the resilience loops and forgets all paths locally.
+// Teardown ends the session: timers still armed fire as no-ops, the
+// build goroutine exits, and all paths are forgotten locally.
 func (s *LiveSession) Teardown() {
 	s.closeOnce.Do(func() {
-		s.cancel()
-		close(s.quit)
-		s.wg.Wait()
 		s.mu.Lock()
-		if s.degraded {
-			s.degraded = false
-			total := s.node.degraded.Add(-1)
-			s.node.m.degraded.Set(float64(total))
+		s.cancel()
+		s.m.Teardown()
+		s.syncDegradedLocked()
+		if s.probe != nil {
+			s.probe.Stop()
 		}
-		paths := append([]*Path(nil), s.paths...)
+		if s.cover != nil {
+			s.cover.Stop()
+		}
 		s.mu.Unlock()
-		for _, p := range paths {
-			if p != nil {
+		s.wg.Wait()
+		for i := range s.paths {
+			if p := s.paths[i].Load(); p != nil {
 				p.Teardown()
 			}
 		}

@@ -11,6 +11,8 @@ import (
 	"resilientmix/internal/erasure"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/onioncrypt"
+	"resilientmix/internal/session"
+	"resilientmix/internal/sessiontest"
 )
 
 // liveSessionEnv wires a cluster with a collector on the responder.
@@ -21,7 +23,7 @@ type liveSessionEnv struct {
 	gotCh     chan uint64
 }
 
-func newLiveSessionEnv(t *testing.T, n, responder int) *liveSessionEnv {
+func newLiveSessionEnv(t *testing.T, n, responder int, tweak ...func(*Config)) *liveSessionEnv {
 	t.Helper()
 	e := &liveSessionEnv{delivered: make(map[uint64][]byte), gotCh: make(chan uint64, 16)}
 	collector := NewLiveCollector(func(mid uint64, data []byte) {
@@ -30,7 +32,7 @@ func newLiveSessionEnv(t *testing.T, n, responder int) *liveSessionEnv {
 		e.mu.Unlock()
 		e.gotCh <- mid
 	})
-	e.c = startCluster(t, n, map[int]DataFunc{responder: collector.Handle})
+	e.c = startCluster(t, n, map[int]DataFunc{responder: collector.Handle}, tweak...)
 	return e
 }
 
@@ -80,7 +82,7 @@ func TestLiveSessionToleratesPathFailure(t *testing.T) {
 	e := newLiveSessionEnv(t, 10, 9)
 	sess, err := e.c.nodes[0].NewLiveSession([][]netsim.NodeID{
 		{1, 2}, {3, 4}, {5, 6}, {7, 8},
-	}, 9, 2, 2*time.Second)
+	}, 9, 2, 300*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +100,8 @@ func TestLiveSessionToleratesPathFailure(t *testing.T) {
 	if got := e.await(t, mid); !bytes.Equal(got, msg) {
 		t.Fatal("reconstruction failed despite tolerated failures")
 	}
-	// The ack timeout must mark the dead paths.
-	time.Sleep(3 * time.Second)
-	if alive := sess.AlivePaths(); alive != 2 {
-		t.Fatalf("alive paths = %d after two failures, want 2", alive)
-	}
+	// The ack timeout must mark the dead paths, and only those.
+	waitFor(t, "the ack timeout to condemn both dead paths", func() bool { return sess.AlivePaths() == 2 })
 	// And the session keeps delivering on the survivors.
 	mid2, err := sess.Send([]byte("still here"))
 	if err != nil {
@@ -110,6 +109,61 @@ func TestLiveSessionToleratesPathFailure(t *testing.T) {
 	}
 	if got := e.await(t, mid2); string(got) != "still here" {
 		t.Fatalf("second message = %q", got)
+	}
+}
+
+// waitFor polls until cond holds, failing the test after ten seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestLiveSessionConcurrentSenders uses one session from several
+// goroutines at once — senders, their Awaits, reverse-path acks on the
+// connection handlers, round deadlines and probe ticks on timer
+// goroutines all meet at the session's one mutex. Run under -race.
+func TestLiveSessionConcurrentSenders(t *testing.T) {
+	var delivered atomic.Int64
+	collector := NewLiveCollector(func(uint64, []byte) { delivered.Add(1) })
+	c := startCluster(t, 10, map[int]DataFunc{9: collector.Handle})
+	sess, err := c.nodes[0].NewLiveSessionOpts([][]netsim.NodeID{{1, 2}, {3, 4}, {5, 6}, {7, 8}}, 9, SessionOptions{
+		R: 2, AckTimeout: 50 * time.Millisecond, Repair: true, ProbeInterval: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Teardown()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	const senders, each = 4, 25
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				mid, err := sess.Send([]byte("from several goroutines"))
+				if err == nil {
+					err = sess.Await(ctx, mid)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := delivered.Load(); got != senders*each {
+		t.Fatalf("responder rebuilt %d of %d messages", got, senders*each)
+	}
+	reg := c.nodes[0].Metrics()
+	if d, l := reg.Counter("session.messages_delivered").Value(), reg.Counter("session.messages_lost").Value(); d != senders*each || l != 0 {
+		t.Fatalf("verdicts: %d delivered, %d lost", d, l)
 	}
 }
 
@@ -128,7 +182,7 @@ func TestLiveSessionFailsWithoutQuorum(t *testing.T) {
 	// Kill both relays of both paths: construction cannot reach quorum.
 	e.c.nodes[1].Close()
 	e.c.nodes[3].Close()
-	e.c.nodes[0].cfg.ConstructTimeout = time.Second
+	e.c.nodes[0].cfg.ConstructTimeout = 300 * time.Millisecond
 	if _, err := e.c.nodes[0].NewLiveSession([][]netsim.NodeID{{1, 2}, {3, 4}}, 7, 1, 0); err == nil {
 		t.Fatal("session without constructable paths accepted")
 	}
@@ -138,33 +192,59 @@ func TestLiveCollectorRejectsGarbage(t *testing.T) {
 	c := NewLiveCollector(func(uint64, []byte) {
 		panic("garbage delivered")
 	})
-	// Handle must not panic or deliver on nonsense. The nil-node handle
-	// would only be dereferenced by Reply on a well-formed segment, so
-	// every one of these inputs must bail before acking.
-	for _, b := range [][]byte{nil, {0}, {9, 1, 2}, {liveKindAck, 0, 0}} {
-		c.Handle(ReplyHandle{}, b)
+	// Handle must not panic, deliver or acknowledge on nonsense, nor on
+	// a structurally valid segment with an absurd shape.
+	h, node := deafHandle(t)
+	bad := session.Segment{MID: 1, Index: 5, Total: 2, Needed: 1, Data: []byte("x")}
+	for _, b := range [][]byte{nil, {0}, {99, 1, 2}, {session.KindSegAck, 0, 0}, bad.Encode(session.KindSegment)} {
+		c.Handle(h, b)
 	}
-	// A structurally valid segment with an absurd shape must also bail
-	// before the ack (ReplyHandle{} would panic on use).
-	bad := liveSegment{mid: 1, index: 5, total: 2, needed: 1, data: []byte("x")}
-	c.Handle(ReplyHandle{}, bad.encode())
+	if acks := node.Metrics().Counter("live.fault.refused").Value(); acks != 0 {
+		t.Fatalf("garbage was acknowledged %d times", acks)
+	}
+}
+
+// deafHandle returns a reply handle whose acks go nowhere: its relay is
+// blackholed at the replying node, so Reply seals and returns without
+// dialling.
+func deafHandle(t testing.TB) (ReplyHandle, *Node) {
+	cl := startCluster(t, 2, nil, func(cfg *Config) { cfg.Suite = onioncrypt.Null{} })
+	node := cl.nodes[0]
+	node.BlackholePeer(1, 0)
+	return ReplyHandle{node: node, sid: 1, relay: 1, key: make([]byte, onioncrypt.SymKeySize)}, node
+}
+
+// TestLiveCollectorReassemblyCases runs the shared arrival-sequence
+// table through the collector's entry point. Its third case is the
+// regression for the collector that marked a message done before it
+// had decoded: a segment of a disagreeing shape made every later valid
+// segment a "duplicate" and the message undeliverable.
+func TestLiveCollectorReassemblyCases(t *testing.T) {
+	h, _ := deafHandle(t)
+	for _, tc := range sessiontest.ReassemblyCases() {
+		t.Run(tc.Name, func(t *testing.T) {
+			var delivered [][]byte
+			c := NewLiveCollector(func(_ uint64, data []byte) { delivered = append(delivered, data) })
+			for _, seg := range tc.Segments {
+				c.Handle(h, seg.Encode(session.KindSegment))
+			}
+			if err := tc.Check(delivered); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 // TestLiveCollectorBounded pins the collector's memory: message ids —
-// delivered or stuck short of m segments — age out by generation, while
-// a duplicate or a late segment inside the horizon still finds its
-// message.
+// delivered or stuck short of m segments — age out a horizon or two
+// after their last segment, while a duplicate or a late segment inside
+// the horizon still finds its message.
 func TestLiveCollectorBounded(t *testing.T) {
 	var delivered []uint64
 	c := NewLiveCollector(func(mid uint64, _ []byte) { delivered = append(delivered, mid) })
 	clock := time.Unix(1_000_000, 0)
 	c.now = func() time.Time { return clock }
-	// The acks go nowhere: the handle's relay is blackholed, so Reply
-	// seals and returns without dialling.
-	cl := startCluster(t, 2, nil, func(cfg *Config) { cfg.Suite = onioncrypt.Null{} })
-	node := cl.nodes[0]
-	node.BlackholePeer(1, 0)
-	h := ReplyHandle{node: node, sid: 1, relay: 1, key: make([]byte, onioncrypt.SymKeySize)}
+	h, node := deafHandle(t)
 	// split[m] is one message coded m-of-2.
 	var split [3][]erasure.Segment
 	for m := 1; m <= 2; m++ {
@@ -177,10 +257,8 @@ func TestLiveCollectorBounded(t *testing.T) {
 		}
 	}
 	segment := func(mid uint64, index, needed int32) {
-		c.Handle(h, liveSegment{mid: mid, index: index, total: 2, needed: needed, data: split[needed][index].Data}.encode())
-	}
-	size := func() int {
-		return len(c.cur.done) + len(c.prev.done) + len(c.cur.pending) + len(c.prev.pending)
+		seg := session.Segment{MID: mid, Index: index, Total: 2, Needed: needed, Data: split[needed][index].Data}
+		c.Handle(h, seg.Encode(session.KindSegment))
 	}
 
 	// One id per millisecond, alternately delivered at once (m=1) and
@@ -193,13 +271,13 @@ func TestLiveCollectorBounded(t *testing.T) {
 	if len(delivered) != mids/2 {
 		t.Fatalf("delivered %d of %d complete messages", len(delivered), mids/2)
 	}
-	if limit := 2 * int(collectorHorizon/step); size() > limit {
-		t.Fatalf("collector holds %d ids after %d, want at most %d", size(), mids, limit)
+	if limit := 2 * int(collectorHorizon/step); c.asm.Len() > limit {
+		t.Fatalf("collector holds %d ids after %d, want at most %d", c.asm.Len(), mids, limit)
 	}
 
 	dups := node.Metrics().Counter("recv.dup_segments").Value()
 	last, stuck := uint64(mids-2), uint64(mids-1)
-	clock = clock.Add(collectorHorizon - step) // across at least one rotation
+	clock = clock.Add(collectorHorizon - 2*step) // across a sweep, inside their horizon
 	segment(last, 0, 1)
 	if len(delivered) != mids/2 {
 		t.Fatal("duplicate inside the horizon delivered again")
@@ -211,12 +289,12 @@ func TestLiveCollectorBounded(t *testing.T) {
 	if len(delivered) != mids/2+1 || delivered[mids/2] != stuck {
 		t.Fatal("second segment inside the horizon did not complete its message")
 	}
-	for i := uint64(0); i < 2; i++ { // two rotations forget everything before them
+	for i := uint64(0); i < 2; i++ { // two horizons on, everything before them is forgotten
 		clock = clock.Add(collectorHorizon)
 		segment(mids+i, 0, 2)
 	}
-	if size() != 2 {
-		t.Fatalf("collector holds %d ids two rotations later, want 2", size())
+	if c.asm.Len() > 2 {
+		t.Fatalf("collector holds %d ids two horizons later, want at most the 2 just seen", c.asm.Len())
 	}
 }
 
@@ -314,7 +392,7 @@ func TestLiveConstructWithData(t *testing.T) {
 func TestLiveConstructWithDataDeadRelay(t *testing.T) {
 	c := startCluster(t, 5, nil)
 	c.nodes[2].Close()
-	c.nodes[0].cfg.ConstructTimeout = 2 * time.Second
+	c.nodes[0].cfg.ConstructTimeout = 300 * time.Millisecond
 	if _, err := c.nodes[0].ConstructWithData([]netsim.NodeID{1, 2}, 4, []byte("x")); err == nil {
 		t.Fatal("combined pass through a dead relay succeeded")
 	}
@@ -348,41 +426,34 @@ func BenchmarkLiveSessionSend(b *testing.B) {
 	}
 }
 
-// FuzzDecodeLive feeds arbitrary bytes to the application-layer decoder
-// both ends of a live path run on what came off a socket: it must fail
-// cleanly or return exactly what re-encodes to its input, and a
-// segment's data — which aliases the input — must lie inside it.
+// FuzzDecodeLive feeds arbitrary bytes to the responder's entry point,
+// LiveCollector.Handle, as a live node hands it whatever opened at the
+// end of a path: it must not panic, must answer (with an ack) exactly
+// the probes and the segments it takes in, and must deliver at most one
+// message per payload. (The codec itself is fuzzed in
+// internal/session.)
 func FuzzDecodeLive(f *testing.F) {
-	f.Add(liveSegment{mid: 7, index: 1, total: 4, needed: 2, data: []byte("segment")}.encode())
-	f.Add(liveAck{mid: 7, index: 1}.encode())
-	f.Add(encodeProbe(liveKindProbe, 9))
-	f.Add(encodeProbe(liveKindProbeAck, 9))
-	f.Add(encodeCover([]byte("padding")))
+	f.Add(session.Segment{MID: 7, Index: 1, Total: 4, Needed: 2, Data: []byte("segment")}.Encode(session.KindSegment))
+	f.Add(session.Segment{MID: 7, Index: 0, Total: 1, Needed: 1, Data: []byte{0, 0, 0, 1, 'x'}}.Encode(session.KindSegment))
+	f.Add(session.Ack{MID: 7, Index: 1}.Encode(session.KindSegAck))
+	f.Add(session.Ack{MID: 9}.Encode(session.KindProbe))
+	f.Add(session.EncodeCover([]byte("padding")))
 	f.Add([]byte{})
-	f.Add([]byte{liveKindSegment, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{session.KindSegment, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff})
+	h, node := deafHandle(f)
+	delivered := 0
+	c := NewLiveCollector(func(uint64, []byte) { delivered++ })
+	refused := node.Metrics().Counter("live.fault.refused")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		kind, seg, ack, nonce, err := decodeLive(data)
-		if err != nil {
-			return
+		before, acks := delivered, refused.Value()
+		c.Handle(h, data)
+		if delivered > before+1 {
+			t.Fatalf("one payload delivered %d messages", delivered-before)
 		}
-		var again []byte
-		switch kind {
-		case liveKindSegment:
-			if len(seg.data) > len(data) {
-				t.Fatalf("segment data of %d bytes from %d input bytes", len(seg.data), len(data))
-			}
-			again = seg.encode()
-		case liveKindAck:
-			again = ack.encode()
-		case liveKindProbe, liveKindProbeAck:
-			again = encodeProbe(kind, nonce)
-		case liveKindCover:
-			again = data // the padding is discarded, not returned
-		default:
-			t.Fatalf("decoded unknown kind %d", kind)
-		}
-		if !bytes.Equal(again, data) {
-			t.Fatalf("kind %d does not re-encode to its input", kind)
+		msg, err := session.DecodeApp(data)
+		answerable := err == nil && (msg.Kind == session.KindProbe || msg.Kind == session.KindSegment)
+		if got := refused.Value() - acks; got > 1 || (got == 1 && !answerable) {
+			t.Fatalf("%d acks to a payload of kind %d (decode error %v)", got, msg.Kind, err)
 		}
 	})
 }

@@ -1,0 +1,391 @@
+package session_test
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"resilientmix/internal/faultinject"
+	"resilientmix/internal/netsim"
+	"resilientmix/internal/session"
+	"resilientmix/internal/sessiontest"
+	"resilientmix/internal/sim"
+)
+
+// The tests below are the session-level scenarios that used to run on
+// loopback sockets in internal/livenet (tens of seconds of wall-clock
+// timeouts), here on the machine under a virtual clock. One clock unit
+// is a microsecond, the engine's.
+const (
+	ms  = 1000
+	sec = 1000 * ms
+)
+
+// fleet is the usual test deployment: initiator 0, four 2-relay paths
+// over relays 1..8, spare relays up to the responder, one-millisecond
+// links.
+type fleet struct{ *sessiontest.Driver }
+
+var fourPaths = [][]netsim.NodeID{{1, 2}, {3, 4}, {5, 6}, {7, 8}}
+
+func newFleet(t *testing.T, nodes int, lists [][]netsim.NodeID, cfg session.Config, opts sessiontest.Options) *fleet {
+	t.Helper()
+	responder := netsim.NodeID(nodes - 1)
+	cfg.K = len(lists)
+	if opts.ConstructTimeout == 0 {
+		opts.ConstructTimeout = 300 * ms
+	}
+	f := &fleet{sessiontest.NewDriver(nodes, ms, 1, 0, responder, cfg, opts)}
+	// Fresh relays first, relays of condemned slots last — the order the
+	// live driver's biased choice produces — lowest ID first within each.
+	f.Choose = func(slot int, exclude []netsim.NodeID) ([]netsim.NodeID, bool) {
+		skip := map[netsim.NodeID]bool{0: true, responder: true}
+		for _, id := range exclude {
+			skip[id] = true
+		}
+		suspect := make(map[netsim.NodeID]bool)
+		for i := 0; i < cfg.K; i++ {
+			if !f.M.SlotAlive(i) {
+				for _, r := range f.M.Relays(i) {
+					suspect[r] = true
+				}
+			}
+		}
+		var fresh, fallback []netsim.NodeID
+		for id := netsim.NodeID(0); int(id) < nodes; id++ {
+			switch {
+			case skip[id]:
+			case suspect[id]:
+				fallback = append(fallback, id)
+			default:
+				fresh = append(fresh, id)
+			}
+		}
+		pick := append(fresh, fallback...)
+		if want := len(lists[slot]); len(pick) >= want {
+			return pick[:want], true
+		}
+		return nil, false
+	}
+	f.Establish(lists)
+	f.runFor(100 * ms)
+	f.Start()
+	return f
+}
+
+// send sends one message and fails the test if the machine refuses it.
+func (f *fleet) send(t *testing.T) uint64 {
+	t.Helper()
+	mid, err := f.Send([]byte("a message"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mid
+}
+
+func (f *fleet) runFor(d sim.Time) { f.Eng.Run(f.Eng.Now() + d) }
+
+// apply schedules a fault schedule on the fleet, its times counted
+// from now.
+func (f *fleet) apply(t *testing.T, s faultinject.Schedule) {
+	t.Helper()
+	shifted := append(faultinject.Schedule(nil), s...)
+	for i := range shifted {
+		shifted[i].AtMS += int64(f.Eng.Now() / sim.Millisecond)
+	}
+	if _, err := faultinject.ApplySim(f.Eng, f.Net, shifted, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func (f *fleet) delivered(mid uint64) bool { return f.Verdicts[mid] == [2]int{1, 0} }
+
+func repairConfig() (session.Config, sessiontest.Options) {
+	return session.Config{M: 2, N: 4, AckTimeout: 1500 * ms, MaxRetransmits: 5, MaxInflight: 64},
+		sessiontest.Options{ProbeInterval: 300 * ms}
+}
+
+// TestRepairSurvivesFaults: under each fault kind the live backend
+// injects, the session detects the dead path by probe or ack timeout,
+// rebuilds it through fresh relays and keeps delivering with no loss.
+func TestRepairSurvivesFaults(t *testing.T) {
+	cases := []struct {
+		name  string
+		fault faultinject.Event
+	}{
+		{"crash", faultinject.Event{Kind: faultinject.Crash, Target: 2, Peer: -1}},
+		{"partition", faultinject.Event{Kind: faultinject.Partition, Target: 0, Peer: 3}},
+		// Beyond the ack timeout: indistinguishable from dead to §4.5.
+		{"slow-link", faultinject.Event{Kind: faultinject.Latency, Target: 5, Peer: -1, Value: 4000}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, opts := repairConfig()
+			f := newFleet(t, 12, fourPaths, cfg, opts)
+			before := f.send(t)
+			f.runFor(100 * ms)
+			f.apply(t, faultinject.Schedule{tc.fault})
+			during := f.send(t)
+			f.runFor(5 * sec)
+			if !f.delivered(before) || !f.delivered(during) {
+				t.Fatalf("verdicts before/during the fault: %v / %v", f.Verdicts[before], f.Verdicts[during])
+			}
+			broken := f.Counts.Broken[session.AckTimeout] + f.Counts.Broken[session.ProbeTimeout]
+			if broken != 1 || f.Counts.Repaired != 1 {
+				t.Fatalf("%d paths condemned, %d repaired, want 1 and 1", broken, f.Counts.Repaired)
+			}
+			if f.M.Alive() != 4 || f.M.Degraded() {
+				t.Fatalf("%d paths alive after repair", f.M.Alive())
+			}
+			after := f.send(t)
+			f.runFor(sec)
+			if !f.delivered(after) || f.Counts.Lost != 0 {
+				t.Fatalf("after repair: verdict %v, %d lost", f.Verdicts[after], f.Counts.Lost)
+			}
+			if f.Counts.Reconstructed != 3 {
+				t.Fatalf("responder rebuilt %d messages, want 3", f.Counts.Reconstructed)
+			}
+		})
+	}
+}
+
+// TestToleratesPathFailure: without repair, k(1-1/r) dead paths are
+// tolerated, their slots are condemned at the ack timeout, and the
+// session keeps delivering on the survivors.
+func TestToleratesPathFailure(t *testing.T) {
+	f := newFleet(t, 10, fourPaths, session.Config{M: 2, N: 4, AckTimeout: 2 * sec}, sessiontest.Options{})
+	f.Net.SetUp(2, false)
+	f.Net.SetUp(4, false)
+	first := f.send(t)
+	f.runFor(sec)
+	if !f.delivered(first) || f.M.Alive() != 4 {
+		t.Fatalf("before the ack timeout: verdict %v, %d alive", f.Verdicts[first], f.M.Alive())
+	}
+	f.runFor(2 * sec)
+	if f.M.Alive() != 2 || f.Counts.Broken[session.AckTimeout] != 2 {
+		t.Fatalf("%d alive, %d condemned after two failures", f.M.Alive(), f.Counts.Broken[session.AckTimeout])
+	}
+	second := f.send(t)
+	f.runFor(3 * sec)
+	if !f.delivered(second) || f.Counts.SegmentsSent != 4+2 {
+		t.Fatalf("on the survivors: verdict %v, %d segments sent", f.Verdicts[second], f.Counts.SegmentsSent)
+	}
+	if f.M.Armed() != 0 {
+		t.Fatalf("%d deadlines armed with nothing in flight", f.M.Armed())
+	}
+}
+
+// TestRetransmitDeliversWithoutRepair: m = n, so every segment must
+// arrive; the one lost to a dead path is completed by retransmitting
+// it over the survivor.
+func TestRetransmitDeliversWithoutRepair(t *testing.T) {
+	f := newFleet(t, 8, [][]netsim.NodeID{{1, 2}, {3, 4}},
+		session.Config{M: 2, N: 2, AckTimeout: sec, MaxRetransmits: 5}, sessiontest.Options{})
+	f.Net.SetUp(2, false)
+	mid := f.send(t)
+	f.runFor(3 * sec)
+	if !f.delivered(mid) || f.Counts.Retransmits != 1 || f.Counts.SegmentsSent != 3 {
+		t.Fatalf("verdict %v after %d retransmit rounds and %d segments", f.Verdicts[mid], f.Counts.Retransmits, f.Counts.SegmentsSent)
+	}
+}
+
+// TestRetransmitBudget: with nothing acking, a message gets exactly
+// MaxRetransmits more rounds and then resolves as lost, once.
+func TestRetransmitBudget(t *testing.T) {
+	f := newFleet(t, 8, [][]netsim.NodeID{{1, 2}, {3, 4}},
+		session.Config{M: 1, N: 2, AckTimeout: sec, MaxRetransmits: 2}, sessiontest.Options{})
+	f.Net.SetUp(7, false) // the responder
+	mid := f.send(t)
+	f.runFor(10 * sec)
+	if f.Verdicts[mid] != [2]int{0, 1} || f.Counts.Retransmits != 2 || f.M.Inflight() != 0 || f.M.Armed() != 0 {
+		t.Fatalf("verdict %v, %d retransmits, %d in flight, %d armed", f.Verdicts[mid], f.Counts.Retransmits, f.M.Inflight(), f.M.Armed())
+	}
+}
+
+// TestDegradedShedsCover: cover flows at full width, is shed while the
+// session is degraded or its queue half full, and real traffic is not.
+func TestDegradedShedsCover(t *testing.T) {
+	f := newFleet(t, 10, fourPaths, session.Config{M: 2, N: 4, AckTimeout: sec, MaxInflight: 4},
+		sessiontest.Options{CoverInterval: 100 * ms})
+	f.runFor(sec)
+	if f.Counts.CoverSent == 0 || f.Counts.CoverShed != 0 {
+		t.Fatalf("healthy: %d cover sent, %d shed", f.Counts.CoverSent, f.Counts.CoverShed)
+	}
+	// Half the queue full of messages nobody acks: shed.
+	f.Net.SetUp(9, false)
+	f.send(t)
+	f.send(t)
+	sent := f.Counts.CoverSent
+	f.runFor(500 * ms)
+	if f.Counts.CoverSent != sent || f.Counts.CoverShed == 0 {
+		t.Fatalf("queue half full: cover sent %d → %d, shed %d", sent, f.Counts.CoverSent, f.Counts.CoverShed)
+	}
+	// The deadline condemns every path: degraded, cover still shed,
+	// while a real message is still taken.
+	f.runFor(sec)
+	if !f.M.Degraded() || f.M.Alive() != 0 {
+		t.Fatalf("%d alive, degraded=%v after nothing acked", f.M.Alive(), f.M.Degraded())
+	}
+	shed := f.Counts.CoverShed
+	f.send(t)
+	f.runFor(500 * ms)
+	if f.Counts.CoverSent != sent || f.Counts.CoverShed == shed {
+		t.Fatal("degraded session did not shed its cover traffic")
+	}
+}
+
+// TestBoundedInflight: Send refuses work past MaxInflight instead of
+// buffering without limit, and takes it again once verdicts free room.
+func TestBoundedInflight(t *testing.T) {
+	f := newFleet(t, 6, [][]netsim.NodeID{{1, 2}}, session.Config{M: 1, N: 1, AckTimeout: 30 * sec, MaxInflight: 3}, sessiontest.Options{})
+	f.Net.SetUp(1, false) // sends vanish: nothing resolves
+	for i := 0; i < 3; i++ {
+		f.send(t)
+	}
+	if _, err := f.Send([]byte("overflow")); !errors.Is(err, session.ErrFull) {
+		t.Fatalf("send beyond MaxInflight: %v", err)
+	}
+	if f.Counts.Rejected != 1 || f.Counts.MaxInflight != 3 {
+		t.Fatalf("%d rejected, %d in flight at most", f.Counts.Rejected, f.Counts.MaxInflight)
+	}
+	f.runFor(31 * sec)
+	if f.Counts.Lost != 3 || f.M.Inflight() != 0 {
+		t.Fatalf("%d lost, %d in flight after the deadline", f.Counts.Lost, f.M.Inflight())
+	}
+	f.send(t)
+}
+
+// TestTeardownDisarms is the regression for timers outliving Teardown:
+// the old live session's probe timers kept firing afterwards, condemned
+// the paths of a session that no longer existed and left the node's
+// degraded gauge stuck at 1. 2×2 session, a responder that acks
+// nothing, probes outstanding at Teardown: afterwards the machine
+// awaits no deadline, every timer still scheduled fires as a no-op, and
+// nothing is condemned.
+func TestTeardownDisarms(t *testing.T) {
+	f := newFleet(t, 8, [][]netsim.NodeID{{1, 2}, {3, 4}},
+		session.Config{M: 1, N: 2, AckTimeout: 300 * ms, MaxRetransmits: 5}, sessiontest.Options{ProbeInterval: 20 * ms})
+	f.Net.SetUp(7, false)
+	f.send(t)
+	f.runFor(60 * ms)
+	if f.M.Armed() == 0 {
+		t.Fatal("no round outstanding at teardown — the test lost its teeth")
+	}
+	f.Teardown()
+	if f.M.Armed() != 0 || f.M.Degraded() || f.M.Alive() != 0 {
+		t.Fatalf("after teardown: %d armed, degraded=%v, %d alive", f.M.Armed(), f.M.Degraded(), f.M.Alive())
+	}
+	before := f.Counts
+	f.runFor(2 * sec)
+	if f.Counts.LateDeadlines == 0 {
+		t.Fatal("no timer fired after teardown")
+	}
+	before.LateDeadlines = f.Counts.LateDeadlines
+	if f.Counts != before {
+		t.Fatalf("a torn-down session kept acting:\nbefore %+v\nafter  %+v", before, f.Counts)
+	}
+	if _, err := f.Send([]byte("x")); !errors.Is(err, session.ErrTornDown) {
+		t.Fatalf("send after teardown: %v", err)
+	}
+}
+
+// TestOnDemandConstruction: with repair on, a message sent while its
+// slot is down rides a replacement path's construction (§4.2) — no
+// waiting for the next probe tick.
+func TestOnDemandConstruction(t *testing.T) {
+	f := newFleet(t, 8, [][]netsim.NodeID{{1, 2}, {3, 4}},
+		session.Config{M: 2, N: 2, AckTimeout: sec}, sessiontest.Options{ProbeInterval: time1h})
+	f.Net.SetUp(2, false)
+	f.send(t) // its deadline condemns slot 0; the replacement is built at once
+	f.runFor(1100 * ms)
+	if f.Counts.Repaired != 1 || f.M.Alive() != 2 {
+		t.Fatalf("%d repaired, %d alive", f.Counts.Repaired, f.M.Alive())
+	}
+	// Down again, and the only relays left to rebuild through include
+	// the one that is still dead: that construction times out, and with
+	// no probe tick due the slot stays down, nothing outstanding.
+	f.Net.SetUp(f.M.Relays(0)[0], false)
+	f.send(t)
+	f.runFor(1500 * ms)
+	if f.Counts.Failed != 1 || f.M.Alive() != 1 {
+		t.Fatalf("%d constructions failed, %d alive", f.Counts.Failed, f.M.Alive())
+	}
+	f.Net.SetUp(2, true)
+	builds := f.Counts.Builds
+	mid := f.send(t)
+	if f.Counts.Builds != builds+1 || f.Counts.SegmentsSent != 2+2+2 {
+		t.Fatalf("no on-demand construction: %d builds, %d segments", f.Counts.Builds-builds, f.Counts.SegmentsSent)
+	}
+	f.runFor(sec)
+	if !f.delivered(mid) || f.M.Alive() != 2 {
+		t.Fatalf("verdict %v, %d alive", f.Verdicts[mid], f.M.Alive())
+	}
+}
+
+const time1h = 3600 * sec
+
+// TestStormInvariants drives the session through generated fault
+// storms of rising severity and checks what must hold whatever
+// happens: every accepted Send resolves exactly once and never both
+// ways, the responder rebuilds no message twice, the in-flight bound
+// holds, full width returns once the faults have reverted, and
+// nothing is armed or acts after Teardown.
+func TestStormInvariants(t *testing.T) {
+	for _, events := range []int{4, 16, 48, 128} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%d-faults/seed-%d", events, seed), func(t *testing.T) {
+				cfg, opts := repairConfig()
+				cfg.MaxInflight = 8
+				f := newFleet(t, 14, fourPaths, cfg, opts)
+				storm, err := faultinject.Generate(seed, faultinject.GenSpec{
+					Nodes: 14, Events: events, SpanMS: 20_000, MaxDurMS: 4_000,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.apply(t, storm)
+				accepted := make(map[uint64]bool)
+				for end := f.Eng.Now() + 20*sec; f.Eng.Now() < end; f.runFor(40 * ms) {
+					if mid, err := f.Send([]byte("through the storm")); err == nil {
+						accepted[mid] = true
+					} else if !errors.Is(err, session.ErrFull) {
+						t.Fatal(err)
+					}
+				}
+				// Every fault has reverted by 24 s; allow the retransmit
+				// budget and a few probe rounds to settle.
+				f.runFor(20 * sec)
+				for mid := range accepted {
+					if v := f.Verdicts[mid]; v[0]+v[1] != 1 {
+						t.Fatalf("message %d resolved %d times delivered, %d times lost", mid, v[0], v[1])
+					}
+				}
+				if len(f.Verdicts) != len(accepted) {
+					t.Fatalf("%d verdicts for %d accepted messages", len(f.Verdicts), len(accepted))
+				}
+				for mid, n := range f.Rebuilt {
+					if n != 1 {
+						t.Fatalf("responder rebuilt message %d %d times", mid, n)
+					}
+				}
+				if f.Counts.Delivered > f.Counts.Reconstructed {
+					t.Fatalf("%d verdicts say delivered, responder rebuilt %d", f.Counts.Delivered, f.Counts.Reconstructed)
+				}
+				if f.Counts.MaxInflight > cfg.MaxInflight || f.M.Inflight() != 0 {
+					t.Fatalf("in flight: %d at most (bound %d), %d at rest", f.Counts.MaxInflight, cfg.MaxInflight, f.M.Inflight())
+				}
+				if f.M.Alive() != 4 {
+					t.Fatalf("%d of 4 paths alive after the storm passed (%d condemned, %d repaired, %d failed)",
+						f.M.Alive(), f.Counts.Broken[session.AckTimeout]+f.Counts.Broken[session.ProbeTimeout], f.Counts.Repaired, f.Counts.Failed)
+				}
+				f.Teardown()
+				before := f.Counts
+				f.runFor(10 * sec)
+				before.LateDeadlines = f.Counts.LateDeadlines
+				if f.M.Armed() != 0 || f.Counts != before {
+					t.Fatalf("after teardown: %d armed, counts %+v → %+v", f.M.Armed(), before, f.Counts)
+				}
+			})
+		}
+	}
+}

@@ -1,0 +1,128 @@
+package session
+
+import "resilientmix/internal/erasure"
+
+// Verdict is what the reassembler made of one arriving segment.
+type Verdict uint8
+
+const (
+	// Rejected: invalid code shape or index, or a shape that disagrees
+	// with the message's earlier segments. Not stored, not to be acked.
+	Rejected Verdict = iota
+	// Stored: a new segment of a message still short of m.
+	Stored
+	// Ready: a new segment, and the message now holds at least m —
+	// call Reconstruct.
+	Ready
+	// Duplicate: an index the message already holds.
+	Duplicate
+	// Late: the message was reconstructed before this segment arrived.
+	Late
+)
+
+// Reassembler collects coded segments by message ID until any m of a
+// message's n arrived (§4.2). It is the receiving half of a session at
+// the responder and, for responses and rendezvous conversations, at the
+// initiator. A message is marked done only by a reconstruction that
+// succeeded, so segments that do not decode cannot poison its ID, and
+// done messages are remembered (without their segments) until they
+// expire, so a retransmitted segment is recognised as late rather than
+// starting the message again. Expiry is the caller's: every arrival
+// pushes a message's expiry one horizon out, and Sweep drops what has
+// passed it. Not safe for concurrent use.
+type Reassembler struct {
+	horizon int64
+	msgs    map[uint64]*assembly
+	code    *erasure.Code // the most recent shape's decoder
+}
+
+type assembly struct {
+	needed, total int32
+	segs          []erasure.Segment // nil once done
+	done          bool
+	first         int64
+	expires       int64
+}
+
+// NewReassembler returns a reassembler whose messages expire horizon
+// clock units after their last segment.
+func NewReassembler(horizon int64) *Reassembler {
+	return &Reassembler{horizon: horizon, msgs: make(map[uint64]*assembly)}
+}
+
+// Add takes in one segment. On Ready the caller (after acknowledging,
+// which §4.5's failure detector is waiting for) calls Reconstruct.
+func (r *Reassembler) Add(now int64, s Segment) Verdict {
+	if !ValidCodeShape(s.Needed, s.Total) || s.Index < 0 || s.Index >= s.Total {
+		return Rejected
+	}
+	a := r.msgs[s.MID]
+	if a == nil {
+		a = &assembly{needed: s.Needed, total: s.Total, first: now}
+		r.msgs[s.MID] = a
+	}
+	a.expires = now + r.horizon
+	if a.needed != s.Needed || a.total != s.Total {
+		return Rejected
+	}
+	if a.done {
+		return Late
+	}
+	for _, have := range a.segs {
+		if have.Index == int(s.Index) {
+			return Duplicate
+		}
+	}
+	a.segs = append(a.segs, erasure.Segment{Index: int(s.Index), Data: s.Data})
+	if len(a.segs) >= int(a.needed) {
+		return Ready
+	}
+	return Stored
+}
+
+// Reconstruct decodes a message that reported Ready. On success the
+// message is done: its segments are released and it is never delivered
+// again. It returns the message, how many segments it held and when
+// its first one arrived.
+func (r *Reassembler) Reconstruct(mid uint64) (data []byte, segments int, first int64, ok bool) {
+	a := r.msgs[mid]
+	if a == nil || a.done || len(a.segs) < int(a.needed) {
+		return nil, 0, 0, false
+	}
+	if r.code == nil || r.code.M() != int(a.needed) || r.code.N() != int(a.total) {
+		code, err := erasure.New(int(a.needed), int(a.total))
+		if err != nil {
+			return nil, 0, 0, false
+		}
+		r.code = code
+	}
+	data, err := r.code.Reconstruct(a.segs)
+	if err != nil {
+		return nil, 0, 0, false
+	}
+	segments = len(a.segs)
+	a.done, a.segs = true, nil
+	return data, segments, a.first, true
+}
+
+// Shape returns the code shape of a message and whether it has been
+// reconstructed; ok is false for an unknown (or expired) message.
+func (r *Reassembler) Shape(mid uint64) (needed, total int32, done, ok bool) {
+	a := r.msgs[mid]
+	if a == nil {
+		return 0, 0, false, false
+	}
+	return a.needed, a.total, a.done, true
+}
+
+// Sweep forgets every message whose expiry has passed.
+func (r *Reassembler) Sweep(now int64) {
+	for mid, a := range r.msgs {
+		if a.expires <= now {
+			delete(r.msgs, mid)
+		}
+	}
+}
+
+// Len returns the number of messages remembered, done or not.
+func (r *Reassembler) Len() int { return len(r.msgs) }
