@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-build bench-json bench-check bench-shards repro repro-quick fuzz cover examples profile trace analyze cluster-smoke watch-smoke profile-smoke chaos-smoke lint-http lint-session clean
+.PHONY: all build test race bench bench-build bench-json bench-check bench-shards repro repro-quick fuzz cover examples profile trace analyze cluster-smoke watch-smoke profile-smoke chaos-smoke lint-http lint-session lint-cluster clean
 
 all: build test
 
@@ -85,10 +85,11 @@ profile:
 	@echo "inspect with: go tool pprof cpu.pprof"
 
 # Live-cluster smoke: spawn a 5-node anonnode cluster via the anonctl
-# harness, drive erasure-coded traffic through it, scrape /metrics on
-# every node, capture + merge live traces, and reconcile the analytics
-# against the aggregated counters. Then run the offline analyzer over
-# the captured live trace like any simulator trace.
+# harness, record it (the same poll → tsdb → rules pipeline as
+# watch-smoke) while erasure-coded traffic flows through it, capture +
+# merge live traces, reconcile the analytics against the recorded
+# counters and require that no alert rule fired. Then run the offline
+# analyzer over the captured live trace like any simulator trace.
 cluster-smoke:
 	$(GO) build -o bin/anonnode ./cmd/anonnode
 	$(GO) run ./cmd/anonctl smoke -n 5 -msgs 8 -bin bin/anonnode -trace live-trace.jsonl
@@ -140,6 +141,12 @@ lint-http:
 lint-session:
 	$(GO) run ./ci/lintsession
 
+# Keep fleet observation one pipeline: in internal/cluster and
+# cmd/anonctl only recorder.go may fetch "/metrics" and nothing may
+# mention /debug/vars. See ci/lintcluster.
+lint-cluster:
+	$(GO) run ./ci/lintcluster
+
 # Short fuzz passes over the wire-facing parsers. (core.FuzzDecodeAppMsg
 # and livenet.FuzzDecodeLive, which fuzz the two drivers' entry points
 # over the same codec, run their seed corpora in `make test`.)
@@ -150,6 +157,9 @@ fuzz:
 	$(GO) test ./internal/onion -fuzz FuzzParseConstructLayer -fuzztime 20s
 	$(GO) test ./internal/onion -run '^$$' -fuzz FuzzRelayTable -fuzztime 20s
 	$(GO) test ./internal/livenet -run '^$$' -fuzz FuzzReadFrame -fuzztime 20s
+	$(GO) test ./internal/livenet -run '^$$' -fuzz FuzzFaultHandler -fuzztime 20s
+	$(GO) test ./internal/faultinject -run '^$$' -fuzz FuzzParseSchedule -fuzztime 20s
+	$(GO) test ./internal/obs/tsdb -run '^$$' -fuzz FuzzRead -fuzztime 20s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzParsePrometheus -fuzztime 20s
 	$(GO) test ./internal/obs/prof -run '^$$' -fuzz FuzzParsePprof -fuzztime 20s
 

@@ -13,7 +13,6 @@ import (
 	"resilientmix/internal/cluster"
 	"resilientmix/internal/faultinject"
 	"resilientmix/internal/livenet"
-	"resilientmix/internal/netsim"
 )
 
 // chaosVerdict is the JSON output of anonctl chaos.
@@ -42,7 +41,7 @@ type chaosVerdict struct {
 // across the fault window, and reports whether the session survived:
 // zero message loss, every condemned path repaired. With -verify the
 // report is a gate (non-zero exit on any failure).
-func cmdChaos(args []string) {
+func cmdChaos(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
 	spawn := fs.Int("spawn", 9, "number of anonnode processes")
 	bin := fs.String("bin", "anonnode", "anonnode binary")
@@ -60,7 +59,7 @@ func cmdChaos(args []string) {
 	fs.Parse(args)
 
 	if *spawn < 4 {
-		fatal(fmt.Errorf("chaos needs at least 4 nodes for disjoint paths, got -spawn %d", *spawn))
+		return fail(fmt.Errorf("chaos needs at least 4 nodes for disjoint paths, got -spawn %d", *spawn))
 	}
 
 	// Schedule: load, or draw deterministically from the seed. Generated
@@ -80,52 +79,20 @@ func cmdChaos(args []string) {
 		})
 	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
-	d := *dir
-	if d == "" {
-		tmp, err := os.MkdirTemp("", "anonctl-chaos-*")
-		if err != nil {
-			fatal(err)
-		}
-		defer os.RemoveAll(tmp)
-		d = tmp
-	}
-	m, err := cluster.Generate(d, cluster.Spec{Nodes: *spawn, Client: true, BasePort: *basePort})
+	m, runner, stop, err := openOrSpawn(*dir, true, *spawn, *bin, *basePort, readyWait)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	runner, err := m.Start(*bin)
-	if err != nil {
-		fatal(err)
-	}
-	defer runner.Stop()
-	if err := runner.WaitReady(30 * time.Second); err != nil {
-		fatal(err)
-	}
-	step(*asJSON, "cluster of %d ready in %s; %d faults over %s",
-		*spawn, d, len(sched), time.Duration(sched.End())*time.Millisecond)
+	defer stop()
+	step(stdout, *asJSON, "cluster of %d ready in %s; %d faults over %s",
+		len(m.Nodes), m.Dir, len(sched), time.Duration(sched.End())*time.Millisecond)
 
-	roster, err := cluster.LoadRoster(m.Roster)
+	node, relayLists, responder, repl, err := cluster.StartClient(m, nil)
 	if err != nil {
-		fatal(err)
-	}
-	priv, err := cluster.LoadKey(m.Client.Key)
-	if err != nil {
-		fatal(err)
-	}
-	relayLists, responder, repl, err := cluster.PlanPaths(len(m.Nodes))
-	if err != nil {
-		fatal(err)
-	}
-	node, err := livenet.Start(m.Client.Addr, livenet.Config{
-		ID:      netsim.NodeID(m.Client.ID),
-		Roster:  roster,
-		Private: priv,
-	})
-	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer node.Close()
 
@@ -139,17 +106,17 @@ func cmdChaos(args []string) {
 		CoverInterval: 250 * time.Millisecond,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer sess.Teardown()
 	width := len(relayLists)
-	step(*asJSON, "session up: %d paths, %d-of-%d erasure code", sess.AlivePaths(), width/repl, width)
+	step(stdout, *asJSON, "session up: %d paths, %d-of-%d erasure code", sess.AlivePaths(), width/repl, width)
 
 	var traceW io.Writer
 	if *faultsOut != "" {
 		f, err := os.Create(*faultsOut)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		traceW = f
@@ -161,7 +128,7 @@ func cmdChaos(args []string) {
 		Rec:    rec,
 	}
 	if !*asJSON {
-		applier.Log = func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
+		applier.Log = func(format string, args ...any) { fmt.Fprintf(stdout, format+"\n", args...) }
 	}
 
 	window := time.Duration(sched.End()) * time.Millisecond
@@ -246,26 +213,27 @@ func cmdChaos(args []string) {
 	v.OK = len(v.Failures) == 0
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		enc.Encode(v)
 	} else {
-		fmt.Printf("\nchaos: %d faults applied (trace sha256 %.16s…)\n", v.Applied, v.FaultTraceSHA)
-		fmt.Printf("traffic: %d sent, %d delivered, %d lost\n", v.Sent, v.Delivered, v.Lost)
-		fmt.Printf("repair: %d paths condemned, %d repaired, %d repair failures, %d retransmits; %d/%d paths alive\n",
+		fmt.Fprintf(stdout, "\nchaos: %d faults applied (trace sha256 %.16s…)\n", v.Applied, v.FaultTraceSHA)
+		fmt.Fprintf(stdout, "traffic: %d sent, %d delivered, %d lost\n", v.Sent, v.Delivered, v.Lost)
+		fmt.Fprintf(stdout, "repair: %d paths condemned, %d repaired, %d repair failures, %d retransmits; %d/%d paths alive\n",
 			v.PathsDead, v.Repairs, v.RepairFailures, v.Retransmits, v.AlivePaths, v.PathWidth)
 		if v.OK {
-			fmt.Println("chaos: OK — the session survived the schedule with zero loss")
+			fmt.Fprintln(stdout, "chaos: OK — the session survived the schedule with zero loss")
 		} else {
-			fmt.Println("chaos: FAILED")
+			fmt.Fprintln(stdout, "chaos: FAILED")
 			for _, f := range v.Failures {
-				fmt.Printf("  - %s\n", f)
+				fmt.Fprintf(stdout, "  - %s\n", f)
 			}
 		}
 	}
 	if *verify && !v.OK {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // chaosSend submits one message, retrying while the session has no

@@ -1,19 +1,22 @@
 // Command anonctl operates a local anonnode cluster and observes it as
 // a whole: it generates the key/roster bundle, spawns the processes,
-// scrapes every node's /metrics and /debug/vars, aggregates the
-// per-node counters into a cluster-wide snapshot, renders a terminal
-// dashboard, flags anomalies (silent relays, stalled sessions, repair
-// spikes), drives erasure-coded session traffic through the cluster,
-// and captures merged live traces consumable by anontrace.
+// polls every node into an embedded time-series store, evaluates the
+// standing alert rules on it (node down, not ready, silent relays,
+// segment loss, repair spikes, ...), renders a terminal dashboard,
+// drives erasure-coded session traffic through the cluster, and
+// captures merged live traces consumable by anontrace. Every view of
+// the fleet — status, smoke, record, watch — is the same pipeline:
+// cluster.Recorder → tsdb → rules.Defaults() → cluster.RenderWatch.
 //
 // Subcommands:
 //
 //	anonctl up     -dir d -n 5 -bin ./anonnode     spawn a cluster, run until interrupted
-//	anonctl status -dir d [-json] [-watch 2s]      scrape, aggregate, render
+//	anonctl status -dir d [-json]                  one poll: dashboard, or the tick as a
+//	                                               tsdb recording (what replay -in reads)
 //	anonctl traffic -dir d -msgs 8                 drive session traffic in-process
-//	anonctl smoke  -n 5 -msgs 8 -bin ./anonnode    full pipeline: spawn, trace, traffic,
-//	               [-trace live.jsonl] [-json]     scrape, reconcile, verdict
-//	anonctl record -dir d -out run.tsdb.gz         continuous telemetry: poll /metrics into
+//	anonctl smoke  -n 5 -msgs 8 -bin ./anonnode    full pipeline: spawn, trace, record,
+//	               [-trace live.jsonl] [-json]     traffic, reconcile, verdict
+//	anonctl record -dir d -out run.tsdb.gz         continuous telemetry: poll every node into
 //	               [-spawn -n 2 -bin ./anonnode]   an embedded time-series store, evaluate
 //	               [-for 10s] [-verify]            alert rules, stream samples to disk
 //	anonctl watch  -dir d [-interval 1s]           live dashboard: sparklines, rollups,
@@ -29,143 +32,175 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"strconv"
 	"time"
 
 	"resilientmix/internal/cluster"
 	"resilientmix/internal/obs"
 	"resilientmix/internal/obs/analyze"
+	"resilientmix/internal/obs/rules"
+	"resilientmix/internal/obs/tsdb"
 )
 
+// main holds the process's only os.Exit: every subcommand returns its
+// exit code, so a failing gate still runs the deferred cleanup that
+// stops the fleet it spawned.
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
-	switch os.Args[1] {
-	case "up":
-		cmdUp(os.Args[2:])
-	case "status":
-		cmdStatus(os.Args[2:])
-	case "traffic":
-		cmdTraffic(os.Args[2:])
-	case "smoke":
-		cmdSmoke(os.Args[2:])
-	case "record":
-		cmdRecord(os.Args[2:])
-	case "watch":
-		cmdWatch(os.Args[2:])
-	case "replay":
-		cmdReplay(os.Args[2:])
-	case "profile":
-		cmdProfile(os.Args[2:])
-	case "chaos":
-		cmdChaos(os.Args[2:])
-	default:
-		usage()
-	}
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: anonctl <up|status|traffic|smoke|record|watch|replay|profile|chaos> [flags]")
-	os.Exit(2)
+// run dispatches one subcommand; stdout takes what it reports.
+func run(args []string, stdout io.Writer) int {
+	cmds := map[string]func([]string, io.Writer) int{
+		"up":      cmdUp,
+		"status":  cmdStatus,
+		"traffic": cmdTraffic,
+		"smoke":   cmdSmoke,
+		"record":  cmdRecord,
+		"watch":   cmdWatch,
+		"replay":  cmdReplay,
+		"profile": cmdProfile,
+		"chaos":   cmdChaos,
+	}
+	if len(args) == 0 || cmds[args[0]] == nil {
+		fmt.Fprintln(os.Stderr, "usage: anonctl <up|status|traffic|smoke|record|watch|replay|profile|chaos> [flags]")
+		return 2
+	}
+	return cmds[args[0]](args[1:], stdout)
 }
 
-func fatal(err error) {
+// fail reports an error that ends a subcommand and returns its exit
+// code.
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "anonctl:", err)
-	os.Exit(1)
+	return 1
 }
 
-// cmdUp generates (unless the dir already holds a manifest) and spawns
-// a cluster, then runs until interrupted.
-func cmdUp(args []string) {
+// readyWait bounds how long a spawned fleet may take to answer /readyz.
+const readyWait = 30 * time.Second
+
+// openOrSpawn is the one way anonctl gets a fleet. Without spawn it
+// loads the manifest at dir and attaches. With spawn it starts one —
+// the cluster dir already holds if there is one (so `up` restarts a
+// fleet under its keys; n and basePort are then ignored), else a fresh
+// bundle of n nodes written there, in a temp dir when dir is empty —
+// and waits up to wait for every node's /readyz. stop is never nil: it
+// stops the spawned processes (runner, nil when attached) and removes
+// the temp dir.
+func openOrSpawn(dir string, spawn bool, n int, bin string, basePort int, wait time.Duration) (cluster.Manifest, *cluster.Runner, func(), error) {
+	none := func() {}
+	if !spawn {
+		m, err := cluster.LoadManifest(dir)
+		return m, nil, none, err
+	}
+	cleanup := none
+	if dir == "" {
+		tmp, err := os.MkdirTemp("", "anonctl-*")
+		if err != nil {
+			return cluster.Manifest{}, nil, none, err
+		}
+		dir = tmp
+		cleanup = func() { os.RemoveAll(tmp) }
+	}
+	m, err := cluster.LoadManifest(dir)
+	if err != nil {
+		m, err = cluster.Generate(dir, cluster.Spec{Nodes: n, Client: true, BasePort: basePort})
+	}
+	if err != nil {
+		cleanup()
+		return cluster.Manifest{}, nil, none, err
+	}
+	r, err := m.Start(bin)
+	if err != nil {
+		cleanup()
+		return cluster.Manifest{}, nil, none, err
+	}
+	stop := func() { r.Stop(); cleanup() }
+	if err := r.WaitReady(wait); err != nil {
+		stop()
+		return cluster.Manifest{}, nil, none, err
+	}
+	return m, r, stop, nil
+}
+
+// cmdUp spawns the cluster in -dir (generating it first unless the
+// directory already holds one), then runs until interrupted.
+func cmdUp(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("up", flag.ExitOnError)
 	dir := fs.String("dir", "cluster", "cluster directory")
 	n := fs.Int("n", 5, "number of nodes (ignored when the directory already holds a cluster)")
 	bin := fs.String("bin", "anonnode", "anonnode binary")
 	basePort := fs.Int("base-port", 19000, "first livenet port")
-	wait := fs.Duration("wait", 30*time.Second, "readiness timeout")
+	wait := fs.Duration("wait", readyWait, "readiness timeout")
 	fs.Parse(args)
 
-	m, err := cluster.LoadManifest(*dir)
+	m, _, stop, err := openOrSpawn(*dir, true, *n, *bin, *basePort, *wait)
 	if err != nil {
-		m, err = cluster.Generate(*dir, cluster.Spec{Nodes: *n, Client: true, BasePort: *basePort})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("generated %d-node cluster in %s\n", len(m.Nodes), *dir)
+		return fail(err)
 	}
-	r, err := m.Start(*bin)
-	if err != nil {
-		fatal(err)
-	}
-	defer r.Stop()
-	if err := r.WaitReady(*wait); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("cluster up: %d nodes ready\n", len(m.Nodes))
+	defer stop()
+	fmt.Fprintf(stdout, "cluster up: %d nodes ready in %s\n", len(m.Nodes), m.Dir)
 	for _, nd := range m.Nodes {
-		fmt.Printf("  node %d: %s  metrics http://%s/metrics\n", nd.ID, nd.Addr, nd.Debug)
+		fmt.Fprintf(stdout, "  node %d: %s  metrics http://%s/metrics\n", nd.ID, nd.Addr, nd.Debug)
 	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	<-sig
-	fmt.Println("stopping cluster")
+	fmt.Fprintln(stdout, "stopping cluster")
+	return 0
 }
 
-// scrapeAll scrapes every manifest node.
-func scrapeAll(m cluster.Manifest) cluster.ClusterSnapshot {
-	statuses := make([]cluster.NodeStatus, 0, len(m.Nodes))
-	for _, n := range m.Nodes {
-		statuses = append(statuses, cluster.ScrapeNode(n.ID, n.Debug))
-	}
-	return cluster.Aggregate(time.Now().UnixMicro(), statuses)
-}
-
-// cmdStatus scrapes and renders the cluster once, or repeatedly with
-// -watch (which also enables interval-based anomaly detection).
-func cmdStatus(args []string) {
+// cmdStatus polls the cluster once and renders the tick with the watch
+// dashboard (rates need two ticks and read 0; the cumulative columns
+// and the up/ready probes are already meaningful). For a refreshing
+// view with rate-based alerts use `anonctl watch`.
+func cmdStatus(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("status", flag.ExitOnError)
 	dir := fs.String("dir", "cluster", "cluster directory")
-	asJSON := fs.Bool("json", false, "emit the snapshot as JSON")
-	watch := fs.Duration("watch", 0, "rescrape at this interval (0: once)")
+	asJSON := fs.Bool("json", false, "emit the tick as a tsdb recording (JSONL, the format `replay -in` reads)")
 	fs.Parse(args)
 
 	m, err := cluster.LoadManifest(*dir)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	var prev cluster.ClusterSnapshot
-	for {
-		cur := scrapeAll(m)
-		anomalies := cluster.DetectAnomalies(prev, cur)
-		if *asJSON {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			enc.Encode(struct {
-				cluster.ClusterSnapshot
-				Anomalies []cluster.Anomaly `json:"anomalies,omitempty"`
-			}{cur, anomalies})
-		} else {
-			cluster.Render(os.Stdout, cur, anomalies)
-		}
-		if *watch <= 0 {
-			return
-		}
-		prev = cur
-		time.Sleep(*watch)
-		if !*asJSON {
-			fmt.Println()
-		}
+	rec, err := cluster.NewRecorder(m, cluster.RecorderConfig{})
+	if err != nil {
+		return fail(err)
 	}
+	rec.Sample(time.Now())
+	if !*asJSON {
+		cluster.RenderWatch(stdout, rec.DB(), cluster.WatchOptions{})
+		return 0
+	}
+	// tsdb encodes to files; stage the dump and copy it out.
+	tmp, err := os.CreateTemp("", "anonctl-status-*.tsdb")
+	if err != nil {
+		return fail(err)
+	}
+	tmp.Close()
+	defer os.Remove(tmp.Name())
+	if err := rec.DB().WriteFile(tmp.Name()); err != nil {
+		return fail(err)
+	}
+	blob, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		return fail(err)
+	}
+	stdout.Write(blob)
+	return 0
 }
 
 // cmdTraffic drives erasure-coded session traffic through a running
 // cluster from an in-process client.
-func cmdTraffic(args []string) {
+func cmdTraffic(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("traffic", flag.ExitOnError)
 	dir := fs.String("dir", "cluster", "cluster directory")
 	msgs := fs.Int("msgs", 8, "messages to send")
@@ -174,41 +209,60 @@ func cmdTraffic(args []string) {
 
 	m, err := cluster.LoadManifest(*dir)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	res, err := cluster.RunTraffic(m, *msgs, []byte("anonctl traffic"), *ackWait)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("sent %d messages over %d paths: %d/%d segments acked\n",
+	fmt.Fprintf(stdout, "sent %d messages over %d paths: %d/%d segments acked\n",
 		res.Sent, res.Paths, res.SegmentsAcked, res.SegmentsSent)
 	if res.SegmentsAcked < res.SegmentsSent {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // smokeVerdict is the JSON output of anonctl smoke.
 type smokeVerdict struct {
-	Nodes     int                     `json:"nodes"`
-	Traffic   *cluster.TrafficResult  `json:"traffic"`
-	Snapshot  cluster.ClusterSnapshot `json:"snapshot"`
-	Anomalies []cluster.Anomaly       `json:"anomalies,omitempty"`
-	TraceFile string                  `json:"trace_file,omitempty"`
-	Analysis  obs.AnalysisSummary     `json:"analysis"`
-	Reconcile []string                `json:"reconcile,omitempty"`
-	Failures  []string                `json:"failures,omitempty"`
-	OK        bool                    `json:"ok"`
+	Nodes   int                    `json:"nodes"`
+	Traffic *cluster.TrafficResult `json:"traffic"`
+	// Totals are the fleet-wide counters the trace analysis is
+	// reconciled against (see fleetTotals).
+	Totals    map[string]uint64   `json:"totals"`
+	Alerts    []rules.Alert       `json:"alerts,omitempty"`
+	TraceFile string              `json:"trace_file,omitempty"`
+	Analysis  obs.AnalysisSummary `json:"analysis"`
+	Reconcile []string            `json:"reconcile,omitempty"`
+	Failures  []string            `json:"failures,omitempty"`
+	OK        bool                `json:"ok"`
+}
+
+// fleetTotals builds the counters analyze.Reconcile checks a trace
+// against by summing each node's latest sample in a recorded store,
+// under the registry's dotted names. A counter no node reported stays
+// absent, so Reconcile still says which one the fleet lacks.
+func fleetTotals(db *tsdb.DB) map[string]uint64 {
+	totals := make(map[string]uint64)
+	for _, name := range []string{"session.segments_sent", "recv.delivered", "session.messages_sent"} {
+		for _, s := range db.ByName(obs.SanitizePromName(name)) {
+			if p, ok := s.Latest(); ok {
+				totals[name] += uint64(p.V)
+			}
+		}
+	}
+	return totals
 }
 
 // cmdSmoke runs the full observability pipeline against a throwaway
-// cluster and exits non-zero unless everything reconciles: spawn N
-// nodes, stream /debug/trace from each, drive erasure-coded traffic,
-// scrape and aggregate all /metrics + /debug/vars, merge the live
-// traces, run trace analytics over them, and cross-check the analysis
-// against the aggregated counters.
-func cmdSmoke(args []string) {
+// cluster and fails unless everything reconciles: spawn N nodes,
+// stream /debug/trace from each, record the fleet while erasure-coded
+// traffic flows, merge the live traces, run trace analytics over them,
+// cross-check the analysis against the recorded counters, and require
+// that no standing alert rule fired.
+func cmdSmoke(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("smoke", flag.ExitOnError)
-	n := fs.Int("n", 5, "number of nodes")
+	n := fs.Int("n", 5, "number of nodes (odd: an even count leaves one relay idle, which silent-relay reports)")
 	msgs := fs.Int("msgs", 8, "messages to send")
 	bin := fs.String("bin", "anonnode", "anonnode binary")
 	dir := fs.String("dir", "", "cluster directory (default: a temp dir)")
@@ -218,28 +272,12 @@ func cmdSmoke(args []string) {
 	asJSON := fs.Bool("json", false, "emit the verdict as JSON")
 	fs.Parse(args)
 
-	d := *dir
-	if d == "" {
-		tmp, err := os.MkdirTemp("", "anonctl-smoke-*")
-		if err != nil {
-			fatal(err)
-		}
-		defer os.RemoveAll(tmp)
-		d = tmp
-	}
-	m, err := cluster.Generate(d, cluster.Spec{Nodes: *n, Client: true, BasePort: *basePort})
+	m, _, stop, err := openOrSpawn(*dir, true, *n, *bin, *basePort, readyWait)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	r, err := m.Start(*bin)
-	if err != nil {
-		fatal(err)
-	}
-	defer r.Stop()
-	if err := r.WaitReady(30 * time.Second); err != nil {
-		fatal(err)
-	}
-	step(*asJSON, "cluster of %d ready in %s", *n, d)
+	defer stop()
+	step(stdout, *asJSON, "cluster of %d ready in %s", len(m.Nodes), m.Dir)
 
 	// Start a bounded trace capture on every node, then give the
 	// streams a beat to attach before traffic flows.
@@ -257,33 +295,40 @@ func cmdSmoke(args []string) {
 	}
 	time.Sleep(500 * time.Millisecond)
 
-	v := &smokeVerdict{Nodes: *n}
-	fail := func(format string, args ...any) { v.Failures = append(v.Failures, fmt.Sprintf(format, args...)) }
+	v := &smokeVerdict{Nodes: len(m.Nodes)}
+	failf := func(format string, args ...any) { v.Failures = append(v.Failures, fmt.Sprintf(format, args...)) }
 
+	// Record the fleet from before the traffic until the trace captures
+	// end, so the alert rules see it carry the traffic and settle.
+	rec, err := cluster.NewRecorder(m, cluster.RecorderConfig{Interval: 500 * time.Millisecond})
+	if err != nil {
+		return fail(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	polled := make(chan struct{})
+	go func() {
+		rec.Run(ctx, nil)
+		close(polled)
+	}()
+	stopRecording := func() {
+		cancel()
+		<-polled
+	}
+	defer stopRecording()
 	traffic, err := cluster.RunTraffic(m, *msgs, []byte("anonctl smoke payload"), 5*time.Second)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	v.Traffic = traffic
-	step(*asJSON, "traffic done: %d messages, %d/%d segments acked",
+	step(stdout, *asJSON, "traffic done: %d messages, %d/%d segments acked",
 		traffic.Sent, traffic.SegmentsAcked, traffic.SegmentsSent)
-
-	// Scrape after traffic settles; the in-process client's registry
-	// joins the aggregation as one more node.
-	statuses := make([]cluster.NodeStatus, 0, len(m.Nodes)+1)
-	for _, nd := range m.Nodes {
-		statuses = append(statuses, cluster.ScrapeNode(nd.ID, nd.Debug))
-	}
-	statuses = append(statuses, traffic.Client)
-	v.Snapshot = cluster.Aggregate(time.Now().UnixMicro(), statuses)
-	v.Anomalies = cluster.DetectAnomalies(cluster.ClusterSnapshot{}, v.Snapshot)
 
 	// Collect the trace captures (they run their full window).
 	traces := [][]obs.Event{traffic.Events}
 	for range m.Nodes {
 		c := <-caps
 		if c.err != nil {
-			fail("trace capture node %d: %v", c.id, c.err)
+			failf("trace capture node %d: %v", c.id, c.err)
 			continue
 		}
 		traces = append(traces, c.events)
@@ -291,65 +336,83 @@ func cmdSmoke(args []string) {
 	merged := cluster.MergeTraces(traces...)
 	if *tracePath != "" {
 		if err := cluster.WriteTrace(*tracePath, merged); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		v.TraceFile = *tracePath
 	}
-	step(*asJSON, "merged live trace: %d events from %d sources", len(merged), len(traces))
+	step(stdout, *asJSON, "merged live trace: %d events from %d sources", len(merged), len(traces))
+
+	// The in-process client is no manifest node, so no poll saw it: its
+	// registry joins the store as one more node (up by definition, like
+	// a self-sampling anonnode), then a last tick evaluates the rules
+	// with the client present.
+	stopRecording()
+	at := time.Now()
+	client := tsdb.L("node", strconv.Itoa(m.Client.ID))
+	tsdb.SampleSnapshot(rec.DB(), nil, at.UnixMicro(), client, traffic.Client)
+	rec.DB().Append("up", client, at.UnixMicro(), 1)
+	rec.Sample(at)
+	v.Totals = fleetTotals(rec.DB())
+	v.Alerts = rec.Alerts()
 
 	// Analytics over the merged live trace, cross-checked against the
-	// aggregated cluster counters — the same reconciliation contract
+	// recorded fleet counters — the same reconciliation contract
 	// simulator runs are held to.
 	res := analyze.FromEvents(merged)
 	v.Analysis = res.Summary
-	v.Reconcile = analyze.Reconcile(res, v.Snapshot.MergedReport())
+	v.Reconcile = analyze.Reconcile(res, &obs.Report{
+		SchemaVersion: obs.ReportSchemaVersion,
+		Name:          "anonctl",
+		Metrics:       &obs.Snapshot{Counters: v.Totals},
+	})
 
 	if traffic.SegmentsAcked < traffic.SegmentsSent {
-		fail("only %d/%d segments acked", traffic.SegmentsAcked, traffic.SegmentsSent)
+		failf("only %d/%d segments acked", traffic.SegmentsAcked, traffic.SegmentsSent)
 	}
-	if got := v.Snapshot.Totals["recv.delivered"]; got != uint64(*msgs) {
-		fail("cluster-wide recv.delivered = %d, want %d", got, *msgs)
+	if got := v.Totals["recv.delivered"]; got != uint64(*msgs) {
+		failf("cluster-wide recv.delivered = %d, want %d", got, *msgs)
 	}
 	if res.Summary.Delivered != *msgs {
-		fail("trace analysis delivered = %d, want %d", res.Summary.Delivered, *msgs)
+		failf("trace analysis delivered = %d, want %d", res.Summary.Delivered, *msgs)
 	}
 	if res.Summary.IntegrityErrors != 0 {
-		fail("%d trace integrity errors: %v", res.Summary.IntegrityErrors, res.Summary.IntegrityDetails)
+		failf("%d trace integrity errors: %v", res.Summary.IntegrityErrors, res.Summary.IntegrityDetails)
 	}
 	for _, diag := range v.Reconcile {
-		fail("reconcile: %s", diag)
+		failf("reconcile: %s", diag)
 	}
-	for _, a := range v.Anomalies {
-		fail("anomaly: node %d %s: %s", a.NodeID, a.Kind, a.Detail)
+	for _, a := range v.Alerts {
+		failf("alert: %s: %s", a.Rule, a.Detail)
 	}
 	v.OK = len(v.Failures) == 0
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		enc.Encode(v)
 	} else {
-		cluster.Render(os.Stdout, v.Snapshot, v.Anomalies)
-		fmt.Printf("\nanalysis: %d events, %d messages, %d delivered, %d journeys\n",
+		cluster.RenderWatch(stdout, rec.DB(), cluster.WatchOptions{})
+		fmt.Fprintf(stdout, "\nanalysis: %d events, %d messages, %d delivered, %d journeys\n",
 			res.Summary.EventsAnalyzed, res.Summary.Messages, res.Summary.Delivered, res.Summary.Journeys)
 		if v.OK {
-			fmt.Println("smoke: OK — counters, probes, live trace and analytics all reconcile")
+			fmt.Fprintln(stdout, "smoke: OK — counters, probes, alert rules, live trace and analytics all reconcile")
 		} else {
-			fmt.Printf("smoke: FAILED\n")
+			fmt.Fprintln(stdout, "smoke: FAILED")
 			for _, f := range v.Failures {
-				fmt.Printf("  - %s\n", f)
+				fmt.Fprintf(stdout, "  - %s\n", f)
 			}
 		}
 	}
 	if !v.OK {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // step prints progress lines in human mode only (JSON mode keeps
 // stdout machine-parseable).
-func step(asJSON bool, format string, args ...any) {
+func step(stdout io.Writer, asJSON bool, format string, args ...any) {
 	if !asJSON {
-		fmt.Printf(format+"\n", args...)
+		fmt.Fprintf(stdout, format+"\n", args...)
 	}
 }

@@ -12,7 +12,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"strings"
 	"time"
 
@@ -34,7 +34,7 @@ type profileVerdict struct {
 	OK          bool     `json:"ok"`
 }
 
-func cmdProfile(args []string) {
+func cmdProfile(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
 	dir := fs.String("dir", "", "cluster directory (default with -spawn: a temp dir)")
 	spawn := fs.Bool("spawn", false, "spawn a throwaway cluster instead of attaching to one")
@@ -52,56 +52,46 @@ func cmdProfile(args []string) {
 	asJSON := fs.Bool("json", false, "emit the verdict as JSON")
 	fs.Parse(args)
 	if *seconds < 1 {
-		fatal(fmt.Errorf("profile: -seconds must be >= 1"))
+		return fail(fmt.Errorf("profile: -seconds must be >= 1"))
 	}
 
-	m, stop, err := openOrSpawn(*dir, *spawn, *n, *bin, *basePort)
+	m, _, stop, err := openOrSpawn(*dir, *spawn, *n, *bin, *basePort, readyWait)
 	if err != nil {
-		fatal(err)
-	}
-	if stop == nil {
-		stop = func() {}
+		return fail(err)
 	}
 	defer stop()
-	// The failure path exits via os.Exit, which skips defers — the
-	// spawned cluster must be stopped explicitly there or its processes
-	// outlive us and squat on the ports.
-	exit := func(code int) {
-		stop()
-		os.Exit(code)
-	}
 
 	v := &profileVerdict{Nodes: len(m.Nodes)}
-	fail := func(format string, args ...any) { v.Failures = append(v.Failures, fmt.Sprintf(format, args...)) }
+	failf := func(format string, args ...any) { v.Failures = append(v.Failures, fmt.Sprintf(format, args...)) }
 
 	// CPU harvest first: the server-side windows all run concurrently,
 	// and traffic flows while they sample so the report shows the data
 	// plane, not an idle event loop.
 	window := time.Duration(*seconds) * time.Second
-	step(*asJSON, "harvesting %ds CPU profiles from %d nodes", *seconds, len(m.Nodes))
+	step(stdout, *asJSON, "harvesting %ds CPU profiles from %d nodes", *seconds, len(m.Nodes))
 	cpuCh := make(chan cluster.Harvest, 1)
 	go func() {
 		cpuCh <- cluster.HarvestProfiles(m, fmt.Sprintf("profile?seconds=%d", *seconds), window)
 	}()
 	if *msgs > 0 {
 		if m.Client == nil {
-			fail("manifest has no client identity; cannot drive traffic (rerun with -msgs 0 to accept an idle profile)")
+			failf("manifest has no client identity; cannot drive traffic (rerun with -msgs 0 to accept an idle profile)")
 		} else {
 			deadline := time.Now().Add(window)
 			for time.Now().Before(deadline) {
 				res, err := cluster.RunTraffic(m, *msgs, []byte("anonctl profile payload"), 5*time.Second)
 				if err != nil {
-					fail("traffic during capture: %v", err)
+					failf("traffic during capture: %v", err)
 					break
 				}
 				v.TrafficMsgs += res.Sent
 			}
-			step(*asJSON, "drove %d messages during the capture window", v.TrafficMsgs)
+			step(stdout, *asJSON, "drove %d messages during the capture window", v.TrafficMsgs)
 		}
 	}
 	cpu := <-cpuCh
 	for id, err := range cpu.Errs {
-		fail("cpu harvest node %d: %v", id, err)
+		failf("cpu harvest node %d: %v", id, err)
 	}
 
 	// Heap is instantaneous; alloc_space is cumulative since process
@@ -109,7 +99,7 @@ func cmdProfile(args []string) {
 	// this snapshot lands.
 	heap := cluster.HarvestProfiles(m, "heap", 0)
 	for id, err := range heap.Errs {
-		fail("heap harvest node %d: %v", id, err)
+		failf("heap harvest node %d: %v", id, err)
 	}
 
 	buckets := prof.DefaultBuckets()
@@ -118,7 +108,7 @@ func cmdProfile(args []string) {
 			a := prof.Attribute(cpu.Merged, i, buckets)
 			v.CPU = &a
 			if !*asJSON {
-				prof.WriteReport(os.Stdout, fmt.Sprintf("cpu (merged from %d nodes)", cpu.Nodes), cpu.Merged, i, buckets, *topN)
+				prof.WriteReport(stdout, fmt.Sprintf("cpu (merged from %d nodes)", cpu.Nodes), cpu.Merged, i, buckets, *topN)
 			}
 		}
 	}
@@ -127,26 +117,26 @@ func cmdProfile(args []string) {
 			a := prof.Attribute(heap.Merged, i, buckets)
 			v.Alloc = &a
 			if !*asJSON {
-				prof.WriteReport(os.Stdout, fmt.Sprintf("alloc_space (merged from %d nodes)", heap.Nodes), heap.Merged, i, buckets, *topN)
+				prof.WriteReport(stdout, fmt.Sprintf("alloc_space (merged from %d nodes)", heap.Nodes), heap.Merged, i, buckets, *topN)
 			}
 		}
 	}
 	if v.CPU == nil && v.Alloc == nil {
-		fail("no profile harvested from any node")
+		failf("no profile harvested from any node")
 	}
 
 	if *out != "" {
 		if cpu.Merged != nil {
 			if err := cpu.Merged.WriteFile(*out + ".cpu.pb.gz"); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		}
 		if heap.Merged != nil {
 			if err := heap.Merged.WriteFile(*out + ".heap.pb.gz"); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		}
-		step(*asJSON, "merged profiles written to %s.{cpu,heap}.pb.gz", *out)
+		step(stdout, *asJSON, "merged profiles written to %s.{cpu,heap}.pb.gz", *out)
 	}
 
 	// -require: named buckets must show up in at least one dimension.
@@ -161,7 +151,7 @@ func cmdProfile(args []string) {
 			allocV = v.Alloc.Buckets[name]
 		}
 		if cpuV == 0 && allocV == 0 {
-			fail("required bucket %s is empty in both cpu and alloc attribution", name)
+			failf("required bucket %s is empty in both cpu and alloc attribution", name)
 		}
 	}
 
@@ -174,14 +164,14 @@ func cmdProfile(args []string) {
 	}
 	if *writeBase != "" {
 		if err := prof.WriteBaseline(*writeBase, prof.BaselineFile{Tolerance: *tolerance, Profiles: shares}); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		step(*asJSON, "baseline written to %s", *writeBase)
+		step(stdout, *asJSON, "baseline written to %s", *writeBase)
 	}
 	if *baseline != "" {
 		bf, err := prof.ReadBaseline(*baseline)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		tol := *tolerance
 		if tol <= 0 {
@@ -190,32 +180,33 @@ func cmdProfile(args []string) {
 		for name, base := range bf.Profiles {
 			cur, ok := shares[name]
 			if !ok {
-				fail("baseline dimension %s was not measured", name)
+				failf("baseline dimension %s was not measured", name)
 				continue
 			}
 			for _, diag := range prof.DiffBaseline(name, cur.Buckets, base, tol) {
-				fail("baseline drift: %s", diag)
+				failf("baseline drift: %s", diag)
 			}
 		}
 		if len(v.Failures) == 0 {
-			step(*asJSON, "attribution within tolerance of %s", *baseline)
+			step(stdout, *asJSON, "attribution within tolerance of %s", *baseline)
 		}
 	}
 
 	v.OK = len(v.Failures) == 0
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		enc.Encode(v)
 	} else if !v.OK {
-		fmt.Println("profile: FAILED")
+		fmt.Fprintln(stdout, "profile: FAILED")
 		for _, f := range v.Failures {
-			fmt.Printf("  - %s\n", f)
+			fmt.Fprintf(stdout, "  - %s\n", f)
 		}
 	}
 	if !v.OK {
-		exit(1)
+		return 1
 	}
+	return 0
 }
 
 // splitBuckets parses the -require list.

@@ -7,6 +7,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"time"
@@ -15,42 +16,6 @@ import (
 	"resilientmix/internal/obs/rules"
 	"resilientmix/internal/obs/tsdb"
 )
-
-// openOrSpawn loads the manifest at dir, or — when spawn is set —
-// generates a throwaway cluster there (a temp dir when dir is empty),
-// starts it and waits for readiness. The returned cleanup stops the
-// spawned processes (nil when attaching to a running cluster).
-func openOrSpawn(dir string, spawn bool, n int, bin string, basePort int) (cluster.Manifest, func(), error) {
-	if !spawn {
-		m, err := cluster.LoadManifest(dir)
-		return m, nil, err
-	}
-	cleanup := func() {}
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "anonctl-record-*")
-		if err != nil {
-			return cluster.Manifest{}, nil, err
-		}
-		dir = tmp
-		cleanup = func() { os.RemoveAll(tmp) }
-	}
-	m, err := cluster.Generate(dir, cluster.Spec{Nodes: n, Client: true, BasePort: basePort})
-	if err != nil {
-		cleanup()
-		return cluster.Manifest{}, nil, err
-	}
-	r, err := m.Start(bin)
-	if err != nil {
-		cleanup()
-		return cluster.Manifest{}, nil, err
-	}
-	stop := func() { r.Stop(); cleanup() }
-	if err := r.WaitReady(30 * time.Second); err != nil {
-		stop()
-		return cluster.Manifest{}, nil, err
-	}
-	return m, stop, nil
-}
 
 // runCtx is interrupted by SIGINT and, when forDur > 0, by a deadline.
 func runCtx(forDur time.Duration) (context.Context, context.CancelFunc) {
@@ -62,12 +27,12 @@ func runCtx(forDur time.Duration) (context.Context, context.CancelFunc) {
 	return tctx, func() { tcancel(); cancel() }
 }
 
-// cmdRecord polls every node's /metrics on an interval into an
-// embedded time-series store, streaming samples and fired alerts to
-// the output file, until interrupted or -for elapses. With -verify it
-// then replays the file and exits non-zero unless the replayed
-// dashboard is byte-identical to the live one and no alerts fired.
-func cmdRecord(args []string) {
+// cmdRecord polls every node on an interval into an embedded
+// time-series store, streaming samples and fired alerts to the output
+// file, until interrupted or -for elapses. With -verify it then replays
+// the file and fails unless the replayed dashboard is byte-identical to
+// the live one and no alerts fired.
+func cmdRecord(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
 	dir := fs.String("dir", "", "cluster directory (default with -spawn: a temp dir)")
 	out := fs.String("out", "telemetry.tsdb.gz", "output time-series file (.gz for gzip)")
@@ -81,23 +46,21 @@ func cmdRecord(args []string) {
 	verify := fs.Bool("verify", false, "after recording, verify replay fidelity and fail if any alert fired")
 	fs.Parse(args)
 
-	m, stop, err := openOrSpawn(*dir, *spawn, *n, *bin, *basePort)
+	m, _, stop, err := openOrSpawn(*dir, *spawn, *n, *bin, *basePort, readyWait)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	if stop != nil {
-		defer stop()
-	}
+	defer stop()
 	rec, err := cluster.NewRecorder(m, cluster.RecorderConfig{
 		Interval:     *interval,
 		RingCapacity: *ring,
 		Out:          *out,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer rec.Close()
-	fmt.Printf("recording %d nodes every %s into %s\n", len(m.Nodes), *interval, *out)
+	fmt.Fprintf(stdout, "recording %d nodes every %s into %s\n", len(m.Nodes), *interval, *out)
 
 	ctx, cancel := runCtx(*forDur)
 	defer cancel()
@@ -108,28 +71,29 @@ func cmdRecord(args []string) {
 	})
 
 	alerts := rec.Alerts()
-	fmt.Printf("recorded %d ticks, %d alerts\n", rec.Ticks(), len(alerts))
+	fmt.Fprintf(stdout, "recorded %d ticks, %d alerts\n", rec.Ticks(), len(alerts))
 	if !*verify {
-		return
+		return 0
 	}
 	if err := rec.VerifyRoundTrip(cluster.WatchOptions{}); err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Println("verify: replayed dashboard is byte-identical to live")
+	fmt.Fprintln(stdout, "verify: replayed dashboard is byte-identical to live")
 	if len(alerts) > 0 {
 		fmt.Fprintf(os.Stderr, "verify: %d alerts fired on a run expected clean:\n", len(alerts))
 		for _, a := range alerts {
 			fmt.Fprintf(os.Stderr, "  %s: %s\n", a.Rule, a.Detail)
 		}
-		os.Exit(1)
+		return 1
 	}
-	fmt.Println("verify: no alerts fired")
+	fmt.Fprintln(stdout, "verify: no alerts fired")
+	return 0
 }
 
 // cmdWatch renders the live telemetry dashboard — per-node sparklines,
 // cluster rollups and firing alerts — refreshed on every poll, with
 // optional recording to a file at the same time.
-func cmdWatch(args []string) {
+func cmdWatch(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	dir := fs.String("dir", "cluster", "cluster directory")
 	interval := fs.Duration("interval", time.Second, "poll interval")
@@ -141,11 +105,11 @@ func cmdWatch(args []string) {
 
 	m, err := cluster.LoadManifest(*dir)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	rec, err := cluster.NewRecorder(m, cluster.RecorderConfig{Interval: *interval, Out: *out})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer rec.Close()
 	opts := cluster.WatchOptions{Width: *width, Window: *window}
@@ -153,27 +117,29 @@ func cmdWatch(args []string) {
 	ctx, cancel := runCtx(*forDur)
 	defer cancel()
 	rec.Run(ctx, func(time.Time, []rules.Alert) {
-		fmt.Print("\x1b[2J\x1b[H") // clear screen, home cursor
-		cluster.RenderWatch(os.Stdout, rec.DB(), opts)
+		fmt.Fprint(stdout, "\x1b[2J\x1b[H") // clear screen, home cursor
+		cluster.RenderWatch(stdout, rec.DB(), opts)
 	})
-	fmt.Printf("\nwatched %d ticks, %d alerts\n", rec.Ticks(), len(rec.Alerts()))
+	fmt.Fprintf(stdout, "\nwatched %d ticks, %d alerts\n", rec.Ticks(), len(rec.Alerts()))
+	return 0
 }
 
 // cmdReplay loads a recorded run and renders its final dashboard
 // frame — byte-identical to what watch showed live at the end of the
 // recording.
-func cmdReplay(args []string) {
+func cmdReplay(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	in := fs.String("in", "", "recorded time-series file (required)")
 	window := fs.Duration("window", 10*time.Second, "rate window")
 	width := fs.Int("width", 24, "sparkline width")
 	fs.Parse(args)
 	if *in == "" {
-		fatal(fmt.Errorf("replay needs -in FILE"))
+		return fail(fmt.Errorf("replay needs -in FILE"))
 	}
 	db, err := tsdb.ReadFile(*in)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	cluster.RenderWatch(os.Stdout, db, cluster.WatchOptions{Width: *width, Window: *window})
+	cluster.RenderWatch(stdout, db, cluster.WatchOptions{Width: *width, Window: *window})
+	return 0
 }

@@ -1,10 +1,11 @@
 // Package cluster is the local-deployment harness behind cmd/anonctl:
 // it generates keys, rosters and a Procfile for an N-node anonnode
-// cluster, spawns and supervises the processes, scrapes their
-// observability endpoints (/debug/vars, /metrics, /healthz, /readyz,
-// /debug/trace), aggregates per-node metrics into a cluster-wide
-// snapshot, and flags anomalies (silent relays, stalled sessions,
-// repair spikes).
+// cluster, spawns and supervises the processes, and observes the fleet
+// through one pipeline — the Recorder polls every node into an embedded
+// time-series store (internal/obs/tsdb), the standing rules
+// (internal/obs/rules) flag anomalies on it, and RenderWatch draws it.
+// Beside that it drives in-process client traffic, captures and merges
+// /debug/trace streams, and harvests /debug/pprof profiles.
 package cluster
 
 import (

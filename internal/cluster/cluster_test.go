@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/hex"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -93,189 +90,6 @@ func TestGenerateRejectsTinyCluster(t *testing.T) {
 	}
 }
 
-// fakeNode serves the scrape surface of one node from a registry.
-func fakeNode(t *testing.T, reg *obs.Registry, ready bool) *httptest.Server {
-	t.Helper()
-	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", reg)
-	mux.Handle("/metrics", reg.PrometheusHandler())
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("ok\n"))
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !ready {
-			http.Error(w, "not ready: peers down", http.StatusServiceUnavailable)
-			return
-		}
-		w.Write([]byte("ready\n"))
-	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv
-}
-
-func hostport(srv *httptest.Server) string {
-	return strings.TrimPrefix(srv.URL, "http://")
-}
-
-func TestScrapeNodeCrossValidates(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Counter("live.frames_out").Add(7)
-	reg.Counter("session.segments_sent").Add(4)
-	reg.Gauge("live.forward_states").Set(2)
-	srv := fakeNode(t, reg, true)
-
-	st := ScrapeNode(0, hostport(srv))
-	if st.Err != "" {
-		t.Fatalf("scrape failed: %s", st.Err)
-	}
-	if !st.Healthy || !st.Ready {
-		t.Fatalf("probes wrong: %+v", st)
-	}
-	if st.Counters["live.frames_out"] != 7 || st.Counters["session.segments_sent"] != 4 {
-		t.Fatalf("counters wrong: %+v", st.Counters)
-	}
-	if st.Gauges["live.forward_states"] != 2 {
-		t.Fatalf("gauges wrong: %+v", st.Gauges)
-	}
-}
-
-func TestScrapeNodeFlagsNotReady(t *testing.T) {
-	reg := obs.NewRegistry()
-	srv := fakeNode(t, reg, false)
-	st := ScrapeNode(1, hostport(srv))
-	if st.Ready {
-		t.Fatal("not-ready node scraped as ready")
-	}
-	if !strings.Contains(st.ReadyReason, "peers down") {
-		t.Fatalf("ready reason lost: %q", st.ReadyReason)
-	}
-}
-
-func TestScrapeNodeUnreachable(t *testing.T) {
-	st := ScrapeNode(2, "127.0.0.1:1") // nothing listens on port 1
-	if st.Err == "" {
-		t.Fatal("unreachable node scraped without error")
-	}
-	if st.Ready || st.Healthy {
-		t.Fatalf("unreachable node healthy/ready: %+v", st)
-	}
-}
-
-func TestScrapeNodeRejectsBadExposition(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Counter("live.frames_out").Add(1)
-	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", reg)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("this is not prometheus\n"))
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("ok")) })
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("ready")) })
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	st := ScrapeNode(0, hostport(srv))
-	if !strings.Contains(st.Err, "does not parse") {
-		t.Fatalf("malformed exposition not flagged: %q", st.Err)
-	}
-	// The JSON values survive even when cross-validation fails.
-	if st.Counters["live.frames_out"] != 1 {
-		t.Fatalf("JSON counters lost on cross-check failure: %+v", st.Counters)
-	}
-}
-
-func TestAggregateAndMergedReport(t *testing.T) {
-	nodes := []NodeStatus{
-		{ID: 0, Ready: true, Healthy: true, Counters: map[string]uint64{
-			"session.segments_sent": 8, "session.messages_sent": 2, "live.frames_out": 30,
-		}, Gauges: map[string]float64{"live.forward_states": 1}},
-		{ID: 1, Ready: true, Healthy: true, Counters: map[string]uint64{
-			"recv.delivered": 2, "live.frames_out": 12,
-		}, Gauges: map[string]float64{"live.forward_states": 3}},
-	}
-	s := Aggregate(123, nodes)
-	if s.Totals["live.frames_out"] != 42 || s.Totals["session.segments_sent"] != 8 {
-		t.Fatalf("totals wrong: %+v", s.Totals)
-	}
-	if s.GaugeTotals["live.forward_states"] != 4 {
-		t.Fatalf("gauge totals wrong: %+v", s.GaugeTotals)
-	}
-
-	// The merged report reconciles against an analysis carrying the
-	// matching numbers.
-	events := []obs.Event{
-		{Type: obs.SegmentSent, At: 1, Node: 0, Peer: 1, ID: 10, Seq: 0, Slot: 0, Hop: -1},
-		{Type: obs.SegmentSent, At: 2, Node: 0, Peer: 1, ID: 10, Seq: 1, Slot: 1, Hop: -1},
-		{Type: obs.SegmentReconstructed, At: 3, Node: 1, Peer: -1, ID: 10, Seq: 2, Slot: -1, Hop: -1},
-	}
-	res := analyze.FromEvents(events)
-	rep := Aggregate(124, []NodeStatus{
-		{ID: 0, Counters: map[string]uint64{"session.segments_sent": 2, "session.messages_sent": 1}},
-		{ID: 1, Counters: map[string]uint64{"recv.delivered": 1}},
-	}).MergedReport()
-	if diags := analyze.Reconcile(res, rep); len(diags) != 0 {
-		t.Fatalf("merged report does not reconcile: %v", diags)
-	}
-}
-
-func TestDetectAnomalies(t *testing.T) {
-	mk := func(id int, ready bool, framesIn, framesOut, sent, acked, dead uint64) NodeStatus {
-		return NodeStatus{
-			ID: id, Healthy: true, Ready: ready,
-			Counters: map[string]uint64{
-				"live.frames_in.data":    framesIn,
-				"live.frames_out":        framesOut,
-				"session.segments_sent":  sent,
-				"session.segments_acked": acked,
-				"session.paths_dead":     dead,
-			},
-		}
-	}
-	prev := Aggregate(1, []NodeStatus{
-		mk(0, true, 10, 10, 4, 4, 0),
-		mk(1, true, 10, 10, 0, 0, 0),
-		mk(2, true, 10, 10, 0, 0, 0),
-	})
-	cur := Aggregate(2, []NodeStatus{
-		mk(0, true, 20, 30, 12, 4, 3), // sending, nothing acked, paths dying
-		mk(1, true, 10, 10, 0, 0, 0),  // silent while cluster moved
-		mk(2, false, 20, 20, 0, 0, 0), // flipped not-ready
-	})
-	got := DetectAnomalies(prev, cur)
-	kinds := make(map[string][]int)
-	for _, a := range got {
-		kinds[a.Kind] = append(kinds[a.Kind], a.NodeID)
-	}
-	if ids := kinds[AnomalyNotReady]; len(ids) != 1 || ids[0] != 2 {
-		t.Fatalf("not-ready: %v (all: %+v)", ids, got)
-	}
-	if ids := kinds[AnomalySilentRelay]; len(ids) != 1 || ids[0] != 1 {
-		t.Fatalf("silent-relay: %v (all: %+v)", ids, got)
-	}
-	if ids := kinds[AnomalyStalled]; len(ids) != 1 || ids[0] != 0 {
-		t.Fatalf("stalled: %v (all: %+v)", ids, got)
-	}
-	if ids := kinds[AnomalyRepairSpike]; len(ids) != 1 || ids[0] != -1 {
-		t.Fatalf("repair-spike: %v (all: %+v)", ids, got)
-	}
-
-	// First observation: only state anomalies, no rate anomalies.
-	first := DetectAnomalies(ClusterSnapshot{}, cur)
-	for _, a := range first {
-		if a.Kind != AnomalyNotReady && a.Kind != AnomalyUnreachable {
-			t.Fatalf("rate anomaly %q flagged without a previous snapshot", a.Kind)
-		}
-	}
-
-	// Unreachable node.
-	down := Aggregate(3, []NodeStatus{{ID: 0, Err: "connection refused"}})
-	got = DetectAnomalies(ClusterSnapshot{}, down)
-	if len(got) != 1 || got[0].Kind != AnomalyUnreachable {
-		t.Fatalf("unreachable not flagged: %+v", got)
-	}
-}
-
 func TestMergeAndWriteTraceRoundTrip(t *testing.T) {
 	a := []obs.Event{
 		{Type: obs.SegmentSent, At: 5, Node: 0, Peer: 2, ID: 1, Slot: 0, Hop: -1},
@@ -304,23 +118,6 @@ func TestMergeAndWriteTraceRoundTrip(t *testing.T) {
 	}
 	if res.Summary.EventsAnalyzed != 4 || res.Summary.Delivered != 1 {
 		t.Fatalf("trace round trip analysis wrong: %+v", res.Summary)
-	}
-}
-
-func TestRenderDashboard(t *testing.T) {
-	s := Aggregate(1, []NodeStatus{
-		{ID: 0, Healthy: true, Ready: true, Counters: map[string]uint64{
-			"live.frames_out": 3, "live.peer_out.1": 3,
-		}},
-		{ID: 1, Err: "connection refused"},
-	})
-	var buf bytes.Buffer
-	Render(&buf, s, DetectAnomalies(ClusterSnapshot{}, s))
-	out := buf.String()
-	for _, want := range []string{"node", "DOWN", "frames_out=3", "egress by peer: 1:3", "node-unreachable"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("dashboard lacks %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"resilientmix/internal/obs/prof"
 )
@@ -79,24 +78,5 @@ func TestHarvestProfilesPartialFailure(t *testing.T) {
 	}
 	if got := h.Merged.Total(0); got != 42 {
 		t.Fatalf("merged total = %d", got)
-	}
-}
-
-func TestJitterBackoffBounds(t *testing.T) {
-	old := ScrapeJitter
-	t.Cleanup(func() { ScrapeJitter = old })
-
-	ScrapeJitter = 0.5
-	d := 100 * time.Millisecond
-	for i := 0; i < 200; i++ {
-		got := jitterBackoff(d)
-		if got < 50*time.Millisecond || got > 150*time.Millisecond {
-			t.Fatalf("jittered delay %v outside [0.5d, 1.5d]", got)
-		}
-	}
-
-	ScrapeJitter = 0
-	if got := jitterBackoff(d); got != d {
-		t.Fatalf("jitter disabled but delay changed: %v", got)
 	}
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,29 +21,24 @@ type RecorderConfig struct {
 	// RingCapacity is the per-series ring size (default
 	// tsdb.DefaultCapacity).
 	RingCapacity int
-	// Rules is the alert rule set evaluated after every poll; nil
-	// installs rules.Defaults(). Use an empty non-nil slice to
-	// disable alerting.
-	Rules []rules.Rule
 	// Out, when non-empty, streams every sample and alert to an
 	// append-only tsdb file (.gz for gzip) as it is observed.
 	Out string
-	// Timeout bounds each HTTP fetch (default 5s).
-	Timeout time.Duration
 }
 
-// Recorder polls every node's /metrics on an interval — with the
-// package scrape retry/backoff policy per fetch — into an embedded
-// time-series store, evaluates the rule engine after each poll, and
-// stores fired alerts as tsdb annotations so a recorded run replays
-// with its alert history. One Recorder records one run.
+// Recorder is the one observer of a fleet: every anonctl view of a
+// cluster (status, smoke, record, watch) is this poll. It fetches every
+// node's /metrics and /readyz on an interval — with the package scrape
+// retry/backoff policy per fetch — into an embedded time-series store,
+// evaluates rules.Defaults() after each poll, and stores fired alerts
+// as tsdb annotations so a recorded run replays with its alert history.
+// One Recorder records one run.
 type Recorder struct {
-	m      Manifest
-	cfg    RecorderConfig
-	client *http.Client
-	db     *tsdb.DB
-	eng    *rules.Engine
-	w      *tsdb.Writer
+	m   Manifest
+	cfg RecorderConfig
+	db  *tsdb.DB
+	eng *rules.Engine
+	w   *tsdb.Writer
 
 	mu     sync.Mutex
 	alerts []rules.Alert
@@ -57,18 +51,11 @@ func NewRecorder(m Manifest, cfg RecorderConfig) (*Recorder, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 5 * time.Second
-	}
-	if cfg.Rules == nil {
-		cfg.Rules = rules.Defaults()
-	}
 	r := &Recorder{
-		m:      m,
-		cfg:    cfg,
-		client: &http.Client{Timeout: cfg.Timeout},
-		db:     tsdb.New(cfg.RingCapacity),
-		eng:    rules.NewEngine(cfg.Rules...),
+		m:   m,
+		cfg: cfg,
+		db:  tsdb.New(cfg.RingCapacity),
+		eng: rules.NewEngine(rules.Defaults()...),
 	}
 	if cfg.Out != "" {
 		w, err := tsdb.Create(cfg.Out, r.db.Capacity())
@@ -110,7 +97,9 @@ type nodeScrape struct {
 // /metrics (retrying transport errors and 5xx with capped exponential
 // backoff) and /readyz concurrently, append one sample per scalar
 // metric per node plus synthetic up/ready series, evaluate the rules,
-// and return the newly fired alerts.
+// and return the newly fired alerts. up is 0 for a node that is
+// unreachable or whose exposition does not parse under the Prometheus
+// 0.0.4 grammar; ready is 0 unless /readyz answers 200.
 func (r *Recorder) Sample(at time.Time) []rules.Alert {
 	atMicro := at.UnixMicro()
 	scrapes := make([]nodeScrape, len(r.m.Nodes))
@@ -120,7 +109,7 @@ func (r *Recorder) Sample(at time.Time) []rules.Alert {
 		go func(i int, n ManifestNode) {
 			defer wg.Done()
 			sc := nodeScrape{node: n}
-			if resp, err := getRetry(r.client, "http://"+n.Debug+"/metrics", true); err == nil {
+			if resp, err := getRetry(scrapeClient, "http://"+n.Debug+"/metrics", true); err == nil {
 				fams, perr := obs.ParsePrometheus(resp.Body)
 				resp.Body.Close()
 				if perr == nil {

@@ -34,13 +34,13 @@ func newFakeNode(t *testing.T) *recNode {
 
 func (f *recNode) debugAddr() string { return strings.TrimPrefix(f.srv.URL, "http://") }
 
-// fastBackoff shrinks the retry budget for test speed and restores it
+// fastBackoff shrinks the retry delays for test speed and restores them
 // afterwards.
 func fastBackoff(t *testing.T) {
 	t.Helper()
-	attempts, base, cap := ScrapeAttempts, ScrapeBackoff, ScrapeBackoffCap
-	ScrapeAttempts, ScrapeBackoff, ScrapeBackoffCap = 3, time.Millisecond, 4*time.Millisecond
-	t.Cleanup(func() { ScrapeAttempts, ScrapeBackoff, ScrapeBackoffCap = attempts, base, cap })
+	old := scrapePolicy
+	scrapePolicy.Backoff, scrapePolicy.BackoffCap = time.Millisecond, 4*time.Millisecond
+	t.Cleanup(func() { scrapePolicy = old })
 }
 
 func TestRecorderSamplesAndRoundTrips(t *testing.T) {
@@ -168,6 +168,102 @@ func TestRecorderMarksDeadNodeDown(t *testing.T) {
 	}
 }
 
+// TestRecorderNodeStates pins what one node's answers turn into: the
+// up / ready series every view renders, and the one alert the standing
+// rules raise for the episode.
+func TestRecorderNodeStates(t *testing.T) {
+	fastBackoff(t)
+	cases := []struct {
+		name      string
+		metrics   http.HandlerFunc // nil: the registry's exposition
+		readyz    http.HandlerFunc // nil: 200
+		dead      bool             // nothing listens on the debug address
+		up, ready float64
+		alert     string
+	}{
+		{name: "healthy", up: 1, ready: 1},
+		{name: "unreachable", dead: true, up: 0, ready: 0, alert: "node-down"},
+		{name: "readyz 503", up: 1, ready: 0, alert: "not-ready",
+			readyz: func(w http.ResponseWriter, _ *http.Request) {
+				http.Error(w, "not ready: peers down", http.StatusServiceUnavailable)
+			}},
+		{name: "exposition does not parse", up: 0, ready: 1, alert: "node-down",
+			metrics: func(w http.ResponseWriter, _ *http.Request) {
+				w.Write([]byte("this is not prometheus\n"))
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			reg.Counter("live.frames_out").Add(7)
+			reg.Counter("session.segments_sent").Add(4)
+			reg.Gauge("live.forward_states").Set(2)
+			mux := http.NewServeMux()
+			if tc.metrics == nil {
+				mux.Handle("/metrics", reg.PrometheusHandler())
+			} else {
+				mux.Handle("/metrics", tc.metrics)
+			}
+			if tc.readyz == nil {
+				tc.readyz = func(w http.ResponseWriter, _ *http.Request) { w.Write([]byte("ready\n")) }
+			}
+			mux.Handle("/readyz", tc.readyz)
+			srv := httptest.NewServer(mux)
+			defer srv.Close()
+			if tc.dead {
+				srv.Close() // port now refuses connections
+			}
+
+			label := tsdb.L("node", "0")
+			rec, err := NewRecorder(Manifest{Nodes: []ManifestNode{
+				{ID: 0, Debug: strings.TrimPrefix(srv.URL, "http://")},
+			}}, RecorderConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fired []string
+			for i := 0; i < 3; i++ {
+				for _, a := range rec.Sample(time.Unix(1700000000+int64(i), 0)) {
+					if !strings.HasSuffix(a.Series, `{node="0"}`) {
+						t.Errorf("alert %s names series %q, not node 0", a.Rule, a.Series)
+					}
+					fired = append(fired, a.Rule)
+				}
+			}
+			if tc.alert == "" && len(fired) != 0 || tc.alert != "" && (len(fired) != 1 || fired[0] != tc.alert) {
+				t.Fatalf("alerts over three ticks = %v, want [%s] once", fired, tc.alert)
+			}
+
+			db := rec.DB()
+			if p, ok := db.Get("up", label).Latest(); !ok || p.V != tc.up {
+				t.Fatalf("up = %v (recorded %v), want %v", p.V, ok, tc.up)
+			}
+			if p, ok := db.Get("ready", label).Latest(); !ok || p.V != tc.ready {
+				t.Fatalf("ready = %v (recorded %v), want %v", p.V, ok, tc.ready)
+			}
+			// A node that is up has its registry in the store under the
+			// sanitized names; one that is not contributes nothing else.
+			for name, want := range map[string]float64{
+				"live_frames_out": 7, "session_segments_sent": 4, "live_forward_states": 2,
+			} {
+				s := db.Get(name, label)
+				if tc.up == 0 {
+					if s != nil {
+						t.Fatalf("%s recorded from a node that is down", name)
+					}
+					continue
+				}
+				if s == nil {
+					t.Fatalf("%s not recorded", name)
+				}
+				if p, _ := s.Latest(); p.V != want {
+					t.Fatalf("%s = %v, want %v", name, p.V, want)
+				}
+			}
+		})
+	}
+}
+
 // TestGetRetryBackoffCaps exercises the capped growth directly.
 func TestGetRetryBackoffCaps(t *testing.T) {
 	fastBackoff(t)
@@ -184,8 +280,8 @@ func TestGetRetryBackoffCaps(t *testing.T) {
 	if err == nil {
 		t.Fatal("getRetry succeeded against a 500-only server")
 	}
-	if len(stamps) != ScrapeAttempts {
-		t.Fatalf("attempts = %d, want %d", len(stamps), ScrapeAttempts)
+	if len(stamps) != scrapePolicy.Attempts {
+		t.Fatalf("attempts = %d, want %d", len(stamps), scrapePolicy.Attempts)
 	}
 	// A 200-status answer must not be retried.
 	var oks atomic.Int64

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,47 +12,24 @@ import (
 	"resilientmix/internal/retrypolicy"
 )
 
-// scrapeClient bounds every scrape request; trace captures build their
-// own client because they intentionally stream for longer.
+// scrapeClient bounds every poll and probe request; trace captures and
+// profile fetches build their own client because they intentionally
+// run for longer.
 var scrapeClient = &http.Client{Timeout: 5 * time.Second}
 
-// Scrape retry policy: a single-attempt fetch marks a node failed
+// scrapePolicy retries every fetch: a single attempt marks a node failed
 // whenever one request lands inside a GC pause or a TCP accept-queue
-// hiccup, so every scrape retries transport errors with capped
-// exponential backoff. Status-code answers are authoritative and are
-// only retried where noted (5xx on metric fetches, never on probes:
-// a 503 from /readyz is a definitive "not ready", not an outage).
-var (
-	// ScrapeAttempts is the per-fetch attempt budget (>= 1).
-	ScrapeAttempts = 3
-	// ScrapeBackoff is the delay after the first failed attempt;
-	// it doubles per retry up to ScrapeBackoffCap.
-	ScrapeBackoff = 100 * time.Millisecond
-	// ScrapeBackoffCap bounds the backoff growth.
-	ScrapeBackoffCap = 1 * time.Second
-	// ScrapeJitter spreads each retry delay uniformly over
-	// [d·(1−j), d·(1+j)]. Without it, every scraper that failed on the
-	// same node outage retries in lockstep and the recovering node
-	// takes the whole herd at once. 0 disables, values above 1 clamp.
-	ScrapeJitter = 0.5
-)
-
-// scrapePolicy assembles the package's retry policy from the tunable
-// vars above; it is re-read per fetch so tests (and operators) can
-// adjust the knobs at runtime.
-func scrapePolicy() retrypolicy.Policy {
-	return retrypolicy.Policy{
-		Attempts:   ScrapeAttempts,
-		Backoff:    ScrapeBackoff,
-		BackoffCap: ScrapeBackoffCap,
-		Jitter:     ScrapeJitter,
-	}
-}
-
-// jitterBackoff spreads one backoff delay by ScrapeJitter.
-func jitterBackoff(d time.Duration) time.Duration {
-	p := retrypolicy.Policy{Backoff: d, Jitter: ScrapeJitter}
-	return p.Delay(1)
+// hiccup. Transport errors retry with capped, jittered exponential
+// backoff (the jitter keeps scrapers that failed on the same outage
+// from retrying in lockstep). Status-code answers are authoritative
+// and are only retried where noted (5xx on metric fetches, never on
+// probes: a 503 from /readyz is a definitive "not ready", not an
+// outage).
+var scrapePolicy = retrypolicy.Policy{
+	Attempts:   3,
+	Backoff:    100 * time.Millisecond,
+	BackoffCap: time.Second,
+	Jitter:     0.5,
 }
 
 // getRetry fetches url, retrying transport errors (and, when retry5xx
@@ -61,7 +37,7 @@ func jitterBackoff(d time.Duration) time.Duration {
 // caller owns the response body.
 func getRetry(client *http.Client, url string, retry5xx bool) (*http.Response, error) {
 	var resp *http.Response
-	err := scrapePolicy().Do(context.Background(), func(context.Context) error {
+	err := scrapePolicy.Do(context.Background(), func(context.Context) error {
 		r, err := client.Get(url)
 		if err != nil {
 			return err
@@ -92,103 +68,6 @@ func probeReady(debugAddr string) error {
 		return fmt.Errorf("readyz %d: %s", resp.StatusCode, body)
 	}
 	return nil
-}
-
-// NodeStatus is one node's scraped state.
-type NodeStatus struct {
-	ID          int    `json:"id"`
-	Debug       string `json:"debug"`
-	Healthy     bool   `json:"healthy"`
-	Ready       bool   `json:"ready"`
-	ReadyReason string `json:"ready_reason,omitempty"`
-	// Counters and Gauges carry the node's registry under its native
-	// dotted names (scraped from /debug/vars).
-	Counters map[string]uint64  `json:"counters,omitempty"`
-	Gauges   map[string]float64 `json:"gauges,omitempty"`
-	// Err is set when the node could not be scraped at all.
-	Err string `json:"err,omitempty"`
-}
-
-// ScrapeNode collects one node's health, readiness and metrics. The
-// JSON /debug/vars endpoint is the source of truth (it preserves the
-// registry's dotted names); /metrics is fetched as well and
-// cross-validated against it — it must parse under the Prometheus
-// 0.0.4 grammar and no counter may have gone backward between the two
-// reads. Cross-validation failures surface in Err but the JSON values
-// are still returned.
-func ScrapeNode(id int, debugAddr string) NodeStatus {
-	st := NodeStatus{ID: id, Debug: debugAddr}
-
-	// Liveness and readiness first: a node that answers /healthz but
-	// fails /readyz is alive-but-degraded, which anomaly detection
-	// wants to distinguish from unreachable.
-	if resp, err := getRetry(scrapeClient, "http://"+debugAddr+"/healthz", false); err == nil {
-		st.Healthy = resp.StatusCode == http.StatusOK
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-	if err := probeReady(debugAddr); err != nil {
-		st.ReadyReason = err.Error()
-	} else {
-		st.Ready = true
-	}
-
-	resp, err := getRetry(scrapeClient, "http://"+debugAddr+"/debug/vars", true)
-	if err != nil {
-		st.Err = err.Error()
-		return st
-	}
-	snap, err := decodeSnapshot(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		st.Err = fmt.Sprintf("debug/vars: %v", err)
-		return st
-	}
-	st.Counters = snap.Counters
-	st.Gauges = snap.Gauges
-
-	// Prometheus cross-check: the exposition must parse, and because
-	// counters are monotonic and /metrics is read after /debug/vars,
-	// every counter family must be at or above the JSON value.
-	resp, err = getRetry(scrapeClient, "http://"+debugAddr+"/metrics", true)
-	if err != nil {
-		st.Err = fmt.Sprintf("metrics: %v", err)
-		return st
-	}
-	fams, err := obs.ParsePrometheus(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		st.Err = fmt.Sprintf("metrics: exposition does not parse: %v", err)
-		return st
-	}
-	for name, v := range snap.Counters {
-		fam, ok := fams[obs.SanitizePromName(name)]
-		if !ok {
-			continue // collision-suffixed family; JSON remains authoritative
-		}
-		pv, ok := fam.Value()
-		if !ok {
-			continue
-		}
-		if uint64(pv) < v {
-			st.Err = fmt.Sprintf("metrics: counter %s went backward: prom %v < json %d", name, pv, v)
-			return st
-		}
-	}
-	return st
-}
-
-// decodeSnapshot parses an obs.Snapshot JSON document.
-func decodeSnapshot(r io.Reader) (obs.Snapshot, error) {
-	var s obs.Snapshot
-	blob, err := io.ReadAll(io.LimitReader(r, 16<<20))
-	if err != nil {
-		return s, err
-	}
-	if err := json.Unmarshal(blob, &s); err != nil {
-		return s, err
-	}
-	return s, nil
 }
 
 // CaptureTrace streams one node's /debug/trace for dur and returns the

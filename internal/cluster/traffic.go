@@ -13,8 +13,8 @@ import (
 	"resilientmix/internal/onioncrypt"
 )
 
-// LoadKey reads an anonnode key file and returns the private key.
-func LoadKey(path string) (onioncrypt.PrivateKey, error) {
+// loadKey reads an anonnode key file and returns the private key.
+func loadKey(path string) (onioncrypt.PrivateKey, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -30,8 +30,8 @@ func LoadKey(path string) (onioncrypt.PrivateKey, error) {
 	return priv, nil
 }
 
-// LoadRoster reads an anonnode roster file.
-func LoadRoster(path string) (*livenet.Roster, error) {
+// loadRoster reads an anonnode roster file.
+func loadRoster(path string) (*livenet.Roster, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -51,12 +51,12 @@ func LoadRoster(path string) (*livenet.Roster, error) {
 	return livenet.NewRoster(peers)
 }
 
-// PlanPaths derives the standard traffic layout for a generated
+// planPaths derives the standard traffic layout for a generated
 // cluster: node nodes-1 is the responder, the remaining nodes pair up
 // into disjoint 2-relay paths, and the replication factor is 2 when
 // the path count is even (erasure coding with real redundancy), else
 // 1.
-func PlanPaths(nodes int) (relayLists [][]netsim.NodeID, responder netsim.NodeID, r int, err error) {
+func planPaths(nodes int) (relayLists [][]netsim.NodeID, responder netsim.NodeID, r int, err error) {
 	if nodes < 4 {
 		return nil, 0, 0, fmt.Errorf("cluster: traffic needs at least 4 nodes, got %d", nodes)
 	}
@@ -71,6 +71,40 @@ func PlanPaths(nodes int) (relayLists [][]netsim.NodeID, responder netsim.NodeID
 	return relayLists, responder, r, nil
 }
 
+// StartClient starts the in-process livenet client of a cluster under
+// the manifest's reserved client identity — the one bootstrap behind
+// every anonctl subcommand that drives traffic — and returns it with
+// the cluster's standard traffic layout (see planPaths). tracer, when
+// non-nil, receives the client's own wire events. The caller closes
+// the node.
+func StartClient(m Manifest, tracer obs.Tracer) (node *livenet.Node, relayLists [][]netsim.NodeID, responder netsim.NodeID, r int, err error) {
+	if m.Client == nil {
+		return nil, nil, 0, 0, fmt.Errorf("cluster: manifest reserves no client identity (generate with Client: true)")
+	}
+	roster, err := loadRoster(m.Roster)
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
+	priv, err := loadKey(m.Client.Key)
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
+	relayLists, responder, r, err = planPaths(len(m.Nodes))
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
+	node, err = livenet.Start(m.Client.Addr, livenet.Config{
+		ID:      netsim.NodeID(m.Client.ID),
+		Roster:  roster,
+		Private: priv,
+		Tracer:  tracer,
+	})
+	if err != nil {
+		return nil, nil, 0, 0, fmt.Errorf("cluster: starting client node: %w", err)
+	}
+	return node, relayLists, responder, r, nil
+}
+
 // TrafficResult reports an in-process traffic run against a cluster.
 type TrafficResult struct {
 	// Sent / SegmentsSent / SegmentsAcked are the client-side totals.
@@ -79,46 +113,26 @@ type TrafficResult struct {
 	SegmentsAcked uint64 `json:"segments_acked"`
 	// Paths is the number of live paths the session constructed.
 	Paths int `json:"paths"`
-	// Client is the in-process client's scraped state, aggregatable
-	// alongside the spawned nodes' scrapes.
-	Client NodeStatus `json:"client"`
+	// Client is the in-process client's registry at the end of the run.
+	// The client is no manifest node, so no poll sees it: a caller that
+	// records the fleet puts this into the same store
+	// (tsdb.SampleSnapshot, node=<client id>).
+	Client obs.Snapshot `json:"-"`
 	// Events is the client's own trace (SegmentSent and wire events),
 	// mergeable with the nodes' /debug/trace captures.
 	Events []obs.Event `json:"-"`
 }
 
-// RunTraffic starts an in-process livenet client under the manifest's
-// reserved client identity, opens an erasure-coded multipath session
-// to the planned responder, sends msgs messages, and waits (up to
-// ackWait) for the segment acks to drain back.
+// RunTraffic starts the in-process client, opens an erasure-coded
+// multipath session to the planned responder, sends msgs messages, and
+// waits (up to ackWait) for the segment acks to drain back.
 func RunTraffic(m Manifest, msgs int, payload []byte, ackWait time.Duration) (*TrafficResult, error) {
-	if m.Client == nil {
-		return nil, fmt.Errorf("cluster: manifest reserves no client identity (generate with Client: true)")
-	}
-	roster, err := LoadRoster(m.Roster)
-	if err != nil {
-		return nil, err
-	}
-	priv, err := LoadKey(m.Client.Key)
-	if err != nil {
-		return nil, err
-	}
-	relayLists, responder, r, err := PlanPaths(len(m.Nodes))
-	if err != nil {
-		return nil, err
-	}
-
 	// The client's own trace events land in a ring, to be merged with
 	// the nodes' /debug/trace captures.
 	ring := obs.NewRing(1 << 16)
-	node, err := livenet.Start(m.Client.Addr, livenet.Config{
-		ID:      netsim.NodeID(m.Client.ID),
-		Roster:  roster,
-		Private: priv,
-		Tracer:  ring,
-	})
+	node, relayLists, responder, r, err := StartClient(m, ring)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: starting client node: %w", err)
+		return nil, err
 	}
 	defer node.Close()
 
@@ -150,14 +164,6 @@ func RunTraffic(m Manifest, msgs int, payload []byte, ackWait time.Duration) (*T
 	res.SegmentsSent = want
 	res.SegmentsAcked = reg.Counter("session.segments_acked").Value()
 	res.Events = ring.Events()
-
-	snap := reg.Snapshot()
-	res.Client = NodeStatus{
-		ID:       m.Client.ID,
-		Healthy:  true,
-		Ready:    true,
-		Counters: snap.Counters,
-		Gauges:   snap.Gauges,
-	}
+	res.Client = reg.Snapshot()
 	return res, nil
 }

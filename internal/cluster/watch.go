@@ -75,15 +75,20 @@ func watchNodes(db *tsdb.DB) []string {
 			nodes = append(nodes, n)
 		}
 	}
-	sort.Slice(nodes, func(i, j int) bool {
-		a, errA := strconv.Atoi(nodes[i])
-		b, errB := strconv.Atoi(nodes[j])
+	sortIDs(nodes)
+	return nodes
+}
+
+// sortIDs orders node ids numerically (lexically for non-numeric ones).
+func sortIDs(ids []string) {
+	sort.Slice(ids, func(i, j int) bool {
+		a, errA := strconv.Atoi(ids[i])
+		b, errB := strconv.Atoi(ids[j])
 		if errA == nil && errB == nil {
 			return a < b
 		}
-		return nodes[i] < nodes[j]
+		return ids[i] < ids[j]
 	})
-	return nodes
 }
 
 // nodeRate sums the windowed per-second rates of every series of one
@@ -200,7 +205,7 @@ func RenderWatch(w io.Writer, db *tsdb.DB, opts WatchOptions) {
 	fmt.Fprintf(w, "telemetry — %d nodes · %d ticks retained · span %.1fs · window %.0fs\n\n",
 		len(nodes), ticks, float64(last-first)/1e6, float64(win)/1e6)
 
-	fmt.Fprintf(w, "%-5s %-3s %-5s %9s  %-*s %8s %8s %8s %6s %6s %6s %7s\n",
+	fmt.Fprintf(w, "%-5s %-4s %-5s %9s  %-*s %8s %8s %8s %6s %6s %6s %7s\n",
 		"node", "up", "ready", "out/s", width, "history", "in/s", "sent/s", "acked/s", "fwd", "rev", "gor", "heap")
 	for _, n := range nodes {
 		label := tsdb.L("node", n)
@@ -222,7 +227,7 @@ func RenderWatch(w io.Writer, db *tsdb.DB, opts WatchOptions) {
 		if s := db.Get("live_frames_out", label); s != nil {
 			hist = s.TailRates(width)
 		}
-		fmt.Fprintf(w, "%-5s %-3s %-5s %9.1f  %-*s %8.1f %8.1f %8.1f %6.0f %6.0f %6.0f %7s\n",
+		fmt.Fprintf(w, "%-5s %-4s %-5s %9.1f  %-*s %8.1f %8.1f %8.1f %6.0f %6.0f %6.0f %7s\n",
 			n, upDown, ready,
 			nodeRate(db, "live_frames_out", n, win),
 			width, spark(hist, width),
@@ -233,6 +238,17 @@ func RenderWatch(w io.Writer, db *tsdb.DB, opts WatchOptions) {
 			nodeLatest(db, "live_reverse_states", n),
 			nodeLatest(db, "runtime_goroutines", n),
 			fmtBytes(nodeLatest(db, "runtime_heap_inuse_bytes", n)))
+	}
+
+	// Cumulative counters per node: what a single tick (anonctl status)
+	// can already show, and where a session's segments went.
+	fmt.Fprintf(w, "\n%-5s %10s %9s %9s %9s\n", "node", "frames_out", "sent", "acked", "delivered")
+	for _, n := range nodes {
+		fmt.Fprintf(w, "%-5s %10.0f %9.0f %9.0f %9.0f\n", n,
+			nodeLatest(db, "live_frames_out", n),
+			nodeLatest(db, "session_segments_sent", n),
+			nodeLatest(db, "session_segments_acked", n),
+			nodeLatest(db, "recv_delivered", n))
 	}
 
 	fmt.Fprintf(w, "\ncluster  out/s %.1f  %s\n",
@@ -259,6 +275,8 @@ func RenderWatch(w io.Writer, db *tsdb.DB, opts WatchOptions) {
 		clusterLatest(db, "live_degraded"),
 		clusterLatest(db, "live_cover_shed"))
 
+	renderEgress(w, db)
+
 	anns := db.Annotations()
 	if len(anns) == 0 {
 		fmt.Fprintln(w, "alerts: none")
@@ -277,6 +295,32 @@ func RenderWatch(w io.Writer, db *tsdb.DB, opts WatchOptions) {
 		}
 		fmt.Fprintf(w, "  +%.1fs  [%s] %s: %s\n", float64(a.At-first)/1e6, where, a.Kind, a.Detail)
 	}
+}
+
+// renderEgress prints the frames the fleet sent to each peer, summed
+// over senders — the silent-relay early warning: a relay nobody sends
+// to is missing from the line.
+func renderEgress(w io.Writer, db *tsdb.DB) {
+	const pfx = "live_peer_out_"
+	egress := make(map[string]float64)
+	for _, s := range db.Match(pfx + "*") {
+		if p, ok := s.Latest(); ok {
+			egress[s.Name[len(pfx):]] += p.V
+		}
+	}
+	if len(egress) == 0 {
+		return
+	}
+	peers := make([]string, 0, len(egress))
+	for k := range egress {
+		peers = append(peers, k)
+	}
+	sortIDs(peers)
+	fmt.Fprint(w, "         egress by peer:")
+	for _, k := range peers {
+		fmt.Fprintf(w, " %s:%.0f", k, egress[k])
+	}
+	fmt.Fprintln(w)
 }
 
 // fmtBytes renders a byte quantity compactly for a dashboard cell.

@@ -37,6 +37,12 @@ func buildRecordedRun() (*tsdb.DB, []rules.Alert) {
 				in = 100 // silent: counter frozen at its t=10 value
 			}
 			db.Append("live_frames_in_data", l, at, in)
+			// Every node sends half its frames to each of the other two.
+			for _, peer := range []string{"0", "1", "2"} {
+				if peer != n {
+					db.Append("live_peer_out_"+peer, l, at, float64(i*5))
+				}
+			}
 			db.Append("live_forward_states", l, at, 2)
 			db.Append("live_reverse_states", l, at, 1)
 			db.Append("runtime_heap_inuse_bytes", l, at, 48<<20)
@@ -186,6 +192,39 @@ func TestRenderAfterRingOverflow(t *testing.T) {
 	RenderWatch(&replay, reloaded, WatchOptions{})
 	if live.String() != replay.String() {
 		t.Errorf("overflowed ring replay differs:\n--- live ---\n%s--- replay ---\n%s", live.String(), replay.String())
+	}
+}
+
+// TestRenderDashboard: the dashboard shows which node is down, the
+// cumulative counters a single tick (`anonctl status`) already has,
+// where the fleet's frames went, and the alert naming the dead node.
+func TestRenderDashboard(t *testing.T) {
+	db := tsdb.New(8)
+	n0, n1 := tsdb.L("node", "0"), tsdb.L("node", "1")
+	for i, up1 := range []float64{1, 0, 0} {
+		at := int64(i) * 1e6
+		db.Append("up", n0, at, 1)
+		db.Append("ready", n0, at, 1)
+		db.Append("live_frames_out", n0, at, 3)
+		db.Append("live_peer_out_10", n0, at, 1)
+		db.Append("live_peer_out_2", n0, at, 2)
+		db.Append("session_segments_sent", n0, at, 4)
+		db.Append("up", n1, at, up1)
+		db.Append("ready", n1, at, up1)
+	}
+	db.Annotate(tsdb.Annotation{At: 2e6, Kind: "node-down", Series: tsdb.Key("up", n1), Detail: "up = 0, breaching < 1"})
+	var b strings.Builder
+	RenderWatch(&b, db, WatchOptions{})
+	out := b.String()
+	for _, want := range []string{
+		"1     DOWN FAIL  ",
+		"0              3         4         0         0\n",
+		"egress by peer: 2:2 10:1\n",
+		"[node 1] node-down: up = 0",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("dashboard lacks %q:\n%s", want, out)
+		}
 	}
 }
 

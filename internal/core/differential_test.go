@@ -34,11 +34,9 @@ func TestSimLiveDifferential(t *testing.T) {
 		end      = 40 * sim.Second
 	)
 	// Initiator 0, responder 1, four 3-relay paths, and the script of
-	// replacement paths: sixteen more, handed out in order. (One crash
-	// uses several: the machine runs here as the simulator configures it,
-	// with BlameSlot, so every round that was outstanding on the dead
-	// path condemns the slot again when its deadline comes — see
-	// Machine.Deadline.)
+	// replacement paths: sixteen more, handed out in order. One crash
+	// uses one: the rounds still outstanding on the dead path when it is
+	// condemned are not charged to its replacement (Machine.Deadline).
 	lists := [][]netsim.NodeID{{2, 3, 4}, {5, 6, 7}, {8, 9, 10}, {11, 12, 13}}
 	var spares [][]netsim.NodeID
 	for id := netsim.NodeID(14); id+2 < nodes; id += 3 {
@@ -101,10 +99,10 @@ func TestSimLiveDifferential(t *testing.T) {
 			w.Run(end)
 			st := s.Stats()
 
-			// --- the virtual-clock driver, under the same condemnation rule
+			// --- the virtual-clock driver
 			next = 0
 			d := sessiontest.NewDriver(nodes, hop, 1, 0, 1,
-				session.Config{K: 4, M: 2, N: 4, AckTimeout: int64(ackWait), BlameSlot: true},
+				session.Config{K: 4, M: 2, N: 4, AckTimeout: int64(ackWait)},
 				sessiontest.Options{ConstructTimeout: building, ProbeInterval: probe})
 			d.Choose = func(int, []netsim.NodeID) ([]netsim.NodeID, bool) { return spare() }
 			if _, err := faultinject.ApplySim(d.Eng, d.Net, tc.faults, nil); err != nil {
@@ -135,8 +133,8 @@ func TestSimLiveDifferential(t *testing.T) {
 			if simulated.messages == 0 || simulated.rebuilt != simulated.messages || simulated.alive != 4 {
 				t.Fatalf("scenario lost its teeth: %+v", simulated)
 			}
-			if wantRepairs := len(tc.faults); simulated.repaired < wantRepairs || simulated.condemned != simulated.repaired {
-				t.Fatalf("%d condemned, %d repaired, want at least %d of each", simulated.condemned, simulated.repaired, wantRepairs)
+			if want := len(tc.faults); simulated.condemned != want || simulated.repaired != want {
+				t.Fatalf("%d condemned, %d repaired, want %d of each: one per crash", simulated.condemned, simulated.repaired, want)
 			}
 		})
 	}

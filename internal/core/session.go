@@ -113,13 +113,11 @@ func (w *World) NewSession(self, responder netsim.NodeID, params Params) (*Sessi
 	m, n := params.codeShape()
 	// MaxRetransmits and MaxInflight stay zero: the simulator's message
 	// gets one round and its queue no bound, so the machine arms one
-	// deadline per message and nothing more. BlameSlot is the
-	// condemnation rule the pinned traces were recorded under.
+	// deadline per message and nothing more.
 	s.m = session.New(session.Config{
 		K: params.K, M: m, N: n,
 		Responder:  responder,
 		AckTimeout: int64(params.AckTimeout),
-		BlameSlot:  true,
 	})
 	return s, nil
 }

@@ -1,6 +1,6 @@
 // Package faultinject is the repo's deterministic fault-injection
 // layer: one schedule format, replayed against either a simulated
-// world (internal/netsim classic or sharded engines) or a live
+// world (internal/sim + internal/netsim) or a live
 // anonnode fleet (internal/cluster). A schedule is JSONL — one event
 // per line, sorted by time — so schedules diff cleanly, commit to CI,
 // and pipe through standard tools.
@@ -31,10 +31,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"sort"
 	"strings"
+	"time"
 )
 
 // Kind names a fault. The string forms are the schedule wire format.
@@ -106,6 +108,11 @@ func (k Kind) linkFault() bool {
 	return false
 }
 
+// maxMS is the last instant a backend clock can hold: the live applier
+// converts schedule milliseconds to a time.Duration (the simulator's
+// microsecond clock reaches further).
+const maxMS = math.MaxInt64 / int64(time.Millisecond)
+
 // Validate checks one event against a world of n nodes (n <= 0 skips
 // the range checks).
 func (e Event) Validate(n int) error {
@@ -114,6 +121,9 @@ func (e Event) Validate(n int) error {
 	}
 	if e.DurMS < 0 {
 		return fmt.Errorf("faultinject: negative dur_ms %d", e.DurMS)
+	}
+	if e.AtMS > maxMS || e.DurMS > maxMS-e.AtMS {
+		return fmt.Errorf("faultinject: at_ms %d + dur_ms %d is past what a clock can hold", e.AtMS, e.DurMS)
 	}
 	switch e.Kind {
 	case Crash, Restart:

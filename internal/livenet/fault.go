@@ -105,7 +105,7 @@ func (n *Node) SetFaultLatency(d time.Duration) {
 // SetFaultDrop makes every outbound frame silently vanish with
 // probability p (0 disables).
 func (n *Node) SetFaultDrop(p float64) error {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // NaN, which ParseFloat accepts, is outside too
 		return fmt.Errorf("livenet: drop probability %g outside [0,1]", p)
 	}
 	n.flt.mu.Lock()

@@ -2,12 +2,17 @@ package livenet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -155,6 +160,73 @@ func TestFaultHandlerHTTP(t *testing.T) {
 	if bad.StatusCode != http.StatusBadRequest {
 		t.Errorf("drop rate 2 accepted with status %d", bad.StatusCode)
 	}
+}
+
+// FuzzFaultHandler feeds arbitrary methods and query strings — the
+// whole request, a POST to /debug/fault carries no body — to the fault
+// controller's HTTP surface. It must answer 200, 400 or 405 without
+// panicking, and whatever it accepted must read back: the GET that
+// follows is well-formed JSON holding a probability, a non-negative
+// delay and the peer just blackholed (or not the one just healed).
+func FuzzFaultHandler(f *testing.F) {
+	h := startCluster(f, 2, nil).nodes[0].FaultHandler()
+	f.Add("POST", "op=blackhole&peer=1")
+	f.Add("POST", "op=blackhole&peer=1&dur=5s")
+	f.Add("POST", "op=heal&peer=1")
+	f.Add("POST", "op=latency&dur=200ms")
+	f.Add("POST", "op=drop&value=0.3")
+	f.Add("POST", "op=drop&value=NaN")
+	f.Add("POST", "op=latency&dur=-1s")
+	f.Add("POST", "op=blackhole&peer=99999999999999999999")
+	f.Add("POST", "op=%zz;peer")
+	f.Add("PUT", "")
+	f.Add("GET", "op=drop&value=1")
+	serve := func(method, rawQuery string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, &http.Request{Method: method, URL: &url.URL{Path: "/debug/fault", RawQuery: rawQuery}})
+		return rec
+	}
+	f.Fuzz(func(t *testing.T, method, rawQuery string) {
+		rec := serve(method, rawQuery)
+		switch rec.Code {
+		case http.StatusBadRequest, http.StatusMethodNotAllowed:
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("%s ?%s: status %d", method, rawQuery, rec.Code)
+		}
+		var st faultStatus
+		if err := json.Unmarshal(serve(http.MethodGet, "").Body.Bytes(), &st); err != nil {
+			t.Fatalf("fault state unreadable after %s ?%s: %v", method, rawQuery, err)
+		}
+		if !(st.Drop >= 0 && st.Drop <= 1) || st.LatencyMS < 0 || !sort.IntsAreSorted(st.Blackholed) {
+			t.Fatalf("fault state %+v after %s ?%s", st, method, rawQuery)
+		}
+		if method != http.MethodPost {
+			return
+		}
+		q := (&url.URL{RawQuery: rawQuery}).Query()
+		peer, _ := strconv.Atoi(q.Get("peer"))
+		listed := slices.Contains(st.Blackholed, peer)
+		switch dur, _ := time.ParseDuration(q.Get("dur")); q.Get("op") {
+		case "blackhole":
+			if dur == 0 && !listed {
+				t.Fatalf("peer %d accepted for blackholing, state %+v", peer, st)
+			}
+		case "heal":
+			if listed {
+				t.Fatalf("peer %d healed, state %+v", peer, st)
+			}
+		case "latency":
+			if st.LatencyMS != dur.Milliseconds() {
+				t.Fatalf("latency %v accepted, state %+v", dur, st)
+			}
+		case "drop":
+			if v, _ := strconv.ParseFloat(q.Get("value"), 64); st.Drop != v {
+				t.Fatalf("drop %v accepted, state %+v", v, st)
+			}
+		}
+	})
 }
 
 // repairEnv builds a 12-node cluster — initiator 0, responder 11, four

@@ -42,9 +42,6 @@ type ShardedNetwork struct {
 	up       []bool // up[i] touched only by node i's shard
 	handlers []ShardedHandler
 	lossRate float64
-	// fault[i] is node i's injected-fault state, owned (allocated,
-	// mutated, read) by node i's shard; nil when the node has none.
-	fault    []*shardNodeFault
 	counters []shardCounters
 }
 
@@ -59,7 +56,6 @@ func NewSharded(c *shard.Cluster, lat topology.Latency) (*ShardedNetwork, error)
 		lat:      lat,
 		up:       make([]bool, c.Nodes()),
 		handlers: make([]ShardedHandler, c.Nodes()),
-		fault:    make([]*shardNodeFault, c.Nodes()),
 		counters: make([]shardCounters, c.Shards()),
 	}
 	for i := range n.up {
@@ -148,11 +144,7 @@ func (n *ShardedNetwork) Send(p *shard.Proc, to NodeID, msg Message) bool {
 		p.Emit(msgEvent(obs.MsgDropped, now, fi, ti, msg, obs.ReasonLinkLoss))
 		return true // bytes entered the wire; the message just never arrives
 	}
-	lat, dropped := n.sendFault(p, fi, ti, now, msg)
-	if dropped {
-		return true // on the wire, but an injected partition consumed it
-	}
-	p.ScheduleNode(ti, lat, func(q *shard.Proc) {
+	p.ScheduleNode(ti, n.lat.OneWay(fi, ti), func(q *shard.Proc) {
 		n.deliver(q, NodeID(fi), msg)
 	})
 	return true
@@ -163,9 +155,6 @@ func (n *ShardedNetwork) deliver(q *shard.Proc, from NodeID, msg Message) {
 	ti := q.ID()
 	now := int64(q.Now())
 	st := &n.counters[q.Shard()].stats
-	if n.deliverFault(q, from, msg) {
-		return
-	}
 	if !n.up[ti] {
 		st.DroppedReceiver++
 		q.Emit(msgEvent(obs.MsgDropped, now, int(from), ti, msg, obs.ReasonReceiverDown))
@@ -193,7 +182,6 @@ func (n *ShardedNetwork) Stats() Stats {
 		out.DroppedSender += s.DroppedSender
 		out.DroppedReceiver += s.DroppedReceiver
 		out.DroppedLoss += s.DroppedLoss
-		out.DroppedFault += s.DroppedFault
 		out.Bytes += s.Bytes
 	}
 	return out

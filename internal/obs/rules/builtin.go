@@ -18,11 +18,14 @@ const (
 // micros converts a duration to the microsecond windows rules use.
 func micros(d time.Duration) int64 { return d.Microseconds() }
 
-// Defaults is the standing cluster ruleset — the continuous
-// generalization of the one-shot anomaly checks in
-// internal/cluster.DetectAnomalies:
+// Defaults is the standing cluster ruleset, the only anomaly detector
+// the fleet tooling has — every anonctl view (status, smoke, record,
+// watch) evaluates it over the recorder's store:
 //
-//   - node-down: a node failed two consecutive scrapes.
+//   - node-down: a node failed two consecutive scrapes (unreachable,
+//     or its /metrics does not parse under the 0.0.4 grammar).
+//   - not-ready: a reachable node's /readyz answered other than 200
+//     on two consecutive scrapes — alive but not serving.
 //   - readiness-flap: a node's /readyz answer changed 3+ times in
 //     20s — the probe is oscillating, not settling.
 //   - silent-relay: a reachable node saw no inbound frames for 5s
@@ -55,6 +58,10 @@ func Defaults() []Rule {
 	return []Rule{
 		{
 			Name: "node-down", Kind: Threshold, Metric: "up", PerNode: true,
+			Op: OpLT, Value: 1, For: 2,
+		},
+		{
+			Name: "not-ready", Kind: Threshold, Metric: "ready", PerNode: true,
 			Op: OpLT, Value: 1, For: 2,
 		},
 		{

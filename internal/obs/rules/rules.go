@@ -267,7 +267,11 @@ type group struct {
 // groupSeries splits the matched series into evaluation targets:
 // one cluster-wide group, or one per "node" label value. Per-node
 // targets are named by the key of their first series (stable, sorted)
-// so alerts point at a concrete series.
+// so alerts point at a concrete series. A per-node rule judges what a
+// node reports, and a node currently marked down (its up{node=...}
+// series reads 0) reports nothing: every rule but the one on up itself
+// skips it — node-down is its own rule, and a dead node is not also a
+// silent, unready or leaking one.
 func groupSeries(db *tsdb.DB, r Rule) []group {
 	matched := db.Match(r.Metric)
 	if len(matched) == 0 {
@@ -287,10 +291,23 @@ func groupSeries(db *tsdb.DB, r Rule) []group {
 	sort.Strings(nodes)
 	out := make([]group, 0, len(nodes))
 	for _, n := range nodes {
+		if r.Metric != "up" && nodeDown(db, n) {
+			continue
+		}
 		g := byNode[n]
 		out = append(out, group{target: g[0].Key(), series: g})
 	}
 	return out
+}
+
+// nodeDown reports whether the node's latest up sample reads below 1.
+func nodeDown(db *tsdb.DB, node string) bool {
+	up := db.Get("up", tsdb.L("node", node))
+	if up == nil {
+		return false
+	}
+	p, ok := up.Latest()
+	return ok && p.V < 1
 }
 
 // groupRate sums the per-second counter rates across a group.
@@ -353,9 +370,7 @@ func (e *Engine) observeBurn(db *tsdb.DB, r Rule) []observation {
 }
 
 // observeAbsence evaluates an Absence rule: per-node silence while
-// the cluster reference moved. Nodes currently marked down (their
-// up{node=...} series reads 0) are skipped — node-down is its own
-// rule, and a dead node is not a *silent* one.
+// the cluster reference moved.
 func (e *Engine) observeAbsence(db *tsdb.DB, r Rule) []observation {
 	ref, ok := groupDelta(db.Match(r.RefMetric), r.Window)
 	if !ok {
@@ -365,11 +380,6 @@ func (e *Engine) observeAbsence(db *tsdb.DB, r Rule) []observation {
 	var out []observation
 	for _, g := range groupSeries(db, Rule{Metric: r.Metric, PerNode: true}) {
 		node := g.series[0].Labels.Get("node")
-		if up := db.Get("up", tsdb.L("node", node)); up != nil {
-			if p, ok := up.Latest(); ok && p.V < 1 {
-				continue
-			}
-		}
 		moved, ok := groupDelta(g.series, r.Window)
 		if !ok {
 			continue

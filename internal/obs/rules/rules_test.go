@@ -265,3 +265,61 @@ func TestRepairStormAndDegradedFireOnce(t *testing.T) {
 		t.Errorf("total alerts = %d, want 2: %+v", len(all), all)
 	}
 }
+
+// TestNotReadyFiresOncePerEpisode: a reachable node whose /readyz
+// fails for two scrapes fires not-ready once, however long the episode
+// lasts, and again only after it cleared; a node that is down has
+// ready = 0 as well but is node-down's case alone.
+func TestNotReadyFiresOncePerEpisode(t *testing.T) {
+	db := tsdb.New(64)
+	e := NewEngine(Defaults()...)
+	n0, n1 := tsdb.L("node", "0"), tsdb.L("node", "1")
+	var all []Alert
+	for i, ready := range []float64{1, 0, 0, 0, 0, 1, 0, 0} {
+		at := int64(i) * 15 * sec // slower than readiness-flap's window counts
+		db.Append("up", n0, at, 1)
+		db.Append("ready", n0, at, ready)
+		db.Append("up", n1, at, 0)
+		db.Append("ready", n1, at, 0)
+		fired := e.Eval(db, at)
+		for _, a := range fired {
+			if a.Rule == "not-ready" && (i != 2 && i != 7 || a.Series != `ready{node="0"}`) {
+				t.Errorf("tick %d: unexpected %+v", i, a)
+			}
+		}
+		all = append(all, fired...)
+	}
+	count := map[string]int{}
+	for _, a := range all {
+		count[a.Rule]++
+	}
+	if count["not-ready"] != 2 || count["node-down"] != 1 || len(all) != 3 {
+		t.Fatalf("alerts = %+v, want not-ready twice (node 0, one per episode) and node-down once (node 1)", all)
+	}
+}
+
+// TestStalledSessionFiresSegmentLoss: an initiator that keeps sending
+// segments while no ack comes back — the old one-shot detector's
+// "stalled-sessions" — is segment-loss-slo's case under the default
+// ruleset: one alert for the episode, none while acks kept up.
+func TestStalledSessionFiresSegmentLoss(t *testing.T) {
+	db := tsdb.New(64)
+	e := NewEngine(Defaults()...)
+	l := tsdb.L("node", "0")
+	var all []Alert
+	for i := 0; i <= 12; i++ {
+		at := int64(i) * sec
+		db.Append("up", l, at, 1)
+		db.Append("ready", l, at, 1)
+		db.Append("session_segments_sent", l, at, float64(i*4))
+		db.Append("session_segments_acked", l, at, float64(min(i, 4)*4)) // acks stop at t=4
+		fired := e.Eval(db, at)
+		if i <= 4 && len(fired) != 0 {
+			t.Fatalf("tick %d: alerts while every segment was acked: %+v", i, fired)
+		}
+		all = append(all, fired...)
+	}
+	if len(all) != 1 || all[0].Rule != "segment-loss-slo" {
+		t.Fatalf("alerts = %+v, want one segment-loss-slo", all)
+	}
+}

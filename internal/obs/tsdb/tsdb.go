@@ -179,11 +179,14 @@ type Series struct {
 	// Labels is the sorted label set.
 	Labels Labels
 
-	key   string
-	mu    sync.Mutex
+	key string
+	cap int
+	mu  sync.Mutex
+	// pts grows to cap points and is a ring from then on, next being
+	// the oldest point — a series costs what it holds, so the capacity
+	// a recording's header declares cannot allocate by itself.
 	pts   []Point
 	next  int
-	full  bool
 	total uint64
 }
 
@@ -193,11 +196,11 @@ func (s *Series) Key() string { return s.key }
 // append records one point, overwriting the oldest when full.
 func (s *Series) append(p Point) {
 	s.mu.Lock()
-	s.pts[s.next] = p
-	s.next++
-	if s.next == len(s.pts) {
-		s.next = 0
-		s.full = true
+	if len(s.pts) < s.cap {
+		s.pts = append(s.pts, p)
+	} else {
+		s.pts[s.next] = p
+		s.next = (s.next + 1) % s.cap
 	}
 	s.total++
 	s.mu.Unlock()
@@ -207,9 +210,6 @@ func (s *Series) append(p Point) {
 func (s *Series) Points() []Point {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.full {
-		return append([]Point(nil), s.pts[:s.next]...)
-	}
 	out := make([]Point, 0, len(s.pts))
 	out = append(out, s.pts[s.next:]...)
 	out = append(out, s.pts[:s.next]...)
@@ -220,10 +220,7 @@ func (s *Series) Points() []Point {
 func (s *Series) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.full {
-		return len(s.pts)
-	}
-	return s.next
+	return len(s.pts)
 }
 
 // Total returns the number of points ever appended, including ones the
@@ -238,7 +235,7 @@ func (s *Series) Total() uint64 {
 func (s *Series) Latest() (Point, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.next == 0 && !s.full {
+	if len(s.pts) == 0 {
 		return Point{}, false
 	}
 	i := s.next - 1
@@ -432,7 +429,7 @@ func (db *DB) AppendKey(key string, at int64, v float64) {
 		db.mu.Lock()
 		s = db.series[key]
 		if s == nil {
-			s = &Series{Name: name, Labels: labels, key: key, pts: make([]Point, db.cap)}
+			s = &Series{Name: name, Labels: labels, key: key, cap: db.cap}
 			db.series[key] = s
 		}
 		db.mu.Unlock()

@@ -36,12 +36,6 @@ type Config struct {
 	MaxRetransmits int
 	// MaxInflight bounds unresolved messages; zero means unbounded.
 	MaxInflight int
-	// BlameSlot keeps the simulator's condemnation rule, on which its
-	// same-seed traces and the sim_paper checkpoint are pinned: a round's
-	// miss is charged to whatever path stands in the slot at the deadline.
-	// Only internal/core sets it, and the PR that re-pins those traces
-	// deletes it (ROADMAP item 3); see Deadline.
-	BlameSlot bool
 }
 
 // Reason says why a slot's path was given up.
@@ -466,13 +460,10 @@ func (m *Machine) Deadline(out []Output, now int64, mid uint64) []Output {
 			continue
 		}
 		// A miss is evidence against the path that carried the segment,
-		// not against a replacement built since. The simulator has always
-		// charged the slot instead, so there every round outstanding on a
-		// path when it died condemns its replacement in turn; the two old
-		// copies differed here, and the simulator's rule stays behind
-		// BlameSlot until its traces are re-pinned. That PR deletes the
-		// field and this exception.
-		if j.gen != sl.gen && !m.cfg.BlameSlot {
+		// not against a replacement built since: charging the slot would
+		// let every round outstanding on a path when it died condemn its
+		// replacement in turn.
+		if j.gen != sl.gen {
 			continue
 		}
 		sl.alive = false
