@@ -22,54 +22,61 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: results go to stdout, timing lines and
+// errors to stderr, and the return value is the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("anonbench", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		expID     = flag.String("exp", "", "experiment(s) to run, comma-separated (fig1..fig5, tab1..tab4, ext1..ext9)")
-		all       = flag.Bool("all", false, "run every experiment in order")
-		list      = flag.Bool("list", false, "list available experiments")
-		quick     = flag.Bool("quick", false, "reduced scale: smaller network, fewer trials, shorter runs")
-		seed      = flag.Int64("seed", 1, "base random seed")
-		out       = flag.String("o", "", "write results to this file instead of stdout")
-		csvDir    = flag.String("csv", "", "also write one CSV file per experiment into this directory")
-		traceP    = flag.String("trace", "", "write a JSONL event trace of every simulated world to this file, gzip when it ends in .gz (interleaved across parallel workers; use anonsim for a deterministic single-world trace)")
-		reportP   = flag.String("report", "", "write an aggregate JSON run report to this file")
-		analyzeF  = flag.Bool("analyze", false, "run offline trace analytics per experiment and append the digest to each result (aggregate summary lands in the report)")
-		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file")
-		benchJSON = flag.String("bench-json", "", "run the headline micro-benchmarks and write a machine-readable report to this file (experiments, if also requested, contribute ungated wall times)")
-		benchBase = flag.String("bench-baseline", "", "compare the micro-benchmark report against this committed baseline and exit 1 on regression (implies the benchmarks run even without -bench-json)")
-		benchTol  = flag.Float64("bench-tolerance", 0.20, "relative regression tolerance for -bench-baseline gating")
-		shardsMax = flag.Int("shards", 0, "cap the sharded-engine scaling benchmarks at this shard count (0 = full K=1,2,4,8 curve)")
+		expID    = fs.String("exp", "", "experiment(s) to run, comma-separated (fig1..fig5, tab1..tab4, ext1..ext9)")
+		all      = fs.Bool("all", false, "run every experiment in order")
+		list     = fs.Bool("list", false, "list available experiments")
+		quick    = fs.Bool("quick", false, "reduced scale: smaller network, fewer trials, shorter runs")
+		seed     = fs.Int64("seed", 1, "base random seed")
+		out      = fs.String("o", "", "write results to this file instead of stdout")
+		csvDir   = fs.String("csv", "", "also write one CSV file per experiment into this directory")
+		traceP   = fs.String("trace", "", "write a JSONL event trace of every simulated world to this file, gzip when it ends in .gz (interleaved across parallel workers; use anonsim for a deterministic single-world trace)")
+		reportP  = fs.String("report", "", "write an aggregate JSON run report to this file")
+		analyzeF = fs.Bool("analyze", false, "run offline trace analytics per experiment and append the digest to each result (aggregate summary lands in the report)")
+		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memProf  = fs.String("memprofile", "", "write a pprof heap profile to this file")
 	)
-	flag.Parse()
+	fs.Parse(args)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "anonbench:", err)
+		return 1
+	}
 
 	if *list {
 		for _, id := range rm.ExperimentIDs() {
-			fmt.Println(id)
+			fmt.Fprintln(stdout, id)
 		}
-		return
+		return 0
 	}
-	benchMode := *benchJSON != "" || *benchBase != ""
-	if !*all && *expID == "" && !benchMode {
-		fmt.Fprintln(os.Stderr, "anonbench: need -exp <id>, -all, or -bench-json/-bench-baseline (use -list to see experiments)")
-		os.Exit(2)
+	if !*all && *expID == "" {
+		fmt.Fprintln(stderr, "anonbench: need -exp <id> or -all (use -list to see experiments)")
+		return 2
 	}
 
-	var w io.Writer = os.Stdout
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
-		w = io.MultiWriter(os.Stdout, f)
+		w = io.MultiWriter(stdout, f)
 	}
 
 	cfgMap := make(map[string]string)
-	flag.VisitAll(func(f *flag.Flag) { cfgMap[f.Name] = f.Value.String() })
+	fs.VisitAll(func(f *flag.Flag) { cfgMap[f.Name] = f.Value.String() })
 
 	stopProf, err := rm.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	wallStart := time.Now()
 
@@ -78,7 +85,7 @@ func main() {
 	if *traceP != "" {
 		traceFile, err = rm.CreateTraceFile(*traceP)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		tr = traceFile
 	}
@@ -97,7 +104,7 @@ func main() {
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	outcome := make(map[string]float64)
@@ -108,22 +115,22 @@ func main() {
 		id = strings.TrimSpace(id)
 		res, err := rm.RunExperiment(id, opts)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := res.Render(w); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if *csvDir != "" {
 			f, err := os.Create(filepath.Join(*csvDir, id+".csv"))
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			if err := res.WriteCSV(f); err != nil {
 				f.Close()
-				fatal(err)
+				return fail(err)
 			}
 			if err := f.Close(); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		}
 		if a := res.Analysis; a != nil {
@@ -133,12 +140,12 @@ func main() {
 			mergeAnalysis(&agg, a)
 		}
 		outcome[id+".wall_seconds"] = time.Since(start).Seconds()
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "[%s done in %v]\n", id, time.Since(start).Round(time.Millisecond))
 	}
 
 	if traceFile != nil {
 		if err := traceFile.Close(); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	if *reportP != "" {
@@ -159,49 +166,13 @@ func main() {
 		rep.Metrics = &snap
 		rep.FillPercentiles()
 		if err := rep.WriteJSONFile(*reportP); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	if err := stopProf(); err != nil {
-		fatal(err)
+		return fail(err)
 	}
-
-	if benchMode {
-		fmt.Fprintln(os.Stderr, "[running micro-benchmarks]")
-		rep := rm.RunPerfBench(*shardsMax)
-		// Quick-mode experiment wall times ride along as ungated info.
-		for k, v := range outcome {
-			if strings.HasSuffix(k, ".wall_seconds") {
-				rep.Info["info."+strings.TrimSuffix(k, ".wall_seconds")+".wall_seconds"] = v
-			}
-		}
-		if *benchJSON != "" {
-			if err := rep.WriteFile(*benchJSON); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "[benchmark report written to %s]\n", *benchJSON)
-		}
-		if *benchBase != "" {
-			base, err := rm.ReadPerfReport(*benchBase)
-			if err != nil {
-				fatal(err)
-			}
-			regs := rm.ComparePerfReports(base, rep, *benchTol)
-			if len(regs) > 0 {
-				fmt.Fprintf(os.Stderr, "anonbench: %d benchmark regression(s) beyond %.0f%% vs %s:\n", len(regs), *benchTol*100, *benchBase)
-				for _, g := range regs {
-					fmt.Fprintln(os.Stderr, "  ", g)
-				}
-				os.Exit(1)
-			}
-			// Absolute parallel-scaling gate, applied only on hosts
-			// with enough CPUs to demonstrate 8-way scaling.
-			if err := rm.PerfScalingGate(rep); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "[benchmarks within %.0f%% of %s]\n", *benchTol*100, *benchBase)
-		}
-	}
+	return 0
 }
 
 // mergeAnalysis accumulates one experiment's count-based analysis
@@ -232,9 +203,4 @@ func mergeAnalysis(rep *rm.RunReport, a *rm.TraceAnalysisSummary) {
 	for name, n := range a.DropReasons {
 		t.DropReasons[name] += n
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "anonbench:", err)
-	os.Exit(1)
 }

@@ -25,41 +25,53 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: the outcome goes to stdout, errors to
+// stderr, and the return value is the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("anonsim", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		n        = flag.Int("n", 1024, "number of nodes")
-		seed     = flag.Int64("seed", 1, "random seed")
-		protoStr = flag.String("protocol", "simera", "protocol: curmix, simrep, simera")
-		k        = flag.Int("k", 4, "number of disjoint paths")
-		r        = flag.Int("r", 4, "replication factor")
-		l        = flag.Int("L", 3, "relays per path")
-		choice   = flag.String("choice", "biased", "mix choice: random, biased")
-		distStr  = flag.String("dist", "pareto", "lifetime distribution: pareto, exponential, uniform")
-		median   = flag.Duration("median", time.Hour, "median (pareto) / mean (exponential/uniform) node lifetime")
-		capDur   = flag.Duration("cap", time.Hour, "durability cap")
-		interval = flag.Duration("interval", 10*time.Second, "message interval")
-		msgSize  = flag.Int("msg", 1024, "message size in bytes")
-		member   = flag.String("membership", "oracle", "membership mode: oracle, gossip, onehop")
-		loss     = flag.Float64("loss", 0, "random per-message link loss probability [0,1]")
-		predict  = flag.Bool("predict", false, "enable proactive path replacement (§4.5 prediction)")
-		repair   = flag.Bool("repair", false, "enable §4.5 self-repair (probes + path reconstruction)")
-		faultsP  = flag.String("faults", "", "JSONL fault schedule (see internal/faultinject) replayed against the simulated network; times are relative to session establishment")
-		faultsO  = flag.String("faults-out", "", "write the applied-fault trace (JSONL) to this file")
-		traceP   = flag.String("trace", "", "write a JSONL event trace to this file (gzip when it ends in .gz)")
-		reportP  = flag.String("report", "", "write a JSON run report to this file")
-		analyzeF = flag.Bool("analyze", false, "run offline trace analytics (causal reconstruction, latency attribution, anonymity) and embed the summary in the report")
-		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this file")
-		shards   = flag.Int("shards", 0, "run the multi-core sharded message-plane simulation (churn + background traffic, no protocol sessions) with this many parallel shards; 0 = classic full-protocol single-engine simulation, 1 = sharded code path on one goroutine. The trace is byte-identical for every shard count. Honors -n, -seed, -dist, -median, -loss, -interval, -msg, -cap, -trace, -report")
+		n        = fs.Int("n", 1024, "number of nodes")
+		seed     = fs.Int64("seed", 1, "random seed")
+		protoStr = fs.String("protocol", "simera", "protocol: curmix, simrep, simera")
+		k        = fs.Int("k", 4, "number of disjoint paths")
+		r        = fs.Int("r", 4, "replication factor")
+		l        = fs.Int("L", 3, "relays per path")
+		choice   = fs.String("choice", "biased", "mix choice: random, biased")
+		distStr  = fs.String("dist", "pareto", "lifetime distribution: pareto, exponential, uniform")
+		median   = fs.Duration("median", time.Hour, "median (pareto) / mean (exponential/uniform) node lifetime")
+		capDur   = fs.Duration("cap", time.Hour, "durability cap")
+		interval = fs.Duration("interval", 10*time.Second, "message interval")
+		msgSize  = fs.Int("msg", 1024, "message size in bytes")
+		member   = fs.String("membership", "oracle", "membership mode: oracle, gossip, onehop")
+		loss     = fs.Float64("loss", 0, "random per-message link loss probability [0,1]")
+		predict  = fs.Bool("predict", false, "enable proactive path replacement (§4.5 prediction)")
+		repair   = fs.Bool("repair", false, "enable §4.5 self-repair (probes + path reconstruction)")
+		faultsP  = fs.String("faults", "", "JSONL fault schedule (see internal/faultinject) replayed against the simulated network; times are relative to session establishment")
+		faultsO  = fs.String("faults-out", "", "write the applied-fault trace (JSONL) to this file")
+		traceP   = fs.String("trace", "", "write a JSONL event trace to this file (gzip when it ends in .gz)")
+		reportP  = fs.String("report", "", "write a JSON run report to this file")
+		analyzeF = fs.Bool("analyze", false, "run offline trace analytics (causal reconstruction, latency attribution, anonymity) and embed the summary in the report")
+		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memProf  = fs.String("memprofile", "", "write a pprof heap profile to this file")
+		shards   = fs.Int("shards", 0, "run the multi-core sharded message-plane simulation (churn + background traffic, no protocol sessions) with this many parallel shards; 0 = classic full-protocol single-engine simulation, 1 = sharded code path on one goroutine. The trace is byte-identical for every shard count. Honors -n, -seed, -dist, -median, -loss, -interval, -msg, -cap, -trace, -report")
 	)
-	flag.Parse()
+	fs.Parse(args)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "anonsim:", err)
+		return 1
+	}
 
 	// Echo every flag into the report's config block.
 	cfgMap := make(map[string]string)
-	flag.VisitAll(func(f *flag.Flag) { cfgMap[f.Name] = f.Value.String() })
+	fs.VisitAll(func(f *flag.Flag) { cfgMap[f.Name] = f.Value.String() })
 
 	stopProf, err := rm.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	wallStart := time.Now()
 
@@ -67,7 +79,7 @@ func main() {
 	if *traceP != "" {
 		traceFile, err = rm.CreateTraceFile(*traceP)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	var collector *rm.TraceCollector
@@ -84,7 +96,7 @@ func main() {
 	case "simera":
 		protocol = rm.SimEra
 	default:
-		fatal(fmt.Errorf("unknown protocol %q", *protoStr))
+		return fail(fmt.Errorf("unknown protocol %q", *protoStr))
 	}
 	var strategy rm.Strategy
 	switch strings.ToLower(*choice) {
@@ -93,7 +105,7 @@ func main() {
 	case "biased":
 		strategy = rm.Biased
 	default:
-		fatal(fmt.Errorf("unknown mix choice %q", *choice))
+		return fail(fmt.Errorf("unknown mix choice %q", *choice))
 	}
 	med := rm.Time(median.Microseconds())
 	var lifetime rm.LifetimeDist
@@ -108,17 +120,20 @@ func main() {
 		err = fmt.Errorf("unknown distribution %q", *distStr)
 	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	if *shards > 0 {
-		runSharded(shardedRun{
+		err := runSharded(stdout, shardedRun{
 			n: *n, shards: *shards, seed: *seed, lifetime: lifetime,
 			loss: *loss, interval: *interval, horizon: *capDur,
 			msgSize: *msgSize, trace: traceFile, reportPath: *reportP,
 			cfg: cfgMap, wallStart: wallStart, stopProf: stopProf,
 		})
-		return
+		if err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 
 	var mode rm.MembershipMode
@@ -130,7 +145,7 @@ func main() {
 	case "onehop":
 		mode = rm.OneHopMembership
 	default:
-		fatal(fmt.Errorf("unknown membership mode %q", *member))
+		return fail(fmt.Errorf("unknown membership mode %q", *member))
 	}
 	var tr rm.Tracer
 	switch {
@@ -151,30 +166,30 @@ func main() {
 		Tracer:     tr,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	// finishObs flushes the trace, runs trace analytics, writes the
 	// report and finalizes profiles; it must run on every exit path
 	// after this point.
-	finishObs := func(outcome map[string]float64) {
+	finishObs := func(outcome map[string]float64) error {
 		if traceFile != nil {
 			if err := traceFile.Close(); err != nil {
-				fatal(err)
+				return err
 			}
 		}
 		var analysis *rm.TraceAnalysis
 		if collector != nil {
 			analysis = rm.AnalyzeTrace(collector.Events())
 			s := analysis.Summary
-			fmt.Printf("\ntrace analytics: %d messages (%d delivered), %d journeys, %d integrity errors\n",
+			fmt.Fprintf(stdout, "\ntrace analytics: %d messages (%d delivered), %d journeys, %d integrity errors\n",
 				s.Messages, s.Delivered, s.Journeys, s.IntegrityErrors)
 			if l := s.Latency; l != nil {
-				fmt.Printf("  e2e latency p50 %.1fms p99 %.1fms = propagation %.1fms + queueing %.1fms + retry %.1fms (means)\n",
+				fmt.Fprintf(stdout, "  e2e latency p50 %.1fms p99 %.1fms = propagation %.1fms + queueing %.1fms + retry %.1fms (means)\n",
 					l.P50Ms, l.P99Ms, l.MeanPropagationMs, l.MeanQueueingMs, l.MeanRetryMs)
 			}
 			if a := s.Anonymity; a != nil {
-				fmt.Printf("  anonymity set mean %.1f (min %d), entropy %.2f bits, linkage %.1f%%\n",
+				fmt.Fprintf(stdout, "  anonymity set mean %.1f (min %d), entropy %.2f bits, linkage %.1f%%\n",
 					a.MeanSetSize, a.MinSetSize, a.MeanEntropyBits, a.LinkageRate*100)
 			}
 		}
@@ -204,17 +219,15 @@ func main() {
 			rep.FillPercentiles()
 			rep.FillThroughput()
 			if err := rep.WriteJSONFile(*reportP); err != nil {
-				fatal(err)
+				return err
 			}
 		}
-		if err := stopProf(); err != nil {
-			fatal(err)
-		}
+		return stopProf()
 	}
 	if err := net.StartChurn(); err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("network: %d nodes, %s lifetimes (%v median), %s membership, %.1f%% loss\n",
+	fmt.Fprintf(stdout, "network: %d nodes, %s lifetimes (%v median), %s membership, %.1f%% loss\n",
 		*n, *distStr, *median, *member, *loss*100)
 
 	// Warm up one hour so node ages and churn reach a realistic state.
@@ -229,7 +242,7 @@ func main() {
 		MaxEstablishAttempts: 500,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	var established, concluded bool
 	var attempts int
@@ -240,25 +253,27 @@ func main() {
 		net.Run(net.Eng.Now() + 10*rm.Second)
 	}
 	if !established {
-		fmt.Printf("establishment FAILED after %d attempts\n", attempts)
-		finishObs(map[string]float64{"established": 0, "attempts": float64(attempts)})
-		os.Exit(1)
+		fmt.Fprintf(stdout, "establishment FAILED after %d attempts\n", attempts)
+		if err := finishObs(map[string]float64{"established": 0, "attempts": float64(attempts)}); err != nil {
+			return fail(err)
+		}
+		return 1
 	}
-	fmt.Printf("established %s k=%d r=%d (%s choice) after %d attempt(s), %d live paths\n",
+	fmt.Fprintf(stdout, "established %s k=%d r=%d (%s choice) after %d attempt(s), %d live paths\n",
 		protocol, sess.Params().K, sess.Params().R, strategy, attempts, sess.AlivePaths())
 	if *predict {
 		sess.EnablePrediction(0.5, 30*rm.Second)
-		fmt.Println("proactive path replacement enabled (threshold q < 0.5)")
+		fmt.Fprintln(stdout, "proactive path replacement enabled (threshold q < 0.5)")
 	}
 	if *repair {
 		sess.EnableRepair(30 * rm.Second)
-		fmt.Println("self-repair enabled (30s probes, automatic path reconstruction)")
+		fmt.Fprintln(stdout, "self-repair enabled (30s probes, automatic path reconstruction)")
 	}
 	var faultRec *faultinject.Recorder
 	if *faultsP != "" {
 		sched, err := faultinject.LoadSchedule(*faultsP, *n)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		// Schedule times are relative: shift them past warm-up and
 		// establishment so the faults land during the message loop.
@@ -272,7 +287,7 @@ func main() {
 		if *faultsO != "" {
 			f, err := os.Create(*faultsO)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			defer f.Close()
 			fw = f
@@ -280,9 +295,9 @@ func main() {
 		faultRec = faultinject.NewRecorder(fw)
 		applied, err := faultinject.ApplySim(net.Eng, net.Net, shifted, faultRec)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("fault schedule: %d events (%d applications with reverts) from %s\n",
+		fmt.Fprintf(stdout, "fault schedule: %d events (%d applications with reverts) from %s\n",
 			len(sched), applied, *faultsP)
 	}
 
@@ -324,20 +339,20 @@ func main() {
 		durability = (deadAt - start).Seconds()
 	}
 	st := sess.Stats()
-	fmt.Printf("\nresults over %d messages:\n", st.MessagesSent)
-	fmt.Printf("  durability       %.0f s%s\n", durability, capNote(deadAt))
-	fmt.Printf("  delivered        %d/%d\n", delivered, st.MessagesSent)
+	fmt.Fprintf(stdout, "\nresults over %d messages:\n", st.MessagesSent)
+	fmt.Fprintf(stdout, "  durability       %.0f s%s\n", durability, capNote(deadAt))
+	fmt.Fprintf(stdout, "  delivered        %d/%d\n", delivered, st.MessagesSent)
 	if len(latencies) > 0 {
 		var sum float64
 		for _, l := range latencies {
 			sum += l
 		}
-		fmt.Printf("  mean latency     %.0f ms\n", sum/float64(len(latencies)))
+		fmt.Fprintf(stdout, "  mean latency     %.0f ms\n", sum/float64(len(latencies)))
 	}
 	if st.MessagesSent > 0 {
-		fmt.Printf("  bandwidth        %.1f KB/message\n", float64(st.DataFlow.Bytes)/float64(st.MessagesSent)/1024)
+		fmt.Fprintf(stdout, "  bandwidth        %.1f KB/message\n", float64(st.DataFlow.Bytes)/float64(st.MessagesSent)/1024)
 	}
-	fmt.Printf("  construction     %.1f KB total, %d paths died, %d replaced\n",
+	fmt.Fprintf(stdout, "  construction     %.1f KB total, %d paths died, %d replaced\n",
 		float64(st.ConstructFlow.Bytes)/1024, st.PathsDied, st.PathsReplaced)
 
 	outcome := map[string]float64{
@@ -358,9 +373,12 @@ func main() {
 	}
 	if faultRec != nil {
 		outcome["faults_applied"] = float64(faultRec.Count())
-		fmt.Printf("  faults applied   %d (trace sha256 %.16s…)\n", faultRec.Count(), faultRec.Sum())
+		fmt.Fprintf(stdout, "  faults applied   %d (trace sha256 %.16s…)\n", faultRec.Count(), faultRec.Sum())
 	}
-	finishObs(outcome)
+	if err := finishObs(outcome); err != nil {
+		return fail(err)
+	}
+	return 0
 }
 
 // shardedRun carries the flag subset the sharded message-plane mode
@@ -383,7 +401,7 @@ type shardedRun struct {
 // runSharded executes the sharded world: K parallel shards over the
 // same churned, traffic-generating network, with a trace stream that
 // is byte-identical for every K.
-func runSharded(a shardedRun) {
+func runSharded(stdout io.Writer, a shardedRun) error {
 	var tr rm.Tracer
 	if a.trace != nil {
 		tr = a.trace
@@ -400,17 +418,17 @@ func runSharded(a shardedRun) {
 		Tracer:          tr,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("sharded network: %d nodes over %d shard(s), lookahead %v\n",
+	fmt.Fprintf(stdout, "sharded network: %d nodes over %d shard(s), lookahead %v\n",
 		a.n, a.shards, w.Lookahead)
 	horizon := rm.Time(a.horizon.Microseconds())
 	w.Run(horizon)
-	fmt.Println(w.Summary())
+	fmt.Fprintln(stdout, w.Summary())
 
 	if a.trace != nil {
 		if err := a.trace.Close(); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if a.reportPath != "" {
@@ -440,12 +458,10 @@ func runSharded(a shardedRun) {
 			rep.TraceEvents = a.trace.Events()
 		}
 		if err := rep.WriteJSONFile(a.reportPath); err != nil {
-			fatal(err)
+			return err
 		}
 	}
-	if err := a.stopProf(); err != nil {
-		fatal(err)
-	}
+	return a.stopProf()
 }
 
 func capNote(deadAt rm.Time) string {
@@ -453,9 +469,4 @@ func capNote(deadAt rm.Time) string {
 		return " (capped: path set survived)"
 	}
 	return ""
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "anonsim:", err)
-	os.Exit(1)
 }

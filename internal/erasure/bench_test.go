@@ -1,8 +1,10 @@
 // Micro-benchmarks for the erasure hot paths: non-systematic encode
 // (the parity rows of Split), non-systematic decode (Reconstruct from
 // parity segments, exercising the decoding-matrix path), and the
-// systematic fast path. These are the numbers BENCH_PR9.json tracks;
-// cmd/anonbench -bench-json runs the same shapes via internal/perfbench.
+// systematic fast path, at the paper's code shapes. The repo benchmark
+// (bench/, `--trace 1`) times Split and Reconstruct at its workloads'
+// shapes; the allocation counts, which no host can move, are pinned by
+// TestHotPathAllocs below.
 package erasure
 
 import (
@@ -10,8 +12,8 @@ import (
 	"testing"
 )
 
-// benchShapes are the (m, n) pairs tracked in the perf baseline: the
-// paper's SimEra(4,4) split at r=2, a wider r=4 code, and a large code.
+// benchShapes are the paper's SimEra(4,4) split at r=2, a wider r=4
+// code, and a large code.
 var benchShapes = []struct{ m, n int }{
 	{4, 8},
 	{5, 20},
@@ -26,6 +28,40 @@ func benchMsg() []byte {
 		msg[i] = byte(i * 131)
 	}
 	return msg
+}
+
+// TestHotPathAllocs pins what a message costs the allocator at every
+// shape: Split allocates the segment headers and one backing buffer;
+// Reconstruct from the all-parity segments, once the decoding matrix is
+// cached, allocates the chosen-segment list, the cache key and the
+// output.
+func TestHotPathAllocs(t *testing.T) {
+	for _, s := range benchShapes {
+		code, err := New(s.m, s.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := benchMsg()
+		segs, err := code.Split(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parity := segs[s.n-s.m:]
+		split := testing.AllocsPerRun(100, func() {
+			if _, err := code.Split(msg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		reconstruct := testing.AllocsPerRun(100, func() {
+			if _, err := code.Reconstruct(parity); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if split != 2 || reconstruct != 3 {
+			t.Errorf("(%d,%d): Split %v allocs, warm non-systematic Reconstruct %v; want 2 and 3",
+				s.m, s.n, split, reconstruct)
+		}
+	}
 }
 
 // BenchmarkErasureEncode measures Split throughput, dominated by the

@@ -43,11 +43,6 @@ type Config struct {
 	// ConstructTimeout bounds the wait for a construction ack; zero
 	// selects 10s.
 	ConstructTimeout time.Duration
-	// DialRetry governs outbound dial retries (§4.5's bounded retries
-	// with jittered exponential backoff). The zero value selects 2
-	// attempts with 100ms backoff, a 1s cap and 50% jitter; set
-	// Attempts to 1 for no retries.
-	DialRetry retrypolicy.Policy
 	// OnData enables the responder role.
 	OnData DataFunc
 	// Tracer, when non-nil, receives the node's wire events. Live
@@ -205,14 +200,6 @@ func Start(addr string, cfg Config) (*Node, error) {
 	if cfg.ConstructTimeout <= 0 {
 		cfg.ConstructTimeout = 10 * time.Second
 	}
-	if cfg.DialRetry.Attempts == 0 {
-		cfg.DialRetry = retrypolicy.Policy{
-			Attempts:   2,
-			Backoff:    100 * time.Millisecond,
-			BackoffCap: time.Second,
-			Jitter:     0.5,
-		}
-	}
 	// An inbound connection carries one frame and closes: no keep-alive
 	// set-up.
 	lc := net.ListenConfig{KeepAlive: -1}
@@ -362,35 +349,30 @@ func (n *Node) sweepLoop() {
 	}
 }
 
-// send dials a peer and writes one frame, with the dial-retry policy's
-// full budget as the overall deadline.
-func (n *Node) send(to netsim.NodeID, f frame) error {
-	ctx, cancel := context.WithTimeout(context.Background(), n.sendBudget())
-	defer cancel()
-	return n.sendCtx(ctx, to, f)
+// dialRetry is the outbound dial schedule (§4.5's bounded retries with
+// jittered exponential backoff): one retry, 100ms later.
+var dialRetry = retrypolicy.Policy{
+	Attempts:   2,
+	Backoff:    100 * time.Millisecond,
+	BackoffCap: time.Second,
+	Jitter:     0.5,
 }
 
-// sendBudget bounds a context-free send: every dial attempt plus every
-// backoff sleep of the retry policy (each at most twice the larger of
-// Backoff and BackoffCap, since jitter is capped at 100%).
-func (n *Node) sendBudget() time.Duration {
-	pol := n.cfg.DialRetry
-	attempts := pol.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	backoff := pol.BackoffCap
-	if backoff < pol.Backoff {
-		backoff = pol.Backoff
-	}
-	return time.Duration(attempts)*n.cfg.DialTimeout +
-		time.Duration(attempts-1)*2*backoff + time.Second
+// send dials a peer and writes one frame. Its deadline covers the
+// whole dial schedule: every attempt, the backoff sleeps between them
+// (jitter at most doubles the cap) and a second to spare.
+func (n *Node) send(to netsim.NodeID, f frame) error {
+	attempts := time.Duration(dialRetry.Attempts)
+	ctx, cancel := context.WithTimeout(context.Background(),
+		attempts*n.cfg.DialTimeout+(attempts-1)*2*dialRetry.BackoffCap+time.Second)
+	defer cancel()
+	return n.sendCtx(ctx, to, f)
 }
 
 // sendCtx dials a peer under the caller's context and writes one frame.
 // It first consults the fault controller (blackholes refuse the frame,
 // the injected drop rate consumes it silently, injected latency delays
-// it), then retries dial failures per the DialRetry policy with
+// it), then retries dial failures per the dialRetry schedule with
 // jittered exponential backoff. Write failures after a successful dial
 // are not retried: the frame may have partially left, and replaying it
 // risks duplicate relay state.
@@ -412,7 +394,7 @@ func (n *Node) sendCtx(ctx context.Context, to netsim.NodeID, f frame) error {
 			return ctx.Err()
 		}
 	}
-	err := n.cfg.DialRetry.Do(ctx, func(ctx context.Context) error {
+	err := dialRetry.Do(ctx, func(ctx context.Context) error {
 		dctx, cancel := context.WithTimeout(ctx, n.cfg.DialTimeout)
 		defer cancel()
 		conn, err := n.roster().dialContext(dctx, to)

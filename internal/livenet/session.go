@@ -36,7 +36,7 @@ type LiveDelivered func(mid uint64, data []byte)
 // collectorHorizon is how long the collector is sure to remember a
 // message after its last segment: at least the span over which an
 // initiator with default options can still retransmit it, AckTimeout ×
-// (MaxRetransmits+1).
+// (maxRetransmits+1).
 const collectorHorizon = 30 * time.Second
 
 // LiveCollector is the responder-side application: it acknowledges
@@ -141,10 +141,6 @@ type SessionOptions struct {
 	// ProbeInterval is the per-path liveness probe cadence when Repair
 	// is on. Zero selects 1s.
 	ProbeInterval time.Duration
-	// MaxRetransmits bounds the retransmission rounds per message after
-	// the initial send. Zero selects 5 when Repair is on and none
-	// otherwise; negative means none.
-	MaxRetransmits int
 	// MaxInflight bounds unresolved outbound messages; Send rejects new
 	// work beyond it (bounded queues, not unbounded buffering). Zero
 	// selects 64.
@@ -155,11 +151,20 @@ type SessionOptions struct {
 	CoverInterval time.Duration
 	// CoverSize is the cover payload size. Zero selects 64 bytes.
 	CoverSize int
-	// ConstructRetry governs path-reconstruction retries during repair
-	// (jittered exponential backoff, §4.5); every attempt chooses its
-	// relays afresh. The zero value selects 3 attempts with 200ms
-	// backoff, a 2s cap and 50% jitter.
-	ConstructRetry retrypolicy.Policy
+}
+
+// maxRetransmits bounds the retransmission rounds a message gets after
+// its first when Repair is on; without it a message gets none.
+const maxRetransmits = 5
+
+// constructRetry is the path-reconstruction schedule during repair
+// (jittered exponential backoff, §4.5); every attempt chooses its
+// relays afresh.
+var constructRetry = retrypolicy.Policy{
+	Attempts:   3,
+	Backoff:    200 * time.Millisecond,
+	BackoffCap: 2 * time.Second,
+	Jitter:     0.5,
 }
 
 func (o SessionOptions) withDefaults() SessionOptions {
@@ -169,25 +174,11 @@ func (o SessionOptions) withDefaults() SessionOptions {
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = time.Second
 	}
-	if o.MaxRetransmits == 0 && o.Repair {
-		o.MaxRetransmits = 5
-	}
-	if o.MaxRetransmits < 0 {
-		o.MaxRetransmits = 0
-	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 64
 	}
 	if o.CoverSize <= 0 {
 		o.CoverSize = 64
-	}
-	if o.ConstructRetry.Attempts == 0 {
-		o.ConstructRetry = retrypolicy.Policy{
-			Attempts:   3,
-			Backoff:    200 * time.Millisecond,
-			BackoffCap: 2 * time.Second,
-			Jitter:     0.5,
-		}
 	}
 	return o
 }
@@ -264,13 +255,16 @@ func (n *Node) NewLiveSessionOpts(relayLists [][]netsim.NodeID, responder netsim
 		rng:       mrand.New(mrand.NewSource(int64(newSID()))),
 		builds:    make(chan session.Output, k),
 	}
-	s.m = session.New(session.Config{
+	cfg := session.Config{
 		K: k, M: k / r, N: k,
-		Responder:      responder,
-		AckTimeout:     int64(opts.AckTimeout),
-		MaxRetransmits: opts.MaxRetransmits,
-		MaxInflight:    opts.MaxInflight,
-	})
+		Responder:   responder,
+		AckTimeout:  int64(opts.AckTimeout),
+		MaxInflight: opts.MaxInflight,
+	}
+	if opts.Repair {
+		cfg.MaxRetransmits = maxRetransmits
+	}
+	s.m = session.New(cfg)
 	if opts.Repair {
 		s.m.EnableRepair()
 	}
@@ -629,7 +623,7 @@ func (s *LiveSession) build(b session.Output) {
 		payload = s.m.Payload(b)
 	}
 	var built *Path
-	err := s.opts.ConstructRetry.Do(s.ctx, func(ctx context.Context) error {
+	err := constructRetry.Do(s.ctx, func(ctx context.Context) error {
 		relays, err := s.choose(b.Slot)
 		if err != nil {
 			return err

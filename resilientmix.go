@@ -14,7 +14,6 @@ import (
 	"resilientmix/internal/obs/analyze"
 	"resilientmix/internal/obs/prof"
 	"resilientmix/internal/onioncrypt"
-	"resilientmix/internal/perfbench"
 	"resilientmix/internal/predictor"
 	"resilientmix/internal/sim"
 	"resilientmix/internal/stats"
@@ -310,33 +309,6 @@ var ReadRunReport = obs.ReadReport
 // StartProfiles starts CPU and/or heap profiling; the returned stop
 // function must run on every exit path.
 var StartProfiles = prof.StartProfiles
-
-// PerfReport is the machine-readable micro-benchmark summary written
-// by anonbench -bench-json. BENCH_PR9.json at the repository root is
-// the committed baseline CI gates against.
-type PerfReport = perfbench.Report
-
-// PerfRegression is one gated benchmark metric that moved past
-// tolerance in the losing direction.
-type PerfRegression = perfbench.Regression
-
-// RunPerfBench executes the headline micro-benchmarks (erasure
-// encode/decode throughput, engine event rate, allocation counts, and
-// the sharded engine's K = 1..maxShards scaling curve; maxShards 0
-// means the full curve up to K=8).
-var RunPerfBench = perfbench.Run
-
-// ReadPerfReport loads a benchmark report or baseline from disk.
-var ReadPerfReport = perfbench.ReadFile
-
-// ComparePerfReports gates a fresh report against a baseline at the
-// given relative tolerance; a non-empty result is a CI failure.
-var ComparePerfReports = perfbench.Compare
-
-// PerfScalingGate enforces the absolute multi-core requirement on a
-// fresh report: at least a 3x K=8-over-K=1 sharded-engine speedup on
-// hosts with 8+ CPUs. Hosts with fewer CPUs record but are not gated.
-var PerfScalingGate = perfbench.ScalingGate
 
 // ExperimentOptions tunes reproduction scale (Quick shrinks everything).
 type ExperimentOptions = experiments.Options
