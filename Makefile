@@ -137,6 +137,7 @@ fuzz:
 	$(GO) test ./internal/session -run '^$$' -fuzz FuzzReassembler -fuzztime 20s
 	$(GO) test ./internal/onion -fuzz FuzzParseConstructLayer -fuzztime 20s
 	$(GO) test ./internal/onion -run '^$$' -fuzz FuzzRelayTable -fuzztime 20s
+	$(GO) test ./internal/onion -run '^$$' -fuzz FuzzPayloadOnionInPlace -fuzztime 20s
 	$(GO) test ./internal/livenet -run '^$$' -fuzz FuzzReadFrame -fuzztime 20s
 	$(GO) test ./internal/livenet -run '^$$' -fuzz FuzzFaultHandler -fuzztime 20s
 	$(GO) test ./internal/faultinject -run '^$$' -fuzz FuzzParseSchedule -fuzztime 20s

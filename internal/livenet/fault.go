@@ -212,12 +212,12 @@ func (n *Node) FaultHandler() http.Handler {
 // noteDropped counts a frame that went nowhere — refused by the fault
 // controller, consumed by the injected drop rate, or failed on the wire
 // — and traces why.
-func (n *Node) noteDropped(counter string, peer netsim.NodeID, f frame, why obs.Reason) {
+func (n *Node) noteDropped(counter string, peer netsim.NodeID, sid uint64, size int, why obs.Reason) {
 	n.reg.Counter(counter).Inc()
 	n.emit(obs.Event{
 		Type: obs.MsgDropped, At: time.Now().UnixMicro(),
-		Node: int(n.cfg.ID), Peer: int(peer), ID: f.sid,
-		Slot: -1, Hop: -1, Size: len(f.body),
+		Node: int(n.cfg.ID), Peer: int(peer), ID: sid,
+		Slot: -1, Hop: -1, Size: size,
 		Reason: why,
 	})
 }

@@ -71,8 +71,8 @@ type Health struct {
 
 // Health reports the node's current state.
 func (n *Node) Health() Health {
+	roster := n.roster()
 	n.mu.Lock()
-	roster := n.cfg.Roster
 	paths := len(n.paths)
 	responder := n.cfg.OnData != nil
 	n.mu.Unlock()

@@ -3,6 +3,7 @@ package livenet
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"resilientmix/internal/netsim"
@@ -64,7 +65,7 @@ func (n *Node) launch(ctx context.Context, relays []netsim.NodeID, responder net
 	n.paths[p.SID] = p
 	n.mu.Unlock()
 
-	err = n.sendCtx(ctx, first.To, n.frameOf(first))
+	err = n.sendCtx(ctx, first, nil)
 	if err == nil {
 		select {
 		case <-ack:
@@ -127,11 +128,28 @@ func (p *Path) Send(data []byte) error { return p.sendTo(p.Responder, data) }
 // sendTo routes a payload over the path to any responder, reusing the
 // relays' state (§4.4).
 func (p *Path) sendTo(dest netsim.NodeID, data []byte) error {
-	s, err := p.keys.Data(p.node.roster(), dest, data)
-	if err != nil {
-		return err
+	return p.sendApp(dest, len(data), func(b []byte) []byte { return append(b, data...) })
+}
+
+// sendApp routes an application message of plainLen bytes, which plain
+// appends to the slice it is handed, over the path to dest. The payload
+// onion is built around the message in one pooled buffer, behind room
+// for the frame header, and that buffer is what is written: the
+// message's bytes are copied once between the caller and the socket. A
+// message whose frame the first relay would refuse is refused here.
+func (p *Path) sendApp(dest netsim.NodeID, plainLen int, plain func([]byte) []byte) error {
+	size := frameHeader + p.keys.DataSize(plainLen)
+	if size > maxFrameSize {
+		return fmt.Errorf("%w: %d bytes over %d relays need %d of %d", ErrFrameTooLarge, plainLen, len(p.Relays), size, maxFrameSize)
 	}
-	return p.node.send(s.To, p.node.frameOf(s))
+	bp := frameScratch.Get().(*[]byte)
+	buf := slices.Grow((*bp)[:0], size)
+	s, err := p.keys.AppendData(buf[:frameHeader], p.node.roster(), dest, plainLen, plain)
+	if err == nil {
+		err = p.node.send(s, buf[:size])
+	}
+	putScratch(bp, buf)
+	return err
 }
 
 // Replies streams decrypted reverse-path payloads (responder answers).

@@ -28,10 +28,19 @@
 // packet), the receiver reads a 13-byte header and then the body, the
 // connection skips keep-alive set-up it would never use, metric handles
 // are resolved once, and the responder's asymmetric open runs once per
-// path, not per segment (onion.Streams' key memo). Frame bodies are
-// freshly allocated and owned by the handler that receives them —
-// decrypted payloads alias them, so DataFunc's data is the callee's to
-// keep; only the write side's staging buffers are pooled.
+// path, not per segment (onion.Streams' key memo).
+//
+// A segment is in one buffer per hop. The initiator encodes it straight
+// into its payload onion, built and sealed in place in a pooled buffer
+// behind room for the frame header, and writes that buffer. A relay
+// reads a frame into one fresh buffer, opens its layer in place, writes
+// the next header over the bytes in front of what is left and sends the
+// same buffer on; the terminal relay does the same for the delivery.
+// The responder opens in place too, so DataFunc's data is a piece of
+// the frame it arrived in — which is why read buffers are fresh, never
+// pooled: they are the handler's, and the callee's to keep. Only the
+// write side is pooled: the initiator's onion buffer and the scratch
+// that small frames (construct, ack, reverse) are assembled in.
 //
 // Scope: static roster (the PKI directory with addresses) and one TCP
 // connection per frame. Gossip membership and the liveness predictor
@@ -46,6 +55,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -70,47 +80,108 @@ const (
 // allocations.
 const maxFrameSize = 1 << 20
 
-// frame is one wire message: kind, stream id, body.
+// ErrFrameTooLarge is returned for a payload whose frame, header
+// included, would exceed maxFrameSize: the peer would drop it unread.
+var ErrFrameTooLarge = errors.New("livenet: payload does not fit a frame")
+
+// frame is one inbound wire message: kind, stream id, body. body is
+// buf[frameHeader:], and buf is the handler's alone: a layer of body
+// opens in place, and what is forwarded of it leaves from buf with the
+// new header written over the bytes in front of it (writeFrame).
 type frame struct {
 	kind byte
 	sid  uint64
 	body []byte
+	buf  []byte
 }
 
 // frameHeader is length(4) | kind(1) | sid(8); length counts kind, sid
 // and body.
 const frameHeader = 4 + 1 + 8
 
-// frameScratch recycles writeFrame's staging buffers. Only the write
+// frameScratch recycles the write side's buffers: the one an initiator
+// builds a payload onion in, behind frameHeader bytes for the header,
+// and the one writeFrame assembles every other frame in. Only the write
 // side is pooled: a buffer is dead once Write returns, whereas a read
 // body lives on in whatever the handlers keep of it.
 var frameScratch = sync.Pool{New: func() any { return new([]byte) }}
 
-// writeFrame emits length | kind | sid | body in a single Write, so a
-// frame leaves as one packet (TCP_NODELAY is Go's default: a separate
-// header write is a separate segment, and the reader wakes twice).
-func writeFrame(w io.Writer, f frame) error {
-	bp := frameScratch.Get().(*[]byte)
-	buf := *bp
-	if need := frameHeader + len(f.body); cap(buf) < need {
-		buf = make([]byte, need)
-	} else {
-		buf = buf[:need]
-	}
-	binary.BigEndian.PutUint32(buf, uint32(1+8+len(f.body)))
-	buf[4] = f.kind
-	binary.BigEndian.PutUint64(buf[5:], f.sid)
-	copy(buf[frameHeader:], f.body)
-	_, err := w.Write(buf)
+// putScratch returns a buffer to frameScratch through the pointer it
+// came out by.
+func putScratch(bp *[]byte, buf []byte) {
 	if cap(buf) <= frameHeader+maxFrameSize {
 		*bp = buf
 		frameScratch.Put(bp)
 	}
+}
+
+// offsetIn returns i such that b is buf[i:i+len(b)], or -1 when b is
+// empty or is not a sub-slice of buf reaching as far back as buf does.
+// A sub-slice keeps its parent's end of capacity, so the capacities
+// give the only candidate and the element addresses confirm it.
+func offsetIn(buf, b []byte) int {
+	i := cap(buf) - cap(b)
+	if len(b) == 0 || i < 0 || i+len(b) > len(buf) || &buf[i] != &b[0] {
+		return -1
+	}
+	return i
+}
+
+// frameBodyLen is the length of the frame body writeFrame gives s.
+func frameBodyLen(s onion.Send) int {
+	n := len(s.Onion) + len(s.Body)
+	switch s.Kind {
+	case onion.KindConstruct, onion.KindDeliver:
+		n += 4
+	case onion.KindConstructData:
+		n += 8
+	}
+	return n
+}
+
+// writeFrame lays one hop-layer output from node self out as
+// length | kind | sid | body and emits it in a single Write, so a frame
+// leaves as one packet (TCP_NODELAY is Go's default: a separate header
+// write is a separate segment, and the reader wakes twice). Construct
+// and deliver bodies lead with the sender's roster id (see the backward
+// routing note on Node); the combined pass is
+// sender(4) | onionLen(4) | onion | payload.
+//
+// When s.Body lies in room with at least the header's length of room in
+// front of it — a payload onion built behind headroom, or what a layer
+// opened in place left of an inbound frame — the header is written
+// there and the frame leaves from room: the payload is not copied.
+// Every other frame is assembled in pooled scratch.
+func writeFrame(w io.Writer, self netsim.NodeID, s onion.Send, room []byte) error {
+	var scratch [frameHeader + 8]byte
+	head := scratch[:frameHeader]
+	n := frameBodyLen(s)
+	binary.BigEndian.PutUint32(head, uint32(1+8+n))
+	head[4] = byte(s.Kind)
+	binary.BigEndian.PutUint64(head[5:], uint64(s.SID))
+	switch s.Kind {
+	case onion.KindConstruct, onion.KindDeliver:
+		head = binary.BigEndian.AppendUint32(head, uint32(self))
+	case onion.KindConstructData:
+		head = binary.BigEndian.AppendUint32(head, uint32(self))
+		head = binary.BigEndian.AppendUint32(head, uint32(len(s.Onion)))
+	}
+	if at := offsetIn(room, s.Body); at >= len(head) && len(s.Onion) == 0 {
+		out := room[at-len(head) : at+len(s.Body)]
+		copy(out, head)
+		_, err := w.Write(out)
+		return err
+	}
+	bp := frameScratch.Get().(*[]byte)
+	out := slices.Grow((*bp)[:0], frameHeader+n)
+	out = append(append(append(out, head...), s.Onion...), s.Body...)
+	_, err := w.Write(out)
+	putScratch(bp, out)
 	return err
 }
 
 // readFrame parses one frame, rejecting oversize lengths. The header
-// arrives in one read; the body is a fresh buffer the caller owns.
+// arrives in one read; the frame's buffer is fresh and the caller's.
 func readFrame(r io.Reader) (frame, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -120,11 +191,12 @@ func readFrame(r io.Reader) (frame, error) {
 	if n < 9 || n > maxFrameSize {
 		return frame{}, fmt.Errorf("livenet: bad frame length %d", n)
 	}
-	body := make([]byte, n-9)
+	buf := make([]byte, 4+n)
+	body := buf[frameHeader:]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return frame{}, err
 	}
-	return frame{kind: hdr[4], sid: binary.BigEndian.Uint64(hdr[5:]), body: body}, nil
+	return frame{kind: hdr[4], sid: binary.BigEndian.Uint64(hdr[5:]), body: body, buf: buf}, nil
 }
 
 // Peer is one roster entry: identity, address, and public key.

@@ -3,6 +3,7 @@ package livenet
 import (
 	"bytes"
 	"crypto/rand"
+	"io"
 	"sync"
 	"testing"
 	"testing/iotest"
@@ -10,6 +11,7 @@ import (
 
 	"resilientmix/internal/erasure"
 	"resilientmix/internal/netsim"
+	"resilientmix/internal/onion"
 	"resilientmix/internal/onioncrypt"
 )
 
@@ -102,18 +104,27 @@ func TestRosterValidation(t *testing.T) {
 	}
 }
 
+// rawSend is the hop-layer output writeFrame lays out as exactly
+// kind | sid | body: a kind that carries no in-band sender id.
+func rawSend(kind onion.Kind, sid uint64, body []byte) onion.Send {
+	return onion.Send{Kind: kind, SID: onion.StreamID(sid), Body: body}
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := frame{kind: kindData, sid: 0xdeadbeef, body: []byte("payload")}
-	if err := writeFrame(&buf, in); err != nil {
+	in := rawSend(onion.KindData, 0xdeadbeef, []byte("payload"))
+	if err := writeFrame(&buf, 0, in, nil); err != nil {
 		t.Fatal(err)
 	}
 	out, err := readFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.kind != in.kind || out.sid != in.sid || !bytes.Equal(out.body, in.body) {
+	if out.kind != kindData || out.sid != 0xdeadbeef || !bytes.Equal(out.body, in.Body) {
 		t.Fatalf("frame round trip: %+v vs %+v", out, in)
+	}
+	if offsetIn(out.buf, out.body) != frameHeader {
+		t.Fatal("a read body does not sit behind a header's worth of its own buffer")
 	}
 }
 
@@ -131,39 +142,104 @@ func TestFrameRejectsOversize(t *testing.T) {
 	}
 }
 
-// countingWriter counts Write calls.
+// countingWriter counts Write calls and remembers the last slice it was
+// handed.
 type countingWriter struct {
 	bytes.Buffer
 	writes int
+	last   []byte
 }
 
 func (w *countingWriter) Write(p []byte) (int, error) {
 	w.writes++
+	w.last = p
 	return w.Buffer.Write(p)
 }
 
-// TestFrameOneWrite pins the framing's syscall shape: a frame leaves in
-// one Write (one TCP segment for anything under the MSS), whatever the
-// pooled scratch buffer held before.
+// TestFrameOneWrite pins the framing's syscall shape on every way the
+// node produces a frame: it leaves in one Write (one TCP segment for
+// anything under the MSS), whatever the pooled scratch buffer held
+// before; and a body that lies in the caller's buffer behind room for
+// the header — an onion built behind headroom, a layer opened in place
+// in a frame that was read — leaves from that buffer, not from a copy.
 func TestFrameOneWrite(t *testing.T) {
+	const self = netsim.NodeID(0x01020304)
 	for _, size := range []int{0, 7, 1 << 17, 3} {
-		in := frame{kind: kindData, sid: uint64(size), body: bytes.Repeat([]byte{byte(size)}, size)}
-		var w countingWriter
-		if err := writeFrame(&w, in); err != nil {
-			t.Fatal(err)
+		body := bytes.Repeat([]byte{byte(size)}, size)
+		for _, tc := range []struct {
+			name    string
+			kind    onion.Kind
+			room    int // bytes of the caller's buffer in front of the body; -1: none given
+			inPlace bool
+			lead    []byte // what the frame body starts with before the payload
+		}{
+			{"staged", onion.KindData, -1, false, nil},
+			{"built behind headroom", onion.KindData, frameHeader, size > 0, nil},
+			{"forwarded from its frame", onion.KindData, frameHeader + 12, size > 0, nil},
+			{"delivered from its frame", onion.KindDeliver, frameHeader + 12 + 8, size > 0, []byte{1, 2, 3, 4}},
+			{"too little room", onion.KindDeliver, frameHeader + 3, false, []byte{1, 2, 3, 4}},
+			{"construct", onion.KindConstruct, frameHeader + 12, false, []byte{1, 2, 3, 4, 'o', 'n'}},
+			{"construct+data", onion.KindConstructData, frameHeader + 12, false, []byte{1, 2, 3, 4, 0, 0, 0, 2, 'o', 'n'}},
+		} {
+			in := onion.Send{Kind: tc.kind, SID: onion.StreamID(size), Body: body}
+			if tc.kind == onion.KindConstruct || tc.kind == onion.KindConstructData {
+				in.Onion = []byte("on")
+			}
+			var room []byte
+			if tc.room >= 0 {
+				room = make([]byte, tc.room+size)
+				in.Body = room[tc.room:]
+				copy(in.Body, body)
+			}
+			var w countingWriter
+			if err := writeFrame(&w, self, in, room); err != nil {
+				t.Fatal(err)
+			}
+			if w.writes != 1 {
+				t.Fatalf("%s, %d-byte body: %d writes, want 1", tc.name, size, w.writes)
+			}
+			if want := frameHeader + len(tc.lead) + size; w.Len() != want {
+				t.Fatalf("%s, %d-byte body: wrote %d bytes, want %d", tc.name, size, w.Len(), want)
+			}
+			if got := offsetIn(room, w.last) >= 0; got != tc.inPlace {
+				t.Fatalf("%s, %d-byte body: written from the caller's buffer = %v, want %v", tc.name, size, got, tc.inPlace)
+			}
+			out, err := readFrame(&w.Buffer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.kind != byte(tc.kind) || out.sid != uint64(size) || !bytes.Equal(out.body, append(tc.lead, body...)) {
+				t.Fatalf("%s, %d-byte body did not round-trip", tc.name, size)
+			}
 		}
-		if w.writes != 1 {
-			t.Fatalf("%d-byte body took %d writes, want 1", size, w.writes)
-		}
-		if w.Len() != frameHeader+size {
-			t.Fatalf("%d-byte body wrote %d bytes, want %d", size, w.Len(), frameHeader+size)
-		}
-		out, err := readFrame(&w.Buffer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.kind != in.kind || out.sid != in.sid || !bytes.Equal(out.body, in.body) {
-			t.Fatalf("%d-byte body did not round-trip", size)
+	}
+}
+
+// TestFrameWriteAllocs: the write side costs the allocator nothing per
+// frame, whichever way the frame is produced. The small frames — acks,
+// probes' reverse bodies — are most of a session's frames, and a header
+// array that escaped into Write cost 2.3 KB apiece while this was sized.
+func TestFrameWriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	room := make([]byte, frameHeader+(1<<10))
+	for name, tc := range map[string]struct {
+		s    onion.Send
+		room []byte
+	}{
+		"ack":                   {onion.Send{Kind: onion.KindAck, SID: 1}, nil},
+		"reverse":               {rawSend(onion.KindReverse, 2, make([]byte, 97)), nil},
+		"deliver, staged":       {onion.Send{Kind: onion.KindDeliver, SID: 3, Body: make([]byte, 200)}, nil},
+		"data, from its buffer": {rawSend(onion.KindData, 4, room[frameHeader:]), room},
+	} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := writeFrame(io.Discard, 7, tc.s, tc.room); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per frame written, want 0", name, allocs)
 		}
 	}
 }
@@ -171,9 +247,9 @@ func TestFrameOneWrite(t *testing.T) {
 // TestFrameReadShortReads feeds readFrame a stream that trickles in one
 // byte per Read, and every truncation of a valid frame.
 func TestFrameReadShortReads(t *testing.T) {
-	in := frame{kind: kindReverse, sid: 0x0102030405060708, body: []byte("some reverse body")}
+	in := rawSend(onion.KindReverse, 0x0102030405060708, []byte("some reverse body"))
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, in); err != nil {
+	if err := writeFrame(&buf, 0, in, nil); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -181,7 +257,7 @@ func TestFrameReadShortReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.kind != in.kind || out.sid != in.sid || !bytes.Equal(out.body, in.body) {
+	if out.kind != kindReverse || out.sid != 0x0102030405060708 || !bytes.Equal(out.body, in.Body) {
 		t.Fatalf("one-byte reads: %+v vs %+v", out, in)
 	}
 	for cut := 0; cut < len(raw); cut++ {
@@ -191,7 +267,7 @@ func TestFrameReadShortReads(t *testing.T) {
 	}
 	// The body is the caller's: it shares nothing with the input.
 	raw[frameHeader] ^= 0xff
-	if !bytes.Equal(out.body, in.body) {
+	if !bytes.Equal(out.body, in.Body) {
 		t.Fatal("frame body aliases the reader's buffer")
 	}
 }
@@ -398,7 +474,7 @@ func TestLivePathReuse(t *testing.T) {
 // never panic or allocate past maxFrameSize.
 func FuzzReadFrame(f *testing.F) {
 	var good bytes.Buffer
-	writeFrame(&good, frame{kind: kindData, sid: 7, body: []byte("payload")})
+	writeFrame(&good, 0, rawSend(onion.KindData, 7, []byte("payload")), nil)
 	f.Add(good.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 9, 1, 0, 0, 0, 0, 0, 0, 0, 0})
@@ -411,8 +487,13 @@ func FuzzReadFrame(f *testing.F) {
 		if 4+9+len(fr.body) > len(data) || len(fr.body) > maxFrameSize {
 			t.Fatalf("frame body of %d bytes from %d input bytes", len(fr.body), len(data))
 		}
+		// Re-encode under a kind that adds no sender id; the kind byte
+		// is compared on its own. The body goes out from the frame's own
+		// buffer when there is one.
 		var out bytes.Buffer
-		if err := writeFrame(&out, fr); err != nil || !bytes.Equal(out.Bytes(), data[:out.Len()]) {
+		err = writeFrame(&out, 0, rawSend(onion.KindData, fr.sid, fr.body), fr.buf)
+		if err != nil || out.Len() > len(data) || fr.kind != data[4] ||
+			!bytes.Equal(out.Bytes()[:4], data[:4]) || !bytes.Equal(out.Bytes()[5:], data[5:out.Len()]) {
 			t.Fatalf("accepted frame does not re-encode to its input (err %v)", err)
 		}
 	})

@@ -128,9 +128,12 @@ func newLiveMetrics(reg *obs.Registry) *liveMetrics {
 // exactly that), and the responder learns only the terminal relay.
 type Node struct {
 	cfg Config
-	ln  net.Listener
-	reg *obs.Registry
-	m   *liveMetrics
+	// rost is the current roster (cfg.Roster is only the one the node
+	// started with): read on every frame, replaced by SetRoster.
+	rost atomic.Pointer[Roster]
+	ln   net.Listener
+	reg  *obs.Registry
+	m    *liveMetrics
 	// rt samples Go runtime telemetry (goroutines, heap, GC pauses,
 	// scheduler latency) into reg on every observability scrape.
 	rt *obs.RuntimeCollector
@@ -233,6 +236,7 @@ func Start(addr string, cfg Config) (*Node, error) {
 		peerOut: make(map[netsim.NodeID]*obs.Counter),
 		quit:    make(chan struct{}),
 	}
+	n.rost.Store(cfg.Roster)
 	n.wg.Add(2)
 	go n.acceptLoop()
 	go n.sweepLoop()
@@ -245,18 +249,10 @@ func (n *Node) Addr() string { return n.ln.Addr().String() }
 // SetRoster replaces the node's roster. Clusters that bind ephemeral
 // ports start with a provisional roster and install the final one (with
 // real addresses) once every listener is up.
-func (n *Node) SetRoster(r *Roster) {
-	n.mu.Lock()
-	n.cfg.Roster = r
-	n.mu.Unlock()
-}
+func (n *Node) SetRoster(r *Roster) { n.rost.Store(r) }
 
-// roster returns the current roster under the lock.
-func (n *Node) roster() *Roster {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.cfg.Roster
-}
+// roster returns the current roster.
+func (n *Node) roster() *Roster { return n.rost.Load() }
 
 // ID returns the node's roster identity.
 func (n *Node) ID() netsim.NodeID { return n.cfg.ID }
@@ -358,15 +354,16 @@ var dialRetry = retrypolicy.Policy{
 	Jitter:     0.5,
 }
 
-// send dials a peer and writes one frame. Its deadline covers the
-// whole dial schedule: every attempt, the backoff sleeps between them
-// (jitter at most doubles the cap) and a second to spare.
-func (n *Node) send(to netsim.NodeID, f frame) error {
+// send dials the peer a hop-layer output is for and writes it as one
+// frame (see writeFrame for room). Its deadline covers the whole dial
+// schedule: every attempt, the backoff sleeps between them (jitter at
+// most doubles the cap) and a second to spare.
+func (n *Node) send(s onion.Send, room []byte) error {
 	attempts := time.Duration(dialRetry.Attempts)
 	ctx, cancel := context.WithTimeout(context.Background(),
 		attempts*n.cfg.DialTimeout+(attempts-1)*2*dialRetry.BackoffCap+time.Second)
 	defer cancel()
-	return n.sendCtx(ctx, to, f)
+	return n.sendCtx(ctx, s, room)
 }
 
 // sendCtx dials a peer under the caller's context and writes one frame.
@@ -376,13 +373,17 @@ func (n *Node) send(to netsim.NodeID, f frame) error {
 // jittered exponential backoff. Write failures after a successful dial
 // are not retried: the frame may have partially left, and replaying it
 // risks duplicate relay state.
-func (n *Node) sendCtx(ctx context.Context, to netsim.NodeID, f frame) error {
+func (n *Node) sendCtx(ctx context.Context, s onion.Send, room []byte) error {
+	to, sid, size := s.To, uint64(s.SID), frameBodyLen(s)
+	if frameHeader+size > maxFrameSize {
+		return ErrFrameTooLarge
+	}
 	if n.flt.blackholed(to) {
-		n.noteDropped("live.fault.refused", to, f, obs.ReasonBlackholed)
+		n.noteDropped("live.fault.refused", to, sid, size, obs.ReasonBlackholed)
 		return fmt.Errorf("livenet: peer %d blackholed", to)
 	}
 	if delay, dropped := n.flt.outboundFault(); dropped {
-		n.noteDropped("live.fault.dropped", to, f, obs.ReasonInjectedDrop)
+		n.noteDropped("live.fault.dropped", to, sid, size, obs.ReasonInjectedDrop)
 		return nil // the frame "left" but will never arrive
 	} else if delay > 0 {
 		t := time.NewTimer(delay)
@@ -390,7 +391,7 @@ func (n *Node) sendCtx(ctx context.Context, to netsim.NodeID, f frame) error {
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			n.noteDropped("live.send_errors", to, f, obs.ReasonSendFailed)
+			n.noteDropped("live.send_errors", to, sid, size, obs.ReasonSendFailed)
 			return ctx.Err()
 		}
 	}
@@ -407,21 +408,21 @@ func (n *Node) sendCtx(ctx context.Context, to netsim.NodeID, f frame) error {
 			deadline = d
 		}
 		conn.SetWriteDeadline(deadline)
-		if err := writeFrame(conn, f); err != nil {
+		if err := writeFrame(conn, n.cfg.ID, s, room); err != nil {
 			return retrypolicy.Permanent(err)
 		}
 		return nil
 	})
 	if err != nil {
-		n.noteDropped("live.send_errors", to, f, obs.ReasonSendFailed)
+		n.noteDropped("live.send_errors", to, sid, size, obs.ReasonSendFailed)
 		return err
 	}
 	n.m.framesOut.Inc()
 	n.peerOutCounter(to).Inc()
 	n.emit(obs.Event{
 		Type: obs.MsgSent, At: time.Now().UnixMicro(),
-		Node: int(n.cfg.ID), Peer: int(to), ID: f.sid,
-		Slot: -1, Hop: -1, Size: len(f.body),
+		Node: int(n.cfg.ID), Peer: int(to), ID: sid,
+		Slot: -1, Hop: -1, Size: size,
 	})
 	return nil
 }
@@ -448,22 +449,6 @@ func newSID() uint64 {
 	return binary.BigEndian.Uint64(b[:])
 }
 
-// frameOf lays one hop-layer output out as a wire frame. Construct and
-// deliver bodies lead with this node's roster id (see the backward
-// routing note on Node); the combined pass is
-// sender(4) | onionLen(4) | onion | payload.
-func (n *Node) frameOf(s onion.Send) frame {
-	f := frame{kind: byte(s.Kind), sid: uint64(s.SID), body: s.Body}
-	if s.Kind == onion.KindConstruct || s.Kind == onion.KindDeliver || s.Kind == onion.KindConstructData {
-		f.body = binary.BigEndian.AppendUint32(make([]byte, 0, 8+len(s.Onion)+len(s.Body)), uint32(n.cfg.ID))
-		if s.Kind == onion.KindConstructData {
-			f.body = binary.BigEndian.AppendUint32(f.body, uint32(len(s.Onion)))
-		}
-		f.body = append(append(f.body, s.Onion...), s.Body...)
-	}
-	return f
-}
-
 // admit strips the in-band sender id off a construct or deliver frame
 // and vets it: a roster member, not blackholed.
 func (n *Node) admit(f frame) (from netsim.NodeID, rest []byte, ok bool) {
@@ -475,7 +460,7 @@ func (n *Node) admit(f frame) (from netsim.NodeID, rest []byte, ok bool) {
 		return netsim.Invalid, nil, false
 	}
 	if n.flt.blackholed(from) {
-		n.noteDropped("live.fault.refused", from, f, obs.ReasonBlackholed)
+		n.noteDropped("live.fault.refused", from, f.sid, len(f.body), obs.ReasonBlackholed)
 		return netsim.Invalid, nil, false
 	}
 	return from, rest, true
@@ -483,7 +468,8 @@ func (n *Node) admit(f frame) (from netsim.NodeID, rest []byte, ok bool) {
 
 // handle dispatches one inbound frame: frames of this node's own paths
 // go to its initiator role, deliveries to its responder role, and the
-// rest through the relay table, whose answers go back out as frames.
+// rest through the relay table, whose answers go back out as frames —
+// a forwarded or delivered payload from the buffer it arrived in.
 func (n *Node) handle(f frame) {
 	wall := time.Now()
 	n.lastFrameAt.Store(wall.UnixMicro())
@@ -535,7 +521,7 @@ func (n *Node) handle(f frame) {
 		step = n.tab.Reverse(now, sid, f.body)
 	}
 	for i := 0; i < step.N; i++ {
-		n.send(step.Out[i].To, n.frameOf(step.Out[i]))
+		n.send(step.Out[i], f.buf)
 	}
 }
 
@@ -590,5 +576,5 @@ func (h ReplyHandle) Reply(data []byte) error {
 	if err != nil {
 		return err
 	}
-	return h.node.send(s.To, h.node.frameOf(s))
+	return h.node.send(s, nil)
 }

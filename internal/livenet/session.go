@@ -15,6 +15,7 @@ import (
 	"resilientmix/internal/mixchoice"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
+	"resilientmix/internal/onion"
 	"resilientmix/internal/retrypolicy"
 	"resilientmix/internal/session"
 )
@@ -189,6 +190,7 @@ type LiveSession struct {
 	code      *erasure.Code
 	opts      SessionOptions
 	responder netsim.NodeID
+	hops      int       // relays of the longest path: the most layers a segment gets
 	start     time.Time // the machine's clock is the time since start
 
 	ctx    context.Context
@@ -270,6 +272,7 @@ func (n *Node) NewLiveSessionOpts(relayLists [][]netsim.NodeID, responder netsim
 	}
 	var firstErr error
 	for i, relays := range relayLists {
+		s.hops = max(s.hops, len(relays))
 		cctx, cancel := context.WithTimeout(ctx, n.cfg.ConstructTimeout)
 		p, err := n.launch(cctx, relays, responder, nil, false, s.reverse)
 		cancel()
@@ -398,8 +401,17 @@ func (s *LiveSession) coverTick() {
 // whose segment is not acknowledged in time are marked dead, and — when
 // repair is enabled — unacknowledged segments are retransmitted over
 // surviving or repaired paths until m distinct acks confirm delivery.
-// It returns the message id; Await blocks on the verdict.
+// It returns the message id; Await blocks on the verdict. A message too
+// large for its segments to fit a frame is refused with
+// ErrFrameTooLarge before anything is sent.
 func (s *LiveSession) Send(data []byte) (uint64, error) {
+	// A segment no frame can carry would be dropped unread by every
+	// first relay, and the silence would condemn k healthy paths.
+	seg := session.SegmentOverhead + s.code.SegmentSize(len(data))
+	if size := frameHeader + onion.PayloadOnionSize(s.node.cfg.Suite, s.hops, seg); size > maxFrameSize {
+		return 0, fmt.Errorf("%w: a %d-byte message makes %d-byte segments, %d-byte frames of at most %d",
+			ErrFrameTooLarge, len(data), seg, size, maxFrameSize)
+	}
 	segs, err := s.code.Split(data)
 	if err != nil {
 		return 0, err
@@ -431,11 +443,11 @@ func (s *LiveSession) run(outs []session.Output) {
 	for _, o := range outs {
 		switch o.Kind {
 		case session.Transmit:
-			s.paths[o.Slot].Load().sendTo(o.Dest, s.m.Payload(o))
+			s.transmit(o)
 			s.noteSegmentSent(o)
 		case session.Probe:
 			s.node.m.probes.Inc()
-			s.paths[o.Slot].Load().Send(s.m.Payload(o))
+			s.transmit(o)
 		case session.Cover:
 			pad := make([]byte, s.opts.CoverSize)
 			rand.Read(pad)
@@ -473,6 +485,17 @@ func (s *LiveSession) run(outs []session.Output) {
 			s.resolve(o.MID, o.Delivered)
 		}
 	}
+}
+
+// transmit sends a Transmit's segment or a Probe's probe down its slot,
+// encoded by the machine straight into the onion that carries it.
+func (s *LiveSession) transmit(o session.Output) {
+	p := s.paths[o.Slot].Load()
+	dest := p.Responder
+	if o.Kind == session.Transmit {
+		dest = o.Dest
+	}
+	p.sendApp(dest, s.m.PayloadSize(o), func(b []byte) []byte { return s.m.AppendPayload(b, o) })
 }
 
 func (s *LiveSession) noteSegmentSent(o session.Output) {

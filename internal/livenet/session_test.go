@@ -3,6 +3,8 @@ package livenet
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	"resilientmix/internal/erasure"
 	"resilientmix/internal/netsim"
+	"resilientmix/internal/onion"
 	"resilientmix/internal/onioncrypt"
 	"resilientmix/internal/session"
 	"resilientmix/internal/sessiontest"
@@ -395,6 +398,89 @@ func TestLiveConstructWithDataDeadRelay(t *testing.T) {
 	c.nodes[0].cfg.ConstructTimeout = 300 * time.Millisecond
 	if _, err := c.nodes[0].ConstructWithData([]netsim.NodeID{1, 2}, 4, []byte("x")); err == nil {
 		t.Fatal("combined pass through a dead relay succeeded")
+	}
+}
+
+// TestOversizeMessageRefused: a message whose segments no frame can
+// carry used to be accepted, written, dropped unread by every first
+// relay (readFrame's maxFrameSize) and, an AckTimeout later, reported
+// lost with every healthy path condemned. It is refused before the
+// machine sees it: typed error, nothing sent, all k paths alive — and
+// the largest message that does fit still arrives whole.
+func TestOversizeMessageRefused(t *testing.T) {
+	e := newLiveSessionEnv(t, 10, 9)
+	node := e.c.nodes[0]
+	sess, err := node.NewLiveSession([][]netsim.NodeID{
+		{1, 2}, {3, 4}, {5, 6}, {7, 8},
+	}, 9, 2, 300*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Teardown()
+	framesOut := node.Metrics().Counter("live.frames_out")
+	sent := framesOut.Value()
+
+	// The onion's size is linear in its payload's; m = 2 segments of
+	// ceil((len+4)/2) bytes carry a message.
+	room := maxFrameSize - frameHeader - onion.PayloadOnionSize(onioncrypt.ECIES{}, 2, session.SegmentOverhead)
+	largest := 2*room - 4
+	for _, size := range []int{largest + 1, 3 << 20} {
+		if _, err := sess.Send(make([]byte, size)); !errors.Is(err, ErrFrameTooLarge) {
+			t.Fatalf("Send of %d bytes: err = %v, want ErrFrameTooLarge", size, err)
+		}
+	}
+	p := sess.paths[0].Load()
+	if err := p.Send(make([]byte, maxFrameSize)); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("Path.Send of a frame's worth of payload: err = %v, want ErrFrameTooLarge", err)
+	}
+	time.Sleep(2 * sess.opts.AckTimeout) // a round timer, had one been armed, has fired
+	if got := framesOut.Value(); got != sent {
+		t.Fatalf("live.frames_out moved %d → %d on refused sends", sent, got)
+	}
+	if sess.AlivePaths() != 4 {
+		t.Fatalf("alive paths = %d after refused sends, want 4", sess.AlivePaths())
+	}
+
+	msg := make([]byte, largest)
+	rand.Read(msg)
+	mid, err := sess.Send(msg)
+	if err != nil {
+		t.Fatalf("Send of the largest message that fits (%d bytes): %v", largest, err)
+	}
+	if got := e.await(t, mid); !bytes.Equal(got, msg) {
+		t.Fatal("the largest message that fits did not arrive whole")
+	}
+}
+
+// BenchmarkLiveSessionSendBulk is the in-tree twin of the repo
+// benchmark's live_bulk workload: 256 KB over 4 paths x 2 relays with
+// real parity (m=2, n=4), Send then Await, closed loop. The per-byte
+// costs — coding, three AES-GCM layers per hop chain, frame buffers —
+// are most of it, so B/op is the number to watch.
+func BenchmarkLiveSessionSendBulk(b *testing.B) {
+	collector := NewLiveCollector(nil)
+	c := startCluster(b, 10, map[int]DataFunc{9: collector.Handle})
+	sess, err := c.nodes[0].NewLiveSession([][]netsim.NodeID{
+		{1, 2}, {3, 4}, {5, 6}, {7, 8},
+	}, 9, 2, 5*time.Second)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sess.Teardown()
+	msg := make([]byte, 256<<10)
+	rand.Read(msg)
+	ctx := context.Background()
+	b.SetBytes(int64(len(msg)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mid, err := sess.Send(msg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sess.Await(ctx, mid); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

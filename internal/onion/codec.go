@@ -1,9 +1,11 @@
 package onion
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/onioncrypt"
@@ -95,33 +97,55 @@ func ParseConstructLayer(suite onioncrypt.Suite, priv onioncrypt.PrivateKey, oni
 // sealedRespKey is < respKey >_{PubKey(D)}, computed once per path by
 // the initiator and reused for every message on it.
 func BuildPayloadOnion(suite onioncrypt.Suite, r io.Reader, keys [][]byte, responder netsim.NodeID, respKey, sealedRespKey, plain []byte) ([]byte, error) {
+	return appendPayloadOnion(nil, suite, r, keys, responder, respKey, sealedRespKey,
+		len(plain), func(b []byte) []byte { return append(b, plain...) })
+}
+
+// appendPayloadOnion appends the payload onion to dst, growing it at
+// most once, and writes every byte where it leaves. With p bytes of a
+// sealed layer in front of its plaintext and q behind (Suite.SymPrefix),
+// the onion over L relays is
+//
+//	p·L | D | len | len,sealedRespKey | len | p | plain | q | q·L
+//
+// so the headers are laid down first, then the plaintext — plain
+// appends exactly plainLen bytes to the slice it is handed and returns
+// it — and then each layer is sealed in place around what it wraps,
+// innermost first: the order BuildPayloadOnion has always drawn its
+// nonces from r in, so the bytes are the ones the layer-by-layer
+// construction gave.
+func appendPayloadOnion(dst []byte, suite onioncrypt.Suite, r io.Reader, keys [][]byte, responder netsim.NodeID, respKey, sealedRespKey []byte, plainLen int, plain func([]byte) []byte) ([]byte, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("onion: a payload onion needs at least one relay key")
 	}
-	ct, err := suite.SymSeal(r, respKey, plain)
-	if err != nil {
+	start := len(dst)
+	pre, post := suite.SymPrefix(), suite.SymOverhead()-suite.SymPrefix()
+	ct := plainLen + pre + post
+	dst = slices.Grow(dst, payloadOnionSize(suite, len(keys), len(sealedRespKey), plainLen))
+	dst = dst[:start+len(keys)*pre]
+	// Terminal relay layer: the destination override field and the
+	// responder blob.
+	dst = binary.BigEndian.AppendUint32(dst, uint32(responder))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(4+len(sealedRespKey)+4+ct))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(sealedRespKey)))
+	dst = append(dst, sealedRespKey...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(ct))
+	inner := len(dst)
+	dst = plain(dst[:inner+pre])
+	if len(dst) != inner+pre+plainLen {
+		return nil, fmt.Errorf("onion: payload of %d bytes announced as %d", len(dst)-inner-pre, plainLen)
+	}
+	dst = dst[:len(dst)+post]
+	if err := suite.SymSealInPlace(r, respKey, dst[inner:]); err != nil {
 		return nil, fmt.Errorf("onion: sealing responder payload: %w", err)
 	}
-	w := wire.NewWriter()
-	w.Bytes32(sealedRespKey)
-	w.Bytes32(ct)
-	blob := w.Bytes()
-
-	// Terminal relay layer carries the destination override field.
-	lw := wire.NewWriter()
-	lw.Int32(int32(responder))
-	lw.Bytes32(blob)
-	body, err := suite.SymSeal(r, keys[len(keys)-1], lw.Bytes())
-	if err != nil {
-		return nil, fmt.Errorf("onion: sealing terminal layer: %w", err)
-	}
-	for i := len(keys) - 2; i >= 0; i-- {
-		body, err = suite.SymSeal(r, keys[i], body)
-		if err != nil {
+	for i := len(keys) - 1; i >= 0; i-- {
+		dst = dst[:len(dst)+post]
+		if err := suite.SymSealInPlace(r, keys[i], dst[start+i*pre:]); err != nil {
 			return nil, fmt.Errorf("onion: sealing layer %d: %w", i, err)
 		}
 	}
-	return body, nil
+	return dst, nil
 }
 
 // ParseTerminalPayload splits the decrypted terminal-relay layer into
@@ -150,10 +174,15 @@ func ParseResponderBlob(blob []byte) (sealedKey, ct []byte, err error) {
 
 // PayloadOnionSize predicts the on-the-wire size of the outermost
 // payload-onion layer for a path of length L carrying plain bytes of the
-// given length — used by the analytic bandwidth model.
+// given length — used by the analytic bandwidth model, and exact for
+// the onions PathKeys builds.
 func PayloadOnionSize(suite onioncrypt.Suite, pathLen, plainLen int) int {
-	// responder blob: 4 + sealedKey(SymKeySize + SealOverhead) + 4 + ct.
-	blob := 4 + onioncrypt.SymKeySize + suite.SealOverhead() + 4 + plainLen + suite.SymOverhead()
+	return payloadOnionSize(suite, pathLen, onioncrypt.SymKeySize+suite.SealOverhead(), plainLen)
+}
+
+func payloadOnionSize(suite onioncrypt.Suite, pathLen, sealedKeyLen, plainLen int) int {
+	// responder blob: 4 + sealedKey + 4 + ct.
+	blob := 4 + sealedKeyLen + 4 + plainLen + suite.SymOverhead()
 	// terminal layer plaintext: 4 (dest) + 4 + blob.
 	body := 4 + 4 + blob + suite.SymOverhead()
 	// remaining L-1 plain symmetric layers.

@@ -17,6 +17,15 @@ import (
 // the caller puts on its own wire. The simulator (relay.go,
 // initiator.go, responder.go) and the TCP node (internal/livenet) are
 // the two drivers; neither holds protocol state of its own.
+//
+// Payload bytes are handled in place. A body given to Table.Data,
+// Table.ConstructData, Streams.Open or PathKeys.OpenReverse is consumed:
+// its symmetric layer is opened into its own storage
+// (Suite.SymOpenInPlace), what comes back — Send.Body, the plaintext —
+// is a sub-slice of it, and a body that did not open is left in no
+// particular state. The driver hands over a buffer nothing else reads,
+// and may put its own framing in the bytes in front of a returned
+// sub-slice. Nothing here keeps a reference to a body after returning.
 
 // Kind names a hop-layer message. The values are the live wire's frame
 // kinds.
@@ -212,7 +221,8 @@ func (t *Table) Construct(now int64, from netsim.NodeID, sid StreamID, onion []b
 
 // ConstructData installs path state AND strips one layer of the
 // piggybacked payload in one pass (§4.2). The terminal relay delivers
-// the responder blob and acks like an ordinary construction.
+// the responder blob and acks like an ordinary construction. body is
+// consumed; the forwarded payload is a sub-slice of it.
 func (t *Table) ConstructData(now int64, from netsim.NodeID, sid StreamID, onion, body []byte) Step {
 	return t.construct(now, from, sid, onion, body, true)
 }
@@ -224,7 +234,7 @@ func (t *Table) construct(now int64, from netsim.NodeID, sid StreamID, onion, bo
 	}
 	var pt []byte
 	if withData {
-		if pt, err = t.env.Suite.SymOpen(layer.Key, body); err != nil {
+		if pt, err = t.env.Suite.SymOpenInPlace(layer.Key, body); err != nil {
 			return t.bad()
 		}
 	}
@@ -298,7 +308,8 @@ func (t *Table) Ack(now int64, sid StreamID) Step {
 }
 
 // Data strips one payload layer and forwards it; at the terminal relay
-// the blob goes to the destination the layer names.
+// the blob goes to the destination the layer names. body is consumed;
+// the Send's Body is a sub-slice of it.
 func (t *Table) Data(now int64, sid StreamID, body []byte) Step {
 	t.mu.Lock()
 	st := t.lookup(t.forward, sid, now)
@@ -306,7 +317,7 @@ func (t *Table) Data(now int64, sid StreamID, body []byte) Step {
 	if st == nil {
 		return Step{Drop: DropNoSID}
 	}
-	pt, err := t.env.Suite.SymOpen(st.key, body)
+	pt, err := t.env.Suite.SymOpenInPlace(st.key, body)
 	if err != nil {
 		return t.bad()
 	}
@@ -377,8 +388,9 @@ func NewStreams(env Env, priv onioncrypt.PrivateKey, ttl int64) *Streams {
 // that does not open. The asymmetric open runs on a stream's first
 // delivery and whenever the sealed key differs from the stream's
 // unexpired record in any byte (a §4.4 rebind, tampering, a reused
-// sid); every payload is authenticated by SymOpen regardless. A
-// delivery that does not open leaves the record as it was.
+// sid); every payload is authenticated by its symmetric open
+// regardless. A delivery that does not open leaves the record as it
+// was. blob is consumed; plain is a sub-slice of it.
 func (s *Streams) Open(now int64, sid StreamID, blob []byte) (key, plain []byte, ok bool) {
 	sealedKey, ct, err := ParseResponderBlob(blob)
 	if err != nil {
@@ -396,7 +408,7 @@ func (s *Streams) Open(now int64, sid StreamID, blob []byte) (key, plain []byte,
 		// Null.Open returns a slice of it.
 		rec.sealed, rec.key = bytes.Clone(sealedKey), bytes.Clone(key)
 	}
-	if plain, err = s.env.Suite.SymOpen(rec.key, ct); err != nil {
+	if plain, err = s.env.Suite.SymOpenInPlace(rec.key, ct); err != nil {
 		return nil, nil, false
 	}
 	rec.expires = now + s.ttl
@@ -521,20 +533,41 @@ func (k *PathKeys) target(dir KeyLookup, responder netsim.NodeID) (target, error
 // responder — its default one or, reusing the relays' state, any other
 // (§4.4).
 func (k *PathKeys) Data(dir KeyLookup, responder netsim.NodeID, plain []byte) (Send, error) {
+	return k.AppendData(nil, dir, responder, len(plain), func(b []byte) []byte { return append(b, plain...) })
+}
+
+// DataSize is the length of the payload onion that carries plainLen
+// bytes over the path.
+func (k *PathKeys) DataSize(plainLen int) int {
+	return PayloadOnionSize(k.env.Suite, len(k.hops), plainLen)
+}
+
+// AppendData is Data into the caller's buffer: the onion is appended to
+// dst — in place when dst has DataSize(plainLen) bytes to spare, so a
+// driver can leave room for its framing in front — and is the Send's
+// Body. plain appends the plainLen bytes of the application message to
+// the slice it is handed and returns it; they are written once, where
+// they are sealed.
+func (k *PathKeys) AppendData(dst []byte, dir KeyLookup, responder netsim.NodeID, plainLen int, plain func([]byte) []byte) (Send, error) {
 	t, err := k.target(dir, responder)
 	if err != nil {
 		return Send{}, err
 	}
-	body, err := BuildPayloadOnion(k.env.Suite, k.env.Rand, k.hops, responder, t.key, t.sealed, plain)
-	return Send{To: k.first, Kind: KindData, SID: k.sid, Body: body}, err
+	body, err := appendPayloadOnion(dst, k.env.Suite, k.env.Rand, k.hops, responder, t.key, t.sealed, plainLen, plain)
+	if err != nil {
+		return Send{}, err
+	}
+	return Send{To: k.first, Kind: KindData, SID: k.sid, Body: body[len(dst):]}, nil
 }
 
 // OpenReverse peels every relay layer and the responder layer off a
 // reverse-path body, identifying the sending responder by which target
-// key decrypts.
+// key decrypts. body is consumed by the relay layers, which open in
+// place; the trial over the target keys must leave what it tries
+// intact for the next key, so plain is a buffer of its own.
 func (k *PathKeys) OpenReverse(body []byte) (from netsim.NodeID, plain []byte, ok bool) {
 	for _, key := range k.hops {
-		pt, err := k.env.Suite.SymOpen(key, body)
+		pt, err := k.env.Suite.SymOpenInPlace(key, body)
 		if err != nil {
 			return netsim.Invalid, nil, false // corrupted or replayed
 		}

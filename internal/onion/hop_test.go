@@ -257,7 +257,9 @@ func TestHopCoreScript(t *testing.T) {
 					if stats(4).DroppedNoSID != before+1 {
 						t.Fatal("reverse on the rebound stream not counted")
 					}
-					// The new responder's reply is attributed to it.
+					// The new responder's reply is attributed to it: respB is
+					// the path's second target, so OpenReverse tried respA's
+					// key on the body first — and left it intact.
 					r, err := h.resp[respB].Reply(d.relay, d.sid, d.key, []byte("from-b"))
 					if err != nil {
 						t.Fatal(err)
@@ -685,7 +687,8 @@ func TestStreamsOpenConcurrent(t *testing.T) {
 								sid StreamID
 								idx int
 							}{{0, (g + i) % 2 * (workers + 1)}, {StreamID(g + 1), g + 1}} {
-								key, plain, ok := s.Open(int64(i), c.sid, blobs[c.idx])
+								// Open consumes what it is given, as it does a frame.
+								key, plain, ok := s.Open(int64(i), c.sid, bytes.Clone(blobs[c.idx]))
 								if !ok || !bytes.Equal(key, streams[c.idx].key) || string(plain) != "x" {
 									t.Errorf("worker %d round %d stream %d: ok=%v key=%x", g, i, c.sid, ok, key)
 									return
@@ -711,7 +714,7 @@ func TestStreamsOpenConcurrent(t *testing.T) {
 				go func(g int) {
 					defer wg.Done()
 					for i := 0; i < rounds; i++ {
-						if _, _, ok := s.Open(rounds, StreamID(g+1), blobs[g+1]); !ok {
+						if _, _, ok := s.Open(rounds, StreamID(g+1), bytes.Clone(blobs[g+1])); !ok {
 							t.Errorf("worker %d: recorded stream failed to open", g)
 							return
 						}
@@ -755,10 +758,12 @@ func BenchmarkStreamsOpen(b *testing.B) {
 			if !bc.miss {
 				blobs[1] = blobs[0]
 			}
+			delivery := make([]byte, len(blobs[0])) // Open consumes it
 			b.SetBytes(int64(len(plain)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, ok := s.Open(int64(i), 1, blobs[i%2]); !ok {
+				copy(delivery, blobs[i%2])
+				if _, _, ok := s.Open(int64(i), 1, delivery); !ok {
 					b.Fatal("delivery did not open")
 				}
 			}

@@ -146,19 +146,56 @@ func (ECIES) SymSeal(r io.Reader, key, plaintext []byte) ([]byte, error) {
 	if len(key) != SymKeySize {
 		return nil, ErrBadKeySize
 	}
-	gcm, err := newGCM(key)
-	if err != nil {
+	out := make([]byte, gcmNonceSize+len(plaintext)+gcmTagSize)
+	if err := symSeal(r, key, out, plaintext); err != nil {
 		return nil, err
 	}
-	out := make([]byte, gcmNonceSize, gcmNonceSize+len(plaintext)+gcmTagSize)
-	if _, err := io.ReadFull(r, out); err != nil {
-		return nil, fmt.Errorf("onioncrypt: drawing nonce: %w", err)
-	}
-	return gcm.Seal(out, out[:gcmNonceSize], plaintext, nil), nil
+	return out, nil
 }
 
-// SymOpen decrypts one payload layer.
+// SymSealInPlace seals the layer whose plaintext sits between the nonce
+// and the tag it is about to get.
+func (ECIES) SymSealInPlace(r io.Reader, key, layer []byte) error {
+	if len(key) != SymKeySize {
+		return ErrBadKeySize
+	}
+	if len(layer) < gcmNonceSize+gcmTagSize {
+		return fmt.Errorf("onioncrypt: %d-byte buffer cannot hold a layer", len(layer))
+	}
+	return symSeal(r, key, layer, layer[gcmNonceSize:len(layer)-gcmTagSize])
+}
+
+// symSeal fills layer with nonce || AES-GCM(plaintext). plaintext is
+// either elsewhere or exactly where its ciphertext goes — the one
+// overlap cipher.AEAD allows.
+func symSeal(r io.Reader, key, layer, plaintext []byte) error {
+	gcm, err := newGCM(key)
+	if err != nil {
+		return err
+	}
+	nonce := layer[:gcmNonceSize]
+	if _, err := io.ReadFull(r, nonce); err != nil {
+		return fmt.Errorf("onioncrypt: drawing nonce: %w", err)
+	}
+	gcm.Seal(nonce, nonce, plaintext, nil)
+	return nil
+}
+
+// SymOpen decrypts one payload layer into a fresh buffer.
 func (ECIES) SymOpen(key, ciphertext []byte) ([]byte, error) {
+	return symOpen(key, ciphertext, false)
+}
+
+// SymOpenInPlace decrypts one payload layer where it lies. A layer that
+// does not authenticate is wiped, not released.
+func (ECIES) SymOpenInPlace(key, ciphertext []byte) ([]byte, error) {
+	return symOpen(key, ciphertext, true)
+}
+
+// symOpen opens one layer into a fresh buffer or, in place, over the
+// layer's own ciphertext — starting exactly where it starts, the one
+// overlap cipher.AEAD allows.
+func symOpen(key, ciphertext []byte, inPlace bool) ([]byte, error) {
 	if len(key) != SymKeySize {
 		return nil, ErrBadKeySize
 	}
@@ -169,7 +206,11 @@ func (ECIES) SymOpen(key, ciphertext []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	pt, err := gcm.Open(nil, ciphertext[:gcmNonceSize], ciphertext[gcmNonceSize:], nil)
+	var dst []byte
+	if inPlace {
+		dst = ciphertext[gcmNonceSize:gcmNonceSize]
+	}
+	pt, err := gcm.Open(dst, ciphertext[:gcmNonceSize], ciphertext[gcmNonceSize:], nil)
 	if err != nil {
 		return nil, ErrDecrypt
 	}
@@ -178,3 +219,6 @@ func (ECIES) SymOpen(key, ciphertext []byte) ([]byte, error) {
 
 // SymOverhead returns the symmetric layer overhead (28 bytes).
 func (ECIES) SymOverhead() int { return gcmNonceSize + gcmTagSize }
+
+// SymPrefix returns the nonce size: the tag follows the ciphertext.
+func (ECIES) SymPrefix() int { return gcmNonceSize }

@@ -20,6 +20,10 @@ type Null struct{}
 
 var _ Suite = Null{}
 
+// nullSymHeader is a Null symmetric layer's whole overhead: all of it
+// precedes the plaintext.
+const nullSymHeader = gcmNonceSize + gcmTagSize
+
 // Name returns "null".
 func (Null) Name() string { return "null" }
 
@@ -77,15 +81,27 @@ func (Null) NewSymKey(r io.Reader) ([]byte, error) {
 
 // SymSeal prefixes a key fingerprint and the plaintext length, matching
 // the ECIES layer size.
-func (Null) SymSeal(_ io.Reader, key, plaintext []byte) ([]byte, error) {
-	if len(key) != SymKeySize {
-		return nil, ErrBadKeySize
+func (n Null) SymSeal(r io.Reader, key, plaintext []byte) ([]byte, error) {
+	out := make([]byte, nullSymHeader+len(plaintext))
+	copy(out[nullSymHeader:], plaintext)
+	if err := n.SymSealInPlace(r, key, out); err != nil {
+		return nil, err
 	}
-	const hdr = gcmNonceSize + gcmTagSize
-	out := make([]byte, 0, hdr+len(plaintext))
-	out = append(out, key[:hdr-4]...)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(plaintext)))
-	return append(out, plaintext...), nil
+	return out, nil
+}
+
+// SymSealInPlace writes the fingerprint and length in front of the
+// plaintext.
+func (Null) SymSealInPlace(_ io.Reader, key, layer []byte) error {
+	if len(key) != SymKeySize {
+		return ErrBadKeySize
+	}
+	if len(layer) < nullSymHeader {
+		return fmt.Errorf("onioncrypt: %d-byte buffer cannot hold a layer", len(layer))
+	}
+	copy(layer, key[:nullSymHeader-4])
+	binary.BigEndian.PutUint32(layer[nullSymHeader-4:], uint32(len(layer)-nullSymHeader))
+	return nil
 }
 
 // SymOpen verifies the key fingerprint and embedded length, then strips
@@ -94,19 +110,27 @@ func (Null) SymOpen(key, ciphertext []byte) ([]byte, error) {
 	if len(key) != SymKeySize {
 		return nil, ErrBadKeySize
 	}
-	const hdr = gcmNonceSize + gcmTagSize
-	if len(ciphertext) < hdr {
+	if len(ciphertext) < nullSymHeader {
 		return nil, ErrDecrypt
 	}
-	if !bytes.Equal(ciphertext[:hdr-4], key[:hdr-4]) {
+	if !bytes.Equal(ciphertext[:nullSymHeader-4], key[:nullSymHeader-4]) {
 		return nil, ErrDecrypt
 	}
-	pt := ciphertext[hdr:]
-	if binary.BigEndian.Uint32(ciphertext[hdr-4:]) != uint32(len(pt)) {
+	pt := ciphertext[nullSymHeader:]
+	if binary.BigEndian.Uint32(ciphertext[nullSymHeader-4:]) != uint32(len(pt)) {
 		return nil, ErrDecrypt
 	}
 	return pt, nil
 }
 
+// SymOpenInPlace is SymOpen: nothing is decrypted, so the plaintext is
+// a sub-slice of the layer either way.
+func (n Null) SymOpenInPlace(key, ciphertext []byte) ([]byte, error) {
+	return n.SymOpen(key, ciphertext)
+}
+
 // SymOverhead matches ECIES (28 bytes).
-func (Null) SymOverhead() int { return gcmNonceSize + gcmTagSize }
+func (Null) SymOverhead() int { return nullSymHeader }
+
+// SymPrefix is the whole overhead.
+func (Null) SymPrefix() int { return nullSymHeader }

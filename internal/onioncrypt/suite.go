@@ -71,12 +71,32 @@ type Suite interface {
 	NewSymKey(r io.Reader) ([]byte, error)
 
 	// SymSeal encrypts plaintext under a symmetric key (one payload
-	// onion layer).
+	// onion layer). The result is a fresh buffer; plaintext is only
+	// read.
 	SymSeal(r io.Reader, key, plaintext []byte) ([]byte, error)
 
-	// SymOpen decrypts one symmetric layer.
+	// SymOpen decrypts one symmetric layer into a buffer of its own (or,
+	// where nothing is decrypted, a sub-slice of ciphertext); ciphertext
+	// is left intact and may be opened again.
 	SymOpen(key, ciphertext []byte) ([]byte, error)
 
 	// SymOverhead is the constant size difference added by SymSeal.
 	SymOverhead() int
+
+	// SymPrefix is how many of SymOverhead's bytes a sealed layer puts
+	// before its plaintext; the rest follow it.
+	SymPrefix() int
+
+	// SymSealInPlace seals the layer that fills the whole of layer, whose
+	// plaintext the caller has already put where it stays:
+	// layer[SymPrefix() : len(layer)-(SymOverhead()-SymPrefix())]. It
+	// draws from r what SymSeal draws and leaves in layer the bytes
+	// SymSeal would have returned, without a second buffer.
+	SymSealInPlace(r io.Reader, key, layer []byte) error
+
+	// SymOpenInPlace decrypts one symmetric layer into the storage of
+	// ciphertext and returns the plaintext as a sub-slice of it.
+	// ciphertext is consumed: after the call, failed or not, only the
+	// returned slice means anything.
+	SymOpenInPlace(key, ciphertext []byte) ([]byte, error)
 }

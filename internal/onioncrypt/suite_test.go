@@ -108,6 +108,80 @@ func TestSymRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSymInPlaceMatchesCopying pins the contract between the two forms
+// of each symmetric operation: sealing in place leaves the bytes SymSeal
+// returns under the same reader, without touching a byte outside the
+// layer; opening in place returns the plaintext where it lay; and
+// SymOpen, unlike SymOpenInPlace, leaves its ciphertext to be opened
+// again.
+func TestSymInPlaceMatchesCopying(t *testing.T) {
+	for _, s := range suites() {
+		for _, size := range []int{0, 1, 1000} {
+			key, _ := s.NewSymKey(rng(8))
+			msg := make([]byte, size)
+			rng(9).Read(msg)
+			want, err := s.SymSeal(rng(10), key, msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			const margin = 5
+			pre := s.SymPrefix()
+			buf := bytes.Repeat([]byte{0xa5}, margin+len(want)+margin)
+			layer := buf[margin : margin+len(want)]
+			copy(layer[pre:], msg)
+			r := rng(10)
+			if err := s.SymSealInPlace(r, key, layer); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(layer, want) {
+				t.Fatalf("%s/%d: sealed in place differs from SymSeal", s.Name(), size)
+			}
+			if !bytes.Equal(buf[:margin], bytes.Repeat([]byte{0xa5}, margin)) || !bytes.Equal(buf[margin+len(want):], bytes.Repeat([]byte{0xa5}, margin)) {
+				t.Fatalf("%s/%d: sealing in place wrote outside the layer", s.Name(), size)
+			}
+			if s.Name() == "ecies" && r.Int63() == rng(10).Int63() {
+				t.Fatal("sealing in place drew no nonce")
+			}
+
+			for i := 0; i < 2; i++ { // SymOpen leaves the layer intact
+				pt, err := s.SymOpen(key, layer)
+				if err != nil || !bytes.Equal(pt, msg) || !bytes.Equal(layer, want) {
+					t.Fatalf("%s/%d: SymOpen #%d: err %v", s.Name(), size, i, err)
+				}
+			}
+			pt, err := s.SymOpenInPlace(key, layer)
+			if err != nil || !bytes.Equal(pt, msg) {
+				t.Fatalf("%s/%d: SymOpenInPlace: err %v", s.Name(), size, err)
+			}
+			if size > 0 && &pt[0] != &layer[pre] {
+				t.Fatalf("%s/%d: opened in place, but not where the plaintext lay", s.Name(), size)
+			}
+
+			// A layer that does not authenticate yields nothing, in
+			// either form; too short a buffer is no layer.
+			other, _ := s.NewSymKey(rng(11))
+			if _, err := s.SymOpenInPlace(other, bytes.Clone(want)); err == nil {
+				t.Fatalf("%s/%d: wrong key opened the layer in place", s.Name(), size)
+			}
+			for cut := 0; cut < s.SymOverhead(); cut++ {
+				if _, err := s.SymOpenInPlace(key, bytes.Clone(want[:cut])); err == nil {
+					t.Fatalf("%s: %d-byte layer opened in place", s.Name(), cut)
+				}
+				if err := s.SymSealInPlace(rng(10), key, make([]byte, cut)); err == nil {
+					t.Fatalf("%s: sealed a layer into %d bytes", s.Name(), cut)
+				}
+			}
+			if err := s.SymSealInPlace(rng(10), key[:7], make([]byte, 64)); err == nil {
+				t.Fatalf("%s: short key accepted by SymSealInPlace", s.Name())
+			}
+			if _, err := s.SymOpenInPlace(key[:7], bytes.Clone(want)); err == nil {
+				t.Fatalf("%s: short key accepted by SymOpenInPlace", s.Name())
+			}
+		}
+	}
+}
+
 func TestSymWrongKeyFails(t *testing.T) {
 	for _, s := range suites() {
 		t.Run(s.Name(), func(t *testing.T) {

@@ -50,7 +50,13 @@ const SegmentOverhead = 1 + 8 + 4 + 4 + 4 + 4
 // Encode lays the segment out under the given kind (KindSegment or
 // KindRespSeg).
 func (s Segment) Encode(kind byte) []byte {
-	b := make([]byte, 0, SegmentOverhead+len(s.Data))
+	return s.AppendEncode(make([]byte, 0, SegmentOverhead+len(s.Data)), kind)
+}
+
+// AppendEncode appends what Encode returns to b: a caller that has the
+// bytes' final place ready (the inside of a payload onion) copies the
+// data there once.
+func (s Segment) AppendEncode(b []byte, kind byte) []byte {
 	b = append(b, kind)
 	b = binary.BigEndian.AppendUint64(b, s.MID)
 	b = binary.BigEndian.AppendUint32(b, uint32(s.Index))
@@ -70,10 +76,17 @@ type Ack struct {
 	Index int32
 }
 
+// AckSize is the encoded size of an Ack.
+const AckSize = 1 + 8 + 4
+
 // Encode lays the ack out under the given kind (KindSegAck or
 // KindProbe).
 func (a Ack) Encode(kind byte) []byte {
-	b := make([]byte, 0, 1+8+4)
+	return a.AppendEncode(make([]byte, 0, AckSize), kind)
+}
+
+// AppendEncode appends what Encode returns to b.
+func (a Ack) AppendEncode(b []byte, kind byte) []byte {
 	b = append(b, kind)
 	b = binary.BigEndian.AppendUint64(b, a.MID)
 	return binary.BigEndian.AppendUint32(b, uint32(a.Index))
