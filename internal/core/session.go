@@ -51,6 +51,10 @@ type Session struct {
 	// choice of §4.9 over the membership view (tests script it).
 	choose func(n int, exclude []netsim.NodeID) ([][]netsim.NodeID, error)
 
+	// deadline is onDeadline as registered with the engine, on the first
+	// Arm: a session that never sends registers nothing.
+	deadline sim.Func
+
 	established bool
 	failed      bool
 	establishAt sim.Time
@@ -321,19 +325,24 @@ func (s *Session) run(outs []session.Output) {
 	initiator := s.w.Nodes[s.self].Initiator
 	for _, o := range outs {
 		switch o.Kind {
-		case session.Transmit:
-			tag := obs.Tag{ID: o.MID, Seg: o.Index, Slot: int32(o.Slot)}
-			if initiator.SendDataTagged(s.paths[o.Slot], o.Dest, s.m.Payload(o), &s.stats.DataFlow, tag) == nil {
+		case session.Transmit, session.Probe:
+			// The machine encodes the segment or probe inside the onion that
+			// carries it. A probe goes untagged to the path's own responder.
+			p := s.paths[o.Slot]
+			dest, tag := p.Responder, obs.Tag{}
+			if o.Kind == session.Transmit {
+				dest, tag = o.Dest, obs.Tag{ID: o.MID, Seg: o.Index, Slot: int32(o.Slot)}
+			}
+			encode := func(b []byte) []byte { return s.m.AppendPayload(b, o) }
+			err := initiator.SendApp(p, dest, s.m.PayloadSize(o), encode, &s.stats.DataFlow, tag)
+			if err == nil && o.Kind == session.Transmit {
 				s.noteSegmentSent(o)
 			}
-		case session.Probe:
-			initiator.SendData(s.paths[o.Slot], s.m.Payload(o), &s.stats.DataFlow)
 		case session.Arm:
-			mid := o.MID
-			s.w.Eng.Schedule(sim.Time(o.At)-s.w.Eng.Now(), func() {
-				// No scratch: a round that was acknowledged has no outputs.
-				s.run(s.m.Deadline(nil, int64(s.w.Eng.Now()), mid))
-			})
+			if s.deadline == 0 {
+				s.deadline = s.w.Eng.Register(s.onDeadline)
+			}
+			s.w.Eng.ScheduleTyped(sim.Time(o.At)-s.w.Eng.Now(), s.deadline, o.MID)
 		case session.Build:
 			s.build(o)
 		case session.Broken:
@@ -346,6 +355,13 @@ func (s *Session) run(outs []session.Output) {
 			s.w.m.segmentsAcked.Inc()
 		}
 	}
+}
+
+// onDeadline is the typed event a round's Arm schedules, with the round
+// set's ID as its argument.
+func (s *Session) onDeadline(mid uint64) {
+	// No scratch: a round that was acknowledged has no outputs.
+	s.run(s.m.Deadline(nil, int64(s.w.Eng.Now()), mid))
 }
 
 // build constructs the replacement path a Build output asks for

@@ -512,3 +512,48 @@ func TestChurnWorldSurvival(t *testing.T) {
 		t.Fatal("no deliveries at all under churn with biased SimEra(4,4)")
 	}
 }
+
+// TestSimEraMessageAllocs is the simulated message's allocation budget,
+// on the shape of BenchmarkSimEraMessage: one 1 KB SimEra(4,2) message
+// over four 3-relay paths of a healthy 32-node world, from SendMessage
+// through reconstruction, all four acks and the round deadline. The
+// engine, the network and the packets between hops contribute nothing
+// (sim.TestScheduleTypedZeroAlloc, netsim.TestSendDeliverZeroAlloc,
+// onion's packet pool); what is counted here is the coded segments, one
+// onion per segment, the reverse layers sealed hop by hop (DESIGN.md §8
+// has the table). It was 106 with a closure and a boxed message per
+// delivery.
+func TestSimEraMessageAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops at random under the race detector")
+	}
+	w := testWorld(t, 32, 1)
+	s, err := w.NewSession(0, 1, Params{Protocol: SimEra, K: 4, R: 2, L: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !establish(t, w, s) {
+		t.Fatal("establishment failed on a healthy network")
+	}
+	delivered := 0
+	w.Receivers[1].SetOnDelivered(func(uint64, []byte, sim.Time) { delivered++ })
+	msg := make([]byte, 1024)
+	send := func() {
+		if _, err := s.SendMessage(msg); err != nil {
+			t.Fatal(err)
+		}
+		w.Run(w.Eng.Now() + 2*DefaultAckTimeout)
+	}
+	const warm, runs = 16, 200
+	for i := 0; i < warm; i++ { // grow the queue, the slabs, the pool and the maps
+		send()
+	}
+	allocs := testing.AllocsPerRun(runs, send)
+	if allocs > 45 {
+		t.Errorf("one SimEra(4,2) message allocated %.1f times, budget 45", allocs)
+	}
+	st := s.Stats()
+	if n := warm + 1 + runs; delivered != n || st.SegmentsAcked != 4*n || st.PathsDied != 0 {
+		t.Fatalf("%d messages: %d delivered, %d of %d segments acked, %d paths died", n, delivered, st.SegmentsAcked, 4*n, st.PathsDied)
+	}
+}

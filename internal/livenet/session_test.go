@@ -485,10 +485,12 @@ func BenchmarkLiveSessionSendBulk(b *testing.B) {
 }
 
 // BenchmarkLiveSessionSend measures real-socket SimEra round trips:
-// split, 2 paths x 2 relays, TCP, ECIES, reconstruct, ack.
+// split, 2 paths x 2 relays, TCP, ECIES, reconstruct, ack. Send then
+// Await, like the bulk twin above: waiting for the responder's delivery
+// instead of the ack let unresolved messages pile up to MaxInflight
+// whenever acks lagged, and Send then failed with ErrFull.
 func BenchmarkLiveSessionSend(b *testing.B) {
-	gotCh := make(chan uint64, 64)
-	collector := NewLiveCollector(func(mid uint64, _ []byte) { gotCh <- mid })
+	collector := NewLiveCollector(nil)
 	c := startCluster(b, 6, map[int]DataFunc{5: collector.Handle})
 	sess, err := c.nodes[0].NewLiveSession([][]netsim.NodeID{{1, 2}, {3, 4}}, 5, 2, 5*time.Second)
 	if err != nil {
@@ -496,18 +498,17 @@ func BenchmarkLiveSessionSend(b *testing.B) {
 	}
 	defer sess.Teardown()
 	msg := make([]byte, 1024)
+	ctx := context.Background()
 	b.SetBytes(1024)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mid, err := sess.Send(msg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for {
-			got := <-gotCh
-			if got == mid {
-				break
-			}
+		if err := sess.Await(ctx, mid); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -19,7 +19,6 @@ package mixchoice
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"resilientmix/internal/membership"
 	"resilientmix/internal/netsim"
@@ -73,15 +72,10 @@ func SelectPaths(rng *rand.Rand, strategy Strategy, cands []membership.Candidate
 	case Random:
 		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 	case Biased:
-		// Shuffle first so that sort ties (equal q and Δt_alive) break
-		// randomly rather than by candidate order.
+		// Shuffle first so that ties (equal q and Δt_alive) break randomly
+		// rather than by candidate order.
 		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
-		sort.SliceStable(pool, func(i, j int) bool {
-			if pool[i].Q != pool[j].Q {
-				return pool[i].Q > pool[j].Q
-			}
-			return pool[i].AliveFor > pool[j].AliveFor
-		})
+		rankTop(pool, need)
 	default:
 		return nil, fmt.Errorf("mixchoice: unknown strategy %d", strategy)
 	}
@@ -97,4 +91,37 @@ func SelectPaths(rng *rand.Rand, strategy Strategy, cands []membership.Candidate
 		paths[p] = path
 	}
 	return paths, nil
+}
+
+// better is the biased ranking: higher q first, ties broken by longer
+// observed lifetime.
+func better(a, b membership.Candidate) bool {
+	if a.Q != b.Q {
+		return a.Q > b.Q
+	}
+	return a.AliveFor > b.AliveFor
+}
+
+// rankTop leaves the need best candidates, best first, in pool[:need] —
+// what a stable sort of the whole pool by better would put there, equal
+// candidates keeping their order — in one pass: each candidate is
+// inserted into the sorted prefix behind everything it does not beat,
+// and the prefix's last falls out once it is full. The rest of pool is
+// left in no particular state. A path set needs 3–12 relays of ~1000
+// candidates, so nearly every candidate costs the one comparison that
+// rejects it.
+func rankTop(pool []membership.Candidate, need int) {
+	for i, c := range pool {
+		j := i
+		if j >= need {
+			j = need - 1
+			if !better(c, pool[j]) {
+				continue
+			}
+		}
+		for ; j > 0 && better(c, pool[j-1]); j-- {
+			pool[j] = pool[j-1]
+		}
+		pool[j] = c
+	}
 }

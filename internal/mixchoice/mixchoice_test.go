@@ -2,6 +2,8 @@ package mixchoice
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"resilientmix/internal/membership"
@@ -115,6 +117,66 @@ func TestBiasedTieBreakByAliveFor(t *testing.T) {
 	for _, id := range paths[0] {
 		if !want[id] {
 			t.Fatalf("tie-break selected %d instead of the longest-lived nodes", id)
+		}
+	}
+}
+
+// selectBySort is the biased selection as it was before rankTop:
+// shuffle, stable-sort the whole pool, read the first k·l. Kept as the
+// oracle rankTop must agree with, tie for tie.
+func selectBySort(rng *rand.Rand, cands []membership.Candidate, k, l int, exclude ...netsim.NodeID) [][]netsim.NodeID {
+	skip := make(map[netsim.NodeID]bool)
+	for _, id := range exclude {
+		skip[id] = true
+	}
+	var pool []membership.Candidate
+	for _, c := range cands {
+		if !skip[c.ID] {
+			pool = append(pool, c)
+		}
+	}
+	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	sort.SliceStable(pool, func(i, j int) bool {
+		if pool[i].Q != pool[j].Q {
+			return pool[i].Q > pool[j].Q
+		}
+		return pool[i].AliveFor > pool[j].AliveFor
+	})
+	paths := make([][]netsim.NodeID, k)
+	for p := range paths {
+		for h := 0; h < l; h++ {
+			paths[p] = append(paths[p], pool[p*l+h].ID)
+		}
+	}
+	return paths
+}
+
+func TestBiasedMatchesStableSort(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		gen := rand.New(rand.NewSource(seed))
+		// Few distinct q and lifetime values, so most comparisons tie and
+		// the shuffled position decides.
+		n := 13 + gen.Intn(1000)
+		qs, lives := 1+gen.Intn(4), 1+gen.Intn(4)
+		cands := make([]membership.Candidate, n)
+		for i := range cands {
+			cands[i] = membership.Candidate{
+				ID:       netsim.NodeID(i),
+				Q:        float64(gen.Intn(qs)) / float64(qs),
+				AliveFor: sim.Time(gen.Intn(lives)) * sim.Hour,
+			}
+		}
+		exclude := []netsim.NodeID{0, netsim.NodeID(n - 1)}
+		for _, kl := range [][2]int{{1, 1}, {1, 3}, {4, 3}, {n - 2, 1}} {
+			k, l := kl[0], kl[1]
+			got, err := SelectPaths(rand.New(rand.NewSource(seed)), Biased, cands, k, l, exclude...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := selectBySort(rand.New(rand.NewSource(seed)), cands, k, l, exclude...)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, n=%d, k=%d l=%d:\n got %v\nwant %v", seed, n, k, l, got, want)
+			}
 		}
 	}
 }

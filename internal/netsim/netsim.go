@@ -31,13 +31,22 @@ const Invalid NodeID = -1
 // the protocol layers on tagged data-plane messages so wire events can
 // be joined into per-stream timelines (it is trace metadata only and
 // must never influence protocol behavior).
+//
+// A message is delivered at most once — the network never duplicates —
+// and nothing but the receiving handler keeps Payload: taps and tracers
+// look and let go. A protocol may therefore send a pointer to a pooled
+// value and recycle it when the handler has read it (internal/onion's
+// packet does); a message dropped in flight simply leaves its payload
+// to the collector. Anything that delivers a message twice (a replay
+// fault) must clone the payload first.
 type Message struct {
 	Payload any
 	Size    int
 	Trace   obs.Tag
 }
 
-// Handler receives messages delivered to a node.
+// Handler receives messages delivered to a node. It owns msg.Payload
+// from then on; the network holds no reference to a delivered message.
 type Handler interface {
 	HandleMessage(from NodeID, msg Message)
 }
@@ -55,7 +64,8 @@ type StateListener func(id NodeID, up bool)
 // a passive network adversary ("the attacker can observe some fraction
 // of network traffics", §3). The tap sees link endpoints and sizes; the
 // payload is opaque ciphertext in the real system, so well-behaved taps
-// must not inspect Payload beyond its type.
+// must not inspect Payload beyond its type, and must not keep it (see
+// Message).
 type Tap func(from, to NodeID, msg Message)
 
 // Stats aggregates network-wide counters.
@@ -109,6 +119,17 @@ type Network struct {
 	stats     Stats
 	tracer    obs.Tracer
 	m         *netMetrics
+
+	// flights holds the messages on the wire; each is the argument of
+	// one queued deliver event.
+	flights sim.Slab[flight]
+	deliver sim.Func
+}
+
+// flight is a message in transit.
+type flight struct {
+	from, to NodeID
+	msg      Message
 }
 
 // New creates a network over the given latency matrix. All nodes start
@@ -119,13 +140,15 @@ func New(eng *sim.Engine, lat *topology.Matrix) *Network {
 	for i := range up {
 		up[i] = true
 	}
-	return &Network{
+	nw := &Network{
 		eng:      eng,
 		lat:      lat,
 		up:       up,
 		nUp:      n,
 		handlers: make([]Handler, n),
 	}
+	nw.deliver = eng.Register(nw.arrive)
+	return nw
 }
 
 // SetTracer installs (or removes, with nil) the network's trace sink.
@@ -283,38 +306,45 @@ func (n *Network) Send(from, to NodeID, msg Message) bool {
 	if dropped {
 		return true // on the wire, but an injected fault consumed it
 	}
-	n.eng.Schedule(lat, func() {
-		if !n.up[ti] {
-			n.stats.DroppedReceiver++
-			if n.m != nil {
-				n.m.dropReceiver.Inc()
-			}
-			if n.tracer != nil {
-				n.tracer.Emit(msgEvent(obs.MsgDropped, int64(n.eng.Now()), fi, ti, msg, obs.ReasonReceiverDown))
-			}
-			return
-		}
-		h := n.handlers[ti]
-		if h == nil {
-			n.stats.DroppedReceiver++
-			if n.m != nil {
-				n.m.dropHandler.Inc()
-			}
-			if n.tracer != nil {
-				n.tracer.Emit(msgEvent(obs.MsgDropped, int64(n.eng.Now()), fi, ti, msg, obs.ReasonNoHandler))
-			}
-			return
-		}
-		n.stats.Delivered++
+	n.eng.ScheduleTyped(lat, n.deliver, uint64(n.flights.Put(flight{from, to, msg})))
+	return true
+}
+
+// arrive is the deliver event: the message in flight slot reaches its
+// destination. The slot is free before the handler runs, so a handler
+// that sends reuses it.
+func (n *Network) arrive(slot uint64) {
+	f := n.flights.Take(uint32(slot))
+	fi, ti, msg := int(f.from), int(f.to), f.msg
+	if !n.up[ti] {
+		n.stats.DroppedReceiver++
 		if n.m != nil {
-			n.m.delivered.Inc()
+			n.m.dropReceiver.Inc()
 		}
 		if n.tracer != nil {
-			n.tracer.Emit(msgEvent(obs.MsgDelivered, int64(n.eng.Now()), ti, fi, msg, obs.ReasonNone))
+			n.tracer.Emit(msgEvent(obs.MsgDropped, int64(n.eng.Now()), fi, ti, msg, obs.ReasonReceiverDown))
 		}
-		h.HandleMessage(from, msg)
-	})
-	return true
+		return
+	}
+	h := n.handlers[ti]
+	if h == nil {
+		n.stats.DroppedReceiver++
+		if n.m != nil {
+			n.m.dropHandler.Inc()
+		}
+		if n.tracer != nil {
+			n.tracer.Emit(msgEvent(obs.MsgDropped, int64(n.eng.Now()), fi, ti, msg, obs.ReasonNoHandler))
+		}
+		return
+	}
+	n.stats.Delivered++
+	if n.m != nil {
+		n.m.delivered.Inc()
+	}
+	if n.tracer != nil {
+		n.tracer.Emit(msgEvent(obs.MsgDelivered, int64(n.eng.Now()), ti, fi, msg, obs.ReasonNone))
+	}
+	h.HandleMessage(f.from, msg)
 }
 
 // Stats returns a snapshot of the network counters.

@@ -202,3 +202,34 @@ func TestLatencyAccessor(t *testing.T) {
 		t.Fatalf("Size = %d", net.Size())
 	}
 }
+
+func TestSendDeliverZeroAlloc(t *testing.T) {
+	// A message in flight is a slab slot and a typed event: once both
+	// have grown, Send and its delivery allocate nothing — neither for
+	// an empty message nor for one whose payload is a pointer, which an
+	// interface holds without boxing.
+	eng, net := newTestNet(t, 4)
+	delivered := 0
+	net.SetHandler(1, HandlerFunc(func(NodeID, Message) { delivered++ }))
+	payload := &struct{ n int }{7}
+	for name, msg := range map[string]Message{
+		"no payload":      {Size: 1024},
+		"pointer payload": {Payload: payload, Size: 1024},
+	} {
+		for i := 0; i < 64; i++ { // grow the queue and the slab
+			net.Send(0, 1, msg)
+		}
+		eng.RunAll()
+		delivered = 0
+		allocs := testing.AllocsPerRun(100, func() {
+			net.Send(0, 1, msg)
+			eng.RunAll()
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Send+delivery allocated %.1f times per message, want 0", name, allocs)
+		}
+		if delivered != 101 {
+			t.Errorf("%s: %d of 101 messages delivered", name, delivered)
+		}
+	}
+}

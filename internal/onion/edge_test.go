@@ -1,6 +1,9 @@
 package onion
 
 import (
+	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 
 	"resilientmix/internal/netsim"
@@ -9,23 +12,30 @@ import (
 	"resilientmix/internal/topology"
 )
 
+// inject puts a hand-made packet on the wire from→to, the way transmit
+// sends a real one: as a pointer the receiving node recycles.
+func inject(net *netsim.Network, from, to netsim.NodeID, p packet, size int) {
+	net.Send(from, to, netsim.Message{Payload: &p, Size: size})
+}
+
 func TestRelayDropsUnknownStreams(t *testing.T) {
 	e := newEnv(t, 4, onioncrypt.Null{}, 31)
 	// Messages referencing streams no relay knows must be dropped and
 	// counted, not crash.
-	e.net.Send(0, 1, netsim.Message{Payload: DataMsg{SID: 42, Body: []byte("x")}, Size: 10})
-	e.net.Send(0, 1, netsim.Message{Payload: ReverseMsg{SID: 43, Body: []byte("x")}, Size: 10})
-	e.net.Send(0, 1, netsim.Message{Payload: ConstructAck{SID: 44}, Size: 9})
+	inject(e.net, 0, 1, packet{Kind: KindData, SID: 42, Body: []byte("x")}, 10)
+	inject(e.net, 0, 1, packet{Kind: KindReverse, SID: 43, Body: []byte("x")}, 10)
+	inject(e.net, 0, 1, packet{Kind: KindAck, SID: 44}, 9)
+	inject(e.net, 0, 1, packet{Kind: 99, SID: 45}, 9) // no such kind: ignored
 	e.eng.Run(e.eng.Now() + 10*sim.Second)
 	st := e.nodes[1].Relay.Stats()
-	if st.DroppedNoSID < 2 {
+	if st.DroppedNoSID != 3 {
 		t.Fatalf("unknown streams not counted: %+v", st)
 	}
 }
 
 func TestRelayDropsGarbageOnion(t *testing.T) {
 	e := newEnv(t, 4, onioncrypt.Null{}, 32)
-	e.net.Send(0, 1, netsim.Message{Payload: ConstructMsg{SID: 1, Onion: []byte("garbage")}, Size: 20})
+	inject(e.net, 0, 1, packet{Kind: KindConstruct, SID: 1, Onion: []byte("garbage")}, 20)
 	e.eng.Run(e.eng.Now() + 10*sim.Second)
 	if e.nodes[1].Relay.Stats().DroppedBad != 1 {
 		t.Fatal("garbage onion not counted as bad")
@@ -39,7 +49,7 @@ func TestRelayDropsCorruptedData(t *testing.T) {
 		t.Fatal("construction failed")
 	}
 	// Send a data message with the right SID but a corrupt body.
-	e.net.Send(0, 2, netsim.Message{Payload: DataMsg{SID: p.SID, Body: []byte("not a layer")}, Size: 20})
+	inject(e.net, 0, 2, packet{Kind: KindData, SID: p.SID, Body: []byte("not a layer")}, 20)
 	e.eng.Run(e.eng.Now() + 10*sim.Second)
 	if e.nodes[2].Relay.Stats().DroppedBad == 0 {
 		t.Fatal("corrupt payload not counted")
@@ -50,7 +60,7 @@ func TestRelayDropsCorruptedData(t *testing.T) {
 }
 
 func TestDeliverToNonResponderDropped(t *testing.T) {
-	// A node with no responder role must drop DeliverMsg silently.
+	// A node with no responder role must drop a delivery silently.
 	eng := sim.NewEngine(34)
 	lat, _ := topology.Uniform(4, 50*sim.Millisecond)
 	net := netsim.New(eng, lat)
@@ -58,13 +68,13 @@ func TestDeliverToNonResponderDropped(t *testing.T) {
 	mux := netsim.NewMux()
 	NewNode(net, 1, dir, mux, NodeConfig{}) // no OnData
 	net.SetHandler(1, mux)
-	net.Send(0, 1, netsim.Message{Payload: DeliverMsg{SID: 1, Body: []byte("x")}, Size: 10})
+	inject(net, 0, 1, packet{Kind: KindDeliver, SID: 1, Body: []byte("x")}, 10)
 	eng.Run(10 * sim.Second) // must not panic
 }
 
 func TestResponderDropsGarbageDeliveries(t *testing.T) {
 	e := newEnv(t, 4, onioncrypt.Null{}, 35)
-	e.net.Send(0, 1, netsim.Message{Payload: DeliverMsg{SID: 9, Body: []byte("junk")}, Size: 10})
+	inject(e.net, 0, 1, packet{Kind: KindDeliver, SID: 9, Body: []byte("junk")}, 10)
 	e.eng.Run(e.eng.Now() + 10*sim.Second)
 	if e.nodes[1].Responder.Dropped() != 1 {
 		t.Fatal("garbage delivery not counted")
@@ -119,7 +129,7 @@ func TestInitiatorIgnoresForeignReverse(t *testing.T) {
 	}
 	// A reverse message with the right SID but undecryptable body must
 	// be ignored (corrupted or replayed).
-	e.net.Send(5, 0, netsim.Message{Payload: ReverseMsg{SID: p.SID, Body: []byte("bogus")}, Size: 10})
+	inject(e.net, 5, 0, packet{Kind: KindReverse, SID: p.SID, Body: []byte("bogus")}, 10)
 	e.eng.Run(e.eng.Now() + 10*sim.Second)
 	if len(e.replies) != 0 {
 		t.Fatal("bogus reverse payload surfaced to the application")
@@ -147,4 +157,59 @@ func TestSendDataToUnknownTargetKeyGeneration(t *testing.T) {
 	if len(e.received) != 2 {
 		t.Fatalf("received = %d", len(e.received))
 	}
+}
+
+// TestWorldsShareThePacketPool runs two worlds on two goroutines, as
+// internal/experiments does, over the one packet pool: every message
+// must reach its own world's responder intact and in order and be
+// echoed back, also while link loss leaves packets to the collector and
+// a down sender hands its packet straight back. Run under -race: a
+// packet recycled while a hop still read it would show as a race
+// between the worlds.
+func TestWorldsShareThePacketPool(t *testing.T) {
+	const msgs = 300
+	var wg sync.WaitGroup
+	for world := 0; world < 2; world++ {
+		e := newEnv(t, 8, onioncrypt.Null{}, int64(40+world))
+		p, ok := construct(t, e, 0, []netsim.NodeID{2, 3, 4}, 7)
+		if !ok {
+			t.Fatal("construction failed")
+		}
+		wg.Add(1)
+		go func(world int) {
+			defer wg.Done()
+			want := func(i int) []byte { return []byte(fmt.Sprintf("world %d message %d", world, i)) }
+			for i := 0; i < msgs; i++ {
+				if err := e.nodes[0].Initiator.SendData(p, want(i), nil); err != nil {
+					t.Error(err)
+					return
+				}
+				e.eng.Run(e.eng.Now() + sim.Second)
+			}
+			if len(e.received) != msgs || len(e.replies) != msgs {
+				t.Errorf("world %d: %d received, %d echoed back, want %d", world, len(e.received), len(e.replies), msgs)
+				return
+			}
+			for i := range e.received {
+				if !bytes.Equal(e.received[i], want(i)) || !bytes.Equal(e.replies[i], append([]byte("echo:"), want(i)...)) {
+					t.Errorf("world %d message %d: responder got %q, initiator got %q", world, i, e.received[i], e.replies[i])
+					return
+				}
+			}
+			// Packets that never arrive: lost in flight, and never sent.
+			e.net.SetLossRate(0.5)
+			for i := 0; i < msgs; i++ {
+				e.nodes[0].Initiator.SendData(p, want(i), nil)
+				e.net.SetUp(0, i%2 == 0)
+				e.eng.Run(e.eng.Now() + sim.Second)
+			}
+			for _, got := range e.received[msgs:] {
+				if !bytes.HasPrefix(got, []byte(fmt.Sprintf("world %d message ", world))) {
+					t.Errorf("world %d received %q", world, got)
+					return
+				}
+			}
+		}(world)
+	}
+	wg.Wait()
 }

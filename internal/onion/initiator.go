@@ -180,10 +180,18 @@ func (in *Initiator) SendDataTo(p *Path, responder netsim.NodeID, plain []byte, 
 // the payload's wire journey, so offline analysis can follow it hop by
 // hop.
 func (in *Initiator) SendDataTagged(p *Path, responder netsim.NodeID, plain []byte, flow *metrics.Flow, tag obs.Tag) error {
+	return in.SendApp(p, responder, len(plain), func(b []byte) []byte { return append(b, plain...) }, flow, tag)
+}
+
+// SendApp is SendDataTagged for a message its caller encodes where it
+// is sealed: plain appends the plainLen bytes to the slice it is handed
+// (PathKeys.AppendData), so the send allocates the onion — the bytes it
+// puts on the wire — and no copy of the message beside it.
+func (in *Initiator) SendApp(p *Path, responder netsim.NodeID, plainLen int, plain func([]byte) []byte, flow *metrics.Flow, tag obs.Tag) error {
 	if p.State != PathEstablished {
 		return fmt.Errorf("onion: path is %v, not established", p.State)
 	}
-	msg, err := p.keys.Data(in.dir, responder, plain)
+	msg, err := p.keys.AppendData(nil, in.dir, responder, plainLen, plain)
 	if err != nil {
 		return err
 	}
@@ -192,8 +200,8 @@ func (in *Initiator) SendDataTagged(p *Path, responder netsim.NodeID, plain []by
 }
 
 // handleConstructAck completes a pending construction.
-func (in *Initiator) handleConstructAck(msg ConstructAck) {
-	p, ok := in.paths[msg.SID]
+func (in *Initiator) handleConstructAck(sid StreamID) {
+	p, ok := in.paths[sid]
 	if !ok || p.State != PathConstructing {
 		return
 	}
@@ -205,7 +213,7 @@ func (in *Initiator) handleConstructAck(msg ConstructAck) {
 
 // handleReverse peels all relay layers plus the responder layer and
 // hands the plaintext to the application callback.
-func (in *Initiator) handleReverse(msg ReverseMsg) {
+func (in *Initiator) handleReverse(msg packet) {
 	p, ok := in.paths[msg.SID]
 	if !ok {
 		return

@@ -7,7 +7,7 @@ import (
 
 // Node bundles the three roles a peer can play — relay for others'
 // paths, initiator of its own, responder for traffic addressed to it —
-// and dispatches the onion message types among them. Every peer in the
+// and dispatches the onion packets among them. Every peer in the
 // paper's system is at least a relay; the other two roles are optional.
 type Node struct {
 	ID        netsim.NodeID
@@ -45,36 +45,28 @@ func NewNode(net *netsim.Network, id netsim.NodeID, dir *Directory, mux *netsim.
 }
 
 func (n *Node) attach(mux *netsim.Mux) {
-	mux.Route(ConstructMsg{}, netsim.HandlerFunc(func(from netsim.NodeID, m netsim.Message) {
-		n.Relay.handleConstruct(from, m.Payload.(ConstructMsg))
-	}))
-	mux.Route(ConstructDataMsg{}, netsim.HandlerFunc(func(from netsim.NodeID, m netsim.Message) {
-		n.Relay.handleConstructData(from, m.Payload.(ConstructDataMsg))
-	}))
-	mux.Route(ConstructAck{}, netsim.HandlerFunc(func(_ netsim.NodeID, m netsim.Message) {
-		ack := m.Payload.(ConstructAck)
-		// The initiator's own streams take priority; otherwise this node
-		// is an intermediate relay on someone else's path.
-		if n.Initiator != nil && n.Initiator.Owns(ack.SID) {
-			n.Initiator.handleConstructAck(ack)
-			return
-		}
-		n.Relay.handleConstructAck(ack)
-	}))
-	mux.Route(DataMsg{}, netsim.HandlerFunc(func(_ netsim.NodeID, m netsim.Message) {
-		n.Relay.handleData(m.Payload.(DataMsg))
-	}))
-	mux.Route(DeliverMsg{}, netsim.HandlerFunc(func(from netsim.NodeID, m netsim.Message) {
+	mux.Route((*packet)(nil), netsim.HandlerFunc(n.handle))
+}
+
+// handle takes one packet off the wire, recycles it, and hands it to the
+// role it is for. Acks and reverse messages on the initiator's own
+// streams end at the initiator; on any other stream this node is an
+// intermediate relay of someone else's path.
+func (n *Node) handle(from netsim.NodeID, m netsim.Message) {
+	pooled := m.Payload.(*packet)
+	p := *pooled
+	*pooled = packet{}
+	packetPool.Put(pooled)
+	switch {
+	case p.Kind == KindDeliver:
 		if n.Responder != nil {
-			n.Responder.handleDeliver(from, m.Payload.(DeliverMsg))
+			n.Responder.handleDeliver(from, p, m.Size)
 		}
-	}))
-	mux.Route(ReverseMsg{}, netsim.HandlerFunc(func(_ netsim.NodeID, m netsim.Message) {
-		rev := m.Payload.(ReverseMsg)
-		if n.Initiator != nil && n.Initiator.Owns(rev.SID) {
-			n.Initiator.handleReverse(rev)
-			return
-		}
-		n.Relay.handleReverse(rev)
-	}))
+	case p.Kind == KindAck && n.Initiator != nil && n.Initiator.Owns(p.SID):
+		n.Initiator.handleConstructAck(p.SID)
+	case p.Kind == KindReverse && n.Initiator != nil && n.Initiator.Owns(p.SID):
+		n.Initiator.handleReverse(p)
+	default:
+		n.Relay.handle(from, p, m.Size)
+	}
 }

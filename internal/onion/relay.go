@@ -65,24 +65,25 @@ func (r *Relay) apply(st Step, flow *metrics.Flow, tag obs.Tag, size int) {
 	}
 }
 
-func (r *Relay) now() int64 { return int64(r.eng.Now()) }
-
-func (r *Relay) handleConstruct(from netsim.NodeID, msg ConstructMsg) {
-	r.apply(r.tab.Construct(r.now(), from, msg.SID, msg.Onion), msg.Flow, obs.Tag{}, 0)
-}
-
-func (r *Relay) handleConstructData(from netsim.NodeID, msg ConstructDataMsg) {
-	r.apply(r.tab.ConstructData(r.now(), from, msg.SID, msg.Onion, msg.Body), msg.Flow, msg.Trace, msg.WireSize())
-}
-
-func (r *Relay) handleConstructAck(msg ConstructAck) {
-	r.apply(r.tab.Ack(r.now(), msg.SID), msg.Flow, obs.Tag{}, 0)
-}
-
-func (r *Relay) handleData(msg DataMsg) {
-	r.apply(r.tab.Data(r.now(), msg.SID, msg.Body), msg.Flow, msg.Trace, msg.WireSize())
-}
-
-func (r *Relay) handleReverse(msg ReverseMsg) {
-	r.apply(r.tab.Reverse(r.now(), msg.SID, msg.Body), msg.Flow, obs.Tag{}, 0)
+// handle feeds one packet to the table and applies what it answers. The
+// tag and size matter to the data-plane kinds only; the others travel
+// untagged.
+func (r *Relay) handle(from netsim.NodeID, p packet, size int) {
+	now := int64(r.eng.Now())
+	var st Step
+	switch p.Kind {
+	case KindConstruct:
+		st = r.tab.Construct(now, from, p.SID, p.Onion)
+	case KindConstructData:
+		st = r.tab.ConstructData(now, from, p.SID, p.Onion, p.Body)
+	case KindAck:
+		st = r.tab.Ack(now, p.SID)
+	case KindData:
+		st = r.tab.Data(now, p.SID, p.Body)
+	case KindReverse:
+		st = r.tab.Reverse(now, p.SID, p.Body)
+	default:
+		return
+	}
+	r.apply(st, p.Flow, p.Trace, size)
 }

@@ -45,11 +45,11 @@ func NewResponder(net *netsim.Network, id netsim.NodeID, suite onioncrypt.Suite,
 func (r *Responder) Dropped() uint64 { return r.dropped }
 
 // handleDeliver processes a delivery from a terminal relay.
-func (r *Responder) handleDeliver(from netsim.NodeID, msg DeliverMsg) {
+func (r *Responder) handleDeliver(from netsim.NodeID, msg packet, size int) {
 	key, plain, ok := r.streams.Open(int64(r.eng.Now()), msg.SID, msg.Body)
 	if !ok {
 		r.dropped++
-		emitRelayDropped(r.net, r.id, msg.Trace, msg.WireSize(), obs.ReasonBadLayer)
+		emitRelayDropped(r.net, r.id, msg.Trace, size, obs.ReasonBadLayer)
 		return
 	}
 	if r.onData != nil {

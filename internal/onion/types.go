@@ -8,7 +8,7 @@
 // codec.go is the onion formats and hop.go the hop roles — relay Table,
 // responder Streams, initiator PathKeys — with no transport and no
 // clock in them. The rest of the package (Relay, Initiator, Responder,
-// Node and the typed messages) drives that core on the simulated
+// Node and the packet they exchange) drives that core on the simulated
 // network; internal/livenet drives the same core on TCP sockets.
 //
 // The protocols of internal/core (CurMix, SimRep, SimEra) are thin
@@ -19,6 +19,7 @@ package onion
 
 import (
 	"math/rand"
+	"sync"
 
 	"resilientmix/internal/metrics"
 	"resilientmix/internal/netsim"
@@ -35,84 +36,40 @@ type StreamID uint64
 // 1 byte kind + 8 bytes stream ID.
 const msgHeaderSize = 1 + 8
 
-// ConstructMsg carries a path-construction onion toward the next relay
-// (§4.1: [Path_i, sid_{i-1}]).
-type ConstructMsg struct {
+// packet is the one message the simulator's driver puts on the wire: a
+// hop-layer Send with the bandwidth account it is charged to and the
+// data-plane trace tag, which each relay forwards advanced one hop
+// (trace metadata only — never protocol input). It travels as a pointer
+// and is pooled: transmit takes one, Node.handle copies the fields out
+// and puts it back before dispatching, which rests on netsim.Message's
+// contract that a message is delivered at most once and kept by no one
+// else. The pool is shared by every world — internal/experiments runs
+// them on parallel goroutines — hence a sync.Pool and not a free list.
+type packet struct {
+	Kind  Kind
 	SID   StreamID
-	Onion []byte
+	Onion []byte // Path_i of §4.1 (KindConstruct, KindConstructData)
+	Body  []byte // payload layer, responder blob or reverse body
 	Flow  *metrics.Flow
-}
-
-// WireSize returns the on-the-wire size.
-func (m ConstructMsg) WireSize() int { return msgHeaderSize + 4 + len(m.Onion) }
-
-// ConstructDataMsg combines path construction with a payload in a single
-// pass (§4.2: "We can perform path construction and message sending in
-// the same time... This allows the initiator to form paths on-demand
-// ... without message delays"). Each relay installs state from its onion
-// layer AND strips one payload layer, forwarding both inward.
-type ConstructDataMsg struct {
-	SID   StreamID
-	Onion []byte
-	Body  []byte
-	Flow  *metrics.Flow
-	// Trace is the data-plane correlation tag; each relay forwards it
-	// advanced one hop. Trace metadata only — never protocol input.
 	Trace obs.Tag
 }
 
-// WireSize returns the on-the-wire size.
-func (m ConstructDataMsg) WireSize() int { return msgHeaderSize + 4 + len(m.Onion) + 4 + len(m.Body) }
+var packetPool = sync.Pool{New: func() any { return new(packet) }}
 
-// ConstructAck travels hop-by-hop back to the initiator once the last
-// relay has installed its path state, implementing the end-to-end
-// acknowledgment of §4.5 for construction.
-type ConstructAck struct {
-	SID  StreamID
-	Flow *metrics.Flow
+// wireSize is a packet's on-the-wire size: the header, and a 4-byte
+// length in front of each field its kind carries.
+func wireSize(kind Kind, onion, body []byte) int {
+	switch kind {
+	case KindConstruct:
+		return msgHeaderSize + 4 + len(onion)
+	case KindConstructData:
+		return msgHeaderSize + 4 + len(onion) + 4 + len(body)
+	case KindAck:
+		return msgHeaderSize
+	default: // KindData, KindDeliver, KindReverse
+		return msgHeaderSize + 4 + len(body)
+	}
 }
-
-// WireSize returns the on-the-wire size.
-func (m ConstructAck) WireSize() int { return msgHeaderSize }
-
-// DataMsg carries one payload onion layer downstream between relays
-// (§4.2: [sid_i, PayLoad_{i+1}]).
-type DataMsg struct {
-	SID  StreamID
-	Body []byte
-	Flow *metrics.Flow
-	// Trace is the data-plane correlation tag; see ConstructDataMsg.
-	Trace obs.Tag
-}
-
-// WireSize returns the on-the-wire size.
-func (m DataMsg) WireSize() int { return msgHeaderSize + 4 + len(m.Body) }
-
-// DeliverMsg is the final hop: the terminal relay hands the responder
-// blob to the responder D.
-type DeliverMsg struct {
-	SID  StreamID
-	Body []byte
-	Flow *metrics.Flow
-	// Trace is the data-plane correlation tag; see ConstructDataMsg.
-	Trace obs.Tag
-}
-
-// WireSize returns the on-the-wire size.
-func (m DeliverMsg) WireSize() int { return msgHeaderSize + 4 + len(m.Body) }
-
-// ReverseMsg travels from the responder back toward the initiator; each
-// relay adds one symmetric layer with its cached key (§4.2 "On each
-// reverse path, the payload is encrypted by the cached symmetric key at
-// each hop").
-type ReverseMsg struct {
-	SID  StreamID
-	Body []byte
-	Flow *metrics.Flow
-}
-
-// WireSize returns the on-the-wire size.
-func (m ReverseMsg) WireSize() int { return msgHeaderSize + 4 + len(m.Body) }
 
 // emitRelayDropped records a tagged data-plane message consumed above
 // the wire — a relay or responder that could not process it. Without
@@ -140,35 +97,23 @@ func simEnv(rng *rand.Rand, suite onioncrypt.Suite) Env {
 	return Env{Suite: suite, Rand: rng, NewSID: func() StreamID { return StreamID(rng.Uint64()) }}
 }
 
-// transmit puts one hop-layer output on the simulated wire as its
-// typed message and charges its size to the flow if it was actually
-// placed on the wire. tag is the data-plane correlation tag; it rides
-// the data-plane kinds only.
+// transmit puts one hop-layer output on the simulated wire as a packet
+// and charges its size to the flow if it was actually placed on the
+// wire. tag is the data-plane correlation tag; it rides the data-plane
+// kinds only.
 func transmit(net *netsim.Network, from netsim.NodeID, s Send, flow *metrics.Flow, tag obs.Tag) bool {
-	var m netsim.Message
-	switch s.Kind {
-	case KindConstruct:
-		p := ConstructMsg{SID: s.SID, Onion: s.Onion, Flow: flow}
-		m = netsim.Message{Payload: p, Size: p.WireSize()}
-	case KindConstructData:
-		p := ConstructDataMsg{SID: s.SID, Onion: s.Onion, Body: s.Body, Flow: flow, Trace: tag}
-		m = netsim.Message{Payload: p, Size: p.WireSize(), Trace: tag}
-	case KindAck:
-		p := ConstructAck{SID: s.SID, Flow: flow}
-		m = netsim.Message{Payload: p, Size: p.WireSize()}
-	case KindData:
-		p := DataMsg{SID: s.SID, Body: s.Body, Flow: flow, Trace: tag}
-		m = netsim.Message{Payload: p, Size: p.WireSize(), Trace: tag}
-	case KindDeliver:
-		p := DeliverMsg{SID: s.SID, Body: s.Body, Flow: flow, Trace: tag}
-		m = netsim.Message{Payload: p, Size: p.WireSize(), Trace: tag}
-	case KindReverse:
-		p := ReverseMsg{SID: s.SID, Body: s.Body, Flow: flow}
-		m = netsim.Message{Payload: p, Size: p.WireSize()}
+	if s.Kind != KindConstructData && s.Kind != KindData && s.Kind != KindDeliver {
+		tag = obs.Tag{}
 	}
-	if !net.Send(from, s.To, m) {
+	p := packetPool.Get().(*packet)
+	*p = packet{Kind: s.Kind, SID: s.SID, Onion: s.Onion, Body: s.Body, Flow: flow, Trace: tag}
+	size := wireSize(s.Kind, s.Onion, s.Body)
+	if !net.Send(from, s.To, netsim.Message{Payload: p, Size: size, Trace: tag}) {
+		// Never on the wire: nothing else has seen it.
+		*p = packet{}
+		packetPool.Put(p)
 		return false
 	}
-	flow.Add(m.Size)
+	flow.Add(size)
 	return true
 }

@@ -4,6 +4,13 @@
 // number generator. It is the substrate standing in for p2psim in the
 // paper's evaluation (§6.1) — see DESIGN.md, substitution 1.
 //
+// There are two ways to schedule and one queue under both. Schedule,
+// ScheduleAt, After and Every take a closure. ScheduleTyped takes a
+// handler registered once (Register) and a uint64 argument, for a layer
+// that schedules the same call millions of times — netsim's deliveries,
+// core's round deadlines — and parks whatever else the call needs in a
+// Slab. Either way the queue entry is 32 bytes and holds no pointer.
+//
 // An Engine is single-goroutine by design: all scheduled callbacks run
 // sequentially from Run, so handlers never need locks. Parallelism in
 // the experiment harnesses comes from running many independent Engines,
@@ -43,16 +50,63 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // String formats the time as seconds with millisecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }
 
-// event is a scheduled callback. Events are stored by value in the
-// queue: scheduling neither boxes the event through an interface nor
-// allocates a queue node, so the steady-state cost of Schedule is an
-// amortized slice append.
+// Func names a handler registered with Engine.Register.
+type Func uint32
+
+// event is a scheduled call. Events are stored by value in the queue
+// and hold no pointer: sifting one moves 32 bytes with no write
+// barrier, and the collector never scans the queue. A typed event
+// (fn != 0) calls the registered handler fn with arg. A closure event
+// (fn == 0) keeps its callback and cancel flag in the engine's thunk
+// slab, at slot arg.
 type event struct {
-	at     Time
-	seq    uint64 // tie-break: FIFO among simultaneous events
-	fn     func()
-	cancel *bool // non-nil for cancelable timers (lazy deletion)
+	at  Time
+	seq uint64 // tie-break: FIFO among simultaneous events
+	arg uint64
+	fn  Func
 }
+
+// thunk is what a closure event runs: the callback and, for a
+// cancelable timer, its lazy-deletion flag.
+type thunk struct {
+	fn     func()
+	cancel *bool
+}
+
+// Slab stores values in numbered slots and hands freed slots out again,
+// so a steady population allocates nothing. It is where the state
+// behind a typed event waits: Put the state, schedule the slot number
+// as the event's argument, Take it back in the handler. The zero Slab
+// is empty and ready to use.
+type Slab[T any] struct {
+	vals []T
+	free []uint32
+}
+
+// Put stores v and returns its slot.
+func (s *Slab[T]) Put(v T) uint32 {
+	if n := len(s.free); n > 0 {
+		i := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.vals[i] = v
+		return i
+	}
+	s.vals = append(s.vals, v)
+	return uint32(len(s.vals) - 1)
+}
+
+// Take empties slot i, which must hold a value, and returns what it
+// held. The slot keeps no reference to it.
+func (s *Slab[T]) Take(i uint32) T {
+	v := s.vals[i]
+	var zero T
+	s.vals[i] = zero
+	s.free = append(s.free, i)
+	return v
+}
+
+// Len returns the number of occupied slots.
+func (s *Slab[T]) Len() int { return len(s.vals) - len(s.free) }
 
 // eventQueue is a value-based binary min-heap ordered by (at, seq).
 // (at, seq) is a strict total order — seq is unique — so the pop
@@ -90,7 +144,6 @@ func (q *eventQueue) pop() event {
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{} // release fn/cancel references for the GC
 	h = h[:n]
 	*q = h
 	// Sift last down from the root, again moving the hole.
@@ -148,6 +201,9 @@ type Engine struct {
 	ran      uint64 // events executed, for diagnostics
 	canceled int    // canceled entries still occupying queue slots
 
+	funcs  []func(uint64) // registered handlers; Func 0 is the closure event
+	thunks Slab[thunk]    // callbacks of the queued closure events
+
 	// tracer, when non-nil, receives EventScheduled/EventFired for
 	// every queue operation. The nil default costs one branch per
 	// event — the whole price of disabled observability.
@@ -158,7 +214,7 @@ type Engine struct {
 // with the same seed and the same scheduled work produce identical
 // histories.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	return &Engine{rng: rand.New(rand.NewSource(seed)), funcs: make([]func(uint64), 1)}
 }
 
 // Now returns the current virtual time.
@@ -194,16 +250,47 @@ func (e *Engine) ScheduleAt(at Time, fn func()) {
 	e.schedule(at, fn, nil, "ScheduleAt")
 }
 
-// schedule is the single enqueue path: clamp, number, trace, push.
-// cancel, when non-nil, marks the event for lazy deletion — the run
-// loop still pops and counts it (so seeded histories and the executed
-// counter match the always-fire behaviour exactly) but skips fn. op is
-// the public entry point's name, so a nil-callback panic names the call
-// the user actually made.
+// Register adds a handler for typed events and returns its name. A
+// layer that schedules one kind of call many times registers it once
+// and passes what varies as the argument — a number, or the slot of a
+// Slab holding the rest — so an event costs no closure. Handlers stay
+// registered for the engine's lifetime: register per long-lived object,
+// never per event.
+func (e *Engine) Register(fn func(arg uint64)) Func {
+	if fn == nil {
+		panic("sim: Register with nil handler")
+	}
+	e.funcs = append(e.funcs, fn)
+	return Func(len(e.funcs) - 1)
+}
+
+// ScheduleTyped runs the handler f with arg after delay. It is Schedule
+// without the closure: same queue, same numbering, same FIFO order
+// among simultaneous events of either kind.
+func (e *Engine) ScheduleTyped(delay Time, f Func, arg uint64) {
+	if f == 0 || int(f) >= len(e.funcs) {
+		panic("sim: ScheduleTyped with unregistered handler")
+	}
+	if delay < 0 {
+		delay = 0
+	}
+	e.enqueue(e.now+delay, f, arg)
+}
+
+// schedule enqueues a closure event. cancel, when non-nil, marks the
+// event for lazy deletion — the run loop still pops and counts it (so
+// seeded histories and the executed counter match the always-fire
+// behaviour exactly) but skips fn. op is the public entry point's name,
+// so a nil-callback panic names the call the user actually made.
 func (e *Engine) schedule(at Time, fn func(), cancel *bool, op string) {
 	if fn == nil {
 		panic("sim: " + op + " with nil callback")
 	}
+	e.enqueue(at, 0, uint64(e.thunks.Put(thunk{fn: fn, cancel: cancel})))
+}
+
+// enqueue is the single enqueue path: clamp, number, trace, push.
+func (e *Engine) enqueue(at Time, f Func, arg uint64) {
 	if at < e.now {
 		at = e.now
 	}
@@ -215,7 +302,7 @@ func (e *Engine) schedule(at Time, fn func(), cancel *bool, op string) {
 			Slot: -1, Hop: -1,
 		})
 	}
-	e.queue.push(event{at: at, seq: e.seq, fn: fn, cancel: cancel})
+	e.queue.push(event{at: at, seq: e.seq, arg: arg, fn: f})
 }
 
 // Timer is a cancelable scheduled callback.
@@ -266,14 +353,13 @@ func (e *Engine) noteCanceled() {
 func (e *Engine) compact() {
 	q := e.queue[:0]
 	for _, ev := range e.queue {
-		if ev.cancel != nil && *ev.cancel {
-			continue
+		if ev.fn == 0 {
+			if c := e.thunks.vals[ev.arg].cancel; c != nil && *c {
+				e.thunks.Take(uint32(ev.arg))
+				continue
+			}
 		}
 		q = append(q, ev)
-	}
-	// Release dropped fn/cancel references for the GC.
-	for i := len(q); i < len(e.queue); i++ {
-		e.queue[i] = event{}
 	}
 	e.queue = q
 	e.canceled = 0
@@ -334,24 +420,7 @@ func (e *Engine) Run(until Time) Time {
 			e.now = until
 			return e.now
 		}
-		next := e.queue.pop()
-		e.now = next.at
-		e.ran++
-		if e.tracer != nil {
-			e.tracer.Emit(obs.Event{
-				Type: obs.EventFired, At: int64(next.at),
-				Node: -1, Peer: -1, ID: next.seq, Slot: -1, Hop: -1,
-			})
-		}
-		// A canceled timer that escaped compaction is still popped,
-		// traced, and counted — the pre-lazy-deletion implementation ran
-		// a no-op closure here, and seeded histories must not notice the
-		// difference — but its callback is skipped.
-		if next.cancel == nil || !*next.cancel {
-			next.fn()
-		} else if e.canceled > 0 {
-			e.canceled--
-		}
+		e.fire(e.queue.pop())
 	}
 	if e.now < until && len(e.queue) == 0 {
 		e.now = until
@@ -363,20 +432,36 @@ func (e *Engine) Run(until Time) Time {
 func (e *Engine) RunAll() Time {
 	e.stopped = false
 	for len(e.queue) > 0 && !e.stopped {
-		next := e.queue.pop()
-		e.now = next.at
-		e.ran++
-		if e.tracer != nil {
-			e.tracer.Emit(obs.Event{
-				Type: obs.EventFired, At: int64(next.at),
-				Node: -1, Peer: -1, ID: next.seq, Slot: -1, Hop: -1,
-			})
-		}
-		if next.cancel == nil || !*next.cancel {
-			next.fn()
-		} else if e.canceled > 0 {
-			e.canceled--
-		}
+		e.fire(e.queue.pop())
 	}
 	return e.now
+}
+
+// fire advances the clock to a popped event, counts and traces it, and
+// runs it.
+func (e *Engine) fire(next event) {
+	e.now = next.at
+	e.ran++
+	if e.tracer != nil {
+		e.tracer.Emit(obs.Event{
+			Type: obs.EventFired, At: int64(next.at),
+			Node: -1, Peer: -1, ID: next.seq, Slot: -1, Hop: -1,
+		})
+	}
+	if next.fn != 0 {
+		e.funcs[next.fn](next.arg)
+		return
+	}
+	// The thunk's slot is free before its callback runs, so a callback
+	// that schedules reuses it.
+	t := e.thunks.Take(uint32(next.arg))
+	// A canceled timer that escaped compaction is still popped, traced,
+	// and counted — the pre-lazy-deletion implementation ran a no-op
+	// closure here, and seeded histories must not notice the difference
+	// — but its callback is skipped.
+	if t.cancel == nil || !*t.cancel {
+		t.fn()
+	} else if e.canceled > 0 {
+		e.canceled--
+	}
 }

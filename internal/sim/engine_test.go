@@ -1,8 +1,13 @@
 package sim
 
 import (
+	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"resilientmix/internal/obs"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -424,4 +429,184 @@ func BenchmarkScheduleRun(b *testing.B) {
 		}
 	}
 	e.RunAll()
+}
+
+func TestScheduleTypedZeroAlloc(t *testing.T) {
+	// A typed event is a queue entry and nothing else: no closure, no
+	// slab slot.
+	e := NewEngine(1)
+	var sum uint64
+	add := e.Register(func(arg uint64) { sum += arg })
+	for i := 0; i < 1024; i++ { // pre-grow the backing array
+		e.ScheduleTyped(Time(i), add, 1)
+	}
+	e.RunAll()
+	allocs := testing.AllocsPerRun(100, func() {
+		e.ScheduleTyped(Second, add, 1)
+		e.RunAll()
+	})
+	if allocs != 0 {
+		t.Fatalf("ScheduleTyped+Run allocated %.1f times per op, want 0", allocs)
+	}
+	if sum != 1024+101 {
+		t.Fatalf("handler saw %d, want %d", sum, 1024+101)
+	}
+}
+
+func TestScheduleTypedValidation(t *testing.T) {
+	e := NewEngine(1)
+	for name, fn := range map[string]func(){
+		"nil handler":       func() { e.Register(nil) },
+		"zero Func":         func() { e.ScheduleTyped(0, 0, 0) },
+		"unregistered Func": func() { e.ScheduleTyped(0, 7, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+	// A negative delay clamps to now, like Schedule's.
+	ran := false
+	e.Schedule(Second, func() {
+		e.ScheduleTyped(-Second, e.Register(func(uint64) { ran = e.Now() == Second }), 0)
+	})
+	e.RunAll()
+	if !ran {
+		t.Fatal("negative-delay typed event did not run at now")
+	}
+}
+
+// mixedScript drives one engine through a fixed schedule — simultaneous
+// events, nested scheduling, an Every, cancelable timers canceled late
+// (lazy skip) and in bulk (compaction) — and returns the order the
+// numbered steps ran in with their times. With typed set, every other
+// step is a typed event instead of a closure; nothing else differs.
+func mixedScript(e *Engine, typed bool) (order []uint64, at []Time) {
+	step := func(i uint64) {
+		order = append(order, i)
+		at = append(at, e.Now())
+	}
+	h := e.Register(step)
+	n := uint64(0)
+	sched := func(delay Time) {
+		i := n
+		n++
+		if typed && i%2 == 0 {
+			e.ScheduleTyped(delay, h, i)
+		} else {
+			e.Schedule(delay, func() { step(i) })
+		}
+	}
+	// Eight events for one instant, alternating kinds under typed.
+	for i := 0; i < 8; i++ {
+		sched(Second)
+	}
+	// One canceled long before it is due, but alone: it stays queued,
+	// pops at its time and is skipped.
+	lazy := e.After(Second, func() { step(1000) })
+	lazy.Cancel()
+	for i := 0; i < 8; i++ {
+		sched(Second)
+	}
+	// A burst of timers canceled from inside the run, more than half the
+	// queue: compact() sweeps them while the steps below are pending.
+	timers := make([]*Timer, 64)
+	for i := range timers {
+		timers[i] = e.After(Hour, func() { step(2000) })
+		sched(2 * Second)
+	}
+	e.Schedule(1500*Millisecond, func() {
+		for _, tm := range timers {
+			tm.Cancel()
+		}
+		// Scheduled after the sweep, for the instant the survivors share.
+		for i := 0; i < 4; i++ {
+			sched(500 * Millisecond)
+		}
+	})
+	tick := e.Every(Second, Second, func() { sched(0); sched(Millisecond) })
+	e.Schedule(3500*Millisecond, tick.Cancel)
+	e.Run(10 * Second)
+	return order, at
+}
+
+// TestTypedEventsKeepSchedulingOrder: typed and closure events are one
+// queue. The mixed script runs its steps in the order and at the times
+// of the closure-only script — simultaneous events in scheduling order,
+// across a compaction and after canceled timers — executes the same
+// number of events, and leaves the same EventScheduled/EventFired trace
+// byte for byte.
+func TestTypedEventsKeepSchedulingOrder(t *testing.T) {
+	run := func(typed bool) ([]uint64, []Time, uint64, string) {
+		var buf bytes.Buffer
+		tr := obs.NewJSONL(&buf)
+		e := NewEngine(1)
+		e.SetTracer(tr)
+		order, at := mixedScript(e, typed)
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if e.thunks.Len() != e.Pending() {
+			t.Fatalf("typed=%v: %d thunks held for %d queued events", typed, e.thunks.Len(), e.Pending())
+		}
+		if swept := e.seq - e.Executed(); swept < 60 {
+			t.Fatalf("typed=%v: compaction swept %d events, want most of the 64 canceled timers", typed, swept)
+		}
+		return order, at, e.Executed(), buf.String()
+	}
+	order, at, ran, trace := run(false)
+	tOrder, tAt, tRan, tTrace := run(true)
+	// Steps are numbered as they are scheduled, so those of one instant
+	// must come out in rising order whichever kind each one is.
+	for i := 1; i < len(tOrder); i++ {
+		if tAt[i] == tAt[i-1] && tOrder[i] < tOrder[i-1] {
+			t.Fatalf("at %v step %d ran before step %d", tAt[i], tOrder[i-1], tOrder[i])
+		}
+	}
+	if len(order) != 90 { // 16 + 64 + 4 scheduled outright, 2 by each of 3 ticks
+		t.Fatalf("script ran %d steps, want 90", len(order))
+	}
+	for _, i := range order {
+		if i >= 1000 {
+			t.Fatalf("canceled timer ran (step %d)", i)
+		}
+	}
+	if !reflect.DeepEqual(order, tOrder) || !reflect.DeepEqual(at, tAt) {
+		t.Fatalf("mixed script diverged:\nclosures %v\n   mixed %v", order, tOrder)
+	}
+	if ran != tRan {
+		t.Fatalf("Executed() = %d with closures, %d mixed", ran, tRan)
+	}
+	if trace != tTrace {
+		t.Fatal("EventScheduled/EventFired traces differ between the closure-only and the mixed script")
+	}
+	if !strings.Contains(trace, `"event_fired"`) {
+		t.Fatalf("trace has no fired events: %.200s", trace)
+	}
+}
+
+func TestSlabReusesSlots(t *testing.T) {
+	var s Slab[*int]
+	v := new(int)
+	a, b := s.Put(v), s.Put(v)
+	if a == b || s.Len() != 2 {
+		t.Fatalf("slots %d, %d; Len %d", a, b, s.Len())
+	}
+	if got := s.Take(a); got != v {
+		t.Fatal("Take returned another value")
+	}
+	if s.vals[a] != nil {
+		t.Fatal("emptied slot still references its value")
+	}
+	if c := s.Put(v); c != a || s.Len() != 2 {
+		t.Fatalf("freed slot %d not reused: got %d, Len %d", a, c, s.Len())
+	}
+	allocs := testing.AllocsPerRun(100, func() { s.Take(s.Put(v)) })
+	if allocs != 0 {
+		t.Fatalf("steady Put+Take allocated %.1f times, want 0", allocs)
+	}
 }
