@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-build repro repro-quick fuzz cover examples profile trace analyze cluster-smoke watch-smoke profile-smoke chaos-smoke lint-http lint-session lint-cluster clean
+.PHONY: all build test race bench bench-build repro repro-quick fuzz cover examples profile trace analyze cluster-smoke watch-smoke chaos-smoke lint-http lint-session lint-cluster clean
 
 all: build test
 
@@ -87,16 +87,6 @@ watch-smoke:
 		-for 4s -interval 500ms -out watch-run.tsdb.gz -verify
 	$(GO) run ./cmd/anonctl replay -in watch-run.tsdb.gz
 
-# Cluster-profiling smoke: spawn a 5-node cluster, harvest CPU + heap
-# profiles from every node's gated /debug/pprof concurrently while
-# session traffic flows, merge them into one cluster profile, and
-# attribute cost to subsystem buckets. The onion-crypto bucket must be
-# non-empty — if it is, the profile missed the data plane.
-profile-smoke:
-	$(GO) build -o bin/anonnode ./cmd/anonnode
-	$(GO) run ./cmd/anonctl profile -spawn -n 5 -bin bin/anonnode \
-		-seconds 4 -msgs 6 -require onioncrypt
-
 # Chaos smoke: spawn a 9-node anonnode fleet, play the committed fault
 # schedule (one relay crash + one intra-path partition, both
 # auto-reverting) against it while a repair-enabled erasure-coded
@@ -123,8 +113,7 @@ lint-session:
 	$(GO) run ./ci/lintsession
 
 # Keep fleet observation one pipeline: in internal/cluster and
-# cmd/anonctl only recorder.go may fetch "/metrics" and nothing may
-# mention /debug/vars. See ci/lintcluster.
+# cmd/anonctl only recorder.go may fetch "/metrics". See ci/lintcluster.
 lint-cluster:
 	$(GO) run ./ci/lintcluster
 
@@ -143,7 +132,6 @@ fuzz:
 	$(GO) test ./internal/faultinject -run '^$$' -fuzz FuzzParseSchedule -fuzztime 20s
 	$(GO) test ./internal/obs/tsdb -run '^$$' -fuzz FuzzRead -fuzztime 20s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzParsePrometheus -fuzztime 20s
-	$(GO) test ./internal/obs/prof -run '^$$' -fuzz FuzzParsePprof -fuzztime 20s
 
 cover:
 	$(GO) test -cover ./...

@@ -22,9 +22,6 @@
 //	anonctl watch  -dir d [-interval 1s]           live dashboard: sparklines, rollups,
 //	               [-out run.tsdb.gz]              firing alerts; optionally record too
 //	anonctl replay -in run.tsdb.gz                 render a recorded run's final frame
-//	anonctl profile -spawn -n 5 -bin ./anonnode    harvest /debug/pprof CPU+heap from every
-//	               [-seconds 5] [-baseline b.json] node, merge, attribute per subsystem,
-//	               [-require onioncrypt] [-json]   gate against a committed baseline
 //	anonctl chaos  -spawn 9 -bin ./anonnode        spawn a fleet, play a fault schedule
 //	               [-schedule f.jsonl | -seed 1]   (crash/partition/latency/drop) against
 //	               [-msgs 12] [-verify] [-json]    it while driving repair-enabled traffic;
@@ -66,11 +63,10 @@ func run(args []string, stdout io.Writer) int {
 		"record":  cmdRecord,
 		"watch":   cmdWatch,
 		"replay":  cmdReplay,
-		"profile": cmdProfile,
 		"chaos":   cmdChaos,
 	}
 	if len(args) == 0 || cmds[args[0]] == nil {
-		fmt.Fprintln(os.Stderr, "usage: anonctl <up|status|traffic|smoke|record|watch|replay|profile|chaos> [flags]")
+		fmt.Fprintln(os.Stderr, "usage: anonctl <up|status|traffic|smoke|record|watch|replay|chaos> [flags]")
 		return 2
 	}
 	return cmds[args[0]](args[1:], stdout)
@@ -177,7 +173,7 @@ func cmdStatus(args []string, stdout io.Writer) int {
 	}
 	rec.Sample(time.Now())
 	if !*asJSON {
-		cluster.RenderWatch(stdout, rec.DB(), cluster.WatchOptions{})
+		cluster.RenderWatch(stdout, rec.DB())
 		return 0
 	}
 	// tsdb encodes to files; stage the dump and copy it out.
@@ -262,7 +258,7 @@ func fleetTotals(db *tsdb.DB) map[string]uint64 {
 // that no standing alert rule fired.
 func cmdSmoke(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("smoke", flag.ExitOnError)
-	n := fs.Int("n", 5, "number of nodes (odd: an even count leaves one relay idle, which silent-relay reports)")
+	n := fs.Int("n", 5, "number of nodes")
 	msgs := fs.Int("msgs", 8, "messages to send")
 	bin := fs.String("bin", "anonnode", "anonnode binary")
 	dir := fs.String("dir", "", "cluster directory (default: a temp dir)")
@@ -343,13 +339,12 @@ func cmdSmoke(args []string, stdout io.Writer) int {
 	step(stdout, *asJSON, "merged live trace: %d events from %d sources", len(merged), len(traces))
 
 	// The in-process client is no manifest node, so no poll saw it: its
-	// registry joins the store as one more node (up by definition, like
-	// a self-sampling anonnode), then a last tick evaluates the rules
-	// with the client present.
+	// registry joins the store as one more node (up by definition),
+	// then a last tick evaluates the rules with the client present.
 	stopRecording()
 	at := time.Now()
 	client := tsdb.L("node", strconv.Itoa(m.Client.ID))
-	tsdb.SampleSnapshot(rec.DB(), nil, at.UnixMicro(), client, traffic.Client)
+	tsdb.SampleSnapshot(rec.DB(), at.UnixMicro(), client, traffic.Client)
 	rec.DB().Append("up", client, at.UnixMicro(), 1)
 	rec.Sample(at)
 	v.Totals = fleetTotals(rec.DB())
@@ -391,7 +386,7 @@ func cmdSmoke(args []string, stdout io.Writer) int {
 		enc.SetIndent("", "  ")
 		enc.Encode(v)
 	} else {
-		cluster.RenderWatch(stdout, rec.DB(), cluster.WatchOptions{})
+		cluster.RenderWatch(stdout, rec.DB())
 		fmt.Fprintf(stdout, "\nanalysis: %d events, %d messages, %d delivered, %d journeys\n",
 			res.Summary.EventsAnalyzed, res.Summary.Messages, res.Summary.Delivered, res.Summary.Journeys)
 		if v.OK {

@@ -252,10 +252,10 @@ func TestReplayGolden(t *testing.T) {
 func TestFleetTotalsReconcile(t *testing.T) {
 	db := tsdb.New(8)
 	for i, at := range []int64{1e6, 2e6} {
-		tsdb.SampleSnapshot(db, nil, at, tsdb.L("node", "0"), obs.Snapshot{Counters: map[string]uint64{
+		tsdb.SampleSnapshot(db, at, tsdb.L("node", "0"), obs.Snapshot{Counters: map[string]uint64{
 			"session.segments_sent": uint64(1 + i), "session.messages_sent": 1, "live.frames_out": 30,
 		}})
-		tsdb.SampleSnapshot(db, nil, at, tsdb.L("node", "1"), obs.Snapshot{Counters: map[string]uint64{
+		tsdb.SampleSnapshot(db, at, tsdb.L("node", "1"), obs.Snapshot{Counters: map[string]uint64{
 			"recv.delivered": uint64(i), "live.frames_out": 12,
 		}})
 	}

@@ -38,7 +38,6 @@ func cmdRecord(args []string, stdout io.Writer) int {
 	out := fs.String("out", "telemetry.tsdb.gz", "output time-series file (.gz for gzip)")
 	interval := fs.Duration("interval", time.Second, "poll interval")
 	forDur := fs.Duration("for", 0, "record for this long (0: until interrupted)")
-	ring := fs.Int("ring", 0, "per-series ring capacity (0: default)")
 	spawn := fs.Bool("spawn", false, "spawn a throwaway cluster instead of attaching to one")
 	n := fs.Int("n", 2, "nodes to spawn with -spawn")
 	bin := fs.String("bin", "anonnode", "anonnode binary for -spawn")
@@ -51,11 +50,7 @@ func cmdRecord(args []string, stdout io.Writer) int {
 		return fail(err)
 	}
 	defer stop()
-	rec, err := cluster.NewRecorder(m, cluster.RecorderConfig{
-		Interval:     *interval,
-		RingCapacity: *ring,
-		Out:          *out,
-	})
+	rec, err := cluster.NewRecorder(m, cluster.RecorderConfig{Interval: *interval, Out: *out})
 	if err != nil {
 		return fail(err)
 	}
@@ -75,7 +70,7 @@ func cmdRecord(args []string, stdout io.Writer) int {
 	if !*verify {
 		return 0
 	}
-	if err := rec.VerifyRoundTrip(cluster.WatchOptions{}); err != nil {
+	if err := rec.VerifyRoundTrip(); err != nil {
 		return fail(err)
 	}
 	fmt.Fprintln(stdout, "verify: replayed dashboard is byte-identical to live")
@@ -98,8 +93,6 @@ func cmdWatch(args []string, stdout io.Writer) int {
 	dir := fs.String("dir", "cluster", "cluster directory")
 	interval := fs.Duration("interval", time.Second, "poll interval")
 	forDur := fs.Duration("for", 0, "watch for this long (0: until interrupted)")
-	window := fs.Duration("window", 10*time.Second, "rate window")
-	width := fs.Int("width", 24, "sparkline width")
 	out := fs.String("out", "", "also stream the run to this time-series file")
 	fs.Parse(args)
 
@@ -112,13 +105,12 @@ func cmdWatch(args []string, stdout io.Writer) int {
 		return fail(err)
 	}
 	defer rec.Close()
-	opts := cluster.WatchOptions{Width: *width, Window: *window}
 
 	ctx, cancel := runCtx(*forDur)
 	defer cancel()
 	rec.Run(ctx, func(time.Time, []rules.Alert) {
 		fmt.Fprint(stdout, "\x1b[2J\x1b[H") // clear screen, home cursor
-		cluster.RenderWatch(stdout, rec.DB(), opts)
+		cluster.RenderWatch(stdout, rec.DB())
 	})
 	fmt.Fprintf(stdout, "\nwatched %d ticks, %d alerts\n", rec.Ticks(), len(rec.Alerts()))
 	return 0
@@ -130,8 +122,6 @@ func cmdWatch(args []string, stdout io.Writer) int {
 func cmdReplay(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	in := fs.String("in", "", "recorded time-series file (required)")
-	window := fs.Duration("window", 10*time.Second, "rate window")
-	width := fs.Int("width", 24, "sparkline width")
 	fs.Parse(args)
 	if *in == "" {
 		return fail(fmt.Errorf("replay needs -in FILE"))
@@ -140,6 +130,6 @@ func cmdReplay(args []string, stdout io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	cluster.RenderWatch(stdout, db, cluster.WatchOptions{Width: *width, Window: *window})
+	cluster.RenderWatch(stdout, db)
 	return 0
 }

@@ -20,26 +20,22 @@
 //	anonnode -roster roster.json -key node0.key -id 0 -listen 127.0.0.1:9000 \
 //	         -send "hello" -relays 1,2,3 -to 4
 //
-// With -debug ADDR the node serves its observability surface:
-// /metrics (Prometheus 0.0.4, including runtime.* process telemetry),
-// /healthz and /readyz probes, /health (JSON report), /debug/vars
-// (expvar-style JSON counters), /debug/trace?dur=5s (live NDJSON
-// trace stream consumable by anontrace), /debug/pprof/* (CPU,
-// heap, goroutine, mutex, block and allocs profiles — harvestable
-// cluster-wide by `anonctl profile`) and /debug/fault (the chaos
-// controller: per-peer blackholing, injected latency and drop,
-// driven by `anonctl chaos`). -collector switches the responder role to the
-// erasure-coded session reassembler; -trace FILE appends the node's
-// trace events to a JSONL file; -tsdb FILE self-samples the node's
-// registry into an embedded time-series file (consumable by `anonctl
-// replay`) every -tsdb-interval.
+// With -debug ADDR the node serves its observability surface — five
+// endpoints, each with a named reader in DESIGN.md §7's inventory:
+// /metrics (Prometheus 0.0.4, including the three runtime.* gauges;
+// polled by `anonctl`'s recorder), /readyz (the readiness probe),
+// /debug/trace?dur=5s (live NDJSON trace stream consumable by
+// anontrace), /debug/pprof/* (CPU, heap, goroutine, mutex, block and
+// allocs profiles for `go tool pprof` — recipe in EXPERIMENTS.md) and
+// /debug/fault (the chaos controller: per-peer blackholing, injected
+// latency and drop, driven by `anonctl chaos`). -collector switches
+// the responder role to the erasure-coded session reassembler; -trace
+// FILE appends the node's trace events to a JSONL file.
 package main
 
 import (
 	"context"
 	"crypto/rand"
-	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -55,21 +51,6 @@ import (
 	"resilientmix/internal/onioncrypt"
 )
 
-type keyFile struct {
-	Pub  string `json:"pub"`
-	Priv string `json:"priv"`
-}
-
-type rosterFile struct {
-	Peers []rosterPeer `json:"peers"`
-}
-
-type rosterPeer struct {
-	ID   int    `json:"id"`
-	Addr string `json:"addr"`
-	Pub  string `json:"pub"`
-}
-
 func main() {
 	var (
 		genkey  = flag.Bool("genkey", false, "generate a key pair and exit")
@@ -82,11 +63,9 @@ func main() {
 		relays  = flag.String("relays", "", "client mode: comma-separated relay ids")
 		to      = flag.Int("to", -1, "client mode: responder id")
 		wait    = flag.Duration("wait", 10*time.Second, "client mode: how long to wait for a reply")
-		debug   = flag.String("debug", "", "serve /metrics, /healthz, /readyz, /debug/vars and /debug/trace on this address")
+		debug   = flag.String("debug", "", "serve /metrics, /readyz, /debug/trace, /debug/fault and /debug/pprof/ on this address")
 		collect = flag.Bool("collector", false, "responder mode: reassemble erasure-coded session traffic instead of echoing")
 		traceP  = flag.String("trace", "", "append the node's trace events to this JSONL file (.gz for gzip)")
-		tsdbP   = flag.String("tsdb", "", "self-sample the node's metrics into this time-series file (.gz for gzip)")
-		tsdbInt = flag.Duration("tsdb-interval", time.Second, "self-sampling interval for -tsdb")
 	)
 	flag.Parse()
 
@@ -98,11 +77,11 @@ func main() {
 		fatal(fmt.Errorf("need -roster, -key and -id (or -genkey)"))
 	}
 
-	roster, err := loadRoster(*rosterP)
+	roster, err := livenet.ReadRoster(*rosterP)
 	if err != nil {
 		fatal(err)
 	}
-	priv, err := loadKey(*keyP)
+	priv, err := livenet.ReadKey(*keyP)
 	if err != nil {
 		fatal(err)
 	}
@@ -160,29 +139,11 @@ func main() {
 	}()
 	fmt.Printf("node %d up at %s\n", self, node.Addr())
 
-	var sampler *selfSampler
-	if *tsdbP != "" {
-		sampler, err = startSelfSampler(*tsdbP, *tsdbInt, *id, node)
-		if err != nil {
-			fatal(err)
-		}
-		defer sampler.Close()
-	}
-
 	var debugSrv *http.Server
 	if *debug != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/debug/vars", node.DebugHandler())
-		mux.Handle("/debug/trace", node.TraceHandler())
-		mux.Handle("/debug/pprof/", livenet.PprofHandler())
-		mux.Handle("/debug/fault", node.FaultHandler())
-		mux.Handle("/metrics", node.MetricsHandler())
-		mux.Handle("/healthz", node.HealthzHandler())
-		mux.Handle("/readyz", node.ReadyzHandler())
-		mux.Handle("/health", node.HealthHandler())
 		debugSrv = &http.Server{
 			Addr:    *debug,
-			Handler: mux,
+			Handler: debugMux(node),
 			// WriteTimeout stays unset: /debug/trace streams for up to its
 			// dur parameter and bounds itself.
 			ReadHeaderTimeout: 5 * time.Second,
@@ -250,11 +211,28 @@ func main() {
 		if traceFile != nil {
 			traceFile.Close()
 		}
-		if sampler != nil {
-			sampler.Close()
-		}
 		os.Exit(1)
 	}
+}
+
+// debugEndpoints is the node's whole observability surface: one entry
+// per endpoint row of DESIGN.md §7's inventory, which names who reads
+// each. An endpoint is mounted here or nowhere (TestDebugMuxInventory).
+var debugEndpoints = map[string]func(*livenet.Node) http.Handler{
+	"/metrics":      (*livenet.Node).MetricsHandler,
+	"/readyz":       (*livenet.Node).ReadyzHandler,
+	"/debug/trace":  (*livenet.Node).TraceHandler,
+	"/debug/fault":  (*livenet.Node).FaultHandler,
+	"/debug/pprof/": func(*livenet.Node) http.Handler { return livenet.PprofHandler() },
+}
+
+// debugMux serves debugEndpoints for node.
+func debugMux(node *livenet.Node) *http.ServeMux {
+	mux := http.NewServeMux()
+	for path, handler := range debugEndpoints {
+		mux.Handle(path, handler(node))
+	}
+	return mux
 }
 
 func doGenkey(out string) {
@@ -262,14 +240,7 @@ func doGenkey(out string) {
 	if err != nil {
 		fatal(err)
 	}
-	blob, err := json.MarshalIndent(keyFile{
-		Pub:  hex.EncodeToString(kp.Public),
-		Priv: hex.EncodeToString(kp.Private),
-	}, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	blob = append(blob, '\n')
+	blob := livenet.EncodeKey(kp)
 	if out == "" {
 		os.Stdout.Write(blob)
 		return
@@ -278,46 +249,6 @@ func doGenkey(out string) {
 		fatal(err)
 	}
 	fmt.Println("wrote", out)
-}
-
-func loadKey(path string) (onioncrypt.PrivateKey, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var kf keyFile
-	if err := json.Unmarshal(blob, &kf); err != nil {
-		return nil, fmt.Errorf("parsing key file: %w", err)
-	}
-	priv, err := hex.DecodeString(kf.Priv)
-	if err != nil {
-		return nil, fmt.Errorf("decoding private key: %w", err)
-	}
-	return priv, nil
-}
-
-func loadRoster(path string) (*livenet.Roster, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rf rosterFile
-	if err := json.Unmarshal(blob, &rf); err != nil {
-		return nil, fmt.Errorf("parsing roster: %w", err)
-	}
-	peers := make([]livenet.Peer, 0, len(rf.Peers))
-	for _, p := range rf.Peers {
-		pub, err := hex.DecodeString(p.Pub)
-		if err != nil {
-			return nil, fmt.Errorf("peer %d: decoding public key: %w", p.ID, err)
-		}
-		peers = append(peers, livenet.Peer{
-			ID:     netsim.NodeID(p.ID),
-			Addr:   p.Addr,
-			Public: pub,
-		})
-	}
-	return livenet.NewRoster(peers)
 }
 
 func fatal(err error) {

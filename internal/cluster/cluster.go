@@ -4,13 +4,12 @@
 // through one pipeline — the Recorder polls every node into an embedded
 // time-series store (internal/obs/tsdb), the standing rules
 // (internal/obs/rules) flag anomalies on it, and RenderWatch draws it.
-// Beside that it drives in-process client traffic, captures and merges
-// /debug/trace streams, and harvests /debug/pprof profiles.
+// Beside that it drives in-process client traffic and captures and
+// merges /debug/trace streams.
 package cluster
 
 import (
 	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -21,6 +20,8 @@ import (
 	"sync"
 	"time"
 
+	"resilientmix/internal/livenet"
+	"resilientmix/internal/netsim"
 	"resilientmix/internal/onioncrypt"
 )
 
@@ -59,22 +60,6 @@ type Manifest struct {
 	Client *ManifestNode `json:"client,omitempty"`
 }
 
-// keyFile and rosterFile mirror cmd/anonnode's on-disk formats.
-type keyFile struct {
-	Pub  string `json:"pub"`
-	Priv string `json:"priv"`
-}
-
-type rosterFile struct {
-	Peers []rosterPeer `json:"peers"`
-}
-
-type rosterPeer struct {
-	ID   int    `json:"id"`
-	Addr string `json:"addr"`
-	Pub  string `json:"pub"`
-}
-
 // Generate writes a complete cluster bundle into dir: per-node key
 // files, roster.json, a Procfile (one anonnode invocation per line)
 // and cluster.json (the returned manifest).
@@ -100,7 +85,7 @@ func Generate(dir string, spec Spec) (Manifest, error) {
 		total++
 	}
 	m := Manifest{Dir: dir, Roster: filepath.Join(dir, "roster.json")}
-	var rf rosterFile
+	var peers []livenet.Peer
 	suite := onioncrypt.ECIES{}
 	for i := 0; i < total; i++ {
 		kp, err := suite.GenerateKeyPair(rand.Reader)
@@ -108,18 +93,11 @@ func Generate(dir string, spec Spec) (Manifest, error) {
 			return Manifest{}, err
 		}
 		keyPath := filepath.Join(dir, fmt.Sprintf("node%d.key", i))
-		blob, err := json.MarshalIndent(keyFile{
-			Pub:  hex.EncodeToString(kp.Public),
-			Priv: hex.EncodeToString(kp.Private),
-		}, "", "  ")
-		if err != nil {
-			return Manifest{}, err
-		}
-		if err := os.WriteFile(keyPath, append(blob, '\n'), 0o600); err != nil {
+		if err := os.WriteFile(keyPath, livenet.EncodeKey(kp), 0o600); err != nil {
 			return Manifest{}, err
 		}
 		addr := net.JoinHostPort(spec.Host, strconv.Itoa(spec.BasePort+i))
-		rf.Peers = append(rf.Peers, rosterPeer{ID: i, Addr: addr, Pub: hex.EncodeToString(kp.Public)})
+		peers = append(peers, livenet.Peer{ID: netsim.NodeID(i), Addr: addr, Public: kp.Public})
 		mn := ManifestNode{ID: i, Addr: addr, Key: keyPath}
 		if i < spec.Nodes {
 			mn.Debug = net.JoinHostPort(spec.Host, strconv.Itoa(spec.DebugBase+i))
@@ -130,11 +108,7 @@ func Generate(dir string, spec Spec) (Manifest, error) {
 		}
 	}
 
-	blob, err := json.MarshalIndent(rf, "", "  ")
-	if err != nil {
-		return Manifest{}, err
-	}
-	if err := os.WriteFile(m.Roster, append(blob, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(m.Roster, livenet.EncodeRoster(peers), 0o644); err != nil {
 		return Manifest{}, err
 	}
 
@@ -148,7 +122,7 @@ func Generate(dir string, spec Spec) (Manifest, error) {
 		return Manifest{}, err
 	}
 
-	blob, err = json.MarshalIndent(m, "", "  ")
+	blob, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return Manifest{}, err
 	}

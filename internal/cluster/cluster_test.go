@@ -1,14 +1,15 @@
 package cluster
 
 import (
-	"encoding/hex"
-	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"resilientmix/internal/livenet"
+	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
 	"resilientmix/internal/obs/analyze"
 )
@@ -23,39 +24,19 @@ func TestGenerateWritesCompleteBundle(t *testing.T) {
 		t.Fatalf("manifest shape wrong: %+v", m)
 	}
 
-	// Roster must include the client identity and decode as hex keys.
-	blob, err := os.ReadFile(m.Roster)
+	// The roster reads back through the codec anonnode uses and includes
+	// the client identity; a key file exists for every identity.
+	roster, err := livenet.ReadRoster(m.Roster)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rf rosterFile
-	if err := json.Unmarshal(blob, &rf); err != nil {
-		t.Fatal(err)
+	if roster.Size() != 4 {
+		t.Fatalf("roster has %d peers, want 4", roster.Size())
 	}
-	if len(rf.Peers) != 4 {
-		t.Fatalf("roster has %d peers, want 4", len(rf.Peers))
-	}
-	for _, p := range rf.Peers {
-		if _, err := hex.DecodeString(p.Pub); err != nil || p.Pub == "" {
-			t.Fatalf("peer %d public key not hex: %q", p.ID, p.Pub)
-		}
-		if p.Addr == "" {
-			t.Fatalf("peer %d has no address", p.ID)
-		}
-	}
-
-	// Key files exist for every identity, including the client's.
 	for i := 0; i < 4; i++ {
-		var kf keyFile
-		blob, err := os.ReadFile(filepath.Join(dir, "node"+string(rune('0'+i))+".key"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(blob, &kf); err != nil {
-			t.Fatal(err)
-		}
-		if kf.Priv == "" || kf.Pub == "" {
-			t.Fatalf("key file %d incomplete", i)
+		priv, err := livenet.ReadKey(filepath.Join(dir, fmt.Sprintf("node%d.key", i)))
+		if err != nil || len(priv) == 0 {
+			t.Fatalf("key file %d: %d bytes, %v", i, len(priv), err)
 		}
 	}
 
@@ -87,6 +68,46 @@ func TestGenerateWritesCompleteBundle(t *testing.T) {
 func TestGenerateRejectsTinyCluster(t *testing.T) {
 	if _, err := Generate(t.TempDir(), Spec{Nodes: 1}); err == nil {
 		t.Fatal("1-node cluster accepted")
+	}
+}
+
+// TestPlanPathsUsesEveryNode: whatever the fleet size, every node but
+// the responder relays on exactly one path (an idle relay trips
+// silent-relay and fails the smoke's zero-alert gate), paths are two
+// relays long with at most the last one three, and r is 2 exactly when
+// the path count is even.
+func TestPlanPathsUsesEveryNode(t *testing.T) {
+	for n := 4; n <= 9; n++ {
+		lists, responder, r, err := planPaths(n)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if responder != netsim.NodeID(n-1) {
+			t.Errorf("n=%d: responder %d, want %d", n, responder, n-1)
+		}
+		if want := 2 - len(lists)%2; r != want {
+			t.Errorf("n=%d: r=%d with %d paths, want %d", n, r, len(lists), want)
+		}
+		uses := make(map[netsim.NodeID]int)
+		for i, relays := range lists {
+			if len(relays) != 2 && !(len(relays) == 3 && i == len(lists)-1) {
+				t.Errorf("n=%d: path %d has %d relays: %v", n, i, len(relays), lists)
+			}
+			for _, id := range relays {
+				uses[id]++
+			}
+		}
+		for id := netsim.NodeID(0); id < responder; id++ {
+			if uses[id] != 1 {
+				t.Errorf("n=%d: node %d is on %d paths, want 1: %v", n, id, uses[id], lists)
+			}
+		}
+		if uses[responder] != 0 {
+			t.Errorf("n=%d: the responder relays: %v", n, lists)
+		}
+	}
+	if _, _, _, err := planPaths(3); err == nil {
+		t.Error("planPaths(3) accepted: one relay cannot make a path")
 	}
 }
 

@@ -18,9 +18,6 @@ import (
 type RecorderConfig struct {
 	// Interval is the poll period (default 1s).
 	Interval time.Duration
-	// RingCapacity is the per-series ring size (default
-	// tsdb.DefaultCapacity).
-	RingCapacity int
 	// Out, when non-empty, streams every sample and alert to an
 	// append-only tsdb file (.gz for gzip) as it is observed.
 	Out string
@@ -54,7 +51,7 @@ func NewRecorder(m Manifest, cfg RecorderConfig) (*Recorder, error) {
 	r := &Recorder{
 		m:   m,
 		cfg: cfg,
-		db:  tsdb.New(cfg.RingCapacity),
+		db:  tsdb.New(tsdb.DefaultCapacity),
 		eng: rules.NewEngine(rules.Defaults()...),
 	}
 	if cfg.Out != "" {
@@ -109,7 +106,7 @@ func (r *Recorder) Sample(at time.Time) []rules.Alert {
 		go func(i int, n ManifestNode) {
 			defer wg.Done()
 			sc := nodeScrape{node: n}
-			if resp, err := getRetry(scrapeClient, "http://"+n.Debug+"/metrics", true); err == nil {
+			if resp, err := getRetry("http://"+n.Debug+"/metrics", true); err == nil {
 				fams, perr := obs.ParsePrometheus(resp.Body)
 				resp.Body.Close()
 				if perr == nil {
@@ -240,7 +237,7 @@ func (r *Recorder) Close() error {
 // live in-memory store — the record/replay fidelity contract. It
 // closes the output file first (a gzip stream is only readable once
 // its footer is written), so record nothing after verifying.
-func (r *Recorder) VerifyRoundTrip(opts WatchOptions) error {
+func (r *Recorder) VerifyRoundTrip() error {
 	if r.cfg.Out == "" {
 		return fmt.Errorf("recorder: no output file to verify")
 	}
@@ -251,8 +248,8 @@ func (r *Recorder) VerifyRoundTrip(opts WatchOptions) error {
 	if err != nil {
 		return fmt.Errorf("recorder: reloading %s: %w", r.cfg.Out, err)
 	}
-	live := renderString(r.db, opts)
-	replay := renderString(reloaded, opts)
+	live := renderString(r.db)
+	replay := renderString(reloaded)
 	if live != replay {
 		return fmt.Errorf("recorder: replay render differs from live render:\n--- live ---\n%s--- replay ---\n%s", live, replay)
 	}
@@ -260,8 +257,8 @@ func (r *Recorder) VerifyRoundTrip(opts WatchOptions) error {
 }
 
 // renderString renders the watch view to a string.
-func renderString(db *tsdb.DB, opts WatchOptions) string {
+func renderString(db *tsdb.DB) string {
 	var b strings.Builder
-	RenderWatch(&b, db, opts)
+	RenderWatch(&b, db)
 	return b.String()
 }

@@ -87,7 +87,7 @@ func TestRecorderSamplesAndRoundTrips(t *testing.T) {
 	}
 
 	// The streamed file must replay to a byte-identical dashboard.
-	if err := rec.VerifyRoundTrip(WatchOptions{}); err != nil {
+	if err := rec.VerifyRoundTrip(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -276,7 +276,7 @@ func TestGetRetryBackoffCaps(t *testing.T) {
 		http.Error(w, "always down", http.StatusInternalServerError)
 	}))
 	defer srv.Close()
-	_, err := getRetry(&http.Client{Timeout: time.Second}, srv.URL, true)
+	_, err := getRetry(srv.URL, true)
 	if err == nil {
 		t.Fatal("getRetry succeeded against a 500-only server")
 	}
@@ -289,7 +289,7 @@ func TestGetRetryBackoffCaps(t *testing.T) {
 		oks.Add(1)
 	}))
 	defer ok.Close()
-	resp, err := getRetry(&http.Client{Timeout: time.Second}, ok.URL, true)
+	resp, err := getRetry(ok.URL, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,8 @@ import (
 	"resilientmix/internal/retrypolicy"
 )
 
-// scrapeClient bounds every poll and probe request; trace captures and
-// profile fetches build their own client because they intentionally
-// run for longer.
+// scrapeClient bounds every poll and probe request; a trace capture
+// builds its own client because it intentionally runs for longer.
 var scrapeClient = &http.Client{Timeout: 5 * time.Second}
 
 // scrapePolicy retries every fetch: a single attempt marks a node failed
@@ -35,10 +34,10 @@ var scrapePolicy = retrypolicy.Policy{
 // getRetry fetches url, retrying transport errors (and, when retry5xx
 // is set, 5xx statuses) via the shared retry policy. On success the
 // caller owns the response body.
-func getRetry(client *http.Client, url string, retry5xx bool) (*http.Response, error) {
+func getRetry(url string, retry5xx bool) (*http.Response, error) {
 	var resp *http.Response
 	err := scrapePolicy.Do(context.Background(), func(context.Context) error {
-		r, err := client.Get(url)
+		r, err := scrapeClient.Get(url)
 		if err != nil {
 			return err
 		}
@@ -58,7 +57,7 @@ func getRetry(client *http.Client, url string, retry5xx bool) (*http.Response, e
 
 // probeReady asks one node's /readyz and returns its failure, if any.
 func probeReady(debugAddr string) error {
-	resp, err := getRetry(scrapeClient, "http://"+debugAddr+"/readyz", false)
+	resp, err := getRetry("http://"+debugAddr+"/readyz", false)
 	if err != nil {
 		return err
 	}

@@ -1,61 +1,20 @@
 package cluster
 
 import (
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"resilientmix/internal/livenet"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
-	"resilientmix/internal/onioncrypt"
 )
-
-// loadKey reads an anonnode key file and returns the private key.
-func loadKey(path string) (onioncrypt.PrivateKey, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var kf keyFile
-	if err := json.Unmarshal(blob, &kf); err != nil {
-		return nil, fmt.Errorf("cluster: parsing key file: %w", err)
-	}
-	priv, err := hex.DecodeString(kf.Priv)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: decoding private key: %w", err)
-	}
-	return priv, nil
-}
-
-// loadRoster reads an anonnode roster file.
-func loadRoster(path string) (*livenet.Roster, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rf rosterFile
-	if err := json.Unmarshal(blob, &rf); err != nil {
-		return nil, fmt.Errorf("cluster: parsing roster: %w", err)
-	}
-	peers := make([]livenet.Peer, 0, len(rf.Peers))
-	for _, p := range rf.Peers {
-		pub, err := hex.DecodeString(p.Pub)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: peer %d public key: %w", p.ID, err)
-		}
-		peers = append(peers, livenet.Peer{ID: netsim.NodeID(p.ID), Addr: p.Addr, Public: pub})
-	}
-	return livenet.NewRoster(peers)
-}
 
 // planPaths derives the standard traffic layout for a generated
 // cluster: node nodes-1 is the responder, the remaining nodes pair up
-// into disjoint 2-relay paths, and the replication factor is 2 when
-// the path count is even (erasure coding with real redundancy), else
-// 1.
+// into disjoint 2-relay paths — a leftover relay makes the last path
+// three long, so every node carries traffic — and the replication
+// factor is 2 when the path count is even (erasure coding with real
+// redundancy), else 1.
 func planPaths(nodes int) (relayLists [][]netsim.NodeID, responder netsim.NodeID, r int, err error) {
 	if nodes < 4 {
 		return nil, 0, 0, fmt.Errorf("cluster: traffic needs at least 4 nodes, got %d", nodes)
@@ -63,6 +22,10 @@ func planPaths(nodes int) (relayLists [][]netsim.NodeID, responder netsim.NodeID
 	responder = netsim.NodeID(nodes - 1)
 	for i := 0; i+1 < nodes-1; i += 2 {
 		relayLists = append(relayLists, []netsim.NodeID{netsim.NodeID(i), netsim.NodeID(i + 1)})
+	}
+	if nodes%2 == 0 {
+		last := len(relayLists) - 1
+		relayLists[last] = append(relayLists[last], netsim.NodeID(nodes-2))
 	}
 	r = 1
 	if len(relayLists)%2 == 0 {
@@ -81,11 +44,11 @@ func StartClient(m Manifest, tracer obs.Tracer) (node *livenet.Node, relayLists 
 	if m.Client == nil {
 		return nil, nil, 0, 0, fmt.Errorf("cluster: manifest reserves no client identity (generate with Client: true)")
 	}
-	roster, err := loadRoster(m.Roster)
+	roster, err := livenet.ReadRoster(m.Roster)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
-	priv, err := loadKey(m.Client.Key)
+	priv, err := livenet.ReadKey(m.Client.Key)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}

@@ -11,27 +11,12 @@ import (
 	"resilientmix/internal/obs/tsdb"
 )
 
-// WatchOptions tunes the watch dashboard rendering.
-type WatchOptions struct {
-	// Width is the sparkline width in cells (default 24).
-	Width int
-	// Window bounds rate computations (default 10s).
-	Window time.Duration
-}
-
-func (o WatchOptions) width() int {
-	if o.Width <= 0 {
-		return 24
-	}
-	return o.Width
-}
-
-func (o WatchOptions) windowMicros() int64 {
-	if o.Window <= 0 {
-		return (10 * time.Second).Microseconds()
-	}
-	return o.Window.Microseconds()
-}
+// The dashboard's sparkline width in cells, and the window its rate
+// columns cover in the store's microseconds.
+const (
+	watchWidth  = 24
+	watchWindow = int64(10 * time.Second / time.Microsecond)
+)
 
 // sparkLevels are the eighth-block ramp cells of a sparkline.
 var sparkLevels = []rune("▁▂▃▄▅▆▇█")
@@ -186,14 +171,12 @@ func clusterLatest(db *tsdb.DB, pattern string) float64 {
 // golden contract. Times render relative to the first retained
 // sample, so the output carries no wall-clock dependence beyond the
 // recording itself.
-func RenderWatch(w io.Writer, db *tsdb.DB, opts WatchOptions) {
+func RenderWatch(w io.Writer, db *tsdb.DB) {
 	first, last, ok := db.Bounds()
 	if !ok {
 		fmt.Fprintln(w, "telemetry: no samples")
 		return
 	}
-	win := opts.windowMicros()
-	width := opts.width()
 	nodes := watchNodes(db)
 
 	ticks := 0
@@ -203,10 +186,10 @@ func RenderWatch(w io.Writer, db *tsdb.DB, opts WatchOptions) {
 		}
 	}
 	fmt.Fprintf(w, "telemetry — %d nodes · %d ticks retained · span %.1fs · window %.0fs\n\n",
-		len(nodes), ticks, float64(last-first)/1e6, float64(win)/1e6)
+		len(nodes), ticks, float64(last-first)/1e6, float64(watchWindow)/1e6)
 
 	fmt.Fprintf(w, "%-5s %-4s %-5s %9s  %-*s %8s %8s %8s %6s %6s %6s %7s\n",
-		"node", "up", "ready", "out/s", width, "history", "in/s", "sent/s", "acked/s", "fwd", "rev", "gor", "heap")
+		"node", "up", "ready", "out/s", watchWidth, "history", "in/s", "sent/s", "acked/s", "fwd", "rev", "gor", "heap")
 	for _, n := range nodes {
 		label := tsdb.L("node", n)
 		upDown := "-"
@@ -225,15 +208,15 @@ func RenderWatch(w io.Writer, db *tsdb.DB, opts WatchOptions) {
 		}
 		var hist []float64
 		if s := db.Get("live_frames_out", label); s != nil {
-			hist = s.TailRates(width)
+			hist = s.TailRates(watchWidth)
 		}
 		fmt.Fprintf(w, "%-5s %-4s %-5s %9.1f  %-*s %8.1f %8.1f %8.1f %6.0f %6.0f %6.0f %7s\n",
 			n, upDown, ready,
-			nodeRate(db, "live_frames_out", n, win),
-			width, spark(hist, width),
-			nodeRate(db, "live_frames_in_*", n, win),
-			nodeRate(db, "session_segments_sent", n, win),
-			nodeRate(db, "session_segments_acked", n, win),
+			nodeRate(db, "live_frames_out", n, watchWindow),
+			watchWidth, spark(hist, watchWidth),
+			nodeRate(db, "live_frames_in_*", n, watchWindow),
+			nodeRate(db, "session_segments_sent", n, watchWindow),
+			nodeRate(db, "session_segments_acked", n, watchWindow),
 			nodeLatest(db, "live_forward_states", n),
 			nodeLatest(db, "live_reverse_states", n),
 			nodeLatest(db, "runtime_goroutines", n),
@@ -252,10 +235,10 @@ func RenderWatch(w io.Writer, db *tsdb.DB, opts WatchOptions) {
 	}
 
 	fmt.Fprintf(w, "\ncluster  out/s %.1f  %s\n",
-		clusterRate(db, "live_frames_out", win),
-		spark(clusterTailRates(db, "live_frames_out", width), width))
-	sent := clusterRate(db, "session_segments_sent", win)
-	acked := clusterRate(db, "session_segments_acked", win)
+		clusterRate(db, "live_frames_out", watchWindow),
+		spark(clusterTailRates(db, "live_frames_out", watchWidth), watchWidth))
+	sent := clusterRate(db, "session_segments_sent", watchWindow)
+	acked := clusterRate(db, "session_segments_acked", watchWindow)
 	loss := 0.0
 	if sent > 0 {
 		loss = 1 - acked/sent

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"resilientmix/internal/obs/rules"
 	"resilientmix/internal/obs/tsdb"
@@ -115,7 +114,7 @@ func TestWatchGolden(t *testing.T) {
 	}
 
 	var b strings.Builder
-	RenderWatch(&b, db, WatchOptions{})
+	RenderWatch(&b, db)
 	got := b.String()
 
 	golden := filepath.Join("testdata", "watch.golden")
@@ -148,7 +147,7 @@ func TestWatchGolden(t *testing.T) {
 func TestRecordReplayRenderIdentical(t *testing.T) {
 	db, _ := buildRecordedRun()
 	var live strings.Builder
-	RenderWatch(&live, db, WatchOptions{})
+	RenderWatch(&live, db)
 
 	for _, name := range []string{"run.tsdb", "run.tsdb.gz"} {
 		path := filepath.Join(t.TempDir(), name)
@@ -160,7 +159,7 @@ func TestRecordReplayRenderIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		var replay strings.Builder
-		RenderWatch(&replay, reloaded, WatchOptions{})
+		RenderWatch(&replay, reloaded)
 		if live.String() != replay.String() {
 			t.Errorf("%s: replay render differs from live:\n--- live ---\n%s--- replay ---\n%s",
 				name, live.String(), replay.String())
@@ -178,7 +177,7 @@ func TestRenderAfterRingOverflow(t *testing.T) {
 		db.Append("live_frames_out", tsdb.L("node", "0"), at, float64(i*7))
 	}
 	var live strings.Builder
-	RenderWatch(&live, db, WatchOptions{})
+	RenderWatch(&live, db)
 
 	path := filepath.Join(t.TempDir(), "wrap.tsdb")
 	if err := db.WriteFile(path); err != nil {
@@ -189,7 +188,7 @@ func TestRenderAfterRingOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	var replay strings.Builder
-	RenderWatch(&replay, reloaded, WatchOptions{})
+	RenderWatch(&replay, reloaded)
 	if live.String() != replay.String() {
 		t.Errorf("overflowed ring replay differs:\n--- live ---\n%s--- replay ---\n%s", live.String(), replay.String())
 	}
@@ -214,7 +213,7 @@ func TestRenderDashboard(t *testing.T) {
 	}
 	db.Annotate(tsdb.Annotation{At: 2e6, Kind: "node-down", Series: tsdb.Key("up", n1), Detail: "up = 0, breaching < 1"})
 	var b strings.Builder
-	RenderWatch(&b, db, WatchOptions{})
+	RenderWatch(&b, db)
 	out := b.String()
 	for _, want := range []string{
 		"1     DOWN FAIL  ",
@@ -230,7 +229,7 @@ func TestRenderDashboard(t *testing.T) {
 
 func TestRenderEmpty(t *testing.T) {
 	var b strings.Builder
-	RenderWatch(&b, tsdb.New(4), WatchOptions{Window: 5 * time.Second})
+	RenderWatch(&b, tsdb.New(4))
 	if !strings.Contains(b.String(), "no samples") {
 		t.Fatalf("empty render = %q", b.String())
 	}

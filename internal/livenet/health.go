@@ -1,7 +1,6 @@
 package livenet
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -10,11 +9,11 @@ import (
 	"resilientmix/internal/obs"
 )
 
-// This file is the node's live-observability surface: an instantaneous
-// health report, liveness and readiness probes, the Prometheus
-// /metrics handler, and a bounded NDJSON trace-streaming handler —
-// everything cmd/anonnode mounts on its debug listener and everything
-// cmd/anonctl scrapes to observe a cluster as a whole.
+// This file is the node's live-observability surface: the readiness
+// probe, the Prometheus /metrics handler and a bounded NDJSON
+// trace-streaming handler — with fault.go's and pprof.go's handlers,
+// everything cmd/anonnode mounts on its debug listener, and each read
+// by something named in DESIGN.md §7's inventory.
 
 // readyCacheTTL bounds how often a readiness check actually probes the
 // roster; within the window the cached verdict is reused. A package
@@ -27,85 +26,6 @@ const readyProbePeers = 3
 
 // readyProbeTimeout bounds each readiness dial.
 const readyProbeTimeout = 750 * time.Millisecond
-
-// Health is a point-in-time health report of a live node.
-type Health struct {
-	// ID is the node's roster identity.
-	ID int `json:"id"`
-	// Addr is the bound listen address.
-	Addr string `json:"addr"`
-	// UptimeSeconds is the time since Start.
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	// RosterSize is the current roster size.
-	RosterSize int `json:"roster_size"`
-	// ForwardStates / ReverseStates are the relay state-table sizes —
-	// the node's queue-depth analogue (livenet holds per-stream state,
-	// not per-relay queues).
-	ForwardStates int `json:"forward_states"`
-	ReverseStates int `json:"reverse_states"`
-	// ActivePaths is the number of initiator paths currently
-	// established from this node.
-	ActivePaths int `json:"active_paths"`
-	// LastFrameAgoSeconds is the age of the most recent inbound frame,
-	// -1 when no frame has ever arrived.
-	LastFrameAgoSeconds float64 `json:"last_frame_ago_seconds"`
-	// Responder reports whether the node has a data handler installed.
-	Responder bool `json:"responder"`
-	// Process-resource telemetry (from the runtime collector):
-	// goroutine count, heap occupancy, GC cycle count and the most
-	// recent GC pause. LastGCPauseSeconds is 0 before the first GC.
-	Goroutines         int     `json:"goroutines"`
-	HeapInuseBytes     uint64  `json:"heap_inuse_bytes"`
-	HeapObjects        uint64  `json:"heap_objects"`
-	NumGC              uint32  `json:"num_gc"`
-	LastGCPauseSeconds float64 `json:"last_gc_pause_seconds"`
-	// DegradedSessions counts live sessions currently running below
-	// their full path width (repair in progress — the node sheds cover
-	// traffic first and keeps real traffic flowing).
-	DegradedSessions int `json:"degraded_sessions"`
-	// Ready mirrors the readiness verdict; ReadyReason carries the
-	// failure description when not ready.
-	Ready       bool   `json:"ready"`
-	ReadyReason string `json:"ready_reason,omitempty"`
-}
-
-// Health reports the node's current state.
-func (n *Node) Health() Health {
-	roster := n.roster()
-	n.mu.Lock()
-	paths := len(n.paths)
-	responder := n.cfg.OnData != nil
-	n.mu.Unlock()
-	fwd, rev := n.tab.States()
-	h := Health{
-		ID:                  int(n.cfg.ID),
-		Addr:                n.Addr(),
-		UptimeSeconds:       time.Since(n.started).Seconds(),
-		RosterSize:          roster.Size(),
-		ForwardStates:       fwd,
-		ReverseStates:       rev,
-		ActivePaths:         paths,
-		LastFrameAgoSeconds: -1,
-		Responder:           responder,
-	}
-	if at := n.lastFrameAt.Load(); at != 0 {
-		h.LastFrameAgoSeconds = time.Since(time.UnixMicro(at)).Seconds()
-	}
-	n.rt.Collect()
-	rs := n.rt.Stats()
-	h.Goroutines = rs.Goroutines
-	h.HeapInuseBytes = rs.HeapInuseBytes
-	h.HeapObjects = rs.HeapObjects
-	h.NumGC = rs.NumGC
-	h.LastGCPauseSeconds = rs.LastGCPauseSeconds
-	h.DegradedSessions = int(n.degraded.Load())
-	if err := n.Ready(); err != nil {
-		h.ReadyReason = err.Error()
-	} else {
-		h.Ready = true
-	}
-	return h
-}
 
 // closed reports whether Close has begun.
 func (n *Node) closed() bool {
@@ -121,24 +41,17 @@ func (n *Node) closed() bool {
 // session-capable: the listener is live, the roster contains this
 // node, and at least one other roster peer accepts a TCP connection
 // (so onion construction has somewhere to go). A single-node roster is
-// trivially ready. The verdict is cached for readyCacheTTL to keep
-// probe storms from turning into dial storms.
+// trivially ready. The verdict is cached for readyCacheTTL, and the
+// lock is held across the probe, so requests that arrive together
+// share one probe: probe storms do not turn into dial storms.
 func (n *Node) Ready() error {
 	n.readyMu.Lock()
-	if readyCacheTTL > 0 && !n.readyAt.IsZero() && time.Since(n.readyAt) < readyCacheTTL {
-		err := n.readyErr
-		n.readyMu.Unlock()
-		return err
+	defer n.readyMu.Unlock()
+	if readyCacheTTL <= 0 || n.readyAt.IsZero() || time.Since(n.readyAt) >= readyCacheTTL {
+		n.readyErr = n.readyProbe()
+		n.readyAt = time.Now()
 	}
-	n.readyMu.Unlock()
-
-	err := n.readyProbe()
-
-	n.readyMu.Lock()
-	n.readyAt = time.Now()
-	n.readyErr = err
-	n.readyMu.Unlock()
-	return err
+	return n.readyErr
 }
 
 // readyProbe computes the uncached readiness verdict.
@@ -174,19 +87,6 @@ func (n *Node) readyProbe() error {
 	return fmt.Errorf("no roster peer reachable (probed %d): %v", probed, lastErr)
 }
 
-// HealthzHandler is the liveness probe: 200 while the node runs, 503
-// once it is shut down.
-func (n *Node) HealthzHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		if n.closed() {
-			http.Error(w, "shutting down", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-}
-
 // ReadyzHandler is the readiness probe: 200 when Ready() passes, 503
 // with the reason otherwise. `?verbose=1` (or any query) also works —
 // the body always carries the verdict. A node with degraded sessions
@@ -208,21 +108,11 @@ func (n *Node) ReadyzHandler() http.Handler {
 	})
 }
 
-// HealthHandler serves the full Health report as JSON.
-func (n *Node) HealthHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(n.Health())
-	})
-}
-
 // MetricsHandler serves the node's registry in the Prometheus text
 // exposition format (0.0.4). Each scrape refreshes the runtime
-// telemetry gauges first (throttled), so every downstream consumer —
-// the cluster recorder, the tsdb, the rule engine, the watch
-// dashboard — sees process-resource series with no extra plumbing.
+// telemetry gauges first (throttled), so the cluster recorder, the
+// rule engine and the watch dashboard see process-resource series with
+// no extra plumbing.
 func (n *Node) MetricsHandler() http.Handler {
 	prom := n.reg.PrometheusHandler()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"net"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,24 +23,6 @@ func disableReadyCache(t *testing.T) {
 	old := readyCacheTTL
 	readyCacheTTL = 0
 	t.Cleanup(func() { readyCacheTTL = old })
-}
-
-func TestHealthzProbe(t *testing.T) {
-	c := startCluster(t, 2, nil)
-	n := c.nodes[0]
-
-	rec := httptest.NewRecorder()
-	n.HealthzHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-	if rec.Code != 200 {
-		t.Fatalf("healthz on a live node = %d, want 200", rec.Code)
-	}
-
-	n.Close()
-	rec = httptest.NewRecorder()
-	n.HealthzHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-	if rec.Code != 503 {
-		t.Fatalf("healthz after Close = %d, want 503", rec.Code)
-	}
 }
 
 func TestReadyzProbe(t *testing.T) {
@@ -73,8 +57,89 @@ func TestReadyzProbe(t *testing.T) {
 	}
 }
 
+// TestReadyProbeIsSingleFlight: a readiness check that finds the cache
+// cold or lapsed probes under the lock, so requests that arrive
+// together cost the roster one dial between them, and requests inside
+// the TTL cost it none.
+func TestReadyProbeIsSingleFlight(t *testing.T) {
+	c := startCluster(t, 2, nil)
+	n := c.nodes[0]
+
+	// The one peer is a bare listener that reports every connection it
+	// accepts.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan string, 128) // room for a dial per request, the failure this test exists for
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- conn.RemoteAddr().String()
+			conn.Close()
+		}
+	}()
+	peer, _ := c.roster.Peer(1)
+	peer.Addr = ln.Addr().String()
+	self, _ := c.roster.Peer(0)
+	roster, err := NewRoster([]Peer{self, peer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.SetRoster(roster)
+
+	// probes counts the connections accepted so far: the accept queue is
+	// first in, first out, so once the test's own connection has come
+	// out, every earlier one has.
+	probes := 0
+	countProbes := func() int {
+		t.Helper()
+		marker, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer marker.Close()
+		for addr := range accepted {
+			if addr == marker.LocalAddr().String() {
+				break
+			}
+			probes++
+		}
+		return probes
+	}
+	batch := func() {
+		t.Helper()
+		var wg sync.WaitGroup
+		for i := 0; i < 32; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := n.Ready(); err != nil {
+					t.Errorf("Ready: %v", err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	batch()
+	if got := countProbes(); got != 1 {
+		t.Fatalf("32 concurrent Ready() calls on a cold cache dialed the peer %d times, want 1", got)
+	}
+	batch()
+	if got := countProbes(); got != 1 {
+		t.Fatalf("a second batch inside the TTL raised the dial count to %d, want 1", got)
+	}
+}
+
+// TestHealthReport: what a node reports about its own state reaches the
+// registry the fleet pipeline scrapes — relay state-table sizes, paths
+// built, inbound frames by kind — and the readiness verdict.
 func TestHealthReport(t *testing.T) {
-	disableReadyCache(t)
 	c := startCluster(t, 4, map[int]DataFunc{3: func(h ReplyHandle, data []byte) {}})
 
 	// Build a path so state tables and path counts are non-trivial.
@@ -82,26 +147,19 @@ func TestHealthReport(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h := c.nodes[0].Health()
-	if h.ID != 0 || h.RosterSize != 4 || h.ActivePaths != 1 {
-		t.Fatalf("initiator health wrong: %+v", h)
+	init := c.nodes[0].Metrics()
+	if got := init.Counter("live.paths_built").Value(); got != 1 {
+		t.Fatalf("initiator live.paths_built = %d, want 1", got)
 	}
-	if !h.Ready || h.ReadyReason != "" {
-		t.Fatalf("initiator not ready: %+v", h)
+	if err := c.nodes[0].Ready(); err != nil {
+		t.Fatalf("initiator not ready: %v", err)
 	}
-	relay := c.nodes[1].Health()
-	if relay.ForwardStates != 1 || relay.ReverseStates != 1 {
-		t.Fatalf("relay state tables not reflected: %+v", relay)
+	relay := c.nodes[1].Metrics()
+	if f, r := relay.Gauge("live.forward_states").Value(), relay.Gauge("live.reverse_states").Value(); f != 1 || r != 1 {
+		t.Fatalf("relay state tables not reflected: live.forward_states = %v, live.reverse_states = %v, want 1, 1", f, r)
 	}
-	if relay.LastFrameAgoSeconds < 0 {
-		t.Fatalf("relay that handled frames reports no last frame: %+v", relay)
-	}
-	resp := c.nodes[3].Health()
-	if !resp.Responder {
-		t.Fatalf("responder flag not set: %+v", resp)
-	}
-	if c.nodes[0].Health().Responder {
-		t.Fatal("non-responder reports responder role")
+	if got := relay.Counter("live.frames_in.construct").Value(); got != 1 {
+		t.Fatalf("relay that handled a construction reports live.frames_in.construct = %d, want 1", got)
 	}
 }
 
@@ -141,6 +199,13 @@ func TestMetricsEndpointParses(t *testing.T) {
 	// The per-peer egress family must be present for the first relay.
 	if _, ok := fams["live_peer_out_1"]; !ok {
 		t.Fatal("per-relay egress counter live_peer_out_1 missing")
+	}
+	// The scrape refreshes the runtime gauges the rules and the
+	// dashboard read.
+	for _, name := range []string{"runtime_goroutines", "runtime_heap_inuse_bytes", "runtime_last_gc_pause_seconds"} {
+		if _, ok := fams[name]; !ok {
+			t.Errorf("%s missing from exposition", name)
+		}
 	}
 }
 

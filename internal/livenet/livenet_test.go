@@ -523,10 +523,11 @@ func TestLiveResponderStreamSweep(t *testing.T) {
 		t.Fatalf("responder streams = %d, want 1", n)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for c.nodes[3].streams.Len() != 0 || c.nodes[1].Health().ForwardStates != 0 {
+	forward := c.nodes[1].Metrics().Gauge("live.forward_states")
+	for c.nodes[3].streams.Len() != 0 || forward.Value() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("state not swept after TTL: %d responder streams, %d forward states at relay 1",
-				c.nodes[3].streams.Len(), c.nodes[1].Health().ForwardStates)
+			t.Fatalf("state not swept after TTL: %d responder streams, live.forward_states = %v at relay 1",
+				c.nodes[3].streams.Len(), forward.Value())
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

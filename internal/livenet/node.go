@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -134,22 +133,18 @@ type Node struct {
 	ln   net.Listener
 	reg  *obs.Registry
 	m    *liveMetrics
-	// rt samples Go runtime telemetry (goroutines, heap, GC pauses,
-	// scheduler latency) into reg on every observability scrape.
+	// rt samples Go runtime telemetry (goroutines, heap in use, last GC
+	// pause) into reg on every /metrics scrape.
 	rt *obs.RuntimeCollector
 	// hub fans trace events out to runtime subscribers (the
 	// /debug/trace streaming endpoint); trc is the node's effective
 	// tracer: the configured one plus the hub.
 	hub *obs.Hub
 	trc obs.Tracer
-	// started anchors uptime; lastFrameAt (unix micros) tracks the
-	// most recent inbound frame for the health report.
-	started     time.Time
-	lastFrameAt atomic.Int64
 
 	// flt is the injected-fault controller (see fault.go); degraded
 	// counts sessions currently running below full path width (set by
-	// the session repair loop, surfaced via Ready/Health/metrics).
+	// the session repair loop, surfaced via /readyz and live.degraded).
 	flt      *faultCtl
 	degraded atomic.Int64
 
@@ -226,7 +221,6 @@ func Start(addr string, cfg Config) (*Node, error) {
 		rt:      obs.NewRuntimeCollector(reg),
 		hub:     hub,
 		trc:     obs.Multi(cfg.Tracer, hub),
-		started: time.Now(),
 		flt:     newFaultCtl(),
 		env:     env,
 		tab:     onion.NewTable(env, cfg.Private, int64(cfg.StateTTL)),
@@ -259,22 +253,6 @@ func (n *Node) ID() netsim.NodeID { return n.cfg.ID }
 
 // Metrics returns the node's metrics registry.
 func (n *Node) Metrics() *obs.Registry { return n.reg }
-
-// DebugHandler returns an expvar-style HTTP handler exposing the
-// node's metrics as indented JSON; cmd/anonnode mounts it at
-// /debug/vars when -debug is set. Each request refreshes the runtime
-// telemetry gauges first.
-func (n *Node) DebugHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n.rt.Collect()
-		n.reg.ServeHTTP(w, r)
-	})
-}
-
-// SampleRuntime refreshes the runtime telemetry gauges (throttled) —
-// the hook push-style consumers like cmd/anonnode's tsdb self-sampler
-// call before snapshotting the registry.
-func (n *Node) SampleRuntime() { n.rt.Collect() }
 
 // emit hands one trace event to the configured tracer and every live
 // subscriber. trc is never nil (the hub is always present).
@@ -471,9 +449,7 @@ func (n *Node) admit(f frame) (from netsim.NodeID, rest []byte, ok bool) {
 // rest through the relay table, whose answers go back out as frames —
 // a forwarded or delivered payload from the buffer it arrived in.
 func (n *Node) handle(f frame) {
-	wall := time.Now()
-	n.lastFrameAt.Store(wall.UnixMicro())
-	now := wall.UnixNano() // the hop layer's clock
+	now := time.Now().UnixNano() // the hop layer's clock
 	if f.kind < kindConstruct || f.kind > kindConstructData {
 		n.m.badFrames.Inc()
 		return

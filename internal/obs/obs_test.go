@@ -3,9 +3,7 @@ package obs
 import (
 	"bytes"
 	"fmt"
-	"net/http"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -293,36 +291,6 @@ func TestTypeReasonStrings(t *testing.T) {
 		t.Error("out-of-range values must stringify as invalid")
 	}
 }
-
-func TestRegistryServeHTTP(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("live.frames_in.data").Add(5)
-	rec := &httpRecorder{}
-	reg.ServeHTTP(rec, nil)
-	if !strings.Contains(rec.buf.String(), `"live.frames_in.data": 5`) {
-		t.Errorf("debug endpoint output missing counter:\n%s", rec.buf.String())
-	}
-	if ct := rec.header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Errorf("content type %q", ct)
-	}
-}
-
-// httpRecorder is a minimal http.ResponseWriter for testing without
-// net/http/httptest's server machinery.
-type httpRecorder struct {
-	buf    bytes.Buffer
-	header http.Header
-	code   int
-}
-
-func (r *httpRecorder) Header() http.Header {
-	if r.header == nil {
-		r.header = http.Header{}
-	}
-	return r.header
-}
-func (r *httpRecorder) Write(b []byte) (int, error) { return r.buf.Write(b) }
-func (r *httpRecorder) WriteHeader(code int)        { r.code = code }
 
 func ExampleAppendJSON() {
 	e := Event{Type: MsgSent, At: 1000, Node: 0, Peer: 3, ID: 7, Slot: 2, Hop: 1, Size: 64}

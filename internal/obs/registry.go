@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"math"
-	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -324,13 +322,4 @@ func (r *Registry) CountersWithPrefix(prefix string) map[string]uint64 {
 		}
 	}
 	return out
-}
-
-// ServeHTTP exposes the registry as indented JSON — the expvar-style
-// debug endpoint mounted by cmd/anonnode at /debug/vars.
-func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(r.Snapshot())
 }

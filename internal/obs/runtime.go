@@ -1,70 +1,44 @@
 package obs
 
 import (
-	"math"
 	"runtime"
-	"runtime/metrics"
 	"sync"
 	"time"
 )
 
-// RuntimeCollector samples Go runtime health — goroutine count, heap
-// occupancy, GC pause behaviour, scheduler latency — into plain
-// Registry gauges. Everything downstream of the registry (the
-// /metrics exposition, /debug/vars, the cluster recorder, the tsdb,
-// the rule engine, the watch dashboard) then sees process-resource
-// telemetry with no extra plumbing.
+// RuntimeCollector samples Go runtime health into plain Registry
+// gauges, so everything downstream of the registry (the /metrics
+// exposition, the cluster recorder, the tsdb, the rule engine, the
+// watch dashboard) sees process-resource telemetry with no extra
+// plumbing. It publishes exactly the gauges something reads:
+// runtime.goroutines (rule goroutine-leak, dashboard column gor),
+// runtime.heap_inuse_bytes (rule heap-growth, column heap) and
+// runtime.last_gc_pause_seconds (rule gc-pause-spike). Anything finer
+// is a profile's job: /debug/pprof and `go tool pprof`.
 //
 // Collection is pull-driven and throttled: handlers call Collect on
 // every scrape, and the collector refreshes at most once per
 // runtimeMinGap, so probe storms do not turn into ReadMemStats storms.
 type RuntimeCollector struct {
-	goroutines  *Gauge
-	heapInuse   *Gauge
-	heapAlloc   *Gauge
-	heapObjects *Gauge
-	gcCycles    *Gauge
-	lastPause   *Gauge
-	gcCPU       *Gauge
-	pauseP50    *Gauge
-	pauseP99    *Gauge
-	schedP50    *Gauge
-	schedP99    *Gauge
+	goroutines *Gauge
+	heapInuse  *Gauge
+	lastPause  *Gauge
 
-	mu      sync.Mutex
-	samples []metrics.Sample
-	lastAt  time.Time
+	mu     sync.Mutex
+	lastAt time.Time
 }
 
 // runtimeMinGap is the collection throttle: back-to-back scrapes
 // within the gap reuse the previous sample.
 const runtimeMinGap = 100 * time.Millisecond
 
-// runtime/metrics names for the two latency distributions.
-const (
-	gcPausesMetric  = "/gc/pauses:seconds"
-	schedLatsMetric = "/sched/latencies:seconds"
-)
-
 // NewRuntimeCollector registers the runtime.* gauges on reg and takes
 // the first sample, so the series exist from the very first scrape.
 func NewRuntimeCollector(reg *Registry) *RuntimeCollector {
 	c := &RuntimeCollector{
-		goroutines:  reg.Gauge("runtime.goroutines"),
-		heapInuse:   reg.Gauge("runtime.heap_inuse_bytes"),
-		heapAlloc:   reg.Gauge("runtime.heap_alloc_bytes"),
-		heapObjects: reg.Gauge("runtime.heap_objects"),
-		gcCycles:    reg.Gauge("runtime.gc_cycles"),
-		lastPause:   reg.Gauge("runtime.last_gc_pause_seconds"),
-		gcCPU:       reg.Gauge("runtime.gc_cpu_fraction"),
-		pauseP50:    reg.Gauge("runtime.gc_pause_p50_seconds"),
-		pauseP99:    reg.Gauge("runtime.gc_pause_p99_seconds"),
-		schedP50:    reg.Gauge("runtime.sched_latency_p50_seconds"),
-		schedP99:    reg.Gauge("runtime.sched_latency_p99_seconds"),
-		samples: []metrics.Sample{
-			{Name: gcPausesMetric},
-			{Name: schedLatsMetric},
-		},
+		goroutines: reg.Gauge("runtime.goroutines"),
+		heapInuse:  reg.Gauge("runtime.heap_inuse_bytes"),
+		lastPause:  reg.Gauge("runtime.last_gc_pause_seconds"),
 	}
 	c.collect()
 	c.lastAt = time.Now()
@@ -91,85 +65,8 @@ func (c *RuntimeCollector) collect() {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	c.heapInuse.Set(float64(ms.HeapInuse))
-	c.heapAlloc.Set(float64(ms.HeapAlloc))
-	c.heapObjects.Set(float64(ms.HeapObjects))
-	c.gcCycles.Set(float64(ms.NumGC))
-	c.gcCPU.Set(ms.GCCPUFraction)
 	if ms.NumGC > 0 {
 		// PauseNs is a ring; the most recent pause sits at (NumGC+255)%256.
 		c.lastPause.Set(float64(ms.PauseNs[(ms.NumGC+255)%256]) / 1e9)
 	}
-
-	metrics.Read(c.samples)
-	for _, s := range c.samples {
-		if s.Value.Kind() != metrics.KindFloat64Histogram {
-			continue
-		}
-		h := s.Value.Float64Histogram()
-		switch s.Name {
-		case gcPausesMetric:
-			c.pauseP50.Set(histQuantile(h, 0.5))
-			c.pauseP99.Set(histQuantile(h, 0.99))
-		case schedLatsMetric:
-			c.schedP50.Set(histQuantile(h, 0.5))
-			c.schedP99.Set(histQuantile(h, 0.99))
-		}
-	}
-}
-
-// RuntimeStats is the point-in-time subset of the collected telemetry
-// that livenet's /health report embeds.
-type RuntimeStats struct {
-	Goroutines         int
-	HeapInuseBytes     uint64
-	HeapObjects        uint64
-	NumGC              uint32
-	LastGCPauseSeconds float64
-}
-
-// Stats returns the most recently collected values.
-func (c *RuntimeCollector) Stats() RuntimeStats {
-	return RuntimeStats{
-		Goroutines:         int(c.goroutines.Value()),
-		HeapInuseBytes:     uint64(c.heapInuse.Value()),
-		HeapObjects:        uint64(c.heapObjects.Value()),
-		NumGC:              uint32(c.gcCycles.Value()),
-		LastGCPauseSeconds: c.lastPause.Value(),
-	}
-}
-
-// histQuantile estimates the q-quantile of a runtime/metrics
-// Float64Histogram by locating the bucket holding the rank and
-// returning its midpoint (bounds can be ±Inf at the edges; the finite
-// neighbour stands in).
-func histQuantile(h *metrics.Float64Histogram, q float64) float64 {
-	if h == nil || len(h.Counts) == 0 {
-		return 0
-	}
-	var total uint64
-	for _, n := range h.Counts {
-		total += n
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var cum uint64
-	for i, n := range h.Counts {
-		cum += n
-		if cum > rank {
-			lo, hi := h.Buckets[i], h.Buckets[i+1]
-			if math.IsInf(lo, -1) {
-				lo = hi
-			}
-			if math.IsInf(hi, 1) {
-				hi = lo
-			}
-			return (lo + hi) / 2
-		}
-	}
-	return h.Buckets[len(h.Buckets)-1]
 }

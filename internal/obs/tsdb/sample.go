@@ -9,19 +9,12 @@ import (
 // SampleSnapshot appends every scalar instrument of a registry
 // snapshot as one sample per series at time `at`: counters and gauges
 // under their sanitized Prometheus names, histograms as name_sum and
-// name_count (buckets are skipped — windowed quantiles come from the
-// store, not from bucket replay). The same naming the cluster
-// recorder derives from /metrics, so self-recorded and
-// cluster-recorded files replay through the same dashboard. When w is
-// non-nil every sample is also streamed to it, in the same sorted
-// order the DB dump would use.
-func SampleSnapshot(db *DB, w *Writer, at int64, labels Labels, snap obs.Snapshot) {
+// name_count (buckets are skipped). The same naming the cluster
+// recorder derives from /metrics, so an in-process registry sits in a
+// recorded store beside the polled nodes.
+func SampleSnapshot(db *DB, at int64, labels Labels, snap obs.Snapshot) {
 	emit := func(name string, v float64) {
-		key := Key(obs.SanitizePromName(name), labels)
-		db.AppendKey(key, at, v)
-		if w != nil {
-			w.Sample(at, key, v)
-		}
+		db.AppendKey(Key(obs.SanitizePromName(name), labels), at, v)
 	}
 	for _, name := range sortedKeys(snap.Counters) {
 		emit(name, float64(snap.Counters[name]))

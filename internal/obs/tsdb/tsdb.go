@@ -257,16 +257,6 @@ func (s *Series) window(win int64) []Point {
 	return pts[lo:]
 }
 
-// Delta returns last-minus-first over the window — the gauge change.
-// False when fewer than two points fall in the window.
-func (s *Series) Delta(win int64) (float64, bool) {
-	pts := s.window(win)
-	if len(pts) < 2 {
-		return 0, false
-	}
-	return pts[len(pts)-1].V - pts[0].V, true
-}
-
 // CounterDelta returns the counter increase over the window,
 // reset-aware: a decrease reads as a restart, contributing the
 // post-reset value (the Prometheus `increase` convention). False when
@@ -301,34 +291,6 @@ func (s *Series) RatePerSec(win int64) (float64, bool) {
 	return inc / span, true
 }
 
-// WindowQuantile estimates the q-quantile (0 <= q <= 1) of the point
-// values in the window by linear interpolation between order
-// statistics. Empty windows return 0.
-func (s *Series) WindowQuantile(q float64, win int64) float64 {
-	pts := s.window(win)
-	if len(pts) == 0 {
-		return 0
-	}
-	vals := make([]float64, len(pts))
-	for i, p := range pts {
-		vals[i] = p.V
-	}
-	sort.Float64s(vals)
-	if q <= 0 {
-		return vals[0]
-	}
-	if q >= 1 {
-		return vals[len(vals)-1]
-	}
-	rank := q * float64(len(vals)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(vals) {
-		return vals[len(vals)-1]
-	}
-	return vals[lo] + frac*(vals[lo+1]-vals[lo])
-}
-
 // TailRates returns the per-interval counter rates (increase per
 // second between adjacent samples, reset-aware) of the most recent n
 // intervals, oldest first — the sparkline feed for counters.
@@ -354,20 +316,6 @@ func (s *Series) TailRates(n int) []float64 {
 		rates = rates[len(rates)-n:]
 	}
 	return rates
-}
-
-// TailValues returns the raw values of the most recent n points,
-// oldest first — the sparkline feed for gauges.
-func (s *Series) TailValues(n int) []float64 {
-	pts := s.Points()
-	if len(pts) > n {
-		pts = pts[len(pts)-n:]
-	}
-	out := make([]float64, len(pts))
-	for i, p := range pts {
-		out[i] = p.V
-	}
-	return out
 }
 
 // Annotation is a structured event marker stored alongside the

@@ -90,24 +90,6 @@ func TestQueries(t *testing.T) {
 		t.Fatalf("CounterDelta(3s) = %v, want 30", inc)
 	}
 
-	g := New(64)
-	for i := 0; i <= 4; i++ {
-		g.Append("gauge", nil, int64(i)*1e6, float64(i*i))
-	}
-	gs := g.Get("gauge", nil)
-	if d, ok := gs.Delta(0); !ok || d != 16 {
-		t.Fatalf("Delta = %v, %v, want 16", d, ok)
-	}
-	if q := gs.WindowQuantile(0.5, 0); q != 4 {
-		t.Fatalf("median = %v, want 4", q)
-	}
-	if q := gs.WindowQuantile(1, 0); q != 16 {
-		t.Fatalf("max = %v, want 16", q)
-	}
-	if q := gs.WindowQuantile(0, 0); q != 0 {
-		t.Fatalf("min = %v, want 0", q)
-	}
-
 	rates := s.TailRates(3)
 	if len(rates) != 3 {
 		t.Fatalf("TailRates len = %d, want 3", len(rates))
@@ -274,7 +256,7 @@ func TestSampleSnapshot(t *testing.T) {
 	reg.Histogram("lat.ms", []float64{1, 10}).Observe(5)
 
 	db := New(8)
-	SampleSnapshot(db, nil, 1e6, L("node", "2"), reg.Snapshot())
+	SampleSnapshot(db, 1e6, L("node", "2"), reg.Snapshot())
 	if s := db.Get("live_frames_out", L("node", "2")); s == nil {
 		t.Fatal("counter not sampled under sanitized name")
 	} else if p, _ := s.Latest(); p.V != 7 {
@@ -312,7 +294,7 @@ func TestConcurrentAppendQuery(t *testing.T) {
 				if s := db.Get("c", L("node", "0")); s != nil {
 					s.Points()
 					s.CounterDelta(0)
-					s.WindowQuantile(0.9, 0)
+					s.RatePerSec(0)
 				}
 				db.Annotate(Annotation{At: int64(i), Kind: "k"})
 				db.Bounds()

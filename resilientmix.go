@@ -12,7 +12,6 @@ import (
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
 	"resilientmix/internal/obs/analyze"
-	"resilientmix/internal/obs/prof"
 	"resilientmix/internal/onioncrypt"
 	"resilientmix/internal/predictor"
 	"resilientmix/internal/sim"
@@ -308,7 +307,7 @@ var ReadRunReport = obs.ReadReport
 
 // StartProfiles starts CPU and/or heap profiling; the returned stop
 // function must run on every exit path.
-var StartProfiles = prof.StartProfiles
+var StartProfiles = obs.StartProfiles
 
 // ExperimentOptions tunes reproduction scale (Quick shrinks everything).
 type ExperimentOptions = experiments.Options
