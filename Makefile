@@ -26,8 +26,9 @@ bench:
 # `go build ./...` and `go test ./...` at the root never compile it.
 # This does: a refactor that breaks an import the benchmark uses fails
 # here instead of in the benchmark run. Two seconds of sim_paper reach
-# its checkpoint, so "correct" also means the pinned delivered / event /
-# wire-byte counts at seed 1 held.
+# its checkpoint, so "correct" also means the pinned counts at seed 1
+# held (23 040 delivered, 1 036 073 events, 334 082 142 wire bytes) —
+# an exact check, where a throughput threshold would measure the host.
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --workload sim_paper --seed 1 --seconds 2 | tail -n 1 | grep -q '"correct":true'
@@ -35,29 +36,30 @@ bench-build:
 # Full paper-scale reproduction of every table/figure + extensions,
 # with CSV exports for plotting. results_full.txt and data/*.csv are
 # committed and a same-seed run rewrites them byte for byte, so this
-# leaves a clean tree clean; the run report (wall times) goes to the
-# ignored report.json. anonbench also takes -trace/-cpuprofile/
-# -memprofile (see `trace` and `profile` below) to capture
-# observability artifacts alongside the results.
+# leaves a clean tree clean (`git status --short` prints nothing).
 repro:
-	$(GO) run ./cmd/anonbench -all -seed 1 -o results_full.txt -csv data -report report.json
+	$(GO) run ./cmd/anonbench -all -seed 1 -o results_full.txt -csv data
 
 repro-quick:
 	$(GO) run ./cmd/anonbench -all -quick
 
-# Deterministic JSONL event trace + JSON run report of one simulation
-# (same seed => byte-identical trace; see README "Observability").
+# Deterministic JSONL event trace + JSON run report of one simulation:
+# same seed => byte-identical trace and byte-identical report (the
+# report holds no wall clock and no paths; see README "Observability").
 trace:
 	$(GO) run ./cmd/anonsim -n 256 -seed 1 -trace trace.jsonl -report report.json
 	@echo "wrote trace.jsonl and report.json"
 
-# Offline trace analytics: run a gzip-traced simulation, reconstruct
-# every message's causal timeline, attribute latency, compute anonymity
-# observables, and cross-check the trace against the report registry.
+# Trace-analytics smoke: a fixed-seed, gzip-traced simulation must give
+# a trace whose causal reconstruction has zero integrity errors
+# (-strict) and reconciles exactly with the report's registry snapshot
+# (-reconcile). What the run *does* — outcome, latency attribution,
+# anonymity figures, the trace's event count and hash — is pinned
+# exactly by `go test ./cmd/anonsim`, not compared loosely here.
 analyze:
 	$(GO) run ./cmd/anonsim -n 256 -seed 1 -repair -analyze \
 		-trace trace.jsonl.gz -report report.json
-	$(GO) run ./cmd/anontrace report trace.jsonl.gz -reconcile report.json -strict
+	$(GO) run ./cmd/anontrace report -reconcile report.json -strict trace.jsonl.gz
 
 # CPU + heap profiles of a quick full-suite run; inspect with
 # `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`.
@@ -65,35 +67,42 @@ profile:
 	$(GO) run ./cmd/anonbench -all -quick -cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "inspect with: go tool pprof cpu.pprof"
 
-# Live-cluster smoke: spawn a 5-node anonnode cluster via the anonctl
-# harness, record it (the same poll → tsdb → rules pipeline as
-# watch-smoke) while erasure-coded traffic flows through it, capture +
-# merge live traces, reconcile the analytics against the recorded
-# counters and require that no alert rule fired. Then run the offline
-# analyzer over the captured live trace like any simulator trace.
+# Live-cluster smoke: spawn a real 5-node anonnode cluster over loopback
+# TCP via the anonctl harness and record it — the recorder polls every
+# node's /metrics (parsed under the 0.0.4 exposition grammar; a node
+# whose exposition does not parse reads as down) and /readyz into the
+# embedded time-series store and evaluates the standing alert rules,
+# the same poll → tsdb → rules pipeline as watch-smoke — while
+# erasure-coded multipath traffic flows through it; capture and merge
+# the live NDJSON traces of every node and require the causal analysis
+# to reconcile exactly with the recorded fleet counters: every message
+# delivered, zero integrity errors, zero alerts. Then the offline
+# analyzer must digest the captured live trace like any simulator
+# trace.
 cluster-smoke:
 	$(GO) build -o bin/anonnode ./cmd/anonnode
 	$(GO) run ./cmd/anonctl smoke -n 5 -msgs 8 -bin bin/anonnode -trace live-trace.jsonl
 	$(GO) run ./cmd/anontrace report live-trace.jsonl
 
-# Continuous-telemetry smoke: record a throwaway 2-node cluster into an
-# embedded time-series file for a few seconds, verify the recorded file
-# replays to a byte-identical dashboard with zero alerts fired (an idle
-# healthy cluster must not trip the anomaly rules), then render the
-# recorded run offline.
+# Continuous-telemetry smoke: record a throwaway 2-node cluster into the
+# embedded time-series store for a few seconds, require the recorded
+# file to replay to a byte-identical dashboard with zero alerts fired
+# (an idle healthy cluster must not trip the default anomaly/SLO
+# rules), then render the recorded run offline.
 watch-smoke:
 	$(GO) build -o bin/anonnode ./cmd/anonnode
 	$(GO) run ./cmd/anonctl record -spawn -n 2 -bin bin/anonnode \
 		-for 4s -interval 500ms -out watch-run.tsdb.gz -verify
 	$(GO) run ./cmd/anonctl replay -in watch-run.tsdb.gz
 
-# Chaos smoke: spawn a 9-node anonnode fleet, play the committed fault
-# schedule (one relay crash + one intra-path partition, both
-# auto-reverting) against it while a repair-enabled erasure-coded
-# session paces real traffic across the fault window, and gate on
-# survival: zero message loss, every condemned path repaired, full
-# path width restored. The fault-injection layer itself runs under the
-# race detector first.
+# Chaos smoke, the fault-injection survival gate: the fault-injection
+# layer runs under the race detector first; then spawn a 9-node
+# anonnode fleet and play the committed ~30 s schedule (one relay crash
+# + one intra-path partition, both auto-reverting) against it while a
+# repair-enabled erasure-coded session paces real traffic across the
+# fault window. -verify requires survival: zero message loss, every
+# condemned path rebuilt through fresh relays, full path width restored
+# after the faults revert.
 chaos-smoke:
 	$(GO) test -race -count=1 ./internal/faultinject/
 	$(GO) build -o bin/anonnode ./cmd/anonnode

@@ -225,13 +225,13 @@ type smokeVerdict struct {
 	Traffic *cluster.TrafficResult `json:"traffic"`
 	// Totals are the fleet-wide counters the trace analysis is
 	// reconciled against (see fleetTotals).
-	Totals    map[string]uint64   `json:"totals"`
-	Alerts    []rules.Alert       `json:"alerts,omitempty"`
-	TraceFile string              `json:"trace_file,omitempty"`
-	Analysis  obs.AnalysisSummary `json:"analysis"`
-	Reconcile []string            `json:"reconcile,omitempty"`
-	Failures  []string            `json:"failures,omitempty"`
-	OK        bool                `json:"ok"`
+	Totals    map[string]uint64 `json:"totals"`
+	Alerts    []rules.Alert     `json:"alerts,omitempty"`
+	TraceFile string            `json:"trace_file,omitempty"`
+	Analysis  analyze.Summary   `json:"analysis"`
+	Reconcile []string          `json:"reconcile,omitempty"`
+	Failures  []string          `json:"failures,omitempty"`
+	OK        bool              `json:"ok"`
 }
 
 // fleetTotals builds the counters analyze.Reconcile checks a trace
@@ -356,9 +356,8 @@ func cmdSmoke(args []string, stdout io.Writer) int {
 	res := analyze.FromEvents(merged)
 	v.Analysis = res.Summary
 	v.Reconcile = analyze.Reconcile(res, &obs.Report{
-		SchemaVersion: obs.ReportSchemaVersion,
-		Name:          "anonctl",
-		Metrics:       &obs.Snapshot{Counters: v.Totals},
+		Name:    "anonctl",
+		Metrics: &obs.Snapshot{Counters: v.Totals},
 	})
 
 	if traffic.SegmentsAcked < traffic.SegmentsSent {

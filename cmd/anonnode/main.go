@@ -29,8 +29,7 @@
 // allocs profiles for `go tool pprof` — recipe in EXPERIMENTS.md) and
 // /debug/fault (the chaos controller: per-peer blackholing, injected
 // latency and drop, driven by `anonctl chaos`). -collector switches
-// the responder role to the erasure-coded session reassembler; -trace
-// FILE appends the node's trace events to a JSONL file.
+// the responder role to the erasure-coded session reassembler.
 package main
 
 import (
@@ -47,7 +46,6 @@ import (
 
 	"resilientmix/internal/livenet"
 	"resilientmix/internal/netsim"
-	"resilientmix/internal/obs"
 	"resilientmix/internal/onioncrypt"
 )
 
@@ -65,7 +63,6 @@ func main() {
 		wait    = flag.Duration("wait", 10*time.Second, "client mode: how long to wait for a reply")
 		debug   = flag.String("debug", "", "serve /metrics, /readyz, /debug/trace, /debug/fault and /debug/pprof/ on this address")
 		collect = flag.Bool("collector", false, "responder mode: reassemble erasure-coded session traffic instead of echoing")
-		traceP  = flag.String("trace", "", "append the node's trace events to this JSONL file (.gz for gzip)")
 	)
 	flag.Parse()
 
@@ -116,27 +113,11 @@ func main() {
 			}
 		}
 	}
-	var traceFile *obs.TraceFile
-	if *traceP != "" {
-		tf, err := obs.CreateTraceFile(*traceP)
-		if err != nil {
-			fatal(err)
-		}
-		traceFile = tf
-		cfg.Tracer = tf
-	}
 	node, err := livenet.Start(addr, cfg)
 	if err != nil {
 		fatal(err)
 	}
-	defer func() {
-		node.Close()
-		if traceFile != nil {
-			if err := traceFile.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "closing trace:", err)
-			}
-		}
-	}()
+	defer node.Close()
 	fmt.Printf("node %d up at %s\n", self, node.Addr())
 
 	var debugSrv *http.Server
@@ -204,13 +185,9 @@ func main() {
 		fmt.Printf("reply: %q\n", reply)
 	case <-time.After(*wait):
 		fmt.Println("no reply within", *wait)
-		// os.Exit skips defers: close things explicitly so the trace
-		// file's gzip footer is not lost.
+		// os.Exit skips defers.
 		shutdownDebug()
 		node.Close()
-		if traceFile != nil {
-			traceFile.Close()
-		}
 		os.Exit(1)
 	}
 }

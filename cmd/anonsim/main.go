@@ -7,6 +7,11 @@
 //
 //	anonsim -n 1024 -protocol simera -k 4 -r 4 -choice biased -median 1h
 //	anonsim -protocol curmix -choice random -seed 3 -dist exponential
+//
+// -trace writes the run's JSONL event trace, -report its JSON run
+// report, -analyze prints the offline trace analytics. All three are
+// functions of the seed: equal seeds give byte-identical files and
+// stdout, which this package's tests pin.
 package main
 
 import (
@@ -30,7 +35,7 @@ func main() {
 
 // run is the whole command: the outcome goes to stdout, errors to
 // stderr, and the return value is the exit code.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("anonsim", flag.ExitOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -54,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		faultsO  = fs.String("faults-out", "", "write the applied-fault trace (JSONL) to this file")
 		traceP   = fs.String("trace", "", "write a JSONL event trace to this file (gzip when it ends in .gz)")
 		reportP  = fs.String("report", "", "write a JSON run report to this file")
-		analyzeF = fs.Bool("analyze", false, "run offline trace analytics (causal reconstruction, latency attribution, anonymity) and embed the summary in the report")
+		analyzeF = fs.Bool("analyze", false, "run offline trace analytics over the run (causal reconstruction, latency attribution, anonymity) and print the summary")
 		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write a pprof heap profile to this file")
 		shards   = fs.Int("shards", 0, "run the multi-core sharded message-plane simulation (churn + background traffic, no protocol sessions) with this many parallel shards; 0 = classic full-protocol single-engine simulation, 1 = sharded code path on one goroutine. The trace is byte-identical for every shard count. Honors -n, -seed, -dist, -median, -loss, -interval, -msg, -cap, -trace, -report")
@@ -65,27 +70,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// Echo every flag into the report's config block.
+	// Echo every flag that shapes the run into the report's config
+	// block, but not where its artifacts go: the report is a function of
+	// seed and configuration, so equal-seed runs write equal files.
 	cfgMap := make(map[string]string)
-	fs.VisitAll(func(f *flag.Flag) { cfgMap[f.Name] = f.Value.String() })
-
-	stopProf, err := rm.StartProfiles(*cpuProf, *memProf)
-	if err != nil {
-		return fail(err)
-	}
-	wallStart := time.Now()
-
-	var traceFile *rm.TraceFile
-	if *traceP != "" {
-		traceFile, err = rm.CreateTraceFile(*traceP)
-		if err != nil {
-			return fail(err)
+	fs.VisitAll(func(f *flag.Flag) {
+		switch f.Name {
+		case "trace", "report", "faults-out", "cpuprofile", "memprofile":
+		default:
+			cfgMap[f.Name] = f.Value.String()
 		}
-	}
-	var collector *rm.TraceCollector
-	if *analyzeF {
-		collector = rm.NewTraceCollector()
-	}
+	})
 
 	var protocol rm.Protocol
 	switch strings.ToLower(*protoStr) {
@@ -109,6 +104,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	med := rm.Time(median.Microseconds())
 	var lifetime rm.LifetimeDist
+	var err error
 	switch strings.ToLower(*distStr) {
 	case "pareto":
 		lifetime, err = rm.ParetoLifetime(1, med)
@@ -123,19 +119,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	if *shards > 0 {
-		err := runSharded(stdout, shardedRun{
-			n: *n, shards: *shards, seed: *seed, lifetime: lifetime,
-			loss: *loss, interval: *interval, horizon: *capDur,
-			msgSize: *msgSize, trace: traceFile, reportPath: *reportP,
-			cfg: cfgMap, wallStart: wallStart, stopProf: stopProf,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
 	var mode rm.MembershipMode
 	switch strings.ToLower(*member) {
 	case "oracle":
@@ -147,14 +130,63 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		return fail(fmt.Errorf("unknown membership mode %q", *member))
 	}
+	// Inputs are read before anything is simulated or created: a bad
+	// schedule fails here, not after an hour of simulated warm-up.
+	var sched faultinject.Schedule
+	if *faultsP != "" {
+		if sched, err = faultinject.LoadSchedule(*faultsP, *n); err != nil {
+			return fail(err)
+		}
+	}
+
+	// Every artifact the run writes is opened here and finished through
+	// this one deferred path, on every exit below: a trace left open is a
+	// truncated gzip stream, a CPU profile never stopped an empty file.
+	finish := func(end func() error) {
+		if err := end(); err != nil && code == 0 {
+			code = fail(err)
+		}
+	}
+	stopProf, err := rm.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		return fail(err)
+	}
+	defer finish(stopProf)
 	var tr rm.Tracer
-	switch {
-	case traceFile != nil && collector != nil:
-		tr = rm.MultiTracer(traceFile, collector)
-	case traceFile != nil:
+	if *traceP != "" {
+		traceFile, err := rm.CreateTraceFile(*traceP)
+		if err != nil {
+			return fail(err)
+		}
+		defer finish(traceFile.Close)
 		tr = traceFile
-	case collector != nil:
-		tr = collector
+	}
+	var faultsOut io.Writer
+	if *faultsP != "" && *faultsO != "" {
+		f, err := os.Create(*faultsO)
+		if err != nil {
+			return fail(err)
+		}
+		defer finish(f.Close)
+		faultsOut = f
+	}
+
+	if *shards > 0 {
+		err := runSharded(stdout, shardedRun{
+			n: *n, shards: *shards, seed: *seed, lifetime: lifetime,
+			loss: *loss, interval: *interval, horizon: *capDur,
+			msgSize: *msgSize, tracer: tr, reportPath: *reportP, cfg: cfgMap,
+		})
+		if err != nil {
+			return fail(err)
+		}
+		return 0
+	}
+
+	var collector *rm.TraceCollector
+	if *analyzeF {
+		collector = rm.NewTraceCollector()
+		tr = rm.MultiTracer(tr, collector)
 	}
 	net, err := rm.NewNetwork(rm.NetworkConfig{
 		N:          *n,
@@ -169,19 +201,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	// finishObs flushes the trace, runs trace analytics, writes the
-	// report and finalizes profiles; it must run on every exit path
-	// after this point.
-	finishObs := func(outcome map[string]float64) error {
-		if traceFile != nil {
-			if err := traceFile.Close(); err != nil {
-				return err
-			}
-		}
-		var analysis *rm.TraceAnalysis
+	// report prints the trace analytics and writes the run report: the
+	// end of every run that got as far as an outcome.
+	report := func(outcome map[string]float64) error {
 		if collector != nil {
-			analysis = rm.AnalyzeTrace(collector.Events())
-			s := analysis.Summary
+			s := rm.AnalyzeTrace(collector.Events()).Summary
 			fmt.Fprintf(stdout, "\ntrace analytics: %d messages (%d delivered), %d journeys, %d integrity errors\n",
 				s.Messages, s.Delivered, s.Journeys, s.IntegrityErrors)
 			if l := s.Latency; l != nil {
@@ -193,36 +217,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 					a.MeanSetSize, a.MinSetSize, a.MeanEntropyBits, a.LinkageRate*100)
 			}
 		}
-		if *reportP != "" {
-			rep := &rm.RunReport{
-				SchemaVersion:  rm.RunReportSchemaVersion,
-				Name:           "anonsim",
-				Seed:           *seed,
-				Config:         cfgMap,
-				VirtualSeconds: net.Eng.Now().Seconds(),
-				WallSeconds:    time.Since(wallStart).Seconds(),
-				EventsExecuted: net.Eng.Executed(),
-				Outcome:        outcome,
-				Drops:          net.Reg.CountersWithPrefix("net.dropped."),
-			}
-			if traceFile != nil {
-				rep.TraceEvents = traceFile.Events()
-			} else if collector != nil {
-				rep.TraceEvents = uint64(collector.Len())
-			}
-			if analysis != nil {
-				sum := analysis.Summary
-				rep.Analysis = &sum
-			}
-			snap := net.Reg.Snapshot()
-			rep.Metrics = &snap
-			rep.FillPercentiles()
-			rep.FillThroughput()
-			if err := rep.WriteJSONFile(*reportP); err != nil {
-				return err
-			}
+		if *reportP == "" {
+			return nil
 		}
-		return stopProf()
+		snap := net.Reg.Snapshot()
+		rep := &rm.RunReport{
+			Name:           "anonsim",
+			Seed:           *seed,
+			Config:         cfgMap,
+			VirtualSeconds: net.Eng.Now().Seconds(),
+			EventsExecuted: net.Eng.Executed(),
+			Outcome:        outcome,
+			Drops:          net.Reg.CountersWithPrefix("net.dropped."),
+			Metrics:        &snap,
+		}
+		return rep.WriteJSONFile(*reportP)
 	}
 	if err := net.StartChurn(); err != nil {
 		return fail(err)
@@ -254,7 +263,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if !established {
 		fmt.Fprintf(stdout, "establishment FAILED after %d attempts\n", attempts)
-		if err := finishObs(map[string]float64{"established": 0, "attempts": float64(attempts)}); err != nil {
+		if err := report(map[string]float64{"established": 0, "attempts": float64(attempts)}); err != nil {
 			return fail(err)
 		}
 		return 1
@@ -271,10 +280,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var faultRec *faultinject.Recorder
 	if *faultsP != "" {
-		sched, err := faultinject.LoadSchedule(*faultsP, *n)
-		if err != nil {
-			return fail(err)
-		}
 		// Schedule times are relative: shift them past warm-up and
 		// establishment so the faults land during the message loop.
 		offset := int64(net.Eng.Now() / rm.Millisecond)
@@ -283,16 +288,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			e.AtMS += offset
 			shifted[i] = e
 		}
-		var fw io.Writer
-		if *faultsO != "" {
-			f, err := os.Create(*faultsO)
-			if err != nil {
-				return fail(err)
-			}
-			defer f.Close()
-			fw = f
-		}
-		faultRec = faultinject.NewRecorder(fw)
+		faultRec = faultinject.NewRecorder(faultsOut)
 		applied, err := faultinject.ApplySim(net.Eng, net.Net, shifted, faultRec)
 		if err != nil {
 			return fail(err)
@@ -375,7 +371,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		outcome["faults_applied"] = float64(faultRec.Count())
 		fmt.Fprintf(stdout, "  faults applied   %d (trace sha256 %.16s…)\n", faultRec.Count(), faultRec.Sum())
 	}
-	if err := finishObs(outcome); err != nil {
+	if err := report(outcome); err != nil {
 		return fail(err)
 	}
 	return 0
@@ -391,21 +387,15 @@ type shardedRun struct {
 	interval   time.Duration
 	horizon    time.Duration
 	msgSize    int
-	trace      *rm.TraceFile
+	tracer     rm.Tracer
 	reportPath string
 	cfg        map[string]string
-	wallStart  time.Time
-	stopProf   func() error
 }
 
 // runSharded executes the sharded world: K parallel shards over the
 // same churned, traffic-generating network, with a trace stream that
 // is byte-identical for every K.
 func runSharded(stdout io.Writer, a shardedRun) error {
-	var tr rm.Tracer
-	if a.trace != nil {
-		tr = a.trace
-	}
 	w, err := shardworld.New(shardworld.Config{
 		Nodes:           a.n,
 		Shards:          a.shards,
@@ -415,7 +405,7 @@ func runSharded(stdout io.Writer, a shardedRun) error {
 		Pinned:          []netsim.NodeID{0, 1},
 		TrafficInterval: rm.Time(a.interval.Microseconds()),
 		MsgSize:         a.msgSize,
-		Tracer:          tr,
+		Tracer:          a.tracer,
 	})
 	if err != nil {
 		return err
@@ -426,42 +416,30 @@ func runSharded(stdout io.Writer, a shardedRun) error {
 	w.Run(horizon)
 	fmt.Fprintln(stdout, w.Summary())
 
-	if a.trace != nil {
-		if err := a.trace.Close(); err != nil {
-			return err
-		}
+	if a.reportPath == "" {
+		return nil
 	}
-	if a.reportPath != "" {
-		st := w.Net.Stats()
-		rep := &rm.RunReport{
-			SchemaVersion:  rm.RunReportSchemaVersion,
-			Name:           "anonsim-sharded",
-			Seed:           a.seed,
-			Config:         a.cfg,
-			VirtualSeconds: horizon.Seconds(),
-			WallSeconds:    time.Since(a.wallStart).Seconds(),
-			EventsExecuted: w.Cluster.Executed(),
-			Outcome: map[string]float64{
-				"shards":            float64(a.shards),
-				"lookahead_us":      float64(w.Lookahead),
-				"sent":              float64(st.Sent),
-				"delivered":         float64(st.Delivered),
-				"dropped_sender":    float64(st.DroppedSender),
-				"dropped_receiver":  float64(st.DroppedReceiver),
-				"dropped_loss":      float64(st.DroppedLoss),
-				"bytes":             float64(st.Bytes),
-				"churn_transitions": float64(w.Churn.Transitions()),
-				"up_nodes":          float64(w.Net.UpCount()),
-			},
-		}
-		if a.trace != nil {
-			rep.TraceEvents = a.trace.Events()
-		}
-		if err := rep.WriteJSONFile(a.reportPath); err != nil {
-			return err
-		}
+	st := w.Net.Stats()
+	rep := &rm.RunReport{
+		Name:           "anonsim-sharded",
+		Seed:           a.seed,
+		Config:         a.cfg,
+		VirtualSeconds: horizon.Seconds(),
+		EventsExecuted: w.Cluster.Executed(),
+		Outcome: map[string]float64{
+			"shards":            float64(a.shards),
+			"lookahead_us":      float64(w.Lookahead),
+			"sent":              float64(st.Sent),
+			"delivered":         float64(st.Delivered),
+			"dropped_sender":    float64(st.DroppedSender),
+			"dropped_receiver":  float64(st.DroppedReceiver),
+			"dropped_loss":      float64(st.DroppedLoss),
+			"bytes":             float64(st.Bytes),
+			"churn_transitions": float64(w.Churn.Transitions()),
+			"up_nodes":          float64(w.Net.UpCount()),
+		},
 	}
-	return a.stopProf()
+	return rep.WriteJSONFile(a.reportPath)
 }
 
 func capNote(deadAt rm.Time) string {

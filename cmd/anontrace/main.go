@@ -1,35 +1,36 @@
 // Command anontrace is the offline trace-analytics tool: it consumes
-// the JSONL traces and JSON run reports written by cmd/anonsim and
-// cmd/anonbench and reconstructs what the run actually did.
+// the JSONL traces and JSON run reports written by cmd/anonsim (and
+// the live traces cmd/anonctl captures) and reconstructs what the run
+// actually did.
 //
 // Subcommands:
 //
 //	anontrace report <trace.jsonl[.gz]>   analyze a trace: stream
 //	    accounting, trace-integrity findings, latency attribution and
 //	    anonymity observables. -reconcile cross-checks the analysis
-//	    against a run report's registry aggregates; -json writes the
-//	    analysis as a (merged) run report; -strict exits non-zero on
-//	    any integrity error. The source may also be a live node's
-//	    stream URL (http://host:port/debug/trace?dur=10s): the request
-//	    captures for the given duration, then analyzes the events
-//	    exactly like a file.
+//	    against a run report's registry aggregates; -strict exits
+//	    non-zero on any integrity error. The source may also be a live
+//	    node's stream URL (http://host:port/debug/trace?dur=10s): the
+//	    request captures for the given duration, then analyzes the
+//	    events exactly like a file.
 //	anontrace stream <trace.jsonl[.gz]>   print per-message causal
 //	    timelines (every hop, retry and terminal outcome); -id selects
 //	    one message.
-//	anontrace diff <base.json> <cand.json>   compare two run reports
-//	    under regression thresholds; exits non-zero on any crossing.
+//
+// Flags go before or after the trace source.
 //
 // Examples:
 //
 //	anonsim -seed 7 -trace run.jsonl.gz -report run.json
-//	anontrace report run.jsonl.gz -reconcile run.json -strict
+//	anontrace report -reconcile run.json -strict run.jsonl.gz
 //	anontrace stream run.jsonl.gz -id 1234567890
-//	anontrace diff baseline.json run.json -max-p99-increase 0.5
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -40,36 +41,60 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	switch os.Args[1] {
-	case "report":
-		cmdReport(os.Args[2:])
-	case "stream":
-		cmdStream(os.Args[2:])
-	case "diff":
-		cmdDiff(os.Args[2:])
-	case "-h", "-help", "--help", "help":
-		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "anontrace: unknown subcommand %q\n\n", os.Args[1])
-		usage()
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
-  anontrace report <trace.jsonl[.gz]> [-reconcile report.json] [-json out.json] [-strict]
-  anontrace stream <trace.jsonl[.gz]> [-id mid]
-  anontrace diff <base.json> <cand.json> [threshold flags]`)
+const usage = `usage:
+  anontrace report [-reconcile report.json] [-strict] <trace.jsonl[.gz] | URL>
+  anontrace stream [-id mid] <trace.jsonl[.gz] | URL>`
+
+// run is the whole command: the analysis goes to stdout, usage and
+// errors to stderr, and the return value is the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	cmds := map[string]func(args []string, stdout, stderr io.Writer) int{
+		"report": cmdReport,
+		"stream": cmdStream,
+	}
+	if len(args) == 0 || cmds[args[0]] == nil {
+		fmt.Fprintln(stderr, usage)
+		return 2
+	}
+	return cmds[args[0]](args[1:], stdout, stderr)
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "anontrace:", err)
-	os.Exit(1)
+// fail reports an error that ends a subcommand and returns its exit
+// code.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "anontrace:", err)
+	return 1
+}
+
+// parseSource parses one subcommand line: the flags of fs and exactly
+// one trace source, in either order. The flag package stops at the
+// first positional, so that is set aside and parsing resumes behind it.
+// A refused line has been answered on stderr and returns no source,
+// with the exit code to stop with.
+func parseSource(fs *flag.FlagSet, args []string, stderr io.Writer) (src string, exit int) {
+	fs.SetOutput(stderr)
+	var pos []string
+	for {
+		if err := fs.Parse(args); err != nil {
+			if errors.Is(err, flag.ErrHelp) {
+				return "", 0
+			}
+			return "", 2
+		}
+		if fs.NArg() == 0 {
+			break
+		}
+		pos = append(pos, fs.Arg(0))
+		args = fs.Args()[1:]
+	}
+	if len(pos) != 1 {
+		fmt.Fprintf(stderr, "%s: want one trace source, got %d\n%s\n", fs.Name(), len(pos), usage)
+		return "", 2
+	}
+	return pos[0], 0
 }
 
 // readSource analyzes a trace from a file path or, when src starts
@@ -99,98 +124,59 @@ func readSource(src string) (*analyze.Result, error) {
 	return a.Finalize(), nil
 }
 
-// splitArgs parses "SUBCMD <positional...> [flags]": the flag package
-// stops at the first non-flag, so peel the positionals off first.
-func splitArgs(args []string, want int, fs *flag.FlagSet) []string {
-	var pos []string
-	rest := args
-	for len(rest) > 0 && !strings.HasPrefix(rest[0], "-") && len(pos) < want {
-		pos = append(pos, rest[0])
-		rest = rest[1:]
-	}
-	if err := fs.Parse(rest); err != nil {
-		os.Exit(2)
-	}
-	if len(pos) < want {
-		fs.Usage()
-		os.Exit(2)
-	}
-	return pos
-}
-
-func cmdReport(args []string) {
-	fs := flag.NewFlagSet("anontrace report", flag.ExitOnError)
+func cmdReport(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("anontrace report", flag.ContinueOnError)
 	reconcileP := fs.String("reconcile", "", "run report to cross-check the analysis against")
-	jsonP := fs.String("json", "", "write the analysis as a JSON run report to this file")
 	strict := fs.Bool("strict", false, "exit non-zero on any trace-integrity error")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: anontrace report <trace.jsonl[.gz]> [-reconcile report.json] [-json out.json] [-strict]")
-		fs.PrintDefaults()
+	src, exit := parseSource(fs, args, stderr)
+	if src == "" {
+		return exit
 	}
-	pos := splitArgs(args, 1, fs)
 
-	res, err := readSource(pos[0])
+	res, err := readSource(src)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
-	printSummary(res)
+	printSummary(stdout, res)
 
-	failed := false
-	if *strict && res.Summary.IntegrityErrors > 0 {
-		failed = true
-	}
+	failed := *strict && res.Summary.IntegrityErrors > 0
 
 	// Reconciliation: the trace and the report registry are produced at
 	// the same emit sites, so they must agree exactly.
-	var rep *obs.Report
 	if *reconcileP != "" {
 		f, err := os.Open(*reconcileP)
 		if err != nil {
-			fatal(err)
+			return fail(stderr, err)
 		}
-		rep, err = obs.ReadReport(f)
+		rep, err := obs.ReadReport(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return fail(stderr, fmt.Errorf("%s: %w", *reconcileP, err))
 		}
 		problems := analyze.Reconcile(res, rep)
 		if len(problems) == 0 {
-			fmt.Println("\nreconciliation: analysis matches the report registry exactly")
+			fmt.Fprintln(stdout, "\nreconciliation: analysis matches the report registry exactly")
 		} else {
-			fmt.Println("\nreconciliation FAILED:")
+			fmt.Fprintln(stdout, "\nreconciliation FAILED:")
 			for _, p := range problems {
-				fmt.Println("  " + p)
+				fmt.Fprintln(stdout, "  "+p)
 			}
 			failed = true
 		}
 	}
-
-	if *jsonP != "" {
-		out := rep
-		if out == nil {
-			out = &obs.Report{Name: "anontrace"}
-		}
-		out.SchemaVersion = obs.ReportSchemaVersion
-		sum := res.Summary
-		out.Analysis = &sum
-		out.FillPercentiles()
-		if err := out.WriteJSONFile(*jsonP); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nwrote %s\n", *jsonP)
-	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-func printSummary(res *analyze.Result) {
+func printSummary(w io.Writer, res *analyze.Result) {
 	s := res.Summary
-	fmt.Printf("trace: %d events over %.1f virtual seconds\n",
+	fmt.Fprintf(w, "trace: %d events over %.1f virtual seconds\n",
 		s.EventsAnalyzed, float64(res.TraceEnd-res.TraceStart)/1e6)
-	fmt.Printf("messages: %d  (%d delivered, %d failed, %d in flight)\n",
+	fmt.Fprintf(w, "messages: %d  (%d delivered, %d failed, %d in flight)\n",
 		s.Messages, s.Delivered, s.Failed, s.MessagesInFlight)
-	fmt.Printf("journeys: %d  (%d arrived, %d dropped, %d stalled, %d in flight)\n",
+	fmt.Fprintf(w, "journeys: %d  (%d arrived, %d dropped, %d stalled, %d in flight)\n",
 		s.Journeys, s.JourneysDelivered, s.JourneysDropped, s.JourneysStalled, s.JourneysInFlight)
 	if len(s.DropReasons) > 0 {
 		names := make([]string, 0, len(s.DropReasons))
@@ -198,106 +184,59 @@ func printSummary(res *analyze.Result) {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		fmt.Println("failure reasons:")
+		fmt.Fprintln(w, "failure reasons:")
 		for _, name := range names {
-			fmt.Printf("  %-16s %d\n", name, s.DropReasons[name])
+			fmt.Fprintf(w, "  %-16s %d\n", name, s.DropReasons[name])
 		}
 	}
 	if l := s.Latency; l != nil {
-		fmt.Printf("latency (over %d delivered): mean %.1fms  p50 %.1fms  p90 %.1fms  p99 %.1fms\n",
+		fmt.Fprintf(w, "latency (over %d delivered): mean %.1fms  p50 %.1fms  p90 %.1fms  p99 %.1fms\n",
 			l.Count, l.MeanMs, l.P50Ms, l.P90Ms, l.P99Ms)
-		fmt.Printf("  attribution: %.1fms propagation + %.1fms queueing + %.1fms retry/launch\n",
+		fmt.Fprintf(w, "  attribution: %.1fms propagation + %.1fms queueing + %.1fms retry/launch\n",
 			l.MeanPropagationMs, l.MeanQueueingMs, l.MeanRetryMs)
 	}
 	if a := s.Anonymity; a != nil {
-		fmt.Printf("anonymity (passive observer, %d messages): set size mean %.1f min %d, entropy %.2f bits, linkage %.1f%%\n",
+		fmt.Fprintf(w, "anonymity (passive observer, %d messages): set size mean %.1f min %d, entropy %.2f bits, linkage %.1f%%\n",
 			a.Messages, a.MeanSetSize, a.MinSetSize, a.MeanEntropyBits, a.LinkageRate*100)
 	}
 	if s.IntegrityErrors == 0 {
-		fmt.Println("trace integrity: OK (every causal chain joins)")
+		fmt.Fprintln(w, "trace integrity: OK (every causal chain joins)")
 	} else {
-		fmt.Printf("trace integrity: %d ERRORS\n", s.IntegrityErrors)
+		fmt.Fprintf(w, "trace integrity: %d ERRORS\n", s.IntegrityErrors)
 		for _, d := range s.IntegrityDetails {
-			fmt.Println("  " + d)
+			fmt.Fprintln(w, "  "+d)
 		}
 		if len(s.IntegrityDetails) < s.IntegrityErrors {
-			fmt.Printf("  ... and %d more\n", s.IntegrityErrors-len(s.IntegrityDetails))
+			fmt.Fprintf(w, "  ... and %d more\n", s.IntegrityErrors-len(s.IntegrityDetails))
 		}
 	}
 }
 
-func cmdStream(args []string) {
-	fs := flag.NewFlagSet("anontrace stream", flag.ExitOnError)
+func cmdStream(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("anontrace stream", flag.ContinueOnError)
 	id := fs.Uint64("id", 0, "print only this message id (0: all)")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: anontrace stream <trace.jsonl[.gz]> [-id mid]")
-		fs.PrintDefaults()
+	src, exit := parseSource(fs, args, stderr)
+	if src == "" {
+		return exit
 	}
-	pos := splitArgs(args, 1, fs)
 
-	res, err := readSource(pos[0])
+	res, err := readSource(src)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 	printed := 0
 	for _, st := range res.Streams {
 		if *id != 0 && st.MID != *id {
 			continue
 		}
-		fmt.Print(analyze.FormatStream(st))
+		fmt.Fprint(stdout, analyze.FormatStream(st))
 		printed++
 	}
 	if printed == 0 {
 		if *id != 0 {
-			fatal(fmt.Errorf("no stream with id %d in %s", *id, pos[0]))
+			return fail(stderr, fmt.Errorf("no stream with id %d in %s", *id, src))
 		}
-		fmt.Println("no tagged message streams in trace")
+		fmt.Fprintln(stdout, "no tagged message streams in trace")
 	}
-}
-
-func cmdDiff(args []string) {
-	fs := flag.NewFlagSet("anontrace diff", flag.ExitOnError)
-	def := analyze.DefaultThresholds()
-	var th analyze.Thresholds
-	fs.Float64Var(&th.MaxDeliveryRateDrop, "max-delivery-drop", def.MaxDeliveryRateDrop,
-		"max allowed drop in delivery rate (fraction points)")
-	fs.Float64Var(&th.MaxP50IncreaseFrac, "max-p50-increase", def.MaxP50IncreaseFrac,
-		"max allowed fractional increase in p50 latency")
-	fs.Float64Var(&th.MaxP99IncreaseFrac, "max-p99-increase", def.MaxP99IncreaseFrac,
-		"max allowed fractional increase in p99 latency")
-	fs.IntVar(&th.MaxIntegrityErrors, "max-integrity", def.MaxIntegrityErrors,
-		"max allowed trace-integrity errors in the candidate")
-	fs.Float64Var(&th.MaxLinkageIncrease, "max-linkage-increase", def.MaxLinkageIncrease,
-		"max allowed increase in sender-receiver linkage rate (fraction points)")
-	fs.Float64Var(&th.MinSetSizeRatio, "min-setsize-ratio", def.MinSetSizeRatio,
-		"min allowed candidate/baseline mean anonymity-set-size ratio")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: anontrace diff <base.json> <cand.json> [threshold flags]")
-		fs.PrintDefaults()
-	}
-	pos := splitArgs(args, 2, fs)
-
-	read := func(path string) *obs.Report {
-		f, err := os.Open(path)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		rep, err := obs.ReadReport(f)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
-		}
-		return rep
-	}
-	base, cand := read(pos[0]), read(pos[1])
-	violations := analyze.DiffReports(base, cand, th)
-	if len(violations) == 0 {
-		fmt.Printf("diff OK: %s within thresholds of %s\n", pos[1], pos[0])
-		return
-	}
-	fmt.Printf("diff FAILED: %d threshold crossing(s)\n", len(violations))
-	for _, v := range violations {
-		fmt.Println("  " + v.Desc)
-	}
-	os.Exit(1)
+	return 0
 }

@@ -30,7 +30,6 @@ func DefaultLifetime() stats.Pareto {
 type Driver struct {
 	net      *netsim.Network
 	lifetime stats.Dist
-	downtime stats.Dist
 	pinned   map[netsim.NodeID]bool
 	started  bool
 
@@ -39,13 +38,6 @@ type Driver struct {
 
 // Option configures a Driver.
 type Option func(*Driver)
-
-// WithDowntime sets a separate distribution for down intervals; by
-// default downtime uses the same distribution as lifetime, matching the
-// paper's symmetric leave/rejoin model.
-func WithDowntime(d stats.Dist) Option {
-	return func(dr *Driver) { dr.downtime = d }
-}
 
 // Pin keeps the given nodes up for the whole simulation.
 func Pin(ids ...netsim.NodeID) Option {
@@ -65,7 +57,6 @@ func NewDriver(net *netsim.Network, lifetime stats.Dist, opts ...Option) (*Drive
 	d := &Driver{
 		net:      net,
 		lifetime: lifetime,
-		downtime: lifetime,
 		pinned:   make(map[netsim.NodeID]bool),
 	}
 	for _, o := range opts {
@@ -105,7 +96,7 @@ func (d *Driver) scheduleLeave(id netsim.NodeID, rng *rand.Rand) {
 }
 
 func (d *Driver) scheduleJoin(id netsim.NodeID, rng *rand.Rand) {
-	down := sim.FromSeconds(d.downtime.Sample(rng))
+	down := sim.FromSeconds(d.lifetime.Sample(rng))
 	d.net.Engine().Schedule(down, func() {
 		d.transitions++
 		d.net.SetUp(id, true)

@@ -103,26 +103,6 @@ func TestMinimumSessionRespected(t *testing.T) {
 	}
 }
 
-func TestWithDowntime(t *testing.T) {
-	// A very short fixed downtime keeps almost all nodes up.
-	eng, net := newNet(t, 64, 5)
-	short, err := stats.NewUniform(1, 2) // 1-2s downtime
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDriver(net, DefaultLifetime(), WithDowntime(short))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Start(); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run(6 * sim.Hour)
-	if up := net.UpCount(); up < 58 {
-		t.Fatalf("up count = %d/64; short downtimes should keep nearly all nodes up", up)
-	}
-}
-
 func TestSyntheticGnutellaTrace(t *testing.T) {
 	if _, err := SyntheticGnutellaTrace(0, 1); err == nil {
 		t.Error("n=0 accepted")

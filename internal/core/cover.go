@@ -15,14 +15,16 @@ import (
 type CoverConfig struct {
 	// Interval between cover messages; zero selects one per minute.
 	Interval sim.Time
-	// K, R, L shape the cover paths; zero K selects 2, zero R selects K
-	// (a SimEra-shaped dummy), zero L selects DefaultL. The paper notes
-	// k need not be system-wide: "each node may pick a value
-	// corresponding to its bandwidth constraints".
-	K, R, L int
-	// MessageSize of each dummy message; zero selects 1024.
-	MessageSize int
+	// K and R shape the cover paths (of DefaultL relays); zero K selects
+	// 2, zero R selects K (a SimEra-shaped dummy). The paper notes k need
+	// not be system-wide: "each node may pick a value corresponding to
+	// its bandwidth constraints".
+	K, R int
 }
+
+// coverMessageSize is the size of each dummy message: the paper's
+// default message size, so cover and real traffic look alike.
+const coverMessageSize = 1024
 
 // CoverStats counts a cover agent's activity.
 type CoverStats struct {
@@ -55,12 +57,6 @@ func (w *World) NewCoverAgent(id netsim.NodeID, cfg CoverConfig) (*CoverAgent, e
 	}
 	if cfg.R == 0 {
 		cfg.R = cfg.K
-	}
-	if cfg.L == 0 {
-		cfg.L = DefaultL
-	}
-	if cfg.MessageSize == 0 {
-		cfg.MessageSize = 1024
 	}
 	if cfg.K%cfg.R != 0 {
 		return nil, fmt.Errorf("core: cover K=%d must be a multiple of R=%d", cfg.K, cfg.R)
@@ -108,13 +104,12 @@ func (a *CoverAgent) round() {
 		Protocol: SimEra,
 		K:        a.cfg.K,
 		R:        a.cfg.R,
-		L:        a.cfg.L,
 		Strategy: mixchoice.Random, // §4.6: cover paths consist of random nodes
 	})
 	if err != nil {
 		return
 	}
-	msg := make([]byte, a.cfg.MessageSize)
+	msg := make([]byte, coverMessageSize)
 	a.w.Eng.RNG().Read(msg)
 	sess.OnEstablished = func(ok bool, _ int) {
 		if !ok {

@@ -26,16 +26,15 @@ type StaticConfig struct {
 	// Availability is pa: each relay is independently up with this
 	// probability at send time.
 	Availability float64
-	// K paths, replication factor R, SegmentsPerPath s (0 = 1), path
-	// length L (0 = DefaultL).
-	K, R, SegmentsPerPath, L int
-	// MessageSize in bytes (0 = 1024, the paper's default).
-	MessageSize int
+	// K paths, replication factor R, path length L (0 = DefaultL). Each
+	// path carries one coded segment.
+	K, R, L int
 	// Trials is the Monte Carlo sample count (0 = 20000).
 	Trials int
-	// Suite provides the byte-exact onion overheads (nil = Null).
-	Suite onioncrypt.Suite
 }
+
+// staticMessageSize is the paper's default message size in bytes.
+const staticMessageSize = 1024
 
 // SimulateStatic runs the Figures 2-4 experiment: k freshly built paths
 // of L relays, each relay independently available with probability pa;
@@ -46,42 +45,32 @@ type StaticConfig struct {
 // Bandwidth model: a message on a path traverses links until it hits the
 // first down relay; each traversed link carries the onion at its current
 // size (one symmetric layer is stripped per hop). Successful paths
-// traverse all L+1 links.
+// traverse all L+1 links. Link sizes are onioncrypt.Null's: byte-exact
+// onion overheads, no arithmetic.
 func SimulateStatic(rng *rand.Rand, cfg StaticConfig) (StaticResult, error) {
 	if cfg.Availability < 0 || cfg.Availability > 1 {
 		return StaticResult{}, fmt.Errorf("core: availability %g outside [0,1]", cfg.Availability)
 	}
-	if cfg.SegmentsPerPath == 0 {
-		cfg.SegmentsPerPath = 1
-	}
 	if cfg.L == 0 {
 		cfg.L = DefaultL
 	}
-	if cfg.MessageSize == 0 {
-		cfg.MessageSize = 1024
-	}
 	if cfg.Trials == 0 {
 		cfg.Trials = 20000
-	}
-	if cfg.Suite == nil {
-		cfg.Suite = onioncrypt.Null{}
 	}
 	if cfg.K < 1 || cfg.R < 1 || cfg.K%cfg.R != 0 {
 		return StaticResult{}, fmt.Errorf("core: K=%d must be a positive multiple of R=%d", cfg.K, cfg.R)
 	}
 
-	n := cfg.K * cfg.SegmentsPerPath
-	m := n / cfg.R
-	code, err := erasure.New(m, n)
+	m := cfg.K / cfg.R
+	code, err := erasure.New(m, cfg.K)
 	if err != nil {
 		return StaticResult{}, err
 	}
-	needPaths := (m + cfg.SegmentsPerPath - 1) / cfg.SegmentsPerPath
 
 	// Per-link sizes of one path's traffic: the outer onion shrinks by
 	// SymOverhead per hop; the final link carries the responder blob.
-	segPlain := cfg.SegmentsPerPath * (session.SegmentOverhead + code.SegmentSize(cfg.MessageSize))
-	linkSizes := staticLinkSizes(cfg.Suite, cfg.L, segPlain)
+	segPlain := session.SegmentOverhead + code.SegmentSize(staticMessageSize)
+	linkSizes := staticLinkSizes(cfg.L, segPlain)
 
 	var successes int
 	var successBytes float64
@@ -108,7 +97,7 @@ func SimulateStatic(rng *rand.Rand, cfg StaticConfig) (StaticResult, error) {
 				bytes += linkSizes[l]
 			}
 		}
-		if upPaths >= needPaths {
+		if upPaths >= m {
 			successes++
 			successBytes += float64(bytes)
 		}
@@ -126,8 +115,9 @@ func SimulateStatic(rng *rand.Rand, cfg StaticConfig) (StaticResult, error) {
 // staticLinkSizes returns the on-the-wire message size on each of the
 // L+1 links of a path carrying segPlain application bytes, matching the
 // real onion encoding byte for byte.
-func staticLinkSizes(suite onioncrypt.Suite, l, segPlain int) []int {
+func staticLinkSizes(l, segPlain int) []int {
 	const msgHdr = 1 + 8 + 4 // kind + sid + length prefix
+	suite := onioncrypt.Null{}
 	sizes := make([]int, l+1)
 	outer := onion.PayloadOnionSize(suite, l, segPlain)
 	size := outer

@@ -39,29 +39,22 @@ type WorldConfig struct {
 	N int
 	// Seed drives all randomness; equal seeds give equal histories.
 	Seed int64
-	// MeanRTT scales the synthetic King topology; zero selects the
-	// paper's 152 ms.
-	MeanRTT sim.Time
-	// UniformRTT, when positive, replaces the King topology with a
-	// uniform all-pairs RTT (analytically convenient in tests).
+	// UniformRTT, when positive, replaces the synthetic King topology
+	// (mean RTT 152 ms, as in the paper) with a uniform all-pairs RTT
+	// (analytically convenient in tests).
 	UniformRTT sim.Time
 	// Suite selects the cryptography; nil selects onioncrypt.Null{}
 	// (full-fidelity sizes, no arithmetic — right for large sims).
 	Suite onioncrypt.Suite
-	// Lifetime, when set, enables churn with this session-time
-	// distribution; Downtime defaults to the same distribution (§6.1).
+	// Lifetime, when set, enables churn: session times and down
+	// intervals are both drawn from this distribution (§6.1).
 	Lifetime stats.Dist
-	// Downtime optionally overrides the down-interval distribution.
-	Downtime stats.Dist
 	// Pinned nodes never leave (the durability experiment pins the
 	// initiator and responder).
 	Pinned []netsim.NodeID
-	// Membership selects oracle or gossip membership.
+	// Membership selects oracle, gossip or OneHop membership; the two
+	// protocols run with their packages' default configurations.
 	Membership MembershipMode
-	// Gossip tunes GossipMembership; zero-value selects defaults.
-	Gossip membership.GossipConfig
-	// OneHop tunes OneHopMembership; zero-value selects defaults.
-	OneHop membership.OneHopConfig
 	// LossRate makes every message independently vanish in flight with
 	// this probability — random link loss on top of churn (an extension
 	// to the paper's node-failure-only model).
@@ -149,16 +142,13 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	if cfg.Suite == nil {
 		cfg.Suite = onioncrypt.Null{}
 	}
-	if cfg.MeanRTT == 0 {
-		cfg.MeanRTT = topology.DefaultMeanRTT
-	}
 	eng := sim.NewEngine(cfg.Seed)
 	var topo *topology.Matrix
 	var err error
 	if cfg.UniformRTT > 0 {
 		topo, err = topology.Uniform(cfg.N, cfg.UniformRTT)
 	} else {
-		topo, err = topology.Generate(cfg.N, cfg.MeanRTT, cfg.Seed)
+		topo, err = topology.Generate(cfg.N, topology.DefaultMeanRTT, cfg.Seed)
 	}
 	if err != nil {
 		return nil, err
@@ -193,20 +183,12 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	case OracleMembership:
 		w.oracle = membership.NewOracle(net)
 	case GossipMembership:
-		gcfg := cfg.Gossip
-		if gcfg == (membership.GossipConfig{}) {
-			gcfg = membership.DefaultGossipConfig()
-		}
-		w.gossip, err = membership.NewGossip(net, gcfg)
+		w.gossip, err = membership.NewGossip(net, membership.DefaultGossipConfig())
 		if err != nil {
 			return nil, err
 		}
 	case OneHopMembership:
-		ocfg := cfg.OneHop
-		if ocfg == (membership.OneHopConfig{}) {
-			ocfg = membership.DefaultOneHopConfig()
-		}
-		w.onehop, err = membership.NewOneHop(net, ocfg)
+		w.onehop, err = membership.NewOneHop(net, membership.DefaultOneHopConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -250,11 +232,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	}
 
 	if cfg.Lifetime != nil {
-		opts := []churn.Option{churn.Pin(cfg.Pinned...)}
-		if cfg.Downtime != nil {
-			opts = append(opts, churn.WithDowntime(cfg.Downtime))
-		}
-		w.churn, err = churn.NewDriver(net, cfg.Lifetime, opts...)
+		w.churn, err = churn.NewDriver(net, cfg.Lifetime, churn.Pin(cfg.Pinned...))
 		if err != nil {
 			return nil, err
 		}

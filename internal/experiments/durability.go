@@ -7,7 +7,6 @@ import (
 	"resilientmix/internal/core"
 	"resilientmix/internal/mixchoice"
 	"resilientmix/internal/netsim"
-	"resilientmix/internal/obs"
 	"resilientmix/internal/sim"
 	"resilientmix/internal/stats"
 )
@@ -25,8 +24,6 @@ type durabilityConfig struct {
 	msgSize  int
 	params   core.Params
 	lifetime stats.Dist
-	tracer   obs.Tracer
-	metrics  *obs.Registry
 }
 
 // durabilityResult is one run's metrics, matching Table 2's columns.
@@ -48,8 +45,6 @@ func paperDurability(opts Options, seed int64, params core.Params, lifetime stat
 		msgSize:  1024,
 		params:   params,
 		lifetime: lifetime,
-		tracer:   opts.Tracer,
-		metrics:  opts.Metrics,
 	}
 	if opts.Quick {
 		// Warmup must exceed the Pareto scale (1800 s) or no node will
@@ -70,8 +65,6 @@ func runDurability(cfg durabilityConfig) (durabilityResult, error) {
 		Seed:     cfg.seed,
 		Lifetime: cfg.lifetime,
 		Pinned:   []netsim.NodeID{initiator, responder},
-		Tracer:   cfg.tracer,
-		Metrics:  cfg.metrics,
 	})
 	if err != nil {
 		return durabilityResult{}, err

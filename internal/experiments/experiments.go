@@ -16,9 +16,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"resilientmix/internal/obs"
-	"resilientmix/internal/obs/analyze"
 )
 
 // Result is a generic experiment result: a caption, column headers, and
@@ -32,9 +29,6 @@ type Result struct {
 	// Notes carries shape-check outcomes and paper-expectation context
 	// written into EXPERIMENTS.md.
 	Notes []string
-	// Analysis is the offline trace-analytics summary over every world
-	// the experiment simulated, present when Options.Analyze is set.
-	Analysis *obs.AnalysisSummary
 }
 
 // Render writes the result as an aligned text table.
@@ -110,23 +104,6 @@ type Options struct {
 	// Quick shrinks network size, trial counts and simulated time by an
 	// order of magnitude — same shapes, minutes less compute.
 	Quick bool
-	// Tracer, when non-nil, receives trace events from every simulated
-	// world the experiment builds. Experiments run parameter points on
-	// parallel workers, so a shared sink sees interleaved (per-world
-	// deterministic, globally unordered) events; use anonsim for a
-	// single-world, fully reproducible trace.
-	Tracer obs.Tracer
-	// Metrics, when non-nil, is the registry every world's counters land
-	// in — aggregated across all parameter points and trials.
-	Metrics *obs.Registry
-	// Analyze runs offline trace analytics over the experiment's full
-	// trace and attaches the summary to Result.Analysis (and a one-line
-	// digest to Result.Notes). Per-journey causal checks key on
-	// world-unique message ids and stay exact; the anonymity and
-	// in-flight figures mix the parallel worlds' independent clocks, so
-	// treat them as aggregate indicators here and use anonsim -analyze
-	// for single-world numbers.
-	Analyze bool
 }
 
 // Runner is an experiment entry point.
@@ -181,39 +158,17 @@ func Title(id string) string {
 func Run(id string, opts Options) (*Result, error) {
 	for _, e := range registry {
 		if e.ID == id {
-			return runAnalyzed(e.Run, opts)
+			return e.Run(opts)
 		}
 	}
 	return nil, fmt.Errorf("experiments: unknown experiment %q (have %s)", id, strings.Join(IDs(), ", "))
-}
-
-// runAnalyzed wraps a runner with Options.Analyze handling: a fresh
-// collector taps the experiment's trace stream, and the analysis
-// summary lands on the result.
-func runAnalyzed(run Runner, opts Options) (*Result, error) {
-	if !opts.Analyze {
-		return run(opts)
-	}
-	col := obs.NewCollector()
-	inner := opts
-	inner.Tracer = obs.Multi(opts.Tracer, col)
-	res, err := run(inner)
-	if err != nil {
-		return nil, err
-	}
-	sum := analyze.FromEvents(col.Events()).Summary
-	res.Analysis = &sum
-	res.Notes = append(res.Notes, fmt.Sprintf(
-		"trace analytics: %d events, %d messages (%d delivered), %d journeys, %d integrity errors",
-		sum.EventsAnalyzed, sum.Messages, sum.Delivered, sum.Journeys, sum.IntegrityErrors))
-	return res, nil
 }
 
 // RunAll executes every experiment in order.
 func RunAll(opts Options) ([]*Result, error) {
 	out := make([]*Result, 0, len(registry))
 	for _, e := range registry {
-		r, err := runAnalyzed(e.Run, opts)
+		r, err := e.Run(opts)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", e.ID, err)
 		}

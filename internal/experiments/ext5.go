@@ -24,7 +24,7 @@ func Ext5(opts Options) (*Result, error) {
 	}
 
 	run := func(cover bool, seed int64) (success float64, ambiguity int, err error) {
-		w, err := core.NewWorld(core.WorldConfig{N: n, Seed: seed, Tracer: opts.Tracer, Metrics: opts.Metrics})
+		w, err := core.NewWorld(core.WorldConfig{N: n, Seed: seed})
 		if err != nil {
 			return 0, 0, err
 		}

@@ -41,8 +41,6 @@ func Ext6(opts Options) (*Result, error) {
 			N: n, Seed: seed,
 			Lifetime: stats.Pareto{Alpha: 1, Beta: 1800},
 			Pinned:   malicious,
-			Tracer:   opts.Tracer,
-			Metrics:  opts.Metrics,
 		})
 		if err != nil {
 			return 0, 0, err

@@ -83,8 +83,6 @@ func Ext8(opts Options) (*Result, error) {
 		w, err := core.NewWorld(core.WorldConfig{
 			N: n, Seed: seed,
 			Lifetime: stats.Pareto{Alpha: 1, Beta: 1800},
-			Tracer:   opts.Tracer,
-			Metrics:  opts.Metrics,
 		})
 		if err != nil {
 			return 0, 0, err

@@ -30,7 +30,6 @@ func Ext9(opts Options) (*Result, error) {
 		// robustness — ext5/tab1 cover construction).
 		w, err := core.NewWorld(core.WorldConfig{
 			N: n, Seed: seed, UniformRTT: 50 * sim.Millisecond,
-			Tracer: opts.Tracer, Metrics: opts.Metrics,
 		})
 		if err != nil {
 			return 0, err

@@ -28,7 +28,7 @@ func Ext1(opts Options) (*Result, error) {
 	if opts.Quick {
 		n, events = 256, 4000
 	}
-	w, err := core.NewWorld(core.WorldConfig{N: n, Seed: opts.Seed + 77, Tracer: opts.Tracer, Metrics: opts.Metrics})
+	w, err := core.NewWorld(core.WorldConfig{N: n, Seed: opts.Seed + 77})
 	if err != nil {
 		return nil, err
 	}
@@ -176,8 +176,6 @@ func Ext3(opts Options) (*Result, error) {
 			N: n, Seed: seed,
 			Lifetime: stats.Pareto{Alpha: 1, Beta: 1800},
 			Pinned:   []netsim.NodeID{0, 1},
-			Tracer:   opts.Tracer,
-			Metrics:  opts.Metrics,
 		})
 		if err != nil {
 			return 0, err
@@ -278,7 +276,7 @@ func Ext4(opts Options) (*Result, error) {
 	if opts.Quick {
 		n, msgs = 128, 10
 	}
-	w, err := core.NewWorld(core.WorldConfig{N: n, Seed: opts.Seed + 99, Tracer: opts.Tracer, Metrics: opts.Metrics})
+	w, err := core.NewWorld(core.WorldConfig{N: n, Seed: opts.Seed + 99})
 	if err != nil {
 		return nil, err
 	}
@@ -384,8 +382,6 @@ func runSetupWithMembership(cfg setupConfig, mode core.MembershipMode) (setupRes
 		Seed:       cfg.seed,
 		Lifetime:   cfg.lifetime,
 		Membership: mode,
-		Tracer:     cfg.tracer,
-		Metrics:    cfg.metrics,
 	})
 	if err != nil {
 		return setupResult{}, err

@@ -6,7 +6,6 @@ import (
 	"resilientmix/internal/core"
 	"resilientmix/internal/mixchoice"
 	"resilientmix/internal/netsim"
-	"resilientmix/internal/obs"
 	"resilientmix/internal/sim"
 	"resilientmix/internal/stats"
 )
@@ -24,8 +23,6 @@ type setupConfig struct {
 	interArrival sim.Time // mean; paper uses 116 s
 	params       core.Params
 	lifetime     stats.Dist
-	tracer       obs.Tracer
-	metrics      *obs.Registry
 }
 
 // setupResult is the outcome of one run.
@@ -45,8 +42,6 @@ func paperSetup(opts Options, seed int64, params core.Params) setupConfig {
 		interArrival: 116 * sim.Second,
 		params:       params,
 		lifetime:     stats.Pareto{Alpha: 1, Beta: 1800},
-		tracer:       opts.Tracer,
-		metrics:      opts.Metrics,
 	}
 	if opts.Quick {
 		// Warmup must exceed the Pareto scale (1800 s) or no node will
@@ -65,8 +60,6 @@ func runSetup(cfg setupConfig) (setupResult, error) {
 		N:        cfg.n,
 		Seed:     cfg.seed,
 		Lifetime: cfg.lifetime,
-		Tracer:   cfg.tracer,
-		Metrics:  cfg.metrics,
 	})
 	if err != nil {
 		return setupResult{}, err

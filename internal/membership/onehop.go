@@ -38,8 +38,11 @@ type OneHop struct {
 	stats OneHopStats
 }
 
-// time30s is the default liveness-refresh period.
-const time30s = 30 * sim.Second
+// refreshEvery is how often a live successor's (Δt_alive, 0) is
+// re-announced through the hierarchy even without a membership change,
+// so liveness ages keep flowing for stable nodes — the paper's
+// "piggybacking node liveness information onto the gossip messages".
+const refreshEvery = 30 * sim.Second
 
 // OneHopConfig tunes the hierarchy and its timers.
 type OneHopConfig struct {
@@ -51,12 +54,6 @@ type OneHopConfig struct {
 	ExchangeEvery sim.Time
 	// PingTimeout declares a probed successor dead.
 	PingTimeout sim.Time
-	// RefreshEvery re-announces a live successor's (Δt_alive, 0) through
-	// the hierarchy even without a membership change, so liveness ages
-	// keep flowing for stable nodes — the paper's "piggybacking node
-	// liveness information onto the gossip messages". Zero disables
-	// refresh (changes only).
-	RefreshEvery sim.Time
 }
 
 // DefaultOneHopConfig mirrors the scale of the original system: for a
@@ -69,7 +66,6 @@ func DefaultOneHopConfig() OneHopConfig {
 		KeepaliveEvery: 5 * sim.Second,
 		ExchangeEvery:  5 * sim.Second,
 		PingTimeout:    2 * sim.Second,
-		RefreshEvery:   time30s,
 	}
 }
 
@@ -339,7 +335,7 @@ func (o *OneHop) handlePong(id, from netsim.NodeID, pong oneHopPong) {
 	prev, had := o.caches[id].Lookup(from)
 	rejoined := had && (prev.Down || pong.AliveFor < prev.AliveFor)
 	o.caches[id].HeardDirectly(from, pong.AliveFor)
-	refresh := o.cfg.RefreshEvery > 0 && now-o.lastAnnounce[id] >= o.cfg.RefreshEvery
+	refresh := now-o.lastAnnounce[id] >= refreshEvery
 	if !had || rejoined || refresh {
 		o.enqueue(id, oneHopEvent{ID: from, Up: true, AliveFor: pong.AliveFor, Since: 0})
 		o.lastAnnounce[id] = now

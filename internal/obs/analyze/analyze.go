@@ -374,10 +374,54 @@ func (a *Analyzer) addRelayDropped(e obs.Event) {
 	att.RelayDropAt = e.At
 }
 
+// Summary is the digest of one trace analysis: stream accounting from
+// causal reconstruction, trace-integrity findings, end-to-end latency
+// attribution, and anonymity observables under a passive global
+// observer.
+type Summary struct {
+	// EventsAnalyzed is the number of trace events consumed.
+	EventsAnalyzed int `json:"events_analyzed"`
+	// Messages is the number of distinct tagged application messages.
+	Messages int `json:"messages"`
+	// Delivered is the number of messages that reconstructed at the
+	// receiver.
+	Delivered int `json:"delivered"`
+	// Failed is the number of messages whose every segment journey
+	// terminated without reconstruction.
+	Failed int `json:"failed"`
+	// MessagesInFlight is the number of undelivered messages with at
+	// least one journey still unresolved when the trace ended.
+	MessagesInFlight int `json:"messages_in_flight"`
+	// Journeys is the number of per-segment wire journeys traced.
+	Journeys int `json:"journeys"`
+	// JourneysDelivered / JourneysDropped / JourneysStalled /
+	// JourneysInFlight classify journey outcomes: arrived at the path
+	// endpoint, dropped on the wire (with a msg_dropped reason),
+	// consumed by a relay (relay_dropped), or still unresolved at trace
+	// end (within the in-flight grace window).
+	JourneysDelivered int `json:"journeys_delivered"`
+	JourneysDropped   int `json:"journeys_dropped"`
+	JourneysStalled   int `json:"journeys_stalled"`
+	JourneysInFlight  int `json:"journeys_in_flight"`
+	// DropReasons counts dropped and stalled journeys by reason name.
+	DropReasons map[string]uint64 `json:"drop_reasons,omitempty"`
+	// IntegrityErrors counts causal-chain violations: orphaned
+	// deliveries, contradictory hop sequences, unresolved sends outside
+	// the grace window. Zero on a healthy trace.
+	IntegrityErrors int `json:"integrity_errors"`
+	// IntegrityDetails describes the first few integrity errors.
+	IntegrityDetails []string `json:"integrity_details,omitempty"`
+	// Latency is the end-to-end latency attribution over delivered
+	// messages.
+	Latency *LatencySummary `json:"latency,omitempty"`
+	// Anonymity holds the passive-observer anonymity metrics.
+	Anonymity *AnonymityMetrics `json:"anonymity,omitempty"`
+}
+
 // Result is the full analysis output: the summary plus the per-stream
 // reconstruction it was computed from.
 type Result struct {
-	Summary obs.AnalysisSummary
+	Summary Summary
 	// Streams in first-send order.
 	Streams []*Stream
 	// Latencies holds the per-message attribution rows behind
@@ -409,7 +453,7 @@ func (a *Analyzer) Finalize() *Result {
 	}
 	grace := 2 * maxLat
 
-	sum := obs.AnalysisSummary{
+	sum := Summary{
 		EventsAnalyzed: a.events,
 		DropReasons:    make(map[string]uint64),
 	}
@@ -471,8 +515,9 @@ func (a *Analyzer) Finalize() *Result {
 		Grace:      grace,
 	}
 	res.Summary.Latency, res.Latencies = attributeLatency(streams)
-	// Traces interleaved across parallel worlds (anonbench -trace) are
-	// not globally time-ordered; the anonymity window search needs the
+	// A live node stamps an event before it enters the stream, from
+	// concurrent goroutines, so a /debug/trace capture can be out of
+	// time order by microseconds; the anonymity window search needs the
 	// first-hop index sorted.
 	sort.Slice(a.hop0, func(i, k int) bool {
 		if a.hop0[i].at != a.hop0[k].at {

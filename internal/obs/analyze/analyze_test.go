@@ -275,44 +275,6 @@ func TestSampleQuantile(t *testing.T) {
 	}
 }
 
-func TestDiffReports(t *testing.T) {
-	mk := func(delivered, messages, integrity int, p99 float64, linkage float64) *obs.Report {
-		return &obs.Report{
-			SchemaVersion: obs.ReportSchemaVersion,
-			Analysis: &obs.AnalysisSummary{
-				Messages:        messages,
-				Delivered:       delivered,
-				IntegrityErrors: integrity,
-				Latency:         &obs.LatencySummary{Count: delivered, P50Ms: 50, P99Ms: p99},
-				Anonymity:       &obs.AnonymityMetrics{Messages: delivered, MeanSetSize: 10, LinkageRate: linkage},
-			},
-		}
-	}
-	th := DefaultThresholds()
-
-	if v := DiffReports(mk(95, 100, 0, 100, 0.01), mk(95, 100, 0, 100, 0.01), th); len(v) != 0 {
-		t.Fatalf("identical reports should pass: %v", v)
-	}
-	if v := DiffReports(mk(95, 100, 0, 100, 0.01), mk(50, 100, 0, 100, 0.01), th); len(v) == 0 {
-		t.Fatal("delivery collapse not caught")
-	}
-	if v := DiffReports(mk(95, 100, 0, 100, 0.01), mk(95, 100, 3, 100, 0.01), th); len(v) == 0 {
-		t.Fatal("integrity errors not caught")
-	}
-	if v := DiffReports(mk(95, 100, 0, 100, 0.01), mk(95, 100, 0, 300, 0.01), th); len(v) == 0 {
-		t.Fatal("p99 regression not caught")
-	}
-	if v := DiffReports(mk(95, 100, 0, 100, 0.01), mk(95, 100, 0, 100, 0.5), th); len(v) == 0 {
-		t.Fatal("linkage regression not caught")
-	}
-	// v1 baseline without analysis: only the candidate integrity check
-	// applies.
-	v := DiffReports(&obs.Report{}, mk(10, 100, 0, 900, 0.9), th)
-	if len(v) != 0 {
-		t.Fatalf("missing baseline blocks must be skipped: %v", v)
-	}
-}
-
 // --- end-to-end property test ----------------------------------------
 
 // run256 drives a 256-node Pareto-churned network with loss: four

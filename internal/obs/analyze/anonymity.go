@@ -3,8 +3,6 @@ package analyze
 import (
 	"math"
 	"sort"
-
-	"resilientmix/internal/obs"
 )
 
 // This file computes what a passive global observer — one who sees
@@ -17,14 +15,34 @@ import (
 // more skewed that set, the weaker the anonymity (ZhuH07 §2's passive
 // adversary).
 
+// AnonymityMetrics are observables available to a passive global
+// observer who sees every wire event but no message contents: how well
+// initiator identity is hidden per delivered message.
+type AnonymityMetrics struct {
+	// Messages is the number of delivered messages measured.
+	Messages int `json:"messages"`
+	// MeanSetSize is the mean anonymity-set size: nodes that initiated
+	// first-hop sends inside the message's delivery window and are thus
+	// plausible initiators.
+	MeanSetSize float64 `json:"mean_set_size"`
+	// MinSetSize is the smallest anonymity set observed.
+	MinSetSize int `json:"min_set_size"`
+	// MeanEntropyBits is the mean Shannon entropy (bits) of the
+	// send-count-weighted initiator distribution.
+	MeanEntropyBits float64 `json:"mean_entropy_bits"`
+	// LinkageRate is the fraction of messages whose anonymity set
+	// collapsed to exactly the true initiator.
+	LinkageRate float64 `json:"linkage_rate"`
+}
+
 // anonymityMetrics computes per-message anonymity observables over
 // delivered streams, from the trace-ordered index of tagged first-hop
 // sends.
-func anonymityMetrics(streams []*Stream, hop0 []hopSend) *obs.AnonymityMetrics {
+func anonymityMetrics(streams []*Stream, hop0 []hopSend) *AnonymityMetrics {
 	if len(hop0) == 0 {
 		return nil
 	}
-	m := &obs.AnonymityMetrics{MinSetSize: math.MaxInt}
+	m := &AnonymityMetrics{MinSetSize: math.MaxInt}
 	var sumSet, sumEntropy float64
 	linked := 0
 	counts := make(map[int]int)

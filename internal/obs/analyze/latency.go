@@ -3,8 +3,6 @@ package analyze
 import (
 	"math"
 	"sort"
-
-	"resilientmix/internal/obs"
 )
 
 // StreamLatency is the end-to-end latency attribution of one delivered
@@ -34,6 +32,32 @@ type StreamLatency struct {
 	QueueingMs float64
 }
 
+// LatencySummary attributes end-to-end message latency (first segment
+// send to reconstruction) into additive components measured along the
+// critical chain — the segment journey whose arrival completed
+// reconstruction. All times are milliseconds of virtual time.
+type LatencySummary struct {
+	// Count is the number of delivered messages measured.
+	Count int `json:"count"`
+	// MeanMs is the mean end-to-end latency.
+	MeanMs float64 `json:"mean_ms"`
+	// P50Ms/P90Ms/P99Ms are exact sample quantiles of end-to-end
+	// latency.
+	P50Ms float64 `json:"p50_ms"`
+	P90Ms float64 `json:"p90_ms"`
+	P99Ms float64 `json:"p99_ms"`
+	// MeanPropagationMs is the mean time spent in flight on links along
+	// the critical chain.
+	MeanPropagationMs float64 `json:"mean_propagation_ms"`
+	// MeanQueueingMs is the mean time spent inside relays (delivery to
+	// next-hop send) along the critical chain.
+	MeanQueueingMs float64 `json:"mean_queueing_ms"`
+	// MeanRetryMs is the mean launch delay: time from the message's
+	// first segment send until the critical chain's own first send —
+	// retries, redundant-path scheduling, and repair waits.
+	MeanRetryMs float64 `json:"mean_retry_ms"`
+}
+
 // usToMs converts virtual-time microseconds to milliseconds.
 func usToMs(us int64) float64 { return float64(us) / 1000 }
 
@@ -59,7 +83,7 @@ func criticalAttempt(st *Stream) (*Attempt, *Journey) {
 
 // attributeLatency computes per-stream attributions and their summary
 // over delivered streams that have a reconstructable critical chain.
-func attributeLatency(streams []*Stream) (*obs.LatencySummary, []StreamLatency) {
+func attributeLatency(streams []*Stream) (*LatencySummary, []StreamLatency) {
 	var rows []StreamLatency
 	for _, st := range streams {
 		if !st.Reconstructed || st.FirstSentAt < 0 {
@@ -104,7 +128,7 @@ func attributeLatency(streams []*Stream) (*obs.LatencySummary, []StreamLatency) 
 	}
 	sort.Float64s(e2e)
 	n := float64(len(rows))
-	return &obs.LatencySummary{
+	return &LatencySummary{
 		Count:             len(rows),
 		MeanMs:            sumE2E / n,
 		P50Ms:             sampleQuantile(e2e, 0.50),

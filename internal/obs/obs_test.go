@@ -210,15 +210,10 @@ func TestReportSnapshotStability(t *testing.T) {
 		Seed:           42,
 		Config:         map[string]string{"n": "64", "protocol": "simera"},
 		VirtualSeconds: 3600,
-		WallSeconds:    2,
 		EventsExecuted: 1000,
 		Outcome:        map[string]float64{"delivered": 10},
 		Drops:          map[string]uint64{"link_loss": 7},
 		Metrics:        &snap,
-	}
-	rep.FillThroughput()
-	if rep.EventsPerWallSecond != 500 || rep.SpeedupFactor != 1800 {
-		t.Fatalf("throughput: %g ev/s, %gx", rep.EventsPerWallSecond, rep.SpeedupFactor)
 	}
 
 	var a, b bytes.Buffer
@@ -360,9 +355,8 @@ func TestHistogramQuantiles(t *testing.T) {
 	if got := s.Quantile(1); got != s.Max {
 		t.Errorf("q1 = %g, want max %g", got, s.Max)
 	}
-	p := s.Percentiles()
-	if p.P50 > p.P90 || p.P90 > p.P95 || p.P95 > p.P99 {
-		t.Errorf("percentiles not monotone: %+v", p)
+	if p50, p90, p99 := s.Quantile(0.50), s.Quantile(0.90), s.Quantile(0.99); p50 > p90 || p90 > p99 {
+		t.Errorf("quantiles not monotone: %g %g %g", p50, p90, p99)
 	}
 
 	// Overflow interpolation: samples past the last bound resolve
@@ -374,24 +368,4 @@ func TestHistogramQuantiles(t *testing.T) {
 	if got := h2.Quantile(0.99); got <= 10 || got > 200 {
 		t.Errorf("overflow quantile %g outside (10, 200]", got)
 	}
-}
-
-func TestReportFillPercentiles(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("e2e_ms", []float64{10, 100})
-	for i := 1; i <= 10; i++ {
-		h.Observe(float64(i * 10))
-	}
-	snap := reg.Snapshot()
-	rep := &Report{SchemaVersion: ReportSchemaVersion, Metrics: &snap}
-	rep.FillPercentiles()
-	q, ok := rep.Percentiles["e2e_ms"]
-	if !ok {
-		t.Fatal("percentiles missing histogram")
-	}
-	if q.P50 <= 0 || q.P99 > 100 || q.P50 > q.P99 {
-		t.Errorf("quantiles %+v", q)
-	}
-	// No metrics → no percentiles, and no panic.
-	(&Report{}).FillPercentiles()
 }

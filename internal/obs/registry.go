@@ -137,25 +137,6 @@ type HistogramSnapshot struct {
 	Overflow uint64   `json:"overflow"`
 }
 
-// Quantiles is the percentile summary reports surface for each latency
-// histogram.
-type Quantiles struct {
-	P50 float64 `json:"p50"`
-	P90 float64 `json:"p90"`
-	P95 float64 `json:"p95"`
-	P99 float64 `json:"p99"`
-}
-
-// Percentiles computes the standard p50/p90/p95/p99 summary.
-func (s HistogramSnapshot) Percentiles() Quantiles {
-	return Quantiles{
-		P50: s.Quantile(0.50),
-		P90: s.Quantile(0.90),
-		P95: s.Quantile(0.95),
-		P99: s.Quantile(0.99),
-	}
-}
-
 // Quantile estimates the q-quantile (0 <= q <= 1) by linear
 // interpolation inside the bucket the rank falls in. The first bucket
 // interpolates from Min and the overflow bucket toward Max, so the

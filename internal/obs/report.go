@@ -6,22 +6,16 @@ import (
 	"os"
 )
 
-// Report is the machine-readable outcome of one run: what was
-// configured, what happened, why messages were lost, and how fast the
-// simulator ran. cmd/anonsim and cmd/anonbench write one with -report;
-// later perf and robustness PRs diff these files instead of scraping
-// stdout.
+// Report is the machine-readable outcome of one simulated run: what was
+// configured, what happened and why messages were lost. cmd/anonsim
+// writes one with -report; `anontrace report -reconcile` cross-checks a
+// trace against its registry snapshot.
 //
-// Wall-clock fields are the only nondeterministic content; everything
-// else is reproducible from the seed, so reports from equal-seed runs
-// differ only in throughput numbers.
+// Every field is a function of the seed and the configuration — no wall
+// clock, no file paths — so equal-seed runs write byte-identical
+// reports (cmd/anonsim's TestReportDeterministic).
 type Report struct {
-	// SchemaVersion is the report format version (ReportSchemaVersion
-	// for reports written by this build). Version 1 reports — which
-	// omit the field — lack Percentiles and Analysis; anontrace diff
-	// treats missing blocks as absent, not zero.
-	SchemaVersion int `json:"schema_version,omitempty"`
-	// Name identifies the run kind ("anonsim", "anonbench", ...).
+	// Name identifies the run kind ("anonsim", "anonsim-sharded").
 	Name string `json:"name"`
 	// Seed is the run's base random seed.
 	Seed int64 `json:"seed"`
@@ -29,14 +23,8 @@ type Report struct {
 	Config map[string]string `json:"config,omitempty"`
 	// VirtualSeconds is the simulated time covered.
 	VirtualSeconds float64 `json:"virtual_seconds"`
-	// WallSeconds is the real time the run took.
-	WallSeconds float64 `json:"wall_seconds"`
 	// EventsExecuted is the number of engine events run.
 	EventsExecuted uint64 `json:"events_executed,omitempty"`
-	// EventsPerWallSecond is the engine's wall-clock throughput.
-	EventsPerWallSecond float64 `json:"events_per_wall_second,omitempty"`
-	// SpeedupFactor is virtual seconds per wall second.
-	SpeedupFactor float64 `json:"speedup_factor,omitempty"`
 	// Outcome holds run-level aggregates (durability, deliveries,
 	// latency, ...), keyed by metric name.
 	Outcome map[string]float64 `json:"outcome,omitempty"`
@@ -44,137 +32,8 @@ type Report struct {
 	// name. It reconciles exactly with the trace's msg_dropped events
 	// because both are produced at the same emit sites.
 	Drops map[string]uint64 `json:"drops,omitempty"`
-	// TraceEvents is the number of trace events written, when a trace
-	// was recorded alongside the report.
-	TraceEvents uint64 `json:"trace_events,omitempty"`
-	// Percentiles holds p50/p90/p95/p99 summaries for every latency
-	// histogram in the registry, keyed by histogram name. Derived from
-	// Metrics by FillPercentiles.
-	Percentiles map[string]Quantiles `json:"percentiles,omitempty"`
-	// Analysis is the trace-analytics summary (causal reconstruction,
-	// latency attribution, anonymity observables), present when the run
-	// was analyzed (anonsim/anonbench -analyze, experiments
-	// Options.Analyze, or anontrace report -reconcile).
-	Analysis *AnalysisSummary `json:"analysis,omitempty"`
 	// Metrics is the full registry snapshot.
 	Metrics *Snapshot `json:"metrics,omitempty"`
-}
-
-// ReportSchemaVersion is the schema version this build writes.
-// Version 2 added SchemaVersion, Percentiles and Analysis.
-const ReportSchemaVersion = 2
-
-// FillPercentiles derives the Percentiles block from the histograms in
-// the Metrics snapshot. Call after the snapshot is attached.
-func (r *Report) FillPercentiles() {
-	if r.Metrics == nil || len(r.Metrics.Histograms) == 0 {
-		return
-	}
-	r.Percentiles = make(map[string]Quantiles, len(r.Metrics.Histograms))
-	for name, h := range r.Metrics.Histograms {
-		r.Percentiles[name] = h.Percentiles()
-	}
-}
-
-// AnalysisSummary is the offline trace-analytics result embedded in a
-// report: stream accounting from causal reconstruction, trace-integrity
-// findings, end-to-end latency attribution, and anonymity observables
-// under a passive global observer. Produced by internal/obs/analyze; it
-// lives here (not in that package) so Report can reference it without
-// an import cycle.
-type AnalysisSummary struct {
-	// EventsAnalyzed is the number of trace events consumed.
-	EventsAnalyzed int `json:"events_analyzed"`
-	// Messages is the number of distinct tagged application messages.
-	Messages int `json:"messages"`
-	// Delivered is the number of messages that reconstructed at the
-	// receiver.
-	Delivered int `json:"delivered"`
-	// Failed is the number of messages whose every segment journey
-	// terminated without reconstruction.
-	Failed int `json:"failed"`
-	// MessagesInFlight is the number of undelivered messages with at
-	// least one journey still unresolved when the trace ended.
-	MessagesInFlight int `json:"messages_in_flight"`
-	// Journeys is the number of per-segment wire journeys traced.
-	Journeys int `json:"journeys"`
-	// JourneysDelivered / JourneysDropped / JourneysStalled /
-	// JourneysInFlight classify journey outcomes: arrived at the path
-	// endpoint, dropped on the wire (with a msg_dropped reason),
-	// consumed by a relay (relay_dropped), or still unresolved at trace
-	// end (within the in-flight grace window).
-	JourneysDelivered int `json:"journeys_delivered"`
-	JourneysDropped   int `json:"journeys_dropped"`
-	JourneysStalled   int `json:"journeys_stalled"`
-	JourneysInFlight  int `json:"journeys_in_flight"`
-	// DropReasons counts dropped and stalled journeys by reason name.
-	DropReasons map[string]uint64 `json:"drop_reasons,omitempty"`
-	// IntegrityErrors counts causal-chain violations: orphaned
-	// deliveries, contradictory hop sequences, unresolved sends outside
-	// the grace window. Zero on a healthy trace.
-	IntegrityErrors int `json:"integrity_errors"`
-	// IntegrityDetails describes the first few integrity errors.
-	IntegrityDetails []string `json:"integrity_details,omitempty"`
-	// Latency is the end-to-end latency attribution over delivered
-	// messages.
-	Latency *LatencySummary `json:"latency,omitempty"`
-	// Anonymity holds the passive-observer anonymity metrics.
-	Anonymity *AnonymityMetrics `json:"anonymity,omitempty"`
-}
-
-// LatencySummary attributes end-to-end message latency (first segment
-// send to reconstruction) into additive components measured along the
-// critical chain — the segment journey whose arrival completed
-// reconstruction. All times are milliseconds of virtual time.
-type LatencySummary struct {
-	// Count is the number of delivered messages measured.
-	Count int `json:"count"`
-	// MeanMs is the mean end-to-end latency.
-	MeanMs float64 `json:"mean_ms"`
-	// P50Ms/P90Ms/P99Ms are exact sample quantiles of end-to-end
-	// latency.
-	P50Ms float64 `json:"p50_ms"`
-	P90Ms float64 `json:"p90_ms"`
-	P99Ms float64 `json:"p99_ms"`
-	// MeanPropagationMs is the mean time spent in flight on links along
-	// the critical chain.
-	MeanPropagationMs float64 `json:"mean_propagation_ms"`
-	// MeanQueueingMs is the mean time spent inside relays (delivery to
-	// next-hop send) along the critical chain.
-	MeanQueueingMs float64 `json:"mean_queueing_ms"`
-	// MeanRetryMs is the mean launch delay: time from the message's
-	// first segment send until the critical chain's own first send —
-	// retries, redundant-path scheduling, and repair waits.
-	MeanRetryMs float64 `json:"mean_retry_ms"`
-}
-
-// AnonymityMetrics are observables available to a passive global
-// observer who sees every wire event but no message contents: how well
-// initiator identity is hidden per delivered message.
-type AnonymityMetrics struct {
-	// Messages is the number of delivered messages measured.
-	Messages int `json:"messages"`
-	// MeanSetSize is the mean anonymity-set size: nodes that initiated
-	// first-hop sends inside the message's delivery window and are thus
-	// plausible initiators.
-	MeanSetSize float64 `json:"mean_set_size"`
-	// MinSetSize is the smallest anonymity set observed.
-	MinSetSize int `json:"min_set_size"`
-	// MeanEntropyBits is the mean Shannon entropy (bits) of the
-	// send-count-weighted initiator distribution.
-	MeanEntropyBits float64 `json:"mean_entropy_bits"`
-	// LinkageRate is the fraction of messages whose anonymity set
-	// collapsed to exactly the true initiator.
-	LinkageRate float64 `json:"linkage_rate"`
-}
-
-// FillThroughput derives the rate fields from the time and event
-// fields already set.
-func (r *Report) FillThroughput() {
-	if r.WallSeconds > 0 {
-		r.EventsPerWallSecond = float64(r.EventsExecuted) / r.WallSeconds
-		r.SpeedupFactor = r.VirtualSeconds / r.WallSeconds
-	}
 }
 
 // WriteJSON writes the report as indented JSON.

@@ -124,7 +124,7 @@ var (
 )
 
 // LifetimeDist is a node session-time distribution usable as
-// NetworkConfig.Lifetime / Downtime.
+// NetworkConfig.Lifetime.
 type LifetimeDist = stats.Dist
 
 // ParetoLifetime returns the paper's churn model: Pareto session times
@@ -204,7 +204,7 @@ var SelectPaths = mixchoice.SelectPaths
 
 // Tracer receives structured trace events from every instrumented
 // layer (engine, network, sessions, receivers). Set one on
-// NetworkConfig.Tracer or ExperimentOptions.Tracer.
+// NetworkConfig.Tracer.
 type Tracer = obs.Tracer
 
 // TraceEvent is one structured trace event; see internal/obs for the
@@ -214,15 +214,9 @@ type TraceEvent = obs.Event
 // TraceWriter streams trace events as deterministic JSONL.
 type TraceWriter = obs.JSONL
 
-// TraceRing keeps the last N trace events in memory.
-type TraceRing = obs.Ring
-
 // NewTraceWriter returns a tracer streaming JSONL to w; call Flush
 // when the run ends.
 func NewTraceWriter(w io.Writer) *TraceWriter { return obs.NewJSONL(w) }
-
-// NewTraceRing returns a tracer keeping the last capacity events.
-func NewTraceRing(capacity int) *TraceRing { return obs.NewRing(capacity) }
 
 // MultiTracer fans events out to several tracers (nils are skipped).
 var MultiTracer = obs.Multi
@@ -249,43 +243,19 @@ type TraceFile = obs.TraceFile
 // in ".gz"); call Close when the run ends.
 var CreateTraceFile = obs.CreateTraceFile
 
-// OpenTraceReader opens a trace written by CreateTraceFile for
-// reading, transparently decompressing gzip (detected by content, not
-// extension).
-var OpenTraceReader = obs.OpenTraceReader
-
 // TraceAnalysis is the result of offline trace analytics: per-stream
 // causal timelines, latency attribution and anonymity observables. See
 // internal/obs/analyze and cmd/anontrace.
 type TraceAnalysis = analyze.Result
 
-// TraceAnalysisSummary is the analysis block of a trace analysis and
-// of v2 run reports: stream accounting, integrity findings, latency
-// attribution, anonymity observables.
-type TraceAnalysisSummary = obs.AnalysisSummary
-
 // AnalyzeTrace reconstructs every tagged message stream from an
 // in-memory trace.
 var AnalyzeTrace = analyze.FromEvents
-
-// AnalyzeTraceFile analyzes a JSONL trace file (plain or gzip).
-var AnalyzeTraceFile = analyze.ReadFile
 
 // ReconcileAnalysis cross-checks a trace analysis against a run
 // report's registry aggregates; it returns one description per
 // mismatch, empty when the two views agree exactly.
 var ReconcileAnalysis = analyze.Reconcile
-
-// DiffThresholds bound how much a candidate report may regress from a
-// baseline before DiffRunReports flags it.
-type DiffThresholds = analyze.Thresholds
-
-// DefaultDiffThresholds is the loose CI gate used by anontrace diff.
-var DefaultDiffThresholds = analyze.DefaultThresholds
-
-// DiffRunReports compares two run reports under thresholds, returning
-// one violation per crossed limit.
-var DiffRunReports = analyze.DiffReports
 
 // MetricsRegistry is a named collection of counters, gauges and
 // histograms; worlds record run aggregates into one.
@@ -295,15 +265,8 @@ type MetricsRegistry = obs.Registry
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // RunReport is the machine-readable outcome of one run, written by the
-// -report flag of cmd/anonsim and cmd/anonbench.
+// -report flag of cmd/anonsim; equal seeds write equal files.
 type RunReport = obs.Report
-
-// RunReportSchemaVersion is the report schema version this build
-// writes (v2: percentiles and trace-analysis blocks).
-const RunReportSchemaVersion = obs.ReportSchemaVersion
-
-// ReadRunReport parses a report written with RunReport.WriteJSON.
-var ReadRunReport = obs.ReadReport
 
 // StartProfiles starts CPU and/or heap profiling; the returned stop
 // function must run on every exit path.
