@@ -126,21 +126,34 @@ lint-session:
 lint-cluster:
 	$(GO) run ./ci/lintcluster
 
-# Short fuzz passes over the wire-facing parsers. (core.FuzzDecodeAppMsg
-# and livenet.FuzzDecodeLive, which fuzz the two drivers' entry points
-# over the same codec, run their seed corpora in `make test`.)
+# Short fuzz passes over the wire-facing parsers and the in-place onion
+# and reverse-layer code. This is the one list: CI's "Fuzz smoke" step is
+# `make fuzz FUZZTIME=15s`. Every pass runs its fuzzer alone (-run '^$'
+# skips the package's tests, the anchored -fuzz matches one target).
+# (core.FuzzDecodeAppMsg and livenet.FuzzDecodeLive, which fuzz the two
+# drivers' entry points over the same codec, run their seed corpora in
+# `make test`.)
+FUZZTIME ?= 20s
+FUZZERS = \
+	internal/wire:FuzzReader \
+	internal/wire:FuzzRoundTrip \
+	internal/session:FuzzDecodeApp \
+	internal/session:FuzzReassembler \
+	internal/onion:FuzzParseConstructLayer \
+	internal/onion:FuzzResponderBlob \
+	internal/onion:FuzzRelayTable \
+	internal/onion:FuzzPayloadOnionInPlace \
+	internal/livenet:FuzzReadFrame \
+	internal/livenet:FuzzFaultHandler \
+	internal/faultinject:FuzzParseSchedule \
+	internal/obs/tsdb:FuzzRead \
+	internal/obs:FuzzParsePrometheus
+
 fuzz:
-	$(GO) test ./internal/wire -fuzz FuzzReader -fuzztime 20s
-	$(GO) test ./internal/session -run '^$$' -fuzz FuzzDecodeApp -fuzztime 20s
-	$(GO) test ./internal/session -run '^$$' -fuzz FuzzReassembler -fuzztime 20s
-	$(GO) test ./internal/onion -fuzz FuzzParseConstructLayer -fuzztime 20s
-	$(GO) test ./internal/onion -run '^$$' -fuzz FuzzRelayTable -fuzztime 20s
-	$(GO) test ./internal/onion -run '^$$' -fuzz FuzzPayloadOnionInPlace -fuzztime 20s
-	$(GO) test ./internal/livenet -run '^$$' -fuzz FuzzReadFrame -fuzztime 20s
-	$(GO) test ./internal/livenet -run '^$$' -fuzz FuzzFaultHandler -fuzztime 20s
-	$(GO) test ./internal/faultinject -run '^$$' -fuzz FuzzParseSchedule -fuzztime 20s
-	$(GO) test ./internal/obs/tsdb -run '^$$' -fuzz FuzzRead -fuzztime 20s
-	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzParsePrometheus -fuzztime 20s
+	@set -e; for f in $(FUZZERS); do \
+		echo "fuzz $$f ($(FUZZTIME))"; \
+		$(GO) test ./$${f%%:*} -run '^$$' -fuzz "^$${f##*:}\$$" -fuzztime $(FUZZTIME); \
+	done
 
 cover:
 	$(GO) test -cover ./...

@@ -103,7 +103,7 @@ func (r *Receiver) HandleData(h onion.ReplyHandle, plain []byte) {
 	switch msg.Kind {
 	case session.KindProbe:
 		// Probes are acknowledged but never delivered.
-		h.Reply(msg.Ack.Encode(session.KindSegAck), h.Flow)
+		ack(h, msg.Ack)
 		return
 	case session.KindRegister, session.KindToService, session.KindServiceReply:
 		switch {
@@ -126,11 +126,23 @@ func (r *Receiver) HandleData(h onion.ReplyHandle, plain []byte) {
 		r.badSegs++ // bad shape, or one that disagrees with the MID's earlier segments
 		return
 	}
-	r.replies[seg.MID] = addHandle(r.replies[seg.MID], h)
-	h.Reply(session.Ack{MID: seg.MID, Index: seg.Index}.Encode(session.KindSegAck), h.Flow)
+	handles := r.replies[seg.MID]
+	if handles == nil {
+		// At most one handle per segment; the reassembler vetted the shape.
+		handles = make([]onion.ReplyHandle, 0, seg.Total)
+	}
+	r.replies[seg.MID] = addHandle(handles, h)
+	ack(h, session.Ack{MID: seg.MID, Index: seg.Index})
 	if verdict == session.Ready {
 		r.reconstruct(seg.MID)
 	}
+}
+
+// ack acknowledges a segment or probe up the path it arrived on,
+// encoded where it is sealed: the ack's one buffer is the one the
+// relays on the way back wrap their layers around.
+func ack(h onion.ReplyHandle, a session.Ack) {
+	h.ReplyApp(session.AckSize, func(b []byte) []byte { return a.AppendEncode(b, session.KindSegAck) }, h.Flow)
 }
 
 func (r *Receiver) reconstruct(mid uint64) {

@@ -30,17 +30,31 @@
 // are resolved once, and the responder's asymmetric open runs once per
 // path, not per segment (onion.Streams' key memo).
 //
-// A segment is in one buffer per hop. The initiator encodes it straight
-// into its payload onion, built and sealed in place in a pooled buffer
-// behind room for the frame header, and writes that buffer. A relay
-// reads a frame into one fresh buffer, opens its layer in place, writes
-// the next header over the bytes in front of what is left and sends the
-// same buffer on; the terminal relay does the same for the delivery.
-// The responder opens in place too, so DataFunc's data is a piece of
-// the frame it arrived in — which is why read buffers are fresh, never
-// pooled: they are the handler's, and the callee's to keep. Only the
-// write side is pooled: the initiator's onion buffer and the scratch
-// that small frames (construct, ack, reverse) are assembled in.
+// A frame is in one buffer per hop, in both directions, and the buffer
+// has one owner at a time (internal/onion/hop.go states the rule for the
+// hop layer; this is the driver's half). Forward, the initiator encodes
+// a segment straight into its payload onion, built and sealed in place
+// in a pooled buffer behind room for the frame header, and writes that
+// buffer; a relay reads a frame into one buffer, opens its layer in
+// place, writes the next header over the bytes in front of what is left
+// and sends the same buffer on; the terminal relay does the same for
+// the delivery. Backward, the responder builds its reply — an ack is
+// encoded where it is sealed — in pooled scratch behind header room,
+// and a relay seals its layer around the body where it was read:
+// readFrame leaves one layer of slack around every frame (the same
+// constant whatever the frame, so a buffer says nothing about its
+// position on a path), the header goes in the bytes in front, and the
+// frame leaves in one Write from the buffer it arrived in.
+//
+// A buffer is dead at Write unless it was handed to the application.
+// The responder opens in place, so DataFunc's data is a piece of the
+// frame it arrived in and the callee's to keep; the plaintext a Path
+// gets off the reverse path can be a piece of its frame too. Those two
+// kinds of read buffer are never reused. Every other frame was consumed
+// by the relay table, which keeps nothing of it, so once Node.handle
+// has written what the table answered the read buffer goes back to the
+// pool readFrame draws from. The write side's scratch is pooled as it
+// always was.
 //
 // Scope: static roster (the PKI directory with addresses) and one TCP
 // connection per frame. Gossip membership and the liveness predictor
@@ -54,9 +68,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"resilientmix/internal/netsim"
@@ -77,33 +93,86 @@ const (
 )
 
 // maxFrameSize bounds a frame to keep hostile peers from forcing huge
-// allocations.
-const maxFrameSize = 1 << 20
+// allocations; frameBits is its binary logarithm, one size class of
+// readBufs per bit.
+const (
+	frameBits    = 20
+	maxFrameSize = 1 << frameBits
+)
 
 // ErrFrameTooLarge is returned for a payload whose frame, header
 // included, would exceed maxFrameSize: the peer would drop it unread.
 var ErrFrameTooLarge = errors.New("livenet: payload does not fit a frame")
 
-// frame is one inbound wire message: kind, stream id, body. body is
-// buf[frameHeader:], and buf is the handler's alone: a layer of body
-// opens in place, and what is forwarded of it leaves from buf with the
-// new header written over the bytes in front of it (writeFrame).
+// frame is one inbound wire message: kind, stream id, body. body lies
+// in buf behind frameSlack + frameHeader bytes, with frameSlack more
+// behind it, and buf is the handler's alone: a layer of body opens or is
+// sealed in place, and what is forwarded leaves from buf with the new
+// header written over the bytes in front of it (writeFrame). pooled is
+// the handle buf, all of *pooled, goes back to readBufs by (release).
 type frame struct {
-	kind byte
-	sid  uint64
-	body []byte
-	buf  []byte
+	kind   byte
+	sid    uint64
+	body   []byte
+	buf    []byte
+	pooled *[]byte
 }
 
 // frameHeader is length(4) | kind(1) | sid(8); length counts kind, sid
 // and body.
 const frameHeader = 4 + 1 + 8
 
+// frameSlack is the room readFrame leaves on either side of a frame: one
+// symmetric layer (28 bytes in either suite — nonce in front and tag
+// behind under ECIES, all of it in front under Null), so that a relay
+// seals a reverse body where it was read. Nothing breaks if a suite
+// needs more: the hop layer moves a body that lacks room.
+const frameSlack = 28
+
+// readBufs recycles read buffers by size, so that a 100-byte reverse
+// frame never takes — and, ending at an initiator, never takes out of
+// circulation — the buffer of a 128 KB data frame read on the same
+// accept loop: class c holds buffers of 1<<c up to 2<<c bytes.
+var readBufs [frameBits + 1]sync.Pool
+
+// poisonReleased makes release overwrite a buffer before pooling it: a
+// test seam that turns any use of a frame after its release into wrong
+// bytes.
+var poisonReleased atomic.Bool
+
+// readBuf returns a buffer of at least size bytes, its length its
+// capacity, from readBufs. Sizes are rounded up, by at most a sixteenth,
+// so that the frames of one path — a layer apart from hop to hop — fit
+// each other's buffers.
+func readBuf(size int) *[]byte {
+	grain := max(64, 1<<bits.Len(uint(size))>>5)
+	size = (size + grain - 1) &^ (grain - 1)
+	bp, _ := readBufs[bits.Len(uint(size))-1].Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	if cap(*bp) < size {
+		*bp = make([]byte, size)
+	}
+	return bp
+}
+
+// release returns the frame's buffer to readBufs. Only a frame nothing
+// holds a piece of any more may be released: Node.handle says which.
+func (f frame) release() {
+	if poisonReleased.Load() {
+		for i := range f.buf {
+			f.buf[i] = 0xdb
+		}
+	}
+	readBufs[bits.Len(uint(len(f.buf)))-1].Put(f.pooled)
+}
+
 // frameScratch recycles the write side's buffers: the one an initiator
-// builds a payload onion in, behind frameHeader bytes for the header,
-// and the one writeFrame assembles every other frame in. Only the write
-// side is pooled: a buffer is dead once Write returns, whereas a read
-// body lives on in whatever the handlers keep of it.
+// builds a payload onion in and a responder its reply, behind
+// frameHeader bytes for the header, and the one writeFrame assembles
+// every frame in whose body is not already behind room. A buffer here is
+// dead once Write returns.
 var frameScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // putScratch returns a buffer to frameScratch through the pointer it
@@ -113,18 +182,6 @@ func putScratch(bp *[]byte, buf []byte) {
 		*bp = buf
 		frameScratch.Put(bp)
 	}
-}
-
-// offsetIn returns i such that b is buf[i:i+len(b)], or -1 when b is
-// empty or is not a sub-slice of buf reaching as far back as buf does.
-// A sub-slice keeps its parent's end of capacity, so the capacities
-// give the only candidate and the element addresses confirm it.
-func offsetIn(buf, b []byte) int {
-	i := cap(buf) - cap(b)
-	if len(b) == 0 || i < 0 || i+len(b) > len(buf) || &buf[i] != &b[0] {
-		return -1
-	}
-	return i
 }
 
 // frameBodyLen is the length of the frame body writeFrame gives s.
@@ -148,10 +205,11 @@ func frameBodyLen(s onion.Send) int {
 // sender(4) | onionLen(4) | onion | payload.
 //
 // When s.Body lies in room with at least the header's length of room in
-// front of it — a payload onion built behind headroom, or what a layer
-// opened in place left of an inbound frame — the header is written
-// there and the frame leaves from room: the payload is not copied.
-// Every other frame is assembled in pooled scratch.
+// front of it — a payload onion or a reply built behind headroom, what
+// a layer opened in place left of an inbound frame, or a reverse body
+// sealed in place inside one — the header is written there and the
+// frame leaves from room: the payload is not copied. Every other frame
+// is assembled in pooled scratch.
 func writeFrame(w io.Writer, self netsim.NodeID, s onion.Send, room []byte) error {
 	var scratch [frameHeader + 8]byte
 	head := scratch[:frameHeader]
@@ -166,7 +224,7 @@ func writeFrame(w io.Writer, self netsim.NodeID, s onion.Send, room []byte) erro
 		head = binary.BigEndian.AppendUint32(head, uint32(self))
 		head = binary.BigEndian.AppendUint32(head, uint32(len(s.Onion)))
 	}
-	if at := offsetIn(room, s.Body); at >= len(head) && len(s.Onion) == 0 {
+	if at := onion.OffsetIn(room, s.Body); at >= len(head) && len(s.Onion) == 0 {
 		out := room[at-len(head) : at+len(s.Body)]
 		copy(out, head)
 		_, err := w.Write(out)
@@ -181,7 +239,8 @@ func writeFrame(w io.Writer, self netsim.NodeID, s onion.Send, room []byte) erro
 }
 
 // readFrame parses one frame, rejecting oversize lengths. The header
-// arrives in one read; the frame's buffer is fresh and the caller's.
+// arrives in one read; the frame's buffer comes from readBufs and is
+// the caller's, to release or to hand on.
 func readFrame(r io.Reader) (frame, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -191,12 +250,15 @@ func readFrame(r io.Reader) (frame, error) {
 	if n < 9 || n > maxFrameSize {
 		return frame{}, fmt.Errorf("livenet: bad frame length %d", n)
 	}
-	buf := make([]byte, 4+n)
-	body := buf[frameHeader:]
-	if _, err := io.ReadFull(r, body); err != nil {
+	end := frameSlack + 4 + int(n)
+	bp := readBuf(end + frameSlack)
+	f := frame{kind: hdr[4], sid: binary.BigEndian.Uint64(hdr[5:]), buf: *bp, pooled: bp}
+	f.body = f.buf[frameSlack+frameHeader : end]
+	if _, err := io.ReadFull(r, f.body); err != nil {
+		f.release()
 		return frame{}, err
 	}
-	return frame{kind: hdr[4], sid: binary.BigEndian.Uint64(hdr[5:]), body: body, buf: buf}, nil
+	return f, nil
 }
 
 // Peer is one roster entry: identity, address, and public key.

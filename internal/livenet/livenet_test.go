@@ -15,7 +15,8 @@ import (
 	"resilientmix/internal/onioncrypt"
 )
 
-// cluster starts n live nodes on loopback with real ECIES keys.
+// cluster starts n live nodes on loopback with real ECIES keys — or
+// those of the suite a tweak selects.
 type cluster struct {
 	roster *Roster
 	nodes  []*Node
@@ -23,11 +24,14 @@ type cluster struct {
 
 func startCluster(t testing.TB, n int, onData map[int]DataFunc, tweak ...func(*Config)) *cluster {
 	t.Helper()
-	suite := onioncrypt.ECIES{}
+	probe := Config{Suite: onioncrypt.ECIES{}}
+	for _, f := range tweak {
+		f(&probe)
+	}
 	keys := make([]onioncrypt.KeyPair, n)
 	peers := make([]Peer, n)
 	for i := range keys {
-		kp, err := suite.GenerateKeyPair(rand.Reader)
+		kp, err := probe.Suite.GenerateKeyPair(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +54,7 @@ func startCluster(t testing.TB, n int, onData map[int]DataFunc, tweak ...func(*C
 			ID:               netsim.NodeID(i),
 			Roster:           prov,
 			Private:          keys[i].Private,
-			Suite:            suite,
+			Suite:            onioncrypt.ECIES{},
 			ConstructTimeout: 5 * time.Second,
 			DialTimeout:      2 * time.Second,
 		}
@@ -123,8 +127,9 @@ func TestFrameRoundTrip(t *testing.T) {
 	if out.kind != kindData || out.sid != 0xdeadbeef || !bytes.Equal(out.body, in.Body) {
 		t.Fatalf("frame round trip: %+v vs %+v", out, in)
 	}
-	if offsetIn(out.buf, out.body) != frameHeader {
-		t.Fatal("a read body does not sit behind a header's worth of its own buffer")
+	if at := onion.OffsetIn(out.buf, out.body); at != frameSlack+frameHeader || cap(out.body)-len(out.body) < frameSlack {
+		t.Fatalf("a read body sits at %d of its buffer with %d bytes behind it, want a header and a layer of slack in front and a layer behind",
+			at, cap(out.body)-len(out.body))
 	}
 }
 
@@ -162,7 +167,10 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 // before; and a body that lies in the caller's buffer behind room for
 // the header — an onion built behind headroom, a layer opened in place
 // in a frame that was read — leaves from that buffer, not from a copy.
+// The reverse direction's two ways (a responder's reply, a relay's
+// reverse hop) come from the hop layer: reverseFramesOneWrite.
 func TestFrameOneWrite(t *testing.T) {
+	t.Run("reverse path", reverseFramesOneWrite)
 	const self = netsim.NodeID(0x01020304)
 	for _, size := range []int{0, 7, 1 << 17, 3} {
 		body := bytes.Repeat([]byte{byte(size)}, size)
@@ -201,7 +209,7 @@ func TestFrameOneWrite(t *testing.T) {
 			if want := frameHeader + len(tc.lead) + size; w.Len() != want {
 				t.Fatalf("%s, %d-byte body: wrote %d bytes, want %d", tc.name, size, w.Len(), want)
 			}
-			if got := offsetIn(room, w.last) >= 0; got != tc.inPlace {
+			if got := onion.OffsetIn(room, w.last) >= 0; got != tc.inPlace {
 				t.Fatalf("%s, %d-byte body: written from the caller's buffer = %v, want %v", tc.name, size, got, tc.inPlace)
 			}
 			out, err := readFrame(&w.Buffer)
@@ -242,6 +250,7 @@ func TestFrameWriteAllocs(t *testing.T) {
 			t.Errorf("%s: %v allocations per frame written, want 0", name, allocs)
 		}
 	}
+	reverseFrameAllocs(t)
 }
 
 // TestFrameReadShortReads feeds readFrame a stream that trickles in one

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -300,7 +301,9 @@ func (n *Node) acceptLoop() {
 			if err != nil {
 				return
 			}
-			n.handle(f)
+			if !n.handle(f) {
+				f.release()
+			}
 		}()
 	}
 }
@@ -354,6 +357,9 @@ func (n *Node) send(s onion.Send, room []byte) error {
 func (n *Node) sendCtx(ctx context.Context, s onion.Send, room []byte) error {
 	to, sid, size := s.To, uint64(s.SID), frameBodyLen(s)
 	if frameHeader+size > maxFrameSize {
+		// A reverse body grows a layer per hop: one that fitted at the
+		// responder can stop fitting here, where only this drop says so.
+		n.noteDropped("live.send_errors", to, sid, size, obs.ReasonSendFailed)
 		return ErrFrameTooLarge
 	}
 	if n.flt.blackholed(to) {
@@ -447,12 +453,14 @@ func (n *Node) admit(f frame) (from netsim.NodeID, rest []byte, ok bool) {
 // handle dispatches one inbound frame: frames of this node's own paths
 // go to its initiator role, deliveries to its responder role, and the
 // rest through the relay table, whose answers go back out as frames —
-// a forwarded or delivered payload from the buffer it arrived in.
-func (n *Node) handle(f frame) {
+// a forwarded, delivered or reverse body from the buffer it arrived in.
+// It reports whether the frame was handed to a role that may keep a
+// piece of it; otherwise nothing refers to f.buf once handle returns.
+func (n *Node) handle(f frame) (kept bool) {
 	now := time.Now().UnixNano() // the hop layer's clock
 	if f.kind < kindConstruct || f.kind > kindConstructData {
 		n.m.badFrames.Inc()
-		return
+		return false
 	}
 	n.m.framesIn[f.kind].Inc()
 	sid := onion.StreamID(f.sid)
@@ -461,44 +469,46 @@ func (n *Node) handle(f frame) {
 	case kindConstruct, kindConstructData:
 		from, rest, ok := n.admit(f)
 		if !ok {
-			return
+			return false
 		}
 		if f.kind == kindConstruct {
 			step = n.tab.Construct(now, from, sid, rest)
 		} else {
 			if len(rest) < 4 {
-				return
+				return false
 			}
 			onionLen := binary.BigEndian.Uint32(rest)
 			if uint64(onionLen) > uint64(len(rest)-4) {
-				return
+				return false
 			}
 			step = n.tab.ConstructData(now, from, sid, rest[4:4+onionLen], rest[4+onionLen:])
 		}
 		n.syncStateGauges()
 	case kindAck:
 		if n.completeAck(f.sid) {
-			return
+			return false
 		}
 		step = n.tab.Ack(now, sid)
 	case kindData:
 		step = n.tab.Data(now, sid, f.body)
 	case kindDeliver:
 		n.handleDeliver(f)
-		return
+		return true
 	case kindReverse:
 		n.mu.Lock()
 		p := n.paths[f.sid]
 		n.mu.Unlock()
 		if p != nil {
 			p.deliverReverse(f.body)
-			return
+			return true
 		}
-		step = n.tab.Reverse(now, sid, f.body)
+		step = n.tab.Reverse(now, sid, f.body, f.buf)
 	}
 	for i := 0; i < step.N; i++ {
-		n.send(step.Out[i], f.buf)
+		// A failed send is counted and traced where it fails (sendCtx).
+		_ = n.send(step.Out[i], f.buf)
 	}
+	return false
 }
 
 // completeAck resolves a pending local construction, if sid is one.
@@ -546,11 +556,35 @@ type ReplyHandle struct {
 func (h ReplyHandle) From() netsim.NodeID { return h.relay }
 
 // Reply encrypts data with the stream key and sends it up the reverse
-// path.
+// path; data is only read. The reply leaves as a frame of frameHeader +
+// 28 + len(data) bytes and grows by a 28-byte layer at every relay; one
+// that would leave here larger than maxFrameSize is refused with
+// ErrFrameTooLarge, and one that outgrows it on the way is dropped by
+// the relay it no longer fits at — counted in that relay's
+// live.send_errors and traced as MsgDropped, which the responder never
+// sees. The responder does not know how long the path back is, so the
+// largest reply sure to arrive is the one that leaves a layer of room
+// for every relay of the longest path the deployment builds:
+// maxFrameSize − frameHeader − 28·(L+1) bytes over L relays.
 func (h ReplyHandle) Reply(data []byte) error {
-	s, err := h.node.streams.Reply(h.relay, onion.StreamID(h.sid), h.key, data)
-	if err != nil {
-		return err
+	return h.replyApp(len(data), func(b []byte) []byte { return append(b, data...) })
+}
+
+// replyApp is Reply for a message of plainLen bytes that plain appends
+// to the slice it is handed: the reply is encoded and sealed in one
+// pooled buffer, behind room for the frame header, and that buffer is
+// what is written (Path.sendApp is the forward twin).
+func (h ReplyHandle) replyApp(plainLen int, plain func([]byte) []byte) error {
+	size := frameHeader + plainLen + h.node.cfg.Suite.SymOverhead()
+	if size > maxFrameSize {
+		return fmt.Errorf("%w: a %d-byte reply needs %d of %d", ErrFrameTooLarge, plainLen, size, maxFrameSize)
 	}
-	return h.node.send(s, nil)
+	bp := frameScratch.Get().(*[]byte)
+	buf := slices.Grow((*bp)[:0], size)
+	s, err := h.node.streams.AppendReply(buf[:frameHeader], h.relay, onion.StreamID(h.sid), h.key, plainLen, plain)
+	if err == nil {
+		err = h.node.send(s, buf[:size])
+	}
+	putScratch(bp, buf)
+	return err
 }

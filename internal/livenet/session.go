@@ -78,7 +78,7 @@ func (c *LiveCollector) Handle(h ReplyHandle, data []byte) {
 	switch msg.Kind {
 	case session.KindProbe:
 		h.node.m.recvProbes.Inc()
-		h.Reply(msg.Ack.Encode(session.KindSegAck))
+		h.ack(msg.Ack)
 		return
 	case session.KindCover:
 		h.node.m.recvCover.Inc()
@@ -101,7 +101,7 @@ func (c *LiveCollector) Handle(h ReplyHandle, data []byte) {
 	}
 	// Ack before reconstructing — the initiator's failure detector keys
 	// on this.
-	h.Reply(session.Ack{MID: seg.MID, Index: seg.Index}.Encode(session.KindSegAck))
+	h.ack(session.Ack{MID: seg.MID, Index: seg.Index})
 	if verdict == session.Duplicate || verdict == session.Late {
 		h.node.m.recvDupSegments.Inc()
 	} else {
@@ -125,6 +125,13 @@ func (c *LiveCollector) Handle(h ReplyHandle, data []byte) {
 	if c.delivered != nil {
 		c.delivered(seg.MID, out)
 	}
+}
+
+// ack acknowledges a segment or probe up the path it arrived on, the
+// ack encoded where it is sealed. A send that fails is counted where it
+// fails; the initiator's failure detector is what notices.
+func (h ReplyHandle) ack(a session.Ack) {
+	_ = h.replyApp(session.AckSize, func(b []byte) []byte { return a.AppendEncode(b, session.KindSegAck) })
 }
 
 // SessionOptions configures a LiveSession's resilience machinery.

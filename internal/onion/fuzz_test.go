@@ -1,6 +1,7 @@
 package onion
 
 import (
+	"bytes"
 	"testing"
 
 	"resilientmix/internal/netsim"
@@ -62,7 +63,12 @@ func FuzzResponderBlob(f *testing.F) {
 // FuzzRelayTable feeds arbitrary (kind, from, sid, body) inputs to a
 // relay table that already holds one real path: hostile input must
 // never panic, never yield more than two well-formed sends, and never
-// grow the table beyond the constructs it accepted.
+// grow the table beyond the constructs it accepted. A reverse body
+// arrives at an arbitrary offset of a buffer with arbitrary room around
+// it — none included — and, on the seeded path's stream (an even sid
+// stands for it: the table draws a new one every run), must leave one
+// layer longer, inside the buffer the step names, opening to what came
+// in, and without having moved if it had the room.
 func FuzzRelayTable(f *testing.F) {
 	suite := onioncrypt.Null{}
 	eng := sim.NewEngine(1)
@@ -72,22 +78,29 @@ func FuzzRelayTable(f *testing.F) {
 	}
 	env := simEnv(eng.RNG(), suite)
 	relays := []netsim.NodeID{1, 2}
-	_, launch, err := NewPathKeys(env, dir, 0, relays, 5, []byte("first"), true)
+	keys, launch, err := NewPathKeys(env, dir, 0, relays, 5, []byte("first"), true)
 	if err != nil {
 		f.Fatal(err)
 	}
+	pre, post := suite.SymPrefix(), suite.SymOverhead()-suite.SymPrefix()
 	// ConstructData inputs carry onionLen(1) | onion | body in one slice.
 	joined := append(append([]byte{byte(len(launch.Onion))}, launch.Onion...), launch.Body...)
-	f.Add(uint8(KindConstruct), int32(0), uint64(9), launch.Onion)
-	f.Add(uint8(KindConstructData), int32(0), uint64(launch.SID), joined)
-	f.Add(uint8(KindData), int32(0), uint64(launch.SID), launch.Body)
-	f.Add(uint8(KindAck), int32(3), uint64(0), []byte{})
-	f.Add(uint8(KindReverse), int32(-1), uint64(1<<63), make([]byte, 64))
+	f.Add(uint8(KindConstruct), int32(0), uint64(9), launch.Onion, uint8(0), uint8(0))
+	f.Add(uint8(KindConstructData), int32(0), uint64(launch.SID), joined, uint8(0), uint8(0))
+	f.Add(uint8(KindData), int32(0), uint64(launch.SID), launch.Body, uint8(0), uint8(0))
+	f.Add(uint8(KindAck), int32(3), uint64(0), []byte{}, uint8(0), uint8(0))
+	f.Add(uint8(KindReverse), int32(-1), uint64(1<<63|1), make([]byte, 64), uint8(0), uint8(0))
+	f.Add(uint8(KindReverse), int32(0), uint64(0), []byte("no room at all"), uint8(0), uint8(0))
+	f.Add(uint8(KindReverse), int32(0), uint64(0), []byte("a layer's room exactly"), uint8(pre), uint8(post))
+	f.Add(uint8(KindReverse), int32(0), uint64(0), []byte("a byte short in front"), uint8(pre-1), uint8(post))
+	f.Add(uint8(KindReverse), int32(0), uint64(0), []byte{}, uint8(200), uint8(200))
+	f.Add(uint8(KindReverse), int32(0), uint64(2), make([]byte, 300), uint8(13+pre), uint8(3))
 
-	f.Fuzz(func(t *testing.T, kind uint8, from int32, sid uint64, body []byte) {
+	f.Fuzz(func(t *testing.T, kind uint8, from int32, sid uint64, body []byte, front, back uint8) {
 		tab := NewTable(env, dir.Private(1), 100)
-		if st := tab.ConstructData(0, 0, launch.SID, launch.Onion, launch.Body); st.N != 1 {
-			t.Fatalf("seed path rejected: %+v", st)
+		seeded := tab.ConstructData(0, 0, launch.SID, launch.Onion, launch.Body)
+		if seeded.N != 1 {
+			t.Fatalf("seed path rejected: %+v", seeded)
 		}
 		for now := int64(1); now <= 201; now += 100 { // live, then expired
 			var st Step
@@ -105,7 +118,27 @@ func FuzzRelayTable(f *testing.F) {
 			case KindData:
 				st = tab.Data(now, StreamID(sid), body)
 			case KindReverse:
-				st = tab.Reverse(now, StreamID(sid), body)
+				if sid%2 == 0 {
+					sid = uint64(seeded.Out[0].SID)
+				}
+				room := make([]byte, int(front)+len(body), int(front)+len(body)+int(back))
+				in := room[front:]
+				copy(in, body)
+				st = tab.Reverse(now, StreamID(sid), in, room)
+				if st.N == 0 {
+					break
+				}
+				out := st.Out[0]
+				if len(out.Body) != len(body)+pre+post || OffsetIn(out.Room, out.Body) < 0 {
+					t.Fatalf("a %d-byte reverse body left as %d bytes at %d of its room", len(body), len(out.Body), OffsetIn(out.Room, out.Body))
+				}
+				hadRoom := len(body) > 0 && int(front) >= pre && int(back) >= post
+				if moved := cap(room) == 0 || &out.Room[0] != &room[:1][0]; moved == hadRoom {
+					t.Fatalf("%d bytes with %d in front and %d behind: moved = %v", len(body), front, back, moved)
+				}
+				if got, err := suite.SymOpen(keys.hops[0], out.Body); err != nil || !bytes.Equal(got, body) {
+					t.Fatalf("the reverse layer does not open to what came in (err %v)", err)
+				}
 			default:
 				return
 			}

@@ -18,14 +18,24 @@ import (
 // initiator.go, responder.go) and the TCP node (internal/livenet) are
 // the two drivers; neither holds protocol state of its own.
 //
-// Payload bytes are handled in place. A body given to Table.Data,
-// Table.ConstructData, Streams.Open or PathKeys.OpenReverse is consumed:
-// its symmetric layer is opened into its own storage
-// (Suite.SymOpenInPlace), what comes back — Send.Body, the plaintext —
-// is a sub-slice of it, and a body that did not open is left in no
-// particular state. The driver hands over a buffer nothing else reads,
-// and may put its own framing in the bytes in front of a returned
-// sub-slice. Nothing here keeps a reference to a body after returning.
+// Payload bytes are handled in place, and a buffer has one owner at a
+// time, in both directions. Consumed in: a body given to Table.Data,
+// Table.ConstructData, Table.Reverse, Streams.Open or
+// PathKeys.OpenReverse is the hop layer's until the call returns, and a
+// body that did not open is left in no particular state. Same storage
+// out: forward, a layer is opened into its own bytes
+// (Suite.SymOpenInPlace) and what comes back — Send.Body, the plaintext
+// — is a sub-slice of what went in; backward, a layer is sealed around
+// the body where it lies (Suite.SymSealInPlace) in the buffer the driver
+// says it lies in, and Send.Body is a slice of that buffer one layer
+// longer. A reverse body without a layer's room around it is moved, by
+// reverseLayer and nowhere else, into a buffer with room for the hops
+// to come; Send.Room names the buffer either way. The driver hands over
+// buffers nothing else reads or writes, and may put its own framing in
+// the bytes in front of a returned body. Nothing here keeps a reference
+// to a body after returning, so once the driver has put a step's sends
+// on its wire the buffer is dead — unless the driver itself handed it
+// to an application (a responder's plaintext, an initiator's reply).
 
 // Kind names a hop-layer message. The values are the live wire's frame
 // kinds.
@@ -51,6 +61,10 @@ type Send struct {
 	SID   StreamID
 	Onion []byte // construction onion (KindConstruct, KindConstructData)
 	Body  []byte // payload layer, responder blob or reverse body
+	// Room is the buffer a reverse body lies in (KindReverse; nil on
+	// every other kind): the driver carries it to the next hop beside
+	// Body, whose layer goes into the room around it.
+	Room []byte
 }
 
 // Drop says why an input went no further.
@@ -335,23 +349,69 @@ func (t *Table) Data(now int64, sid StreamID, body []byte) Step {
 }
 
 // Reverse wraps a response in this relay's symmetric layer and maps it
-// one hop toward the initiator (§4.2).
-func (t *Table) Reverse(now int64, sid StreamID, body []byte) Step {
+// one hop toward the initiator (§4.2). body is consumed, and so is room,
+// the buffer the driver says body lies in (nil when it has none to
+// offer): the layer is sealed around body where it lies, or, when room
+// does not hold body with a layer's room around it, where reverseLayer
+// moved it. The Send's Body and Room are the result.
+func (t *Table) Reverse(now int64, sid StreamID, body, room []byte) Step {
 	t.mu.Lock()
 	st := t.lookup(t.reverse, sid, now)
 	t.mu.Unlock()
 	if st == nil {
 		return Step{Drop: DropNoSID}
 	}
-	wrapped, err := t.env.Suite.SymSeal(t.env.Rand, st.key, body)
-	if err != nil {
+	room, layer := reverseLayer(t.env.Suite, room, OffsetIn(room, body), len(body), body)
+	if err := t.env.Suite.SymSealInPlace(t.env.Rand, st.key, layer); err != nil {
 		return t.bad()
 	}
 	t.mu.Lock()
 	st.expires = now + t.ttl
 	t.stats.ReverseHops++
 	t.mu.Unlock()
-	return one(Send{To: st.prev, Kind: KindReverse, SID: st.prevSID, Body: wrapped})
+	return one(Send{To: st.prev, Kind: KindReverse, SID: st.prevSID, Body: layer, Room: room})
+}
+
+// reverseSlack is how many reverse layers fit around a body in a buffer
+// the hop layer makes for it. It is a constant on purpose: the
+// responder, who makes the first buffer of every reply, does not and
+// must not know how long the path back is, so a buffer's size says
+// nothing about it. Four covers the responder's own layer and the
+// paper's L = 3 relays; a longer path moves the body once every four
+// hops.
+const reverseSlack = 4
+
+// OffsetIn returns i such that b is buf[i:i+len(b)], or -1 when b is
+// empty or is not a sub-slice of buf reaching as far back as buf does.
+// A sub-slice keeps its parent's end of capacity, so the capacities
+// give the only candidate and the element addresses confirm it.
+func OffsetIn(buf, b []byte) int {
+	i := cap(buf) - cap(b)
+	if len(b) == 0 || i < 0 || i+len(b) > len(buf) || &buf[i] != &b[0] {
+		return -1
+	}
+	return i
+}
+
+// reverseLayer finds the bytes a symmetric layer around the n bytes at
+// room[at:] will fill — Suite.SymPrefix in front of them, the rest of
+// SymOverhead behind — and returns them with the buffer they lie in.
+// That is room, whole, when it has the layer's overhead free on both
+// sides of those n bytes (behind them, capacity counts). Otherwise —
+// at < 0 says the bytes are not in room at all — it is a fresh buffer
+// with room for reverseSlack layers, into which body, the n bytes if
+// they exist yet, has been copied: the one place on the reverse path
+// where a body moves or a buffer is made.
+func reverseLayer(suite onioncrypt.Suite, room []byte, at, n int, body []byte) (buf, layer []byte) {
+	pre := suite.SymPrefix()
+	post := suite.SymOverhead() - pre
+	if at < pre || at+n+post > cap(room) {
+		room = make([]byte, reverseSlack*pre+n+reverseSlack*post)
+		at = reverseSlack * pre
+		copy(room[at:], body)
+	}
+	room = room[:cap(room)]
+	return room, room[at-pre : at+n+post]
 }
 
 // Streams is the responder endpoint D: it unseals the per-path
@@ -419,10 +479,29 @@ func (s *Streams) Open(now int64, sid StreamID, blob []byte) (key, plain []byte,
 }
 
 // Reply seals plain under a delivering stream's key for the way back
-// up its path through the terminal relay.
+// up its path through the terminal relay. plain is only read.
 func (s *Streams) Reply(relay netsim.NodeID, sid StreamID, key, plain []byte) (Send, error) {
-	ct, err := s.env.Suite.SymSeal(s.env.Rand, key, plain)
-	return Send{To: relay, Kind: KindReverse, SID: sid, Body: ct}, err
+	return s.AppendReply(nil, relay, sid, key, len(plain), func(b []byte) []byte { return append(b, plain...) })
+}
+
+// AppendReply is Reply for a message its caller encodes where it is
+// sealed, in the caller's buffer if it offers one: plain appends the
+// plainLen bytes to the slice it is handed and returns it. When dst has
+// plainLen + SymOverhead bytes to spare the reply is built right behind
+// len(dst) — a driver leaves room for its framing in front — and
+// otherwise in a buffer of the hop layer's own with room for the
+// relays' layers (reverseLayer; dst is left alone). The Send's Body and
+// Room say where it is.
+func (s *Streams) AppendReply(dst []byte, relay netsim.NodeID, sid StreamID, key []byte, plainLen int, plain func([]byte) []byte) (Send, error) {
+	pre := s.env.Suite.SymPrefix()
+	room, layer := reverseLayer(s.env.Suite, dst, len(dst)+pre, plainLen, nil)
+	if got := plain(layer[:pre]); len(got) != pre+plainLen {
+		return Send{}, fmt.Errorf("onion: reply of %d bytes announced as %d", len(got)-pre, plainLen)
+	}
+	if err := s.env.Suite.SymSealInPlace(s.env.Rand, key, layer); err != nil {
+		return Send{}, fmt.Errorf("onion: sealing reply: %w", err)
+	}
+	return Send{To: relay, Kind: KindReverse, SID: sid, Body: layer, Room: room}, nil
 }
 
 // Sweep forgets streams idle past the TTL.

@@ -114,7 +114,7 @@ func (h *hopNet) input(at, from netsim.NodeID, s Send) Step {
 	case KindData:
 		st = tab.Data(h.now, s.SID, s.Body)
 	case KindReverse:
-		st = tab.Reverse(h.now, s.SID, s.Body)
+		st = tab.Reverse(h.now, s.SID, s.Body, s.Room)
 	default:
 		h.t.Fatalf("relay %d received kind %d", at, s.Kind)
 	}
@@ -465,7 +465,7 @@ func TestTableConcurrent(t *testing.T) {
 					t.Errorf("data: %+v", st)
 					return
 				}
-				if st := tab.Reverse(now, st.Out[0].SID, []byte("r")); st.N != 1 {
+				if st := tab.Reverse(now, st.Out[0].SID, []byte("r"), nil); st.N != 1 {
 					t.Errorf("reverse: %+v", st)
 					return
 				}

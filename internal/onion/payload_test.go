@@ -336,7 +336,10 @@ func allocBytesPerRun(runs int, f func()) float64 {
 // and nothing that grows with the payload: forwarding a 128 KB layer at
 // a relay stays under 2 KB, and building the 2-relay onion of a 128 KB
 // segment — three layers — into a buffer that has room stays under
-// 4 KB, where the copying code took 128 KB and 650 KB.
+// 4 KB, where the copying code took 128 KB and 650 KB. The way back has
+// the same shape: a relay's reverse hop on a body with room is the key
+// schedule under ECIES and nothing under Null, where the layer used to
+// be sealed into a fresh buffer; a responder's reply is one buffer.
 func TestHotPathAllocs(t *testing.T) {
 	const perCall, perBuild = 2 << 10, 4 << 10
 	suite := onioncrypt.ECIES{}
@@ -376,5 +379,39 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 	if got := allocBytesPerRun(20, forward); got >= perCall {
 		t.Errorf("forwarding a 128 KB layer allocates %.0f bytes, budget %d", got, perCall)
+	}
+
+	for _, suite := range []onioncrypt.Suite{onioncrypt.ECIES{}, onioncrypt.Null{}} {
+		p := newReversePath(t, suite, 1)
+		var reply Send
+		respond := func() {
+			if reply, err = p.streams.Reply(p.relay, p.sid, p.key, seg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// One buffer: the reply with reverseSlack layers of room, which
+		// the allocator rounds up to whole 8 KB pages.
+		buffer := float64((len(seg) + (1+reverseSlack)*suite.SymOverhead() + 8191) &^ 8191)
+		if got := allocBytesPerRun(20, respond); got >= buffer+perCall {
+			t.Errorf("%s: a 128 KB reply allocates %.0f bytes, want its %.0f-byte buffer and under %d more", suite.Name(), got, buffer, perCall)
+		}
+		arrived := bytes.Clone(reply.Body)
+		back := func() {
+			copy(reply.Body, arrived) // Reverse consumes its input
+			if st := p.tabs[0].Reverse(1, reply.SID, reply.Body, reply.Room); st.N != 1 || OffsetIn(reply.Room, st.Out[0].Body) < 0 {
+				t.Fatalf("relay did not seal the reply where it lay: %+v", st)
+			}
+		}
+		if got := allocBytesPerRun(20, back); got >= perCall {
+			t.Errorf("%s: a relay's reverse hop on a 128 KB body with room allocates %.0f bytes, budget %d", suite.Name(), got, perCall)
+		}
+		if suite.Name() == "null" {
+			if got := testing.AllocsPerRun(100, back); got != 0 {
+				t.Errorf("null: a relay's reverse hop with room allocates %v times, want 0", got)
+			}
+			if got := testing.AllocsPerRun(100, respond); got != 1 {
+				t.Errorf("null: a reply allocates %v times, want 1", got)
+			}
+		}
 	}
 }

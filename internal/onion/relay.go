@@ -81,7 +81,7 @@ func (r *Relay) handle(from netsim.NodeID, p packet, size int) {
 	case KindData:
 		st = r.tab.Data(now, p.SID, p.Body)
 	case KindReverse:
-		st = r.tab.Reverse(now, p.SID, p.Body)
+		st = r.tab.Reverse(now, p.SID, p.Body, p.Room)
 	default:
 		return
 	}

@@ -77,8 +77,17 @@ func (h ReplyHandle) StreamID() StreamID { return h.sid }
 
 // Reply encrypts plain with the stream's symmetric key and sends it
 // back up the path. It reports whether the message entered the network.
+// plain is only read.
 func (h ReplyHandle) Reply(plain []byte, flow *metrics.Flow) bool {
-	s, err := h.resp.streams.Reply(h.relay, h.sid, h.key, plain)
+	return h.ReplyApp(len(plain), func(b []byte) []byte { return append(b, plain...) }, flow)
+}
+
+// ReplyApp is Reply for a message its caller encodes where it is sealed
+// (Streams.AppendReply): plain appends the plainLen bytes to the slice
+// it is handed, so a reply allocates one buffer — the one every relay
+// on the way back seals its layer into — and no copy beside it.
+func (h ReplyHandle) ReplyApp(plainLen int, plain func([]byte) []byte, flow *metrics.Flow) bool {
+	s, err := h.resp.streams.AppendReply(nil, h.relay, h.sid, h.key, plainLen, plain)
 	if err != nil {
 		return false
 	}

@@ -50,6 +50,7 @@ type packet struct {
 	SID   StreamID
 	Onion []byte // Path_i of §4.1 (KindConstruct, KindConstructData)
 	Body  []byte // payload layer, responder blob or reverse body
+	Room  []byte // the buffer a reverse body lies in (Send.Room)
 	Flow  *metrics.Flow
 	Trace obs.Tag
 }
@@ -106,7 +107,7 @@ func transmit(net *netsim.Network, from netsim.NodeID, s Send, flow *metrics.Flo
 		tag = obs.Tag{}
 	}
 	p := packetPool.Get().(*packet)
-	*p = packet{Kind: s.Kind, SID: s.SID, Onion: s.Onion, Body: s.Body, Flow: flow, Trace: tag}
+	*p = packet{Kind: s.Kind, SID: s.SID, Onion: s.Onion, Body: s.Body, Room: s.Room, Flow: flow, Trace: tag}
 	size := wireSize(s.Kind, s.Onion, s.Body)
 	if !net.Send(from, s.To, netsim.Message{Payload: p, Size: size, Trace: tag}) {
 		// Never on the wire: nothing else has seen it.

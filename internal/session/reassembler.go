@@ -58,7 +58,8 @@ func (r *Reassembler) Add(now int64, s Segment) Verdict {
 	}
 	a := r.msgs[s.MID]
 	if a == nil {
-		a = &assembly{needed: s.Needed, total: s.Total, first: now}
+		// m segments complete the message; ValidCodeShape bounds m.
+		a = &assembly{needed: s.Needed, total: s.Total, first: now, segs: make([]erasure.Segment, 0, s.Needed)}
 		r.msgs[s.MID] = a
 	}
 	a.expires = now + r.horizon
