@@ -11,6 +11,10 @@ build:
 	$(GO) build ./...
 	$(GO) vet ./...
 
+# Tier 1. Without -race on purpose: the allocation budgets
+# (core.TestSimEraMessageAllocs, livenet.TestLive{Small,Bulk}AllocBudget,
+# livenet.TestFrameWriteAllocs) skip under the race detector, where
+# sync.Pool drops at random, so this is the only target that runs them.
 test:
 	$(GO) test ./...
 
@@ -126,8 +130,9 @@ lint-session:
 lint-cluster:
 	$(GO) run ./ci/lintcluster
 
-# Short fuzz passes over the wire-facing parsers and the in-place onion
-# and reverse-layer code. This is the one list: CI's "Fuzz smoke" step is
+# Short fuzz passes over the wire-facing parsers, the in-place onion and
+# reverse-layer code and the keyed cipher handles against the by-bytes
+# API. This is the one list (14): CI's "Fuzz smoke" step is
 # `make fuzz FUZZTIME=15s`. Every pass runs its fuzzer alone (-run '^$'
 # skips the package's tests, the anchored -fuzz matches one target).
 # (core.FuzzDecodeAppMsg and livenet.FuzzDecodeLive, which fuzz the two
@@ -139,6 +144,7 @@ FUZZERS = \
 	internal/wire:FuzzRoundTrip \
 	internal/session:FuzzDecodeApp \
 	internal/session:FuzzReassembler \
+	internal/onioncrypt:FuzzCipherOpen \
 	internal/onion:FuzzParseConstructLayer \
 	internal/onion:FuzzResponderBlob \
 	internal/onion:FuzzRelayTable \

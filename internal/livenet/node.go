@@ -549,7 +549,7 @@ type ReplyHandle struct {
 	node  *Node
 	sid   uint64
 	relay netsim.NodeID
-	key   []byte
+	key   onioncrypt.Cipher // the delivering stream's, for this reply
 }
 
 // From returns the terminal relay the payload arrived through.

@@ -277,23 +277,38 @@ func (n *Node) NewLiveSessionOpts(relayLists [][]netsim.NodeID, responder netsim
 	if opts.Repair {
 		s.m.EnableRepair()
 	}
-	var firstErr error
+	// The k constructions leave together, as core.Session's do, so
+	// establishment is one path round trip (or one ConstructTimeout), not
+	// k; the machine sees the outcomes once all are in, in slot order.
+	launched := make([]struct {
+		p   *Path
+		err error
+	}, k)
+	var launches sync.WaitGroup
 	for i, relays := range relayLists {
 		s.hops = max(s.hops, len(relays))
-		cctx, cancel := context.WithTimeout(ctx, n.cfg.ConstructTimeout)
-		p, err := n.launch(cctx, relays, responder, nil, false, s.reverse)
-		cancel()
-		if err != nil {
+		launches.Add(1)
+		go func() {
+			defer launches.Done()
+			cctx, cancel := context.WithTimeout(ctx, n.cfg.ConstructTimeout)
+			defer cancel()
+			launched[i].p, launched[i].err = n.launch(cctx, relays, responder, nil, false, s.reverse)
+		}()
+	}
+	launches.Wait()
+	var firstErr error
+	for i, l := range launched {
+		if l.err != nil {
 			if firstErr == nil {
-				firstErr = err
+				firstErr = l.err
 			}
 			// A slot that never stood is still a slot of this width:
 			// its replacement has as many relays.
-			s.m.PathDown(i, append([]netsim.NodeID(nil), relays...))
+			s.m.PathDown(i, append([]netsim.NodeID(nil), relayLists[i]...))
 			continue
 		}
-		s.paths[i].Store(p)
-		s.m.PathUp(i, p.Relays)
+		s.paths[i].Store(l.p)
+		s.m.PathUp(i, l.p.Relays)
 	}
 	if alive := s.AlivePaths(); alive < k/r {
 		s.Teardown()
@@ -629,7 +644,11 @@ func (s *LiveSession) choose(slot int) ([]netsim.NodeID, error) {
 }
 
 // buildLoop is the session's one goroutine: it constructs the
-// replacement paths the machine asks for, one at a time.
+// replacement paths the machine asks for, one at a time — unlike the k
+// paths of establishment, whose relays the caller chose together. Two
+// concurrent choose calls would each exclude the paths standing now but
+// not the other's pick, and the session's paths must stay
+// node-disjoint.
 func (s *LiveSession) buildLoop() {
 	defer s.wg.Done()
 	for {

@@ -191,6 +191,37 @@ func TestLiveSessionFailsWithoutQuorum(t *testing.T) {
 	}
 }
 
+// TestLiveSessionEstablishesPathsTogether: a session's k constructions
+// leave together, so two slots that stay silent cost one
+// ConstructTimeout, not two. The second relay of two lists is closed:
+// the construction leaves the initiator, the first relay cannot hand it
+// on, and no ack ever comes.
+func TestLiveSessionEstablishesPathsTogether(t *testing.T) {
+	const timeout = 500 * time.Millisecond
+	e := newLiveSessionEnv(t, 10, 9, func(cfg *Config) { cfg.ConstructTimeout = timeout })
+	e.c.nodes[2].Close()
+	e.c.nodes[6].Close()
+	start := time.Now()
+	sess, err := e.c.nodes[0].NewLiveSessionOpts([][]netsim.NodeID{{1, 2}, {3, 4}, {5, 6}, {7, 8}}, 9, SessionOptions{R: 2})
+	took := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Teardown()
+	if took < timeout || took >= timeout*7/4 {
+		t.Fatalf("establishment with two silent slots took %v, want about one ConstructTimeout (%v)", took, timeout)
+	}
+	sess.mu.Lock()
+	var alive [4]bool
+	for i := range alive {
+		alive[i] = sess.m.SlotAlive(i)
+	}
+	sess.mu.Unlock()
+	if alive != [4]bool{false, true, false, true} {
+		t.Fatalf("slots alive = %v, want the two silent ones down", alive)
+	}
+}
+
 func TestLiveCollectorRejectsGarbage(t *testing.T) {
 	c := NewLiveCollector(func(uint64, []byte) {
 		panic("garbage delivered")
@@ -214,7 +245,11 @@ func deafHandle(t testing.TB) (ReplyHandle, *Node) {
 	cl := startCluster(t, 2, nil, func(cfg *Config) { cfg.Suite = onioncrypt.Null{} })
 	node := cl.nodes[0]
 	node.BlackholePeer(1, 0)
-	return ReplyHandle{node: node, sid: 1, relay: 1, key: make([]byte, onioncrypt.SymKeySize)}, node
+	key, err := node.cfg.Suite.NewCipher(make([]byte, onioncrypt.SymKeySize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ReplyHandle{node: node, sid: 1, relay: 1, key: key}, node
 }
 
 // TestLiveCollectorReassemblyCases runs the shared arrival-sequence
@@ -337,15 +372,25 @@ func TestLiveSessionAsymmetricOpens(t *testing.T) {
 	}
 }
 
-// countingSuite counts the asymmetric opens it is asked for.
+// countingSuite counts the asymmetric opens its Openers are asked for.
 type countingSuite struct {
 	onioncrypt.Suite
 	opens *atomic.Int64
 }
 
-func (c countingSuite) Open(priv onioncrypt.PrivateKey, ct []byte) ([]byte, error) {
+type countingOpener struct {
+	onioncrypt.Opener
+	opens *atomic.Int64
+}
+
+func (c countingSuite) NewOpener(priv onioncrypt.PrivateKey) (onioncrypt.Opener, error) {
+	o, err := c.Suite.NewOpener(priv)
+	return countingOpener{o, c.opens}, err
+}
+
+func (c countingOpener) Open(ct []byte) ([]byte, error) {
 	c.opens.Add(1)
-	return c.Suite.Open(priv, ct)
+	return c.Opener.Open(ct)
 }
 
 func TestLiveConstructWithData(t *testing.T) {

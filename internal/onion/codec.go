@@ -65,9 +65,18 @@ type ConstructLayer struct {
 	Inner    []byte
 }
 
-// ParseConstructLayer strips one layer with the relay's private key.
+// ParseConstructLayer strips one layer with the relay's private key,
+// parsed for this one call; a relay's Table parses it once.
 func ParseConstructLayer(suite onioncrypt.Suite, priv onioncrypt.PrivateKey, onion []byte) (ConstructLayer, error) {
-	pt, err := suite.Open(priv, onion)
+	o, err := suite.NewOpener(priv)
+	if err != nil {
+		return ConstructLayer{}, err
+	}
+	return parseConstructLayer(o, onion)
+}
+
+func parseConstructLayer(priv onioncrypt.Opener, onion []byte) (ConstructLayer, error) {
+	pt, err := priv.Open(onion)
 	if err != nil {
 		return ConstructLayer{}, err
 	}
@@ -101,7 +110,26 @@ func BuildPayloadOnion(suite onioncrypt.Suite, r io.Reader, keys [][]byte, respo
 		len(plain), func(b []byte) []byte { return append(b, plain...) })
 }
 
-// appendPayloadOnion appends the payload onion to dst, growing it at
+// appendPayloadOnion is appendKeyedOnion for keys by their bytes, each
+// set up for this one onion; a path's PathKeys sets its keys up once.
+func appendPayloadOnion(dst []byte, suite onioncrypt.Suite, r io.Reader, keys [][]byte, responder netsim.NodeID, respKey, sealedRespKey []byte, plainLen int, plain func([]byte) []byte) ([]byte, error) {
+	var few [8]onioncrypt.Cipher // as in NewPathKeys
+	hops := few[:0]
+	for i, key := range keys {
+		c, err := suite.NewCipher(key)
+		if err != nil {
+			return nil, fmt.Errorf("onion: keying layer %d: %w", i, err)
+		}
+		hops = append(hops, c)
+	}
+	resp, err := suite.NewCipher(respKey)
+	if err != nil {
+		return nil, fmt.Errorf("onion: keying responder payload: %w", err)
+	}
+	return appendKeyedOnion(dst, suite, r, hops, responder, resp, sealedRespKey, plainLen, plain)
+}
+
+// appendKeyedOnion appends the payload onion to dst, growing it at
 // most once, and writes every byte where it leaves. With p bytes of a
 // sealed layer in front of its plaintext and q behind (Suite.SymPrefix),
 // the onion over L relays is
@@ -114,7 +142,7 @@ func BuildPayloadOnion(suite onioncrypt.Suite, r io.Reader, keys [][]byte, respo
 // innermost first: the order BuildPayloadOnion has always drawn its
 // nonces from r in, so the bytes are the ones the layer-by-layer
 // construction gave.
-func appendPayloadOnion(dst []byte, suite onioncrypt.Suite, r io.Reader, keys [][]byte, responder netsim.NodeID, respKey, sealedRespKey []byte, plainLen int, plain func([]byte) []byte) ([]byte, error) {
+func appendKeyedOnion(dst []byte, suite onioncrypt.Suite, r io.Reader, keys []onioncrypt.Cipher, responder netsim.NodeID, respKey onioncrypt.Cipher, sealedRespKey []byte, plainLen int, plain func([]byte) []byte) ([]byte, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("onion: a payload onion needs at least one relay key")
 	}
@@ -136,12 +164,12 @@ func appendPayloadOnion(dst []byte, suite onioncrypt.Suite, r io.Reader, keys []
 		return nil, fmt.Errorf("onion: payload of %d bytes announced as %d", len(dst)-inner-pre, plainLen)
 	}
 	dst = dst[:len(dst)+post]
-	if err := suite.SymSealInPlace(r, respKey, dst[inner:]); err != nil {
+	if err := respKey.SealInPlace(r, dst[inner:]); err != nil {
 		return nil, fmt.Errorf("onion: sealing responder payload: %w", err)
 	}
 	for i := len(keys) - 1; i >= 0; i-- {
 		dst = dst[:len(dst)+post]
-		if err := suite.SymSealInPlace(r, keys[i], dst[start+i*pre:]); err != nil {
+		if err := keys[i].SealInPlace(r, dst[start+i*pre:]); err != nil {
 			return nil, fmt.Errorf("onion: sealing layer %d: %w", i, err)
 		}
 	}

@@ -95,7 +95,22 @@ func FuzzRelayTable(f *testing.F) {
 	f.Add(uint8(KindReverse), int32(0), uint64(0), []byte("a byte short in front"), uint8(pre-1), uint8(post))
 	f.Add(uint8(KindReverse), int32(0), uint64(0), []byte{}, uint8(200), uint8(200))
 	f.Add(uint8(KindReverse), int32(0), uint64(2), make([]byte, 300), uint8(13+pre), uint8(3))
+	// A construction whose hop key has the wrong size is refused where it
+	// arrives: no state, so nothing the invariants below could count.
+	short, err := BuildConstructOnion(suite, eng.RNG(), dir, []netsim.NodeID{1}, 5, [][]byte{make([]byte, 5)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(KindConstruct), int32(0), uint64(11), short, uint8(0), uint8(0))
+	f.Add(uint8(KindConstructData), int32(0), uint64(13), append(append([]byte{byte(len(short))}, short...), launch.Body...), uint8(0), uint8(0))
 
+	// wrongKey: a layer that opens to a key no cipher can be made of is
+	// a bad frame, whatever else it says.
+	wrongKey := func(t *testing.T, onion []byte, st Step) {
+		if layer, err := ParseConstructLayer(suite, dir.Private(1), onion); err == nil && len(layer.Key) != onioncrypt.SymKeySize && st.Drop != DropBad {
+			t.Fatalf("a construction with a %d-byte key was answered: %+v", len(layer.Key), st)
+		}
+	}
 	f.Fuzz(func(t *testing.T, kind uint8, from int32, sid uint64, body []byte, front, back uint8) {
 		tab := NewTable(env, dir.Private(1), 100)
 		seeded := tab.ConstructData(0, 0, launch.SID, launch.Onion, launch.Body)
@@ -107,12 +122,14 @@ func FuzzRelayTable(f *testing.F) {
 			switch Kind(kind) {
 			case KindConstruct:
 				st = tab.Construct(now, netsim.NodeID(from), StreamID(sid), body)
+				wrongKey(t, body, st)
 			case KindConstructData:
 				onion, rest := body, []byte(nil)
 				if len(body) > 0 && int(body[0]) < len(body) {
 					onion, rest = body[1:1+body[0]], body[1+body[0]:]
 				}
 				st = tab.ConstructData(now, netsim.NodeID(from), StreamID(sid), onion, rest)
+				wrongKey(t, onion, st)
 			case KindAck:
 				st = tab.Ack(now, StreamID(sid))
 			case KindData:
@@ -136,7 +153,7 @@ func FuzzRelayTable(f *testing.F) {
 				if moved := cap(room) == 0 || &out.Room[0] != &room[:1][0]; moved == hadRoom {
 					t.Fatalf("%d bytes with %d in front and %d behind: moved = %v", len(body), front, back, moved)
 				}
-				if got, err := suite.SymOpen(keys.hops[0], out.Body); err != nil || !bytes.Equal(got, body) {
+				if got, err := keys.hops[0].Open(out.Body); err != nil || !bytes.Equal(got, body) {
 					t.Fatalf("the reverse layer does not open to what came in (err %v)", err)
 				}
 			default:

@@ -24,9 +24,9 @@ import (
 // PathKeys.OpenReverse is the hop layer's until the call returns, and a
 // body that did not open is left in no particular state. Same storage
 // out: forward, a layer is opened into its own bytes
-// (Suite.SymOpenInPlace) and what comes back — Send.Body, the plaintext
+// (Cipher.OpenInPlace) and what comes back — Send.Body, the plaintext
 // — is a sub-slice of what went in; backward, a layer is sealed around
-// the body where it lies (Suite.SymSealInPlace) in the buffer the driver
+// the body where it lies (Cipher.SealInPlace) in the buffer the driver
 // says it lies in, and Send.Body is a slice of that buffer one layer
 // longer. A reverse body without a layer's room around it is moved, by
 // reverseLayer and nowhere else, into a buffer with room for the hops
@@ -36,6 +36,21 @@ import (
 // to a body after returning, so once the driver has put a step's sends
 // on its wire the buffer is dead — unless the driver itself handed it
 // to an application (a responder's plaintext, an initiator's reply).
+//
+// A key is set up once, by the state it belongs to (onioncrypt.Suite
+// states the rule). Whatever here holds a key for longer than one call
+// holds the handle made from it, not its bytes: a relay's pathState
+// keys R_i when Table.construct makes the state, PathKeys its hop and
+// responder keys at launch, a responder's stream record the key its
+// sealed key unsealed to, and Table and Streams parse the node's
+// private key when they are made. No frame and no construction pays
+// for a key again; a key the suite refuses is refused where it
+// arrives, before any state exists. A handle lives exactly as long as
+// its owner — Sweep and Wipe drop it with the state, a ReplyHandle
+// carries its stream's for the one reply — and is safe for the
+// concurrent frames of one stream. Under ECIES that puts ≈ 1.3 KB of
+// AES-GCM schedule in every relay state and stream record: the bytes
+// each frame used to allocate.
 
 // Kind names a hop-layer message. The values are the live wire's frame
 // kinds.
@@ -131,8 +146,8 @@ type pathState struct {
 	prevSID  StreamID
 	next     netsim.NodeID
 	nextSID  StreamID
-	key      []byte
-	terminal bool // next hop is the responder
+	key      onioncrypt.Cipher // R_i, keyed when the state was made
+	terminal bool              // next hop is the responder
 	expires  int64
 }
 
@@ -142,7 +157,7 @@ type pathState struct {
 type Table struct {
 	env  Env
 	mu   sync.Locker // env.Lock
-	priv onioncrypt.PrivateKey
+	priv onioncrypt.Opener
 	ttl  int64
 
 	forward map[StreamID]*pathState // keyed by upstream (inbound) stream ID
@@ -151,13 +166,14 @@ type Table struct {
 }
 
 // NewTable creates an empty relay table whose idle states live ttl
-// ticks.
+// ticks. The node's private key is parsed here, once; a table made with
+// a key its suite refuses turns every construction away.
 func NewTable(env Env, priv onioncrypt.PrivateKey, ttl int64) *Table {
 	env = env.locked()
 	return &Table{
 		env:     env,
 		mu:      env.Lock,
-		priv:    priv,
+		priv:    newOpener(env.Suite, priv),
 		ttl:     ttl,
 		forward: make(map[StreamID]*pathState),
 		reverse: make(map[StreamID]*pathState),
@@ -242,13 +258,19 @@ func (t *Table) ConstructData(now int64, from netsim.NodeID, sid StreamID, onion
 }
 
 func (t *Table) construct(now int64, from netsim.NodeID, sid StreamID, onion, body []byte, withData bool) Step {
-	layer, err := ParseConstructLayer(t.env.Suite, t.priv, onion)
+	layer, err := parseConstructLayer(t.priv, onion)
+	if err != nil {
+		return t.bad()
+	}
+	// A key of the wrong size is refused here: a state that could never
+	// open a frame would sit in the table, acknowledged, until its TTL.
+	key, err := t.env.Suite.NewCipher(layer.Key)
 	if err != nil {
 		return t.bad()
 	}
 	var pt []byte
 	if withData {
-		if pt, err = t.env.Suite.SymOpenInPlace(layer.Key, body); err != nil {
+		if pt, err = key.OpenInPlace(body); err != nil {
 			return t.bad()
 		}
 	}
@@ -257,7 +279,7 @@ func (t *Table) construct(now int64, from netsim.NodeID, sid StreamID, onion, bo
 		prevSID:  sid,
 		next:     layer.Next,
 		nextSID:  t.env.NewSID(),
-		key:      layer.Key,
+		key:      key,
 		terminal: layer.Terminal,
 		expires:  now + t.ttl,
 	}
@@ -331,7 +353,7 @@ func (t *Table) Data(now int64, sid StreamID, body []byte) Step {
 	if st == nil {
 		return Step{Drop: DropNoSID}
 	}
-	pt, err := t.env.Suite.SymOpenInPlace(st.key, body)
+	pt, err := st.key.OpenInPlace(body)
 	if err != nil {
 		return t.bad()
 	}
@@ -362,7 +384,7 @@ func (t *Table) Reverse(now int64, sid StreamID, body, room []byte) Step {
 		return Step{Drop: DropNoSID}
 	}
 	room, layer := reverseLayer(t.env.Suite, room, OffsetIn(room, body), len(body), body)
-	if err := t.env.Suite.SymSealInPlace(t.env.Rand, st.key, layer); err != nil {
+	if err := st.key.SealInPlace(t.env.Rand, layer); err != nil {
 		return t.bad()
 	}
 	t.mu.Lock()
@@ -421,7 +443,7 @@ func reverseLayer(suite onioncrypt.Suite, room []byte, at, n int, body []byte) (
 // the relay table's TTL.
 type Streams struct {
 	env  Env
-	priv onioncrypt.PrivateKey
+	priv onioncrypt.Opener
 	ttl  int64
 	live map[StreamID]stream // keyed by the terminal relay's downstream sid
 }
@@ -430,28 +452,49 @@ type Streams struct {
 // sealed responder key <respKey>_{PubKey(D)} its last delivery carried
 // together with what that opened to. The initiator seals the key once
 // per path and ships the same bytes beside every payload (§4.2), so the
-// pair is a memo of Suite.Open(priv, sealed): a delivery on the stream
-// carrying exactly these bytes skips the asymmetric open. Both slices
-// are private copies, shared read-only once recorded.
+// pair is a memo of opening sealed with the node's private key and
+// keying what it opened to: a delivery on the stream carrying exactly
+// these bytes skips both. sealed is a private copy and key was made
+// from one; both are shared read-only once recorded.
 type stream struct {
-	expires     int64
-	sealed, key []byte
+	expires int64
+	sealed  []byte
+	key     onioncrypt.Cipher
 }
 
-// NewStreams creates the responder endpoint of a node.
+// NewStreams creates the responder endpoint of a node. The node's
+// private key is parsed here, once; an endpoint made with a key its
+// suite refuses opens nothing.
 func NewStreams(env Env, priv onioncrypt.PrivateKey, ttl int64) *Streams {
-	return &Streams{env: env.locked(), priv: priv, ttl: ttl, live: make(map[StreamID]stream)}
+	env = env.locked()
+	return &Streams{env: env, priv: newOpener(env.Suite, priv), ttl: ttl, live: make(map[StreamID]stream)}
+}
+
+// refused is the Opener of a node whose private key its suite refused:
+// it opens nothing, as Suite.Open with that key does.
+type refused struct{ err error }
+
+func (r refused) Open([]byte) ([]byte, error) { return nil, r.err }
+
+func newOpener(suite onioncrypt.Suite, priv onioncrypt.PrivateKey) onioncrypt.Opener {
+	o, err := suite.NewOpener(priv)
+	if err != nil {
+		return refused{err}
+	}
+	return o
 }
 
 // Open processes a delivery from a terminal relay: the stream's
-// symmetric key and the application plaintext, or false for a blob
-// that does not open. The asymmetric open runs on a stream's first
+// symmetric key, set up to seal replies with, and the application
+// plaintext, or false for a blob that does not open. The asymmetric
+// open — and the keying of what it opens to — runs on a stream's first
 // delivery and whenever the sealed key differs from the stream's
 // unexpired record in any byte (a §4.4 rebind, tampering, a reused
 // sid); every payload is authenticated by its symmetric open
-// regardless. A delivery that does not open leaves the record as it
-// was. blob is consumed; plain is a sub-slice of it.
-func (s *Streams) Open(now int64, sid StreamID, blob []byte) (key, plain []byte, ok bool) {
+// regardless. A delivery that does not open, or whose key the suite
+// refuses, leaves the record as it was. blob is consumed; plain is a
+// sub-slice of it.
+func (s *Streams) Open(now int64, sid StreamID, blob []byte) (key onioncrypt.Cipher, plain []byte, ok bool) {
 	sealedKey, ct, err := ParseResponderBlob(blob)
 	if err != nil {
 		return nil, nil, false
@@ -460,15 +503,18 @@ func (s *Streams) Open(now int64, sid StreamID, blob []byte) (key, plain []byte,
 	rec := s.live[sid]
 	s.env.Lock.Unlock()
 	if rec.expires <= now || !bytes.Equal(rec.sealed, sealedKey) {
-		key, err = s.env.Suite.Open(s.priv, sealedKey)
-		if err != nil || len(key) != onioncrypt.SymKeySize {
+		raw, err := s.priv.Open(sealedKey)
+		if err != nil {
 			return nil, nil, false
 		}
 		// Private copies: the blob belongs to the caller's frame, and
-		// Null.Open returns a slice of it.
-		rec.sealed, rec.key = bytes.Clone(sealedKey), bytes.Clone(key)
+		// Null's Open returns a slice of it.
+		if rec.key, err = s.env.Suite.NewCipher(bytes.Clone(raw)); err != nil {
+			return nil, nil, false
+		}
+		rec.sealed = bytes.Clone(sealedKey)
 	}
-	if plain, err = s.env.Suite.SymOpenInPlace(rec.key, ct); err != nil {
+	if plain, err = rec.key.OpenInPlace(ct); err != nil {
 		return nil, nil, false
 	}
 	rec.expires = now + s.ttl
@@ -480,7 +526,7 @@ func (s *Streams) Open(now int64, sid StreamID, blob []byte) (key, plain []byte,
 
 // Reply seals plain under a delivering stream's key for the way back
 // up its path through the terminal relay. plain is only read.
-func (s *Streams) Reply(relay netsim.NodeID, sid StreamID, key, plain []byte) (Send, error) {
+func (s *Streams) Reply(relay netsim.NodeID, sid StreamID, key onioncrypt.Cipher, plain []byte) (Send, error) {
 	return s.AppendReply(nil, relay, sid, key, len(plain), func(b []byte) []byte { return append(b, plain...) })
 }
 
@@ -492,13 +538,13 @@ func (s *Streams) Reply(relay netsim.NodeID, sid StreamID, key, plain []byte) (S
 // otherwise in a buffer of the hop layer's own with room for the
 // relays' layers (reverseLayer; dst is left alone). The Send's Body and
 // Room say where it is.
-func (s *Streams) AppendReply(dst []byte, relay netsim.NodeID, sid StreamID, key []byte, plainLen int, plain func([]byte) []byte) (Send, error) {
+func (s *Streams) AppendReply(dst []byte, relay netsim.NodeID, sid StreamID, key onioncrypt.Cipher, plainLen int, plain func([]byte) []byte) (Send, error) {
 	pre := s.env.Suite.SymPrefix()
 	room, layer := reverseLayer(s.env.Suite, dst, len(dst)+pre, plainLen, nil)
 	if got := plain(layer[:pre]); len(got) != pre+plainLen {
 		return Send{}, fmt.Errorf("onion: reply of %d bytes announced as %d", len(got)-pre, plainLen)
 	}
-	if err := s.env.Suite.SymSealInPlace(s.env.Rand, key, layer); err != nil {
+	if err := key.SealInPlace(s.env.Rand, layer); err != nil {
 		return Send{}, fmt.Errorf("onion: sealing reply: %w", err)
 	}
 	return Send{To: relay, Kind: KindReverse, SID: sid, Body: layer, Room: room}, nil
@@ -533,20 +579,22 @@ func (s *Streams) Len() int {
 // multiplex several responders, §4.4).
 type target struct {
 	dest   netsim.NodeID
-	key    []byte
+	key    onioncrypt.Cipher
 	sealed []byte
 }
 
-// PathKeys is the initiator's half of one path: the hop keys R_1..R_L,
-// the responder keys, and the stream id and first relay its messages
-// leave on. Sending to a responder the path already has keys for only
-// reads, so an established path may be used concurrently; introducing
-// a new responder (§4.4) must not race other calls on the same path.
+// PathKeys is the initiator's half of one path: the hop keys R_1..R_L
+// and the responder keys, set up for use (their bytes are needed once,
+// by the construction onion and the sealed responder key), and the
+// stream id and first relay its messages leave on. Sending to a
+// responder the path already has keys for only reads, so an established
+// path may be used concurrently; introducing a new responder (§4.4)
+// must not race other calls on the same path.
 type PathKeys struct {
 	env     Env
 	sid     StreamID
 	first   netsim.NodeID
-	hops    [][]byte
+	hops    []onioncrypt.Cipher
 	targets []target
 }
 
@@ -563,18 +611,27 @@ func NewPathKeys(env Env, dir KeyLookup, self netsim.NodeID, relays []netsim.Nod
 			return k, launch, fmt.Errorf("onion: relay %d collides with an endpoint", rid)
 		}
 	}
-	k = PathKeys{env: env, first: relays[0], hops: make([][]byte, len(relays))}
+	k = PathKeys{env: env, first: relays[0], hops: make([]onioncrypt.Cipher, len(relays))}
+	// The paper's L = 3 hop keys and more fit the array; append grows
+	// past it.
+	var few [8][]byte
+	raw := few[:0]
 	for i := range k.hops {
-		if k.hops[i], err = env.Suite.NewSymKey(env.Rand); err != nil {
+		key, err := env.Suite.NewSymKey(env.Rand)
+		if err != nil {
 			return k, launch, fmt.Errorf("onion: generating hop key: %w", err)
 		}
+		if k.hops[i], err = env.Suite.NewCipher(key); err != nil {
+			return k, launch, fmt.Errorf("onion: keying hop %d: %w", i, err)
+		}
+		raw = append(raw, key)
 	}
 	k.sid = env.NewSID()
 	if _, err = k.target(dir, responder); err != nil {
 		return k, launch, err
 	}
 	launch = Send{To: k.first, Kind: KindConstruct, SID: k.sid}
-	if launch.Onion, err = BuildConstructOnion(env.Suite, env.Rand, dir, relays, responder, k.hops); err != nil {
+	if launch.Onion, err = BuildConstructOnion(env.Suite, env.Rand, dir, relays, responder, raw); err != nil {
 		return k, launch, err
 	}
 	if withData {
@@ -604,7 +661,11 @@ func (k *PathKeys) target(dir KeyLookup, responder netsim.NodeID) (target, error
 	if err != nil {
 		return target{}, fmt.Errorf("onion: sealing responder key: %w", err)
 	}
-	k.targets = append(k.targets, target{dest: responder, key: key, sealed: sealed})
+	c, err := k.env.Suite.NewCipher(key)
+	if err != nil {
+		return target{}, fmt.Errorf("onion: keying responder key: %w", err)
+	}
+	k.targets = append(k.targets, target{dest: responder, key: c, sealed: sealed})
 	return k.targets[len(k.targets)-1], nil
 }
 
@@ -632,7 +693,7 @@ func (k *PathKeys) AppendData(dst []byte, dir KeyLookup, responder netsim.NodeID
 	if err != nil {
 		return Send{}, err
 	}
-	body, err := appendPayloadOnion(dst, k.env.Suite, k.env.Rand, k.hops, responder, t.key, t.sealed, plainLen, plain)
+	body, err := appendKeyedOnion(dst, k.env.Suite, k.env.Rand, k.hops, responder, t.key, t.sealed, plainLen, plain)
 	if err != nil {
 		return Send{}, err
 	}
@@ -646,14 +707,14 @@ func (k *PathKeys) AppendData(dst []byte, dir KeyLookup, responder netsim.NodeID
 // intact for the next key, so plain is a buffer of its own.
 func (k *PathKeys) OpenReverse(body []byte) (from netsim.NodeID, plain []byte, ok bool) {
 	for _, key := range k.hops {
-		pt, err := k.env.Suite.SymOpenInPlace(key, body)
+		pt, err := key.OpenInPlace(body)
 		if err != nil {
 			return netsim.Invalid, nil, false // corrupted or replayed
 		}
 		body = pt
 	}
 	for _, t := range k.targets {
-		if pt, err := k.env.Suite.SymOpen(t.key, body); err == nil {
+		if pt, err := t.key.Open(body); err == nil {
 			return t.dest, pt, true
 		}
 	}

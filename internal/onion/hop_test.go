@@ -38,7 +38,7 @@ type hopMsg struct {
 type delivery struct {
 	at, relay netsim.NodeID
 	sid       StreamID
-	key       []byte
+	key       onioncrypt.Cipher
 	plain     []byte
 }
 
@@ -423,6 +423,71 @@ func TestHopCoreRejects(t *testing.T) {
 	}
 }
 
+// TestWrongSizeKeyRefusedAtConstruction: a construction layer whose hop
+// key is not SymKeySize bytes is refused where it arrives — no state,
+// no ack, nothing forwarded — instead of installing a state no frame
+// could ever open; and a responder records no stream for a sealed key
+// that opens to the wrong size.
+func TestWrongSizeKeyRefusedAtConstruction(t *testing.T) {
+	relays := []netsim.NodeID{2, 3}
+	const resp netsim.NodeID = 7
+	for _, suite := range []onioncrypt.Suite{onioncrypt.Null{}, onioncrypt.ECIES{}} {
+		for _, n := range []int{0, 5, onioncrypt.SymKeySize - 1, onioncrypt.SymKeySize + 1} {
+			h := newHopNet(t, suite, relays, []netsim.NodeID{resp})
+			rng := rand.New(rand.NewSource(int64(n)))
+			good, err := suite.NewSymKey(rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The first relay's key is the bad one, then the second's: the
+			// refusal is the hop's whose key it is, terminal or not.
+			for bad, at := range relays {
+				keys := [][]byte{good, good}
+				keys[bad] = make([]byte, n)
+				onion, err := BuildConstructOnion(suite, rng, h.dir, relays, resp, keys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, withData := range []bool{false, true} {
+					launch := Send{To: relays[0], Kind: KindConstruct, SID: StreamID(100 + bad), Onion: onion}
+					if withData {
+						// A layer the first relay can open, should it get that far.
+						launch.Kind = KindConstructData
+						if launch.Body, err = suite.SymSeal(rng, good, make([]byte, 64)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					before := h.tabs[at].Stats()
+					wire := len(h.wire)
+					h.pump(hopInitiator, launch)
+					after := h.tabs[at].Stats()
+					if after.Constructed != before.Constructed || after.DroppedBad != before.DroppedBad+1 {
+						t.Fatalf("%s, %d-byte key at relay %d: stats %+v -> %+v", suite.Name(), n, at, before, after)
+					}
+					if f, r := h.tabs[at].States(); f != 0 || r != 0 {
+						t.Fatalf("%s, %d-byte key at relay %d: %d/%d states installed", suite.Name(), n, at, f, r)
+					}
+					// Nothing left the refusing relay: the last message on
+					// the wire is the one it received.
+					if last := h.wire[len(h.wire)-1]; len(h.wire) != wire+bad+1 || last.s.To != at || len(h.acks) != 0 {
+						t.Fatalf("%s, %d-byte key at relay %d: it answered %+v", suite.Name(), n, at, h.wire[wire:])
+					}
+					h.tabs[relays[0]].Wipe() // the good first hop's state, for the next round
+				}
+			}
+
+			a := newSealedStream(t, suite, rng, h.dir.Public(resp))
+			sealed, err := suite.Seal(rng, h.dir.Public(resp), make([]byte, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, ok := h.resp[resp].Open(h.now, 1, a.blob(t, sealed, "payload")); ok || h.resp[resp].Len() != 0 {
+				t.Fatalf("%s: a %d-byte responder key opened a delivery or was recorded", suite.Name(), n)
+			}
+		}
+	}
+}
+
 // TestTableConcurrent drives one locked table the way the TCP node
 // does — constructs, payloads, replies and sweeps from many goroutines
 // at once — for the race detector.
@@ -492,15 +557,38 @@ func (l lockedReader) Read(p []byte) (int, error) {
 	return l.r.Read(p)
 }
 
-// countingSuite counts the asymmetric opens it is asked for.
+// countingSuite counts the asymmetric opens its Openers are asked for.
 type countingSuite struct {
 	onioncrypt.Suite
 	opens *atomic.Int64
 }
 
-func (c countingSuite) Open(priv onioncrypt.PrivateKey, ct []byte) ([]byte, error) {
+type countingOpener struct {
+	onioncrypt.Opener
+	opens *atomic.Int64
+}
+
+func (c countingSuite) NewOpener(priv onioncrypt.PrivateKey) (onioncrypt.Opener, error) {
+	o, err := c.Suite.NewOpener(priv)
+	return countingOpener{o, c.opens}, err
+}
+
+func (c countingOpener) Open(ct []byte) ([]byte, error) {
 	c.opens.Add(1)
-	return c.Suite.Open(priv, ct)
+	return c.Opener.Open(ct)
+}
+
+// keyed reports whether c is key set up for use: under one reader both
+// seal a probe to the same layer.
+func keyed(suite onioncrypt.Suite, c onioncrypt.Cipher, key []byte) bool {
+	const probe = "probe"
+	want, err := suite.SymSeal(rand.New(rand.NewSource(1)), key, []byte(probe))
+	if err != nil {
+		return false
+	}
+	layer := make([]byte, len(want))
+	copy(layer[suite.SymPrefix():], probe)
+	return c.SealInPlace(rand.New(rand.NewSource(1)), layer) == nil && bytes.Equal(layer, want)
 }
 
 // sealedStream is one path's worth of responder-side input: the key the
@@ -573,8 +661,8 @@ func TestStreamsKeyMemo(t *testing.T) {
 				if ok != wantOK {
 					t.Fatalf("Open ok = %v, want %v", ok, wantOK)
 				}
-				if ok && (!bytes.Equal(key, from.key) || string(plain) != "payload") {
-					t.Fatalf("Open = key %x plain %q, want key %x", key, plain, from.key)
+				if ok && (!keyed(tc.suite, key, from.key) || string(plain) != "payload") {
+					t.Fatalf("Open = plain %q and a cipher that is not key %x set up", plain, from.key)
 				}
 				if got := opens.Load() - before; got != wantOpens {
 					t.Fatalf("asymmetric opens = %d, want %d", got, wantOpens)
@@ -689,8 +777,8 @@ func TestStreamsOpenConcurrent(t *testing.T) {
 							}{{0, (g + i) % 2 * (workers + 1)}, {StreamID(g + 1), g + 1}} {
 								// Open consumes what it is given, as it does a frame.
 								key, plain, ok := s.Open(int64(i), c.sid, bytes.Clone(blobs[c.idx]))
-								if !ok || !bytes.Equal(key, streams[c.idx].key) || string(plain) != "x" {
-									t.Errorf("worker %d round %d stream %d: ok=%v key=%x", g, i, c.sid, ok, key)
+								if !ok || !keyed(suite, key, streams[c.idx].key) || string(plain) != "x" {
+									t.Errorf("worker %d round %d stream %d: ok=%v, or not the stream's key", g, i, c.sid, ok)
 									return
 								}
 							}
@@ -730,8 +818,9 @@ func TestStreamsOpenConcurrent(t *testing.T) {
 }
 
 // BenchmarkStreamsOpen prices one responder delivery of a 1 KB payload:
-// a hit reuses the stream's recorded key, a miss (two sealed keys
-// alternating on one stream) pays the asymmetric open every time.
+// a hit reuses the stream's recorded key — already set up, so it
+// allocates nothing — and a miss (two sealed keys alternating on one
+// stream) pays the asymmetric open and the keying every time.
 func BenchmarkStreamsOpen(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
@@ -760,6 +849,7 @@ func BenchmarkStreamsOpen(b *testing.B) {
 			}
 			delivery := make([]byte, len(blobs[0])) // Open consumes it
 			b.SetBytes(int64(len(plain)))
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(delivery, blobs[i%2])

@@ -63,7 +63,7 @@ type ReplyHandle struct {
 	resp  *Responder
 	relay netsim.NodeID
 	sid   StreamID
-	key   []byte
+	key   onioncrypt.Cipher // the delivering stream's, for this reply
 	// Flow is the bandwidth account of the delivering message; replies
 	// sent through the handle default to charging it.
 	Flow *metrics.Flow

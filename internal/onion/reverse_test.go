@@ -20,12 +20,29 @@ type reversePath struct {
 	keys    PathKeys
 	tabs    []*Table // in forwarding order
 	streams *Streams
-	relay   netsim.NodeID // the terminal relay
-	sid     StreamID      // the stream it delivered on
-	key     []byte        // that stream's key, as Streams.Open returned it
+	relay   netsim.NodeID     // the terminal relay
+	sid     StreamID          // the stream it delivered on
+	key     onioncrypt.Cipher // that stream's key, as Streams.Open returned it
+	// The path's keys by their bytes, which no role keeps: what the
+	// SymSeal oracle seals under.
+	hopKeys [][]byte
+	respKey []byte
 }
 
 type swapReader struct{ io.Reader }
+
+// keyLog is a suite that remembers the symmetric keys it hands out: for
+// one NewPathKeys, the hop keys R_1..R_L and then the responder key.
+type keyLog struct {
+	onioncrypt.Suite
+	keys *[][]byte
+}
+
+func (k keyLog) NewSymKey(r io.Reader) ([]byte, error) {
+	key, err := k.Suite.NewSymKey(r)
+	*k.keys = append(*k.keys, bytes.Clone(key))
+	return key, err
+}
 
 func newReversePath(t testing.TB, suite onioncrypt.Suite, l int) *reversePath {
 	t.Helper()
@@ -42,9 +59,13 @@ func newReversePath(t testing.TB, suite onioncrypt.Suite, l int) *reversePath {
 	}
 	responder := netsim.NodeID(l + 1)
 	var msg Send
-	if p.keys, msg, err = NewPathKeys(env, dir, 0, relays, responder, []byte("first"), true); err != nil {
+	var drawn [][]byte
+	initiator := env
+	initiator.Suite = keyLog{suite, &drawn}
+	if p.keys, msg, err = NewPathKeys(initiator, dir, 0, relays, responder, []byte("first"), true); err != nil {
 		t.Fatal(err)
 	}
+	p.hopKeys, p.respKey = drawn[:l], drawn[l]
 	from := netsim.NodeID(0)
 	for _, id := range relays {
 		tab := NewTable(env, dir.Private(id), 1000)
@@ -102,13 +123,13 @@ func TestReverseInPlaceMatchesSeal(t *testing.T) {
 
 					oracleRand := rand.New(rand.NewSource(99))
 					want := make([][]byte, 0, l+1)
-					body, err := suite.SymSeal(oracleRand, p.key, plain)
+					body, err := suite.SymSeal(oracleRand, p.respKey, plain)
 					if err != nil {
 						t.Fatal(err)
 					}
 					want = append(want, body)
 					for i := l - 1; i >= 0; i-- {
-						if body, err = suite.SymSeal(oracleRand, p.keys.hops[i], body); err != nil {
+						if body, err = suite.SymSeal(oracleRand, p.hopKeys[i], body); err != nil {
 							t.Fatal(err)
 						}
 						want = append(want, body)
@@ -177,7 +198,7 @@ func TestAppendReplyInPlace(t *testing.T) {
 		p := newReversePath(t, suite, 2)
 		plain := []byte("thirteen byte")
 		fill := func(b []byte) []byte { return append(b, plain...) }
-		want, err := suite.SymSeal(rand.New(rand.NewSource(5)), p.key, plain)
+		want, err := suite.SymSeal(rand.New(rand.NewSource(5)), p.respKey, plain)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -102,22 +102,54 @@ func (ECIES) Seal(r io.Reader, pub PublicKey, plaintext []byte) ([]byte, error) 
 
 // Open decrypts a sealed ciphertext with the private key.
 func (ECIES) Open(priv PrivateKey, ciphertext []byte) ([]byte, error) {
+	// Checked here too, as it always was before the key is looked at:
+	// what is too short to be a ciphertext does not pay for parsing it.
 	if len(ciphertext) < x25519KeySize+gcmTagSize {
 		return nil, ErrDecrypt
 	}
+	o, err := newX25519Opener(priv)
+	if err != nil {
+		return nil, err
+	}
+	return o.Open(ciphertext)
+}
+
+// x25519Opener is a node's private key with the work that depends on
+// nothing but the key done: crypto/ecdh derives the public half — a
+// scalar multiplication, as costly as the key agreement itself — every
+// time it parses a private key.
+type x25519Opener struct {
+	priv *ecdh.PrivateKey
+	pub  []byte
+}
+
+// NewOpener parses an X25519 private key.
+func (ECIES) NewOpener(priv PrivateKey) (Opener, error) {
+	return newX25519Opener(priv)
+}
+
+func newX25519Opener(priv PrivateKey) (*x25519Opener, error) {
 	self, err := ecdh.X25519().NewPrivateKey(priv)
 	if err != nil {
 		return nil, fmt.Errorf("onioncrypt: bad private key: %w", err)
+	}
+	return &x25519Opener{priv: self, pub: self.PublicKey().Bytes()}, nil
+}
+
+// Open decrypts a ciphertext sealed to the key.
+func (o *x25519Opener) Open(ciphertext []byte) ([]byte, error) {
+	if len(ciphertext) < x25519KeySize+gcmTagSize {
+		return nil, ErrDecrypt
 	}
 	ephPub, err := ecdh.X25519().NewPublicKey(ciphertext[:x25519KeySize])
 	if err != nil {
 		return nil, ErrDecrypt
 	}
-	shared, err := self.ECDH(ephPub)
+	shared, err := o.priv.ECDH(ephPub)
 	if err != nil {
 		return nil, ErrDecrypt
 	}
-	gcm, err := newGCM(kdf(shared, ephPub.Bytes(), self.PublicKey().Bytes()))
+	gcm, err := newGCM(kdf(shared, ciphertext[:x25519KeySize], o.pub))
 	if err != nil {
 		return nil, err
 	}
@@ -141,76 +173,94 @@ func (ECIES) NewSymKey(r io.Reader) ([]byte, error) {
 	return key, nil
 }
 
+// aesGCM is one AES-256-GCM key with its key schedule and GHASH table
+// built: what NewCipher hands out, and what the by-bytes methods build
+// for one call.
+type aesGCM struct{ aead cipher.AEAD }
+
+// NewCipher schedules an AES-256-GCM key.
+func (ECIES) NewCipher(key []byte) (Cipher, error) {
+	c, err := newAESGCM(key)
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+func newAESGCM(key []byte) (aesGCM, error) {
+	if len(key) != SymKeySize {
+		return aesGCM{}, ErrBadKeySize
+	}
+	aead, err := newGCM(key)
+	return aesGCM{aead}, err
+}
+
 // SymSeal encrypts one payload layer with AES-GCM under a random nonce.
 func (ECIES) SymSeal(r io.Reader, key, plaintext []byte) ([]byte, error) {
-	if len(key) != SymKeySize {
-		return nil, ErrBadKeySize
+	c, err := newAESGCM(key)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]byte, gcmNonceSize+len(plaintext)+gcmTagSize)
-	if err := symSeal(r, key, out, plaintext); err != nil {
+	if err := c.seal(r, out, plaintext); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// SymSealInPlace seals the layer whose plaintext sits between the nonce
+// SealInPlace seals the layer whose plaintext sits between the nonce
 // and the tag it is about to get.
-func (ECIES) SymSealInPlace(r io.Reader, key, layer []byte) error {
-	if len(key) != SymKeySize {
-		return ErrBadKeySize
-	}
+func (c aesGCM) SealInPlace(r io.Reader, layer []byte) error {
 	if len(layer) < gcmNonceSize+gcmTagSize {
 		return fmt.Errorf("onioncrypt: %d-byte buffer cannot hold a layer", len(layer))
 	}
-	return symSeal(r, key, layer, layer[gcmNonceSize:len(layer)-gcmTagSize])
+	return c.seal(r, layer, layer[gcmNonceSize:len(layer)-gcmTagSize])
 }
 
-// symSeal fills layer with nonce || AES-GCM(plaintext). plaintext is
+// seal fills layer with nonce || AES-GCM(plaintext). plaintext is
 // either elsewhere or exactly where its ciphertext goes — the one
 // overlap cipher.AEAD allows.
-func symSeal(r io.Reader, key, layer, plaintext []byte) error {
-	gcm, err := newGCM(key)
-	if err != nil {
-		return err
-	}
+func (c aesGCM) seal(r io.Reader, layer, plaintext []byte) error {
 	nonce := layer[:gcmNonceSize]
 	if _, err := io.ReadFull(r, nonce); err != nil {
 		return fmt.Errorf("onioncrypt: drawing nonce: %w", err)
 	}
-	gcm.Seal(nonce, nonce, plaintext, nil)
+	c.aead.Seal(nonce, nonce, plaintext, nil)
 	return nil
 }
 
 // SymOpen decrypts one payload layer into a fresh buffer.
 func (ECIES) SymOpen(key, ciphertext []byte) ([]byte, error) {
-	return symOpen(key, ciphertext, false)
-}
-
-// SymOpenInPlace decrypts one payload layer where it lies. A layer that
-// does not authenticate is wiped, not released.
-func (ECIES) SymOpenInPlace(key, ciphertext []byte) ([]byte, error) {
-	return symOpen(key, ciphertext, true)
-}
-
-// symOpen opens one layer into a fresh buffer or, in place, over the
-// layer's own ciphertext — starting exactly where it starts, the one
-// overlap cipher.AEAD allows.
-func symOpen(key, ciphertext []byte, inPlace bool) ([]byte, error) {
-	if len(key) != SymKeySize {
-		return nil, ErrBadKeySize
-	}
-	if len(ciphertext) < gcmNonceSize+gcmTagSize {
-		return nil, ErrDecrypt
-	}
-	gcm, err := newGCM(key)
+	c, err := newAESGCM(key)
 	if err != nil {
 		return nil, err
+	}
+	return c.Open(ciphertext)
+}
+
+// Open decrypts one payload layer into a fresh buffer.
+func (c aesGCM) Open(ciphertext []byte) ([]byte, error) {
+	return c.open(ciphertext, false)
+}
+
+// OpenInPlace decrypts one payload layer where it lies. A layer that
+// does not authenticate is wiped, not released.
+func (c aesGCM) OpenInPlace(ciphertext []byte) ([]byte, error) {
+	return c.open(ciphertext, true)
+}
+
+// open opens one layer into a fresh buffer or, in place, over the
+// layer's own ciphertext — starting exactly where it starts, the one
+// overlap cipher.AEAD allows.
+func (c aesGCM) open(ciphertext []byte, inPlace bool) ([]byte, error) {
+	if len(ciphertext) < gcmNonceSize+gcmTagSize {
+		return nil, ErrDecrypt
 	}
 	var dst []byte
 	if inPlace {
 		dst = ciphertext[gcmNonceSize:gcmNonceSize]
 	}
-	pt, err := gcm.Open(dst, ciphertext[:gcmNonceSize], ciphertext[gcmNonceSize:], nil)
+	pt, err := c.aead.Open(dst, ciphertext[:gcmNonceSize], ciphertext[gcmNonceSize:], nil)
 	if err != nil {
 		return nil, ErrDecrypt
 	}

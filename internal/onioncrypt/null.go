@@ -50,14 +50,36 @@ func (Null) Seal(_ io.Reader, pub PublicKey, plaintext []byte) ([]byte, error) {
 
 // Open verifies the recipient tag and embedded length, then strips the
 // header.
-func (Null) Open(priv PrivateKey, ciphertext []byte) ([]byte, error) {
+func (n Null) Open(priv PrivateKey, ciphertext []byte) ([]byte, error) {
+	o, err := n.NewOpener(priv)
+	if err != nil {
+		return nil, err
+	}
+	return o.Open(ciphertext)
+}
+
+// nullOpener and nullCipher are a Null key seen as a handle: a pointer
+// to the key's own bytes, so making one allocates nothing.
+type (
+	nullOpener [x25519KeySize]byte
+	nullCipher [SymKeySize]byte
+)
+
+// NewOpener checks the key's size.
+func (Null) NewOpener(priv PrivateKey) (Opener, error) {
 	if len(priv) != x25519KeySize {
 		return nil, ErrBadKeySize
 	}
+	return (*nullOpener)(priv), nil
+}
+
+// Open verifies the recipient tag and embedded length, then strips the
+// header.
+func (o *nullOpener) Open(ciphertext []byte) ([]byte, error) {
 	if len(ciphertext) < x25519KeySize+gcmTagSize {
 		return nil, ErrDecrypt
 	}
-	if !bytes.Equal(ciphertext[:x25519KeySize], priv) {
+	if !bytes.Equal(ciphertext[:x25519KeySize], o[:]) {
 		return nil, ErrDecrypt
 	}
 	pt := ciphertext[x25519KeySize+gcmTagSize:]
@@ -79,41 +101,57 @@ func (Null) NewSymKey(r io.Reader) ([]byte, error) {
 	return key, nil
 }
 
+// NewCipher checks the key's size.
+func (Null) NewCipher(key []byte) (Cipher, error) {
+	if len(key) != SymKeySize {
+		return nil, ErrBadKeySize
+	}
+	return (*nullCipher)(key), nil
+}
+
 // SymSeal prefixes a key fingerprint and the plaintext length, matching
 // the ECIES layer size.
 func (n Null) SymSeal(r io.Reader, key, plaintext []byte) ([]byte, error) {
+	c, err := n.NewCipher(key)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]byte, nullSymHeader+len(plaintext))
 	copy(out[nullSymHeader:], plaintext)
-	if err := n.SymSealInPlace(r, key, out); err != nil {
+	if err := c.SealInPlace(r, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// SymSealInPlace writes the fingerprint and length in front of the
+// SealInPlace writes the fingerprint and length in front of the
 // plaintext.
-func (Null) SymSealInPlace(_ io.Reader, key, layer []byte) error {
-	if len(key) != SymKeySize {
-		return ErrBadKeySize
-	}
+func (c *nullCipher) SealInPlace(_ io.Reader, layer []byte) error {
 	if len(layer) < nullSymHeader {
 		return fmt.Errorf("onioncrypt: %d-byte buffer cannot hold a layer", len(layer))
 	}
-	copy(layer, key[:nullSymHeader-4])
+	copy(layer, c[:nullSymHeader-4])
 	binary.BigEndian.PutUint32(layer[nullSymHeader-4:], uint32(len(layer)-nullSymHeader))
 	return nil
 }
 
 // SymOpen verifies the key fingerprint and embedded length, then strips
 // the header.
-func (Null) SymOpen(key, ciphertext []byte) ([]byte, error) {
-	if len(key) != SymKeySize {
-		return nil, ErrBadKeySize
+func (n Null) SymOpen(key, ciphertext []byte) ([]byte, error) {
+	c, err := n.NewCipher(key)
+	if err != nil {
+		return nil, err
 	}
+	return c.Open(ciphertext)
+}
+
+// Open verifies the key fingerprint and embedded length, then strips
+// the header.
+func (c *nullCipher) Open(ciphertext []byte) ([]byte, error) {
 	if len(ciphertext) < nullSymHeader {
 		return nil, ErrDecrypt
 	}
-	if !bytes.Equal(ciphertext[:nullSymHeader-4], key[:nullSymHeader-4]) {
+	if !bytes.Equal(ciphertext[:nullSymHeader-4], c[:nullSymHeader-4]) {
 		return nil, ErrDecrypt
 	}
 	pt := ciphertext[nullSymHeader:]
@@ -123,10 +161,10 @@ func (Null) SymOpen(key, ciphertext []byte) ([]byte, error) {
 	return pt, nil
 }
 
-// SymOpenInPlace is SymOpen: nothing is decrypted, so the plaintext is
-// a sub-slice of the layer either way.
-func (n Null) SymOpenInPlace(key, ciphertext []byte) ([]byte, error) {
-	return n.SymOpen(key, ciphertext)
+// OpenInPlace is Open: nothing is decrypted, so the plaintext is a
+// sub-slice of the layer either way.
+func (c *nullCipher) OpenInPlace(ciphertext []byte) ([]byte, error) {
+	return c.Open(ciphertext)
 }
 
 // SymOverhead matches ECIES (28 bytes).

@@ -49,6 +49,20 @@ type KeyPair struct {
 // Implementations must be safe for concurrent use by independent
 // simulations as long as each simulation supplies its own random source
 // per call site.
+//
+// A key is set up once, by whoever owns the state it belongs to. Turning
+// key bytes into something that can encrypt is work that depends on
+// nothing in the message — under ECIES an AES key schedule and a GHASH
+// table (≈ 1.3 KB) for a symmetric key, a scalar multiplication for a
+// private one — so the holder of a key that outlives one call (a relay's
+// path state, an initiator's path, a responder's stream, a node's own
+// private key) calls NewCipher or NewOpener when that state is made,
+// keeps the handle in it, and lets it go with the state; nothing else
+// refers to a handle, and there is no cache behind the constructors. A
+// handle is immutable once made and safe for concurrent use. The
+// by-bytes methods (Open, SymSeal, SymOpen) set a handle up for one
+// call and drop it: they are for a key used once, and are what a
+// handle's output is defined by.
 type Suite interface {
 	// Name identifies the suite ("ecies" or "null").
 	Name() string
@@ -60,8 +74,13 @@ type Suite interface {
 	// private key can Open it.
 	Seal(r io.Reader, pub PublicKey, plaintext []byte) ([]byte, error)
 
-	// Open decrypts a sealed ciphertext with the private key.
+	// Open decrypts a sealed ciphertext with the private key:
+	// NewOpener(priv) and its Open, in one call.
 	Open(priv PrivateKey, ciphertext []byte) ([]byte, error)
+
+	// NewOpener parses a private key once, for every ciphertext sealed
+	// to it. A key the suite cannot use is refused here.
+	NewOpener(priv PrivateKey) (Opener, error)
 
 	// SealOverhead is the constant size difference between a sealed
 	// ciphertext and its plaintext.
@@ -70,14 +89,18 @@ type Suite interface {
 	// NewSymKey draws a fresh symmetric key.
 	NewSymKey(r io.Reader) ([]byte, error)
 
+	// NewCipher sets a symmetric key up once, for every layer sealed or
+	// opened under it. A key that is not SymKeySize bytes is refused
+	// here with ErrBadKeySize. The handle may refer to key's bytes: they
+	// are the handle's from now on and must not change.
+	NewCipher(key []byte) (Cipher, error)
+
 	// SymSeal encrypts plaintext under a symmetric key (one payload
 	// onion layer). The result is a fresh buffer; plaintext is only
 	// read.
 	SymSeal(r io.Reader, key, plaintext []byte) ([]byte, error)
 
-	// SymOpen decrypts one symmetric layer into a buffer of its own (or,
-	// where nothing is decrypted, a sub-slice of ciphertext); ciphertext
-	// is left intact and may be opened again.
+	// SymOpen decrypts one symmetric layer as Cipher.Open does.
 	SymOpen(key, ciphertext []byte) ([]byte, error)
 
 	// SymOverhead is the constant size difference added by SymSeal.
@@ -86,17 +109,33 @@ type Suite interface {
 	// SymPrefix is how many of SymOverhead's bytes a sealed layer puts
 	// before its plaintext; the rest follow it.
 	SymPrefix() int
+}
 
-	// SymSealInPlace seals the layer that fills the whole of layer, whose
+// Cipher is one symmetric key, set up by Suite.NewCipher.
+type Cipher interface {
+	// SealInPlace seals the layer that fills the whole of layer, whose
 	// plaintext the caller has already put where it stays:
 	// layer[SymPrefix() : len(layer)-(SymOverhead()-SymPrefix())]. It
 	// draws from r what SymSeal draws and leaves in layer the bytes
 	// SymSeal would have returned, without a second buffer.
-	SymSealInPlace(r io.Reader, key, layer []byte) error
+	SealInPlace(r io.Reader, layer []byte) error
 
-	// SymOpenInPlace decrypts one symmetric layer into the storage of
+	// OpenInPlace decrypts one symmetric layer into the storage of
 	// ciphertext and returns the plaintext as a sub-slice of it.
 	// ciphertext is consumed: after the call, failed or not, only the
 	// returned slice means anything.
-	SymOpenInPlace(key, ciphertext []byte) ([]byte, error)
+	OpenInPlace(ciphertext []byte) ([]byte, error)
+
+	// Open decrypts one symmetric layer into a buffer of its own (or,
+	// where nothing is decrypted, a sub-slice of ciphertext); ciphertext
+	// is left intact and may be opened again.
+	Open(ciphertext []byte) ([]byte, error)
+}
+
+// Opener is one private key, parsed by Suite.NewOpener.
+type Opener interface {
+	// Open decrypts a ciphertext sealed to the key's public half into a
+	// buffer of its own (or, where nothing is decrypted, a sub-slice of
+	// ciphertext).
+	Open(ciphertext []byte) ([]byte, error)
 }

@@ -2,6 +2,7 @@ package onioncrypt
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -112,12 +113,16 @@ func TestSymRoundTrip(t *testing.T) {
 // of each symmetric operation: sealing in place leaves the bytes SymSeal
 // returns under the same reader, without touching a byte outside the
 // layer; opening in place returns the plaintext where it lay; and
-// SymOpen, unlike SymOpenInPlace, leaves its ciphertext to be opened
+// SymOpen, unlike Cipher.OpenInPlace, leaves its ciphertext to be opened
 // again.
 func TestSymInPlaceMatchesCopying(t *testing.T) {
 	for _, s := range suites() {
 		for _, size := range []int{0, 1, 1000} {
 			key, _ := s.NewSymKey(rng(8))
+			c, err := s.NewCipher(key)
+			if err != nil {
+				t.Fatal(err)
+			}
 			msg := make([]byte, size)
 			rng(9).Read(msg)
 			want, err := s.SymSeal(rng(10), key, msg)
@@ -131,7 +136,7 @@ func TestSymInPlaceMatchesCopying(t *testing.T) {
 			layer := buf[margin : margin+len(want)]
 			copy(layer[pre:], msg)
 			r := rng(10)
-			if err := s.SymSealInPlace(r, key, layer); err != nil {
+			if err := c.SealInPlace(r, layer); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(layer, want) {
@@ -150,33 +155,35 @@ func TestSymInPlaceMatchesCopying(t *testing.T) {
 					t.Fatalf("%s/%d: SymOpen #%d: err %v", s.Name(), size, i, err)
 				}
 			}
-			pt, err := s.SymOpenInPlace(key, layer)
+			pt, err := c.OpenInPlace(layer)
 			if err != nil || !bytes.Equal(pt, msg) {
-				t.Fatalf("%s/%d: SymOpenInPlace: err %v", s.Name(), size, err)
+				t.Fatalf("%s/%d: OpenInPlace: err %v", s.Name(), size, err)
 			}
 			if size > 0 && &pt[0] != &layer[pre] {
 				t.Fatalf("%s/%d: opened in place, but not where the plaintext lay", s.Name(), size)
 			}
 
 			// A layer that does not authenticate yields nothing, in
-			// either form; too short a buffer is no layer.
-			other, _ := s.NewSymKey(rng(11))
-			if _, err := s.SymOpenInPlace(other, bytes.Clone(want)); err == nil {
+			// either form; too short a buffer is no layer; a short key
+			// makes no handle.
+			otherKey, _ := s.NewSymKey(rng(11))
+			other, err := s.NewCipher(otherKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := other.OpenInPlace(bytes.Clone(want)); err == nil {
 				t.Fatalf("%s/%d: wrong key opened the layer in place", s.Name(), size)
 			}
 			for cut := 0; cut < s.SymOverhead(); cut++ {
-				if _, err := s.SymOpenInPlace(key, bytes.Clone(want[:cut])); err == nil {
+				if _, err := c.OpenInPlace(bytes.Clone(want[:cut])); err == nil {
 					t.Fatalf("%s: %d-byte layer opened in place", s.Name(), cut)
 				}
-				if err := s.SymSealInPlace(rng(10), key, make([]byte, cut)); err == nil {
+				if err := c.SealInPlace(rng(10), make([]byte, cut)); err == nil {
 					t.Fatalf("%s: sealed a layer into %d bytes", s.Name(), cut)
 				}
 			}
-			if err := s.SymSealInPlace(rng(10), key[:7], make([]byte, 64)); err == nil {
-				t.Fatalf("%s: short key accepted by SymSealInPlace", s.Name())
-			}
-			if _, err := s.SymOpenInPlace(key[:7], bytes.Clone(want)); err == nil {
-				t.Fatalf("%s: short key accepted by SymOpenInPlace", s.Name())
+			if _, err := s.NewCipher(key[:7]); !errors.Is(err, ErrBadKeySize) {
+				t.Fatalf("%s: NewCipher with a short key: %v", s.Name(), err)
 			}
 		}
 	}

@@ -355,10 +355,17 @@ func (m *Machine) Send(out []Output, now int64, mid uint64, dest netsim.NodeID, 
 	// and msgs_per_s from 326/325/329 to 182/169/177 (p50 2.6 → 5.4 ms)
 	// in three alternating pairs (PR 16, when a message allocated
 	// 7 975 KB: ≈ 2.7 GB/s). The first half of the fix, allocating less
-	// per message, is in (PR 19: 2 534 KB, ≈ 1.1 GB/s at 450 msg/s, and
-	// with the segments kept 1.1 GC cycles/s where it was 3.2); the
-	// other half, releasing early, is still to be measured against
-	// that — as alternating pairs, before this line changes.
+	// per message, is in (PR 19: 2 534 KB; PR 23: 1 445 KB, 0.6 GC
+	// cycles/s with the segments kept). The other half, releasing
+	// early, was measured again against that for PR 24 and is still a
+	// loss: segs dropped at resolve, 392/388/385 → 352/376/351 msg/s,
+	// p50 2.07/2.15/2.17 → 2.68/2.51/2.69 ms, GC 0.6 → 99 cycles/s,
+	// gc_cpu_share 0.3 % → 13 % (traced runs, seeds 31–33). What a
+	// message still allocates is mostly the responder's — the four
+	// deliveries it keeps and Reconstruct's output — beside Split's
+	// buffer here, so by that reading the ballast can go only once that
+	// garbage has gone too, not with SplitInto recycling alone. Measure
+	// it, as alternating pairs, before this line changes.
 	msg := &message{dest: dest, segs: segs, jobs: make([]job, 0, len(segs))}
 	m.msgs[mid] = msg
 	m.inflight++
