@@ -12,7 +12,9 @@ build:
 	$(GO) vet ./...
 
 # Tier 1. Without -race on purpose: the allocation budgets
-# (core.TestSimEraMessageAllocs, livenet.TestLive{Small,Bulk}AllocBudget,
+# (core.TestSimEraMessageAllocs ≤ 16 allocations,
+# livenet.TestLiveSmallAllocBudget ≤ 36 KB, TestLiveBulkAllocBudget
+# ≤ 700 KB, TestLiveBulkSteadyAllocBudget ≤ 150 KB,
 # livenet.TestFrameWriteAllocs) skip under the race detector, where
 # sync.Pool drops at random, so this is the only target that runs them.
 test:

@@ -54,6 +54,11 @@ type Session struct {
 	// deadline is onDeadline as registered with the engine, on the first
 	// Arm: a session that never sends registers nothing.
 	deadline sim.Func
+	// splits holds the buffer each message's coded segments lie in until
+	// the machine forgets its record; spare holds those it has forgotten,
+	// for the next message to be split into.
+	splits map[uint64][]byte
+	spare  [][]byte
 
 	established bool
 	failed      bool
@@ -107,6 +112,7 @@ func (w *World) NewSession(self, responder netsim.NodeID, params Params) (*Sessi
 		code:      code,
 		provider:  w.Provider(self),
 		paths:     make([]*onion.Path, params.K),
+		splits:    make(map[uint64][]byte),
 		sent:      make(map[uint64]struct{}),
 		responses: session.NewReassembler(int64(inboundTTL)),
 		inbound:   session.NewReassembler(int64(inboundTTL)),
@@ -273,7 +279,14 @@ func (s *Session) SendMessageTo(dest netsim.NodeID, data []byte) (uint64, error)
 	if dest == s.self {
 		return 0, fmt.Errorf("core: cannot send to self")
 	}
-	segs, err := s.code.Split(data)
+	var split []byte
+	if n := len(s.spare); n > 0 {
+		split, s.spare = s.spare[n-1], s.spare[:n-1]
+	}
+	if coded := s.code.N() * s.code.SegmentSize(len(data)); cap(split) < coded {
+		split = make([]byte, coded)
+	}
+	segs, err := s.code.SplitInto(data, split)
 	if err != nil {
 		return 0, err
 	}
@@ -281,8 +294,10 @@ func (s *Session) SendMessageTo(dest netsim.NodeID, data []byte) (uint64, error)
 	var buf [session.Scratch]session.Output
 	outs, err := s.m.Send(buf[:0], int64(s.w.Eng.Now()), mid, dest, segs, s.scores())
 	if err != nil {
+		s.spare = append(s.spare, split)
 		return 0, err
 	}
+	s.splits[mid] = split
 	s.sent[mid] = struct{}{}
 	s.stats.MessagesSent++
 	s.w.m.messagesSent.Inc()
@@ -353,6 +368,9 @@ func (s *Session) run(outs []session.Output) {
 		case session.Acked:
 			s.stats.SegmentsAcked++
 			s.w.m.segmentsAcked.Inc()
+		case session.Forget:
+			s.spare = append(s.spare, s.splits[o.MID])
+			delete(s.splits, o.MID)
 		}
 	}
 }
@@ -360,8 +378,8 @@ func (s *Session) run(outs []session.Output) {
 // onDeadline is the typed event a round's Arm schedules, with the round
 // set's ID as its argument.
 func (s *Session) onDeadline(mid uint64) {
-	// No scratch: a round that was acknowledged has no outputs.
-	s.run(s.m.Deadline(nil, int64(s.w.Eng.Now()), mid))
+	var buf [session.Scratch]session.Output
+	s.run(s.m.Deadline(buf[:0], int64(s.w.Eng.Now()), mid))
 }
 
 // build constructs the replacement path a Build output asks for

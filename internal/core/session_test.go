@@ -521,11 +521,12 @@ func TestChurnWorldSurvival(t *testing.T) {
 // (sim.TestScheduleTypedZeroAlloc, netsim.TestSendDeliverZeroAlloc,
 // onion's packet pool), and neither do the relays in either direction —
 // a forward layer is opened and a reverse layer sealed in the buffer it
-// arrived in; what is counted here is the coded segments, one onion per
+// arrived in; what is counted here is the coded segments' descriptors
+// (their buffer is the one a forgotten record left), one onion per
 // segment, one buffer per ack and the responder's per-message records
-// (DESIGN.md §8 has the table). It measures 17; it was 37 with every
-// reverse layer sealed into a fresh buffer, and 106 with a closure and a
-// boxed message per delivery.
+// (DESIGN.md §8 has the table). It measures 16; it was 17 with a fresh
+// Split buffer per message, 37 with every reverse layer sealed into a
+// fresh buffer, and 106 with a closure and a boxed message per delivery.
 func TestSimEraMessageAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops at random under the race detector")
@@ -552,8 +553,8 @@ func TestSimEraMessageAllocs(t *testing.T) {
 		send()
 	}
 	allocs := testing.AllocsPerRun(runs, send)
-	if allocs > 19 {
-		t.Errorf("one SimEra(4,2) message allocated %.1f times, budget 19", allocs)
+	if allocs > 16 {
+		t.Errorf("one SimEra(4,2) message allocated %.1f times, budget 16", allocs)
 	}
 	st := s.Stats()
 	if n := warm + 1 + runs; delivered != n || st.SegmentsAcked != 4*n || st.PathsDied != 0 {

@@ -2,6 +2,7 @@ package erasure
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -92,6 +93,54 @@ func TestSplitIntoReusesBuffer(t *testing.T) {
 	for i := range fresh {
 		if !bytes.Equal(fresh[i].Data, reused[i].Data) {
 			t.Fatalf("segment %d differs between fresh and recycled buffers", i)
+		}
+	}
+}
+
+// TestReconstructIntoDirtyBuffer: a recycled dst full of another
+// message's bytes decodes to exactly what Reconstruct returns, from
+// every m-subset — the systematic copy and the non-systematic
+// multiply-accumulate overwrite it rather than add to it.
+func TestReconstructIntoDirtyBuffer(t *testing.T) {
+	for _, shape := range [][2]int{{1, 2}, {2, 4}, {3, 6}, {4, 8}} {
+		m, n := shape[0], shape[1]
+		c := mustCode(t, m, n)
+		msg := make([]byte, 301)
+		for i := range msg {
+			msg[i] = byte(i*13 + m)
+		}
+		segs, err := c.Split(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]byte, m*len(segs[0].Data))
+		for set := 0; set < 1<<n; set++ {
+			if bits.OnesCount(uint(set)) != m {
+				continue
+			}
+			var pick []Segment
+			for i := 0; i < n; i++ {
+				if set&(1<<i) != 0 {
+					pick = append(pick, segs[i])
+				}
+			}
+			want, err := c.Reconstruct(pick)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range dst {
+				dst[i] = 0xdb
+			}
+			got, err := c.ReconstructInto(dst, pick)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) || !bytes.Equal(got, msg) {
+				t.Fatalf("(%d,%d) from segments %b: a dirty dst decoded differently", m, n, set)
+			}
+			if &got[0] != &dst[lenPrefix] {
+				t.Fatalf("(%d,%d): ReconstructInto did not decode into dst", m, n)
+			}
 		}
 	}
 }

@@ -200,6 +200,15 @@ func (c *Code) SplitInto(msg, buf []byte) ([]Segment, error) {
 // distinct segments produced by Split. Extra segments beyond m and
 // duplicate indices are ignored.
 func (c *Code) Reconstruct(segs []Segment) ([]byte, error) {
+	return c.ReconstructInto(nil, segs)
+}
+
+// ReconstructInto is Reconstruct with a caller-provided buffer for the
+// decoded message, for a caller that recycles it. dst needs M() times a
+// segment's length of capacity; when it is nil or too small a fresh
+// buffer is allocated. Whatever dst held is overwritten, and the message
+// returned lies in it.
+func (c *Code) ReconstructInto(dst []byte, segs []Segment) ([]byte, error) {
 	chosen := make([]Segment, 0, c.m)
 	var seen [MaxSegments]bool
 	shard := -1
@@ -232,7 +241,10 @@ func (c *Code) Reconstruct(segs []Segment) ([]byte, error) {
 	// decoding matrix.
 	sortByIndex(chosen)
 
-	data := make([]byte, c.m*shard)
+	if cap(dst) < c.m*shard {
+		dst = make([]byte, c.m*shard)
+	}
+	data := dst[:c.m*shard]
 	if systematic(chosen, c.m) {
 		// Fast path: segments 0..m-1 are the data shards verbatim.
 		for _, s := range chosen {
@@ -244,9 +256,15 @@ func (c *Code) Reconstruct(segs []Segment) ([]byte, error) {
 			return nil, err
 		}
 		for i := 0; i < c.m; i++ {
+			// The j == 0 term overwrites, as SplitInto's parity rows do, so
+			// a recycled dst needs no clearing.
 			out := data[i*shard : (i+1)*shard]
 			for j, coef := range dec.Row(i) {
-				gf256.MulAddSlice(out, chosen[j].Data, coef)
+				if j == 0 {
+					gf256.MulSlice(out, chosen[j].Data, coef)
+				} else {
+					gf256.MulAddSlice(out, chosen[j].Data, coef)
+				}
 			}
 		}
 	}

@@ -315,7 +315,7 @@ func TestSessionCountersReconcile(t *testing.T) {
 	// with the collector counters on the responder exactly as
 	// analyze.Reconcile expects of simulated runs.
 	delivered := make(chan []byte, 8)
-	coll := NewLiveCollector(func(mid uint64, data []byte) { delivered <- data })
+	coll := NewLiveCollector(func(mid uint64, data []byte) { delivered <- bytes.Clone(data) })
 	c := startCluster(t, 10, map[int]DataFunc{9: coll.Handle})
 	init, resp := c.nodes[0], c.nodes[9]
 

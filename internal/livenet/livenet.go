@@ -49,12 +49,20 @@
 // A buffer is dead at Write unless it was handed to the application.
 // The responder opens in place, so DataFunc's data is a piece of the
 // frame it arrived in and the callee's to keep; the plaintext a Path
-// gets off the reverse path can be a piece of its frame too. Those two
-// kinds of read buffer are never reused. Every other frame was consumed
-// by the relay table, which keeps nothing of it, so once Node.handle
-// has written what the table answered the read buffer goes back to the
-// pool readFrame draws from. The write side's scratch is pooled as it
-// always was.
+// gets off the reverse path can be a piece of its frame too. A Path's
+// frames and a plain DataFunc's are never reused. LiveCollector, the
+// in-package DataFunc, hands back what it is done with through its
+// ReplyHandle: a probe's, a cover message's, an undecodable payload's
+// and an unstored segment's frame at once, a stored segment's once its
+// message is rebuilt or forgotten; and it rebuilds the message into a
+// readBufs buffer that goes back when LiveDelivered returns. Every other
+// frame was consumed by the relay table, which keeps nothing of it, so
+// once Node.handle has written what the table answered the read buffer
+// goes back to the pool readFrame draws from. At the initiator a
+// message's coded segments lie in a readBufs buffer from Send until the
+// session machine forgets the message's record (session.Forget), as
+// long as the record lived before. The write side's scratch is pooled
+// as it always was.
 //
 // Scope: static roster (the PKI directory with addresses) and one TCP
 // connection per frame. Gossip membership and the liveness predictor
@@ -129,25 +137,35 @@ const frameHeader = 4 + 1 + 8
 // needs more: the hop layer moves a body that lacks room.
 const frameSlack = 28
 
-// readBufs recycles read buffers by size, so that a 100-byte reverse
-// frame never takes — and, ending at an initiator, never takes out of
-// circulation — the buffer of a 128 KB data frame read on the same
-// accept loop: class c holds buffers of 1<<c up to 2<<c bytes.
+// readBufs is the package's one pool of payload-sized buffers: the
+// frames readFrame reads, a message's coded segments (LiveSession.Send)
+// and the message a responder rebuilds (LiveCollector). It recycles them
+// by size, so that a 100-byte reverse frame never takes — and, ending at
+// an initiator, never takes out of circulation — the buffer of a 128 KB
+// data frame read on the same accept loop: class c holds buffers of 1<<c
+// up to 2<<c bytes.
 var readBufs [frameBits + 1]sync.Pool
 
 // poisonReleased makes release overwrite a buffer before pooling it: a
-// test seam that turns any use of a frame after its release into wrong
+// test seam that turns any use of a buffer after its release into wrong
 // bytes.
 var poisonReleased atomic.Bool
 
 // readBuf returns a buffer of at least size bytes, its length its
 // capacity, from readBufs. Sizes are rounded up, by at most a sixteenth,
 // so that the frames of one path — a layer apart from hop to hop — fit
-// each other's buffers.
+// each other's buffers. A size past every class — the coded segments
+// of a message near the largest a frame carries — is a plain
+// allocation, which release drops.
 func readBuf(size int) *[]byte {
 	grain := max(64, 1<<bits.Len(uint(size))>>5)
-	size = (size + grain - 1) &^ (grain - 1)
-	bp, _ := readBufs[bits.Len(uint(size))-1].Get().(*[]byte)
+	size = max(grain, (size+grain-1)&^(grain-1))
+	class := bits.Len(uint(size)) - 1
+	if class > frameBits {
+		b := make([]byte, size)
+		return &b
+	}
+	bp, _ := readBufs[class].Get().(*[]byte)
 	if bp == nil {
 		bp = new([]byte)
 	}
@@ -157,15 +175,18 @@ func readBuf(size int) *[]byte {
 	return bp
 }
 
-// release returns the frame's buffer to readBufs. Only a frame nothing
-// holds a piece of any more may be released: Node.handle says which.
-func (f frame) release() {
+// release returns a buffer readBuf handed out to readBufs. Only a buffer
+// nothing holds a piece of any more may be released: Node.handle says
+// which frames, the LiveSession and the LiveCollector which of theirs.
+func release(bp *[]byte) {
 	if poisonReleased.Load() {
-		for i := range f.buf {
-			f.buf[i] = 0xdb
+		for i := range *bp {
+			(*bp)[i] = 0xdb
 		}
 	}
-	readBufs[bits.Len(uint(len(f.buf)))-1].Put(f.pooled)
+	if class := bits.Len(uint(len(*bp))) - 1; class <= frameBits {
+		readBufs[class].Put(bp)
+	}
 }
 
 // frameScratch recycles the write side's buffers: the one an initiator
@@ -255,7 +276,7 @@ func readFrame(r io.Reader) (frame, error) {
 	f := frame{kind: hdr[4], sid: binary.BigEndian.Uint64(hdr[5:]), buf: *bp, pooled: bp}
 	f.body = f.buf[frameSlack+frameHeader : end]
 	if _, err := io.ReadFull(r, f.body); err != nil {
-		f.release()
+		release(bp)
 		return frame{}, err
 	}
 	return f, nil

@@ -302,7 +302,7 @@ func (n *Node) acceptLoop() {
 				return
 			}
 			if !n.handle(f) {
-				f.release()
+				release(f.pooled)
 			}
 		}()
 	}
@@ -541,7 +541,7 @@ func (n *Node) handleDeliver(f frame) {
 		Node: int(n.cfg.ID), Peer: int(relay), ID: f.sid,
 		Slot: -1, Hop: -1, Size: len(data),
 	})
-	n.cfg.OnData(ReplyHandle{node: n, sid: f.sid, relay: relay, key: key}, data)
+	n.cfg.OnData(ReplyHandle{node: n, sid: f.sid, relay: relay, key: key, frame: f.pooled}, data)
 }
 
 // ReplyHandle lets a live responder answer along the delivering path.
@@ -550,6 +550,16 @@ type ReplyHandle struct {
 	sid   uint64
 	relay netsim.NodeID
 	key   onioncrypt.Cipher // the delivering stream's, for this reply
+	frame *[]byte           // the buffer the delivery lies in, or nil
+}
+
+// releaseFrame gives the buffer the delivery lies in back to readBufs.
+// Only LiveCollector calls it, once it is done with data: a DataFunc of
+// the application's keeps its data, and its frame is never reused.
+func (h ReplyHandle) releaseFrame() {
+	if h.frame != nil {
+		release(h.frame)
+	}
 }
 
 // From returns the terminal relay the payload arrived through.

@@ -32,6 +32,8 @@ import (
 // metrics. The LiveCollector is the responder side.
 
 // LiveDelivered is invoked when the collector reconstructs a message.
+// data is valid only during the call: the collector reuses its buffer
+// afterwards, so a callee that keeps the message copies it.
 type LiveDelivered func(mid uint64, data []byte)
 
 // collectorHorizon is how long the collector is sure to remember a
@@ -47,10 +49,14 @@ const collectorHorizon = 30 * time.Second
 // by the arrival rate, not the run length: a message — delivered, so
 // that late duplicates are recognised, or still short of m — is
 // forgotten between one and two horizons after its last segment, by a
-// sweep the first arrival of each horizon runs.
+// sweep the first arrival of each horizon runs. It gives back every
+// buffer it is done with: a delivery's frame once nothing it stores
+// lies in it, the rebuilt message's once LiveDelivered returns.
 type LiveCollector struct {
-	mu        sync.Mutex
-	asm       *session.Reassembler
+	mu  sync.Mutex
+	asm *session.Reassembler
+	// held is, by message, the frames the segments asm stores lie in.
+	held      map[uint64][]*[]byte
 	sweepAt   time.Time
 	now       func() time.Time // time.Now outside tests
 	delivered LiveDelivered
@@ -61,6 +67,7 @@ type LiveCollector struct {
 func NewLiveCollector(delivered LiveDelivered) *LiveCollector {
 	return &LiveCollector{
 		asm:       session.NewReassembler(int64(collectorHorizon)),
+		held:      make(map[uint64][]*[]byte),
 		now:       time.Now,
 		delivered: delivered,
 	}
@@ -73,30 +80,37 @@ func NewLiveCollector(delivered LiveDelivered) *LiveCollector {
 func (c *LiveCollector) Handle(h ReplyHandle, data []byte) {
 	msg, err := session.DecodeApp(data)
 	if err != nil {
+		h.releaseFrame()
 		return
 	}
 	switch msg.Kind {
 	case session.KindProbe:
 		h.node.m.recvProbes.Inc()
 		h.ack(msg.Ack)
+		h.releaseFrame()
 		return
 	case session.KindCover:
 		h.node.m.recvCover.Inc()
+		h.releaseFrame()
 		return
 	case session.KindSegment:
 	default:
+		h.releaseFrame()
 		return
 	}
 	seg := msg.Seg
 	c.mu.Lock()
 	now := c.now()
 	if !now.Before(c.sweepAt) {
-		c.asm.Sweep(now.UnixNano())
-		c.sweepAt = now.Add(collectorHorizon)
+		c.sweepLocked(now)
 	}
 	verdict := c.asm.Add(now.UnixNano(), seg)
+	if (verdict == session.Stored || verdict == session.Ready) && h.frame != nil {
+		c.held[seg.MID] = append(c.held[seg.MID], h.frame)
+	}
 	c.mu.Unlock()
 	if verdict == session.Rejected {
+		h.releaseFrame()
 		return
 	}
 	// Ack before reconstructing — the initiator's failure detector keys
@@ -104,15 +118,28 @@ func (c *LiveCollector) Handle(h ReplyHandle, data []byte) {
 	h.ack(session.Ack{MID: seg.MID, Index: seg.Index})
 	if verdict == session.Duplicate || verdict == session.Late {
 		h.node.m.recvDupSegments.Inc()
+		h.releaseFrame()
 	} else {
 		h.node.m.recvSegments.Inc()
 	}
 	if verdict != session.Ready {
 		return
 	}
+	// The reassembler stores only segments as long as a message's first,
+	// so this is no more than the bytes the m stored segments hold.
+	buf := readBuf(int(seg.Needed) * len(seg.Data))
+	defer release(buf)
 	c.mu.Lock()
-	out, segments, _, ok := c.asm.Reconstruct(seg.MID)
+	out, segments, _, ok := c.asm.ReconstructInto(seg.MID, *buf)
+	var frames []*[]byte
+	if ok {
+		frames = c.held[seg.MID]
+		delete(c.held, seg.MID)
+	}
 	c.mu.Unlock()
+	for _, f := range frames {
+		release(f)
+	}
 	if !ok {
 		return
 	}
@@ -125,6 +152,21 @@ func (c *LiveCollector) Handle(h ReplyHandle, data []byte) {
 	if c.delivered != nil {
 		c.delivered(seg.MID, out)
 	}
+}
+
+// sweepLocked forgets the messages past their horizon, and gives back
+// the frames of those that never had m segments. Callers hold c.mu.
+func (c *LiveCollector) sweepLocked(now time.Time) {
+	c.asm.Sweep(now.UnixNano())
+	for mid, frames := range c.held {
+		if _, _, _, ok := c.asm.Shape(mid); !ok {
+			for _, f := range frames {
+				release(f)
+			}
+			delete(c.held, mid)
+		}
+	}
+	c.sweepAt = now.Add(collectorHorizon)
 }
 
 // ack acknowledges a segment or probe up the path it arrived on, the
@@ -211,6 +253,7 @@ type LiveSession struct {
 	m        *session.Machine
 	waits    map[uint64]chan struct{} // unresolved messages, closed at the verdict
 	verdicts map[uint64]error         // verdicts awaiting Await
+	splits   map[uint64]*[]byte       // the buffer each recorded message's segments lie in
 	degraded bool                     // mirrored into the node's degraded gauge
 	rng      *mrand.Rand              // relay choice, cover path pick
 	probe    *time.Timer
@@ -219,9 +262,18 @@ type LiveSession struct {
 	// builds feeds the one goroutine a repairing session runs: path
 	// constructions block. At most one Build per slot is outstanding, so
 	// k slots of buffer never block the sender.
-	builds    chan session.Output
+	builds    chan queuedBuild
 	closeOnce sync.Once
 	wg        sync.WaitGroup
+}
+
+// queuedBuild is a Build output queued for the session's goroutine,
+// with the segment that rides it (First) already encoded: it can wait
+// behind other constructions for seconds, past the Forget of its
+// message.
+type queuedBuild struct {
+	session.Output
+	payload []byte
 }
 
 // errMessageLost is the Await verdict when the retransmit budget runs
@@ -261,8 +313,9 @@ func (n *Node) NewLiveSessionOpts(relayLists [][]netsim.NodeID, responder netsim
 		paths:     make([]atomic.Pointer[Path], k),
 		waits:     make(map[uint64]chan struct{}),
 		verdicts:  make(map[uint64]error),
+		splits:    make(map[uint64]*[]byte),
 		rng:       mrand.New(mrand.NewSource(int64(newSID()))),
-		builds:    make(chan session.Output, k),
+		builds:    make(chan queuedBuild, k),
 	}
 	cfg := session.Config{
 		K: k, M: k / r, N: k,
@@ -434,8 +487,10 @@ func (s *LiveSession) Send(data []byte) (uint64, error) {
 		return 0, fmt.Errorf("%w: a %d-byte message makes %d-byte segments, %d-byte frames of at most %d",
 			ErrFrameTooLarge, len(data), seg, size, maxFrameSize)
 	}
-	segs, err := s.code.Split(data)
+	split := readBuf(s.code.N() * s.code.SegmentSize(len(data)))
+	segs, err := s.code.SplitInto(data, *split)
 	if err != nil {
+		release(split)
 		return 0, err
 	}
 	mid := newSID()
@@ -444,9 +499,11 @@ func (s *LiveSession) Send(data []byte) (uint64, error) {
 	outs, err := s.m.Send(buf[:0], s.now(), mid, s.responder, segs, nil)
 	if err == nil {
 		s.waits[mid] = make(chan struct{})
+		s.splits[mid] = split // until the machine forgets the record
 	}
 	s.mu.Unlock()
 	if err != nil {
+		release(split)
 		if errors.Is(err, session.ErrFull) {
 			s.node.m.sendRejected.Inc()
 		}
@@ -485,7 +542,11 @@ func (s *LiveSession) run(outs []session.Output) {
 			mid := o.MID
 			time.AfterFunc(s.opts.AckTimeout, func() { s.deadline(mid) })
 		case session.Build:
-			s.builds <- o
+			b := queuedBuild{Output: o}
+			if o.First {
+				b.payload = s.m.Payload(o)
+			}
+			s.builds <- b
 		case session.Broken:
 			s.node.m.pathsDead.Inc()
 			reason := obs.ReasonAckTimeout
@@ -505,6 +566,12 @@ func (s *LiveSession) run(outs []session.Output) {
 			s.node.m.retransmits.Inc()
 		case session.Resolved:
 			s.resolve(o.MID, o.Delivered)
+		case session.Forget:
+			s.mu.Lock()
+			split := s.splits[o.MID]
+			delete(s.splits, o.MID)
+			s.mu.Unlock()
+			release(split)
 		}
 	}
 }
@@ -666,11 +733,7 @@ func (s *LiveSession) buildLoop() {
 // slot's segment riding each attempt's construction onion when the
 // machine sent one along (§4.2). The condemned path keeps receiving
 // until its replacement stands.
-func (s *LiveSession) build(b session.Output) {
-	var payload []byte
-	if b.First {
-		payload = s.m.Payload(b)
-	}
+func (s *LiveSession) build(b queuedBuild) {
 	var built *Path
 	err := constructRetry.Do(s.ctx, func(ctx context.Context) error {
 		relays, err := s.choose(b.Slot)
@@ -680,9 +743,9 @@ func (s *LiveSession) build(b session.Output) {
 		cctx, cancel := context.WithTimeout(ctx, s.node.cfg.ConstructTimeout)
 		defer cancel()
 		if b.First {
-			s.noteSegmentSent(b) // every attempt sends the segment again
+			s.noteSegmentSent(b.Output) // every attempt sends the segment again
 		}
-		built, err = s.node.launch(cctx, relays, s.responder, payload, b.First, s.reverse)
+		built, err = s.node.launch(cctx, relays, s.responder, b.payload, b.First, s.reverse)
 		return err
 	})
 	var buf [1]session.Output

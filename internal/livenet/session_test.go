@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/rand"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,7 +32,7 @@ func newLiveSessionEnv(t *testing.T, n, responder int, tweak ...func(*Config)) *
 	e := &liveSessionEnv{delivered: make(map[uint64][]byte), gotCh: make(chan uint64, 16)}
 	collector := NewLiveCollector(func(mid uint64, data []byte) {
 		e.mu.Lock()
-		e.delivered[mid] = data
+		e.delivered[mid] = bytes.Clone(data)
 		e.mu.Unlock()
 		e.gotCh <- mid
 	})
@@ -262,7 +263,7 @@ func TestLiveCollectorReassemblyCases(t *testing.T) {
 	for _, tc := range sessiontest.ReassemblyCases() {
 		t.Run(tc.Name, func(t *testing.T) {
 			var delivered [][]byte
-			c := NewLiveCollector(func(_ uint64, data []byte) { delivered = append(delivered, data) })
+			c := NewLiveCollector(func(_ uint64, data []byte) { delivered = append(delivered, bytes.Clone(data)) })
 			for _, seg := range tc.Segments {
 				c.Handle(h, seg.Encode(session.KindSegment))
 			}
@@ -270,6 +271,33 @@ func TestLiveCollectorReassemblyCases(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestLiveCollectorSizesByBytesHeld is the regression for a collector
+// that sized the rebuilt message's buffer by the segment that completed
+// the set — m times its length — before anything had compared the
+// lengths: m-1 empty segments and one long one made it allocate m times
+// what arrived, then fail to decode. A segment whose length disagrees
+// with its message's first is now rejected on arrival.
+func TestLiveCollectorSizesByBytesHeld(t *testing.T) {
+	const m = 16
+	h, _ := deafHandle(t)
+	var delivered int
+	c := NewLiveCollector(func(uint64, []byte) { delivered++ })
+	for i := int32(0); i < m-1; i++ {
+		c.Handle(h, session.Segment{MID: 1, Index: i, Total: m, Needed: m}.Encode(session.KindSegment))
+	}
+	long := session.Segment{MID: 1, Index: m - 1, Total: m, Needed: m, Data: make([]byte, 256<<10)}.Encode(session.KindSegment)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c.Handle(h, long)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(len(long)) {
+		t.Errorf("a %d-byte segment completing %d empty ones made the collector allocate %d bytes", len(long), m-1, got)
+	}
+	if delivered != 0 {
+		t.Error("segments of disagreeing lengths were delivered as a message")
 	}
 }
 

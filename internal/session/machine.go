@@ -80,6 +80,12 @@ const (
 	Resolved
 	// Retransmit: message MID starts another round.
 	Retransmit
+	// Forget: the machine has dropped data message MID's record — after
+	// its verdict, at the deadline that deletes it, or at that deadline
+	// after Teardown — and reads its segments no more: the driver may
+	// reuse the buffer they lie in. Once per data message, never for a
+	// probe round.
+	Forget
 )
 
 // Output is one instruction or event for the driver. Which fields are
@@ -350,22 +356,22 @@ func (m *Machine) Send(out []Output, now int64, mid uint64, dest netsim.NodeID, 
 	// The record keeps segs until its last deadline has fired, also
 	// when every ack came long before: dropping them at resolution is
 	// the natural thing and must not be done here. On live_bulk (256 KB
-	// messages, 5 s AckTimeout) that dead payload is what paces the
+	// messages, 5 s AckTimeout) that dead payload is what paced the
 	// collector — releasing it early took GC from 3.5 to 250 cycles/s
 	// and msgs_per_s from 326/325/329 to 182/169/177 (p50 2.6 → 5.4 ms)
 	// in three alternating pairs (PR 16, when a message allocated
-	// 7 975 KB: ≈ 2.7 GB/s). The first half of the fix, allocating less
-	// per message, is in (PR 19: 2 534 KB; PR 23: 1 445 KB, 0.6 GC
-	// cycles/s with the segments kept). The other half, releasing
-	// early, was measured again against that for PR 24 and is still a
-	// loss: segs dropped at resolve, 392/388/385 → 352/376/351 msg/s,
-	// p50 2.07/2.15/2.17 → 2.68/2.51/2.69 ms, GC 0.6 → 99 cycles/s,
-	// gc_cpu_share 0.3 % → 13 % (traced runs, seeds 31–33). What a
-	// message still allocates is mostly the responder's — the four
-	// deliveries it keeps and Reconstruct's output — beside Split's
-	// buffer here, so by that reading the ballast can go only once that
-	// garbage has gone too, not with SplitInto recycling alone. Measure
-	// it, as alternating pairs, before this line changes.
+	// 7 975 KB), and, measured again for PR 24 at 1 445 KB, 392 → 352
+	// msg/s, GC 0.6 → 99 cycles/s (segs dropped at resolve; traced
+	// runs, seeds 31–33). The record still lives exactly that long;
+	// what changed (PR 25) is that its buffer is not garbage after it:
+	// the Forget its last deadline emits hands the buffer back to the
+	// driver, which splits the next message into it, and the
+	// responder's garbage is recycled too, so live_bulk allocates
+	// 132 KB a message where it allocated 1 385 and GC runs 0.08 times
+	// a second where it ran 0.58 (gc_cpu_share 0.32 % → 0.05 %; traced
+	// runs, seeds 601–603). Releasing early is now a question of live
+	// heap, not of pacing: measure it, as alternating pairs, before
+	// this line changes.
 	msg := &message{dest: dest, segs: segs, jobs: make([]job, 0, len(segs))}
 	m.msgs[mid] = msg
 	m.inflight++
@@ -468,13 +474,12 @@ func (m *Machine) resolve(out []Output, mid uint64, msg *message, delivered bool
 // Deadline is the armed timer of round set mid firing: every slot that
 // carried a still-unacknowledged segment of the round is condemned (in
 // job order — for a first round, slot order), then the message is
-// dropped, given its verdict, or retransmitted. Unknown IDs — and any
-// ID after Teardown — are a no-op.
+// dropped, given its verdict, or retransmitted. Unknown IDs are a no-op,
+// and so is any ID after Teardown but for the record's Forget.
 func (m *Machine) Deadline(out []Output, now int64, mid uint64) []Output {
 	msg := m.msgs[mid]
 	if msg == nil || m.torn {
-		delete(m.msgs, mid)
-		return out
+		return m.forget(out, mid, msg)
 	}
 	reason := AckTimeout
 	if msg.probe {
@@ -500,14 +505,22 @@ func (m *Machine) Deadline(out []Output, now int64, mid uint64) []Output {
 	}
 	switch {
 	case msg.probe || msg.resolved:
-		delete(m.msgs, mid)
+		out = m.forget(out, mid, msg)
 	case msg.rounds >= m.cfg.MaxRetransmits:
-		out = m.resolve(out, mid, msg, false)
-		delete(m.msgs, mid)
+		out = m.forget(m.resolve(out, mid, msg, false), mid, msg)
 	default:
 		out = m.retransmit(out, now, mid, msg)
 	}
 	return out
+}
+
+// forget deletes round set mid's record, announcing a data message's.
+func (m *Machine) forget(out []Output, mid uint64, msg *message) []Output {
+	delete(m.msgs, mid)
+	if msg == nil || msg.probe {
+		return out
+	}
+	return append(out, Output{Kind: Forget, MID: mid})
 }
 
 // retransmit sends every unacknowledged segment again: on its home
@@ -593,7 +606,7 @@ func (m *Machine) CoverTick(out []Output, pick uint64) []Output {
 
 // Teardown ends the session: every later input is a no-op, armed
 // deadlines included — except that each still releases its record,
-// which lives as long as it would have (see Send).
+// which lives as long as it would have (see Send), with a Forget.
 func (m *Machine) Teardown() {
 	m.torn = true
 	m.inflight = 0

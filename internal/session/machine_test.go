@@ -324,12 +324,71 @@ func TestOnDemandConstruction(t *testing.T) {
 
 const time1h = 3600 * sec
 
+// checkForgets fails the test unless the machine has forgotten every
+// data message in sent exactly once and nothing else — no probe round —
+// and no message before its verdict.
+func checkForgets(t *testing.T, f *fleet, sent map[uint64]bool) {
+	t.Helper()
+	for mid, n := range f.Forgotten {
+		if !sent[mid] || n != 1 {
+			t.Fatalf("round set %d (a message sent: %v) forgotten %d times", mid, sent[mid], n)
+		}
+	}
+	if len(f.Forgotten) != len(sent) || f.Counts.EarlyForgets != 0 {
+		t.Fatalf("%d of %d messages forgotten, %d of them before their verdict", len(f.Forgotten), len(sent), f.Counts.EarlyForgets)
+	}
+}
+
+// TestForgetOncePerRecord: the machine announces dropping a data
+// message's record exactly once, at the deadline that drops it — after
+// the verdict, never at it for a delivered message (the record keeps
+// its segments as long as it did before Forget existed) — never for a
+// probe round, and still when that deadline fires after Teardown.
+func TestForgetOncePerRecord(t *testing.T) {
+	cfg, opts := repairConfig()
+	cfg.MaxRetransmits = 2
+	f := newFleet(t, 10, fourPaths, cfg, opts)
+	sent := make(map[uint64]bool)
+	delivered := f.send(t)
+	sent[delivered] = true
+	f.runFor(100 * ms)
+	if !f.delivered(delivered) || f.Forgotten[delivered] != 0 {
+		t.Fatalf("delivered message: verdict %v, forgotten %d times before its deadline", f.Verdicts[delivered], f.Forgotten[delivered])
+	}
+	f.runFor(sim.Time(cfg.AckTimeout))
+	if f.Forgotten[delivered] != 1 {
+		t.Fatalf("delivered message forgotten %d times at its deadline", f.Forgotten[delivered])
+	}
+
+	f.Net.SetUp(9, false) // the responder: nothing is acked
+	lost := f.send(t)
+	sent[lost] = true
+	f.runFor(sim.Time(int64(cfg.MaxRetransmits+1)*cfg.AckTimeout + 100*ms))
+	if f.Verdicts[lost] != [2]int{0, 1} || f.Forgotten[lost] != 1 {
+		t.Fatalf("lost message: verdict %v, forgotten %d times", f.Verdicts[lost], f.Forgotten[lost])
+	}
+
+	torn := f.send(t)
+	sent[torn] = true
+	f.runFor(100 * ms)
+	f.Teardown()
+	if f.Forgotten[torn] != 0 {
+		t.Fatal("Teardown forgot a record before its deadline")
+	}
+	f.runFor(sim.Time(cfg.AckTimeout))
+	if f.Counts.Probes == 0 {
+		t.Fatal("no probe round went out — the test lost its teeth")
+	}
+	checkForgets(t, f, sent)
+}
+
 // TestStormInvariants drives the session through generated fault
 // storms of rising severity and checks what must hold whatever
 // happens: every accepted Send resolves exactly once and never both
-// ways, the responder rebuilds no message twice, the in-flight bound
-// holds, full width returns once the faults have reverted, and
-// nothing is armed or acts after Teardown.
+// ways, its record is forgotten exactly once and after that, the
+// responder rebuilds no message twice, the in-flight bound holds, full
+// width returns once the faults have reverted, and nothing is armed or
+// acts after Teardown.
 func TestStormInvariants(t *testing.T) {
 	for _, events := range []int{4, 16, 48, 128} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -378,12 +437,13 @@ func TestStormInvariants(t *testing.T) {
 					t.Fatalf("%d of 4 paths alive after the storm passed (%d condemned, %d repaired, %d failed)",
 						f.M.Alive(), f.Counts.Broken[session.AckTimeout]+f.Counts.Broken[session.ProbeTimeout], f.Counts.Repaired, f.Counts.Failed)
 				}
+				checkForgets(t, f, accepted)
 				f.Teardown()
 				before := f.Counts
 				f.runFor(10 * sec)
 				before.LateDeadlines = f.Counts.LateDeadlines
-				if f.M.Armed() != 0 || f.Counts != before {
-					t.Fatalf("after teardown: %d armed, counts %+v → %+v", f.M.Armed(), before, f.Counts)
+				if f.M.Armed() != 0 || f.Counts != before || len(f.Forgotten) != len(accepted) {
+					t.Fatalf("after teardown: %d armed, %d records forgotten, counts %+v → %+v", f.M.Armed(), len(f.Forgotten), before, f.Counts)
 				}
 			})
 		}

@@ -6,8 +6,9 @@ import "resilientmix/internal/erasure"
 type Verdict uint8
 
 const (
-	// Rejected: invalid code shape or index, or a shape that disagrees
-	// with the message's earlier segments. Not stored, not to be acked.
+	// Rejected: invalid code shape or index, or a shape or segment
+	// length that disagrees with the message's earlier segments. Not
+	// stored, not to be acked.
 	Rejected Verdict = iota
 	// Stored: a new segment of a message still short of m.
 	Stored
@@ -74,6 +75,12 @@ func (r *Reassembler) Add(now int64, s Segment) Verdict {
 			return Duplicate
 		}
 	}
+	// Every segment of a message is as long as its first, so a Ready
+	// message's m segments are m × that length of bytes received — what
+	// a caller sizes ReconstructInto's buffer by.
+	if len(a.segs) > 0 && len(s.Data) != len(a.segs[0].Data) {
+		return Rejected
+	}
 	a.segs = append(a.segs, erasure.Segment{Index: int(s.Index), Data: s.Data})
 	if len(a.segs) >= int(a.needed) {
 		return Ready
@@ -86,6 +93,13 @@ func (r *Reassembler) Add(now int64, s Segment) Verdict {
 // again. It returns the message, how many segments it held and when
 // its first one arrived.
 func (r *Reassembler) Reconstruct(mid uint64) (data []byte, segments int, first int64, ok bool) {
+	return r.ReconstructInto(mid, nil)
+}
+
+// ReconstructInto is Reconstruct decoding into dst, as
+// erasure.(*Code).ReconstructInto does: dst needs the message's m times
+// a segment's length of capacity, or a fresh buffer is allocated.
+func (r *Reassembler) ReconstructInto(mid uint64, dst []byte) (data []byte, segments int, first int64, ok bool) {
 	a := r.msgs[mid]
 	if a == nil || a.done || len(a.segs) < int(a.needed) {
 		return nil, 0, 0, false
@@ -97,7 +111,7 @@ func (r *Reassembler) Reconstruct(mid uint64) (data []byte, segments int, first 
 		}
 		r.code = code
 	}
-	data, err := r.code.Reconstruct(a.segs)
+	data, err := r.code.ReconstructInto(dst, a.segs)
 	if err != nil {
 		return nil, 0, 0, false
 	}

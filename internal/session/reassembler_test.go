@@ -1,9 +1,11 @@
 package session_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
+	"resilientmix/internal/erasure"
 	"resilientmix/internal/session"
 	"resilientmix/internal/sessiontest"
 )
@@ -71,7 +73,9 @@ func TestReassemblerExpiry(t *testing.T) {
 // FuzzReassembler feeds arbitrary segment sequences — few IDs, small
 // shapes, so that collisions, disagreements and completions all
 // happen — and requires: no panic, no message delivered twice, every
-// delivery from at least m segments of one shape.
+// delivery from at least m segments of one shape, and decoded into a
+// recycled buffer still full of earlier bytes exactly what a fresh
+// decode of the segments the message held gives.
 func FuzzReassembler(f *testing.F) {
 	for _, tc := range sessiontest.ReassemblyCases() {
 		var script []byte
@@ -81,9 +85,12 @@ func FuzzReassembler(f *testing.F) {
 		f.Add(script)
 	}
 	f.Add([]byte{1, 0, 2, 1, 8, 1, 0, 2, 1, 8, 1, 1, 2, 1, 8})
+	f.Add([]byte{2, 3, 4, 2, 9, 2, 2, 4, 2, 9}) // parity only: the multiply-accumulate path
 	f.Fuzz(func(t *testing.T, script []byte) {
 		r := session.NewReassembler(16)
 		delivered := make(map[uint64]bool)
+		held := make(map[uint64][]erasure.Segment) // what r stores, as r stores it
+		dst := bytes.Repeat([]byte{0xdb}, 4096)    // past the largest message: 127 segments of 19 bytes
 		for now := int64(0); len(script) >= 5; now, script = now+1, script[5:] {
 			seg := session.Segment{
 				MID:   uint64(script[0] % 4),
@@ -92,24 +99,40 @@ func FuzzReassembler(f *testing.F) {
 			}
 			if now%7 == 6 {
 				r.Sweep(now)
-				for mid := range delivered {
+				for mid := range held {
 					if _, _, _, ok := r.Shape(mid); !ok {
 						delete(delivered, mid) // forgotten: the ID may be used again
+						delete(held, mid)
 					}
 				}
 			}
-			if r.Add(now, seg) != session.Ready {
+			v := r.Add(now, seg)
+			if v == session.Stored || v == session.Ready {
+				held[seg.MID] = append(held[seg.MID], erasure.Segment{Index: int(seg.Index), Data: seg.Data})
+			}
+			if v != session.Ready {
 				continue
 			}
-			if _, n, _, ok := r.Reconstruct(seg.MID); ok {
-				if delivered[seg.MID] {
-					t.Fatalf("message %d delivered twice", seg.MID)
-				}
-				if needed, _, done, _ := r.Shape(seg.MID); !done || n < int(needed) {
-					t.Fatalf("message %d delivered from %d of %d segments (done=%v)", seg.MID, n, needed, done)
-				}
-				delivered[seg.MID] = true
+			data, n, _, ok := r.ReconstructInto(seg.MID, dst)
+			if !ok {
+				continue
 			}
+			if delivered[seg.MID] {
+				t.Fatalf("message %d delivered twice", seg.MID)
+			}
+			needed, total, done, _ := r.Shape(seg.MID)
+			if !done || n < int(needed) {
+				t.Fatalf("message %d delivered from %d of %d segments (done=%v)", seg.MID, n, needed, done)
+			}
+			code, err := erasure.New(int(needed), int(total))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, err := code.Reconstruct(held[seg.MID]); err != nil || !bytes.Equal(data, want) {
+				t.Fatalf("message %d decoded into a dirty buffer as %x, fresh as %x (%v)", seg.MID, data, want, err)
+			}
+			delivered[seg.MID] = true
+			held[seg.MID] = nil
 		}
 	})
 }

@@ -51,12 +51,14 @@ func ReassemblyCases() []ReassemblyCase {
 		}
 		return segs
 	}
-	a, b, c, d := coded(1, 2, 4), coded(2, 2, 4), coded(3, 2, 4), coded(4, 2, 4)
+	a, b, c, d, e := coded(1, 2, 4), coded(2, 2, 4), coded(3, 2, 4), coded(4, 2, 4), coded(5, 2, 4)
 	other := coded(3, 1, 2) // message 3 again, under a different shape
 	bad := func(s session.Segment, index, total, needed int32) session.Segment {
 		s.Index, s.Total, s.Needed = index, total, needed
 		return s
 	}
+	long := e[1]
+	long.Data = append(bytes.Clone(long.Data), 0) // message 5's segment 1, a byte too long
 	return []ReassemblyCase{{
 		Name:     "any m of n, later segments are late",
 		Segments: []session.Segment{a[3], a[1], a[0]},
@@ -72,6 +74,13 @@ func ReassemblyCases() []ReassemblyCase {
 		// segment, failed to decode, and acked the third as a duplicate.
 		Name:     "a segment of another shape is rejected and poisons nothing",
 		Segments: []session.Segment{c[0], other[1], c[1]},
+		Verdicts: []session.Verdict{session.Stored, session.Rejected, session.Ready},
+		Payload:  payload,
+	}, {
+		// A reassembler that stored it would have a collector size the
+		// rebuilt message by it before the decoder saw the mismatch.
+		Name:     "a segment of another length is rejected and poisons nothing",
+		Segments: []session.Segment{e[0], long, e[1]},
 		Verdicts: []session.Verdict{session.Stored, session.Rejected, session.Ready},
 		Payload:  payload,
 	}, {

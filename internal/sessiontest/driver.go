@@ -41,6 +41,9 @@ type Counts struct {
 	Reconstructed              int // messages rebuilt at the responder
 	CoverSent, CoverShed       int
 	MaxInflight, LateDeadlines int
+	// EarlyForgets counts Forgets of a message with no verdict yet while
+	// the session stood.
+	EarlyForgets int
 }
 
 // Driver runs one session machine on its own engine and network: node
@@ -57,9 +60,11 @@ type Driver struct {
 	Choose func(slot int, exclude []netsim.NodeID) ([]netsim.NodeID, bool)
 	Counts Counts
 	// Verdicts counts, per message, how often it resolved as delivered
-	// [0] and as lost [1]; Rebuilt how often the responder rebuilt it.
-	Verdicts map[uint64][2]int
-	Rebuilt  map[uint64]int
+	// [0] and as lost [1]; Rebuilt how often the responder rebuilt it;
+	// Forgotten how often the machine forgot its record.
+	Verdicts  map[uint64][2]int
+	Rebuilt   map[uint64]int
+	Forgotten map[uint64]int
 
 	opts    Options
 	code    *erasure.Code
@@ -93,7 +98,7 @@ func NewDriver(nodes int, hop sim.Time, seed int64, self, responder netsim.NodeI
 	cfg.Responder = responder
 	d := &Driver{
 		Eng: eng, Net: netsim.New(eng, topo), M: session.New(cfg), Self: self, Responder: responder,
-		Verdicts: make(map[uint64][2]int), Rebuilt: make(map[uint64]int),
+		Verdicts: make(map[uint64][2]int), Rebuilt: make(map[uint64]int), Forgotten: make(map[uint64]int),
 		opts: opts, code: code,
 		paths: make([]*path, cfg.K),
 		epoch: make([]int, nodes),
@@ -227,6 +232,11 @@ func (d *Driver) run(outs []session.Output) {
 				v[1]++
 			}
 			d.Verdicts[o.MID] = v
+		case session.Forget:
+			d.Forgotten[o.MID]++
+			if v := d.Verdicts[o.MID]; v[0]+v[1] == 0 && !d.torn {
+				d.Counts.EarlyForgets++
+			}
 		}
 	}
 }
