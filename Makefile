@@ -42,7 +42,8 @@ bench-build:
 # Full paper-scale reproduction of every table/figure + extensions,
 # with CSV exports for plotting. results_full.txt and data/*.csv are
 # committed and a same-seed run rewrites them byte for byte, so this
-# leaves a clean tree clean (`git status --short` prints nothing).
+# leaves a clean tree clean (`git status --short` prints nothing); CI's
+# `repro` job fails on any diff.
 repro:
 	$(GO) run ./cmd/anonbench -all -seed 1 -o results_full.txt -csv data
 
@@ -133,8 +134,9 @@ lint-cluster:
 	$(GO) run ./ci/lintcluster
 
 # Short fuzz passes over the wire-facing parsers, the in-place onion and
-# reverse-layer code and the keyed cipher handles against the by-bytes
-# API. This is the one list (14): CI's "Fuzz smoke" step is
+# reverse-layer code, the keyed cipher handles against the by-bytes
+# API, and the trace analyzer (anontrace report and anonctl smoke feed
+# it traces over HTTP). This is the one list (15): CI's "Fuzz smoke" step is
 # `make fuzz FUZZTIME=15s`. Every pass runs its fuzzer alone (-run '^$'
 # skips the package's tests, the anchored -fuzz matches one target).
 # (core.FuzzDecodeAppMsg and livenet.FuzzDecodeLive, which fuzz the two
@@ -155,7 +157,8 @@ FUZZERS = \
 	internal/livenet:FuzzFaultHandler \
 	internal/faultinject:FuzzParseSchedule \
 	internal/obs/tsdb:FuzzRead \
-	internal/obs:FuzzParsePrometheus
+	internal/obs:FuzzParsePrometheus \
+	internal/obs/analyze:FuzzAnalyzeTrace
 
 fuzz:
 	@set -e; for f in $(FUZZERS); do \

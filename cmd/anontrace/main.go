@@ -116,7 +116,7 @@ func readSource(src string) (*analyze.Result, error) {
 	}
 	a := analyze.New()
 	if err := obs.ForEachEvent(resp.Body, func(e obs.Event) error {
-		a.Add(e)
+		a.Emit(e)
 		return nil
 	}); err != nil {
 		return nil, err

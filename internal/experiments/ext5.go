@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"resilientmix/internal/adversary"
 	"resilientmix/internal/core"
 	"resilientmix/internal/mixchoice"
 	"resilientmix/internal/netsim"
+	"resilientmix/internal/obs/analyze"
 	"resilientmix/internal/sim"
 )
 
@@ -24,26 +24,23 @@ func Ext5(opts Options) (*Result, error) {
 	}
 
 	run := func(cover bool, seed int64) (success float64, ambiguity int, err error) {
-		w, err := core.NewWorld(core.WorldConfig{N: n, Seed: seed})
+		// The observer reads the run's trace; tracing consumes no engine
+		// randomness, so the run is the one an untraced world makes.
+		an := analyze.New()
+		w, err := core.NewWorld(core.WorldConfig{N: n, Seed: seed, Tracer: an})
 		if err != nil {
 			return 0, 0, err
 		}
 		const initiator, responder = netsim.NodeID(3), netsim.NodeID(7)
-		tc, err := adversary.NewTimingCorrelator(w.Eng.RNG(), n, 0.9, 2*sim.Second)
+		covered, err := analyze.Coverage(w.Eng.RNG(), n, 0.9)
 		if err != nil {
 			return 0, 0, err
 		}
-		w.Net.AddTap(tc.Tap(w.Eng.Now))
 		// §4.6: "only the source and destination of a communication can
 		// distinguish real messages and cover messages" — the compromised
 		// responder therefore correlates only against the conversation it
 		// cares about, not against cover dummies that happen to land on it.
 		realMIDs := make(map[uint64]bool)
-		w.Receivers[responder].SetOnDelivered(func(mid uint64, _ []byte, at sim.Time) {
-			if realMIDs[mid] {
-				tc.ObserveDelivery(at)
-			}
-		})
 
 		if cover {
 			for i := 0; i < n; i++ {
@@ -80,7 +77,8 @@ func Ext5(opts Options) (*Result, error) {
 
 		// The attacker guesses uniformly among the tied top scorers; the
 		// success probability is 1/|tie set| when the initiator is in it.
-		return tc.SuccessProbability(initiator, responder), tc.Ambiguity(responder), nil
+		c, err := an.Finalize().Correlate(covered, int64(2*sim.Second), realMIDs, int(responder))
+		return c.Success, c.Ambiguity, err
 	}
 
 	seeds := 6

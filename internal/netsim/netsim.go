@@ -33,8 +33,8 @@ const Invalid NodeID = -1
 // must never influence protocol behavior).
 //
 // A message is delivered at most once — the network never duplicates —
-// and nothing but the receiving handler keeps Payload: taps and tracers
-// look and let go. A protocol may therefore send a pointer to a pooled
+// and nothing but the receiving handler keeps Payload: tracers look and
+// let go. A protocol may therefore send a pointer to a pooled
 // value and recycle it when the handler has read it (internal/onion's
 // packet does); a message dropped in flight simply leaves its payload
 // to the collector. Anything that delivers a message twice (a replay
@@ -59,14 +59,6 @@ func (f HandlerFunc) HandleMessage(from NodeID, msg Message) { f(from, msg) }
 
 // StateListener observes node up/down transitions (join/leave churn).
 type StateListener func(id NodeID, up bool)
-
-// Tap observes every message placed on the wire — the vantage point of
-// a passive network adversary ("the attacker can observe some fraction
-// of network traffics", §3). The tap sees link endpoints and sizes; the
-// payload is opaque ciphertext in the real system, so well-behaved taps
-// must not inspect Payload beyond its type, and must not keep it (see
-// Message).
-type Tap func(from, to NodeID, msg Message)
 
 // Stats aggregates network-wide counters.
 type Stats struct {
@@ -113,7 +105,6 @@ type Network struct {
 	nUp       int
 	handlers  []Handler
 	listeners []StateListener
-	taps      []Tap
 	lossRate  float64
 	fault     *faultState
 	stats     Stats
@@ -209,12 +200,6 @@ func (n *Network) AddStateListener(l StateListener) {
 	n.listeners = append(n.listeners, l)
 }
 
-// AddTap registers a passive wire observer, invoked for every message
-// that actually enters the network.
-func (n *Network) AddTap(t Tap) {
-	n.taps = append(n.taps, t)
-}
-
 // SetLossRate makes every message independently vanish in flight with
 // probability p — random link loss on top of churn. The paper's failure
 // model is node churn only; loss extends the evaluation (erasure-coded
@@ -288,9 +273,6 @@ func (n *Network) Send(from, to NodeID, msg Message) bool {
 	}
 	if n.tracer != nil {
 		n.tracer.Emit(msgEvent(obs.MsgSent, int64(n.eng.Now()), fi, ti, msg, obs.ReasonNone))
-	}
-	for _, tap := range n.taps {
-		tap(from, to, msg)
 	}
 	if n.lossRate > 0 && n.eng.RNG().Float64() < n.lossRate {
 		n.stats.DroppedLoss++

@@ -3,12 +3,15 @@
 // actually did, per stream — the full causal timeline of every tagged
 // application message (onion hops, erasure segments over the k paths,
 // retries, and the terminal outcome), end-to-end latency attributed
-// into link-propagation, relay-queueing and retry components, and the
-// anonymity observables available to a passive global wire observer.
+// into link-propagation, relay-queueing and retry components, and what
+// a passive wire observer learns: the anonymity observables of a
+// global one (Summary.Anonymity) and the §4.6 timing-correlation attack
+// of one tapping a fraction of the nodes (Result.Correlate).
 //
 // The engine is streaming: feed events to an Analyzer in trace order
-// (Add), then Finalize once. Nothing here touches the simulation —
-// analysis is a pure function of the trace, so it can run long after
+// (Emit — an Analyzer is an obs.Tracer, so a simulated world can feed
+// it directly), then Finalize once. Nothing here touches the simulation
+// — analysis is a pure function of the trace, so it can run long after
 // the run, on another machine, over gzip-compressed traces
 // (obs.OpenTraceReader), and its results are as deterministic as the
 // trace itself.
@@ -157,23 +160,26 @@ type jkey struct {
 	slot int32
 }
 
-// hopSend is one tagged first-link send, the observable the anonymity
-// metrics are built from.
-type hopSend struct {
+// send is one wire send as a passive observer sees it: when, and from
+// which node. The anonymity metrics read the tagged first-link sends
+// (hop0), the timing correlator every send.
+type send struct {
 	at   int64
 	node int
+	hop0 bool
 }
 
 // maxIntegrityDetails caps how many integrity errors are described in
 // full; the count is always exact.
 const maxIntegrityDetails = 16
 
-// Analyzer reconstructs streams from a trace fed in order.
+// Analyzer reconstructs streams from a trace fed in order. It is not
+// safe for concurrent use: feed it from one goroutine.
 type Analyzer struct {
 	streams  map[uint64]*Stream
 	journeys map[jkey]*Journey
 	order    []jkey // insertion order, for deterministic output
-	hop0     []hopSend
+	sends    []send // every msg_sent, tagged or not
 	events   int
 	seenAny  bool
 	start    int64
@@ -225,8 +231,8 @@ func (a *Analyzer) journey(k jkey) *Journey {
 // tagged reports whether a message event carries a data-plane tag.
 func tagged(e obs.Event) bool { return e.ID != 0 && e.Slot >= 0 && e.Hop >= 0 }
 
-// Add feeds one event. Events must arrive in trace (time) order.
-func (a *Analyzer) Add(e obs.Event) {
+// Emit feeds one event. Events must arrive in trace (time) order.
+func (a *Analyzer) Emit(e obs.Event) {
 	a.events++
 	if !a.seenAny || e.At < a.start {
 		a.start = e.At
@@ -263,6 +269,7 @@ func (a *Analyzer) Add(e obs.Event) {
 		st.ReconstructedAt = e.At
 		st.Receiver = e.Node
 	case obs.MsgSent:
+		a.sends = append(a.sends, send{at: e.At, node: e.Node, hop0: tagged(e) && e.Hop == 0})
 		if tagged(e) {
 			a.addSent(e)
 		}
@@ -285,7 +292,6 @@ func (a *Analyzer) Add(e obs.Event) {
 func (a *Analyzer) addSent(e obs.Event) {
 	j := a.journey(jkey{e.ID, int32(e.Seq), int32(e.Slot)})
 	if e.Hop == 0 {
-		a.hop0 = append(a.hop0, hopSend{at: e.At, node: e.Node})
 		j.Attempts = append(j.Attempts, &Attempt{})
 	} else {
 		att := j.current()
@@ -432,6 +438,9 @@ type Result struct {
 	// Grace is the in-flight window: journeys unresolved within Grace
 	// of TraceEnd are in flight, not integrity errors.
 	Grace int64
+
+	// sends is the observer's index, in time order.
+	sends []send
 }
 
 // Finalize classifies every journey and computes the summary. The
@@ -507,25 +516,26 @@ func (a *Analyzer) Finalize() *Result {
 	sum.IntegrityErrors = a.integrityN
 	sum.IntegrityDetails = a.integrityDetails
 
+	// A live node stamps an event before it enters the stream, from
+	// concurrent goroutines, so a /debug/trace capture can be out of
+	// time order by microseconds; the observer's window searches need
+	// the send index sorted.
+	sort.Slice(a.sends, func(i, k int) bool {
+		if a.sends[i].at != a.sends[k].at {
+			return a.sends[i].at < a.sends[k].at
+		}
+		return a.sends[i].node < a.sends[k].node
+	})
 	res := &Result{
 		Summary:    sum,
 		Streams:    streams,
 		TraceStart: a.start,
 		TraceEnd:   a.end,
 		Grace:      grace,
+		sends:      a.sends,
 	}
 	res.Summary.Latency, res.Latencies = attributeLatency(streams)
-	// A live node stamps an event before it enters the stream, from
-	// concurrent goroutines, so a /debug/trace capture can be out of
-	// time order by microseconds; the anonymity window search needs the
-	// first-hop index sorted.
-	sort.Slice(a.hop0, func(i, k int) bool {
-		if a.hop0[i].at != a.hop0[k].at {
-			return a.hop0[i].at < a.hop0[k].at
-		}
-		return a.hop0[i].node < a.hop0[k].node
-	})
-	res.Summary.Anonymity = anonymityMetrics(streams, a.hop0)
+	res.Summary.Anonymity = anonymityMetrics(streams, a.sends)
 	return res
 }
 
@@ -587,7 +597,7 @@ func streamInFlight(st *Stream) bool {
 func FromEvents(events []obs.Event) *Result {
 	a := New()
 	for _, e := range events {
-		a.Add(e)
+		a.Emit(e)
 	}
 	return a.Finalize()
 }
@@ -602,7 +612,7 @@ func ReadFile(path string) (*Result, error) {
 	defer r.Close()
 	a := New()
 	if err := obs.ForEachEvent(r, func(e obs.Event) error {
-		a.Add(e)
+		a.Emit(e)
 		return nil
 	}); err != nil {
 		return nil, err

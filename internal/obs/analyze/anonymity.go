@@ -1,7 +1,9 @@
 package analyze
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 )
 
@@ -13,7 +15,8 @@ import (
 // take, so every node that launched a first-hop send inside the
 // message's delivery window is a plausible initiator. The smaller and
 // more skewed that set, the weaker the anonymity (ZhuH07 §2's passive
-// adversary).
+// adversary). Correlate is §4.6's attack by an observer who taps only
+// some nodes; both read one index of every msg_sent, in time order.
 
 // AnonymityMetrics are observables available to a passive global
 // observer who sees every wire event but no message contents: how well
@@ -36,31 +39,32 @@ type AnonymityMetrics struct {
 }
 
 // anonymityMetrics computes per-message anonymity observables over
-// delivered streams, from the trace-ordered index of tagged first-hop
-// sends.
-func anonymityMetrics(streams []*Stream, hop0 []hopSend) *AnonymityMetrics {
-	if len(hop0) == 0 {
-		return nil
-	}
+// delivered streams, from the time-ordered send index's tagged
+// first-hop sends.
+func anonymityMetrics(streams []*Stream, sends []send) *AnonymityMetrics {
 	m := &AnonymityMetrics{MinSetSize: math.MaxInt}
 	var sumSet, sumEntropy float64
 	linked := 0
 	counts := make(map[int]int)
 	for _, st := range streams {
-		if !st.Reconstructed || st.FirstSentAt < 0 {
+		// A capture merged from several hosts' clocks can stamp a
+		// reconstruction before its send: no window, not measurable.
+		if !st.Reconstructed || st.FirstSentAt < 0 || st.ReconstructedAt < st.FirstSentAt {
 			continue
 		}
 		// The delivery window: any first-hop send in
 		// [FirstSentAt, ReconstructedAt] could have been this message's
-		// launch. hop0 is in trace order, so the window is a contiguous
-		// run found by binary search.
-		lo := sort.Search(len(hop0), func(i int) bool { return hop0[i].at >= st.FirstSentAt })
-		hi := sort.Search(len(hop0), func(i int) bool { return hop0[i].at > st.ReconstructedAt })
+		// launch. The index is in time order, so the window is a
+		// contiguous run found by binary search.
+		lo := sort.Search(len(sends), func(i int) bool { return sends[i].at >= st.FirstSentAt })
+		hi := sort.Search(len(sends), func(i int) bool { return sends[i].at > st.ReconstructedAt })
 		clear(counts)
 		total := 0
-		for _, s := range hop0[lo:hi] {
-			counts[s.node]++
-			total++
+		for _, s := range sends[lo:hi] {
+			if s.hop0 {
+				counts[s.node]++
+				total++
+			}
 		}
 		if total == 0 {
 			// Delivered without any observed first-hop send (endpoint
@@ -96,4 +100,100 @@ func anonymityMetrics(streams []*Stream, hop0 []hopSend) *AnonymityMetrics {
 	m.MeanEntropyBits = sumEntropy / n
 	m.LinkageRate = float64(linked) / n
 	return m
+}
+
+// Coverage draws the nodes whose outgoing links a partial observer taps
+// (§3: "the attacker can observe some fraction of network traffics"):
+// node x independently with probability p, one rng.Float64 per node id
+// in ascending order.
+func Coverage(rng *rand.Rand, n int, p float64) ([]bool, error) {
+	if p < 0 || p > 1 {
+		return nil, fmt.Errorf("analyze: coverage %g outside [0,1]", p)
+	}
+	covered := make([]bool, n)
+	for x := range covered {
+		covered[x] = rng.Float64() < p
+	}
+	return covered, nil
+}
+
+// Correlation is the outcome of §4.6's timing-correlation attack.
+type Correlation struct {
+	// Deliveries is the number of victim messages reconstructed.
+	Deliveries int
+	// Top is the best candidate's score: the fraction of deliveries
+	// preceded, within the window, by a send from it.
+	Top float64
+	// Ambiguity is the number of candidates tied at Top — the
+	// attacker's anonymity set.
+	Ambiguity int
+	// Success is the probability that the attacker, guessing uniformly
+	// among the tied candidates, names an initiator of the victim
+	// messages (per their segment_sent events); 0 when nothing
+	// correlated (Top is 0). A deterministic tie-break would smuggle in
+	// id bias.
+	Success float64
+}
+
+// Correlate mounts §4.6's attack: the observer sees when the covered
+// nodes send (covered[x], drawn by Coverage) and when the responder it
+// controls reconstructs the victim messages — the responder tells its
+// own conversation from cover dummies. A node that consistently sends
+// within window before those reconstructions is probably the
+// initiator; cover traffic washes that out. Every covered node not in
+// exclude is a candidate; a node id outside covered (a trace is
+// outside input) never is.
+func (r *Result) Correlate(covered []bool, window int64, victim map[uint64]bool, exclude ...int) (Correlation, error) {
+	if window <= 0 {
+		return Correlation{}, fmt.Errorf("analyze: correlation window must be positive")
+	}
+	var c Correlation
+	initiator := make(map[int]bool)
+	hits := make([]int, len(covered))
+	// last[x] is 1 + the delivery x was last counted for.
+	last := make([]int, len(covered))
+	for _, st := range r.Streams {
+		if !victim[st.MID] {
+			continue
+		}
+		initiator[st.Initiator] = true
+		if !st.Reconstructed {
+			continue
+		}
+		c.Deliveries++
+		t := st.ReconstructedAt
+		lo := sort.Search(len(r.sends), func(i int) bool { return r.sends[i].at >= t-window })
+		for _, s := range r.sends[lo:] {
+			if s.at > t {
+				break
+			}
+			if x := s.node; x >= 0 && x < len(covered) && covered[x] && last[x] != c.Deliveries {
+				last[x] = c.Deliveries
+				hits[x]++
+			}
+		}
+	}
+	skip := make(map[int]bool, len(exclude))
+	for _, x := range exclude {
+		skip[x] = true
+	}
+	score := func(x int) float64 { return float64(hits[x]) / float64(max(c.Deliveries, 1)) }
+	for x, ok := range covered {
+		if ok && !skip[x] {
+			c.Top = max(c.Top, score(x))
+		}
+	}
+	named := 0
+	for x, ok := range covered {
+		if ok && !skip[x] && score(x) >= c.Top-1e-12 {
+			c.Ambiguity++
+			if initiator[x] {
+				named++
+			}
+		}
+	}
+	if c.Top > 0 {
+		c.Success = float64(named) / float64(c.Ambiguity)
+	}
+	return c, nil
 }
