@@ -12,7 +12,8 @@ build:
 	$(GO) vet ./...
 
 # Tier 1. Without -race on purpose: the allocation budgets
-# (core.TestSimEraMessageAllocs ≤ 16 allocations,
+# (core.TestSimEraMessageAllocs ≤ 6 allocations and
+# TestSimEraMessageBytes ≤ 1 KB,
 # livenet.TestLiveSmallAllocBudget ≤ 36 KB, TestLiveBulkAllocBudget
 # ≤ 700 KB, TestLiveBulkSteadyAllocBudget ≤ 150 KB,
 # livenet.TestFrameWriteAllocs) skip under the race detector, where

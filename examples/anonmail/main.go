@@ -15,6 +15,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
@@ -77,9 +78,11 @@ func runScenario(strategy rm.Strategy) (delivered, replied int) {
 	sess.EnableRepair(rm.Minute)
 
 	// Mailbox: acknowledge receipt, then deliver the reply later over
-	// the cached reverse paths.
+	// the cached reverse paths. The mail is copied: data is valid only
+	// during the callback.
 	net.Receivers[mailbox].SetOnDelivered(func(mid uint64, data []byte, _ rm.Time) {
 		delivered++
+		data = bytes.Clone(data)
 		net.Eng.Schedule(replyDelay, func() {
 			reply := append([]byte("Re: "), data...)
 			if _, err := net.Receivers[mailbox].Respond(mid, reply, nil); err == nil {

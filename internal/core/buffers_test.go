@@ -1,0 +1,182 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"resilientmix/internal/bufpool"
+	"resilientmix/internal/erasure"
+	"resilientmix/internal/netsim"
+	"resilientmix/internal/session"
+	"resilientmix/internal/sim"
+)
+
+// TestSimReleasedBuffersPoisoned runs a world that reaches every place
+// the simulator gives a payload buffer back — a relay dropping a
+// message, the responder's probe, service, stored, duplicate and late
+// segments, the rebuilt message when onDelivered returns, the
+// initiator's acks, response segments (its own and not) and inbound
+// segments, and the partial messages a sweep forgets — with released
+// buffers poisoned, and requires every payload that arrives to arrive
+// byte-exact: the messages, their responses, immediate
+// (Receiver.Respond inside the callback) and delayed (as
+// examples/anonmail does: the mail cloned, answered replyDelay later),
+// and rendezvous conversations both ways. A buffer released while
+// something still reads it is overwritten, with the poison or by its
+// next user, and what is read there is wrong or fails to rebuild (the
+// responder counts that).
+//
+// SimEra(4,2) under Pareto churn with repair, and 5 % link loss once the
+// path sets stand: segments are lost, late (two of four rebuild a
+// message) and, in messages of the test's own, duplicated.
+func TestSimReleasedBuffersPoisoned(t *testing.T) {
+	bufpool.SetPoison(true)
+	t.Cleanup(func() { bufpool.SetPoison(false) })
+	const (
+		initiator, responder = netsim.NodeID(0), netsim.NodeID(1)
+		rz, hidden, visitor  = netsim.NodeID(2), netsim.NodeID(3), netsim.NodeID(4)
+		replyDelay           = 25 * sim.Second
+	)
+	w, err := NewWorld(WorldConfig{
+		N: 64, Seed: 5, UniformRTT: 50 * sim.Millisecond,
+		Lifetime: churnLifetime(), Pinned: []netsim.NodeID{initiator, responder, rz, hidden, visitor},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.StartChurn(); err != nil {
+		t.Fatal(err)
+	}
+	w.Run(40 * sim.Minute) // the first lifetimes end
+	newSession := func(self, to netsim.NodeID, k int) *Session {
+		s, err := w.NewSession(self, to, Params{Protocol: SimEra, K: k, R: 2, MaxEstablishAttempts: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !establish(t, w, s) {
+			t.Fatalf("node %d could not establish to %d", self, to)
+		}
+		s.EnableRepair(30 * sim.Second)
+		return s
+	}
+	s := newSession(initiator, responder, 4)
+	rendezvous := w.NewRendezvous(rz)
+	service, client := newSession(hidden, rz, 2), newSession(visitor, rz, 2)
+	w.Net.SetLossRate(0.05)
+
+	// The responder answers even messages at once and odd ones, like
+	// examples/anonmail, replyDelay later from a copy of the message.
+	sent := make(map[uint64][]byte) // by message ID
+	want := make(map[uint64][]byte) // the response each message gets
+	var delivered, responses, delayed int
+	w.Receivers[responder].SetOnDelivered(func(mid uint64, data []byte, _ sim.Time) {
+		if !bytes.Equal(data, sent[mid]) {
+			t.Errorf("message %x delivered as %q, sent as %q", mid, data, sent[mid])
+		}
+		delivered++
+		if data[len(data)-1]%2 == 0 {
+			w.Receivers[responder].Respond(mid, append([]byte("re: "), data...), nil)
+			return
+		}
+		data = bytes.Clone(data)
+		w.Eng.Schedule(replyDelay, func() {
+			w.Receivers[responder].Respond(mid, append([]byte("Re: "), data...), nil)
+		})
+	})
+	s.OnResponse = func(mid uint64, data []byte, _ sim.Time) {
+		if !bytes.Equal(data, want[mid]) {
+			t.Errorf("response to %x arrived as %q, want %q", mid, data, want[mid])
+		}
+		responses++
+		if data[0] == 'R' {
+			delayed++
+		}
+	}
+
+	// The hidden service echoes every request through the rendezvous. It
+	// registers a fresh tag for each conversation: a registration's
+	// reverse paths are those standing when it arrived, and repair
+	// replaces paths faster than the rendezvous forgets them.
+	asked := make(map[uint64][]byte) // by conversation
+	var served, answered int
+	service.OnInbound = func(conv uint64, data []byte, _ sim.Time) {
+		served++
+		if err := service.SendServiceReply(conv, append([]byte("echo: "), data...)); err != nil {
+			t.Errorf("SendServiceReply: %v", err)
+		}
+	}
+	client.OnInbound = func(conv uint64, data []byte, _ sim.Time) {
+		if want := append([]byte("echo: "), asked[conv]...); !bytes.Equal(data, want) {
+			t.Errorf("conversation %x answered with %q, want %q", conv, data, want)
+		}
+		answered++
+	}
+
+	// Now and then a message of the test's own goes down one path with
+	// its first segment twice: the responder sees a duplicate, and its
+	// response is no message the session sent.
+	code, err := erasure.New(2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sendTwice := func(mid uint64, msg []byte) {
+		segs, err := code.Split(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for slot, p := range s.paths {
+			if !s.m.SlotAlive(slot) {
+				continue
+			}
+			sent[mid] = msg
+			for _, i := range []int{0, 0, 1} {
+				seg := session.Segment{MID: mid, Index: int32(i), Total: 4, Needed: 2, Data: segs[i].Data}
+				w.Nodes[initiator].Initiator.SendData(p, seg.Encode(session.KindSegment), nil)
+			}
+			return
+		}
+	}
+
+	const messages = 120
+	for i := 0; i < messages; i++ {
+		if i%5 == 0 {
+			sendTwice(1<<63|uint64(i), []byte(fmt.Sprintf("twice %d", i)))
+		}
+		msg := []byte(fmt.Sprintf("message %03d, %s", i, bytes.Repeat([]byte{'a' + byte(i%26)}, 200+i)))
+		msg = append(msg, byte(i))
+		if mid, err := s.SendMessage(msg); err == nil {
+			sent[mid] = msg
+			re := "Re: "
+			if i%2 == 0 {
+				re = "re: "
+			}
+			want[mid] = append([]byte(re), msg...)
+		}
+		if i%4 == 0 {
+			tag := uint64(i)
+			if service.RegisterService(tag) == nil {
+				w.Run(w.Eng.Now() + sim.Second)
+			}
+			question := []byte(fmt.Sprintf("question %d", i))
+			if conv, err := client.SendServiceMessage(tag, question); err == nil {
+				asked[conv] = question
+			}
+		}
+		w.Run(w.Eng.Now() + 10*sim.Second)
+	}
+	w.Run(w.Eng.Now() + replyDelay + sim.Minute)
+
+	if bad := w.Receivers[responder].badSegs; bad != 0 {
+		t.Errorf("the responder failed to decode or rebuild %d times", bad)
+	}
+	st := w.Net.Stats()
+	t.Logf("%d sent, %d delivered, %d responses (%d delayed), %d of %d conversations served and %d answered; %d lost, %d to down nodes; rendezvous %+v",
+		len(sent), delivered, responses, delayed, served, len(asked), answered, st.DroppedLoss, st.DroppedReceiver, rendezvous.Stats())
+	if delivered < len(sent)/2 || delayed < 10 || responses-delayed < 10 || answered < 3 {
+		t.Error("too little arrived for the check to mean anything")
+	}
+	if st.DroppedLoss == 0 || st.DroppedReceiver == 0 {
+		t.Error("loss or churn dropped no message")
+	}
+}

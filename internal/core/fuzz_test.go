@@ -50,6 +50,6 @@ func FuzzDecodeAppMsg(f *testing.F) {
 		if _, err := session.DecodeApp(data); err != nil && recv.badSegs != bad+1 {
 			t.Fatal("a payload the codec rejects was not counted as bad")
 		}
-		s.handleReverse(data)
+		s.handleReverse(data, nil)
 	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"resilientmix/internal/session"
@@ -191,7 +192,7 @@ func TestReceiverReassemblyCases(t *testing.T) {
 		t.Fatal("establishment failed")
 	}
 	var delivered [][]byte
-	w.Receivers[1].SetOnDelivered(func(_ uint64, data []byte, _ sim.Time) { delivered = append(delivered, data) })
+	w.Receivers[1].SetOnDelivered(func(_ uint64, data []byte, _ sim.Time) { delivered = append(delivered, bytes.Clone(data)) })
 	for _, tc := range sessiontest.ReassemblyCases() {
 		t.Run(tc.Name, func(t *testing.T) {
 			delivered = nil

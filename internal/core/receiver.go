@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"resilientmix/internal/bufpool"
 	"resilientmix/internal/erasure"
 	"resilientmix/internal/metrics"
 	"resilientmix/internal/netsim"
@@ -14,7 +15,9 @@ import (
 
 // DeliveredFunc is invoked when the receiver reconstructs a message: the
 // message ID, the reassembled bytes, and the virtual time of
-// reconstruction.
+// reconstruction. data is valid only during the call: the receiver
+// rebuilds the message into a pooled buffer that goes back when the
+// callback returns, so a callee that keeps the message copies it.
 type DeliveredFunc func(mid uint64, data []byte, at sim.Time)
 
 // inboundTTL bounds how long partial and reconstructed messages are
@@ -28,7 +31,11 @@ const inboundTTL = 30 * sim.Minute
 // the session reassembler: it acknowledges each arriving coded segment
 // (feeding the initiator's failure detector), delivers the message once
 // m distinct segments arrived (§4.2), and can erasure-code a response
-// back over the delivering paths, whose reply handles it keeps.
+// back over the delivering paths, whose reply handles it keeps. It
+// gives back every buffer it is done with: a delivery's at once unless
+// the reassembler stored its segment (the reassembler gives that back
+// once the message is rebuilt or forgotten), the rebuilt message's
+// once onDelivered returns.
 type Receiver struct {
 	id  netsim.NodeID
 	eng *sim.Engine
@@ -93,17 +100,21 @@ func (r *Receiver) sweep() {
 }
 
 // HandleData is the onion.DataFunc for this node: it decodes an
-// application payload and processes segments and probes.
+// application payload and processes segments and probes. It takes the
+// delivery's buffer off h, so the handles it keeps hold none.
 func (r *Receiver) HandleData(h onion.ReplyHandle, plain []byte) {
+	buf := h.TakeBuffer()
 	msg, err := session.DecodeApp(plain)
 	if err != nil {
 		r.badSegs++
+		bufpool.Release(buf)
 		return
 	}
 	switch msg.Kind {
 	case session.KindProbe:
 		// Probes are acknowledged but never delivered.
 		ack(h, msg.Ack)
+		bufpool.Release(buf)
 		return
 	case session.KindRegister, session.KindToService, session.KindServiceReply:
 		switch {
@@ -114,16 +125,19 @@ func (r *Receiver) HandleData(h onion.ReplyHandle, plain []byte) {
 		default:
 			r.hooks.handleService(h, msg.Service)
 		}
+		bufpool.Release(buf)
 		return
 	case session.KindSegment:
 	default:
 		r.badSegs++
+		bufpool.Release(buf)
 		return
 	}
 	seg := msg.Seg
-	verdict := r.asm.Add(int64(r.eng.Now()), seg)
+	verdict := r.asm.Add(int64(r.eng.Now()), seg, buf)
 	if verdict == session.Rejected {
 		r.badSegs++ // bad shape, or one that disagrees with the MID's earlier segments
+		bufpool.Release(buf)
 		return
 	}
 	handles := r.replies[seg.MID]
@@ -133,8 +147,11 @@ func (r *Receiver) HandleData(h onion.ReplyHandle, plain []byte) {
 	}
 	r.replies[seg.MID] = addHandle(handles, h)
 	ack(h, session.Ack{MID: seg.MID, Index: seg.Index})
-	if verdict == session.Ready {
-		r.reconstruct(seg.MID)
+	switch verdict {
+	case session.Duplicate, session.Late:
+		bufpool.Release(buf)
+	case session.Ready:
+		r.reconstruct(seg)
 	}
 }
 
@@ -145,8 +162,15 @@ func ack(h onion.ReplyHandle, a session.Ack) {
 	h.ReplyApp(session.AckSize, func(b []byte) []byte { return a.AppendEncode(b, session.KindSegAck) }, h.Flow)
 }
 
-func (r *Receiver) reconstruct(mid uint64) {
-	data, segments, first, ok := r.asm.Reconstruct(mid)
+// reconstruct rebuilds the message seg completed into a pooled buffer,
+// released when onDelivered returns. The reassembler stores only
+// segments as long as a message's first, so the buffer is no more than
+// the bytes the m stored segments hold.
+func (r *Receiver) reconstruct(seg session.Segment) {
+	mid := seg.MID
+	buf := bufpool.Get(int(seg.Needed) * len(seg.Data))
+	defer bufpool.Release(buf)
+	data, segments, first, ok := r.asm.ReconstructInto(mid, *buf)
 	if !ok {
 		r.badSegs++
 		return

@@ -26,7 +26,7 @@ func TestSendMessageToPathReuse(t *testing.T) {
 	for _, dest := range []netsim.NodeID{1, 5, 9} {
 		dest := dest
 		w.Receivers[dest].SetOnDelivered(func(_ uint64, data []byte, _ sim.Time) {
-			got[dest] = data
+			got[dest] = bytes.Clone(data)
 		})
 	}
 	for _, dest := range []netsim.NodeID{1, 5, 9} {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"resilientmix/internal/bufpool"
 	"resilientmix/internal/erasure"
 	"resilientmix/internal/membership"
 	"resilientmix/internal/metrics"
@@ -528,22 +529,27 @@ func (s *Session) EnablePrediction(threshold float64, interval sim.Time) {
 	})
 }
 
-// handleReverse processes decrypted reverse-path payloads routed to this
-// session by the world.
-func (s *Session) handleReverse(plain []byte) {
+// handleReverse processes a decrypted reverse-path payload routed to
+// this session by the world, and the pooled buffer it lies in (nil when
+// none): an ack's goes back once the machine has taken the ack in, a
+// segment's to the reassembler that stores it.
+func (s *Session) handleReverse(plain []byte, buf *[]byte) {
 	msg, err := session.DecodeApp(plain)
 	if err != nil {
+		bufpool.Release(buf)
 		return
 	}
 	switch msg.Kind {
 	case session.KindSegAck:
-		var buf [2]session.Output
-		s.run(s.m.Ack(buf[:0], msg.Ack.MID, msg.Ack.Index))
+		var outs [2]session.Output
+		s.run(s.m.Ack(outs[:0], msg.Ack.MID, msg.Ack.Index))
+		bufpool.Release(buf)
 	case session.KindRespSeg:
 		if _, ours := s.sent[msg.Seg.MID]; !ours {
+			bufpool.Release(buf)
 			return
 		}
-		if data, ok := reassemble(s.responses, s.w.Eng.Now(), msg.Seg); ok {
+		if data, ok := reassemble(s.responses, s.w.Eng.Now(), msg.Seg, buf); ok {
 			s.stats.ResponsesReceived++
 			s.w.m.responsesReceived.Inc()
 			if s.OnResponse != nil {
@@ -551,18 +557,26 @@ func (s *Session) handleReverse(plain []byte) {
 			}
 		}
 	case session.KindInbound:
-		if data, ok := reassemble(s.inbound, s.w.Eng.Now(), msg.Service.Segment); ok && s.OnInbound != nil {
+		if data, ok := reassemble(s.inbound, s.w.Eng.Now(), msg.Service.Segment, buf); ok && s.OnInbound != nil {
 			s.OnInbound(msg.Service.Conv(), data, s.w.Eng.Now())
 		}
+	default:
+		bufpool.Release(buf)
 	}
 }
 
-// reassemble adds one segment and returns the message when it is the
-// one that completes it.
-func reassemble(r *session.Reassembler, now sim.Time, seg session.Segment) ([]byte, bool) {
-	if r.Add(int64(now), seg) != session.Ready {
+// reassemble adds one segment, lying in the pooled buffer buf, and
+// returns the message, in a buffer of its own, when it is the one that
+// completes it.
+func reassemble(r *session.Reassembler, now sim.Time, seg session.Segment, buf *[]byte) ([]byte, bool) {
+	switch r.Add(int64(now), seg, buf) {
+	case session.Stored:
+		return nil, false
+	case session.Ready:
+		data, _, _, ok := r.Reconstruct(seg.MID)
+		return data, ok
+	default:
+		bufpool.Release(buf)
 		return nil, false
 	}
-	data, _, _, ok := r.Reconstruct(seg.MID)
-	return data, ok
 }

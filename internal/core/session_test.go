@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"resilientmix/internal/mixchoice"
@@ -47,7 +48,7 @@ func TestCurMixEndToEnd(t *testing.T) {
 	}
 	var got []byte
 	var at sim.Time
-	w.Receivers[1].SetOnDelivered(func(mid uint64, data []byte, t sim.Time) { got, at = data, t })
+	w.Receivers[1].SetOnDelivered(func(mid uint64, data []byte, t sim.Time) { got, at = bytes.Clone(data), t })
 	msg := []byte("single path message")
 	sent := w.Eng.Now()
 	if _, err := s.SendMessage(msg); err != nil {
@@ -80,7 +81,7 @@ func TestSimEraSplitsAcrossPaths(t *testing.T) {
 		t.Fatalf("alive paths = %d, want 4", s.AlivePaths())
 	}
 	var got []byte
-	w.Receivers[1].SetOnDelivered(func(_ uint64, data []byte, _ sim.Time) { got = data })
+	w.Receivers[1].SetOnDelivered(func(_ uint64, data []byte, _ sim.Time) { got = bytes.Clone(data) })
 	msg := make([]byte, 1024)
 	for i := range msg {
 		msg[i] = byte(i)
@@ -519,15 +520,51 @@ func TestChurnWorldSurvival(t *testing.T) {
 // through reconstruction, all four acks and the round deadline. The
 // engine, the network and the packets between hops contribute nothing
 // (sim.TestScheduleTypedZeroAlloc, netsim.TestSendDeliverZeroAlloc,
-// onion's packet pool), and neither do the relays in either direction —
-// a forward layer is opened and a reverse layer sealed in the buffer it
-// arrived in; what is counted here is the coded segments' descriptors
-// (their buffer is the one a forgotten record left), one onion per
-// segment, one buffer per ack and the responder's per-message records
-// (DESIGN.md §8 has the table). It measures 16; it was 17 with a fresh
-// Split buffer per message, 37 with every reverse layer sealed into a
-// fresh buffer, and 106 with a closure and a boxed message per delivery.
+// onion's packet pool), and neither do the payload buffers: the coded
+// segments lie in the buffer a forgotten record left, every onion and
+// every ack in a pooled buffer that the relays open and seal in place
+// and the receiving end gives back, the rebuilt message in a pooled
+// buffer too, and the reassembler refills the lists a rebuilt message
+// emptied. What is left is descriptors and records (DESIGN.md §8 has
+// the table): the segments' descriptors, the session machine's record
+// of the message and its ledger, the receiver's reply handles and the
+// reassembler's assembly. It measures 5; it was 16 with a fresh onion
+// per segment, a fresh buffer per ack and a fresh rebuilt message, 17
+// with a fresh Split buffer per message, 37 with every reverse layer
+// sealed into a fresh buffer, and 106 with a closure and a boxed
+// message per delivery.
 func TestSimEraMessageAllocs(t *testing.T) {
+	send := simEraMessages(t)
+	allocs := testing.AllocsPerRun(200, send)
+	if allocs > 6 {
+		t.Errorf("one SimEra(4,2) message allocated %.1f times, budget 6", allocs)
+	}
+}
+
+// TestSimEraMessageBytes is the same message's budget in bytes: with
+// every payload buffer recycled nothing grows with the payload, and the
+// descriptors and records left measure 760 bytes. With a fresh onion
+// per segment, buffer per ack and rebuilt message it was 5.6 KB.
+func TestSimEraMessageBytes(t *testing.T) {
+	send := simEraMessages(t)
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		send()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 1<<10 {
+		t.Errorf("one SimEra(4,2) message allocated %d bytes, budget 1 KB", got)
+	}
+}
+
+// simEraMessages builds the allocation budgets' world, warms it up and
+// returns send, which sends one message and runs the world until its
+// round is over. Every message must be delivered and all four of its
+// segments acknowledged, which the test checks when it ends.
+func simEraMessages(t *testing.T) (send func()) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("sync.Pool drops at random under the race detector")
 	}
@@ -539,25 +576,24 @@ func TestSimEraMessageAllocs(t *testing.T) {
 	if !establish(t, w, s) {
 		t.Fatal("establishment failed on a healthy network")
 	}
-	delivered := 0
+	delivered, sent := 0, 0
 	w.Receivers[1].SetOnDelivered(func(uint64, []byte, sim.Time) { delivered++ })
 	msg := make([]byte, 1024)
-	send := func() {
+	send = func() {
 		if _, err := s.SendMessage(msg); err != nil {
 			t.Fatal(err)
 		}
+		sent++
 		w.Run(w.Eng.Now() + 2*DefaultAckTimeout)
 	}
-	const warm, runs = 16, 200
-	for i := 0; i < warm; i++ { // grow the queue, the slabs, the pool and the maps
+	for i := 0; i < 16; i++ { // grow the queue, the slabs, the pools and the maps
 		send()
 	}
-	allocs := testing.AllocsPerRun(runs, send)
-	if allocs > 16 {
-		t.Errorf("one SimEra(4,2) message allocated %.1f times, budget 16", allocs)
-	}
-	st := s.Stats()
-	if n := warm + 1 + runs; delivered != n || st.SegmentsAcked != 4*n || st.PathsDied != 0 {
-		t.Fatalf("%d messages: %d delivered, %d of %d segments acked, %d paths died", n, delivered, st.SegmentsAcked, 4*n, st.PathsDied)
-	}
+	t.Cleanup(func() {
+		st := s.Stats()
+		if delivered != sent || st.SegmentsAcked != 4*sent || st.PathsDied != 0 {
+			t.Errorf("%d messages: %d delivered, %d of %d segments acked, %d paths died", sent, delivered, st.SegmentsAcked, 4*sent, st.PathsDied)
+		}
+	})
+	return send
 }

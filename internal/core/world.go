@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"resilientmix/internal/bufpool"
 	"resilientmix/internal/churn"
 	"resilientmix/internal/membership"
 	"resilientmix/internal/metrics"
@@ -204,9 +205,11 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		node := onion.NewNode(net, id, dir, mux, onion.NodeConfig{
 			StateTTL:         cfg.StateTTL,
 			ConstructTimeout: cfg.ConstructTimeout,
-			OnReverse: func(p *onion.Path, _ netsim.NodeID, plain []byte, _ *metrics.Flow) {
+			OnReverse: func(p *onion.Path, _ netsim.NodeID, plain []byte, buf *[]byte, _ *metrics.Flow) {
 				if s, ok := w.sessions[p.SID]; ok {
-					s.handleReverse(plain)
+					s.handleReverse(plain, buf)
+				} else {
+					bufpool.Release(buf)
 				}
 			},
 			OnData: recv.HandleData,

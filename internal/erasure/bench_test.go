@@ -33,8 +33,7 @@ func benchMsg() []byte {
 // TestHotPathAllocs pins what a message costs the allocator at every
 // shape: Split allocates the segment headers and one backing buffer;
 // Reconstruct from the all-parity segments, once the decoding matrix is
-// cached, allocates the chosen-segment list, the cache key and the
-// output.
+// cached, allocates the output and nothing else.
 func TestHotPathAllocs(t *testing.T) {
 	for _, s := range benchShapes {
 		code, err := New(s.m, s.n)
@@ -57,9 +56,45 @@ func TestHotPathAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if split != 2 || reconstruct != 3 {
-			t.Errorf("(%d,%d): Split %v allocs, warm non-systematic Reconstruct %v; want 2 and 3",
+		if split != 2 || reconstruct != 1 {
+			t.Errorf("(%d,%d): Split %v allocs, warm non-systematic Reconstruct %v; want 2 and 1",
 				s.m, s.n, split, reconstruct)
+		}
+	}
+}
+
+// TestReconstructIntoAllocs pins ReconstructInto with a big enough dst
+// at zero allocations, at every shape, on the systematic path and on
+// the non-systematic one once its decoding matrix is cached: the chosen
+// segments live in an array on the stack and the cache is looked up by
+// the key's bytes.
+func TestReconstructIntoAllocs(t *testing.T) {
+	for _, s := range benchShapes {
+		code, err := New(s.m, s.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := benchMsg()
+		segs, err := code.Split(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]byte, code.M()*len(segs[0].Data))
+		for _, path := range []struct {
+			name string
+			segs []Segment
+		}{{"systematic", segs[:s.m]}, {"parity", segs[s.n-s.m:]}} {
+			if _, err := code.ReconstructInto(dst, path.segs); err != nil { // warm the cache
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := code.ReconstructInto(dst, path.segs); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("(%d,%d) %s: ReconstructInto allocated %v times, want 0", s.m, s.n, path.name, allocs)
+			}
 		}
 	}
 }

@@ -223,24 +223,24 @@ func TestLRUEviction(t *testing.T) {
 	l := newLRU(2)
 	l.put("a", 1)
 	l.put("b", 2)
-	if _, ok := l.get("a"); !ok {
+	if _, ok := l.get([]byte("a")); !ok {
 		t.Fatal("a evicted prematurely")
 	}
 	l.put("c", 3) // "b" is now least-recently-used and must go
-	if _, ok := l.get("b"); ok {
+	if _, ok := l.get([]byte("b")); ok {
 		t.Fatal("b not evicted at capacity")
 	}
-	if _, ok := l.get("a"); !ok {
+	if _, ok := l.get([]byte("a")); !ok {
 		t.Fatal("a evicted despite recent use")
 	}
-	if v, ok := l.get("c"); !ok || v.(int) != 3 {
+	if v, ok := l.get([]byte("c")); !ok || v.(int) != 3 {
 		t.Fatal("c missing or wrong value")
 	}
 	if l.len() != 2 {
 		t.Fatalf("len = %d, want 2", l.len())
 	}
 	l.put("c", 30) // overwrite in place
-	if v, _ := l.get("c"); v.(int) != 30 {
+	if v, _ := l.get([]byte("c")); v.(int) != 30 {
 		t.Fatal("put did not update existing key")
 	}
 	if l.len() != 2 {

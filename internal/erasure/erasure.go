@@ -86,7 +86,7 @@ func New(m, n int) (*Code, error) {
 	if m < 1 || n < m || n > MaxSegments {
 		return nil, fmt.Errorf("erasure: invalid parameters m=%d n=%d (need 1 <= m <= n <= %d)", m, n, MaxSegments)
 	}
-	key := string([]byte{byte(m), byte(n - m)})
+	key := []byte{byte(m), byte(n - m)}
 	codesMu.Lock()
 	if c, ok := codes.get(key); ok {
 		codesMu.Unlock()
@@ -113,7 +113,7 @@ func New(m, n int) (*Code, error) {
 		// its decode cache stays shared.
 		return prev.(*Code), nil
 	}
-	codes.put(key, c)
+	codes.put(string(key), c)
 	return c, nil
 }
 
@@ -206,10 +206,11 @@ func (c *Code) Reconstruct(segs []Segment) ([]byte, error) {
 // ReconstructInto is Reconstruct with a caller-provided buffer for the
 // decoded message, for a caller that recycles it. dst needs M() times a
 // segment's length of capacity; when it is nil or too small a fresh
-// buffer is allocated. Whatever dst held is overwritten, and the message
-// returned lies in it.
+// buffer is allocated, and that is all it allocates. Whatever dst held
+// is overwritten, and the message returned lies in it.
 func (c *Code) ReconstructInto(dst []byte, segs []Segment) ([]byte, error) {
-	chosen := make([]Segment, 0, c.m)
+	var chosenArr [MaxSegments]Segment
+	chosen := chosenArr[:0]
 	var seen [MaxSegments]bool
 	shard := -1
 	for _, s := range segs {
@@ -288,7 +289,7 @@ func (c *Code) decodeMatrix(chosen []Segment) (*gf256.Matrix, error) {
 	for i, s := range chosen {
 		kb[i] = byte(s.Index)
 	}
-	key := string(kb[:len(chosen)])
+	key := kb[:len(chosen)]
 
 	c.decMu.Lock()
 	if dec, ok := c.dec.get(key); ok {
@@ -308,7 +309,7 @@ func (c *Code) decodeMatrix(chosen []Segment) (*gf256.Matrix, error) {
 		return nil, fmt.Errorf("erasure: decoding matrix: %w", err)
 	}
 	c.decMu.Lock()
-	c.dec.put(key, dec)
+	c.dec.put(string(key), dec)
 	c.decMu.Unlock()
 	return dec, nil
 }

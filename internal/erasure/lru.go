@@ -23,8 +23,10 @@ func newLRU(capacity int) *lruCache {
 	return c
 }
 
-func (c *lruCache) get(key string) (any, bool) {
-	el, ok := c.items[key]
+// get looks key up by its bytes: the lookup copies nothing, so a hit
+// allocates nothing.
+func (c *lruCache) get(key []byte) (any, bool) {
+	el, ok := c.items[string(key)]
 	if !ok {
 		return nil, false
 	}

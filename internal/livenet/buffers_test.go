@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"resilientmix/internal/bufpool"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
 	"resilientmix/internal/onion"
@@ -231,8 +232,8 @@ func TestOversizeReplyDroppedAtRelayIsCounted(t *testing.T) {
 // callback that keeps it uncloned must find it damaged.
 // (TestQueuedBuildKeepsItsSegment poisons the initiator's buffers.)
 func TestRelayRecyclesForwardedFrames(t *testing.T) {
-	poisonReleased.Store(true)
-	t.Cleanup(func() { poisonReleased.Store(false) })
+	bufpool.SetPoison(true)
+	t.Cleanup(func() { bufpool.SetPoison(false) })
 	for _, suite := range []onioncrypt.Suite{onioncrypt.ECIES{}, onioncrypt.Null{}} {
 		t.Run(suite.Name(), func(t *testing.T) {
 			if damaged := relayRecycles(t, suite, bytes.Clone); damaged != 0 {
@@ -379,12 +380,13 @@ func relayRecycles(t *testing.T, suite onioncrypt.Suite, keep func([]byte) []byt
 	return damaged
 }
 
-// TestReadBufClasses pins readBuf at its class boundaries: a buffer is
-// at least the size asked for, and every size up to the largest frame
-// readFrame reads has a class of readBufs. Past the last class — the
-// coded segments of a message near the largest a frame carries, n
-// segments of almost a frame each — a buffer is a plain allocation, and
-// release drops it instead of indexing past the pools.
+// TestReadBufClasses pins the buffer pool (internal/bufpool) at its
+// class boundaries against the frames drawn from it: a buffer is at
+// least the size asked for, and every size up to the largest frame
+// readFrame reads has a class. Past the last class — the coded segments
+// of a message near the largest a frame carries, n segments of almost a
+// frame each — a buffer is a plain allocation, and Release drops it
+// instead of indexing past the pools.
 func TestReadBufClasses(t *testing.T) {
 	largestFrame := 2*frameSlack + 4 + maxFrameSize // readFrame's buffer for a maxFrameSize frame
 	for _, tc := range []struct {
@@ -397,17 +399,17 @@ func TestReadBufClasses(t *testing.T) {
 		{2<<frameBits - 1, false}, {2 << frameBits, false}, {4 * maxFrameSize, false},
 	} {
 		size := tc.size
-		bp := readBuf(size)
+		bp := bufpool.Get(size)
 		if len(*bp) < size || cap(*bp) != len(*bp) {
-			t.Fatalf("readBuf(%d): a buffer of length %d, capacity %d", size, len(*bp), cap(*bp))
+			t.Fatalf("Get(%d): a buffer of length %d, capacity %d", size, len(*bp), cap(*bp))
 		}
 		pooled := bits.Len(uint(len(*bp)))-1 <= frameBits
 		if pooled != tc.pooled {
-			t.Fatalf("readBuf(%d): a %d-byte buffer, in a class of readBufs = %v", size, len(*bp), pooled)
+			t.Fatalf("Get(%d): a %d-byte buffer, in a class of the pool = %v", size, len(*bp), pooled)
 		}
-		release(bp)
-		if !pooled && readBuf(size) == bp {
-			t.Fatalf("readBuf(%d): a buffer past every class came back from a pool", size)
+		bufpool.Release(bp)
+		if !pooled && bufpool.Get(size) == bp {
+			t.Fatalf("Get(%d): a buffer past every class came back from a pool", size)
 		}
 	}
 }
@@ -424,8 +426,8 @@ func TestReadBufClasses(t *testing.T) {
 // responder, and relay 3 is the one fresh relay, which every
 // replacement picks while both slots are down.
 func TestQueuedBuildKeepsItsSegment(t *testing.T) {
-	poisonReleased.Store(true)
-	t.Cleanup(func() { poisonReleased.Store(false) })
+	bufpool.SetPoison(true)
+	t.Cleanup(func() { bufpool.SetPoison(false) })
 	e := newLiveSessionEnv(t, 5, 4, func(cfg *Config) { cfg.ConstructTimeout = time.Second })
 	init := e.c.nodes[0]
 	sess, err := init.NewLiveSessionOpts([][]netsim.NodeID{{1}, {2}}, 4, SessionOptions{

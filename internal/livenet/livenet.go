@@ -53,13 +53,14 @@
 // frames and a plain DataFunc's are never reused. LiveCollector, the
 // in-package DataFunc, hands back what it is done with through its
 // ReplyHandle: a probe's, a cover message's, an undecodable payload's
-// and an unstored segment's frame at once, a stored segment's once its
-// message is rebuilt or forgotten; and it rebuilds the message into a
-// readBufs buffer that goes back when LiveDelivered returns. Every other
+// and an unstored segment's frame at once; a stored segment's frame
+// goes to the session reassembler, which gives it back once its message
+// is rebuilt or forgotten; and it rebuilds the message into a pooled
+// buffer that goes back when LiveDelivered returns. Every other
 // frame was consumed by the relay table, which keeps nothing of it, so
 // once Node.handle has written what the table answered the read buffer
 // goes back to the pool readFrame draws from. At the initiator a
-// message's coded segments lie in a readBufs buffer from Send until the
+// message's coded segments lie in a pooled buffer from Send until the
 // session machine forgets the message's record (session.Forget), as
 // long as the record lived before. The write side's scratch is pooled
 // as it always was.
@@ -76,13 +77,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"net"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"resilientmix/internal/bufpool"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/onion"
 	"resilientmix/internal/onioncrypt"
@@ -101,10 +101,11 @@ const (
 )
 
 // maxFrameSize bounds a frame to keep hostile peers from forcing huge
-// allocations; frameBits is its binary logarithm, one size class of
-// readBufs per bit.
+// allocations; frameBits is its binary logarithm, the largest size
+// class of the buffer pool (internal/bufpool), so that every frame
+// readFrame reads has a class.
 const (
-	frameBits    = 20
+	frameBits    = bufpool.MaxClass
 	maxFrameSize = 1 << frameBits
 )
 
@@ -117,7 +118,7 @@ var ErrFrameTooLarge = errors.New("livenet: payload does not fit a frame")
 // behind it, and buf is the handler's alone: a layer of body opens or is
 // sealed in place, and what is forwarded leaves from buf with the new
 // header written over the bytes in front of it (writeFrame). pooled is
-// the handle buf, all of *pooled, goes back to readBufs by (release).
+// the handle by which buf, all of *pooled, goes back to the pool.
 type frame struct {
 	kind   byte
 	sid    uint64
@@ -136,58 +137,6 @@ const frameHeader = 4 + 1 + 8
 // seals a reverse body where it was read. Nothing breaks if a suite
 // needs more: the hop layer moves a body that lacks room.
 const frameSlack = 28
-
-// readBufs is the package's one pool of payload-sized buffers: the
-// frames readFrame reads, a message's coded segments (LiveSession.Send)
-// and the message a responder rebuilds (LiveCollector). It recycles them
-// by size, so that a 100-byte reverse frame never takes — and, ending at
-// an initiator, never takes out of circulation — the buffer of a 128 KB
-// data frame read on the same accept loop: class c holds buffers of 1<<c
-// up to 2<<c bytes.
-var readBufs [frameBits + 1]sync.Pool
-
-// poisonReleased makes release overwrite a buffer before pooling it: a
-// test seam that turns any use of a buffer after its release into wrong
-// bytes.
-var poisonReleased atomic.Bool
-
-// readBuf returns a buffer of at least size bytes, its length its
-// capacity, from readBufs. Sizes are rounded up, by at most a sixteenth,
-// so that the frames of one path — a layer apart from hop to hop — fit
-// each other's buffers. A size past every class — the coded segments
-// of a message near the largest a frame carries — is a plain
-// allocation, which release drops.
-func readBuf(size int) *[]byte {
-	grain := max(64, 1<<bits.Len(uint(size))>>5)
-	size = max(grain, (size+grain-1)&^(grain-1))
-	class := bits.Len(uint(size)) - 1
-	if class > frameBits {
-		b := make([]byte, size)
-		return &b
-	}
-	bp, _ := readBufs[class].Get().(*[]byte)
-	if bp == nil {
-		bp = new([]byte)
-	}
-	if cap(*bp) < size {
-		*bp = make([]byte, size)
-	}
-	return bp
-}
-
-// release returns a buffer readBuf handed out to readBufs. Only a buffer
-// nothing holds a piece of any more may be released: Node.handle says
-// which frames, the LiveSession and the LiveCollector which of theirs.
-func release(bp *[]byte) {
-	if poisonReleased.Load() {
-		for i := range *bp {
-			(*bp)[i] = 0xdb
-		}
-	}
-	if class := bits.Len(uint(len(*bp))) - 1; class <= frameBits {
-		readBufs[class].Put(bp)
-	}
-}
 
 // frameScratch recycles the write side's buffers: the one an initiator
 // builds a payload onion in and a responder its reply, behind
@@ -260,7 +209,7 @@ func writeFrame(w io.Writer, self netsim.NodeID, s onion.Send, room []byte) erro
 }
 
 // readFrame parses one frame, rejecting oversize lengths. The header
-// arrives in one read; the frame's buffer comes from readBufs and is
+// arrives in one read; the frame's buffer comes from the pool and is
 // the caller's, to release or to hand on.
 func readFrame(r io.Reader) (frame, error) {
 	var hdr [frameHeader]byte
@@ -272,11 +221,11 @@ func readFrame(r io.Reader) (frame, error) {
 		return frame{}, fmt.Errorf("livenet: bad frame length %d", n)
 	}
 	end := frameSlack + 4 + int(n)
-	bp := readBuf(end + frameSlack)
+	bp := bufpool.Get(end + frameSlack)
 	f := frame{kind: hdr[4], sid: binary.BigEndian.Uint64(hdr[5:]), buf: *bp, pooled: bp}
 	f.body = f.buf[frameSlack+frameHeader : end]
 	if _, err := io.ReadFull(r, f.body); err != nil {
-		release(bp)
+		bufpool.Release(bp)
 		return frame{}, err
 	}
 	return f, nil

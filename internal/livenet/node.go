@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"resilientmix/internal/bufpool"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
 	"resilientmix/internal/onion"
@@ -302,7 +303,7 @@ func (n *Node) acceptLoop() {
 				return
 			}
 			if !n.handle(f) {
-				release(f.pooled)
+				bufpool.Release(f.pooled)
 			}
 		}()
 	}
@@ -553,12 +554,12 @@ type ReplyHandle struct {
 	frame *[]byte           // the buffer the delivery lies in, or nil
 }
 
-// releaseFrame gives the buffer the delivery lies in back to readBufs.
+// releaseFrame gives the buffer the delivery lies in back to the pool.
 // Only LiveCollector calls it, once it is done with data: a DataFunc of
 // the application's keeps its data, and its frame is never reused.
 func (h ReplyHandle) releaseFrame() {
 	if h.frame != nil {
-		release(h.frame)
+		bufpool.Release(h.frame)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"resilientmix/internal/bufpool"
 	"resilientmix/internal/erasure"
 	"resilientmix/internal/membership"
 	"resilientmix/internal/mixchoice"
@@ -50,13 +51,13 @@ const collectorHorizon = 30 * time.Second
 // that late duplicates are recognised, or still short of m — is
 // forgotten between one and two horizons after its last segment, by a
 // sweep the first arrival of each horizon runs. It gives back every
-// buffer it is done with: a delivery's frame once nothing it stores
-// lies in it, the rebuilt message's once LiveDelivered returns.
+// buffer it is done with: a delivery's frame at once unless the
+// reassembler stored its segment (the reassembler gives that back once
+// the message is rebuilt or forgotten), the rebuilt message's once
+// LiveDelivered returns.
 type LiveCollector struct {
-	mu  sync.Mutex
-	asm *session.Reassembler
-	// held is, by message, the frames the segments asm stores lie in.
-	held      map[uint64][]*[]byte
+	mu        sync.Mutex
+	asm       *session.Reassembler
 	sweepAt   time.Time
 	now       func() time.Time // time.Now outside tests
 	delivered LiveDelivered
@@ -67,7 +68,6 @@ type LiveCollector struct {
 func NewLiveCollector(delivered LiveDelivered) *LiveCollector {
 	return &LiveCollector{
 		asm:       session.NewReassembler(int64(collectorHorizon)),
-		held:      make(map[uint64][]*[]byte),
 		now:       time.Now,
 		delivered: delivered,
 	}
@@ -104,10 +104,7 @@ func (c *LiveCollector) Handle(h ReplyHandle, data []byte) {
 	if !now.Before(c.sweepAt) {
 		c.sweepLocked(now)
 	}
-	verdict := c.asm.Add(now.UnixNano(), seg)
-	if (verdict == session.Stored || verdict == session.Ready) && h.frame != nil {
-		c.held[seg.MID] = append(c.held[seg.MID], h.frame)
-	}
+	verdict := c.asm.Add(now.UnixNano(), seg, h.frame)
 	c.mu.Unlock()
 	if verdict == session.Rejected {
 		h.releaseFrame()
@@ -127,19 +124,11 @@ func (c *LiveCollector) Handle(h ReplyHandle, data []byte) {
 	}
 	// The reassembler stores only segments as long as a message's first,
 	// so this is no more than the bytes the m stored segments hold.
-	buf := readBuf(int(seg.Needed) * len(seg.Data))
-	defer release(buf)
+	buf := bufpool.Get(int(seg.Needed) * len(seg.Data))
+	defer bufpool.Release(buf)
 	c.mu.Lock()
 	out, segments, _, ok := c.asm.ReconstructInto(seg.MID, *buf)
-	var frames []*[]byte
-	if ok {
-		frames = c.held[seg.MID]
-		delete(c.held, seg.MID)
-	}
 	c.mu.Unlock()
-	for _, f := range frames {
-		release(f)
-	}
 	if !ok {
 		return
 	}
@@ -154,18 +143,11 @@ func (c *LiveCollector) Handle(h ReplyHandle, data []byte) {
 	}
 }
 
-// sweepLocked forgets the messages past their horizon, and gives back
-// the frames of those that never had m segments. Callers hold c.mu.
+// sweepLocked forgets the messages past their horizon; the reassembler
+// gives back the frames of those that never had m segments. Callers
+// hold c.mu.
 func (c *LiveCollector) sweepLocked(now time.Time) {
 	c.asm.Sweep(now.UnixNano())
-	for mid, frames := range c.held {
-		if _, _, _, ok := c.asm.Shape(mid); !ok {
-			for _, f := range frames {
-				release(f)
-			}
-			delete(c.held, mid)
-		}
-	}
 	c.sweepAt = now.Add(collectorHorizon)
 }
 
@@ -487,10 +469,10 @@ func (s *LiveSession) Send(data []byte) (uint64, error) {
 		return 0, fmt.Errorf("%w: a %d-byte message makes %d-byte segments, %d-byte frames of at most %d",
 			ErrFrameTooLarge, len(data), seg, size, maxFrameSize)
 	}
-	split := readBuf(s.code.N() * s.code.SegmentSize(len(data)))
+	split := bufpool.Get(s.code.N() * s.code.SegmentSize(len(data)))
 	segs, err := s.code.SplitInto(data, *split)
 	if err != nil {
-		release(split)
+		bufpool.Release(split)
 		return 0, err
 	}
 	mid := newSID()
@@ -503,7 +485,7 @@ func (s *LiveSession) Send(data []byte) (uint64, error) {
 	}
 	s.mu.Unlock()
 	if err != nil {
-		release(split)
+		bufpool.Release(split)
 		if errors.Is(err, session.ErrFull) {
 			s.node.m.sendRejected.Inc()
 		}
@@ -571,7 +553,7 @@ func (s *LiveSession) run(outs []session.Output) {
 			split := s.splits[o.MID]
 			delete(s.splits, o.MID)
 			s.mu.Unlock()
-			release(split)
+			bufpool.Release(split)
 		}
 	}
 }

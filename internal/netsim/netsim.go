@@ -34,11 +34,14 @@ const Invalid NodeID = -1
 //
 // A message is delivered at most once — the network never duplicates —
 // and nothing but the receiving handler keeps Payload: tracers look and
-// let go. A protocol may therefore send a pointer to a pooled
-// value and recycle it when the handler has read it (internal/onion's
-// packet does); a message dropped in flight simply leaves its payload
+// let go. A protocol may therefore send a pointer to a pooled value,
+// or bytes in a pooled buffer, and the handler recycles them when it
+// is done (internal/onion's packet goes back to its pool as soon as it
+// is read; the payload buffer it carries goes back to internal/bufpool
+// once the last hop or the application is done with it); a message
+// dropped in flight simply leaves its payload, and any buffer in it,
 // to the collector. Anything that delivers a message twice (a replay
-// fault) must clone the payload first.
+// fault) must clone the payload, and what it points to, first.
 type Message struct {
 	Payload any
 	Size    int

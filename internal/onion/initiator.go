@@ -3,6 +3,7 @@ package onion
 import (
 	"fmt"
 
+	"resilientmix/internal/bufpool"
 	"resilientmix/internal/metrics"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
@@ -58,9 +59,13 @@ type Path struct {
 }
 
 // ReverseFunc receives a decrypted reverse-path payload at the
-// initiator: the path it arrived on, the responder that sent it, and the
-// plaintext.
-type ReverseFunc func(p *Path, from netsim.NodeID, plain []byte, flow *metrics.Flow)
+// initiator: the path it arrived on, the responder that sent it, the
+// plaintext, and buf, the handle of the pooled buffer the payload
+// crossed the network in (nil when it was in none). plain may lie in
+// buf. The callee owns buf: it releases it (bufpool.Release) once
+// nothing reads plain any more, hands it on with plain, or drops it —
+// in which case the buffer is never reused and plain may be kept.
+type ReverseFunc func(p *Path, from netsim.NodeID, plain []byte, buf *[]byte, flow *metrics.Flow)
 
 // Initiator is the sender-side endpoint: it constructs paths (§4.1),
 // sends payload onions (§4.2), reuses paths for new responders (§4.4)
@@ -147,7 +152,7 @@ func (in *Initiator) launch(relays []netsim.NodeID, responder netsim.NodeID, pla
 		onResult:  done,
 	}
 	in.paths[p.SID] = p
-	transmit(in.net, in.id, first, flow, tag)
+	transmit(in.net, in.id, first, nil, flow, tag)
 	p.timer = in.eng.After(in.timeout, func() {
 		if p.State == PathConstructing {
 			p.State = PathFailed
@@ -185,17 +190,20 @@ func (in *Initiator) SendDataTagged(p *Path, responder netsim.NodeID, plain []by
 
 // SendApp is SendDataTagged for a message its caller encodes where it
 // is sealed: plain appends the plainLen bytes to the slice it is handed
-// (PathKeys.AppendData), so the send allocates the onion — the bytes it
-// puts on the wire — and no copy of the message beside it.
+// (PathKeys.AppendData), so the send builds the onion — the bytes it
+// puts on the wire — in one pooled buffer, which travels with it to the
+// responder, and makes no copy of the message beside it.
 func (in *Initiator) SendApp(p *Path, responder netsim.NodeID, plainLen int, plain func([]byte) []byte, flow *metrics.Flow, tag obs.Tag) error {
 	if p.State != PathEstablished {
 		return fmt.Errorf("onion: path is %v, not established", p.State)
 	}
-	msg, err := p.keys.AppendData(nil, in.dir, responder, plainLen, plain)
+	bp := bufpool.Get(p.keys.DataSize(plainLen))
+	msg, err := p.keys.AppendData((*bp)[:0], in.dir, responder, plainLen, plain)
 	if err != nil {
+		bufpool.Release(bp)
 		return err
 	}
-	transmit(in.net, in.id, msg, flow, tag)
+	transmit(in.net, in.id, msg, bp, flow, tag)
 	return nil
 }
 
@@ -212,13 +220,17 @@ func (in *Initiator) handleConstructAck(sid StreamID) {
 }
 
 // handleReverse peels all relay layers plus the responder layer and
-// hands the plaintext to the application callback.
+// hands the plaintext, and the buffer it arrived in, to the application
+// callback.
 func (in *Initiator) handleReverse(msg packet) {
 	p, ok := in.paths[msg.SID]
 	if !ok {
+		bufpool.Release(msg.Buf)
 		return
 	}
 	if dest, plain, ok := p.keys.OpenReverse(msg.Body); ok && in.onReverse != nil {
-		in.onReverse(p, dest, plain, msg.Flow)
+		in.onReverse(p, dest, plain, msg.Buf, msg.Flow)
+		return
 	}
+	bufpool.Release(msg.Buf)
 }

@@ -1,6 +1,7 @@
 package onion
 
 import (
+	"resilientmix/internal/bufpool"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/sim"
 )
@@ -61,6 +62,8 @@ func (n *Node) handle(from netsim.NodeID, m netsim.Message) {
 	case p.Kind == KindDeliver:
 		if n.Responder != nil {
 			n.Responder.handleDeliver(from, p, m.Size)
+		} else {
+			bufpool.Release(p.Buf)
 		}
 	case p.Kind == KindAck && n.Initiator != nil && n.Initiator.Owns(p.SID):
 		n.Initiator.handleConstructAck(p.SID)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"resilientmix/internal/bufpool"
 	"resilientmix/internal/metrics"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/onioncrypt"
@@ -43,9 +44,10 @@ func newEnv(t *testing.T, n int, suite onioncrypt.Suite, seed int64) *env {
 		id := netsim.NodeID(i)
 		mux := netsim.NewMux()
 		node := NewNode(net, id, dir, mux, NodeConfig{
-			OnReverse: func(p *Path, from netsim.NodeID, plain []byte, flow *metrics.Flow) {
+			OnReverse: func(p *Path, from netsim.NodeID, plain []byte, buf *[]byte, flow *metrics.Flow) {
 				e.replies = append(e.replies, append([]byte(nil), plain...))
 				e.replyFrom = append(e.replyFrom, from)
+				bufpool.Release(buf)
 			},
 			OnData: func(h ReplyHandle, plain []byte) {
 				e.received = append(e.received, append([]byte(nil), plain...))

@@ -1,6 +1,7 @@
 package onion
 
 import (
+	"resilientmix/internal/bufpool"
 	"resilientmix/internal/metrics"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
@@ -55,13 +56,21 @@ var dropReasons = [...]obs.Reason{DropNoSID: obs.ReasonNoState, DropBad: obs.Rea
 // apply transmits a step's sends, each data-plane one carrying tag
 // advanced one hop, and records a tagged message the table consumed:
 // without that event its causal chain would end at a MsgDelivered with
-// no explanation.
-func (r *Relay) apply(st Step, flow *metrics.Flow, tag obs.Tag, size int) {
+// no explanation. buf, the pooled buffer the input lay in, goes on with
+// the first send when that send's body still lies in it — a layer
+// opened or sealed in place — and back to the pool otherwise: a drop,
+// or a reverse body the table moved.
+func (r *Relay) apply(st Step, buf *[]byte, flow *metrics.Flow, tag obs.Tag, size int) {
 	if st.Drop != DropNone {
 		emitRelayDropped(r.net, r.id, tag, size, dropReasons[st.Drop])
 	}
+	if buf != nil && (st.N == 0 || OffsetIn(*buf, st.Out[0].Body) < 0) {
+		bufpool.Release(buf)
+		buf = nil
+	}
 	for i := 0; i < st.N; i++ {
-		transmit(r.net, r.id, st.Out[i], flow, tag.Next())
+		transmit(r.net, r.id, st.Out[i], buf, flow, tag.Next())
+		buf = nil // only the first send carries the input's body
 	}
 }
 
@@ -82,8 +91,6 @@ func (r *Relay) handle(from netsim.NodeID, p packet, size int) {
 		st = r.tab.Data(now, p.SID, p.Body)
 	case KindReverse:
 		st = r.tab.Reverse(now, p.SID, p.Body, p.Room)
-	default:
-		return
 	}
-	r.apply(st, p.Flow, p.Trace, size)
+	r.apply(st, p.Buf, p.Flow, p.Trace, size)
 }

@@ -1,6 +1,7 @@
 package onion
 
 import (
+	"resilientmix/internal/bufpool"
 	"resilientmix/internal/metrics"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
@@ -9,7 +10,12 @@ import (
 )
 
 // DataFunc receives an application payload at the responder together
-// with a handle for replying along the reverse path.
+// with a handle for replying along the reverse path. plain was opened
+// in place, so it lies in the buffer the payload crossed the network
+// in. When that buffer is pooled, h carries its handle: a callee that
+// takes it (ReplyHandle.TakeBuffer) owns the buffer and releases it
+// once nothing reads plain any more; a callee that does not may keep
+// plain, and the buffer is never reused.
 type DataFunc func(h ReplyHandle, plain []byte)
 
 // Responder is the destination-side endpoint D in the simulator: it
@@ -50,10 +56,11 @@ func (r *Responder) handleDeliver(from netsim.NodeID, msg packet, size int) {
 	if !ok {
 		r.dropped++
 		emitRelayDropped(r.net, r.id, msg.Trace, size, obs.ReasonBadLayer)
+		bufpool.Release(msg.Buf)
 		return
 	}
 	if r.onData != nil {
-		r.onData(ReplyHandle{resp: r, relay: from, sid: msg.SID, key: key, Flow: msg.Flow}, plain)
+		r.onData(ReplyHandle{resp: r, relay: from, sid: msg.SID, key: key, buf: msg.Buf, Flow: msg.Flow}, plain)
 	}
 }
 
@@ -64,9 +71,21 @@ type ReplyHandle struct {
 	relay netsim.NodeID
 	sid   StreamID
 	key   onioncrypt.Cipher // the delivering stream's, for this reply
+	buf   *[]byte           // the pooled buffer the delivery lies in, or nil
 	// Flow is the bandwidth account of the delivering message; replies
 	// sent through the handle default to charging it.
 	Flow *metrics.Flow
+}
+
+// TakeBuffer returns the handle of the pooled buffer the delivery lies
+// in (nil when it lies in none) and clears it from h, so that a handle
+// kept for later replies holds no buffer. The caller owns the buffer
+// from then on and releases it (bufpool.Release) once nothing reads the
+// delivered bytes.
+func (h *ReplyHandle) TakeBuffer() *[]byte {
+	bp := h.buf
+	h.buf = nil
+	return bp
 }
 
 // From returns the terminal relay the payload arrived through.
@@ -84,12 +103,20 @@ func (h ReplyHandle) Reply(plain []byte, flow *metrics.Flow) bool {
 
 // ReplyApp is Reply for a message its caller encodes where it is sealed
 // (Streams.AppendReply): plain appends the plainLen bytes to the slice
-// it is handed, so a reply allocates one buffer — the one every relay
-// on the way back seals its layer into — and no copy beside it.
+// it is handed, so a reply takes one pooled buffer — the one every
+// relay on the way back seals its layer into, and the initiator's
+// ReverseFunc is handed — and no copy beside it.
 func (h ReplyHandle) ReplyApp(plainLen int, plain func([]byte) []byte, flow *metrics.Flow) bool {
-	s, err := h.resp.streams.AppendReply(nil, h.relay, h.sid, h.key, plainLen, plain)
+	// The room reverseLayer gives a buffer of its own — reverseSlack
+	// layers on either side of the message — so that no relay on the
+	// paper's paths moves it; the responder's layer is the first.
+	suite := h.resp.streams.env.Suite
+	pre, post := suite.SymPrefix(), suite.SymOverhead()-suite.SymPrefix()
+	bp := bufpool.Get(reverseSlack*pre + plainLen + reverseSlack*post)
+	s, err := h.resp.streams.AppendReply((*bp)[:(reverseSlack-1)*pre], h.relay, h.sid, h.key, plainLen, plain)
 	if err != nil {
+		bufpool.Release(bp)
 		return false
 	}
-	return transmit(h.resp.net, h.resp.id, s, flow, obs.Tag{})
+	return transmit(h.resp.net, h.resp.id, s, bp, flow, obs.Tag{})
 }

@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"resilientmix/internal/bufpool"
 	"resilientmix/internal/metrics"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
@@ -45,12 +46,22 @@ const msgHeaderSize = 1 + 8
 // contract that a message is delivered at most once and kept by no one
 // else. The pool is shared by every world — internal/experiments runs
 // them on parallel goroutines — hence a sync.Pool and not a free list.
+//
+// Buf is the handle of the pooled buffer (internal/bufpool) Body lies
+// in, nil when it lies in none: a payload onion from SendApp, a reply
+// from ReplyApp, and the same buffer on every hop after, since relays
+// open and seal their layers in place. The node a packet arrives at
+// owns Buf: a relay hands it on with the body it forwards or releases
+// it, the responder hands it to the DataFunc on its ReplyHandle and the
+// initiator to the ReverseFunc. A packet netsim drops in flight leaves
+// its buffer to the collector, as it leaves the packet.
 type packet struct {
 	Kind  Kind
 	SID   StreamID
 	Onion []byte // Path_i of §4.1 (KindConstruct, KindConstructData)
 	Body  []byte // payload layer, responder blob or reverse body
 	Room  []byte // the buffer a reverse body lies in (Send.Room)
+	Buf   *[]byte
 	Flow  *metrics.Flow
 	Trace obs.Tag
 }
@@ -101,18 +112,20 @@ func simEnv(rng *rand.Rand, suite onioncrypt.Suite) Env {
 // transmit puts one hop-layer output on the simulated wire as a packet
 // and charges its size to the flow if it was actually placed on the
 // wire. tag is the data-plane correlation tag; it rides the data-plane
-// kinds only.
-func transmit(net *netsim.Network, from netsim.NodeID, s Send, flow *metrics.Flow, tag obs.Tag) bool {
+// kinds only. buf is the pooled buffer s.Body lies in, or nil; it goes
+// with the packet.
+func transmit(net *netsim.Network, from netsim.NodeID, s Send, buf *[]byte, flow *metrics.Flow, tag obs.Tag) bool {
 	if s.Kind != KindConstructData && s.Kind != KindData && s.Kind != KindDeliver {
 		tag = obs.Tag{}
 	}
 	p := packetPool.Get().(*packet)
-	*p = packet{Kind: s.Kind, SID: s.SID, Onion: s.Onion, Body: s.Body, Room: s.Room, Flow: flow, Trace: tag}
+	*p = packet{Kind: s.Kind, SID: s.SID, Onion: s.Onion, Body: s.Body, Room: s.Room, Buf: buf, Flow: flow, Trace: tag}
 	size := wireSize(s.Kind, s.Onion, s.Body)
 	if !net.Send(from, s.To, netsim.Message{Payload: p, Size: size, Trace: tag}) {
 		// Never on the wire: nothing else has seen it.
 		*p = packet{}
 		packetPool.Put(p)
+		bufpool.Release(buf)
 		return false
 	}
 	flow.Add(size)

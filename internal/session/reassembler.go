@@ -1,6 +1,9 @@
 package session
 
-import "resilientmix/internal/erasure"
+import (
+	"resilientmix/internal/bufpool"
+	"resilientmix/internal/erasure"
+)
 
 // Verdict is what the reassembler made of one arriving segment.
 type Verdict uint8
@@ -31,36 +34,66 @@ const (
 // starting the message again. Expiry is the caller's: every arrival
 // pushes a message's expiry one horizon out, and Sweep drops what has
 // passed it. Not safe for concurrent use.
+//
+// The reassembler holds what it stores: a segment arrives with the
+// handle of the pooled buffer (internal/bufpool) its bytes lie in, and
+// a Stored or Ready segment's handle is the reassembler's from then on.
+// It gives the handles of a message back to the pool when it no longer
+// reads them — once Reconstruct has decoded the message, or when Sweep
+// forgets a message that never was. The handle of a segment it did not
+// store (Rejected, Duplicate, Late) stays the caller's to release.
 type Reassembler struct {
 	horizon int64
 	msgs    map[uint64]*assembly
-	code    *erasure.Code // the most recent shape's decoder
+	code    *erasure.Code    // the most recent shape's decoder
+	release func(bp *[]byte) // bufpool.Release; tests count through it
+	// spare holds the emptied lists of messages rebuilt or forgotten, for
+	// new messages to fill.
+	spare []lists
 }
 
 type assembly struct {
+	lists         // empty once done
 	needed, total int32
-	segs          []erasure.Segment // nil once done
 	done          bool
 	first         int64
 	expires       int64
 }
 
+// lists are what a message holds: its segments, and the pooled buffers
+// they lie in.
+type lists struct {
+	segs []erasure.Segment
+	bufs []*[]byte
+}
+
 // NewReassembler returns a reassembler whose messages expire horizon
 // clock units after their last segment.
 func NewReassembler(horizon int64) *Reassembler {
-	return &Reassembler{horizon: horizon, msgs: make(map[uint64]*assembly)}
+	return &Reassembler{horizon: horizon, msgs: make(map[uint64]*assembly), release: bufpool.Release}
 }
 
-// Add takes in one segment. On Ready the caller (after acknowledging,
-// which §4.5's failure detector is waiting for) calls Reconstruct.
-func (r *Reassembler) Add(now int64, s Segment) Verdict {
+// Add takes in one segment, whose bytes lie in the pooled buffer buf
+// (nil when they are in no pooled buffer). On Stored and Ready the
+// reassembler keeps buf; on any other verdict the caller still owns it.
+// On Ready the caller (after acknowledging, which §4.5's failure
+// detector is waiting for) calls Reconstruct.
+func (r *Reassembler) Add(now int64, s Segment, buf *[]byte) Verdict {
 	if !ValidCodeShape(s.Needed, s.Total) || s.Index < 0 || s.Index >= s.Total {
 		return Rejected
 	}
 	a := r.msgs[s.MID]
 	if a == nil {
 		// m segments complete the message; ValidCodeShape bounds m.
-		a = &assembly{needed: s.Needed, total: s.Total, first: now, segs: make([]erasure.Segment, 0, s.Needed)}
+		// A spare too short for this shape is dropped, not kept: spare
+		// then never outnumbers the messages held at once.
+		a = &assembly{needed: s.Needed, total: s.Total, first: now}
+		if n := len(r.spare); n > 0 {
+			a.lists, r.spare = r.spare[n-1], r.spare[:n-1]
+		}
+		if cap(a.segs) < int(s.Needed) {
+			a.lists = lists{make([]erasure.Segment, 0, s.Needed), make([]*[]byte, 0, s.Needed)}
+		}
 		r.msgs[s.MID] = a
 	}
 	a.expires = now + r.horizon
@@ -82,6 +115,9 @@ func (r *Reassembler) Add(now int64, s Segment) Verdict {
 		return Rejected
 	}
 	a.segs = append(a.segs, erasure.Segment{Index: int(s.Index), Data: s.Data})
+	if buf != nil {
+		a.bufs = append(a.bufs, buf)
+	}
 	if len(a.segs) >= int(a.needed) {
 		return Ready
 	}
@@ -89,9 +125,9 @@ func (r *Reassembler) Add(now int64, s Segment) Verdict {
 }
 
 // Reconstruct decodes a message that reported Ready. On success the
-// message is done: its segments are released and it is never delivered
-// again. It returns the message, how many segments it held and when
-// its first one arrived.
+// message is done: its segments are dropped, the buffers they lay in go
+// back to the pool, and it is never delivered again. It returns the
+// message, how many segments it held and when its first one arrived.
 func (r *Reassembler) Reconstruct(mid uint64) (data []byte, segments int, first int64, ok bool) {
 	return r.ReconstructInto(mid, nil)
 }
@@ -116,8 +152,24 @@ func (r *Reassembler) ReconstructInto(mid uint64, dst []byte) (data []byte, segm
 		return nil, 0, 0, false
 	}
 	segments = len(a.segs)
-	a.done, a.segs = true, nil
+	r.drop(a)
+	a.done = true
 	return data, segments, a.first, true
+}
+
+// drop forgets a message's segments, releases the buffers they lay in
+// and keeps the emptied lists for another message.
+func (r *Reassembler) drop(a *assembly) {
+	if a.segs == nil {
+		return
+	}
+	for _, bp := range a.bufs {
+		r.release(bp)
+	}
+	clear(a.segs)
+	clear(a.bufs)
+	r.spare = append(r.spare, lists{a.segs[:0], a.bufs[:0]})
+	a.lists = lists{}
 }
 
 // Shape returns the code shape of a message and whether it has been
@@ -130,10 +182,12 @@ func (r *Reassembler) Shape(mid uint64) (needed, total int32, done, ok bool) {
 	return a.needed, a.total, a.done, true
 }
 
-// Sweep forgets every message whose expiry has passed.
+// Sweep forgets every message whose expiry has passed, releasing the
+// buffers of those never reconstructed.
 func (r *Reassembler) Sweep(now int64) {
 	for mid, a := range r.msgs {
 		if a.expires <= now {
+			r.drop(a)
 			delete(r.msgs, mid)
 		}
 	}

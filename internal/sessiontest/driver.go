@@ -374,7 +374,7 @@ func (d *Driver) deliver(p *path, payload []byte) {
 	case session.KindProbe:
 		reply(msg.Ack)
 	case session.KindSegment:
-		v := d.asm.Add(int64(d.Eng.Now()), msg.Seg)
+		v := d.asm.Add(int64(d.Eng.Now()), msg.Seg, nil)
 		if v == session.Rejected {
 			return
 		}

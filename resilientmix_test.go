@@ -50,7 +50,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	var delivered []byte
 	net.Receivers[1].SetOnDelivered(func(mid uint64, data []byte, _ rm.Time) {
-		delivered = data
+		delivered = bytes.Clone(data) // data is the receiver's once the call returns
 		net.Receivers[1].Respond(mid, []byte("pong"), nil)
 	})
 	var response []byte
