@@ -14,9 +14,9 @@ build:
 # Tier 1. Without -race on purpose: the allocation budgets
 # (core.TestSimEraMessageAllocs ≤ 6 allocations and
 # TestSimEraMessageBytes ≤ 1 KB,
-# livenet.TestLiveSmallAllocBudget ≤ 36 KB, TestLiveBulkAllocBudget
-# ≤ 700 KB, TestLiveBulkSteadyAllocBudget ≤ 150 KB,
-# livenet.TestFrameWriteAllocs) skip under the race detector, where
+# livenet.TestLiveSmallAllocBudget ≤ 20 KB and ≤ 320 allocations,
+# TestLiveBulkAllocBudget ≤ 700 KB, TestLiveBulkSteadyAllocBudget
+# ≤ 64 KB, livenet.TestFrameWriteAllocs) skip under the race detector, where
 # sync.Pool drops at random, so this is the only target that runs them.
 test:
 	$(GO) test ./...

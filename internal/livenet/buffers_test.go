@@ -482,23 +482,26 @@ func TestQueuedBuildKeepsItsSegment(t *testing.T) {
 // read buffers recycled but Split's 512 KB, Reconstruct's 256 KB and
 // the four deliveries the responder kept still fresh. With the
 // responder's recycled too it is Split's buffer and small change
-// (measures ≈ 620 KB): under a 5 s AckTimeout no record is forgotten,
+// (measures ≈ 590 KB): under a 5 s AckTimeout no record is forgotten,
 // so no Split buffer comes back, inside the test.
 func TestLiveBulkAllocBudget(t *testing.T) {
 	const budget = 700 << 10
-	got := liveAllocPerMessage(t, [][]netsim.NodeID{{1, 2}, {3, 4}, {5, 6}, {7, 8}}, 256<<10, 5*time.Second, 0)
+	got, _ := liveAllocPerMessage(t, [][]netsim.NodeID{{1, 2}, {3, 4}, {5, 6}, {7, 8}}, 256<<10, 5*time.Second, 0)
 	if got > budget {
 		t.Errorf("a 256 KB message allocates %d KB, budget %d KB", got>>10, budget>>10)
 	}
 }
 
 // TestLiveBulkSteadyAllocBudget is the same gate in the steady state the
-// repo benchmark runs in: with a 200 ms AckTimeout and a second of
-// warm-up, records are forgotten as fast as messages are sent, and a
-// message's Split buffer is one a forgotten record gave back.
+// repo benchmark runs in: with a 200 ms AckTimeout, records are
+// forgotten as fast as messages are sent, and a message's Split buffer
+// is one a forgotten record gave back. What is left is per-frame small
+// change: ≈ 58 KB in ≈ 910 allocations while each of a message's 24
+// frames dialled under two contexts, ≈ 28 KB in ≈ 575 under its
+// deadline alone.
 func TestLiveBulkSteadyAllocBudget(t *testing.T) {
-	const budget = 150 << 10
-	got := liveAllocPerMessage(t, [][]netsim.NodeID{{1, 2}, {3, 4}, {5, 6}, {7, 8}}, 256<<10, 200*time.Millisecond, time.Second)
+	const budget = 64 << 10
+	got, _ := liveAllocPerMessage(t, [][]netsim.NodeID{{1, 2}, {3, 4}, {5, 6}, {7, 8}}, 256<<10, 200*time.Millisecond, 5*time.Millisecond)
 	if got > budget {
 		t.Errorf("a 256 KB message allocates %d KB in the steady state, budget %d KB", got>>10, budget>>10)
 	}
@@ -510,12 +513,18 @@ func TestLiveBulkSteadyAllocBudget(t *testing.T) {
 // bookkeeping of 12 frames — a dial, a connection and a goroutine each.
 // While every frame keyed its AES-GCM layers afresh a message cost
 // 65 KB, 30 of them key schedules; with the keys set up once per path
-// 35, and with the responder's buffers recycled it measures ≈ 32.
+// 35, and with the responder's buffers recycled ≈ 32 KB in ≈ 460
+// allocations. A frame's dial under its deadline alone, with no context,
+// timer or net watcher goroutine, leaves ≈ 17 KB in ≈ 290: the count
+// gate also catches a Go release whose dialer brings the watcher back.
 func TestLiveSmallAllocBudget(t *testing.T) {
-	const budget = 36 << 10
-	got := liveAllocPerMessage(t, [][]netsim.NodeID{{1, 2}, {3, 4}}, 1<<10, 5*time.Second, 0)
+	const budget, allocs = 20 << 10, 320
+	got, mallocs := liveAllocPerMessage(t, [][]netsim.NodeID{{1, 2}, {3, 4}}, 1<<10, 5*time.Second, 0)
 	if got > budget {
 		t.Errorf("a 1 KB message allocates %d bytes, budget %d", got, budget)
+	}
+	if mallocs > allocs {
+		t.Errorf("a 1 KB message makes %d allocations, budget %d", mallocs, allocs)
 	}
 }
 
@@ -523,8 +532,16 @@ func TestLiveSmallAllocBudget(t *testing.T) {
 // initiator 0, the relays of the lists, a collecting responder —
 // allocates per message of the given size sent and acknowledged over a
 // session with r = 2 (m = k/2) and the given AckTimeout, once the pools
-// are full and warm has passed.
-func liveAllocPerMessage(t *testing.T, relayLists [][]netsim.NodeID, size int, ackTimeout, warm time.Duration) uint64 {
+// are full, and the allocations it makes.
+//
+// With a pace, a message leaves no sooner than pace after the one
+// before, from two AckTimeouts before the measured ones on, so that as
+// many records are alive while they are measured as before: sent flat
+// out, the number alive follows the machine's speed from moment to
+// moment, and every record past the most alive so far takes a fresh
+// Split buffer (512 KB for live_bulk's shape), which read as 27 to
+// 250 KB per message from one full-suite run to the next.
+func liveAllocPerMessage(t *testing.T, relayLists [][]netsim.NodeID, size int, ackTimeout, pace time.Duration) (allocated, mallocs uint64) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
 	}
@@ -540,6 +557,7 @@ func liveAllocPerMessage(t *testing.T, relayLists [][]netsim.NodeID, size int, a
 	rand.Read(msg)
 	send := func(n int) {
 		for i := 0; i < n; i++ {
+			start := time.Now()
 			mid, err := sess.Send(msg)
 			if err != nil {
 				t.Fatal(err)
@@ -547,18 +565,22 @@ func liveAllocPerMessage(t *testing.T, relayLists [][]netsim.NodeID, size int, a
 			if err := sess.Await(context.Background(), mid); err != nil {
 				t.Fatal(err)
 			}
+			if pace > 0 {
+				time.Sleep(pace - time.Since(start))
+			}
 		}
 	}
 	send(20) // fill the pools
-	for start := time.Now(); time.Since(start) < warm; {
-		send(1)
+	if pace > 0 {
+		send(int(2 * ackTimeout / pace))
 	}
 	const runs = 100
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	send(runs)
 	runtime.ReadMemStats(&after)
-	got := (after.TotalAlloc - before.TotalAlloc) / runs
-	t.Logf("%d bytes per %d-byte message", got, size)
-	return got
+	allocated = (after.TotalAlloc - before.TotalAlloc) / runs
+	mallocs = (after.Mallocs - before.Mallocs) / runs
+	t.Logf("%d bytes in %d allocations per %d-byte message", allocated, mallocs, size)
+	return allocated, mallocs
 }

@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"time"
@@ -76,7 +77,7 @@ func (n *Node) readyProbe() error {
 			continue
 		}
 		probed++
-		conn, err := roster.dial(netsim.NodeID(id), readyProbeTimeout)
+		conn, err := roster.dial(context.Background(), netsim.NodeID(id), time.Now().Add(readyProbeTimeout))
 		if err != nil {
 			lastErr = err
 			continue

@@ -28,7 +28,12 @@
 // packet), the receiver reads a 13-byte header and then the body, the
 // connection skips keep-alive set-up it would never use, metric handles
 // are resolved once, and the responder's asymmetric open runs once per
-// path, not per segment (onion.Streams' key memo).
+// path, not per segment (onion.Streams' key memo). A frame is a
+// connection and a deadline: one time bounds its whole dial schedule
+// (Node.sendCtx) and each attempt dials under it (dialDeadline), so a
+// frame has no context, timer or goroutine of its own — the socket
+// reads the deadline. Only a caller that can cancel (ConstructCtx) or a
+// peer named by host name rather than IP gets a real context.
 //
 // A frame is in one buffer per hop, in both directions, and the buffer
 // has one owner at a time (internal/onion/hop.go states the rule for the
@@ -78,6 +83,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"slices"
 	"sync"
 	"time"
@@ -243,6 +249,10 @@ type Peer struct {
 // here the mechanism is explicit configuration.
 type Roster struct {
 	peers []Peer
+	// named[id] is set when peer id's address is not an IP literal and a
+	// port: net resolves a literal without blocking, a name only under a
+	// context whose Done it can wait on (see dial).
+	named []bool
 }
 
 // NewRoster validates and indexes the peer list. IDs must be dense in
@@ -252,6 +262,7 @@ func NewRoster(peers []Peer) (*Roster, error) {
 		return nil, errors.New("livenet: empty roster")
 	}
 	indexed := make([]Peer, len(peers))
+	named := make([]bool, len(peers))
 	seen := make([]bool, len(peers))
 	for _, p := range peers {
 		if p.ID < 0 || int(p.ID) >= len(peers) {
@@ -268,8 +279,10 @@ func NewRoster(peers []Peer) (*Roster, error) {
 		}
 		seen[p.ID] = true
 		indexed[p.ID] = p
+		_, err := netip.ParseAddrPort(p.Addr)
+		named[p.ID] = err != nil
 	}
-	return &Roster{peers: indexed}, nil
+	return &Roster{peers: indexed, named: named}, nil
 }
 
 // Size returns the roster size.
@@ -289,22 +302,54 @@ func (r *Roster) Public(id netsim.NodeID) onioncrypt.PublicKey {
 	return r.peers[id].Public
 }
 
-// dialContext connects to a peer under the caller's context deadline —
-// every outbound dial in the package flows through here, so no dial
-// can outlive its caller's budget.
-func (r *Roster) dialContext(ctx context.Context, id netsim.NodeID) (net.Conn, error) {
+// dial connects to a peer by deadline. Every outbound dial in the
+// package flows through here — a frame's attempts (Node.sendCtx) and the
+// readiness probe — so no dial can outlive its caller's budget.
+//
+// A dial nothing can cancel (ctx's Done is nil), to an IP literal, is
+// bounded by a dialDeadline alone. A context that can be cancelled
+// needs net's watcher goroutine to interrupt the dial, and a host name
+// needs a lookup that waits on Done, so those two dial under a real
+// child context, and pay for it.
+func (r *Roster) dial(ctx context.Context, id netsim.NodeID, deadline time.Time) (net.Conn, error) {
 	p, err := r.Peer(id)
 	if err != nil {
 		return nil, err
 	}
 	// A connection carries one frame and closes: no keep-alive set-up.
 	d := net.Dialer{KeepAlive: -1}
+	if ctx.Done() == nil && !r.named[id] {
+		return d.DialContext(dialDeadline(deadline), "tcp", p.Addr)
+	}
+	ctx, cancel := context.WithDeadline(ctx, deadline)
+	defer cancel()
 	return d.DialContext(ctx, "tcp", p.Addr)
 }
 
-// dial connects to a peer with a bounded timeout.
-func (r *Roster) dial(id netsim.NodeID, timeout time.Duration) (net.Conn, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return r.dialContext(ctx, id)
+// within returns the time d from now, or limit if that comes first; a
+// zero limit is none.
+func within(limit time.Time, d time.Duration) time.Time {
+	t := time.Now().Add(d)
+	if !limit.IsZero() && limit.Before(t) {
+		return limit
+	}
+	return t
 }
+
+// dialDeadline is a context that is only a deadline: Deadline reports
+// it, and Done, Err and Value are context.Background's. It is what a
+// frame dials under. Nothing cancels it, so it needs no timer, channel
+// or goroutine, and its Done is nil so that net starts none either: Go's
+// dialer copies Deadline into the connecting socket's write deadline,
+// starts the goroutine that watches a dial only for a context whose
+// Done is non-nil, and adds no sub-context of its own for one address
+// when the Dialer has no Timeout or Deadline. The socket alone ends the
+// dial at the deadline, with a timeout error —
+// TestUnansweredDialEndsAtDeadline pins that net still does. Err stays
+// nil past the deadline, as it must while Done is never closed.
+type dialDeadline time.Time
+
+func (d dialDeadline) Deadline() (time.Time, bool) { return time.Time(d), true }
+func (dialDeadline) Done() <-chan struct{}         { return nil }
+func (dialDeadline) Err() error                    { return nil }
+func (dialDeadline) Value(any) any                 { return nil }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/rand"
 	"io"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/iotest"
@@ -87,6 +89,38 @@ func startCluster(t testing.TB, n int, onData map[int]DataFunc, tweak ...func(*C
 		}
 	})
 	return c
+}
+
+// readdressed returns c's roster with every peer's address replaced by
+// what addr makes of it.
+func (c *cluster) readdressed(t testing.TB, addr func(id netsim.NodeID, was string) string) *Roster {
+	t.Helper()
+	peers := slices.Clone(c.roster.peers)
+	for i := range peers {
+		peers[i].Addr = addr(peers[i].ID, peers[i].Addr)
+	}
+	r, err := NewRoster(peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// awaitGoroutines waits up to five seconds for the goroutine count to
+// come back to base — armed timers may still fire once, closing
+// connection handlers drain — and fails the test with every stack if it
+// does not.
+func awaitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines above the baseline of %d:\n%s",
+				runtime.NumGoroutine()-base, base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
 }
 
 func TestRosterValidation(t *testing.T) {

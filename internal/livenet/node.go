@@ -337,25 +337,33 @@ var dialRetry = retrypolicy.Policy{
 }
 
 // send dials the peer a hop-layer output is for and writes it as one
-// frame (see writeFrame for room). Its deadline covers the whole dial
-// schedule: every attempt, the backoff sleeps between them (jitter at
-// most doubles the cap) and a second to spare.
+// frame (see writeFrame for room). Nothing can cancel it: the frame's
+// deadline is all that bounds it (sendCtx).
 func (n *Node) send(s onion.Send, room []byte) error {
-	attempts := time.Duration(dialRetry.Attempts)
-	ctx, cancel := context.WithTimeout(context.Background(),
-		attempts*n.cfg.DialTimeout+(attempts-1)*2*dialRetry.BackoffCap+time.Second)
-	defer cancel()
-	return n.sendCtx(ctx, s, room)
+	return n.sendCtx(context.Background(), s, room)
 }
 
-// sendCtx dials a peer under the caller's context and writes one frame.
-// It first consults the fault controller (blackholes refuse the frame,
-// the injected drop rate consumes it silently, injected latency delays
-// it), then retries dial failures per the dialRetry schedule with
-// jittered exponential backoff. Write failures after a successful dial
-// are not retried: the frame may have partially left, and replaying it
-// risks duplicate relay state.
+// sendCtx dials a peer and writes one frame by one deadline: the end of
+// the whole dial schedule — every attempt, the backoff sleeps between
+// them (jitter at most doubles the cap) and a second to spare — or ctx's
+// deadline if that comes first. It first consults the fault controller
+// (blackholes refuse the frame, the injected drop rate consumes it
+// silently, injected latency delays it, but not past the deadline: a
+// frame the delay would carry past it is cut there and counted as a
+// send error), then retries dial failures per the dialRetry schedule
+// with jittered exponential backoff, each attempt bounded by
+// DialTimeout and the deadline (Roster.dial). Write failures after a
+// successful dial are not retried: the frame may have partially left,
+// and replaying it risks duplicate relay state.
+//
+// ctx is what can cancel the frame: context.Background for send's, the
+// caller's for a construction's first frame (launch). Only the latter
+// costs a context per dial; a frame of send's has no context, timer or
+// goroutine of its own.
 func (n *Node) sendCtx(ctx context.Context, s onion.Send, room []byte) error {
+	attempts := time.Duration(dialRetry.Attempts)
+	limit, _ := ctx.Deadline()
+	deadline := within(limit, attempts*n.cfg.DialTimeout+(attempts-1)*2*dialRetry.BackoffCap+time.Second)
 	to, sid, size := s.To, uint64(s.SID), frameBodyLen(s)
 	if frameHeader+size > maxFrameSize {
 		// A reverse body grows a layer per hop: one that fitted at the
@@ -371,28 +379,30 @@ func (n *Node) sendCtx(ctx context.Context, s onion.Send, room []byte) error {
 		n.noteDropped("live.fault.dropped", to, sid, size, obs.ReasonInjectedDrop)
 		return nil // the frame "left" but will never arrive
 	} else if delay > 0 {
-		t := time.NewTimer(delay)
+		wait := min(delay, time.Until(deadline))
+		t := time.NewTimer(wait)
+		cut := true
 		select {
 		case <-t.C:
+			cut = wait < delay
 		case <-ctx.Done():
 			t.Stop()
+		}
+		if cut {
 			n.noteDropped("live.send_errors", to, sid, size, obs.ReasonSendFailed)
-			return ctx.Err()
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			return context.DeadlineExceeded
 		}
 	}
 	err := dialRetry.Do(ctx, func(ctx context.Context) error {
-		dctx, cancel := context.WithTimeout(ctx, n.cfg.DialTimeout)
-		defer cancel()
-		conn, err := n.roster().dialContext(dctx, to)
+		conn, err := n.roster().dial(ctx, to, within(deadline, n.cfg.DialTimeout))
 		if err != nil {
 			return err
 		}
 		defer conn.Close()
-		deadline := time.Now().Add(n.cfg.DialTimeout)
-		if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-			deadline = d
-		}
-		conn.SetWriteDeadline(deadline)
+		conn.SetWriteDeadline(within(deadline, n.cfg.DialTimeout))
 		if err := writeFrame(conn, n.cfg.ID, s, room); err != nil {
 			return retrypolicy.Permanent(err)
 		}

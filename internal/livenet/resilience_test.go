@@ -20,6 +20,7 @@ import (
 
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
+	"resilientmix/internal/onion"
 )
 
 // silentServer accepts TCP connections and never answers — the shape
@@ -47,32 +48,28 @@ func silentServer(t *testing.T) net.Listener {
 	return ln
 }
 
+// addrOf is a readdressed rewrite that moves one peer to addr.
+func addrOf(id netsim.NodeID, addr string) func(netsim.NodeID, string) string {
+	return func(p netsim.NodeID, was string) string {
+		if p == id {
+			return addr
+		}
+		return was
+	}
+}
+
 // TestBlackholedPeerCannotStallInitiator is the deadline regression
 // test: a first relay that accepts connections but never acks must not
 // stall ConstructCtx past its context deadline.
 func TestBlackholedPeerCannotStallInitiator(t *testing.T) {
 	c := startCluster(t, 5, nil)
-	silent := silentServer(t)
 	// Point node 0's view of relay 1 at the silent server.
-	peers := make([]Peer, 5)
-	for i := range peers {
-		p, err := c.roster.Peer(netsim.NodeID(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers[i] = p
-	}
-	peers[1].Addr = silent.Addr().String()
-	hijacked, err := NewRoster(peers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.nodes[0].SetRoster(hijacked)
+	c.nodes[0].SetRoster(c.readdressed(t, addrOf(1, silentServer(t).Addr().String())))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = c.nodes[0].ConstructCtx(ctx, []netsim.NodeID{1, 2}, 4)
+	_, err := c.nodes[0].ConstructCtx(ctx, []netsim.NodeID{1, 2}, 4)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("construction through a silent relay succeeded")
@@ -105,6 +102,77 @@ func TestBlackholeRefusesOutbound(t *testing.T) {
 	c.nodes[0].HealPeer(1)
 	if _, err := c.nodes[0].Construct([]netsim.NodeID{1}, 3); err != nil {
 		t.Fatalf("construction after heal failed: %v", err)
+	}
+}
+
+// dataTo is a data frame for peer to.
+func dataTo(to netsim.NodeID) onion.Send {
+	s := rawSend(onion.KindData, 7, []byte("frame"))
+	s.To = to
+	return s
+}
+
+// TestRefusedDialIsRetried: a peer that refuses the connection (a closed
+// port) still gets dialRetry's second attempt, after its backoff, and
+// only then is the frame a send error. With one attempt the send would
+// fail as fast as the refusal; the backoff sleep is the mark of the
+// second.
+func TestRefusedDialIsRetried(t *testing.T) {
+	c := startCluster(t, 2, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := ln.Addr().String()
+	ln.Close()
+	c.nodes[0].SetRoster(c.readdressed(t, addrOf(1, closed)))
+
+	start := time.Now()
+	err = c.nodes[0].send(dataTo(1), nil)
+	elapsed := time.Since(start)
+	if err == nil {
+		t.Fatal("a send to a closed port succeeded")
+	}
+	if backoff := time.Duration(float64(dialRetry.Backoff) * (1 - dialRetry.Jitter)); elapsed < backoff {
+		t.Fatalf("a refused send failed after %v, before the %v backoff of a second attempt: %v", elapsed, backoff, err)
+	}
+	if v := c.nodes[0].Metrics().Counter("live.send_errors").Value(); v != 1 {
+		t.Fatalf("live.send_errors = %d, want 1", v)
+	}
+}
+
+// TestInjectedLatencyCutAtDeadline: injected latency longer than what is
+// left of a frame's budget ends at the deadline, not after the delay —
+// under a context whose Done is nil, as a frame of send's has, so that
+// only the bounded timer ends the wait, and under a construction's
+// context alike — and a cut frame is a send error.
+func TestInjectedLatencyCutAtDeadline(t *testing.T) {
+	c := startCluster(t, 2, nil)
+	n := c.nodes[0]
+	n.SetFaultLatency(time.Minute)
+	const budget = 50 * time.Millisecond
+	for i, under := range []func() (context.Context, context.CancelFunc){
+		func() (context.Context, context.CancelFunc) {
+			return dialDeadline(time.Now().Add(budget)), func() {}
+		},
+		func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), budget)
+		},
+	} {
+		ctx, cancel := under()
+		start := time.Now()
+		err := n.sendCtx(ctx, dataTo(1), nil)
+		elapsed := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("case %d: want the deadline, got %v", i, err)
+		}
+		if elapsed < budget*9/10 || elapsed > budget+time.Second {
+			t.Fatalf("case %d: a frame delayed a minute under a %v budget ended after %v", i, budget, elapsed)
+		}
+		if v := n.Metrics().Counter("live.send_errors").Value(); v != uint64(i+1) {
+			t.Fatalf("case %d: live.send_errors = %d, want %d", i, v, i+1)
+		}
 	}
 }
 
@@ -590,17 +658,7 @@ func TestTeardownLeavesNoGoroutines(t *testing.T) {
 	for _, node := range e.c.nodes {
 		node.Close()
 	}
-	// Armed ack-timeout timers may still fire once; give them and the
-	// closing connection handlers a moment to drain.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines above the baseline of %d after Teardown and Close:\n%s",
-				runtime.NumGoroutine()-base, base, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	awaitGoroutines(t, base)
 }
 
 // TestTeardownStopsTimers is the real-socket half of the regression for

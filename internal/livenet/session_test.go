@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/rand"
 	"errors"
+	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -57,28 +58,54 @@ func (e *liveSessionEnv) await(t *testing.T, mid uint64) []byte {
 	}
 }
 
+// TestLiveSessionEndToEnd runs a session over a roster of IP literals
+// and over one that names every peer "localhost:port", whose frames dial
+// under a real context so that the name can be looked up.
 func TestLiveSessionEndToEnd(t *testing.T) {
-	e := newLiveSessionEnv(t, 10, 9)
-	sess, err := e.c.nodes[0].NewLiveSession([][]netsim.NodeID{
-		{1, 2}, {3, 4}, {5, 6}, {7, 8},
-	}, 9, 2, 3*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Teardown()
-	if sess.AlivePaths() != 4 {
-		t.Fatalf("alive paths = %d", sess.AlivePaths())
-	}
-	msg := make([]byte, 1024)
-	for i := range msg {
-		msg[i] = byte(i * 7)
-	}
-	mid, err := sess.Send(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.await(t, mid); !bytes.Equal(got, msg) {
-		t.Fatal("reconstruction mismatch over live SimEra")
+	for _, tc := range []struct {
+		name  string
+		named bool
+		addr  func(netsim.NodeID, string) string
+	}{
+		{"literal", false, func(_ netsim.NodeID, addr string) string { return addr }},
+		{"localhost", true, func(_ netsim.NodeID, addr string) string {
+			_, port, _ := net.SplitHostPort(addr)
+			return net.JoinHostPort("localhost", port)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newLiveSessionEnv(t, 10, 9)
+			r := e.c.readdressed(t, tc.addr)
+			for id, named := range r.named {
+				if named != tc.named {
+					t.Fatalf("peer %d at %q parsed as a host name = %v", id, r.peers[id].Addr, named)
+				}
+			}
+			for _, node := range e.c.nodes {
+				node.SetRoster(r)
+			}
+			sess, err := e.c.nodes[0].NewLiveSession([][]netsim.NodeID{
+				{1, 2}, {3, 4}, {5, 6}, {7, 8},
+			}, 9, 2, 3*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Teardown()
+			if sess.AlivePaths() != 4 {
+				t.Fatalf("alive paths = %d", sess.AlivePaths())
+			}
+			msg := make([]byte, 1024)
+			for i := range msg {
+				msg[i] = byte(i * 7)
+			}
+			mid, err := sess.Send(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := e.await(t, mid); !bytes.Equal(got, msg) {
+				t.Fatal("reconstruction mismatch over live SimEra")
+			}
+		})
 	}
 }
 
