@@ -15,8 +15,8 @@ build:
 # (core.TestSimEraMessageAllocs ≤ 6 allocations and
 # TestSimEraMessageBytes ≤ 1 KB,
 # livenet.TestLiveSmallAllocBudget ≤ 20 KB and ≤ 320 allocations,
-# TestLiveBulkAllocBudget ≤ 700 KB, TestLiveBulkSteadyAllocBudget
-# ≤ 64 KB, livenet.TestFrameWriteAllocs) skip under the race detector, where
+# TestLiveBulkAllocBudget ≤ 40 KB and ≤ 600 allocations, flat out,
+# livenet.TestFrameWriteAllocs) skip under the race detector, where
 # sync.Pool drops at random, so this is the only target that runs them.
 test:
 	$(GO) test ./...

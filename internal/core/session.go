@@ -56,8 +56,10 @@ type Session struct {
 	// Arm: a session that never sends registers nothing.
 	deadline sim.Func
 	// splits holds the buffer each message's coded segments lie in until
-	// the machine forgets its record; spare holds those it has forgotten,
-	// for the next message to be split into.
+	// the machine's Forget, at the message's verdict; spare holds those it
+	// has forgotten, for the next message to be split into. A transmit
+	// reads its segment within the input that emits it, so no buffer is
+	// pinned past its Forget.
 	splits map[uint64][]byte
 	spare  [][]byte
 
@@ -541,7 +543,7 @@ func (s *Session) handleReverse(plain []byte, buf *[]byte) {
 	}
 	switch msg.Kind {
 	case session.KindSegAck:
-		var outs [2]session.Output
+		var outs [session.AckScratch]session.Output
 		s.run(s.m.Ack(outs[:0], msg.Ack.MID, msg.Ack.Index))
 		bufpool.Release(buf)
 	case session.KindRespSeg:

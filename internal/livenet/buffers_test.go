@@ -14,10 +14,12 @@ import (
 	"time"
 
 	"resilientmix/internal/bufpool"
+	"resilientmix/internal/erasure"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
 	"resilientmix/internal/onion"
 	"resilientmix/internal/onioncrypt"
+	"resilientmix/internal/session"
 )
 
 // reverseWalk is a one-relay path's three hop-layer roles with a first
@@ -475,35 +477,123 @@ func TestQueuedBuildKeepsItsSegment(t *testing.T) {
 	}
 }
 
-// TestLiveBulkAllocBudget holds the live per-byte path to its budget on
-// BenchmarkLiveSessionSendBulk's shape (the repo benchmark's live_bulk):
-// a 256 KB message over 4 × 2 allocated 2.5 MB while every frame was
-// read into a fresh buffer, and 1 385 KB with the relays' eight 128 KB
-// read buffers recycled but Split's 512 KB, Reconstruct's 256 KB and
-// the four deliveries the responder kept still fresh. With the
-// responder's recycled too it is Split's buffer and small change
-// (measures ≈ 590 KB): under a 5 s AckTimeout no record is forgotten,
-// so no Split buffer comes back, inside the test.
-func TestLiveBulkAllocBudget(t *testing.T) {
-	const budget = 700 << 10
-	got, _ := liveAllocPerMessage(t, [][]netsim.NodeID{{1, 2}, {3, 4}, {5, 6}, {7, 8}}, 256<<10, 5*time.Second, 0)
-	if got > budget {
-		t.Errorf("a 256 KB message allocates %d KB, budget %d KB", got>>10, budget>>10)
+// TestVerdictDuringSendKeepsTheSplit: a message's verdict can come on
+// the reverse path while Send is still writing its round, and the
+// Forget it brings must leave the buffer the round's later segments are
+// encoded from alone until Send is done. Every frame the initiator sends
+// waits out an injected latency (FaultHandler's op=latency), so over
+// 4 × 1 paths with m = 2, slots 0 and 1 acknowledge — and resolve the
+// message — while slots 2 and 3 are still to be written. With released
+// buffers poisoned, all four segments must arrive as SplitInto made
+// them, the split must be held past the verdict while Send blocks, and
+// be gone once Send returns, long before the AckTimeout.
+func TestVerdictDuringSendKeepsTheSplit(t *testing.T) {
+	bufpool.SetPoison(true)
+	t.Cleanup(func() { bufpool.SetPoison(false) })
+	const responder, latency, ackTimeout = 5, 150 * time.Millisecond, 5 * time.Second
+	msg := make([]byte, 4<<10)
+	rand.Read(msg)
+	code, err := erasure.New(2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := code.SplitInto(msg, make([]byte, code.N()*code.SegmentSize(len(msg))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	intact := make(map[int32]bool) // by segment index: arrived as split
+	collector := NewLiveCollector(nil)
+	c := startCluster(t, responder+1, map[int]DataFunc{responder: func(h ReplyHandle, data []byte) {
+		if app, err := session.DecodeApp(data); err == nil && app.Kind == session.KindSegment {
+			i := app.Seg.Index
+			mu.Lock()
+			intact[i] = i >= 0 && int(i) < len(want) && bytes.Equal(app.Seg.Data, want[i].Data)
+			mu.Unlock()
+		}
+		collector.Handle(h, data)
+	}})
+	init := c.nodes[0]
+	sess, err := init.NewLiveSession([][]netsim.NodeID{{1}, {2}, {3}, {4}}, responder, 2, ackTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Teardown()
+	init.SetFaultLatency(latency)
+
+	start := time.Now()
+	returned := make(chan error, 1)
+	go func() {
+		_, err := sess.Send(msg)
+		returned <- err
+	}()
+	verdicts := init.Metrics().Counter("session.messages_delivered")
+	waitFor(t, "the verdict", func() bool { return verdicts.Value() == 1 })
+	var held split // the one message's, as the verdict's Forget left it
+	waitFor(t, "the verdict's Forget", func() bool {
+		sess.mu.Lock()
+		defer sess.mu.Unlock()
+		held = split{}
+		for _, sp := range sess.splits {
+			held = sp
+		}
+		return held.buf == nil || held.done
+	})
+	select {
+	case <-returned:
+		t.Fatal("Send returned before its verdict's Forget was seen: the verdict did not come mid-round, the test lost its teeth")
+	default:
+	}
+	if held.buf == nil || !held.done || held.writing != 1 {
+		t.Fatalf("after the verdict, with Send still writing, the split is %+v; want it held, done, written by Send", held)
+	}
+	if err := <-returned; err != nil {
+		t.Fatal(err)
+	}
+	if n, took := splitsHeld(sess), time.Since(start); n != 0 || took > ackTimeout/5 {
+		t.Fatalf("Send returned after %v holding %d splits; want none, long before the %v AckTimeout", took, n, ackTimeout)
+	}
+	waitFor(t, "all four segments", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(intact) == 4
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	for i, ok := range intact {
+		if !ok {
+			t.Errorf("segment %d arrived damaged", i)
+		}
 	}
 }
 
-// TestLiveBulkSteadyAllocBudget is the same gate in the steady state the
-// repo benchmark runs in: with a 200 ms AckTimeout, records are
-// forgotten as fast as messages are sent, and a message's Split buffer
-// is one a forgotten record gave back. What is left is per-frame small
-// change: ≈ 58 KB in ≈ 910 allocations while each of a message's 24
-// frames dialled under two contexts, ≈ 28 KB in ≈ 575 under its
-// deadline alone.
-func TestLiveBulkSteadyAllocBudget(t *testing.T) {
-	const budget = 64 << 10
-	got, _ := liveAllocPerMessage(t, [][]netsim.NodeID{{1, 2}, {3, 4}, {5, 6}, {7, 8}}, 256<<10, 200*time.Millisecond, 5*time.Millisecond)
+// splitsHeld is the number of messages whose Split buffer sess holds.
+func splitsHeld(sess *LiveSession) int {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	return len(sess.splits)
+}
+
+// TestLiveBulkAllocBudget holds the live per-byte path to its budget on
+// BenchmarkLiveSessionSendBulk's shape (the repo benchmark's live_bulk),
+// sent flat out under a 5 s AckTimeout: a 256 KB message over 4 × 2
+// allocated 2.5 MB while every frame was read into a fresh buffer,
+// 1 385 KB with the relays' read buffers recycled, and ≈ 590 KB with
+// the responder's recycled too while a message's Split buffer came back
+// only at its round deadline, so that inside the test every one was
+// fresh. Given back at the verdict, it is reused by the next message,
+// and what is left is per-frame small change: ≈ 28 KB in ≈ 575
+// allocations. After the measured messages no Split buffer is held: the
+// initiator's live heap is the messages in flight, not an AckTimeout's
+// worth of delivered ones.
+func TestLiveBulkAllocBudget(t *testing.T) {
+	const budget, allocs = 40 << 10, 600
+	got, mallocs := liveAllocPerMessage(t, [][]netsim.NodeID{{1, 2}, {3, 4}, {5, 6}, {7, 8}}, 256<<10, 5*time.Second)
 	if got > budget {
-		t.Errorf("a 256 KB message allocates %d KB in the steady state, budget %d KB", got>>10, budget>>10)
+		t.Errorf("a 256 KB message allocates %d KB, budget %d KB", got>>10, budget>>10)
+	}
+	if mallocs > allocs {
+		t.Errorf("a 256 KB message makes %d allocations, budget %d", mallocs, allocs)
 	}
 }
 
@@ -519,7 +609,7 @@ func TestLiveBulkSteadyAllocBudget(t *testing.T) {
 // gate also catches a Go release whose dialer brings the watcher back.
 func TestLiveSmallAllocBudget(t *testing.T) {
 	const budget, allocs = 20 << 10, 320
-	got, mallocs := liveAllocPerMessage(t, [][]netsim.NodeID{{1, 2}, {3, 4}}, 1<<10, 5*time.Second, 0)
+	got, mallocs := liveAllocPerMessage(t, [][]netsim.NodeID{{1, 2}, {3, 4}}, 1<<10, 5*time.Second)
 	if got > budget {
 		t.Errorf("a 1 KB message allocates %d bytes, budget %d", got, budget)
 	}
@@ -532,16 +622,10 @@ func TestLiveSmallAllocBudget(t *testing.T) {
 // initiator 0, the relays of the lists, a collecting responder —
 // allocates per message of the given size sent and acknowledged over a
 // session with r = 2 (m = k/2) and the given AckTimeout, once the pools
-// are full, and the allocations it makes.
-//
-// With a pace, a message leaves no sooner than pace after the one
-// before, from two AckTimeouts before the measured ones on, so that as
-// many records are alive while they are measured as before: sent flat
-// out, the number alive follows the machine's speed from moment to
-// moment, and every record past the most alive so far takes a fresh
-// Split buffer (512 KB for live_bulk's shape), which read as 27 to
-// 250 KB per message from one full-suite run to the next.
-func liveAllocPerMessage(t *testing.T, relayLists [][]netsim.NodeID, size int, ackTimeout, pace time.Duration) (allocated, mallocs uint64) {
+// are full, and the allocations it makes. Messages go flat out, one
+// after the other's verdict, and each verdict must give its Split
+// buffer back: once the last is in, the session holds none.
+func liveAllocPerMessage(t *testing.T, relayLists [][]netsim.NodeID, size int, ackTimeout time.Duration) (allocated, mallocs uint64) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
 	}
@@ -557,7 +641,6 @@ func liveAllocPerMessage(t *testing.T, relayLists [][]netsim.NodeID, size int, a
 	rand.Read(msg)
 	send := func(n int) {
 		for i := 0; i < n; i++ {
-			start := time.Now()
 			mid, err := sess.Send(msg)
 			if err != nil {
 				t.Fatal(err)
@@ -565,15 +648,9 @@ func liveAllocPerMessage(t *testing.T, relayLists [][]netsim.NodeID, size int, a
 			if err := sess.Await(context.Background(), mid); err != nil {
 				t.Fatal(err)
 			}
-			if pace > 0 {
-				time.Sleep(pace - time.Since(start))
-			}
 		}
 	}
 	send(20) // fill the pools
-	if pace > 0 {
-		send(int(2 * ackTimeout / pace))
-	}
 	const runs = 100
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -582,5 +659,12 @@ func liveAllocPerMessage(t *testing.T, relayLists [][]netsim.NodeID, size int, a
 	allocated = (after.TotalAlloc - before.TotalAlloc) / runs
 	mallocs = (after.Mallocs - before.Mallocs) / runs
 	t.Logf("%d bytes in %d allocations per %d-byte message", allocated, mallocs, size)
+	// The last verdict's Forget may still be on its way from Await's
+	// wake-up; a record's deadline is an AckTimeout off.
+	for wait := time.Now().Add(ackTimeout / 5); splitsHeld(sess) != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(wait) {
+			t.Fatalf("%d of %d acknowledged messages still hold their Split buffer", splitsHeld(sess), 20+runs)
+		}
+	}
 	return allocated, mallocs
 }

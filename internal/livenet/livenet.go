@@ -66,9 +66,10 @@
 // once Node.handle has written what the table answered the read buffer
 // goes back to the pool readFrame draws from. At the initiator a
 // message's coded segments lie in a pooled buffer from Send until the
-// session machine forgets the message's record (session.Forget), as
-// long as the record lived before. The write side's scratch is pooled
-// as it always was.
+// message's verdict, when the session machine reads them no more
+// (session.Forget) — or, if the verdict comes while a round of them is
+// still being written, until that round is out. The write side's
+// scratch is pooled as it always was.
 //
 // Scope: static roster (the PKI directory with addresses) and one TCP
 // connection per frame. Gossip membership and the liveness predictor

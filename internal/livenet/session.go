@@ -235,7 +235,7 @@ type LiveSession struct {
 	m        *session.Machine
 	waits    map[uint64]chan struct{} // unresolved messages, closed at the verdict
 	verdicts map[uint64]error         // verdicts awaiting Await
-	splits   map[uint64]*[]byte       // the buffer each recorded message's segments lie in
+	splits   map[uint64]split         // the buffer each message's segments lie in, until released
 	degraded bool                     // mirrored into the node's degraded gauge
 	rng      *mrand.Rand              // relay choice, cover path pick
 	probe    *time.Timer
@@ -247,6 +247,18 @@ type LiveSession struct {
 	builds    chan queuedBuild
 	closeOnce sync.Once
 	wg        sync.WaitGroup
+}
+
+// split is the pooled buffer a message's coded segments lie in and who
+// still reads it. The machine's Forget comes at the verdict, and the
+// verdict can come on the reverse path while the round that Send (or a
+// retransmitting deadline) started is still being written: writing
+// counts those runs, done records the Forget, and whichever of them
+// leaves the split done with nothing writing gives the buffer back.
+type split struct {
+	buf     *[]byte
+	writing int32
+	done    bool
 }
 
 // queuedBuild is a Build output queued for the session's goroutine,
@@ -295,7 +307,7 @@ func (n *Node) NewLiveSessionOpts(relayLists [][]netsim.NodeID, responder netsim
 		paths:     make([]atomic.Pointer[Path], k),
 		waits:     make(map[uint64]chan struct{}),
 		verdicts:  make(map[uint64]error),
-		splits:    make(map[uint64]*[]byte),
+		splits:    make(map[uint64]split),
 		rng:       mrand.New(mrand.NewSource(int64(newSID()))),
 		builds:    make(chan queuedBuild, k),
 	}
@@ -407,7 +419,7 @@ func (s *LiveSession) reverse(body []byte) {
 	if err != nil || msg.Kind != session.KindSegAck {
 		return
 	}
-	var buf [2]session.Output
+	var buf [session.AckScratch]session.Output
 	s.mu.Lock()
 	outs := s.m.Ack(buf[:0], msg.Ack.MID, msg.Ack.Index)
 	s.mu.Unlock()
@@ -415,14 +427,23 @@ func (s *LiveSession) reverse(body []byte) {
 }
 
 // deadline is an armed round timer firing. After Teardown the machine
-// knows no round, so a late timer does nothing.
+// knows no round, so a late timer does nothing. The segments of a
+// message it may retransmit stay pinned while the new round is written.
 func (s *LiveSession) deadline(mid uint64) {
 	var buf [session.Scratch]session.Output
 	s.mu.Lock()
 	outs := s.m.Deadline(buf[:0], s.now(), mid)
+	sp, pinned := s.splits[mid]
+	if pinned {
+		sp.writing++
+		s.splits[mid] = sp
+	}
 	s.syncDegradedLocked()
 	s.mu.Unlock()
 	s.run(outs)
+	if pinned {
+		s.settle(mid, false)
+	}
 }
 
 // probeTick asks again for every missing replacement and sends one
@@ -469,10 +490,10 @@ func (s *LiveSession) Send(data []byte) (uint64, error) {
 		return 0, fmt.Errorf("%w: a %d-byte message makes %d-byte segments, %d-byte frames of at most %d",
 			ErrFrameTooLarge, len(data), seg, size, maxFrameSize)
 	}
-	split := bufpool.Get(s.code.N() * s.code.SegmentSize(len(data)))
-	segs, err := s.code.SplitInto(data, *split)
+	sb := bufpool.Get(s.code.N() * s.code.SegmentSize(len(data)))
+	segs, err := s.code.SplitInto(data, *sb)
 	if err != nil {
-		bufpool.Release(split)
+		bufpool.Release(sb)
 		return 0, err
 	}
 	mid := newSID()
@@ -481,11 +502,11 @@ func (s *LiveSession) Send(data []byte) (uint64, error) {
 	outs, err := s.m.Send(buf[:0], s.now(), mid, s.responder, segs, nil)
 	if err == nil {
 		s.waits[mid] = make(chan struct{})
-		s.splits[mid] = split // until the machine forgets the record
+		s.splits[mid] = split{buf: sb, writing: 1} // pinned until the round is written
 	}
 	s.mu.Unlock()
 	if err != nil {
-		bufpool.Release(split)
+		bufpool.Release(sb)
 		if errors.Is(err, session.ErrFull) {
 			s.node.m.sendRejected.Inc()
 		}
@@ -493,13 +514,41 @@ func (s *LiveSession) Send(data []byte) (uint64, error) {
 	}
 	s.node.m.messagesSent.Inc()
 	s.run(outs)
+	s.settle(mid, false)
 	return mid, nil
+}
+
+// settle ends one run's writing from mid's segments or, with forget,
+// records the machine's Forget of them. The call that leaves the split
+// done with nothing writing gives its buffer back.
+func (s *LiveSession) settle(mid uint64, forget bool) {
+	s.mu.Lock()
+	sp, ok := s.splits[mid]
+	if !ok {
+		s.mu.Unlock()
+		return
+	}
+	if forget {
+		sp.done = true
+	} else {
+		sp.writing--
+	}
+	free := sp.done && sp.writing == 0
+	if free {
+		delete(s.splits, mid)
+	} else {
+		s.splits[mid] = sp
+	}
+	s.mu.Unlock()
+	if free {
+		bufpool.Release(sp.buf)
+	}
 }
 
 // run carries out the machine's outputs. Callers have released s.mu: a
 // frame can block in a dial, and the acks of a round's first segments
 // may arrive — and resolve the message — while its last is being
-// written.
+// written (which is why the split stays pinned until run returns).
 func (s *LiveSession) run(outs []session.Output) {
 	for _, o := range outs {
 		switch o.Kind {
@@ -549,11 +598,7 @@ func (s *LiveSession) run(outs []session.Output) {
 		case session.Resolved:
 			s.resolve(o.MID, o.Delivered)
 		case session.Forget:
-			s.mu.Lock()
-			split := s.splits[o.MID]
-			delete(s.splits, o.MID)
-			s.mu.Unlock()
-			bufpool.Release(split)
+			s.settle(o.MID, true)
 		}
 	}
 }

@@ -80,11 +80,11 @@ const (
 	Resolved
 	// Retransmit: message MID starts another round.
 	Retransmit
-	// Forget: the machine has dropped data message MID's record — after
-	// its verdict, at the deadline that deletes it, or at that deadline
-	// after Teardown — and reads its segments no more: the driver may
-	// reuse the buffer they lie in. Once per data message, never for a
-	// probe round.
+	// Forget: the machine reads data message MID's segments no more, and
+	// the driver may reuse the buffer they lie in — after its verdict
+	// (the record may outlive it: its ledger stays to its last deadline)
+	// or, for a message torn down unresolved, at that deadline. Once per
+	// data message, never for a probe round.
 	Forget
 )
 
@@ -111,6 +111,11 @@ type Output struct {
 // paper's widest configuration: a round over k = 8 slots and its Arm.
 const Scratch = 10
 
+// AckScratch is the same for Ack, whose outputs are at most three: the
+// segment's Acked, and the Resolved and Forget of the ack that is its
+// message's m-th.
+const AckScratch = 3
+
 // Errors returned by Send.
 var (
 	ErrTornDown = errors.New("session: torn down")
@@ -136,8 +141,8 @@ type job struct {
 // retransmit rounds) or one probe round.
 type message struct {
 	dest     netsim.NodeID
-	segs     []erasure.Segment
-	jobs     []job // the current round
+	segs     []erasure.Segment // nil once resolved
+	jobs     []job             // the current round
 	acked    [erasure.MaxSegments / 64]uint64
 	nAcked   int
 	rounds   int
@@ -353,25 +358,8 @@ func (m *Machine) Send(out []Output, now int64, mid uint64, dest netsim.NodeID, 
 	if m.cfg.MaxInflight > 0 && m.inflight >= m.cfg.MaxInflight {
 		return out, ErrFull
 	}
-	// The record keeps segs until its last deadline has fired, also
-	// when every ack came long before: dropping them at resolution is
-	// the natural thing and must not be done here. On live_bulk (256 KB
-	// messages, 5 s AckTimeout) that dead payload is what paced the
-	// collector — releasing it early took GC from 3.5 to 250 cycles/s
-	// and msgs_per_s from 326/325/329 to 182/169/177 (p50 2.6 → 5.4 ms)
-	// in three alternating pairs (PR 16, when a message allocated
-	// 7 975 KB), and, measured again for PR 24 at 1 445 KB, 392 → 352
-	// msg/s, GC 0.6 → 99 cycles/s (segs dropped at resolve; traced
-	// runs, seeds 31–33). The record still lives exactly that long;
-	// what changed (PR 25) is that its buffer is not garbage after it:
-	// the Forget its last deadline emits hands the buffer back to the
-	// driver, which splits the next message into it, and the
-	// responder's garbage is recycled too, so live_bulk allocates
-	// 132 KB a message where it allocated 1 385 and GC runs 0.08 times
-	// a second where it ran 0.58 (gc_cpu_share 0.32 % → 0.05 %; traced
-	// runs, seeds 601–603). Releasing early is now a question of live
-	// heap, not of pacing: measure it, as alternating pairs, before
-	// this line changes.
+	// The record reads segs until the verdict, whose Forget hands them
+	// back; its ledger lives on to its last deadline (see resolve).
 	msg := &message{dest: dest, segs: segs, jobs: make([]job, 0, len(segs))}
 	m.msgs[mid] = msg
 	m.inflight++
@@ -450,7 +438,8 @@ func (m *Machine) PathFailed(slot int) {
 
 // Ack takes in an acknowledgment of segment (mid, idx) — from whichever
 // path it came back on. The first ack of a segment clears its ledger
-// entries; the m-th resolves a data message as delivered.
+// entries; the m-th resolves a data message as delivered and releases
+// its segments. AckScratch outputs hold what it returns.
 func (m *Machine) Ack(out []Output, mid uint64, idx int32) []Output {
 	msg := m.msgs[mid]
 	if m.torn || msg == nil || idx < 0 || int(idx) >= erasure.MaxSegments || msg.isAcked(idx) {
@@ -465,10 +454,14 @@ func (m *Machine) Ack(out []Output, mid uint64, idx int32) []Output {
 	return out
 }
 
+// resolve gives data message mid its verdict and releases its segments:
+// nothing after a verdict resends them. The record's jobs and acked set
+// stay until its last deadline, which condemns the slots that never
+// acknowledged.
 func (m *Machine) resolve(out []Output, mid uint64, msg *message, delivered bool) []Output {
-	msg.resolved = true
+	msg.resolved, msg.segs = true, nil
 	m.inflight--
-	return append(out, Output{Kind: Resolved, MID: mid, Delivered: delivered})
+	return append(out, Output{Kind: Resolved, MID: mid, Delivered: delivered}, Output{Kind: Forget, MID: mid})
 }
 
 // Deadline is the armed timer of round set mid firing: every slot that
@@ -514,10 +507,11 @@ func (m *Machine) Deadline(out []Output, now int64, mid uint64) []Output {
 	return out
 }
 
-// forget deletes round set mid's record, announcing a data message's.
+// forget deletes round set mid's record, announcing a data message's
+// that no verdict released: one torn down unresolved.
 func (m *Machine) forget(out []Output, mid uint64, msg *message) []Output {
 	delete(m.msgs, mid)
-	if msg == nil || msg.probe {
+	if msg == nil || msg.probe || msg.resolved {
 		return out
 	}
 	return append(out, Output{Kind: Forget, MID: mid})
@@ -605,8 +599,9 @@ func (m *Machine) CoverTick(out []Output, pick uint64) []Output {
 }
 
 // Teardown ends the session: every later input is a no-op, armed
-// deadlines included — except that each still releases its record,
-// which lives as long as it would have (see Send), with a Forget.
+// deadlines included — except that each still deletes its record,
+// which lives as long as it would have, with a Forget if no verdict
+// released it.
 func (m *Machine) Teardown() {
 	m.torn = true
 	m.inflight = 0

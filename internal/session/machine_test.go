@@ -3,8 +3,10 @@ package session_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
+	"resilientmix/internal/erasure"
 	"resilientmix/internal/faultinject"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/session"
@@ -339,47 +341,164 @@ func checkForgets(t *testing.T, f *fleet, sent map[uint64]bool) {
 	}
 }
 
-// TestForgetOncePerRecord: the machine announces dropping a data
-// message's record exactly once, at the deadline that drops it — after
-// the verdict, never at it for a delivered message (the record keeps
-// its segments as long as it did before Forget existed) — never for a
-// probe round, and still when that deadline fires after Teardown.
+// bareMachine is a 4-slot, m = 2 of n = 4 machine with every path up and
+// the coded segments of one message, for the tests that feed it inputs
+// by hand and read its outputs one by one.
+func bareMachine(t *testing.T, maxRetransmits int) (*session.Machine, []erasure.Segment) {
+	t.Helper()
+	code, err := erasure.New(2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := code.Split([]byte("a message"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := session.New(session.Config{K: 4, M: 2, N: 4, Responder: 9, AckTimeout: sec, MaxRetransmits: maxRetransmits})
+	for i := 0; i < 4; i++ {
+		m.PathUp(i, []netsim.NodeID{netsim.NodeID(i + 1)})
+	}
+	return m, segs
+}
+
+// kinds lists the kinds of outs, for failure messages and comparisons.
+func kinds(outs []session.Output) []session.Kind {
+	ks := make([]session.Kind, len(outs))
+	for i, o := range outs {
+		ks[i] = o.Kind
+	}
+	return ks
+}
+
+// forgets counts the Forget outputs among outs.
+func forgets(outs []session.Output) (n int) {
+	for _, o := range outs {
+		if o.Kind == session.Forget {
+			n++
+		}
+	}
+	return n
+}
+
+// TestForgetOncePerRecord: the machine hands a data message's segments
+// back exactly once. A delivered message's Forget is the output right
+// after its Resolved, in the same Ack, and comes never again — not at
+// its deadline, not at a deadline after Teardown; a lost message's is
+// right after its Resolved at its last deadline; a record torn down
+// unresolved gets its Forget at its deadline; a probe round gets none.
 func TestForgetOncePerRecord(t *testing.T) {
-	cfg, opts := repairConfig()
-	cfg.MaxRetransmits = 2
-	f := newFleet(t, 10, fourPaths, cfg, opts)
-	sent := make(map[uint64]bool)
-	delivered := f.send(t)
-	sent[delivered] = true
-	f.runFor(100 * ms)
-	if !f.delivered(delivered) || f.Forgotten[delivered] != 0 {
-		t.Fatalf("delivered message: verdict %v, forgotten %d times before its deadline", f.Verdicts[delivered], f.Forgotten[delivered])
+	m, segs := bareMachine(t, 1)
+	send := func(mid uint64) {
+		t.Helper()
+		if outs, err := m.Send(nil, 0, mid, 9, segs, nil); err != nil || forgets(outs) != 0 {
+			t.Fatalf("Send(%d): %v, outputs %v", mid, err, kinds(outs))
+		}
 	}
-	f.runFor(sim.Time(cfg.AckTimeout))
-	if f.Forgotten[delivered] != 1 {
-		t.Fatalf("delivered message forgotten %d times at its deadline", f.Forgotten[delivered])
+	deliver := func(mid uint64) {
+		t.Helper()
+		if outs := m.Ack(nil, mid, 0); forgets(outs) != 0 {
+			t.Fatalf("first ack of %d: outputs %v", mid, kinds(outs))
+		}
+		outs := m.Ack(nil, mid, 1)
+		want := []session.Kind{session.Acked, session.Resolved, session.Forget}
+		if !slices.Equal(kinds(outs), want) || !outs[1].Delivered || outs[2].MID != mid {
+			t.Fatalf("the m-th ack of %d: outputs %v (%+v), want %v", mid, kinds(outs), outs, want)
+		}
+		if outs := m.Ack(nil, mid, 2); forgets(outs) != 0 {
+			t.Fatalf("an ack of %d after its verdict: outputs %v", mid, kinds(outs))
+		}
 	}
 
-	f.Net.SetUp(9, false) // the responder: nothing is acked
-	lost := f.send(t)
-	sent[lost] = true
-	f.runFor(sim.Time(int64(cfg.MaxRetransmits+1)*cfg.AckTimeout + 100*ms))
-	if f.Verdicts[lost] != [2]int{0, 1} || f.Forgotten[lost] != 1 {
-		t.Fatalf("lost message: verdict %v, forgotten %d times", f.Verdicts[lost], f.Forgotten[lost])
+	send(1)
+	deliver(1)
+	if outs := m.Deadline(nil, sec, 1); forgets(outs) != 0 {
+		t.Fatalf("the deadline of a delivered message: outputs %v", kinds(outs))
 	}
 
-	torn := f.send(t)
-	sent[torn] = true
-	f.runFor(100 * ms)
-	f.Teardown()
-	if f.Forgotten[torn] != 0 {
-		t.Fatal("Teardown forgot a record before its deadline")
+	send(2) // nothing acked: a retransmit round, then lost
+	if outs := m.Deadline(nil, sec, 2); forgets(outs) != 0 || !slices.Contains(kinds(outs), session.Retransmit) {
+		t.Fatalf("the first deadline of an unacked message: outputs %v", kinds(outs))
 	}
-	f.runFor(sim.Time(cfg.AckTimeout))
-	if f.Counts.Probes == 0 {
-		t.Fatal("no probe round went out — the test lost its teeth")
+	outs := m.Deadline(nil, 2*sec, 2)
+	if n := len(outs); n < 2 || outs[n-2].Kind != session.Resolved || outs[n-2].Delivered || outs[n-1].Kind != session.Forget || forgets(outs) != 1 {
+		t.Fatalf("the last deadline of a lost message: outputs %v", kinds(outs))
 	}
-	checkForgets(t, f, sent)
+	if outs := m.Deadline(nil, 3*sec, 2); len(outs) != 0 {
+		t.Fatalf("a deadline of a deleted record: outputs %v", kinds(outs))
+	}
+
+	// Two more records across Teardown: one delivered before it, one torn
+	// down unresolved; and a probe round, on a machine with paths again.
+	m, segs = bareMachine(t, 1)
+	send(3)
+	deliver(3)
+	send(4)
+	if outs := m.ProbeRound(nil, 0, 5); forgets(outs) != 0 {
+		t.Fatalf("a probe round: outputs %v", kinds(outs))
+	}
+	if outs := m.Deadline(nil, sec, 5); forgets(outs) != 0 {
+		t.Fatalf("a probe round's deadline: outputs %v", kinds(outs))
+	}
+	m.Teardown()
+	if outs := m.Deadline(nil, sec, 3); len(outs) != 0 {
+		t.Fatalf("after Teardown, the deadline of a delivered message: outputs %v", kinds(outs))
+	}
+	outs = m.Deadline(nil, sec, 4)
+	if len(outs) != 1 || outs[0].Kind != session.Forget || outs[0].MID != 4 {
+		t.Fatalf("after Teardown, the deadline of an unresolved message: outputs %v, want its Forget", kinds(outs))
+	}
+	if outs := m.Deadline(nil, 2*sec, 4); len(outs) != 0 {
+		t.Fatalf("a second deadline of a torn-down record: outputs %v", kinds(outs))
+	}
+}
+
+// TestResolvedDeadlineCondemnsUnacked: releasing a message's segments at
+// its verdict keeps its ledger. Slots 0 and 1 acknowledge and deliver
+// it; the deadline still condemns slots 2 and 3, whose segments never
+// were, and only those.
+func TestResolvedDeadlineCondemnsUnacked(t *testing.T) {
+	m, segs := bareMachine(t, 0)
+	if _, err := m.Send(nil, 0, 1, 9, segs, nil); err != nil {
+		t.Fatal(err)
+	}
+	m.Ack(nil, 1, 0)
+	if outs := m.Ack(nil, 1, 1); forgets(outs) != 1 {
+		t.Fatalf("the m-th ack: outputs %v, want the segments released", kinds(outs))
+	}
+	var broken []int
+	for _, o := range m.Deadline(nil, sec, 1) {
+		if o.Kind == session.Broken && o.Reason == session.AckTimeout {
+			broken = append(broken, o.Slot)
+		}
+	}
+	if !slices.Equal(broken, []int{2, 3}) || m.Alive() != 2 || m.Armed() != 0 {
+		t.Fatalf("condemned slots %v, %d alive, %d armed; want [2 3], 2, 0", broken, m.Alive(), m.Armed())
+	}
+}
+
+// TestAckFitsItsScratch: the Ack that resolves a message emits three
+// outputs, and AckScratch of stack holds them — no spill to the heap.
+func TestAckFitsItsScratch(t *testing.T) {
+	const runs = 100
+	m, segs := bareMachine(t, 0)
+	for mid := uint64(1); mid <= runs+1; mid++ {
+		if _, err := m.Send(nil, 0, mid, 9, segs, nil); err != nil {
+			t.Fatal(err)
+		}
+		m.Ack(nil, mid, 0)
+	}
+	var mid uint64
+	resolved := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		mid++
+		var buf [session.AckScratch]session.Output
+		if outs := m.Ack(buf[:0], mid, 1); len(outs) == 3 && outs[2].Kind == session.Forget {
+			resolved++
+		}
+	})
+	if resolved != runs+1 || allocs != 0 {
+		t.Fatalf("%d of %d Acks resolved their message, %v allocations each; want all, 0", resolved, runs+1, allocs)
+	}
 }
 
 // TestStormInvariants drives the session through generated fault
