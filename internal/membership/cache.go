@@ -7,6 +7,7 @@
 package membership
 
 import (
+	"slices"
 	"sort"
 
 	"resilientmix/internal/netsim"
@@ -40,17 +41,26 @@ type QProvider interface {
 
 // Cache is one node's membership cache: for every known node it stores
 // the liveness triple (Δt_alive, Δt_since, t_last) and applies the
-// paper's direct/indirect merge rules.
+// paper's direct/indirect merge rules. Node ids are dense, so entries
+// are indexed by id, and every walk comes out in id order unsorted.
 type Cache struct {
-	self    netsim.NodeID
-	eng     *sim.Engine
-	entries map[netsim.NodeID]predictor.Info
-	limit   int // 0 = unbounded
+	self  netsim.NodeID
+	eng   *sim.Engine
+	slots []slot          // by node id, grown on demand
+	ids   []netsim.NodeID // the known ids, ascending
+	limit int             // 0 = unbounded
 }
 
-// NewCache creates an empty cache for the given node.
-func NewCache(self netsim.NodeID, eng *sim.Engine) *Cache {
-	return &Cache{self: self, eng: eng, entries: make(map[netsim.NodeID]predictor.Info)}
+// slot is one node id's entry; known is false until the node is heard of.
+type slot struct {
+	info  predictor.Info
+	known bool
+}
+
+// newCache creates an empty cache for the given node, sized for the node
+// ids [0, n); a larger id grows it.
+func newCache(self netsim.NodeID, eng *sim.Engine, n int) *Cache {
+	return &Cache{self: self, eng: eng, slots: make([]slot, n), ids: make([]netsim.NodeID, 0, max(n-1, 0))}
 }
 
 // SetLimit bounds the cache to at most limit entries; when a new node
@@ -68,7 +78,7 @@ func (c *Cache) SetLimit(limit int) {
 
 // enforceLimit evicts lowest-q entries until the cache fits.
 func (c *Cache) enforceLimit() {
-	if c.limit <= 0 || len(c.entries) <= c.limit {
+	if c.limit <= 0 || len(c.ids) <= c.limit {
 		return
 	}
 	now := c.eng.Now()
@@ -76,9 +86,9 @@ func (c *Cache) enforceLimit() {
 		id netsim.NodeID
 		q  float64
 	}
-	all := make([]scored, 0, len(c.entries))
-	for id, info := range c.entries {
-		all = append(all, scored{id, predictor.Q(info, now)})
+	all := make([]scored, 0, len(c.ids))
+	for _, id := range c.ids {
+		all = append(all, scored{id, predictor.Q(c.slots[id].info, now)})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].q != all[j].q {
@@ -87,17 +97,40 @@ func (c *Cache) enforceLimit() {
 		return all[i].id < all[j].id
 	})
 	for _, s := range all[:len(all)-c.limit] {
-		delete(c.entries, s.id)
+		c.slots[s.id] = slot{}
 	}
+	c.ids = slices.DeleteFunc(c.ids, func(id netsim.NodeID) bool { return !c.slots[id].known })
+}
+
+// set stores id's entry, adding id to the known ids if it is new.
+func (c *Cache) set(id netsim.NodeID, info predictor.Info) {
+	if i := int(id); i >= len(c.slots) {
+		c.slots = append(c.slots, make([]slot, i+1-len(c.slots))...)
+	}
+	s := &c.slots[id]
+	if !s.known {
+		s.known = true
+		if n := len(c.ids); n == 0 || c.ids[n-1] < id {
+			c.ids = append(c.ids, id)
+		} else {
+			at, _ := slices.BinarySearch(c.ids, id)
+			c.ids = slices.Insert(c.ids, at, id)
+		}
+	}
+	s.info = info
+	c.enforceLimit()
 }
 
 // Len returns the number of cached nodes.
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int { return len(c.ids) }
 
 // Lookup returns the stored liveness info for id.
 func (c *Cache) Lookup(id netsim.NodeID) (predictor.Info, bool) {
-	info, ok := c.entries[id]
-	return info, ok
+	if id < 0 || int(id) >= len(c.slots) {
+		return predictor.Info{}, false
+	}
+	s := c.slots[id]
+	return s.info, s.known
 }
 
 // HeardDirectly applies the first merge rule of §4.9: we received a
@@ -107,12 +140,11 @@ func (c *Cache) HeardDirectly(id netsim.NodeID, aliveFor sim.Time) {
 	if id == c.self {
 		return
 	}
-	c.entries[id] = predictor.Info{
+	c.set(id, predictor.Info{
 		AliveFor:  aliveFor,
 		Since:     0,
 		LastHeard: c.eng.Now(),
-	}
-	c.enforceLimit()
+	})
 }
 
 // HeardIndirectly applies the second merge rule of §4.9: node A told us
@@ -124,7 +156,7 @@ func (c *Cache) HeardIndirectly(id netsim.NodeID, aliveFor, since sim.Time) {
 		return
 	}
 	now := c.eng.Now()
-	cur, ok := c.entries[id]
+	cur, ok := c.Lookup(id)
 	if ok {
 		// Compare freshness as of now: our stored since ages with the
 		// local clock (Equation 3's t_now - t_last term).
@@ -132,8 +164,7 @@ func (c *Cache) HeardIndirectly(id netsim.NodeID, aliveFor, since sim.Time) {
 			return // ours is at least as fresh
 		}
 	}
-	c.entries[id] = predictor.Info{AliveFor: aliveFor, Since: since, LastHeard: now}
-	c.enforceLimit()
+	c.set(id, predictor.Info{AliveFor: aliveFor, Since: since, LastHeard: now})
 }
 
 // HeardDown records an explicit leave event (OneHop-style membership
@@ -145,65 +176,63 @@ func (c *Cache) HeardDown(id netsim.NodeID, aliveFor, since sim.Time) {
 		return
 	}
 	now := c.eng.Now()
-	if cur, ok := c.entries[id]; ok {
+	if cur, ok := c.Lookup(id); ok {
 		if since >= predictor.EffectiveSince(cur, now) {
 			return
 		}
 	}
-	c.entries[id] = predictor.Info{AliveFor: aliveFor, Since: since, LastHeard: now, Down: true}
-	c.enforceLimit()
+	c.set(id, predictor.Info{AliveFor: aliveFor, Since: since, LastHeard: now, Down: true})
 }
 
 // Q returns the liveness predictor for a cached node at the current
 // time, or 0 if the node is unknown.
 func (c *Cache) Q(id netsim.NodeID) float64 {
-	info, ok := c.entries[id]
+	info, ok := c.Lookup(id)
 	if !ok {
 		return 0
 	}
 	return predictor.Q(info, c.eng.Now())
 }
 
-// Candidates implements Provider: all cached nodes with their q values.
+// Candidates implements Provider: all cached nodes with their q values,
+// in id order. Callers that need a shuffle do it themselves with the
+// engine's RNG.
 func (c *Cache) Candidates(self netsim.NodeID) []Candidate {
 	now := c.eng.Now()
-	out := make([]Candidate, 0, len(c.entries))
-	for id, info := range c.entries {
+	out := make([]Candidate, 0, len(c.ids))
+	for _, id := range c.ids {
 		if id == self {
 			continue
 		}
+		info := c.slots[id].info
 		out = append(out, Candidate{ID: id, Q: predictor.Q(info, now), AliveFor: info.AliveFor})
 	}
-	// Map iteration order is random (and not from the engine's RNG);
-	// sort for determinism. Callers that need a shuffle do it themselves
-	// with the engine's RNG.
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// GossipEntries selects up to max entries to piggyback on a gossip
-// message, with Δt_since aged to the present per §4.9. Entries are
-// chosen uniformly at random using the engine's RNG.
-func (c *Cache) GossipEntries(max int) []GossipEntry {
-	now := c.eng.Now()
-	ids := make([]netsim.NodeID, 0, len(c.entries))
-	for id := range c.entries {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+// appendGossipEntries appends up to max entries to piggyback on a gossip
+// message to dst, with Δt_since aged to the present per §4.9. Entries
+// are chosen uniformly at random using the engine's RNG: when the cache
+// holds more than max ids they are shuffled in *scratch, which is grown
+// as needed and left for the next call.
+func (c *Cache) appendGossipEntries(dst []GossipEntry, scratch *[]netsim.NodeID, max int) []GossipEntry {
+	ids := c.ids
 	if len(ids) > max {
-		rng := c.eng.RNG()
-		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		// The whole list is shuffled, not just max picks drawn: the
+		// shuffle's draws are part of the seed's random stream.
+		ids = append((*scratch)[:0], ids...)
+		*scratch = ids
+		c.eng.RNG().Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 		ids = ids[:max]
 	}
-	out := make([]GossipEntry, len(ids))
-	for i, id := range ids {
-		info := c.entries[id]
-		out[i] = GossipEntry{
+	now := c.eng.Now()
+	for _, id := range ids {
+		info := c.slots[id].info
+		dst = append(dst, GossipEntry{
 			ID:       id,
 			AliveFor: info.AliveFor,
 			Since:    predictor.EffectiveSince(info, now),
-		}
+		})
 	}
-	return out
+	return dst
 }

@@ -55,6 +55,8 @@ type Gossip struct {
 	caches []*Cache
 	join   []sim.Time // current session start per node
 	up     []bool
+
+	shuffle []netsim.NodeID // scratch for round's entry shuffle
 }
 
 // NewGossip creates the per-node caches and subscribes to churn
@@ -73,7 +75,7 @@ func NewGossip(net *netsim.Network, cfg GossipConfig) (*Gossip, error) {
 	}
 	now := net.Engine().Now()
 	for i := 0; i < n; i++ {
-		g.caches[i] = NewCache(netsim.NodeID(i), net.Engine())
+		g.caches[i] = newCache(netsim.NodeID(i), net.Engine(), n)
 		g.join[i] = now
 		g.up[i] = net.IsUp(netsim.NodeID(i))
 	}
@@ -135,18 +137,20 @@ func (g *Gossip) round(id netsim.NodeID) {
 	if !g.up[id] {
 		return
 	}
+	// Targets are any known id (a cache never holds its own node), drawn
+	// after the entries' shuffle: that order is part of the seed's stream.
 	cache := g.caches[id]
-	cands := cache.Candidates(id)
-	if len(cands) == 0 {
+	known := cache.ids
+	if len(known) == 0 {
 		return
 	}
+	entries := make([]GossipEntry, 1, 1+min(g.cfg.MaxEntries, len(known)))
+	entries[0] = GossipEntry{ID: id, AliveFor: g.AliveFor(id), Since: 0}
+	msg := GossipMsg{Entries: cache.appendGossipEntries(entries, &g.shuffle, g.cfg.MaxEntries)}
+	m := netsim.Message{Payload: msg, Size: msg.WireSize()}
 	rng := g.net.Engine().RNG()
-	entries := cache.GossipEntries(g.cfg.MaxEntries)
-	self := GossipEntry{ID: id, AliveFor: g.AliveFor(id), Since: 0}
-	msg := GossipMsg{Entries: append([]GossipEntry{self}, entries...)}
 	for f := 0; f < g.cfg.Fanout; f++ {
-		target := cands[rng.Intn(len(cands))].ID
-		g.net.Send(id, target, netsim.Message{Payload: msg, Size: msg.WireSize()})
+		g.net.Send(id, known[rng.Intn(len(known))], m)
 	}
 }
 

@@ -20,7 +20,7 @@ func newEnv(t *testing.T, n int, seed int64) (*sim.Engine, *netsim.Network) {
 
 func TestCacheHeardDirectly(t *testing.T) {
 	eng, _ := newEnv(t, 4, 1)
-	c := NewCache(0, eng)
+	c := newCache(0, eng, 0)
 	eng.Schedule(10*sim.Second, func() {
 		c.HeardDirectly(1, 500*sim.Second)
 	})
@@ -39,7 +39,7 @@ func TestCacheHeardDirectly(t *testing.T) {
 
 func TestCacheIgnoresSelf(t *testing.T) {
 	eng, _ := newEnv(t, 4, 1)
-	c := NewCache(2, eng)
+	c := newCache(2, eng, 0)
 	c.HeardDirectly(2, sim.Hour)
 	c.HeardIndirectly(2, sim.Hour, 0)
 	if c.Len() != 0 {
@@ -51,7 +51,7 @@ func TestCacheIndirectFreshnessRule(t *testing.T) {
 	// §4.9: a received entry replaces the stored one only if its
 	// Δt_since is smaller (fresher).
 	eng, _ := newEnv(t, 4, 1)
-	c := NewCache(0, eng)
+	c := newCache(0, eng, 0)
 	c.HeardIndirectly(1, 100*sim.Second, 50*sim.Second)
 	// Staler information must be ignored.
 	c.HeardIndirectly(1, 999*sim.Second, 80*sim.Second)
@@ -71,7 +71,7 @@ func TestCacheFreshnessAgesWithLocalClock(t *testing.T) {
 	// A stored entry becomes less fresh as local time passes (Equation 3)
 	// so gossip that would have been stale earlier can win later.
 	eng, _ := newEnv(t, 4, 1)
-	c := NewCache(0, eng)
+	c := newCache(0, eng, 0)
 	c.HeardIndirectly(1, 100*sim.Second, 0) // perfectly fresh at t=0
 	eng.Schedule(60*sim.Second, func() {
 		// Our entry is now effectively 60s stale; a 30s-stale report wins.
@@ -86,7 +86,7 @@ func TestCacheFreshnessAgesWithLocalClock(t *testing.T) {
 
 func TestCacheUnknownNodeQ(t *testing.T) {
 	eng, _ := newEnv(t, 4, 1)
-	c := NewCache(0, eng)
+	c := newCache(0, eng, 0)
 	if c.Q(3) != 0 {
 		t.Fatal("unknown node should have q = 0")
 	}
@@ -94,7 +94,7 @@ func TestCacheUnknownNodeQ(t *testing.T) {
 
 func TestCandidatesExcludeSelfAndSorted(t *testing.T) {
 	eng, _ := newEnv(t, 8, 1)
-	c := NewCache(0, eng)
+	c := newCache(0, eng, 0)
 	for i := 7; i >= 1; i-- {
 		c.HeardDirectly(netsim.NodeID(i), sim.Time(i)*sim.Second)
 	}
@@ -114,10 +114,10 @@ func TestCandidatesExcludeSelfAndSorted(t *testing.T) {
 
 func TestGossipEntriesAgeSince(t *testing.T) {
 	eng, _ := newEnv(t, 4, 1)
-	c := NewCache(0, eng)
+	c := newCache(0, eng, 0)
 	c.HeardIndirectly(1, 100*sim.Second, 20*sim.Second)
 	var entries []GossipEntry
-	eng.Schedule(30*sim.Second, func() { entries = c.GossipEntries(10) })
+	eng.Schedule(30*sim.Second, func() { entries = c.appendGossipEntries(nil, new([]netsim.NodeID), 10) })
 	eng.RunAll()
 	if len(entries) != 1 {
 		t.Fatalf("entries = %v", entries)
@@ -129,7 +129,7 @@ func TestGossipEntriesAgeSince(t *testing.T) {
 
 func TestCacheLimitEvictsStalest(t *testing.T) {
 	eng, _ := newEnv(t, 16, 1)
-	c := NewCache(0, eng)
+	c := newCache(0, eng, 0)
 	c.SetLimit(3)
 	// Insert entries of increasing freshness/quality.
 	c.HeardDown(1, 100*sim.Second, 10*sim.Second)       // q = 0 (down)
@@ -174,15 +174,15 @@ func TestCacheLimitEvictsStalest(t *testing.T) {
 
 func TestGossipEntriesBounded(t *testing.T) {
 	eng, _ := newEnv(t, 64, 1)
-	c := NewCache(0, eng)
+	c := newCache(0, eng, 0)
 	for i := 1; i < 64; i++ {
 		c.HeardDirectly(netsim.NodeID(i), sim.Second)
 	}
-	if got := len(c.GossipEntries(16)); got != 16 {
-		t.Fatalf("GossipEntries returned %d, want 16", got)
+	if got := len(c.appendGossipEntries(nil, new([]netsim.NodeID), 16)); got != 16 {
+		t.Fatalf("appendGossipEntries returned %d, want 16", got)
 	}
-	if got := len(c.GossipEntries(1000)); got != 63 {
-		t.Fatalf("GossipEntries returned %d, want all 63", got)
+	if got := len(c.appendGossipEntries(nil, new([]netsim.NodeID), 1000)); got != 63 {
+		t.Fatalf("appendGossipEntries returned %d, want all 63", got)
 	}
 }
 

@@ -126,7 +126,7 @@ func NewOneHop(net *netsim.Network, cfg OneHopConfig) (*OneHop, error) {
 	}
 	now := net.Engine().Now()
 	for i := 0; i < n; i++ {
-		o.caches[i] = NewCache(netsim.NodeID(i), net.Engine())
+		o.caches[i] = newCache(netsim.NodeID(i), net.Engine(), n)
 		o.join[i] = now
 		o.up[i] = net.IsUp(netsim.NodeID(i))
 		o.pending[i] = make(map[netsim.NodeID]oneHopEvent)

@@ -169,7 +169,7 @@ func TestOneHopLeaderElectionSkipsDead(t *testing.T) {
 
 func TestCacheHeardDownFreshness(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c := NewCache(0, eng)
+	c := newCache(0, eng, 0)
 	c.HeardDirectly(1, 100*sim.Second) // fresh: since 0 now
 	// A stale death report (since=50s, i.e. older than our fresh info)
 	// must not override.

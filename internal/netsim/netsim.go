@@ -108,6 +108,7 @@ type Network struct {
 	nUp       int
 	handlers  []Handler
 	listeners []StateListener
+	own       [][]StateListener // per node, see AddNodeListener
 	lossRate  float64
 	fault     *faultState
 	stats     Stats
@@ -140,6 +141,7 @@ func New(eng *sim.Engine, lat *topology.Matrix) *Network {
 		up:       up,
 		nUp:      n,
 		handlers: make([]Handler, n),
+		own:      make([][]StateListener, n),
 	}
 	nw.deliver = eng.Register(nw.arrive)
 	return nw
@@ -203,6 +205,16 @@ func (n *Network) AddStateListener(l StateListener) {
 	n.listeners = append(n.listeners, l)
 }
 
+// AddNodeListener registers a callback invoked on node id's transitions
+// only, after every AddStateListener callback has run. State that lives
+// and dies with one node (a relay's table, a responder's streams)
+// listens here, so a transition costs that node's listeners, not one
+// call per node in the network.
+func (n *Network) AddNodeListener(id NodeID, l StateListener) {
+	i := n.check(id)
+	n.own[i] = append(n.own[i], l)
+}
+
 // SetLossRate makes every message independently vanish in flight with
 // probability p — random link loss on top of churn. The paper's failure
 // model is node churn only; loss extends the evaluation (erasure-coded
@@ -244,6 +256,9 @@ func (n *Network) SetUp(id NodeID, up bool) {
 		n.tracer.Emit(obs.Event{Type: typ, At: int64(n.eng.Now()), Node: i, Peer: -1, Slot: -1, Hop: -1})
 	}
 	for _, l := range n.listeners {
+		l(id, up)
+	}
+	for _, l := range n.own[i] {
 		l(id, up)
 	}
 }

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"resilientmix/internal/sim"
@@ -114,6 +116,23 @@ func TestStateListeners(t *testing.T) {
 	net.SetUp(2, true)
 	if len(events) != 2 || events[0] != (ev{2, false}) || events[1] != (ev{2, true}) {
 		t.Fatalf("events = %v", events)
+	}
+}
+
+// TestNodeListeners pins what a node's own listener sees: its node's
+// transitions only, each after every global listener has run on it.
+func TestNodeListeners(t *testing.T) {
+	_, net := newTestNet(t, 4)
+	var calls []string
+	net.AddNodeListener(2, func(id NodeID, up bool) { calls = append(calls, fmt.Sprintf("own %d %v", id, up)) })
+	net.AddStateListener(func(id NodeID, up bool) { calls = append(calls, fmt.Sprintf("global %d %v", id, up)) })
+	net.SetUp(1, false)
+	net.SetUp(2, false)
+	net.SetUp(2, false) // no-op: already down
+	net.SetUp(2, true)
+	want := []string{"global 1 false", "global 2 false", "own 2 false", "global 2 true", "own 2 true"}
+	if !slices.Equal(calls, want) {
+		t.Fatalf("calls = %q, want %q", calls, want)
 	}
 }
 

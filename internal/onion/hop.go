@@ -194,10 +194,14 @@ func (t *Table) States() (forward, reverse int) {
 	return len(t.forward), len(t.reverse)
 }
 
-// Wipe loses all state, as a failing node does.
+// Wipe loses all state, as a failing node does. An empty table is left
+// as it is, so an idle node's departure allocates nothing.
 func (t *Table) Wipe() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if len(t.forward) == 0 && len(t.reverse) == 0 {
+		return
+	}
 	t.stats.Wiped += uint64(len(t.forward))
 	t.forward = make(map[StreamID]*pathState)
 	t.reverse = make(map[StreamID]*pathState)
@@ -561,10 +565,14 @@ func (s *Streams) Sweep(now int64) {
 	}
 }
 
-// Wipe forgets every stream, as a failing node does.
+// Wipe forgets every stream, as a failing node does; with none to
+// forget it allocates nothing.
 func (s *Streams) Wipe() {
 	s.env.Lock.Lock()
 	defer s.env.Lock.Unlock()
+	if len(s.live) == 0 {
+		return
+	}
 	s.live = make(map[StreamID]stream)
 }
 

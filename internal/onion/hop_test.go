@@ -545,6 +545,30 @@ func TestTableConcurrent(t *testing.T) {
 	}
 }
 
+// TestIdleWipeAllocsNothing pins that a departure of a node holding no
+// path state and no streams costs no allocation and counts nothing.
+// Under churn most departing nodes are idle.
+func TestIdleWipeAllocsNothing(t *testing.T) {
+	suite := onioncrypt.Null{}
+	rng := rand.New(rand.NewSource(5))
+	dir, err := NewDirectory(suite, rng, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := simEnv(rng, suite)
+	tab := NewTable(env, dir.Private(1), 100)
+	streams := NewStreams(env, dir.Private(2), 100)
+	if n := testing.AllocsPerRun(100, tab.Wipe); n != 0 {
+		t.Errorf("Table.Wipe of an empty table: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, streams.Wipe); n != 0 {
+		t.Errorf("Streams.Wipe of an empty stream map: %v allocations, want 0", n)
+	}
+	if w := tab.Stats().Wiped; w != 0 {
+		t.Errorf("Wiped = %d after wiping an empty table, want 0", w)
+	}
+}
+
 // lockedReader serialises a math/rand source shared by goroutines.
 type lockedReader struct {
 	mu *sync.Mutex

@@ -32,8 +32,8 @@ func NewRelay(net *netsim.Network, id netsim.NodeID, suite onioncrypt.Suite, pri
 	}
 	eng := net.Engine()
 	r := &Relay{id: id, net: net, eng: eng, tab: NewTable(simEnv(eng.RNG(), suite), priv, int64(ttl))}
-	net.AddStateListener(func(nid netsim.NodeID, up bool) {
-		if nid == id && !up {
+	net.AddNodeListener(id, func(_ netsim.NodeID, up bool) {
+		if !up {
 			r.tab.Wipe()
 		}
 	})

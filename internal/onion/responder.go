@@ -38,8 +38,8 @@ func NewResponder(net *netsim.Network, id netsim.NodeID, suite onioncrypt.Suite,
 	}
 	eng := net.Engine()
 	r := &Responder{id: id, net: net, eng: eng, streams: NewStreams(simEnv(eng.RNG(), suite), priv, int64(ttl)), onData: onData}
-	net.AddStateListener(func(nid netsim.NodeID, up bool) {
-		if nid == id && !up {
+	net.AddNodeListener(id, func(_ netsim.NodeID, up bool) {
+		if !up {
 			r.streams.Wipe()
 		}
 	})

@@ -11,6 +11,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"resilientmix/internal/sim"
 )
@@ -80,6 +83,15 @@ func Generate(n int, meanRTT sim.Time, seed int64) (*Matrix, error) {
 	if meanRTT <= 0 {
 		return nil, fmt.Errorf("topology: mean RTT must be positive, got %v", meanRTT)
 	}
+	m, _ := generate(n, meanRTT, seed)
+	return m, nil
+}
+
+// generate is Generate past its argument checks. It also returns the
+// factor the raw RTTs were scaled by: the one value the order of the
+// mean's sum shows in, since rounding to whole microseconds hides a
+// last-bit change of the scale in nearly every entry.
+func generate(n int, meanRTT sim.Time, seed int64) (*Matrix, float64) {
 	rng := rand.New(rand.NewSource(seed))
 
 	// Random 2-D embedding: captures the triangle-inequality-ish
@@ -91,34 +103,92 @@ func Generate(n int, meanRTT sim.Time, seed int64) (*Matrix, error) {
 		ys[i] = rng.Float64()
 	}
 
+	// The upper triangle is the scratch space, holding float64 bits until
+	// the last pass: first each pair's jitter draw, then its jitter, then
+	// its raw RTT. Draws and the pass that sums stay in pair order, so the
+	// matrix does not depend on how many cores compute the jitters
+	// (DESIGN.md §6).
 	m := &Matrix{n: n, rtt: make([]sim.Time, n*n)}
-	// First pass: raw RTT = distance * lognormal jitter.
-	raw := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			m.rtt[i*n+j] = sim.Time(math.Float64bits(rng.NormFloat64()))
+		}
+	}
+	byRows(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			for j := i + 1; j < n; j++ {
+				jitter := math.Exp(math.Float64frombits(uint64(m.rtt[i*n+j])) * 0.35)
+				m.rtt[i*n+j] = sim.Time(math.Float64bits(jitter))
+			}
+		}
+	})
+	// Raw RTT = distance * lognormal jitter. The product and the sum are
+	// the sequential code's expressions, on one goroutine, so a compiler
+	// that fuses `sum += dist * jitter` into one multiply-add does it
+	// here too.
 	var sum float64
-	var pairs int
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			dx, dy := xs[i]-xs[j], ys[i]-ys[j]
 			dist := math.Sqrt(dx*dx + dy*dy)
-			jitter := math.Exp(rng.NormFloat64() * 0.35)
+			jitter := math.Float64frombits(uint64(m.rtt[i*n+j]))
 			v := dist * jitter
-			raw[i*n+j] = v
+			m.rtt[i*n+j] = sim.Time(math.Float64bits(v))
 			sum += v
-			pairs++
 		}
 	}
+	pairs := n * (n - 1) / 2
 	scale := float64(meanRTT) / (sum / float64(pairs))
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			v := sim.Time(raw[i*n+j] * scale)
-			if v < MinRTT {
-				v = MinRTT
+	// Rows [lo, hi) write their upper triangle and the same columns below
+	// the diagonal, which no other rows touch. The mirror goes one
+	// rowChunk-square tile at a time, so it writes runs of a few rows'
+	// entries instead of one entry in every row.
+	byRows(n, func(lo, hi int) {
+		for jt := lo; jt < n; jt += rowChunk {
+			for i := lo; i < hi; i++ {
+				for j := max(i+1, jt); j < min(jt+rowChunk, n); j++ {
+					v := sim.Time(math.Float64frombits(uint64(m.rtt[i*n+j])) * scale)
+					if v < MinRTT {
+						v = MinRTT
+					}
+					m.rtt[i*n+j] = v
+					m.rtt[j*n+i] = v
+				}
 			}
-			m.rtt[i*n+j] = v
-			m.rtt[j*n+i] = v
 		}
+	})
+	return m, scale
+}
+
+// rowChunk is how many consecutive rows a worker takes at a time. It is
+// a multiple of the eight entries in a 64-byte cache line, so when n is
+// a multiple of 8 (the paper's 1024) the column writes of two workers
+// never share a line; otherwise they share one at a span's edge, which
+// costs time but not correctness.
+const rowChunk = 16
+
+// byRows calls rows(lo, hi) over consecutive rowChunk-row spans covering
+// [0, n), on up to GOMAXPROCS goroutines that each take the next span
+// until none are left (a triangle's rows shrink, so a fixed split would
+// not balance), and returns when all are done.
+func byRows(n int, rows func(lo, hi int)) {
+	w := min(runtime.GOMAXPROCS(0), (n+rowChunk-1)/rowChunk)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(w)
+	for k := 0; k < w; k++ {
+		go func() {
+			defer wg.Done()
+			for {
+				lo := int(next.Add(rowChunk)) - rowChunk
+				if lo >= n {
+					return
+				}
+				rows(lo, min(lo+rowChunk, n))
+			}
+		}()
 	}
-	return m, nil
+	wg.Wait()
 }
 
 // Uniform returns a matrix where every distinct pair has the same RTT —
