@@ -136,8 +136,9 @@ lint-cluster:
 
 # Short fuzz passes over the wire-facing parsers, the in-place onion and
 # reverse-layer code, the keyed cipher handles against the by-bytes
-# API, and the trace analyzer (anontrace report and anonctl smoke feed
-# it traces over HTTP). This is the one list (15): CI's "Fuzz smoke" step is
+# API, the trace analyzer (anontrace report and anonctl smoke feed it
+# traces over HTTP), and the simulator's radix event queue against the
+# binary heap it replaced. This is the one list (16): CI's "Fuzz smoke" step is
 # `make fuzz FUZZTIME=15s`. Every pass runs its fuzzer alone (-run '^$'
 # skips the package's tests, the anchored -fuzz matches one target).
 # (core.FuzzDecodeAppMsg and livenet.FuzzDecodeLive, which fuzz the two
@@ -159,7 +160,8 @@ FUZZERS = \
 	internal/faultinject:FuzzParseSchedule \
 	internal/obs/tsdb:FuzzRead \
 	internal/obs:FuzzParsePrometheus \
-	internal/obs/analyze:FuzzAnalyzeTrace
+	internal/obs/analyze:FuzzAnalyzeTrace \
+	internal/sim:FuzzEventQueue
 
 fuzz:
 	@set -e; for f in $(FUZZERS); do \

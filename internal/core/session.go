@@ -51,6 +51,9 @@ type Session struct {
 	// choose picks n disjoint relay lists avoiding exclude: the mix
 	// choice of §4.9 over the membership view (tests script it).
 	choose func(n int, exclude []netsim.NodeID) ([][]netsim.NodeID, error)
+	// reverse is the OnReverse every path of the session carries, made
+	// once.
+	reverse onion.ReverseFunc
 
 	// deadline is onDeadline as registered with the engine, on the first
 	// Arm: a session that never sends registers nothing.
@@ -121,7 +124,11 @@ func (w *World) NewSession(self, responder netsim.NodeID, params Params) (*Sessi
 		inbound:   session.NewReassembler(int64(inboundTTL)),
 	}
 	s.choose = func(n int, exclude []netsim.NodeID) ([][]netsim.NodeID, error) {
-		return mixchoice.SelectPaths(w.Eng.RNG(), params.Strategy, s.provider.Candidates(self), n, params.L, exclude...)
+		w.cands = s.provider.AppendCandidates(w.cands[:0], self)
+		return mixchoice.SelectPaths(w.Eng.RNG(), params.Strategy, w.cands, n, params.L, exclude...)
+	}
+	s.reverse = func(_ *onion.Path, _ netsim.NodeID, plain []byte, buf *[]byte, _ *metrics.Flow) {
+		s.handleReverse(plain, buf)
 	}
 	m, n := params.codeShape()
 	// MaxRetransmits and MaxInflight stay zero: the simulator's message
@@ -138,10 +145,10 @@ func (w *World) NewSession(self, responder netsim.NodeID, params Params) (*Sessi
 // Params returns the session's (defaulted) parameters.
 func (s *Session) Params() Params { return s.params }
 
-// release drops a path's routing and initiator-side record.
+// release drops a path's initiator-side record, and with it the path's
+// reverse traffic.
 func (s *Session) release(p *onion.Path) {
 	if p != nil {
-		s.w.unbindPath(p)
 		s.w.Nodes[s.self].Initiator.Forget(p)
 	}
 }
@@ -215,7 +222,7 @@ func (s *Session) attempt() {
 			continue
 		}
 		paths[i] = p
-		s.w.bindPath(p, s)
+		p.OnReverse = s.reverse
 	}
 	if done == s.params.K && succeeded == 0 {
 		// All constructions failed synchronously.
@@ -389,7 +396,7 @@ func (s *Session) onDeadline(mid uint64) {
 // (§4.5 reconstruction), with its first segment riding the
 // construction onion when there is one (§4.2's combined mode — no
 // message delay waiting for a separate construction round trip). The
-// old path stays bound until the replacement stands.
+// old path stays recorded until the replacement stands.
 func (s *Session) build(b session.Output) {
 	// The exclusion set is the request's, not the present one: the pinned
 	// traces have a slot's replacement chosen before the same deadline
@@ -424,7 +431,7 @@ func (s *Session) build(b session.Output) {
 		s.m.Abandon(b)
 		return
 	}
-	s.w.bindPath(p, s)
+	p.OnReverse = s.reverse
 	if b.First {
 		s.noteSegmentSent(b)
 	}

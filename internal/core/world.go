@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 
-	"resilientmix/internal/bufpool"
 	"resilientmix/internal/churn"
 	"resilientmix/internal/membership"
-	"resilientmix/internal/metrics"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
 	"resilientmix/internal/onion"
@@ -131,7 +129,9 @@ type World struct {
 	tracer obs.Tracer
 	m      *worldMetrics
 
-	sessions map[onion.StreamID]*Session
+	// cands is the membership view a session's mix choice reads, one
+	// buffer for every session: the choice copies what it keeps.
+	cands []membership.Candidate
 }
 
 // NewWorld builds and wires a world. Churn (if configured) does not
@@ -170,14 +170,13 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		return nil, err
 	}
 	w := &World{
-		Cfg:      cfg,
-		Eng:      eng,
-		Net:      net,
-		Dir:      dir,
-		Reg:      reg,
-		tracer:   cfg.Tracer,
-		m:        newWorldMetrics(reg),
-		sessions: make(map[onion.StreamID]*Session),
+		Cfg:    cfg,
+		Eng:    eng,
+		Net:    net,
+		Dir:    dir,
+		Reg:    reg,
+		tracer: cfg.Tracer,
+		m:      newWorldMetrics(reg),
 	}
 
 	switch cfg.Membership {
@@ -205,14 +204,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		node := onion.NewNode(net, id, dir, mux, onion.NodeConfig{
 			StateTTL:         cfg.StateTTL,
 			ConstructTimeout: cfg.ConstructTimeout,
-			OnReverse: func(p *onion.Path, _ netsim.NodeID, plain []byte, buf *[]byte, _ *metrics.Flow) {
-				if s, ok := w.sessions[p.SID]; ok {
-					s.handleReverse(plain, buf)
-				} else {
-					bufpool.Release(buf)
-				}
-			},
-			OnData: recv.HandleData,
+			OnData:           recv.HandleData,
 		})
 		if w.gossip != nil {
 			w.gossip.Attach(id, mux)
@@ -266,9 +258,3 @@ func (w *World) Provider(id netsim.NodeID) membership.Provider {
 
 // Run advances the simulation to the given virtual time.
 func (w *World) Run(until sim.Time) { w.Eng.Run(until) }
-
-// bindPath routes reverse traffic on a path to a session.
-func (w *World) bindPath(p *onion.Path, s *Session) { w.sessions[p.SID] = s }
-
-// unbindPath removes a path's session routing.
-func (w *World) unbindPath(p *onion.Path) { delete(w.sessions, p.SID) }

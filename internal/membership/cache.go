@@ -30,6 +30,9 @@ type Provider interface {
 	// Candidates returns every known node except self, in unspecified
 	// order. The slice is freshly allocated and owned by the caller.
 	Candidates(self netsim.NodeID) []Candidate
+	// AppendCandidates appends what Candidates returns to dst, so a
+	// caller that reads the set and lets it go can reuse one buffer.
+	AppendCandidates(dst []Candidate, self netsim.NodeID) []Candidate
 }
 
 // QProvider is optionally implemented by providers that can report a
@@ -198,8 +201,12 @@ func (c *Cache) Q(id netsim.NodeID) float64 {
 // in id order. Callers that need a shuffle do it themselves with the
 // engine's RNG.
 func (c *Cache) Candidates(self netsim.NodeID) []Candidate {
+	return c.AppendCandidates(make([]Candidate, 0, len(c.ids)), self)
+}
+
+// AppendCandidates implements Provider.
+func (c *Cache) AppendCandidates(out []Candidate, self netsim.NodeID) []Candidate {
 	now := c.eng.Now()
-	out := make([]Candidate, 0, len(c.ids))
 	for _, id := range c.ids {
 		if id == self {
 			continue

@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"reflect"
 	"testing"
 
 	"resilientmix/internal/netsim"
@@ -236,6 +237,26 @@ func TestOracleCandidates(t *testing.T) {
 		}
 	})
 	eng.RunAll()
+}
+
+// TestAppendCandidates checks that both providers append what
+// Candidates returns, into the buffer they are handed.
+func TestAppendCandidates(t *testing.T) {
+	eng, net := newEnv(t, 8, 1)
+	c := newCache(0, eng, 0)
+	for i := 1; i < 8; i++ {
+		c.HeardDirectly(netsim.NodeID(i), sim.Time(i)*sim.Second)
+	}
+	for name, p := range map[string]Provider{"oracle": NewOracle(net), "cache": c} {
+		buf := make([]Candidate, 1, 16)
+		got := p.AppendCandidates(buf, 0)
+		if want := p.Candidates(0); len(want) != 7 || !reflect.DeepEqual(got[1:], want) {
+			t.Errorf("%s: appended %v, Candidates %v", name, got[1:], want)
+		}
+		if &got[0] != &buf[0] {
+			t.Errorf("%s: appended into a new buffer", name)
+		}
+	}
 }
 
 func TestGossipConfigValidation(t *testing.T) {

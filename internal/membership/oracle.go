@@ -76,8 +76,12 @@ func (o *Oracle) Q(id netsim.NodeID) float64 {
 
 // Candidates implements Provider.
 func (o *Oracle) Candidates(self netsim.NodeID) []Candidate {
+	return o.AppendCandidates(make([]Candidate, 0, len(o.nodes)-1), self)
+}
+
+// AppendCandidates implements Provider.
+func (o *Oracle) AppendCandidates(out []Candidate, self netsim.NodeID) []Candidate {
 	now := o.eng.Now()
-	out := make([]Candidate, 0, len(o.nodes)-1)
 	for i := range o.nodes {
 		id := netsim.NodeID(i)
 		if id == self {

@@ -19,6 +19,7 @@ package mixchoice
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"resilientmix/internal/membership"
 	"resilientmix/internal/netsim"
@@ -45,6 +46,13 @@ func (s Strategy) String() string {
 	}
 }
 
+// pools holds the candidate pools SelectPaths shuffles and ranks in. A
+// pool is as long as the membership view — a paper-scale world's is
+// 1 023 candidates, 24 KB — and lives for one call, so the calls share
+// them. Simulated worlds run on parallel goroutines and livenet
+// sessions on their own, hence a sync.Pool.
+var pools = sync.Pool{New: func() any { return new([]membership.Candidate) }}
+
 // SelectPaths picks k node-disjoint paths of l relays each from the
 // candidate set, excluding the given nodes (normally the initiator and
 // the responder). The rng is used for the random strategy and for
@@ -57,12 +65,15 @@ func SelectPaths(rng *rand.Rand, strategy Strategy, cands []membership.Candidate
 	for _, id := range exclude {
 		skip[id] = true
 	}
-	pool := make([]membership.Candidate, 0, len(cands))
+	pp := pools.Get().(*[]membership.Candidate)
+	defer pools.Put(pp)
+	pool := (*pp)[:0]
 	for _, c := range cands {
 		if !skip[c.ID] {
 			pool = append(pool, c)
 		}
 	}
+	*pp = pool
 	need := k * l
 	if len(pool) < need {
 		return nil, fmt.Errorf("mixchoice: need %d distinct relays, only %d candidates", need, len(pool))

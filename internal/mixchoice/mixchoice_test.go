@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"resilientmix/internal/membership"
@@ -179,6 +180,37 @@ func TestBiasedMatchesStableSort(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSelectPathsSharedPools runs SelectPaths on several goroutines at
+// once — simulated worlds and live sessions share its candidate pools —
+// and requires each call's paths to be the ones a sort picks, and to
+// stay so after every other call has reused the pools.
+func TestSelectPathsSharedPools(t *testing.T) {
+	const workers, calls = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			cands := pool(100 + 300*w)
+			var got, want [][][]netsim.NodeID
+			for i := 0; i < calls; i++ {
+				seed := int64(w*calls + i)
+				paths, err := SelectPaths(rand.New(rand.NewSource(seed)), Biased, cands, 4, 3, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got = append(got, paths)
+				want = append(want, selectBySort(rand.New(rand.NewSource(seed)), cands, 4, 3, 0))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("worker %d: paths differ from the sorted choice or changed after later calls", w)
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestRandomIgnoresQ(t *testing.T) {

@@ -51,6 +51,10 @@ type Path struct {
 	State PathState
 	// EstablishedAt is when the construction ack arrived.
 	EstablishedAt sim.Time
+	// OnReverse, when set, receives the path's reverse traffic in place
+	// of the initiator's ReverseFunc. The caller sets it as Construct
+	// returns, before any reply can arrive.
+	OnReverse ReverseFunc
 
 	keys PathKeys
 
@@ -100,17 +104,11 @@ func NewInitiator(net *netsim.Network, id netsim.NodeID, dir *Directory, timeout
 	}
 }
 
-// Owns reports whether sid belongs to one of this initiator's paths.
-func (in *Initiator) Owns(sid StreamID) bool {
-	_, ok := in.paths[sid]
-	return ok
-}
-
 // Paths returns the number of tracked paths.
 func (in *Initiator) Paths() int { return len(in.paths) }
 
 // Forget drops a path's local record (e.g. after it failed and was
-// replaced).
+// replaced). Its reverse traffic is dropped from then on.
 func (in *Initiator) Forget(p *Path) { delete(in.paths, p.SID) }
 
 // Construct builds and launches a path through the given relays to the
@@ -152,7 +150,7 @@ func (in *Initiator) launch(relays []netsim.NodeID, responder netsim.NodeID, pla
 		onResult:  done,
 	}
 	in.paths[p.SID] = p
-	transmit(in.net, in.id, first, nil, flow, tag)
+	transmit(in.net, in.id, &first, nil, flow, tag)
 	p.timer = in.eng.After(in.timeout, func() {
 		if p.State == PathConstructing {
 			p.State = PathFailed
@@ -203,14 +201,13 @@ func (in *Initiator) SendApp(p *Path, responder netsim.NodeID, plainLen int, pla
 		bufpool.Release(bp)
 		return err
 	}
-	transmit(in.net, in.id, msg, bp, flow, tag)
+	transmit(in.net, in.id, &msg, bp, flow, tag)
 	return nil
 }
 
-// handleConstructAck completes a pending construction.
-func (in *Initiator) handleConstructAck(sid StreamID) {
-	p, ok := in.paths[sid]
-	if !ok || p.State != PathConstructing {
+// handleConstructAck completes a pending construction of p.
+func (in *Initiator) handleConstructAck(p *Path) {
+	if p.State != PathConstructing {
 		return
 	}
 	p.State = PathEstablished
@@ -219,17 +216,16 @@ func (in *Initiator) handleConstructAck(sid StreamID) {
 	in.finish(p, true)
 }
 
-// handleReverse peels all relay layers plus the responder layer and
-// hands the plaintext, and the buffer it arrived in, to the application
-// callback.
-func (in *Initiator) handleReverse(msg packet) {
-	p, ok := in.paths[msg.SID]
-	if !ok {
-		bufpool.Release(msg.Buf)
-		return
+// handleReverse peels all relay layers plus the responder layer of a
+// message on p and hands the plaintext, and the buffer it arrived in, to
+// the path's callback, or the initiator's when the path has none.
+func (in *Initiator) handleReverse(p *Path, msg *packet) {
+	cb := p.OnReverse
+	if cb == nil {
+		cb = in.onReverse
 	}
-	if dest, plain, ok := p.keys.OpenReverse(msg.Body); ok && in.onReverse != nil {
-		in.onReverse(p, dest, plain, msg.Buf, msg.Flow)
+	if dest, plain, ok := p.keys.OpenReverse(msg.Body); ok && cb != nil {
+		cb(p, dest, plain, msg.Buf, msg.Flow)
 		return
 	}
 	bufpool.Release(msg.Buf)

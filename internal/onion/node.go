@@ -25,7 +25,9 @@ type NodeConfig struct {
 	// ConstructTimeout is the initiator's construction-ack timeout; zero
 	// selects DefaultConstructTimeout.
 	ConstructTimeout sim.Time
-	// OnReverse, if set, enables the initiator role.
+	// OnReverse receives the reverse traffic of the node's paths that
+	// carry no callback of their own (Path.OnReverse); without either,
+	// it is dropped.
 	OnReverse ReverseFunc
 	// OnData, if set, enables the responder role.
 	OnData DataFunc
@@ -49,27 +51,39 @@ func (n *Node) attach(mux *netsim.Mux) {
 	mux.Route((*packet)(nil), netsim.HandlerFunc(n.handle))
 }
 
-// handle takes one packet off the wire, recycles it, and hands it to the
-// role it is for. Acks and reverse messages on the initiator's own
-// streams end at the initiator; on any other stream this node is an
-// intermediate relay of someone else's path.
+// handle takes one packet off the wire, hands it to the role it is for
+// and recycles it once the role returns.
 func (n *Node) handle(from netsim.NodeID, m netsim.Message) {
-	pooled := m.Payload.(*packet)
-	p := *pooled
-	*pooled = packet{}
-	packetPool.Put(pooled)
-	switch {
-	case p.Kind == KindDeliver:
+	p := m.Payload.(*packet)
+	n.dispatch(from, p, m.Size)
+	*p = packet{}
+	packetPool.Put(p)
+}
+
+// dispatch picks p's role. Acks and reverse messages on the initiator's
+// own streams end at the initiator; on any other stream this node is an
+// intermediate relay of someone else's path.
+func (n *Node) dispatch(from netsim.NodeID, p *packet, size int) {
+	switch p.Kind {
+	case KindDeliver:
 		if n.Responder != nil {
-			n.Responder.handleDeliver(from, p, m.Size)
+			n.Responder.handleDeliver(from, p, size)
 		} else {
 			bufpool.Release(p.Buf)
 		}
-	case p.Kind == KindAck && n.Initiator != nil && n.Initiator.Owns(p.SID):
-		n.Initiator.handleConstructAck(p.SID)
-	case p.Kind == KindReverse && n.Initiator != nil && n.Initiator.Owns(p.SID):
-		n.Initiator.handleReverse(p)
-	default:
-		n.Relay.handle(from, p, m.Size)
+		return
+	case KindAck, KindReverse:
+		if n.Initiator == nil {
+			break
+		}
+		if path := n.Initiator.paths[p.SID]; path != nil {
+			if p.Kind == KindAck {
+				n.Initiator.handleConstructAck(path)
+			} else {
+				n.Initiator.handleReverse(path, p)
+			}
+			return
+		}
 	}
+	n.Relay.handle(from, p, size)
 }

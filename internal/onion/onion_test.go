@@ -113,6 +113,40 @@ func TestConstructAndSendBothSuites(t *testing.T) {
 	}
 }
 
+// TestPathOnReverse checks where reverse traffic ends at the
+// initiator: at the path's own callback when it has one, at the node's
+// otherwise, and at neither once the path is forgotten.
+func TestPathOnReverse(t *testing.T) {
+	e := newEnv(t, 8, onioncrypt.Null{}, 1)
+	p, ok := construct(t, e, 0, []netsim.NodeID{2, 3, 4}, 7)
+	if !ok {
+		t.Fatal("construction failed on a healthy network")
+	}
+	var mine [][]byte
+	p.OnReverse = func(got *Path, _ netsim.NodeID, plain []byte, buf *[]byte, _ *metrics.Flow) {
+		if got != p {
+			t.Error("callback handed another path")
+		}
+		mine = append(mine, append([]byte(nil), plain...))
+		bufpool.Release(buf)
+	}
+	send := func(msg string) {
+		if err := e.nodes[0].Initiator.SendData(p, []byte(msg), nil); err != nil {
+			t.Fatal(err)
+		}
+		e.eng.Run(e.eng.Now() + 10*sim.Second)
+	}
+	send("a")
+	if len(mine) != 1 || string(mine[0]) != "echo:a" || len(e.replies) != 0 {
+		t.Fatalf("path callback got %q, node callback %q", mine, e.replies)
+	}
+	e.nodes[0].Initiator.Forget(p)
+	send("b")
+	if len(e.received) != 2 || len(mine) != 1 || len(e.replies) != 0 {
+		t.Fatalf("after Forget: delivered %d, path callback %q, node callback %q", len(e.received), mine, e.replies)
+	}
+}
+
 func TestSingleRelayPath(t *testing.T) {
 	e := newEnv(t, 4, onioncrypt.Null{}, 2)
 	p, ok := construct(t, e, 0, []netsim.NodeID{2}, 3)

@@ -60,7 +60,7 @@ var dropReasons = [...]obs.Reason{DropNoSID: obs.ReasonNoState, DropBad: obs.Rea
 // the first send when that send's body still lies in it — a layer
 // opened or sealed in place — and back to the pool otherwise: a drop,
 // or a reverse body the table moved.
-func (r *Relay) apply(st Step, buf *[]byte, flow *metrics.Flow, tag obs.Tag, size int) {
+func (r *Relay) apply(st *Step, buf *[]byte, flow *metrics.Flow, tag obs.Tag, size int) {
 	if st.Drop != DropNone {
 		emitRelayDropped(r.net, r.id, tag, size, dropReasons[st.Drop])
 	}
@@ -69,7 +69,7 @@ func (r *Relay) apply(st Step, buf *[]byte, flow *metrics.Flow, tag obs.Tag, siz
 		buf = nil
 	}
 	for i := 0; i < st.N; i++ {
-		transmit(r.net, r.id, st.Out[i], buf, flow, tag.Next())
+		transmit(r.net, r.id, &st.Out[i], buf, flow, tag.Next())
 		buf = nil // only the first send carries the input's body
 	}
 }
@@ -77,7 +77,7 @@ func (r *Relay) apply(st Step, buf *[]byte, flow *metrics.Flow, tag obs.Tag, siz
 // handle feeds one packet to the table and applies what it answers. The
 // tag and size matter to the data-plane kinds only; the others travel
 // untagged.
-func (r *Relay) handle(from netsim.NodeID, p packet, size int) {
+func (r *Relay) handle(from netsim.NodeID, p *packet, size int) {
 	now := int64(r.eng.Now())
 	var st Step
 	switch p.Kind {
@@ -92,5 +92,5 @@ func (r *Relay) handle(from netsim.NodeID, p packet, size int) {
 	case KindReverse:
 		st = r.tab.Reverse(now, p.SID, p.Body, p.Room)
 	}
-	r.apply(st, p.Buf, p.Flow, p.Trace, size)
+	r.apply(&st, p.Buf, p.Flow, p.Trace, size)
 }

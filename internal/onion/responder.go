@@ -51,7 +51,7 @@ func NewResponder(net *netsim.Network, id netsim.NodeID, suite onioncrypt.Suite,
 func (r *Responder) Dropped() uint64 { return r.dropped }
 
 // handleDeliver processes a delivery from a terminal relay.
-func (r *Responder) handleDeliver(from netsim.NodeID, msg packet, size int) {
+func (r *Responder) handleDeliver(from netsim.NodeID, msg *packet, size int) {
 	key, plain, ok := r.streams.Open(int64(r.eng.Now()), msg.SID, msg.Body)
 	if !ok {
 		r.dropped++
@@ -118,5 +118,5 @@ func (h ReplyHandle) ReplyApp(plainLen int, plain func([]byte) []byte, flow *met
 		bufpool.Release(bp)
 		return false
 	}
-	return transmit(h.resp.net, h.resp.id, s, bp, flow, obs.Tag{})
+	return transmit(h.resp.net, h.resp.id, &s, bp, flow, obs.Tag{})
 }

@@ -41,10 +41,11 @@ const msgHeaderSize = 1 + 8
 // hop-layer Send with the bandwidth account it is charged to and the
 // data-plane trace tag, which each relay forwards advanced one hop
 // (trace metadata only — never protocol input). It travels as a pointer
-// and is pooled: transmit takes one, Node.handle copies the fields out
-// and puts it back before dispatching, which rests on netsim.Message's
-// contract that a message is delivered at most once and kept by no one
-// else. The pool is shared by every world — internal/experiments runs
+// and is pooled: transmit takes one, and Node.handle hands it to the
+// role it is for and puts it back once the role returns, which rests on
+// netsim.Message's contract that a message is delivered at most once and
+// kept by no one else. A role reads the packet and keeps no pointer to
+// it. The pool is shared by every world — internal/experiments runs
 // them on parallel goroutines — hence a sync.Pool and not a free list.
 //
 // Buf is the handle of the pooled buffer (internal/bufpool) Body lies
@@ -114,12 +115,14 @@ func simEnv(rng *rand.Rand, suite onioncrypt.Suite) Env {
 // wire. tag is the data-plane correlation tag; it rides the data-plane
 // kinds only. buf is the pooled buffer s.Body lies in, or nil; it goes
 // with the packet.
-func transmit(net *netsim.Network, from netsim.NodeID, s Send, buf *[]byte, flow *metrics.Flow, tag obs.Tag) bool {
+func transmit(net *netsim.Network, from netsim.NodeID, s *Send, buf *[]byte, flow *metrics.Flow, tag obs.Tag) bool {
 	if s.Kind != KindConstructData && s.Kind != KindData && s.Kind != KindDeliver {
 		tag = obs.Tag{}
 	}
+	// Field by field: a composite literal is built aside and copied in.
 	p := packetPool.Get().(*packet)
-	*p = packet{Kind: s.Kind, SID: s.SID, Onion: s.Onion, Body: s.Body, Room: s.Room, Buf: buf, Flow: flow, Trace: tag}
+	p.Kind, p.SID, p.Buf, p.Flow, p.Trace = s.Kind, s.SID, buf, flow, tag
+	p.Onion, p.Body, p.Room = s.Onion, s.Body, s.Room
 	size := wireSize(s.Kind, s.Onion, s.Body)
 	if !net.Send(from, s.To, netsim.Message{Payload: p, Size: size, Trace: tag}) {
 		// Never on the wire: nothing else has seen it.

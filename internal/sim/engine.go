@@ -1,8 +1,9 @@
 // Package sim provides a deterministic discrete-event simulation engine:
-// a virtual clock with microsecond resolution, a binary-heap event queue
-// with stable FIFO ordering for simultaneous events, and a seeded random
-// number generator. It is the substrate standing in for p2psim in the
-// paper's evaluation (§6.1) — see DESIGN.md, substitution 1.
+// a virtual clock with microsecond resolution, a radix-heap event queue
+// (queue.go) with stable FIFO ordering for simultaneous events, and a
+// seeded random number generator. It is the substrate standing in for
+// p2psim in the paper's evaluation (§6.1) — see DESIGN.md, substitution
+// 1.
 //
 // There are two ways to schedule and one queue under both. Schedule,
 // ScheduleAt, After and Every take a closure. ScheduleTyped takes a
@@ -54,11 +55,11 @@ func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }
 type Func uint32
 
 // event is a scheduled call. Events are stored by value in the queue
-// and hold no pointer: sifting one moves 32 bytes with no write
-// barrier, and the collector never scans the queue. A typed event
-// (fn != 0) calls the registered handler fn with arg. A closure event
-// (fn == 0) keeps its callback and cancel flag in the engine's thunk
-// slab, at slot arg.
+// and hold no pointer: moving one between buckets copies 32 bytes with
+// no write barrier, and the collector never scans the queue's storage.
+// A typed event (fn != 0) calls the registered handler fn with arg. A
+// closure event (fn == 0) keeps its callback and cancel flag in the
+// engine's thunk slab, at slot arg.
 type event struct {
 	at  Time
 	seq uint64 // tie-break: FIFO among simultaneous events
@@ -108,89 +109,6 @@ func (s *Slab[T]) Take(i uint32) T {
 // Len returns the number of occupied slots.
 func (s *Slab[T]) Len() int { return len(s.vals) - len(s.free) }
 
-// eventQueue is a value-based binary min-heap ordered by (at, seq).
-// (at, seq) is a strict total order — seq is unique — so the pop
-// sequence is identical to the old container/heap implementation and
-// seeded histories are preserved byte for byte.
-type eventQueue []event
-
-func eventBefore(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// push appends ev and sifts it up, moving the hole rather than
-// swapping: one write per level plus the final placement.
-func (q *eventQueue) push(ev event) {
-	h := append(*q, ev)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !eventBefore(&ev, &h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = ev
-	*q = h
-}
-
-// pop removes and returns the minimum event.
-func (q *eventQueue) pop() event {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h = h[:n]
-	*q = h
-	// Sift last down from the root, again moving the hole.
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && eventBefore(&h[r], &h[c]) {
-			c = r
-		}
-		if !eventBefore(&h[c], &last) {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	if n > 0 {
-		h[i] = last
-	}
-	return top
-}
-
-// siftDown restores the heap property below index i, assuming both
-// subtrees of i are already heaps. It is the building block compaction
-// uses to re-heapify in O(n).
-func (q eventQueue) siftDown(i int) {
-	n := len(q)
-	ev := q[i]
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && eventBefore(&q[r], &q[c]) {
-			c = r
-		}
-		if !eventBefore(&q[c], &ev) {
-			break
-		}
-		q[i] = q[c]
-		i = c
-	}
-	q[i] = ev
-}
-
 // Engine is a deterministic discrete-event simulator.
 type Engine struct {
 	now      Time
@@ -230,7 +148,7 @@ func (e *Engine) RNG() *rand.Rand { return e.rng }
 func (e *Engine) SetTracer(t obs.Tracer) { e.tracer = t }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.queue.n }
 
 // Executed returns the number of events that have run.
 func (e *Engine) Executed() uint64 { return e.ran }
@@ -337,13 +255,13 @@ func (e *Engine) noteCanceled() {
 	// is O(1) even under mass cancellation. The strict inequality means
 	// a queue whose canceled entries are exactly half (e.g. one of two)
 	// keeps the cheap lazy-deletion path.
-	if e.canceled*2 > len(e.queue) {
+	if e.canceled*2 > e.queue.n {
 		e.compact()
 	}
 }
 
-// compact removes every canceled entry from the queue in one sweep and
-// re-heapifies. Surviving events keep their (at, seq) keys, and the pop
+// compact removes every canceled entry from the queue in one sweep.
+// Surviving events keep their (at, seq) keys, and the pop
 // order depends only on that strict total order, so seeded histories of
 // the callbacks that actually run are unchanged. Compacted entries are
 // never popped, so — unlike lazily skipped ones — they do not count
@@ -351,21 +269,16 @@ func (e *Engine) noteCanceled() {
 // triggered by deterministic queue state, so equal seeds still produce
 // byte-identical traces.
 func (e *Engine) compact() {
-	q := e.queue[:0]
-	for _, ev := range e.queue {
+	e.queue.filter(func(ev *event) bool {
 		if ev.fn == 0 {
 			if c := e.thunks.vals[ev.arg].cancel; c != nil && *c {
 				e.thunks.Take(uint32(ev.arg))
-				continue
+				return false
 			}
 		}
-		q = append(q, ev)
-	}
-	e.queue = q
+		return true
+	})
 	e.canceled = 0
-	for i := len(q)/2 - 1; i >= 0; i-- {
-		q.siftDown(i)
-	}
 }
 
 // After schedules fn after delay and returns a cancelable Timer.
@@ -415,23 +328,33 @@ func (e *Engine) Stop() { e.stopped = true }
 // which it stopped. Events scheduled exactly at `until` still run.
 func (e *Engine) Run(until Time) Time {
 	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		if e.queue[0].at > until {
-			e.now = until
-			return e.now
+	q := &e.queue
+	for q.n > 0 && !e.stopped {
+		if !q.ready(until) {
+			return e.stopAt(until)
 		}
-		e.fire(e.queue.pop())
+		e.fire(q.pop())
 	}
-	if e.now < until && len(e.queue) == 0 {
+	if e.now < until && q.n == 0 {
 		e.now = until
 	}
 	return e.now
 }
 
+// stopAt sets the clock to until, which is before every queued event.
+// A clock set back takes the queue's base with it.
+func (e *Engine) stopAt(until Time) Time {
+	if until < e.now {
+		e.queue.rebase(until)
+	}
+	e.now = until
+	return until
+}
+
 // RunAll executes events until the queue is empty or Stop is called.
 func (e *Engine) RunAll() Time {
 	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
+	for e.queue.n > 0 && !e.stopped {
 		e.fire(e.queue.pop())
 	}
 	return e.now

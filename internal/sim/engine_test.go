@@ -251,7 +251,7 @@ func TestNilCallbackPanicNamesEntryPoint(t *testing.T) {
 	}
 }
 
-// TestCancelCompaction checks heap hygiene: once canceled timers exceed
+// TestCancelCompaction checks queue hygiene: once canceled timers exceed
 // half the queue, they are swept out, so Pending() shrinks immediately
 // instead of waiting for every dead deadline to arrive.
 func TestCancelCompaction(t *testing.T) {
@@ -401,11 +401,11 @@ func TestEveryCancelFromOutside(t *testing.T) {
 }
 
 func TestScheduleZeroAlloc(t *testing.T) {
-	// The value-based heap must not allocate per event once the queue's
-	// backing array has grown: no *event box, no interface conversion.
+	// The value-based queue must not allocate per event once its chunks
+	// exist: no *event box, no interface conversion.
 	e := NewEngine(1)
 	fn := func() {}
-	for i := 0; i < 1024; i++ { // pre-grow the backing array
+	for i := 0; i < 1024; i++ { // allocate the queue's chunks
 		e.Schedule(Time(i), fn)
 	}
 	e.RunAll()
@@ -437,7 +437,7 @@ func TestScheduleTypedZeroAlloc(t *testing.T) {
 	e := NewEngine(1)
 	var sum uint64
 	add := e.Register(func(arg uint64) { sum += arg })
-	for i := 0; i < 1024; i++ { // pre-grow the backing array
+	for i := 0; i < 1024; i++ { // allocate the queue's chunks
 		e.ScheduleTyped(Time(i), add, 1)
 	}
 	e.RunAll()
