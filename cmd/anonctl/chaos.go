@@ -26,7 +26,7 @@ type chaosVerdict struct {
 	Lost           int      `json:"lost"`
 	PathsDead      uint64   `json:"paths_dead"`
 	Repairs        uint64   `json:"repairs"`
-	RepairFailures uint64   `json:"repair_failures"`
+	RepairFailures uint64   `json:"repair_failures"` // failed construction attempts: one launch per Build
 	Retransmits    uint64   `json:"retransmits"`
 	AlivePaths     int      `json:"alive_paths"`
 	PathWidth      int      `json:"path_width"`

@@ -1,15 +1,14 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"sort"
 	"time"
 
 	"resilientmix/internal/obs"
-	"resilientmix/internal/retrypolicy"
 )
 
 // scrapeClient bounds every poll and probe request; a trace capture
@@ -24,35 +23,39 @@ var scrapeClient = &http.Client{Timeout: 5 * time.Second}
 // and are only retried where noted (5xx on metric fetches, never on
 // probes: a 503 from /readyz is a definitive "not ready", not an
 // outage).
-var scrapePolicy = retrypolicy.Policy{
-	Attempts:   3,
-	Backoff:    100 * time.Millisecond,
-	BackoffCap: time.Second,
-	Jitter:     0.5,
-}
+var scrapePolicy = struct {
+	// Attempts counts the first try; Backoff is the wait before the
+	// second, doubling per retry up to BackoffCap; Jitter spreads each
+	// wait uniformly over [d·(1−j), d·(1+j)].
+	Attempts            int
+	Backoff, BackoffCap time.Duration
+	Jitter              float64
+}{Attempts: 3, Backoff: 100 * time.Millisecond, BackoffCap: time.Second, Jitter: 0.5}
 
 // getRetry fetches url, retrying transport errors (and, when retry5xx
-// is set, 5xx statuses) via the shared retry policy. On success the
-// caller owns the response body.
+// is set, 5xx statuses) per scrapePolicy. On success the caller owns
+// the response body.
 func getRetry(url string, retry5xx bool) (*http.Response, error) {
-	var resp *http.Response
-	err := scrapePolicy.Do(context.Background(), func(context.Context) error {
-		r, err := scrapeClient.Get(url)
-		if err != nil {
-			return err
+	p, wait := scrapePolicy, scrapePolicy.Backoff
+	var err error
+	for i := 0; i < p.Attempts; i++ {
+		if i > 0 {
+			time.Sleep(time.Duration(float64(wait) * (1 - p.Jitter + 2*p.Jitter*rand.Float64())))
+			wait = min(2*wait, p.BackoffCap)
+		}
+		var r *http.Response
+		if r, err = scrapeClient.Get(url); err != nil {
+			continue
 		}
 		if retry5xx && r.StatusCode >= 500 {
 			io.Copy(io.Discard, io.LimitReader(r.Body, 4096))
 			r.Body.Close()
-			return fmt.Errorf("status %d from %s", r.StatusCode, url)
+			err = fmt.Errorf("status %d from %s", r.StatusCode, url)
+			continue
 		}
-		resp = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		return r, nil
 	}
-	return resp, nil
+	return nil, err
 }
 
 // probeReady asks one node's /readyz and returns its failure, if any.

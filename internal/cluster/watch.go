@@ -251,6 +251,8 @@ func RenderWatch(w io.Writer, db *tsdb.DB) {
 		clusterLatest(db, "recv_delivered"),
 		clusterLatest(db, "live_paths_built"),
 		clusterLatest(db, "session_paths_dead"))
+	// repair_failed counts failed construction attempts, one per Build
+	// (a failed one is asked for again at the next probe tick).
 	fmt.Fprintf(w, "         repaired %.0f  repair_failed %.0f  retransmits %.0f  degraded %.0f  cover_shed %.0f\n",
 		clusterLatest(db, "live_repair_repaired"),
 		clusterLatest(db, "live_repair_failed"),

@@ -53,11 +53,6 @@ const (
 	Drop      Kind = "drop"
 )
 
-// Kinds lists every fault kind, in a fixed order.
-func Kinds() []Kind {
-	return []Kind{Crash, Restart, Partition, Heal, Latency, Slow, Drop}
-}
-
 // Event is one scheduled fault.
 type Event struct {
 	// AtMS is when the fault applies, in milliseconds from schedule

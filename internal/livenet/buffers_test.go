@@ -419,10 +419,10 @@ func TestReadBufClasses(t *testing.T) {
 // TestQueuedBuildKeepsItsSegment is the regression for a construction
 // that encoded the segment riding it (§4.2) only when the session's
 // goroutine got to it. A construction stalled behind a blackholed relay
-// holds that goroutine a ConstructTimeout per try, longer than a
-// message's record lives, so by then the buffer the segment lay in was
-// forgotten and given back. The segment is encoded when the machine
-// asks: with given-back buffers poisoned, the message arrives whole.
+// holds that goroutine for a ConstructTimeout, longer than a message's
+// record lives, so by then the buffer the segment lay in was forgotten
+// and given back. The segment is encoded when the machine asks: with
+// given-back buffers poisoned, the message arrives whole.
 //
 // Slot 0 runs through relay 1, slot 1 through relay 2, 4 is the
 // responder, and relay 3 is the one fresh relay, which every
@@ -441,9 +441,9 @@ func TestQueuedBuildKeepsItsSegment(t *testing.T) {
 	defer sess.Teardown()
 
 	// Both paths fail one message, so its deadline condemns both slots.
-	// Slot 0's replacement goes first, through 3, and the initiator
-	// refuses it every try: the slot is down with no construction of its
-	// own outstanding.
+	// Both replacements go through 3, and the initiator refuses each: the
+	// slots are down with no construction outstanding, and with probes an
+	// hour apart nothing asks for another until a message does.
 	init.BlackholePeer(1, 0)
 	init.BlackholePeer(3, 0)
 	e.c.nodes[2].BlackholePeer(4, 0)
@@ -451,14 +451,14 @@ func TestQueuedBuildKeepsItsSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	failed := init.Metrics().Counter("live.repair.failed")
-	waitFor(t, "slot 0's replacement to fail", func() bool { return failed.Value() == 1 })
-	// Slot 1's replacement, through 3 too, now stalls there.
+	waitFor(t, "both replacements to fail", func() bool { return failed.Value() == 2 })
+	// The next construction through 3 stalls there.
 	e.c.nodes[3].BlackholePeer(0, 0)
 	init.HealPeer(3)
 
-	// The message's segment for slot 0 rides a construction queued behind
-	// the stalled one; the other has no path. Its record is forgotten
-	// before the queued construction starts.
+	// Each of the message's segments rides a construction of its slot:
+	// the first stalls, the second is queued behind it, and the record is
+	// forgotten before the queued construction starts.
 	msg := make([]byte, 1000)
 	rand.Read(msg)
 	mid, err := sess.Send(msg)

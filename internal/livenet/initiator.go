@@ -3,9 +3,9 @@ package livenet
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
+	"resilientmix/internal/bufpool"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
 	"resilientmix/internal/onion"
@@ -142,13 +142,13 @@ func (p *Path) sendApp(dest netsim.NodeID, plainLen int, plain func([]byte) []by
 	if size > maxFrameSize {
 		return fmt.Errorf("%w: %d bytes over %d relays need %d of %d", ErrFrameTooLarge, plainLen, len(p.Relays), size, maxFrameSize)
 	}
-	bp := frameScratch.Get().(*[]byte)
-	buf := slices.Grow((*bp)[:0], size)
+	bp := bufpool.Get(size)
+	buf := (*bp)[:size]
 	s, err := p.keys.AppendData(buf[:frameHeader], p.node.roster(), dest, plainLen, plain)
 	if err == nil {
-		err = p.node.send(s, buf[:size])
+		err = p.node.send(s, buf)
 	}
-	putScratch(bp, buf)
+	bufpool.Release(bp)
 	return err
 }
 

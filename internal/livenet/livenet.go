@@ -8,8 +8,10 @@
 // Streams, PathKeys), the same code the simulator runs. Node is its TCP
 // driver: it injects crypto/rand, wall-clock time and one short lock,
 // and adds what only a socket needs — frames, the in-band sender id,
-// roster and fault-injection admission, dial retries, metrics and trace
-// events.
+// roster and fault-injection admission, metrics and trace events. It
+// never retries: a frame is dialled once and a replacement path is
+// launched once; trying again is the session machine's (its retransmit
+// rounds, and the repairs each probe tick asks for).
 //
 // Nor is the session layer: segment allocation, the ack ledger, probe
 // rounds, condemnation, retransmission, repair requests, the in-flight
@@ -29,11 +31,11 @@
 // connection skips keep-alive set-up it would never use, metric handles
 // are resolved once, and the responder's asymmetric open runs once per
 // path, not per segment (onion.Streams' key memo). A frame is a
-// connection and a deadline: one time bounds its whole dial schedule
-// (Node.sendCtx) and each attempt dials under it (dialDeadline), so a
-// frame has no context, timer or goroutine of its own — the socket
-// reads the deadline. Only a caller that can cancel (ConstructCtx) or a
-// peer named by host name rather than IP gets a real context.
+// connection and a deadline: one time bounds its one dial and its write
+// (Node.sendCtx) and the dial runs under it (dialDeadline), so a frame
+// has no context, timer or goroutine of its own — the socket reads the
+// deadline. Only a caller that can cancel (ConstructCtx) or a peer
+// named by host name rather than IP gets a real context.
 //
 // A frame is in one buffer per hop, in both directions, and the buffer
 // has one owner at a time (internal/onion/hop.go states the rule for the
@@ -44,7 +46,7 @@
 // place, writes the next header over the bytes in front of what is left
 // and sends the same buffer on; the terminal relay does the same for
 // the delivery. Backward, the responder builds its reply — an ack is
-// encoded where it is sealed — in pooled scratch behind header room,
+// encoded where it is sealed — in a pooled buffer behind header room,
 // and a relay seals its layer around the body where it was read:
 // readFrame leaves one layer of slack around every frame (the same
 // constant whatever the frame, so a buffer says nothing about its
@@ -68,8 +70,9 @@
 // message's coded segments lie in a pooled buffer from Send until the
 // message's verdict, when the session machine reads them no more
 // (session.Forget) — or, if the verdict comes while a round of them is
-// still being written, until that round is out. The write side's
-// scratch is pooled as it always was.
+// still being written, until that round is out. What the write side
+// builds a frame in — a payload onion, a reply, a frame writeFrame
+// assembles — comes from the same pool and goes back once Write returns.
 //
 // Scope: static roster (the PKI directory with addresses) and one TCP
 // connection per frame. Gossip membership and the liveness predictor
@@ -85,8 +88,6 @@ import (
 	"io"
 	"net"
 	"net/netip"
-	"slices"
-	"sync"
 	"time"
 
 	"resilientmix/internal/bufpool"
@@ -145,22 +146,6 @@ const frameHeader = 4 + 1 + 8
 // needs more: the hop layer moves a body that lacks room.
 const frameSlack = 28
 
-// frameScratch recycles the write side's buffers: the one an initiator
-// builds a payload onion in and a responder its reply, behind
-// frameHeader bytes for the header, and the one writeFrame assembles
-// every frame in whose body is not already behind room. A buffer here is
-// dead once Write returns.
-var frameScratch = sync.Pool{New: func() any { return new([]byte) }}
-
-// putScratch returns a buffer to frameScratch through the pointer it
-// came out by.
-func putScratch(bp *[]byte, buf []byte) {
-	if cap(buf) <= frameHeader+maxFrameSize {
-		*bp = buf
-		frameScratch.Put(bp)
-	}
-}
-
 // frameBodyLen is the length of the frame body writeFrame gives s.
 func frameBodyLen(s onion.Send) int {
 	n := len(s.Onion) + len(s.Body)
@@ -186,7 +171,8 @@ func frameBodyLen(s onion.Send) int {
 // a layer opened in place left of an inbound frame, or a reverse body
 // sealed in place inside one — the header is written there and the
 // frame leaves from room: the payload is not copied. Every other frame
-// is assembled in pooled scratch.
+// is assembled in a pooled buffer (internal/bufpool), given back once
+// Write returns.
 func writeFrame(w io.Writer, self netsim.NodeID, s onion.Send, room []byte) error {
 	var scratch [frameHeader + 8]byte
 	head := scratch[:frameHeader]
@@ -207,11 +193,9 @@ func writeFrame(w io.Writer, self netsim.NodeID, s onion.Send, room []byte) erro
 		_, err := w.Write(out)
 		return err
 	}
-	bp := frameScratch.Get().(*[]byte)
-	out := slices.Grow((*bp)[:0], frameHeader+n)
-	out = append(append(append(out, head...), s.Onion...), s.Body...)
-	_, err := w.Write(out)
-	putScratch(bp, out)
+	bp := bufpool.Get(frameHeader + n)
+	_, err := w.Write(append(append(append((*bp)[:0], head...), s.Onion...), s.Body...))
+	bufpool.Release(bp)
 	return err
 }
 
@@ -304,7 +288,7 @@ func (r *Roster) Public(id netsim.NodeID) onioncrypt.PublicKey {
 }
 
 // dial connects to a peer by deadline. Every outbound dial in the
-// package flows through here — a frame's attempts (Node.sendCtx) and the
+// package flows through here — a frame's (Node.sendCtx) and the
 // readiness probe — so no dial can outlive its caller's budget.
 //
 // A dial nothing can cancel (ctx's Done is nil), to an IP literal, is

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -18,7 +17,6 @@ import (
 	"resilientmix/internal/obs"
 	"resilientmix/internal/onion"
 	"resilientmix/internal/onioncrypt"
-	"resilientmix/internal/retrypolicy"
 )
 
 // DataFunc receives a decrypted application payload at a live responder
@@ -327,15 +325,6 @@ func (n *Node) sweepLoop() {
 	}
 }
 
-// dialRetry is the outbound dial schedule (§4.5's bounded retries with
-// jittered exponential backoff): one retry, 100ms later.
-var dialRetry = retrypolicy.Policy{
-	Attempts:   2,
-	Backoff:    100 * time.Millisecond,
-	BackoffCap: time.Second,
-	Jitter:     0.5,
-}
-
 // send dials the peer a hop-layer output is for and writes it as one
 // frame (see writeFrame for room). Nothing can cancel it: the frame's
 // deadline is all that bounds it (sendCtx).
@@ -343,27 +332,24 @@ func (n *Node) send(s onion.Send, room []byte) error {
 	return n.sendCtx(context.Background(), s, room)
 }
 
-// sendCtx dials a peer and writes one frame by one deadline: the end of
-// the whole dial schedule — every attempt, the backoff sleeps between
-// them (jitter at most doubles the cap) and a second to spare — or ctx's
-// deadline if that comes first. It first consults the fault controller
-// (blackholes refuse the frame, the injected drop rate consumes it
-// silently, injected latency delays it, but not past the deadline: a
-// frame the delay would carry past it is cut there and counted as a
-// send error), then retries dial failures per the dialRetry schedule
-// with jittered exponential backoff, each attempt bounded by
-// DialTimeout and the deadline (Roster.dial). Write failures after a
-// successful dial are not retried: the frame may have partially left,
-// and replaying it risks duplicate relay state.
+// sendCtx dials a peer once and writes one frame, all by one deadline:
+// DialTimeout from now, or ctx's deadline if that comes first. It first
+// consults the fault controller (blackholes refuse the frame, the
+// injected drop rate consumes it silently, injected latency delays it,
+// but not past the deadline: a frame the delay would carry past it is
+// cut there and counted as a send error); what is left of the deadline
+// bounds the dial and the write (Roster.dial). A failed dial or write is
+// a send error, and the node does not try it again: trying again is the
+// session machine's job — its retransmit rounds and the repairs each
+// probe tick asks for.
 //
 // ctx is what can cancel the frame: context.Background for send's, the
 // caller's for a construction's first frame (launch). Only the latter
 // costs a context per dial; a frame of send's has no context, timer or
 // goroutine of its own.
 func (n *Node) sendCtx(ctx context.Context, s onion.Send, room []byte) error {
-	attempts := time.Duration(dialRetry.Attempts)
 	limit, _ := ctx.Deadline()
-	deadline := within(limit, attempts*n.cfg.DialTimeout+(attempts-1)*2*dialRetry.BackoffCap+time.Second)
+	deadline := within(limit, n.cfg.DialTimeout)
 	to, sid, size := s.To, uint64(s.SID), frameBodyLen(s)
 	if frameHeader+size > maxFrameSize {
 		// A reverse body grows a layer per hop: one that fitted at the
@@ -396,18 +382,12 @@ func (n *Node) sendCtx(ctx context.Context, s onion.Send, room []byte) error {
 			return context.DeadlineExceeded
 		}
 	}
-	err := dialRetry.Do(ctx, func(ctx context.Context) error {
-		conn, err := n.roster().dial(ctx, to, within(deadline, n.cfg.DialTimeout))
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		conn.SetWriteDeadline(within(deadline, n.cfg.DialTimeout))
-		if err := writeFrame(conn, n.cfg.ID, s, room); err != nil {
-			return retrypolicy.Permanent(err)
-		}
-		return nil
-	})
+	conn, err := n.roster().dial(ctx, to, deadline)
+	if err == nil {
+		conn.SetWriteDeadline(deadline)
+		err = writeFrame(conn, n.cfg.ID, s, room)
+		conn.Close()
+	}
 	if err != nil {
 		n.noteDropped("live.send_errors", to, sid, size, obs.ReasonSendFailed)
 		return err
@@ -600,12 +580,12 @@ func (h ReplyHandle) replyApp(plainLen int, plain func([]byte) []byte) error {
 	if size > maxFrameSize {
 		return fmt.Errorf("%w: a %d-byte reply needs %d of %d", ErrFrameTooLarge, plainLen, size, maxFrameSize)
 	}
-	bp := frameScratch.Get().(*[]byte)
-	buf := slices.Grow((*bp)[:0], size)
+	bp := bufpool.Get(size)
+	buf := (*bp)[:size]
 	s, err := h.node.streams.AppendReply(buf[:frameHeader], h.relay, onion.StreamID(h.sid), h.key, plainLen, plain)
 	if err == nil {
-		err = h.node.send(s, buf[:size])
+		err = h.node.send(s, buf)
 	}
-	putScratch(bp, buf)
+	bufpool.Release(bp)
 	return err
 }

@@ -112,13 +112,25 @@ func dataTo(to netsim.NodeID) onion.Send {
 	return s
 }
 
-// TestRefusedDialIsRetried: a peer that refuses the connection (a closed
-// port) still gets dialRetry's second attempt, after its backoff, and
-// only then is the frame a send error. With one attempt the send would
-// fail as fast as the refusal; the backoff sleep is the mark of the
-// second.
-func TestRefusedDialIsRetried(t *testing.T) {
-	c := startCluster(t, 2, nil)
+// sendFailedDrops counts the send_failed drops traced from node to peer.
+func sendFailedDrops(trace *obs.Collector, node, peer int) int {
+	n := 0
+	for _, e := range trace.Events() {
+		if e.Type == obs.MsgDropped && e.Reason == obs.ReasonSendFailed && e.Node == node && e.Peer == peer {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRefusedDialFailsOnce: a frame to a peer that refuses the
+// connection (a closed port) is dialled once and fails as fast as the
+// refusal — well inside the 50 ms a backoff before a second attempt
+// would have cost at least — as one send error and one traced drop.
+// Trying again is the session machine's job, not the frame's.
+func TestRefusedDialFailsOnce(t *testing.T) {
+	trace := obs.NewCollector()
+	c := startCluster(t, 2, nil, func(cfg *Config) { cfg.Tracer = trace })
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -133,11 +145,14 @@ func TestRefusedDialIsRetried(t *testing.T) {
 	if err == nil {
 		t.Fatal("a send to a closed port succeeded")
 	}
-	if backoff := time.Duration(float64(dialRetry.Backoff) * (1 - dialRetry.Jitter)); elapsed < backoff {
-		t.Fatalf("a refused send failed after %v, before the %v backoff of a second attempt: %v", elapsed, backoff, err)
+	if elapsed >= 50*time.Millisecond {
+		t.Fatalf("a refused send failed after %v, want under 50ms (one attempt): %v", elapsed, err)
 	}
 	if v := c.nodes[0].Metrics().Counter("live.send_errors").Value(); v != 1 {
 		t.Fatalf("live.send_errors = %d, want 1", v)
+	}
+	if n := sendFailedDrops(trace, 0, 1); n != 1 {
+		t.Fatalf("%d send-failed drops traced, want 1", n)
 	}
 }
 
@@ -458,6 +473,76 @@ func TestLiveRepairKeepsPathsDisjoint(t *testing.T) {
 			slotOf[r] = i
 		}
 	}
+}
+
+// TestRefusedReplacementWaitsForTheProbeTick: a replacement path is
+// launched once per Build. Slot 0 runs through relay 1, slot 1 through
+// relay 2, 5 is the responder, and 3 and 4 are the fresh relays. The
+// initiator refuses 1, so a probe condemns slot 0, and refuses 3 and 4,
+// so its first replacement fails at once: live.repair.failed reaches 1
+// after one launch, and nothing launches again until a probe tick's
+// Repairs asks. With the other fresh relay healed, some later tick
+// rebuilds the slot through it. Every refused launch is one
+// live.repair.failed.
+func TestRefusedReplacementWaitsForTheProbeTick(t *testing.T) {
+	const tick = 100 * time.Millisecond
+	trace := obs.NewCollector()
+	e := newLiveSessionEnv(t, 6, 5, func(cfg *Config) { cfg.Tracer = trace })
+	init := e.c.nodes[0]
+	sess, err := init.NewLiveSessionOpts([][]netsim.NodeID{{1}, {2}}, 5, SessionOptions{
+		R: 2, AckTimeout: 50 * time.Millisecond, Repair: true, ProbeInterval: tick,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Teardown()
+	for _, r := range []netsim.NodeID{1, 3, 4} {
+		init.BlackholePeer(r, 0)
+	}
+
+	failed := init.Metrics().Counter("live.repair.failed")
+	waitFor(t, "the first replacement to be refused", func() bool { return failed.Value() >= 1 })
+	first := launches(trace)[0]
+	healed := 7 - first.Peer // the fresh relay the first launch did not try
+	init.HealPeer(netsim.NodeID(healed))
+	repaired := init.Metrics().Counter("live.repair.repaired")
+	waitFor(t, "slot 0 to be rebuilt", func() bool { return repaired.Value() >= 1 })
+	if got := sess.paths[0].Load().Relays; !slices.Equal(got, []netsim.NodeID{netsim.NodeID(healed)}) {
+		t.Fatalf("slot 0 rebuilt through %v, want [%d]", got, healed)
+	}
+
+	all := launches(trace)
+	refused, last := all[:len(all)-1], all[len(all)-1]
+	if last.Type != obs.MsgSent || last.Peer != healed || len(refused) == 0 {
+		t.Fatalf("launches %v: want refusals, then one through %d", all, healed)
+	}
+	if v := failed.Value(); v != uint64(len(refused)) {
+		t.Fatalf("live.repair.failed = %d after %d refused launches, want one per launch", v, len(refused))
+	}
+	// After the first, which the condemning deadline asked for, only a
+	// probe tick's Repairs asks again: no more launches than ticks, each
+	// of which probes slot 1 at least.
+	if probes := init.Metrics().Counter("live.repair.probes").Value(); uint64(len(all)) > probes+1 {
+		t.Fatalf("%d launches in %d probe rounds: a replacement launched without a tick asking", len(all), probes)
+	}
+}
+
+// launches returns node 0's first frames toward relays 3 and 4 — a
+// construction each, refused or sent — up to the first that left.
+func launches(trace *obs.Collector) []obs.Event {
+	var out []obs.Event
+	for _, ev := range trace.Events() {
+		if ev.Node != 0 || (ev.Peer != 3 && ev.Peer != 4) {
+			continue
+		}
+		if ev.Type == obs.MsgDropped && ev.Reason == obs.ReasonBlackholed || ev.Type == obs.MsgSent {
+			out = append(out, ev)
+			if ev.Type == obs.MsgSent {
+				break
+			}
+		}
+	}
+	return out
 }
 
 // pathEvents records a node's path lifecycle trace events.

@@ -17,7 +17,6 @@ import (
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
 	"resilientmix/internal/onion"
-	"resilientmix/internal/retrypolicy"
 	"resilientmix/internal/session"
 )
 
@@ -188,16 +187,6 @@ type SessionOptions struct {
 // maxRetransmits bounds the retransmission rounds a message gets after
 // its first when Repair is on; without it a message gets none.
 const maxRetransmits = 5
-
-// constructRetry is the path-reconstruction schedule during repair
-// (jittered exponential backoff, §4.5); every attempt chooses its
-// relays afresh.
-var constructRetry = retrypolicy.Policy{
-	Attempts:   3,
-	Backoff:    200 * time.Millisecond,
-	BackoffCap: 2 * time.Second,
-	Jitter:     0.5,
-}
 
 func (o SessionOptions) withDefaults() SessionOptions {
 	if o.AckTimeout <= 0 {
@@ -755,33 +744,30 @@ func (s *LiveSession) buildLoop() {
 	}
 }
 
-// build constructs one replacement path (§4.5's path replacement),
-// retrying per the construct policy with freshly chosen relays, the
-// slot's segment riding each attempt's construction onion when the
-// machine sent one along (§4.2). The condemned path keeps receiving
-// until its replacement stands.
+// build makes one attempt at a replacement path (§4.5's path
+// replacement) through freshly chosen relays, the slot's segment riding
+// its construction onion when the machine sent one along (§4.2). The
+// condemned path keeps receiving until its replacement stands. A failed
+// attempt is not tried again here: the slot stays down until the next
+// probe tick's Repairs asks for it again, as in the simulator.
 func (s *LiveSession) build(b queuedBuild) {
 	var built *Path
-	err := constructRetry.Do(s.ctx, func(ctx context.Context) error {
-		relays, err := s.choose(b.Slot)
-		if err != nil {
-			return err
-		}
-		cctx, cancel := context.WithTimeout(ctx, s.node.cfg.ConstructTimeout)
-		defer cancel()
+	relays, err := s.choose(b.Slot)
+	if err == nil {
+		ctx, cancel := context.WithTimeout(s.ctx, s.node.cfg.ConstructTimeout)
 		if b.First {
-			s.noteSegmentSent(b.Output) // every attempt sends the segment again
+			s.noteSegmentSent(b.Output)
 		}
-		built, err = s.node.launch(cctx, relays, s.responder, b.payload, b.First, s.reverse)
-		return err
-	})
+		built, err = s.node.launch(ctx, relays, s.responder, b.payload, b.First, s.reverse)
+		cancel()
+	}
 	var buf [1]session.Output
 	s.mu.Lock()
 	if err != nil {
 		s.m.PathFailed(b.Slot)
 		s.mu.Unlock()
-		// The slot stays dead; the next probe tick asks again, and a
-		// retransmit may still get through over surviving paths.
+		// Meanwhile a retransmit may still get through over surviving
+		// paths.
 		s.node.m.repairFailed.Inc()
 		return
 	}

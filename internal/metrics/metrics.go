@@ -1,13 +1,8 @@
-// Package metrics implements the paper's evaluation framework (§6.1):
-// per-flow bandwidth accounting (every byte placed on every link a
-// message traverses), latency samples, path setup success rates, and
-// path durability. Experiment harnesses aggregate these into the rows
-// of the paper's tables and figures.
+// Package metrics is the bandwidth half of the paper's evaluation
+// framework (§6.1): per-flow accounting of every byte placed on every
+// link a message traverses. Experiment harnesses aggregate flows into
+// the bandwidth rows of the paper's tables and figures.
 package metrics
-
-import (
-	"resilientmix/internal/stats"
-)
 
 // Flow accumulates the bandwidth cost of one logical operation — a
 // message delivery attempt or a path-construction attempt. Relays add
@@ -30,49 +25,3 @@ func (f *Flow) Add(size int) {
 
 // KB returns the flow's size in kilobytes (1024 bytes).
 func (f Flow) KB() float64 { return float64(f.Bytes) / 1024 }
-
-// Counter tracks success/failure outcomes.
-type Counter struct {
-	Success int
-	Failure int
-}
-
-// Record adds one outcome.
-func (c *Counter) Record(ok bool) {
-	if ok {
-		c.Success++
-	} else {
-		c.Failure++
-	}
-}
-
-// Total returns the number of recorded outcomes.
-func (c *Counter) Total() int { return c.Success + c.Failure }
-
-// Rate returns the success fraction, or 0 if nothing was recorded.
-func (c *Counter) Rate() float64 {
-	if t := c.Total(); t > 0 {
-		return float64(c.Success) / float64(t)
-	}
-	return 0
-}
-
-// Series collects float samples and summarizes them.
-type Series struct {
-	xs []float64
-}
-
-// Add appends a sample.
-func (s *Series) Add(x float64) { s.xs = append(s.xs, x) }
-
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.xs) }
-
-// Mean returns the sample mean (0 when empty).
-func (s *Series) Mean() float64 { return stats.Mean(s.xs) }
-
-// Summary returns descriptive statistics.
-func (s *Series) Summary() stats.Summary { return stats.Summarize(s.xs) }
-
-// Values returns the raw samples (not copied).
-func (s *Series) Values() []float64 { return s.xs }

@@ -21,37 +21,3 @@ func TestNilFlowDiscards(t *testing.T) {
 	var f *Flow
 	f.Add(100) // must not panic
 }
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	if c.Rate() != 0 || c.Total() != 0 {
-		t.Fatal("empty counter not zero")
-	}
-	c.Record(true)
-	c.Record(true)
-	c.Record(false)
-	if c.Total() != 3 || c.Success != 2 || c.Failure != 1 {
-		t.Fatalf("counter = %+v", c)
-	}
-	if math.Abs(c.Rate()-2.0/3.0) > 1e-12 {
-		t.Fatalf("rate = %g", c.Rate())
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	if s.Len() != 0 || s.Mean() != 0 {
-		t.Fatal("empty series not zero")
-	}
-	s.Add(1)
-	s.Add(3)
-	if s.Len() != 2 || s.Mean() != 2 {
-		t.Fatalf("series mean = %g", s.Mean())
-	}
-	if sum := s.Summary(); sum.Count != 2 || sum.Min != 1 || sum.Max != 3 {
-		t.Fatalf("summary = %+v", sum)
-	}
-	if len(s.Values()) != 2 {
-		t.Fatal("Values length wrong")
-	}
-}
