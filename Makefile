@@ -24,10 +24,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Quick-mode benchmarks: one testing.B target per paper table/figure
-# plus ablations.
+# The root package's two benchmarks: one simulated SimEra message
+# through the public API, and DESIGN.md §7's tracer-overhead guard
+# (ObsOverheadNoop's ns/op within ~2 % of ObsOverheadOff's). Experiments
+# are not benchmarks: they live in internal/experiments and `repro`
+# runs them; speed numbers come from bench/ (see bench-build).
 bench:
-	$(GO) test -bench=. -benchmem
+	$(GO) test -run '^$$' -bench . -benchmem .
 
 # The repo benchmark (BENCHMARK.json, bench/) is its own Go module, so
 # `go build ./...` and `go test ./...` at the root never compile it.

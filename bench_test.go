@@ -1,419 +1,15 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (§6), one testing.B target per artifact, plus ablation
-// benches for the design choices DESIGN.md calls out. Each benchmark
-// runs its experiment in Quick mode (same shapes, reduced scale) and
-// reports the headline numbers as custom metrics; run
-//
-//	go test -bench=. -benchmem
-//
-// at the module root. cmd/anonbench runs the same harnesses at full
-// paper scale.
+// Benchmarks of the public API's simulated data path: one SimEra
+// message (CI's smoke step runs it for allocs/op) and the tracer
+// overhead guard of DESIGN.md §7. Every table, figure, extension and
+// ablation is an experiment in internal/experiments, run by
+// cmd/anonbench.
 package resilientmix_test
 
 import (
-	"math/rand"
-	"strconv"
-	"strings"
 	"testing"
 
 	rm "resilientmix"
-
-	"resilientmix/internal/core"
-	"resilientmix/internal/experiments"
-	"resilientmix/internal/mixchoice"
-	"resilientmix/internal/netsim"
-	"resilientmix/internal/onion"
-	"resilientmix/internal/onioncrypt"
-	"resilientmix/internal/sim"
-	"resilientmix/internal/stats"
-	"resilientmix/internal/topology"
 )
-
-// benchOpts gives every experiment benchmark the same reduced scale.
-func benchOpts(seed int64) experiments.Options {
-	return experiments.Options{Seed: seed, Quick: true}
-}
-
-// runExperiment executes one experiment per iteration.
-func runExperiment(b *testing.B, id string) *experiments.Result {
-	b.Helper()
-	var last *experiments.Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Run(id, benchOpts(int64(1000+i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	return last
-}
-
-// metric parses a numeric (or percentage, or "[a, b]" pair) cell.
-func metric(b *testing.B, cell string) float64 {
-	b.Helper()
-	cell = strings.Trim(cell, "[]")
-	cell = strings.TrimSuffix(strings.Fields(cell)[0], ",")
-	cell = strings.TrimSuffix(cell, "%")
-	v, err := strconv.ParseFloat(cell, 64)
-	if err != nil {
-		b.Fatalf("cell %q: %v", cell, err)
-	}
-	return v
-}
-
-// BenchmarkFig1LifetimeCDF regenerates Figure 1 (Gnutella lifetime CDF
-// vs the Pareto fit).
-func BenchmarkFig1LifetimeCDF(b *testing.B) {
-	res := runExperiment(b, "fig1")
-	b.ReportMetric(metric(b, res.Rows[2][1]), "cdf@1e4s")
-}
-
-// BenchmarkFig2Observations regenerates Figure 2 (validation of the
-// three allocation observations).
-func BenchmarkFig2Observations(b *testing.B) {
-	res := runExperiment(b, "fig2")
-	last := res.Rows[len(res.Rows)-1]
-	b.ReportMetric(metric(b, last[5]), "P(k=20)pa=0.95")
-	b.ReportMetric(metric(b, last[1]), "P(k=20)pa=0.70")
-}
-
-// BenchmarkFig3ReplicationFactor regenerates Figure 3 (P(k) for r=2,3,4
-// at pa=0.70).
-func BenchmarkFig3ReplicationFactor(b *testing.B) {
-	res := runExperiment(b, "fig3")
-	for _, row := range res.Rows {
-		if row[0] == "12" {
-			b.ReportMetric(metric(b, row[3]), "P(12)r=4")
-		}
-	}
-}
-
-// BenchmarkFig4Bandwidth regenerates Figure 4 (bandwidth cost vs k for
-// r=2,3,4).
-func BenchmarkFig4Bandwidth(b *testing.B) {
-	res := runExperiment(b, "fig4")
-	for _, row := range res.Rows {
-		if row[0] == "12" {
-			b.ReportMetric(metric(b, row[3]), "KB(12)r=4")
-		}
-	}
-}
-
-// BenchmarkTable1PathSetup regenerates Table 1 (path setup success for
-// the three protocols under random and biased mix choice).
-func BenchmarkTable1PathSetup(b *testing.B) {
-	res := runExperiment(b, "tab1")
-	b.ReportMetric(metric(b, res.Rows[0][1]), "random-CurMix-%")
-	b.ReportMetric(metric(b, res.Rows[1][1]), "biased-CurMix-%")
-}
-
-// BenchmarkFig5SetupVsK regenerates Figure 5 (SimEra setup success vs k
-// and r, random and biased).
-func BenchmarkFig5SetupVsK(b *testing.B) {
-	res := runExperiment(b, "fig5")
-	for _, row := range res.Rows {
-		if row[0] == "4" {
-			b.ReportMetric(metric(b, row[1]), "rand-r2-k4-%")
-			b.ReportMetric(metric(b, row[4]), "bias-r2-k4-%")
-		}
-	}
-}
-
-// BenchmarkTable2Comparison regenerates Table 2 (durability, attempts,
-// latency, bandwidth for CurMix / SimRep / SimEra(4,4)).
-func BenchmarkTable2Comparison(b *testing.B) {
-	res := runExperiment(b, "tab2")
-	b.ReportMetric(metric(b, res.Rows[0][1]), "durability-CurMix-s")
-	b.ReportMetric(metric(b, res.Rows[0][3]), "durability-SimEra44-s")
-}
-
-// BenchmarkTable3Churn regenerates Table 3 (SimEra(4,4) vs median node
-// lifetime).
-func BenchmarkTable3Churn(b *testing.B) {
-	res := runExperiment(b, "tab3")
-	b.ReportMetric(metric(b, res.Rows[0][1]), "durability-20min-s")
-	b.ReportMetric(metric(b, res.Rows[0][len(res.Rows[0])-1]), "durability-120min-s")
-}
-
-// BenchmarkTable4Distributions regenerates Table 4 (SimEra(4,4) under
-// Pareto / uniform / exponential lifetimes).
-func BenchmarkTable4Distributions(b *testing.B) {
-	res := runExperiment(b, "tab4")
-	b.ReportMetric(metric(b, res.Rows[0][1]), "durability-Pareto-s")
-	b.ReportMetric(metric(b, res.Rows[0][2]), "durability-Uniform-s")
-}
-
-// BenchmarkExt1Anonymity regenerates the extension experiment ext1
-// (empirical predecessor attack vs Equation 4).
-func BenchmarkExt1Anonymity(b *testing.B) {
-	res := runExperiment(b, "ext1")
-	b.ReportMetric(metric(b, res.Rows[1][1]), "exposure-f0.1")
-}
-
-// BenchmarkExt2Membership regenerates ext2 (membership freshness vs
-// biased setup success).
-func BenchmarkExt2Membership(b *testing.B) {
-	res := runExperiment(b, "ext2")
-	b.ReportMetric(metric(b, res.Rows[0][1]), "oracle-CurMix-%")
-	b.ReportMetric(metric(b, res.Rows[2][1]), "gossip-CurMix-%")
-}
-
-// BenchmarkExt3Weighted regenerates ext3 (even vs weighted allocation).
-func BenchmarkExt3Weighted(b *testing.B) {
-	res := runExperiment(b, "ext3")
-	b.ReportMetric(metric(b, res.Rows[0][1]), "even-%")
-	b.ReportMetric(metric(b, res.Rows[1][1]), "weighted-%")
-}
-
-// BenchmarkExt4MutualAnonymity regenerates ext4 (cost of the rendezvous
-// redirection).
-func BenchmarkExt4MutualAnonymity(b *testing.B) {
-	res := runExperiment(b, "ext4")
-	b.ReportMetric(metric(b, res.Rows[0][1]), "direct-ms")
-	b.ReportMetric(metric(b, res.Rows[1][1]), "rendezvous-ms")
-}
-
-// BenchmarkExt5CoverTraffic regenerates ext5 (timing attack vs cover
-// traffic).
-func BenchmarkExt5CoverTraffic(b *testing.B) {
-	res := runExperiment(b, "ext5")
-	b.ReportMetric(metric(b, res.Rows[0][2]), "ambiguity-nocover")
-	b.ReportMetric(metric(b, res.Rows[1][2]), "ambiguity-cover")
-}
-
-// BenchmarkExt6LongLivedAttacker regenerates ext6 (§7's long-lived
-// attacker vs biased mix choice).
-func BenchmarkExt6LongLivedAttacker(b *testing.B) {
-	res := runExperiment(b, "ext6")
-	b.ReportMetric(metric(b, res.Rows[0][1]), "random-capture-%")
-	b.ReportMetric(metric(b, res.Rows[1][1]), "biased-capture-%")
-}
-
-// BenchmarkAblationEqualBandwidth compares erasure coding against
-// replication at the same total bandwidth budget (r = 2): SimEra(k=4,
-// r=2) vs SimRep(k=2) at pa = 0.95 — the paper's core claim that coding
-// buys resilience per byte (in the Observation-1 regime, splitting the
-// same bytes over more paths strictly raises delivery probability).
-func BenchmarkAblationEqualBandwidth(b *testing.B) {
-	var era, rep core.StaticResult
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(int64(i + 1)))
-		var err error
-		era, err = core.SimulateStatic(rng, core.StaticConfig{Availability: 0.95, K: 4, R: 2, Trials: 20000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err = core.SimulateStatic(rng, core.StaticConfig{Availability: 0.95, K: 2, R: 2, Trials: 20000})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(era.SuccessRate, "erasure-P")
-	b.ReportMetric(rep.SuccessRate, "replication-P")
-	b.ReportMetric(era.BandwidthKB, "erasure-KB")
-	b.ReportMetric(rep.BandwidthKB, "replication-KB")
-}
-
-// ablationWorld builds a small churning world warmed past the Pareto
-// minimum session.
-func ablationWorld(b *testing.B, seed int64) *core.World {
-	b.Helper()
-	w, err := core.NewWorld(core.WorldConfig{
-		N:        128,
-		Seed:     seed,
-		Lifetime: stats.Pareto{Alpha: 1, Beta: 1800},
-		Pinned:   []netsim.NodeID{0, 1},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := w.StartChurn(); err != nil {
-		b.Fatal(err)
-	}
-	w.Run(50 * sim.Minute)
-	return w
-}
-
-// ablationDeliveries establishes a session and counts deliveries over a
-// fixed window of 1 KB messages every 10 s.
-func ablationDeliveries(b *testing.B, w *core.World, params core.Params, predict bool) int {
-	b.Helper()
-	params.MaxEstablishAttempts = 200
-	sess, err := w.NewSession(0, 1, params)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var ok bool
-	sess.OnEstablished = func(o bool, _ int) { ok = o }
-	sess.Establish()
-	w.Run(w.Eng.Now() + 5*sim.Minute)
-	if !ok {
-		return 0
-	}
-	if predict {
-		sess.EnablePrediction(0.5, 30*sim.Second)
-	}
-	delivered := 0
-	w.Receivers[1].SetOnDelivered(func(uint64, []byte, sim.Time) { delivered++ })
-	end := w.Eng.Now() + 30*sim.Minute
-	var tick func()
-	tick = func() {
-		if w.Eng.Now() >= end {
-			return
-		}
-		if sess.Established() {
-			sess.SendMessage(make([]byte, 1024))
-		}
-		w.Eng.Schedule(10*sim.Second, tick)
-	}
-	w.Eng.Schedule(0, tick)
-	w.Run(end + 30*sim.Second)
-	return delivered
-}
-
-// BenchmarkAblationPrediction compares reactive-only failure handling
-// against the §4.5 proactive predictor on delivery count.
-func BenchmarkAblationPrediction(b *testing.B) {
-	var with, without int
-	for i := 0; i < b.N; i++ {
-		params := core.Params{Protocol: core.SimEra, K: 4, R: 2, Strategy: mixchoice.Biased}
-		without += ablationDeliveries(b, ablationWorld(b, int64(100+i)), params, false)
-		with += ablationDeliveries(b, ablationWorld(b, int64(100+i)), params, true)
-	}
-	b.ReportMetric(float64(with)/float64(b.N), "deliveries-predictive")
-	b.ReportMetric(float64(without)/float64(b.N), "deliveries-reactive")
-}
-
-// BenchmarkAblationWeightedAllocation compares the §7 weighted
-// allocation against SimEra's even split on delivery count under churn
-// with random mix choice (where path stabilities genuinely differ).
-func BenchmarkAblationWeightedAllocation(b *testing.B) {
-	var weighted, even int
-	for i := 0; i < b.N; i++ {
-		even += ablationDeliveries(b, ablationWorld(b, int64(200+i)),
-			core.Params{Protocol: core.SimEra, K: 4, R: 2, SegmentsPerPath: 4, Strategy: mixchoice.Random}, false)
-		weighted += ablationDeliveries(b, ablationWorld(b, int64(200+i)),
-			core.Params{Protocol: core.SimEra, K: 4, R: 2, SegmentsPerPath: 4, Strategy: mixchoice.Random, Weighted: true}, false)
-	}
-	b.ReportMetric(float64(weighted)/float64(b.N), "deliveries-weighted")
-	b.ReportMetric(float64(even)/float64(b.N), "deliveries-even")
-}
-
-// BenchmarkAblationMembership compares oracle membership against real
-// gossip (with its staleness) on biased setup success.
-func BenchmarkAblationMembership(b *testing.B) {
-	run := func(mode core.MembershipMode, seed int64) float64 {
-		w, err := core.NewWorld(core.WorldConfig{
-			N:          96,
-			Seed:       seed,
-			Lifetime:   stats.Pareto{Alpha: 1, Beta: 1800},
-			Membership: mode,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := w.StartChurn(); err != nil {
-			b.Fatal(err)
-		}
-		w.Run(50 * sim.Minute)
-		success, events := 0, 0
-		for ev := 0; ev < 60; ev++ {
-			init := netsim.NodeID(w.Eng.RNG().Intn(96))
-			resp := netsim.NodeID(w.Eng.RNG().Intn(96))
-			if init == resp || !w.Net.IsUp(init) || !w.Net.IsUp(resp) {
-				continue
-			}
-			sess, err := w.NewSession(init, resp, core.Params{Protocol: core.CurMix, Strategy: mixchoice.Biased})
-			if err != nil {
-				continue
-			}
-			events++
-			sess.OnEstablished = func(ok bool, _ int) {
-				if ok {
-					success++
-				}
-				sess.Teardown()
-			}
-			sess.Establish()
-			w.Run(w.Eng.Now() + 10*sim.Second)
-		}
-		if events == 0 {
-			return 0
-		}
-		return float64(success) / float64(events)
-	}
-	var oracleRate, gossipRate float64
-	for i := 0; i < b.N; i++ {
-		oracleRate += run(core.OracleMembership, int64(300+i))
-		gossipRate += run(core.GossipMembership, int64(300+i))
-	}
-	b.ReportMetric(oracleRate/float64(b.N), "oracle-success")
-	b.ReportMetric(gossipRate/float64(b.N), "gossip-success")
-}
-
-// BenchmarkAblationZeroRTT measures §4.2's combined construct+send
-// against the classic two-pass (construct, wait for the ack, then send)
-// on the paper's King topology: virtual time from launch to the
-// responder receiving the first payload, averaged over seeds.
-func BenchmarkAblationZeroRTT(b *testing.B) {
-	measure := func(combined bool, seed int64) float64 {
-		eng := sim.NewEngine(seed)
-		topo, err := topology.Generate(64, topology.DefaultMeanRTT, seed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		net := netsim.New(eng, topo)
-		dir, err := onion.NewDirectory(onioncrypt.Null{}, eng.RNG(), 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var deliveredAt sim.Time = -1
-		var node0 *onion.Node
-		for i := 0; i < 64; i++ {
-			id := netsim.NodeID(i)
-			mux := netsim.NewMux()
-			node := onion.NewNode(net, id, dir, mux, onion.NodeConfig{
-				OnData: func(onion.ReplyHandle, []byte) {
-					if deliveredAt < 0 {
-						deliveredAt = eng.Now()
-					}
-				},
-			})
-			if i == 0 {
-				node0 = node
-			}
-			net.SetHandler(id, mux)
-		}
-		init := node0.Initiator
-		relays := []netsim.NodeID{3, 4, 5}
-		plain := make([]byte, 1024)
-		if combined {
-			if _, err := init.ConstructWithData(relays, 1, plain, nil, func(*onion.Path, bool) {}); err != nil {
-				b.Fatal(err)
-			}
-		} else {
-			if _, err := init.Construct(relays, 1, nil, func(p *onion.Path, ok bool) {
-				if ok {
-					init.SendData(p, plain, nil)
-				}
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		eng.Run(30 * sim.Second)
-		if deliveredAt < 0 {
-			b.Fatal("no delivery")
-		}
-		return deliveredAt.Seconds() * 1000
-	}
-	var one, two float64
-	for i := 0; i < b.N; i++ {
-		one += measure(true, int64(500+i))
-		two += measure(false, int64(500+i))
-	}
-	b.ReportMetric(one/float64(b.N), "combined-ms")
-	b.ReportMetric(two/float64(b.N), "twopass-ms")
-}
 
 // BenchmarkSimEraMessage measures the end-to-end cost of one SimEra
 // message through the public API on a healthy network (library
@@ -507,22 +103,5 @@ func BenchmarkObsOverheadOff(b *testing.B) {
 func BenchmarkObsOverheadNoop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		obsOverheadRun(b, int64(900+i), rm.NoopTracer{})
-	}
-}
-
-// BenchmarkErasureSplit1KB measures the standalone coder through the
-// public API.
-func BenchmarkErasureSplit1KB(b *testing.B) {
-	code, err := rm.NewErasureCode(5, 20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	msg := make([]byte, 1024)
-	b.SetBytes(1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := code.Split(msg); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -1,5 +1,6 @@
 // Command anonbench reproduces the paper's evaluation: every table and
-// figure of §6, at paper scale or in quick mode.
+// figure of §6, the extensions and the ablations, at paper scale or in
+// quick mode.
 //
 // Usage:
 //
@@ -35,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("anonbench", flag.ExitOnError)
 	fs.SetOutput(stderr)
 	var (
-		expID   = fs.String("exp", "", "experiment(s) to run, comma-separated (fig1..fig5, tab1..tab4, ext1..ext9)")
+		expID   = fs.String("exp", "", "experiment(s) to run, comma-separated ("+strings.Join(rm.ExperimentIDs(), ", ")+")")
 		all     = fs.Bool("all", false, "run every experiment in order")
 		list    = fs.Bool("list", false, "list available experiments")
 		quick   = fs.Bool("quick", false, "reduced scale: smaller network, fewer trials, shorter runs")

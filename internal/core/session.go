@@ -22,6 +22,7 @@ type SessionStats struct {
 	SegmentsSent      int
 	SegmentsAcked     int
 	PathsDied         int
+	PathsPredicted    int // condemned by the §4.5 liveness predictor
 	PathsReplaced     int
 	ResponsesReceived int
 	ConstructFlow     metrics.Flow // bandwidth of all construction traffic
@@ -476,6 +477,7 @@ func (s *Session) notePath(typ obs.Type, p *onion.Path, slot int, reason obs.Rea
 // repair enough of those end the path set.
 func (s *Session) noteBroken(o session.Output) {
 	if o.Reason == session.Predicted {
+		s.stats.PathsPredicted++
 		s.notePath(obs.PathBroken, s.paths[o.Slot], o.Slot, obs.ReasonPredicted, nil)
 		return
 	}

@@ -13,7 +13,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs experiments twice")
 	}
-	for _, id := range []string{"fig2", "tab1"} {
+	for _, id := range []string{"fig2", "tab1", "abl1", "abl2", "abl3"} {
 		a, err := Run(id, Options{Seed: 99, Quick: true})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)

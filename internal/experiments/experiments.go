@@ -1,8 +1,9 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (§6). Each experiment has an ID (fig1..fig5, tab1..tab4),
-// a harness returning structured rows, and a text renderer that prints
-// the same rows/series the paper reports. cmd/anonbench drives them and
-// bench_test.go wraps each in a testing.B benchmark.
+// evaluation (§6), plus extensions (ext*) and ablations of its design
+// choices (abl*). Each experiment has an ID, a harness returning
+// structured rows, and a text renderer that prints the same rows/series
+// the paper reports. cmd/anonbench drives them; every reported number
+// comes out of this registry.
 //
 // Experiments are deterministic per seed. Parameter points fan out
 // across GOMAXPROCS goroutines, one independent simulation per worker.
@@ -133,6 +134,9 @@ var registry = []struct {
 	{"ext7", "EXT: path length trade-off, anonymity vs resilience", Ext7},
 	{"ext8", "EXT: relay load concentration under biased choice", Ext8},
 	{"ext9", "EXT: delivery under random link loss", Ext9},
+	{"abl1", "ABL: erasure coding vs replication at equal bandwidth (§4.7)", Abl1},
+	{"abl2", "ABL: reactive vs predictive path replacement (§4.5)", Abl2},
+	{"abl3", "ABL: combined construct+send vs two-pass (§4.2)", Abl3},
 }
 
 // IDs returns the experiment IDs in canonical order.

@@ -33,8 +33,8 @@ func pair(t *testing.T, s string) (float64, float64) {
 
 func TestRegistry(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 18 {
-		t.Fatalf("registry has %d experiments, want 18 (9 paper + 9 extensions)", len(ids))
+	if len(ids) != 21 {
+		t.Fatalf("registry has %d experiments, want 21 (9 paper + 9 extensions + 3 ablations)", len(ids))
 	}
 	for _, id := range ids {
 		if Title(id) == "" {

@@ -172,57 +172,14 @@ func Ext3(opts Options) (*Result, error) {
 		n, seeds = 128, 4
 	}
 	run := func(weighted bool, seed int64) (float64, error) {
-		w, err := core.NewWorld(core.WorldConfig{
-			N: n, Seed: seed,
-			Lifetime: stats.Pareto{Alpha: 1, Beta: 1800},
-			Pinned:   []netsim.NodeID{0, 1},
-		})
-		if err != nil {
-			return 0, err
-		}
-		if err := w.StartChurn(); err != nil {
-			return 0, err
-		}
-		w.Run(50 * sim.Minute)
-		sess, err := w.NewSession(0, 1, core.Params{
+		d, err := deliveriesUnderChurn(n, seed, core.Params{
 			Protocol: core.SimEra, K: 4, R: 2, SegmentsPerPath: 4,
 			Strategy: mixchoice.Random, Weighted: weighted,
-			MaxEstablishAttempts: 200,
-		})
-		if err != nil {
+		}, false)
+		if err != nil || d.sent == 0 {
 			return 0, err
 		}
-		done := false
-		ok := false
-		sess.OnEstablished = func(o bool, _ int) { ok, done = o, true }
-		sess.Establish()
-		deadline := w.Eng.Now() + 30*sim.Minute
-		for !done && w.Eng.Now() < deadline {
-			w.Run(w.Eng.Now() + 10*sim.Second)
-		}
-		if !ok {
-			return 0, nil
-		}
-		delivered := 0
-		sentCount := 0
-		w.Receivers[1].SetOnDelivered(func(uint64, []byte, sim.Time) { delivered++ })
-		end := w.Eng.Now() + 30*sim.Minute
-		var tick func()
-		tick = func() {
-			if w.Eng.Now() >= end {
-				return
-			}
-			if _, err := sess.SendMessage(make([]byte, 1024)); err == nil {
-				sentCount++
-			}
-			w.Eng.Schedule(10*sim.Second, tick)
-		}
-		w.Eng.Schedule(0, tick)
-		w.Run(end + 30*sim.Second)
-		if sentCount == 0 {
-			return 0, nil
-		}
-		return float64(delivered) / float64(sentCount), nil
+		return float64(d.delivered) / float64(d.sent), nil
 	}
 
 	type variant struct {
@@ -265,6 +222,74 @@ func Ext3(opts Options) (*Result, error) {
 		"weighted allocation steers segments away from paths whose relays' predictor q has collapsed, so a message needs fewer surviving paths than the even split's k/r — a large win under random choice, where the initial path set contains weak paths",
 	)
 	return res, nil
+}
+
+// deliveries is one session's record over deliveriesUnderChurn's
+// window.
+type deliveries struct {
+	sent, delivered int
+	// predicted counts the paths the §4.5 predictor condemned.
+	predicted int
+}
+
+// deliveriesUnderChurn is the delivery workload ext3 and abl2 share: an
+// n-node world under the §6.1 Pareto churn (α = 1, median 1 h) is
+// warmed for 50 min,
+// node 0 establishes a session with params to node 1 (both pinned up,
+// up to 200 attempts, within 30 min), and once it stands sends a 1 KB
+// message every 10 s for 30 min. predict starts the §4.5 predictor
+// (replace a path whose weakest relay's q falls below 0.5, checked
+// every 30 s) at establishment. A session that never stands sends
+// nothing.
+func deliveriesUnderChurn(n int, seed int64, params core.Params, predict bool) (deliveries, error) {
+	w, err := core.NewWorld(core.WorldConfig{
+		N: n, Seed: seed,
+		Lifetime: stats.Pareto{Alpha: 1, Beta: 1800},
+		Pinned:   []netsim.NodeID{0, 1},
+	})
+	if err != nil {
+		return deliveries{}, err
+	}
+	if err := w.StartChurn(); err != nil {
+		return deliveries{}, err
+	}
+	w.Run(50 * sim.Minute)
+	params.MaxEstablishAttempts = 200
+	sess, err := w.NewSession(0, 1, params)
+	if err != nil {
+		return deliveries{}, err
+	}
+	done := false
+	ok := false
+	sess.OnEstablished = func(o bool, _ int) { ok, done = o, true }
+	sess.Establish()
+	deadline := w.Eng.Now() + 30*sim.Minute
+	for !done && w.Eng.Now() < deadline {
+		w.Run(w.Eng.Now() + 10*sim.Second)
+	}
+	if !ok {
+		return deliveries{}, nil
+	}
+	if predict {
+		sess.EnablePrediction(0.5, 30*sim.Second)
+	}
+	var d deliveries
+	w.Receivers[1].SetOnDelivered(func(uint64, []byte, sim.Time) { d.delivered++ })
+	end := w.Eng.Now() + 30*sim.Minute
+	var tick func()
+	tick = func() {
+		if w.Eng.Now() >= end {
+			return
+		}
+		if _, err := sess.SendMessage(make([]byte, 1024)); err == nil {
+			d.sent++
+		}
+		w.Eng.Schedule(10*sim.Second, tick)
+	}
+	w.Eng.Schedule(0, tick)
+	w.Run(end + 30*sim.Second)
+	d.predicted = sess.Stats().PathsPredicted
+	return d, nil
 }
 
 // Ext4 measures the cost of mutual anonymity (§3's extra level of

@@ -42,11 +42,8 @@ func init() {
 }
 
 // Add returns a + b in GF(2^8). Addition is XOR; it is its own inverse,
-// so Sub is the same operation.
+// so subtraction is the same operation.
 func Add(a, b byte) byte { return a ^ b }
-
-// Sub returns a - b in GF(2^8), which equals a + b.
-func Sub(a, b byte) byte { return a ^ b }
 
 // Mul returns a * b in GF(2^8).
 func Mul(a, b byte) byte {

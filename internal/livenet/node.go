@@ -248,9 +248,6 @@ func (n *Node) SetRoster(r *Roster) { n.rost.Store(r) }
 // roster returns the current roster.
 func (n *Node) roster() *Roster { return n.rost.Load() }
 
-// ID returns the node's roster identity.
-func (n *Node) ID() netsim.NodeID { return n.cfg.ID }
-
 // Metrics returns the node's metrics registry.
 func (n *Node) Metrics() *obs.Registry { return n.reg }
 

@@ -150,9 +150,6 @@ func NewEngine(rs ...Rule) *Engine {
 	return &Engine{rules: append([]Rule(nil), rs...), state: make(map[string]*condState)}
 }
 
-// Rules returns the engine's rule set.
-func (e *Engine) Rules() []Rule { return e.rules }
-
 // observation is one evaluation target's outcome.
 type observation struct {
 	target string // series key, "" for cluster

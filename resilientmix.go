@@ -278,7 +278,8 @@ type ExperimentOptions = experiments.Options
 // ExperimentResult is a rendered table/figure reproduction.
 type ExperimentResult = experiments.Result
 
-// ExperimentIDs lists the reproducible artifacts: fig1..fig5, tab1..tab4.
+// ExperimentIDs lists the reproducible artifacts: the paper's figures
+// and tables, then the extensions and the ablations.
 func ExperimentIDs() []string { return experiments.IDs() }
 
 // RunExperiment reproduces one of the paper's tables or figures.

@@ -146,7 +146,7 @@ func TestPublicLifetimeConstructors(t *testing.T) {
 
 func TestPublicExperimentRegistry(t *testing.T) {
 	ids := rm.ExperimentIDs()
-	if len(ids) != 18 {
+	if len(ids) != 21 {
 		t.Fatalf("%d experiments", len(ids))
 	}
 	// Run the cheapest one through the facade.
