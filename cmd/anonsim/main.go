@@ -1,7 +1,10 @@
 // Command anonsim runs a single configurable simulation of the
 // anonymizing network and reports the session-level outcome: setup
 // attempts, path durability, delivery latency and bandwidth. It is the
-// free-form counterpart to anonbench's fixed paper experiments.
+// free-form counterpart to anonbench's fixed paper experiments, and runs
+// the same procedure: its defaults are one Table 2 SimEra(4,4) biased
+// sample, and -seed 115445238 is that cell's sample 0 at anonbench
+// -seed 1.
 //
 // Usage:
 //
@@ -24,6 +27,7 @@ import (
 
 	rm "resilientmix"
 
+	"resilientmix/internal/experiments"
 	"resilientmix/internal/faultinject"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/shardworld"
@@ -253,13 +257,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err != nil {
 		return fail(err)
 	}
-	var established, concluded bool
-	var attempts int
-	sess.OnEstablished = func(ok bool, a int) { established, attempts, concluded = ok, a, true }
-	sess.Establish()
-	deadline := net.Eng.Now() + 2*rm.Hour
-	for !concluded && net.Eng.Now() < deadline {
-		net.Run(net.Eng.Now() + 10*rm.Second)
+	established, attempts, err := net.Establish(sess)
+	if err != nil {
+		return fail(err)
 	}
 	if !established {
 		fmt.Fprintf(stdout, "establishment FAILED after %d attempts\n", attempts)
@@ -297,56 +297,19 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			len(sched), applied, *faultsP)
 	}
 
-	// Message loop until the set dies or the cap elapses.
-	start := sess.EstablishedAt()
-	end := start + rm.Time(capDur.Microseconds())
-	sent := make(map[uint64]rm.Time)
-	var latencies []float64
-	var delivered int
-	var lastDelivery rm.Time
-	net.Receivers[1].SetOnDelivered(func(mid uint64, _ []byte, at rm.Time) {
-		if s, ok := sent[mid]; ok {
-			delivered++
-			lastDelivery = at
-			latencies = append(latencies, (at-s).Seconds()*1000)
-		}
-	})
-	var deadAt rm.Time
-	sess.OnSetDead = func(at rm.Time) { deadAt = at }
-	tickEvery := rm.Time(interval.Microseconds())
-	msg := make([]byte, *msgSize)
-	var tick func()
-	tick = func() {
-		if net.Eng.Now() >= end || deadAt != 0 {
-			return
-		}
-		if mid, err := sess.SendMessage(msg); err == nil {
-			sent[mid] = net.Eng.Now()
-		}
-		net.Eng.Schedule(tickEvery, tick)
-	}
-	net.Eng.Schedule(0, tick)
-	net.Run(end + rm.Minute)
-
-	durability := (end - start).Seconds()
-	if deadAt != 0 && lastDelivery > 0 {
-		durability = (lastDelivery - start).Seconds()
-	} else if deadAt != 0 {
-		durability = (deadAt - start).Seconds()
-	}
+	// Message loop until the set dies or the cap elapses: the same
+	// procedure, and so the same numbers, as one Table 2 sample.
+	durability, delivered, latencyMS, kbPerMsg := experiments.MeasureDurability(net, sess, 1,
+		rm.Time(capDur.Microseconds()), rm.Time(interval.Microseconds()), *msgSize)
 	st := sess.Stats()
 	fmt.Fprintf(stdout, "\nresults over %d messages:\n", st.MessagesSent)
-	fmt.Fprintf(stdout, "  durability       %.0f s%s\n", durability, capNote(deadAt))
+	fmt.Fprintf(stdout, "  durability       %.0f s%s\n", durability, capNote(sess.SetDeadAt()))
 	fmt.Fprintf(stdout, "  delivered        %d/%d\n", delivered, st.MessagesSent)
-	if len(latencies) > 0 {
-		var sum float64
-		for _, l := range latencies {
-			sum += l
-		}
-		fmt.Fprintf(stdout, "  mean latency     %.0f ms\n", sum/float64(len(latencies)))
+	if delivered > 0 {
+		fmt.Fprintf(stdout, "  mean latency     %.0f ms\n", latencyMS)
 	}
 	if st.MessagesSent > 0 {
-		fmt.Fprintf(stdout, "  bandwidth        %.1f KB/message\n", float64(st.DataFlow.Bytes)/float64(st.MessagesSent)/1024)
+		fmt.Fprintf(stdout, "  bandwidth        %.1f KB/message\n", kbPerMsg)
 	}
 	fmt.Fprintf(stdout, "  construction     %.1f KB total, %d paths died, %d replaced\n",
 		float64(st.ConstructFlow.Bytes)/1024, st.PathsDied, st.PathsReplaced)
@@ -360,12 +323,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		"paths_died":     float64(st.PathsDied),
 		"paths_replaced": float64(st.PathsReplaced),
 	}
-	if len(latencies) > 0 {
-		var sum float64
-		for _, l := range latencies {
-			sum += l
-		}
-		outcome["mean_latency_ms"] = sum / float64(len(latencies))
+	if delivered > 0 {
+		outcome["mean_latency_ms"] = latencyMS
 	}
 	if faultRec != nil {
 		outcome["faults_applied"] = float64(faultRec.Count())

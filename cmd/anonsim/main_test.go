@@ -72,6 +72,27 @@ func TestGolden(t *testing.T) {
 	}
 }
 
+// TestDefaultsAreOneTab2Sample: anonsim's defaults are Table 2's
+// SimEra(4,4) biased cell, and -seed 115445238 is its sample 0 at
+// anonbench -seed 1. internal/experiments' TestTab2SampleIsAnonsimDefault
+// pins the same four numbers for that sample.
+func TestDefaultsAreOneTab2Sample(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-seed", "115445238"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code %d; stderr:\n%s", code, stderr.String())
+	}
+	for _, want := range []string{
+		"after 1 attempt(s)",
+		"durability       2990 s\n",
+		"mean latency     241 ms\n",
+		"bandwidth        12.7 KB/message\n",
+	} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout.String())
+		}
+	}
+}
+
 // lineCounter counts the newlines written to it: one per trace event.
 type lineCounter int
 

@@ -57,7 +57,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	svc.Establish()
 	waitEstablished(net, svc)
 	svc.EnableRepair(30 * rm.Second)
 	if err := svc.RegisterService(serviceTag); err != nil {
@@ -76,7 +75,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cli.Establish()
 	waitEstablished(net, cli)
 	var answer []byte
 	cli.OnInbound = func(conv uint64, data []byte, _ rm.Time) { answer = data }
@@ -102,11 +100,7 @@ func main() {
 }
 
 func waitEstablished(net *rm.Network, s *rm.Session) {
-	deadline := net.Eng.Now() + 10*rm.Minute
-	for !s.Established() && net.Eng.Now() < deadline {
-		net.Run(net.Eng.Now() + 10*rm.Second)
-	}
-	if !s.Established() {
-		log.Fatal("session failed to establish")
+	if ok, _, err := net.Establish(s); err != nil || !ok {
+		log.Fatal("session failed to establish: ", err)
 	}
 }

@@ -81,9 +81,9 @@ func main() {
 	// SimEra over TCP: k=4 disjoint 2-relay paths, r=2 (any 2 paths
 	// reconstruct).
 	start := time.Now()
-	sess, err := nodes[0].NewLiveSession([][]netsim.NodeID{
+	sess, err := nodes[0].NewLiveSessionOpts([][]netsim.NodeID{
 		{1, 2}, {3, 4}, {5, 6}, {7, 8},
-	}, 9, 2, 3*time.Second)
+	}, 9, livenet.SessionOptions{R: 2, AckTimeout: 3 * time.Second})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -51,14 +51,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sess.OnEstablished = func(ok bool, attempts int) {
-		fmt.Printf("path set established=%v after %d attempt(s)\n", ok, attempts)
+	ok, attempts, err := net.Establish(sess)
+	if err != nil || !ok {
+		log.Fatal("could not establish the path set: ", err)
 	}
-	sess.Establish()
-	net.Run(net.Eng.Now() + rm.Minute)
-	if !sess.Established() {
-		log.Fatal("could not establish the path set")
-	}
+	fmt.Printf("path set established after %d attempt(s)\n", attempts)
 
 	// The responder application: print what arrives and reply.
 	net.Receivers[1].SetOnDelivered(func(mid uint64, data []byte, at rm.Time) {

@@ -99,7 +99,7 @@ func RunTraffic(m Manifest, msgs int, payload []byte, ackWait time.Duration) (*T
 	}
 	defer node.Close()
 
-	sess, err := node.NewLiveSession(relayLists, responder, r, 5*time.Second)
+	sess, err := node.NewLiveSessionOpts(relayLists, responder, livenet.SessionOptions{R: r, AckTimeout: 5 * time.Second})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: session construction: %w", err)
 	}

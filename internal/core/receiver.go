@@ -51,7 +51,6 @@ type Receiver struct {
 	// per distinct delivering path: the reverse paths a response can use.
 	replies   map[uint64][]onion.ReplyHandle
 	delivered uint64
-	badSegs   uint64
 }
 
 // bindObs attaches the world's tracer and metrics. Receivers built
@@ -106,7 +105,6 @@ func (r *Receiver) HandleData(h onion.ReplyHandle, plain []byte) {
 	buf := h.TakeBuffer()
 	msg, err := session.DecodeApp(plain)
 	if err != nil {
-		r.badSegs++
 		bufpool.Release(buf)
 		return
 	}
@@ -119,7 +117,7 @@ func (r *Receiver) HandleData(h onion.ReplyHandle, plain []byte) {
 	case session.KindRegister, session.KindToService, session.KindServiceReply:
 		switch {
 		case r.hooks == nil:
-			r.badSegs++ // service traffic at a node running no rendezvous
+			// Service traffic at a node running no rendezvous is dropped.
 		case msg.Kind == session.KindRegister:
 			r.hooks.handleRegister(h, msg.Tag)
 		default:
@@ -129,14 +127,13 @@ func (r *Receiver) HandleData(h onion.ReplyHandle, plain []byte) {
 		return
 	case session.KindSegment:
 	default:
-		r.badSegs++
 		bufpool.Release(buf)
 		return
 	}
 	seg := msg.Seg
 	verdict := r.asm.Add(int64(r.eng.Now()), seg, buf)
 	if verdict == session.Rejected {
-		r.badSegs++ // bad shape, or one that disagrees with the MID's earlier segments
+		// Bad shape, or one that disagrees with the MID's earlier segments.
 		bufpool.Release(buf)
 		return
 	}
@@ -172,7 +169,6 @@ func (r *Receiver) reconstruct(seg session.Segment) {
 	defer bufpool.Release(buf)
 	data, segments, first, ok := r.asm.ReconstructInto(mid, *buf)
 	if !ok {
-		r.badSegs++
 		return
 	}
 	r.delivered++

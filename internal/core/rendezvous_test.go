@@ -149,12 +149,26 @@ func TestServiceTrafficAtPlainNodeDropped(t *testing.T) {
 	if !establish(t, w, s) {
 		t.Fatal("establishment failed")
 	}
+	var delivered []uint64
+	w.Receivers[1].SetOnDelivered(func(mid uint64, _ []byte, _ sim.Time) { delivered = append(delivered, mid) })
 	if err := s.RegisterService(9); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := s.SendServiceMessage(9, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
 	w.Run(w.Eng.Now() + 10*sim.Second)
-	if w.Receivers[1].badSegs == 0 {
-		t.Fatal("service traffic at a plain node was not counted as bad")
+	if len(delivered) != 0 {
+		t.Fatalf("service traffic at a plain node was delivered as messages %x", delivered)
+	}
+	// The paths it came over still carry the node's own traffic.
+	mid, err := s.SendMessage([]byte("plain"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Run(w.Eng.Now() + 10*sim.Second)
+	if len(delivered) != 1 || delivered[0] != mid {
+		t.Fatalf("delivered %x after the service traffic, want only %x", delivered, mid)
 	}
 }
 

@@ -20,19 +20,13 @@ func testWorld(t *testing.T, n int, seed int64) *World {
 	return w
 }
 
-// establish runs Establish and the engine until the callback fires (up
-// to 15 simulated minutes of retries).
+// establish runs w.Establish, failing the test if establishment
+// outruns its budget.
 func establish(t *testing.T, w *World, s *Session) bool {
 	t.Helper()
-	var ok, done bool
-	s.OnEstablished = func(o bool, _ int) { ok, done = o, true }
-	s.Establish()
-	deadline := w.Eng.Now() + 15*sim.Minute
-	for !done && w.Eng.Now() < deadline {
-		w.Run(w.Eng.Now() + 10*sim.Second)
-	}
-	if !done {
-		t.Fatal("establishment never concluded")
+	ok, _, err := w.Establish(s)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return ok
 }
@@ -225,6 +219,37 @@ func TestEstablishExhaustsAttempts(t *testing.T) {
 	}
 	if _, err := s.SendMessage([]byte("x")); err == nil {
 		t.Fatal("SendMessage accepted on a failed session")
+	}
+}
+
+// TestWorldEstablishBudget: with every message lost, each attempt runs
+// its full construct timeout, so the last one concludes exactly at the
+// end of the budget — which Establish must still see, in the step that
+// reaches it. A budget the attempts outrun is an error.
+func TestWorldEstablishBudget(t *testing.T) {
+	w, err := NewWorld(WorldConfig{N: 16, Seed: 6, UniformRTT: 100 * sim.Millisecond, LossRate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := w.NewSession(0, 1, Params{Protocol: CurMix, MaxEstablishAttempts: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, attempts, err := w.Establish(s)
+	if err != nil || ok || attempts != 4 {
+		t.Fatalf("Establish = (%v, %d, %v), want (false, 4, nil)", ok, attempts, err)
+	}
+	if w.Eng.Now() != 20*sim.Second {
+		t.Fatalf("concluded at %v, want the budget's end, 4 × 5 s", w.Eng.Now())
+	}
+
+	w.Cfg.ConstructTimeout = sim.Second // a budget of 4 s against 20 s of attempts
+	s, err = w.NewSession(0, 1, Params{Protocol: CurMix, MaxEstablishAttempts: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := w.Establish(s); err == nil {
+		t.Fatal("establishment outran its budget without an error")
 	}
 }
 

@@ -143,6 +143,9 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	if cfg.Suite == nil {
 		cfg.Suite = onioncrypt.Null{}
 	}
+	if cfg.ConstructTimeout <= 0 {
+		cfg.ConstructTimeout = onion.DefaultConstructTimeout
+	}
 	eng := sim.NewEngine(cfg.Seed)
 	var topo *topology.Matrix
 	var err error
@@ -258,3 +261,30 @@ func (w *World) Provider(id netsim.NodeID) membership.Provider {
 
 // Run advances the simulation to the given virtual time.
 func (w *World) Run(until sim.Time) { w.Eng.Run(until) }
+
+// establishStep is how far Establish runs the engine between looks at
+// the session. Establishment is noticed at the first step boundary
+// after it concludes, so the step also decides when a caller's first
+// message leaves.
+const establishStep = 10 * sim.Second
+
+// Establish starts s, which it sets OnEstablished on, and runs the
+// engine in 10 s steps until its establishment concludes, then returns
+// OnEstablished's outcome. Each construction attempt resolves within
+// the world's construct timeout, so establishment concludes within
+// MaxEstablishAttempts of them; running past that budget is an error.
+func (w *World) Establish(s *Session) (ok bool, attempts int, err error) {
+	concluded := false
+	s.OnEstablished = func(o bool, a int) { ok, attempts, concluded = o, a, true }
+	budget := sim.Time(s.params.MaxEstablishAttempts) * w.Cfg.ConstructTimeout
+	deadline := w.Eng.Now() + budget
+	s.Establish()
+	for !concluded {
+		if w.Eng.Now() > deadline {
+			return false, s.stats.EstablishAttempts, fmt.Errorf("core: establishment still open %v after its %d-attempt budget of %v",
+				w.Eng.Now()-deadline, s.params.MaxEstablishAttempts, budget)
+		}
+		w.Run(w.Eng.Now() + establishStep)
+	}
+	return ok, attempts, nil
+}

@@ -28,7 +28,6 @@ type durabilityConfig struct {
 
 // durabilityResult is one run's metrics, matching Table 2's columns.
 type durabilityResult struct {
-	established bool
 	durability  float64 // seconds
 	attempts    float64
 	latencyMS   float64 // mean successful delivery latency
@@ -56,8 +55,9 @@ func paperDurability(opts Options, seed int64, params core.Params, lifetime stat
 	return cfg
 }
 
-// runDurability executes one durability run. Node 0 is the initiator
-// and node 1 the responder; both are pinned up (§6.2).
+// runDurability is one Table 2–4 sample: build the world, warm it up,
+// establish, measure. Node 0 is the initiator and node 1 the
+// responder; both are pinned up (§6.2).
 func runDurability(cfg durabilityConfig) (durabilityResult, error) {
 	const initiator, responder = netsim.NodeID(0), netsim.NodeID(1)
 	w, err := core.NewWorld(core.WorldConfig{
@@ -82,29 +82,27 @@ func runDurability(cfg durabilityConfig) (durabilityResult, error) {
 	if err != nil {
 		return durabilityResult{}, err
 	}
+	ok, attempts, err := w.Establish(sess)
+	out := durabilityResult{attempts: float64(attempts)}
+	if err != nil || !ok {
+		return out, err
+	}
+	out.durability, _, out.latencyMS, out.bandwidthKB = MeasureDurability(w, sess, responder, cfg.cap, cfg.interval, cfg.msgSize)
+	return out, nil
+}
 
-	var out durabilityResult
-	var established bool
-	sess.OnEstablished = func(ok bool, attempts int) {
-		established = ok
-		out.attempts = float64(attempts)
-	}
-	sess.Establish()
-	// Construction attempts take at most timeout each; run until settled.
-	deadline := w.Eng.Now() + sim.Time(params.MaxEstablishAttempts)*(core.DefaultAckTimeout+sim.Second)
-	for !established && out.attempts == 0 && w.Eng.Now() < deadline {
-		w.Run(w.Eng.Now() + 10*sim.Second)
-	}
-	if !established {
-		out.durability = 0
-		return out, nil
-	}
-	out.established = true
-
+// MeasureDurability is §6.2's message loop and durability rule, run on
+// an established session: it sends a msgSize-byte message every
+// interval from EstablishedAt until EstablishedAt + limit or until the
+// path set dies, and runs the engine a minute past that end. Durability
+// is limit if the set survived, else the time to the last delivery (the
+// detection lag of the ack timeout is not the path set's life), or to
+// the set's death if nothing arrived. delivered counts the messages
+// responder reconstructed, latencyMS is their mean latency and
+// kbPerMsg the data bytes sent per message.
+func MeasureDurability(w *core.World, sess *core.Session, responder netsim.NodeID, limit, interval sim.Time, msgSize int) (durability float64, delivered int, latencyMS, kbPerMsg float64) {
 	start := sess.EstablishedAt()
-	end := start + cfg.cap
-
-	// Delivery bookkeeping.
+	end := start + limit
 	sent := make(map[uint64]sim.Time)
 	var latencies []float64
 	var lastDelivered sim.Time
@@ -114,40 +112,32 @@ func runDurability(cfg durabilityConfig) (durabilityResult, error) {
 			lastDelivered = at
 		}
 	})
-	var setDeadAt sim.Time
-	sess.OnSetDead = func(at sim.Time) { setDeadAt = at }
-
-	msg := make([]byte, cfg.msgSize)
+	msg := make([]byte, msgSize)
 	var tick func()
 	tick = func() {
-		if w.Eng.Now() >= end || setDeadAt != 0 {
+		if w.Eng.Now() >= end || sess.SetDeadAt() != 0 {
 			return
 		}
 		if mid, err := sess.SendMessage(msg); err == nil {
 			sent[mid] = w.Eng.Now()
 		}
-		w.Eng.Schedule(cfg.interval, tick)
+		w.Eng.Schedule(interval, tick)
 	}
 	w.Eng.Schedule(0, tick)
-	w.Run(end + core.DefaultAckTimeout + 10*sim.Second)
+	w.Run(end + sim.Minute)
 
-	// Durability: when the path set died, or the cap if it survived.
-	// Detection lag (ack timeout) is subtracted down to the last
-	// actually-delivered message when the set died.
-	switch {
-	case setDeadAt != 0 && lastDelivered > 0:
-		out.durability = (lastDelivered - start).Seconds()
-	case setDeadAt != 0:
-		out.durability = (setDeadAt - start).Seconds()
+	switch deadAt := sess.SetDeadAt(); {
+	case deadAt != 0 && lastDelivered > 0:
+		durability = (lastDelivered - start).Seconds()
+	case deadAt != 0:
+		durability = (deadAt - start).Seconds()
 	default:
-		out.durability = cfg.cap.Seconds()
+		durability = limit.Seconds()
 	}
-	out.latencyMS = stats.Mean(latencies)
-	st := sess.Stats()
-	if st.MessagesSent > 0 {
-		out.bandwidthKB = float64(st.DataFlow.Bytes) / float64(st.MessagesSent) / 1024
+	if st := sess.Stats(); st.MessagesSent > 0 {
+		kbPerMsg = float64(st.DataFlow.Bytes) / float64(st.MessagesSent) / 1024
 	}
-	return out, nil
+	return durability, len(latencies), stats.Mean(latencies), kbPerMsg
 }
 
 // durabilityCell runs `seeds` independent runs and averages, producing

@@ -2,9 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+
+	"resilientmix/internal/core"
+	"resilientmix/internal/mixchoice"
+	"resilientmix/internal/stats"
 )
 
 func quickOpts() Options { return Options{Seed: 42, Quick: true} }
@@ -266,6 +271,24 @@ func TestTab2Shapes(t *testing.T) {
 	// CurMix ~ |M| x 4 links ~ 4KB.
 	if bwCurR < 3 || bwCurR > 6 {
 		t.Fatalf("CurMix bandwidth %g KB outside the 4KB ballpark", bwCurR)
+	}
+}
+
+// TestTab2SampleIsAnonsimDefault runs Table 2's SimEra(4,4) biased
+// sample 0 at seed 1. Its world is the one anonsim builds from its
+// defaults at -seed 115445238, and both run MeasureDurability on it, so
+// this is what `go run ./cmd/anonsim -seed 115445238` prints (cmd/anonsim's
+// TestDefaultsAreOneTab2Sample pins the same four numbers).
+func TestTab2SampleIsAnonsimDefault(t *testing.T) {
+	const seed = 1 + 2*49979687 + 15485863 // Tab2's SimEra row, biased column, sample 0
+	params := core.Params{Protocol: core.SimEra, K: 4, R: 4, Strategy: mixchoice.Biased}
+	r, err := runDurability(paperDurability(Options{Seed: 1}, seed, params, stats.Pareto{Alpha: 1, Beta: 1800}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("%.0f s, %.0f attempt, %.0f ms, %.1f KB", r.durability, r.attempts, r.latencyMS, r.bandwidthKB)
+	if want := "2990 s, 1 attempt, 241 ms, 12.7 KB"; got != want {
+		t.Fatalf("sample 0 = %s, want %s", got, want)
 	}
 }
 

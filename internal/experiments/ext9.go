@@ -38,17 +38,8 @@ func Ext9(opts Options) (*Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		// Loss can kill construction too; retry a few times.
-		params = sess.Params()
-		var ok, done bool
-		sess.OnEstablished = func(o bool, _ int) { ok, done = o, true }
-		sess.Establish()
-		deadline := w.Eng.Now() + 10*sim.Minute
-		for !done && w.Eng.Now() < deadline {
-			w.Run(w.Eng.Now() + 10*sim.Second)
-		}
-		if !ok {
-			return 0, nil
+		if ok, _, err := w.Establish(sess); err != nil || !ok {
+			return 0, err
 		}
 		w.Net.SetLossRate(loss)
 		delivered := 0

@@ -132,7 +132,7 @@ func Ext2(opts Options) (*Result, error) {
 		cfg := paperSetup(opts, opts.Seed+int64(i)*60013, protocols[j.pi].params)
 		cfg.n = n
 		cfg.measure = 15 * sim.Minute
-		return runSetupWithMembership(cfg, modes[j.mi].mode)
+		return runSetup(cfg, modes[j.mi].mode)
 	})
 	if err != nil {
 		return nil, err
@@ -234,9 +234,8 @@ type deliveries struct {
 
 // deliveriesUnderChurn is the delivery workload ext3 and abl2 share: an
 // n-node world under the §6.1 Pareto churn (α = 1, median 1 h) is
-// warmed for 50 min,
-// node 0 establishes a session with params to node 1 (both pinned up,
-// up to 200 attempts, within 30 min), and once it stands sends a 1 KB
+// warmed for 50 min, node 0 establishes a session with params to node 1
+// (both pinned up, up to 200 attempts), and once it stands sends a 1 KB
 // message every 10 s for 30 min. predict starts the §4.5 predictor
 // (replace a path whose weakest relay's q falls below 0.5, checked
 // every 30 s) at establishment. A session that never stands sends
@@ -259,16 +258,8 @@ func deliveriesUnderChurn(n int, seed int64, params core.Params, predict bool) (
 	if err != nil {
 		return deliveries{}, err
 	}
-	done := false
-	ok := false
-	sess.OnEstablished = func(o bool, _ int) { ok, done = o, true }
-	sess.Establish()
-	deadline := w.Eng.Now() + 30*sim.Minute
-	for !done && w.Eng.Now() < deadline {
-		w.Run(w.Eng.Now() + 10*sim.Second)
-	}
-	if !ok {
-		return deliveries{}, nil
+	if ok, _, err := w.Establish(sess); err != nil || !ok {
+		return deliveries{}, err
 	}
 	if predict {
 		sess.EnablePrediction(0.5, 30*sim.Second)
@@ -398,21 +389,4 @@ func Ext4(opts Options) (*Result, error) {
 		"mutual anonymity roughly doubles path length (2L+2 hops vs L+1), so latency and bandwidth roughly double — the §3 trade-off made concrete",
 	)
 	return res, nil
-}
-
-// runSetupWithMembership is runSetup with a selectable membership mode.
-func runSetupWithMembership(cfg setupConfig, mode core.MembershipMode) (setupResult, error) {
-	w, err := core.NewWorld(core.WorldConfig{
-		N:          cfg.n,
-		Seed:       cfg.seed,
-		Lifetime:   cfg.lifetime,
-		Membership: mode,
-	})
-	if err != nil {
-		return setupResult{}, err
-	}
-	if err := w.StartChurn(); err != nil {
-		return setupResult{}, err
-	}
-	return driveSetup(w, cfg)
 }

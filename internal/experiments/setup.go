@@ -53,13 +53,15 @@ func paperSetup(opts Options, seed int64, params core.Params) setupConfig {
 	return cfg
 }
 
-// runSetup executes one path-setup experiment run with oracle
-// membership (the paper's OneHop-accuracy assumption).
-func runSetup(cfg setupConfig) (setupResult, error) {
+// runSetup executes one path-setup experiment run under the given
+// membership mode (the paper's OneHop-accuracy assumption is
+// core.OracleMembership).
+func runSetup(cfg setupConfig, mode core.MembershipMode) (setupResult, error) {
 	w, err := core.NewWorld(core.WorldConfig{
-		N:        cfg.n,
-		Seed:     cfg.seed,
-		Lifetime: cfg.lifetime,
+		N:          cfg.n,
+		Seed:       cfg.seed,
+		Lifetime:   cfg.lifetime,
+		Membership: mode,
 	})
 	if err != nil {
 		return setupResult{}, err
@@ -67,11 +69,6 @@ func runSetup(cfg setupConfig) (setupResult, error) {
 	if err := w.StartChurn(); err != nil {
 		return setupResult{}, err
 	}
-	return driveSetup(w, cfg)
-}
-
-// driveSetup runs the construction-event workload on a prepared world.
-func driveSetup(w *core.World, cfg setupConfig) (setupResult, error) {
 	w.Run(cfg.warmup)
 
 	var res setupResult
@@ -167,7 +164,7 @@ func Tab1(opts Options) (*Result, error) {
 		params := protocols[jobs[i].proto].params
 		params.Strategy = jobs[i].strat
 		cfg := paperSetup(opts, opts.Seed+int64(i)*33331, params)
-		return runSetup(cfg)
+		return runSetup(cfg, core.OracleMembership)
 	})
 	if err != nil {
 		return nil, err
@@ -231,7 +228,7 @@ func Fig5(opts Options) (*Result, error) {
 		// Figure 5 has many parameter points; shorten each run — the
 		// success-rate estimate converges fast.
 		cfg.measure /= 2
-		return runSetup(cfg)
+		return runSetup(cfg, core.OracleMembership)
 	})
 	if err != nil {
 		return nil, err

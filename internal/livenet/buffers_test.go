@@ -516,7 +516,7 @@ func TestVerdictDuringSendKeepsTheSplit(t *testing.T) {
 		collector.Handle(h, data)
 	}})
 	init := c.nodes[0]
-	sess, err := init.NewLiveSession([][]netsim.NodeID{{1}, {2}, {3}, {4}}, responder, 2, ackTimeout)
+	sess, err := init.NewLiveSessionOpts([][]netsim.NodeID{{1}, {2}, {3}, {4}}, responder, SessionOptions{R: 2, AckTimeout: ackTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -666,7 +666,7 @@ func liveAllocPerMessage(t *testing.T, relayLists [][]netsim.NodeID, size int, a
 	responder := 1 + 2*len(relayLists)
 	collector := NewLiveCollector(nil)
 	c := startCluster(t, responder+1, map[int]DataFunc{responder: collector.Handle})
-	sess, err := c.nodes[0].NewLiveSession(relayLists, netsim.NodeID(responder), 2, ackTimeout)
+	sess, err := c.nodes[0].NewLiveSessionOpts(relayLists, netsim.NodeID(responder), SessionOptions{R: 2, AckTimeout: ackTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,7 +211,8 @@ func (n *Node) FaultHandler() http.Handler {
 
 // noteDropped counts a frame that went nowhere — refused by the fault
 // controller, consumed by the injected drop rate, or failed on the wire
-// — and traces why.
+// — and traces why. size is the frame's bytes on the wire, header
+// included.
 func (n *Node) noteDropped(counter string, peer netsim.NodeID, sid uint64, size int, why obs.Reason) {
 	n.reg.Counter(counter).Inc()
 	n.emit(obs.Event{

@@ -320,7 +320,7 @@ func TestSessionCountersReconcile(t *testing.T) {
 	init, resp := c.nodes[0], c.nodes[9]
 
 	relayLists := [][]netsim.NodeID{{1, 2}, {3, 4}, {5, 6}, {7, 8}}
-	s, err := init.NewLiveSession(relayLists, 9, 2, 2*time.Second)
+	s, err := init.NewLiveSessionOpts(relayLists, 9, SessionOptions{R: 2, AckTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

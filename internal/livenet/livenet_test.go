@@ -13,6 +13,7 @@ import (
 
 	"resilientmix/internal/erasure"
 	"resilientmix/internal/netsim"
+	"resilientmix/internal/obs"
 	"resilientmix/internal/onion"
 	"resilientmix/internal/onioncrypt"
 )
@@ -373,6 +374,60 @@ func TestLiveSingleRelay(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("delivery timeout")
+	}
+}
+
+// TestTraceSizesAreWireSizes builds 0 → 1 → 2 and sends one message:
+// every traced frame's Size is its bytes on the socket, header
+// included. The construct ack (1 → 0) has no body, so it traces as
+// frameHeader, and the responder's delivery traces what the relay's
+// write of the frame did.
+func TestTraceSizesAreWireSizes(t *testing.T) {
+	trace := obs.NewCollector()
+	done := make(chan struct{}, 1)
+	c := startCluster(t, 3, map[int]DataFunc{2: func(ReplyHandle, []byte) { done <- struct{}{} }},
+		func(cfg *Config) { cfg.Tracer = trace })
+	p, err := c.nodes[0].Construct([]netsim.NodeID{1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Send([]byte("how big is this")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("delivery timeout")
+	}
+	// The relay traces a write once Write returns, which may be after
+	// its reader has handled the frame.
+	sent := func(from, to int) (out []obs.Event) {
+		for _, e := range trace.Events() {
+			if e.Type == obs.MsgSent && e.Node == from && e.Peer == to {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	waitFor(t, "the relay's trace of the ack and the data frame", func() bool {
+		return len(sent(1, 0)) == 1 && len(sent(1, 2)) == 1
+	})
+
+	if ack := sent(1, 0)[0]; ack.Size != frameHeader {
+		t.Errorf("construct ack traced %d bytes, want the bare header's %d", ack.Size, frameHeader)
+	}
+	data := sent(1, 2)[0]
+	var delivered []obs.Event
+	for _, e := range trace.Events() {
+		if e.Type == obs.MsgDelivered {
+			delivered = append(delivered, e)
+		}
+	}
+	if len(delivered) != 1 || delivered[0].ID != data.ID || delivered[0].Size != data.Size {
+		t.Fatalf("responder traced deliveries %+v, want one of the relay's data frame %+v", delivered, data)
+	}
+	if data.Size <= frameHeader+len("how big is this") {
+		t.Errorf("data frame traced %d bytes, fewer than its header and plaintext", data.Size)
 	}
 }
 

@@ -347,8 +347,8 @@ func (n *Node) send(s onion.Send, room []byte) error {
 func (n *Node) sendCtx(ctx context.Context, s onion.Send, room []byte) error {
 	limit, _ := ctx.Deadline()
 	deadline := within(limit, n.cfg.DialTimeout)
-	to, sid, size := s.To, uint64(s.SID), frameBodyLen(s)
-	if frameHeader+size > maxFrameSize {
+	to, sid, size := s.To, uint64(s.SID), frameHeader+frameBodyLen(s)
+	if size > maxFrameSize {
 		// A reverse body grows a layer per hop: one that fitted at the
 		// responder can stop fitting here, where only this drop says so.
 		n.noteDropped("live.send_errors", to, sid, size, obs.ReasonSendFailed)
@@ -432,7 +432,7 @@ func (n *Node) admit(f frame) (from netsim.NodeID, rest []byte, ok bool) {
 		return netsim.Invalid, nil, false
 	}
 	if n.flt.blackholed(from) {
-		n.noteDropped("live.fault.refused", from, f.sid, len(f.body), obs.ReasonBlackholed)
+		n.noteDropped("live.fault.refused", from, f.sid, frameHeader+len(f.body), obs.ReasonBlackholed)
 		return netsim.Invalid, nil, false
 	}
 	return from, rest, true
@@ -520,6 +520,7 @@ func (n *Node) handleDeliver(f frame) {
 	if !ok {
 		return
 	}
+	size := frameHeader + len(f.body)
 	key, data, ok := n.streams.Open(time.Now().UnixNano(), onion.StreamID(f.sid), blob)
 	if !ok {
 		return
@@ -527,7 +528,7 @@ func (n *Node) handleDeliver(f frame) {
 	n.emit(obs.Event{
 		Type: obs.MsgDelivered, At: time.Now().UnixMicro(),
 		Node: int(n.cfg.ID), Peer: int(relay), ID: f.sid,
-		Slot: -1, Hop: -1, Size: len(data),
+		Slot: -1, Hop: -1, Size: size,
 	})
 	n.cfg.OnData(ReplyHandle{node: n, sid: f.sid, relay: relay, key: key, frame: f.pooled}, data)
 }

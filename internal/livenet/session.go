@@ -263,16 +263,10 @@ type queuedBuild struct {
 // out before m distinct acks arrive.
 var errMessageLost = errors.New("livenet: message lost (retransmit budget exhausted)")
 
-// NewLiveSession constructs k node-disjoint live paths through the given
-// relay lists to the responder and wires reverse-path ack handling.
-// relayLists must hold k disjoint lists; r is the replication factor
-// (k must be a multiple of r). Repair is off — this is the legacy
-// fire-and-forget session; use NewLiveSessionOpts for the resilient one.
-func (n *Node) NewLiveSession(relayLists [][]netsim.NodeID, responder netsim.NodeID, r int, ackTimeout time.Duration) (*LiveSession, error) {
-	return n.NewLiveSessionOpts(relayLists, responder, SessionOptions{R: r, AckTimeout: ackTimeout})
-}
-
-// NewLiveSessionOpts constructs a session with explicit options.
+// NewLiveSessionOpts constructs k node-disjoint live paths through the
+// given relay lists to the responder and wires reverse-path ack
+// handling. relayLists must hold k disjoint lists; opts.R is the
+// replication factor (k must be a multiple of it).
 func (n *Node) NewLiveSessionOpts(relayLists [][]netsim.NodeID, responder netsim.NodeID, opts SessionOptions) (*LiveSession, error) {
 	k := len(relayLists)
 	r := opts.R

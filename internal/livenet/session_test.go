@@ -84,9 +84,9 @@ func TestLiveSessionEndToEnd(t *testing.T) {
 			for _, node := range e.c.nodes {
 				node.SetRoster(r)
 			}
-			sess, err := e.c.nodes[0].NewLiveSession([][]netsim.NodeID{
+			sess, err := e.c.nodes[0].NewLiveSessionOpts([][]netsim.NodeID{
 				{1, 2}, {3, 4}, {5, 6}, {7, 8},
-			}, 9, 2, 3*time.Second)
+			}, 9, SessionOptions{R: 2, AckTimeout: 3 * time.Second})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,9 +111,9 @@ func TestLiveSessionEndToEnd(t *testing.T) {
 
 func TestLiveSessionToleratesPathFailure(t *testing.T) {
 	e := newLiveSessionEnv(t, 10, 9)
-	sess, err := e.c.nodes[0].NewLiveSession([][]netsim.NodeID{
+	sess, err := e.c.nodes[0].NewLiveSessionOpts([][]netsim.NodeID{
 		{1, 2}, {3, 4}, {5, 6}, {7, 8},
-	}, 9, 2, 300*time.Millisecond)
+	}, 9, SessionOptions{R: 2, AckTimeout: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,10 +200,10 @@ func TestLiveSessionConcurrentSenders(t *testing.T) {
 
 func TestLiveSessionValidation(t *testing.T) {
 	e := newLiveSessionEnv(t, 6, 5)
-	if _, err := e.c.nodes[0].NewLiveSession(nil, 5, 2, 0); err == nil {
+	if _, err := e.c.nodes[0].NewLiveSessionOpts(nil, 5, SessionOptions{R: 2}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := e.c.nodes[0].NewLiveSession([][]netsim.NodeID{{1}, {2}, {3}}, 5, 2, 0); err == nil {
+	if _, err := e.c.nodes[0].NewLiveSessionOpts([][]netsim.NodeID{{1}, {2}, {3}}, 5, SessionOptions{R: 2}); err == nil {
 		t.Error("k not multiple of r accepted")
 	}
 }
@@ -214,7 +214,7 @@ func TestLiveSessionFailsWithoutQuorum(t *testing.T) {
 	e.c.nodes[1].Close()
 	e.c.nodes[3].Close()
 	e.c.nodes[0].cfg.ConstructTimeout = 300 * time.Millisecond
-	if _, err := e.c.nodes[0].NewLiveSession([][]netsim.NodeID{{1, 2}, {3, 4}}, 7, 1, 0); err == nil {
+	if _, err := e.c.nodes[0].NewLiveSessionOpts([][]netsim.NodeID{{1, 2}, {3, 4}}, 7, SessionOptions{R: 1}); err == nil {
 		t.Fatal("session without constructable paths accepted")
 	}
 }
@@ -405,7 +405,7 @@ func TestLiveSessionAsymmetricOpens(t *testing.T) {
 	// r=1: a message resolves only once both paths acked it, so no
 	// stream ever has two first deliveries racing to record its key and
 	// the count repeats exactly.
-	sess, err := e.c.nodes[0].NewLiveSession(relayLists, 5, 1, 5*time.Second)
+	sess, err := e.c.nodes[0].NewLiveSessionOpts(relayLists, 5, SessionOptions{R: 1, AckTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,9 +510,9 @@ func TestLiveConstructWithDataDeadRelay(t *testing.T) {
 func TestOversizeMessageRefused(t *testing.T) {
 	e := newLiveSessionEnv(t, 10, 9)
 	node := e.c.nodes[0]
-	sess, err := node.NewLiveSession([][]netsim.NodeID{
+	sess, err := node.NewLiveSessionOpts([][]netsim.NodeID{
 		{1, 2}, {3, 4}, {5, 6}, {7, 8},
-	}, 9, 2, 300*time.Millisecond)
+	}, 9, SessionOptions{R: 2, AckTimeout: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,9 +560,9 @@ func TestOversizeMessageRefused(t *testing.T) {
 func BenchmarkLiveSessionSendBulk(b *testing.B) {
 	collector := NewLiveCollector(nil)
 	c := startCluster(b, 10, map[int]DataFunc{9: collector.Handle})
-	sess, err := c.nodes[0].NewLiveSession([][]netsim.NodeID{
+	sess, err := c.nodes[0].NewLiveSessionOpts([][]netsim.NodeID{
 		{1, 2}, {3, 4}, {5, 6}, {7, 8},
-	}, 9, 2, 5*time.Second)
+	}, 9, SessionOptions{R: 2, AckTimeout: 5 * time.Second})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -592,7 +592,7 @@ func BenchmarkLiveSessionSendBulk(b *testing.B) {
 func BenchmarkLiveSessionSend(b *testing.B) {
 	collector := NewLiveCollector(nil)
 	c := startCluster(b, 6, map[int]DataFunc{5: collector.Handle})
-	sess, err := c.nodes[0].NewLiveSession([][]netsim.NodeID{{1, 2}, {3, 4}}, 5, 2, 5*time.Second)
+	sess, err := c.nodes[0].NewLiveSessionOpts([][]netsim.NodeID{{1, 2}, {3, 4}}, 5, SessionOptions{R: 2, AckTimeout: 5 * time.Second})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -387,11 +387,7 @@ func (db *DB) AppendKey(key string, at int64, v float64) {
 
 // Get returns the series for name+labels, nil when absent.
 func (db *DB) Get(name string, labels Labels) *Series {
-	return db.GetKey(Key(name, labels))
-}
-
-// GetKey returns the series for a canonical key, nil when absent.
-func (db *DB) GetKey(key string) *Series {
+	key := Key(name, labels)
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.series[key]
@@ -424,9 +420,9 @@ func (db *DB) ByName(name string) []*Series {
 	return out
 }
 
-// ByPrefix returns every series whose metric name starts with prefix,
+// byPrefix returns every series whose metric name starts with prefix,
 // sorted by key.
-func (db *DB) ByPrefix(prefix string) []*Series {
+func (db *DB) byPrefix(prefix string) []*Series {
 	db.mu.RLock()
 	var out []*Series
 	for _, s := range db.series {
@@ -443,16 +439,9 @@ func (db *DB) ByPrefix(prefix string) []*Series {
 // suffix ("live_frames_in_*"), otherwise the name must match exactly.
 func (db *DB) Match(pattern string) []*Series {
 	if p, ok := strings.CutSuffix(pattern, "*"); ok {
-		return db.ByPrefix(p)
+		return db.byPrefix(p)
 	}
 	return db.ByName(pattern)
-}
-
-// NumSeries returns the number of series.
-func (db *DB) NumSeries() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.series)
 }
 
 // Annotate appends one annotation.

@@ -180,7 +180,7 @@ func TestFileRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got.Capacity() != db.Capacity() || got.NumSeries() != db.NumSeries() {
+		if got.Capacity() != db.Capacity() || len(got.All()) != len(db.All()) {
 			t.Fatalf("%s: cap/series mismatch", name)
 		}
 		if !reflect.DeepEqual(got.Get("ctr", L("node", "0")).Points(), db.Get("ctr", L("node", "0")).Points()) {

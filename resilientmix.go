@@ -107,8 +107,8 @@ const (
 type NetworkConfig = core.WorldConfig
 
 // Network is a fully wired simulated network. Create sessions with
-// NewSession, start churn with StartChurn, and advance virtual time with
-// Run.
+// NewSession and establish them with Establish, start churn with
+// StartChurn, and advance virtual time with Run.
 type Network = core.World
 
 // NewNetwork builds a simulated network from the configuration.
