@@ -12,12 +12,15 @@ build:
 	$(GO) vet ./...
 
 # Tier 1. Without -race on purpose: the allocation budgets
-# (core.TestSimEraMessageAllocs ≤ 6 allocations and
-# TestSimEraMessageBytes ≤ 1 KB,
+# (core.TestSimEraMessageAllocs ≤ 1 allocation and
+# TestSimEraMessageBytes ≤ 128 B,
 # livenet.TestLiveSmallAllocBudget ≤ 20 KB and ≤ 320 allocations,
 # TestLiveBulkAllocBudget ≤ 40 KB and ≤ 600 allocations, flat out,
 # livenet.TestFrameWriteAllocs) skip under the race detector, where
 # sync.Pool drops at random, so this is the only target that runs them.
+# (session.TestMachineSteadyStateAllocs and
+# TestReassemblerSteadyStateAllocs, 0 allocations after warm-up, touch
+# no pool and run under -race too.)
 test:
 	$(GO) test ./...
 
@@ -137,11 +140,12 @@ lint-session:
 lint-cluster:
 	$(GO) run ./ci/lintcluster
 
-# Short fuzz passes over the wire-facing parsers, the in-place onion and
+# Short fuzz passes over the wire-facing parsers, the session machine's
+# ledger and the reassembler against models of them, the in-place onion and
 # reverse-layer code, the keyed cipher handles against the by-bytes
 # API, the trace analyzer (anontrace report and anonctl smoke feed it
 # traces over HTTP), and the simulator's radix event queue against the
-# binary heap it replaced. This is the one list (16): CI's "Fuzz smoke" step is
+# binary heap it replaced. This is the one list (17): CI's "Fuzz smoke" step is
 # `make fuzz FUZZTIME=15s`. Every pass runs its fuzzer alone (-run '^$'
 # skips the package's tests, the anchored -fuzz matches one target).
 # (core.FuzzDecodeAppMsg and livenet.FuzzDecodeLive, which fuzz the two
@@ -153,6 +157,7 @@ FUZZERS = \
 	internal/wire:FuzzRoundTrip \
 	internal/session:FuzzDecodeApp \
 	internal/session:FuzzReassembler \
+	internal/session:FuzzMachine \
 	internal/onioncrypt:FuzzCipherOpen \
 	internal/onion:FuzzParseConstructLayer \
 	internal/onion:FuzzResponderBlob \

@@ -46,10 +46,9 @@ type Receiver struct {
 	tracer obs.Tracer
 	m      *worldMetrics
 
-	asm *session.Reassembler
-	// replies holds, per message the reassembler remembers, one handle
-	// per distinct delivering path: the reverse paths a response can use.
-	replies   map[uint64][]onion.ReplyHandle
+	// asm keeps, with each message, one reply handle per distinct
+	// delivering path: the reverse paths a response can use.
+	asm       *session.Reassembler[onion.ReplyHandle]
 	delivered uint64
 }
 
@@ -76,8 +75,7 @@ func NewReceiver(id netsim.NodeID, eng *sim.Engine, onDelivered DeliveredFunc) *
 		id:          id,
 		eng:         eng,
 		onDelivered: onDelivered,
-		asm:         session.NewReassembler(int64(inboundTTL)),
-		replies:     make(map[uint64][]onion.ReplyHandle),
+		asm:         session.NewReassembler[onion.ReplyHandle](int64(inboundTTL)),
 	}
 	eng.Every(inboundTTL, inboundTTL, r.sweep)
 	return r
@@ -89,14 +87,7 @@ func (r *Receiver) Delivered() uint64 { return r.delivered }
 // SetOnDelivered replaces the delivery callback.
 func (r *Receiver) SetOnDelivered(f DeliveredFunc) { r.onDelivered = f }
 
-func (r *Receiver) sweep() {
-	r.asm.Sweep(int64(r.eng.Now()))
-	for mid := range r.replies {
-		if _, _, _, ok := r.asm.Shape(mid); !ok {
-			delete(r.replies, mid)
-		}
-	}
-}
+func (r *Receiver) sweep() { r.asm.Sweep(int64(r.eng.Now())) }
 
 // HandleData is the onion.DataFunc for this node: it decodes an
 // application payload and processes segments and probes. It takes the
@@ -131,18 +122,17 @@ func (r *Receiver) HandleData(h onion.ReplyHandle, plain []byte) {
 		return
 	}
 	seg := msg.Seg
-	verdict := r.asm.Add(int64(r.eng.Now()), seg, buf)
+	verdict, handles := r.asm.Add(int64(r.eng.Now()), seg, buf)
 	if verdict == session.Rejected {
 		// Bad shape, or one that disagrees with the MID's earlier segments.
 		bufpool.Release(buf)
 		return
 	}
-	handles := r.replies[seg.MID]
-	if handles == nil {
+	if cap(*handles) == 0 {
 		// At most one handle per segment; the reassembler vetted the shape.
-		handles = make([]onion.ReplyHandle, 0, seg.Total)
+		*handles = make([]onion.ReplyHandle, 0, seg.Total)
 	}
-	r.replies[seg.MID] = addHandle(handles, h)
+	*handles = addHandle(*handles, h)
 	ack(h, session.Ack{MID: seg.MID, Index: seg.Index})
 	switch verdict {
 	case session.Duplicate, session.Late:
@@ -194,11 +184,10 @@ func (r *Receiver) reconstruct(seg session.Segment) {
 // request, distributed round-robin (§4.2: "sends the message segments
 // back over the k paths"). It returns the number of segments sent.
 func (r *Receiver) Respond(mid uint64, data []byte, flow *metrics.Flow) (int, error) {
-	needed, total, done, _ := r.asm.Shape(mid)
+	needed, total, done, handles, _ := r.asm.Shape(mid)
 	if !done {
 		return 0, fmt.Errorf("core: no reconstructed message %d to respond to", mid)
 	}
-	handles := r.replies[mid]
 	if len(handles) == 0 {
 		return 0, fmt.Errorf("core: no reverse paths for message %d", mid)
 	}

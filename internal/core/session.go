@@ -66,6 +66,8 @@ type Session struct {
 	// pinned past its Forget.
 	splits map[uint64][]byte
 	spare  [][]byte
+	// segs is SplitInto's descriptors, scratch the machine copies from.
+	segs []erasure.Segment
 
 	established bool
 	failed      bool
@@ -75,10 +77,15 @@ type Session struct {
 	repair      bool // EnableRepair was called: the path set heals instead of dying
 
 	// Responses reassemble by the ID of a message this session sent,
-	// rendezvous-forwarded conversations by their conversation ID.
-	sent      map[uint64]struct{}
-	responses *session.Reassembler
-	inbound   *session.Reassembler
+	// rendezvous-forwarded conversations by their conversation ID. All
+	// three forget a message between one and two inboundTTLs after they
+	// last heard of it, by a sweep the first send or arrival of each
+	// horizon runs (sweepAt): a session's memory is bounded by its rate,
+	// not its age, and no engine event is added for it.
+	sent      map[uint64]sim.Time // when each message went out
+	responses *session.Reassembler[struct{}]
+	inbound   *session.Reassembler[struct{}]
+	sweepAt   sim.Time
 
 	stats SessionStats
 
@@ -120,9 +127,9 @@ func (w *World) NewSession(self, responder netsim.NodeID, params Params) (*Sessi
 		provider:  w.Provider(self),
 		paths:     make([]*onion.Path, params.K),
 		splits:    make(map[uint64][]byte),
-		sent:      make(map[uint64]struct{}),
-		responses: session.NewReassembler(int64(inboundTTL)),
-		inbound:   session.NewReassembler(int64(inboundTTL)),
+		sent:      make(map[uint64]sim.Time),
+		responses: session.NewReassembler[struct{}](int64(inboundTTL)),
+		inbound:   session.NewReassembler[struct{}](int64(inboundTTL)),
 	}
 	s.choose = func(n int, exclude []netsim.NodeID) ([][]netsim.NodeID, error) {
 		w.cands = s.provider.AppendCandidates(w.cands[:0], self)
@@ -297,19 +304,22 @@ func (s *Session) SendMessageTo(dest netsim.NodeID, data []byte) (uint64, error)
 	if coded := s.code.N() * s.code.SegmentSize(len(data)); cap(split) < coded {
 		split = make([]byte, coded)
 	}
-	segs, err := s.code.SplitInto(data, split)
+	segs, err := s.code.SplitInto(s.segs[:0], data, split)
 	if err != nil {
 		return 0, err
 	}
+	s.segs = segs
 	mid := s.w.Eng.RNG().Uint64()
+	now := s.w.Eng.Now()
+	s.sweep(now)
 	var buf [session.Scratch]session.Output
-	outs, err := s.m.Send(buf[:0], int64(s.w.Eng.Now()), mid, dest, segs, s.scores())
+	outs, err := s.m.Send(buf[:0], int64(now), mid, dest, segs, s.scores())
 	if err != nil {
 		s.spare = append(s.spare, split)
 		return 0, err
 	}
 	s.splits[mid] = split
-	s.sent[mid] = struct{}{}
+	s.sent[mid] = now
 	s.stats.MessagesSent++
 	s.w.m.messagesSent.Inc()
 	s.run(outs)
@@ -545,6 +555,7 @@ func (s *Session) EnablePrediction(threshold float64, interval sim.Time) {
 // none): an ack's goes back once the machine has taken the ack in, a
 // segment's to the reassembler that stores it.
 func (s *Session) handleReverse(plain []byte, buf *[]byte) {
+	s.sweep(s.w.Eng.Now())
 	msg, err := session.DecodeApp(plain)
 	if err != nil {
 		bufpool.Release(buf)
@@ -576,11 +587,28 @@ func (s *Session) handleReverse(plain []byte, buf *[]byte) {
 	}
 }
 
+// sweep forgets, once a horizon, the messages sent and the responses
+// and inbound messages last heard of more than inboundTTL ago; the
+// reassemblers give back the buffers of those never rebuilt.
+func (s *Session) sweep(now sim.Time) {
+	if now < s.sweepAt {
+		return
+	}
+	for mid, at := range s.sent {
+		if at+inboundTTL <= now {
+			delete(s.sent, mid)
+		}
+	}
+	s.responses.Sweep(int64(now))
+	s.inbound.Sweep(int64(now))
+	s.sweepAt = now + inboundTTL
+}
+
 // reassemble adds one segment, lying in the pooled buffer buf, and
 // returns the message, in a buffer of its own, when it is the one that
 // completes it.
-func reassemble(r *session.Reassembler, now sim.Time, seg session.Segment, buf *[]byte) ([]byte, bool) {
-	switch r.Add(int64(now), seg, buf) {
+func reassemble(r *session.Reassembler[struct{}], now sim.Time, seg session.Segment, buf *[]byte) ([]byte, bool) {
+	switch v, _ := r.Add(int64(now), seg, buf); v {
 	case session.Stored:
 		return nil, false
 	case session.Ready:

@@ -60,7 +60,7 @@ func TestSplitIntoReusesBuffer(t *testing.T) {
 		msg[i] = byte(i * 7)
 	}
 	buf := make([]byte, c.N()*c.SegmentSize(len(msg)))
-	segs, err := c.SplitInto(msg, buf)
+	segs, err := c.SplitInto(nil, msg, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSplitIntoReusesBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reused, err := c.SplitInto(msg2, buf)
+	reused, err := c.SplitInto(nil, msg2, buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,16 +147,17 @@ func (c *Code) SegmentSize(msgLen int) int {
 // segment, and appending to one forces reallocation rather than
 // silently overwriting its neighbour.
 func (c *Code) Split(msg []byte) ([]Segment, error) {
-	return c.SplitInto(msg, nil)
+	return c.SplitInto(nil, msg, nil)
 }
 
-// SplitInto is Split with a caller-provided backing buffer for the
-// coded segments, for hot loops that encode repeatedly and can recycle
-// the previous round's buffer. buf needs N()*SegmentSize(len(msg))
-// bytes of capacity; when it is nil or too small a fresh buffer is
-// allocated. Reusing buf invalidates the segments of the previous call
-// that used it.
-func (c *Code) SplitInto(msg, buf []byte) ([]Segment, error) {
+// SplitInto is Split for hot loops that encode repeatedly: it appends
+// the n segment descriptors to dst and lays the coded segments in buf,
+// so a caller that recycles both — the previous round's descriptors and
+// buffer — allocates nothing. buf needs N()*SegmentSize(len(msg)) bytes
+// of capacity; when it is nil or too small a fresh buffer is allocated.
+// Reusing buf invalidates the segments of the previous call that used
+// it.
+func (c *Code) SplitInto(dst []Segment, msg, buf []byte) ([]Segment, error) {
 	if len(msg) > int(^uint32(0))-lenPrefix {
 		return nil, errors.New("erasure: message too large")
 	}
@@ -176,7 +177,9 @@ func (c *Code) SplitInto(msg, buf []byte) ([]Segment, error) {
 		tail[i] = 0
 	}
 
-	segs := make([]Segment, c.n)
+	if cap(dst)-len(dst) < c.n {
+		dst = append(make([]Segment, 0, len(dst)+c.n), dst...)
+	}
 	for i := 0; i < c.n; i++ {
 		out := buf[i*shard : (i+1)*shard : (i+1)*shard]
 		if i >= c.m {
@@ -191,9 +194,9 @@ func (c *Code) SplitInto(msg, buf []byte) ([]Segment, error) {
 				}
 			}
 		}
-		segs[i] = Segment{Index: i, Data: out}
+		dst = append(dst, Segment{Index: i, Data: out})
 	}
-	return segs, nil
+	return dst, nil
 }
 
 // Reconstruct rebuilds the original message from any m (or more)

@@ -499,7 +499,7 @@ func TestVerdictDuringSendKeepsTheSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := code.SplitInto(msg, make([]byte, code.N()*code.SegmentSize(len(msg))))
+	want, err := code.SplitInto(nil, msg, make([]byte, code.N()*code.SegmentSize(len(msg))))
 	if err != nil {
 		t.Fatal(err)
 	}

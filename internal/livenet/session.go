@@ -56,7 +56,7 @@ const collectorHorizon = 30 * time.Second
 // LiveDelivered returns.
 type LiveCollector struct {
 	mu        sync.Mutex
-	asm       *session.Reassembler
+	asm       *session.Reassembler[struct{}]
 	sweepAt   time.Time
 	now       func() time.Time // time.Now outside tests
 	delivered LiveDelivered
@@ -66,7 +66,7 @@ type LiveCollector struct {
 // messages to the callback.
 func NewLiveCollector(delivered LiveDelivered) *LiveCollector {
 	return &LiveCollector{
-		asm:       session.NewReassembler(int64(collectorHorizon)),
+		asm:       session.NewReassembler[struct{}](int64(collectorHorizon)),
 		now:       time.Now,
 		delivered: delivered,
 	}
@@ -103,7 +103,7 @@ func (c *LiveCollector) Handle(h ReplyHandle, data []byte) {
 	if !now.Before(c.sweepAt) {
 		c.sweepLocked(now)
 	}
-	verdict := c.asm.Add(now.UnixNano(), seg, h.frame)
+	verdict, _ := c.asm.Add(now.UnixNano(), seg, h.frame)
 	c.mu.Unlock()
 	if verdict == session.Rejected {
 		h.releaseFrame()
@@ -474,7 +474,10 @@ func (s *LiveSession) Send(data []byte) (uint64, error) {
 			ErrFrameTooLarge, len(data), seg, size, maxFrameSize)
 	}
 	sb := bufpool.Get(s.code.N() * s.code.SegmentSize(len(data)))
-	segs, err := s.code.SplitInto(data, *sb)
+	// The machine copies the descriptors: they are scratch, on the stack
+	// for up to eight paths.
+	var descs [8]erasure.Segment
+	segs, err := s.code.SplitInto(descs[:0], data, *sb)
 	if err != nil {
 		bufpool.Release(sb)
 		return 0, err

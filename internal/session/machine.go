@@ -138,10 +138,11 @@ type job struct {
 }
 
 // message is the ack ledger of one round set: a data message (with its
-// retransmit rounds) or one probe round.
+// retransmit rounds) or one probe round. Records are recycled, with
+// their lists' capacity (see forget and record).
 type message struct {
 	dest     netsim.NodeID
-	segs     []erasure.Segment // nil once resolved
+	segs     []erasure.Segment // the driver's segment headers; empty once resolved
 	jobs     []job             // the current round
 	acked    [erasure.MaxSegments / 64]uint64
 	nAcked   int
@@ -159,6 +160,7 @@ type Machine struct {
 	cfg      Config
 	slots    []slot
 	msgs     map[uint64]*message
+	free     []*message // forgotten records, cleared, for new round sets
 	inflight int
 	repair   bool
 	torn     bool
@@ -358,10 +360,12 @@ func (m *Machine) Send(out []Output, now int64, mid uint64, dest netsim.NodeID, 
 	if m.cfg.MaxInflight > 0 && m.inflight >= m.cfg.MaxInflight {
 		return out, ErrFull
 	}
-	// The record reads segs until the verdict, whose Forget hands them
-	// back; its ledger lives on to its last deadline (see resolve).
-	msg := &message{dest: dest, segs: segs, jobs: make([]job, 0, len(segs))}
-	m.msgs[mid] = msg
+	// The record copies the headers of segs, so the slice is the driver's
+	// scratch again when Send returns; it reads the bytes they point at
+	// until the verdict, whose Forget hands them back. Its ledger lives on
+	// to its last deadline (see resolve).
+	msg := m.record(mid)
+	msg.dest, msg.segs = dest, append(msg.segs, segs...)
 	m.inflight++
 	m.Each(len(segs), scores, func(si, idx int) {
 		sl := &m.slots[si]
@@ -459,7 +463,9 @@ func (m *Machine) Ack(out []Output, mid uint64, idx int32) []Output {
 // stay until its last deadline, which condemns the slots that never
 // acknowledged.
 func (m *Machine) resolve(out []Output, mid uint64, msg *message, delivered bool) []Output {
-	msg.resolved, msg.segs = true, nil
+	msg.resolved = true
+	clear(msg.segs)
+	msg.segs = msg.segs[:0]
 	m.inflight--
 	return append(out, Output{Kind: Resolved, MID: mid, Delivered: delivered}, Output{Kind: Forget, MID: mid})
 }
@@ -508,13 +514,35 @@ func (m *Machine) Deadline(out []Output, now int64, mid uint64) []Output {
 }
 
 // forget deletes round set mid's record, announcing a data message's
-// that no verdict released: one torn down unresolved.
+// that no verdict released: one torn down unresolved. It is the one
+// place a record leaves m.msgs, and the record goes to the free list
+// cleared: it points at no segment, and a round set that reuses it
+// starts with nothing acked.
 func (m *Machine) forget(out []Output, mid uint64, msg *message) []Output {
-	delete(m.msgs, mid)
-	if msg == nil || msg.probe || msg.resolved {
+	if msg == nil {
 		return out
 	}
-	return append(out, Output{Kind: Forget, MID: mid})
+	delete(m.msgs, mid)
+	if !msg.probe && !msg.resolved {
+		out = append(out, Output{Kind: Forget, MID: mid})
+	}
+	clear(msg.segs)
+	*msg = message{segs: msg.segs[:0], jobs: msg.jobs[:0]}
+	m.free = append(m.free, msg)
+	return out
+}
+
+// record returns an empty record, from the free list when it has one,
+// entered in m.msgs as round set mid's.
+func (m *Machine) record(mid uint64) *message {
+	var msg *message
+	if n := len(m.free); n > 0 {
+		msg, m.free = m.free[n-1], m.free[:n-1]
+	} else {
+		msg = &message{jobs: make([]job, 0, max(m.cfg.N, m.cfg.K))}
+	}
+	m.msgs[mid] = msg
+	return msg
 }
 
 // retransmit sends every unacknowledged segment again: on its home
@@ -564,14 +592,14 @@ func (m *Machine) ProbeRound(out []Output, now int64, mid uint64) []Output {
 	if m.torn || m.Alive() == 0 {
 		return out
 	}
-	msg := &message{probe: true, jobs: make([]job, 0, len(m.slots))}
+	msg := m.record(mid)
+	msg.probe = true
 	for i := range m.slots {
 		if sl := &m.slots[i]; sl.alive {
 			out = append(out, Output{Kind: Probe, Slot: i, MID: mid, Index: int32(i)})
 			msg.jobs = append(msg.jobs, job{slot: int32(i), idx: int32(i), gen: sl.gen})
 		}
 	}
-	m.msgs[mid] = msg
 	return append(out, Output{Kind: Arm, MID: mid, At: now + m.cfg.AckTimeout})
 }
 

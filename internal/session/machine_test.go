@@ -1,6 +1,7 @@
 package session_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -567,4 +568,323 @@ func TestStormInvariants(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestMachineSteadyStateAllocs: once its free list and map have grown
+// to the round sets alive at once, the machine sends, acknowledges,
+// resolves, probes and forgets without allocating — a forgotten
+// record, with its ledger's and its segment headers' capacity, goes to
+// the next Send or ProbeRound.
+func TestMachineSteadyStateAllocs(t *testing.T) {
+	m, segs := bareMachine(t, 0)
+	var now int64
+	var mid uint64
+	delivered, probed := 0, 0
+	cycle := func() {
+		var buf [session.Scratch]session.Output
+		now += sec
+		mid++
+		if _, err := m.Send(buf[:0], now, mid, 9, segs, nil); err != nil {
+			t.Fatal(err)
+		}
+		for i := int32(0); i < 4; i++ {
+			if outs := m.Ack(buf[:0], mid, i); len(outs) == 3 && outs[1].Delivered {
+				delivered++
+			}
+		}
+		mid++
+		m.ProbeRound(buf[:0], now, mid)
+		for i := int32(0); i < 3; i++ {
+			if outs := m.Ack(buf[:0], mid, i); len(outs) == 1 && outs[0].OfProbe {
+				probed++
+			}
+		}
+		// The previous cycle's deadlines: one round set of each kind stays
+		// armed across the cycle. Slot 3 never acknowledges the probe, and
+		// its deadline condemns it; the rebuild brings it back.
+		m.Deadline(buf[:0], now, mid-3)
+		outs := m.Deadline(buf[:0], now, mid-2)
+		if len(outs) == 1 && outs[0].Kind == session.Broken {
+			m.PathUp(3, nil)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	const runs = 1000
+	allocs := testing.AllocsPerRun(runs, cycle)
+	if n := runs + 1 + 8; allocs != 0 || delivered != n || probed != 3*n || m.Armed() != 2 {
+		t.Fatalf("%v allocations a cycle; %d of %d delivered, %d of %d probes acked, %d armed; want 0, all, all, 2",
+			allocs, delivered, n, probed, 3*n, m.Armed())
+	}
+}
+
+// FuzzMachine drives one machine — 4 slots, m = 2 of n = 4, two
+// retransmit rounds, at most four in flight, repair on or off — with a
+// byte-driven sequence of Send, Ack, Deadline, ProbeRound, PathBuilt,
+// PathFailed, Abandon, Replace and Teardown inputs, keeping its own
+// model of every round set's ledger, and checks after every step what
+// TestStormInvariants checks after a storm: every accepted Send
+// resolves at most once and never both ways, a data message's Forget
+// comes once, never for a probe round and never before its verdict
+// unless it was torn down, the in-flight bound holds, and nothing but a
+// Forget comes after Teardown. Beyond that, the ledger is exact: an Ack
+// yields Acked — and the m-th a delivered verdict — exactly when the
+// model has that index unacknowledged since the round set began, so an
+// ack bit, count or round left on a recycled record shows. And a
+// retransmission carries the bytes Send was given, though the
+// descriptor slice Send read is overwritten once it returns. At the end
+// every live round set's deadlines fire until all have their verdicts.
+//
+// One step is two bytes: the input (low nibble) and the clock's advance
+// in AckTimeout/4 units (high nibble); then its argument.
+func FuzzMachine(f *testing.F) {
+	const (
+		opSend = iota
+		opAck
+		opDeadline
+		opProbe
+		opBuilt
+		opFailed
+		opAbandon
+		opReplace
+		opTeardown
+		nOps
+	)
+	// A step's argument picks a round set begun (low nibble, modulo their
+	// number) and an index (high nibble, less one).
+	//
+	// A message delivered, forgotten at its deadline, and a new one in
+	// its record whose acks must all count again.
+	f.Add(true, []byte{opSend, 0, opAck, 0x10, opAck, 0x20, opDeadline | 0x40, 0,
+		opSend, 0, opAck, 0x11, opAck, 0x21, opDeadline | 0x40, 1})
+	// Probe rounds and data messages sharing records, slots lost and
+	// rebuilt, a message retransmitted to its last round.
+	f.Add(true, []byte{opProbe, 0, opAck, 0x10, opDeadline | 0x40, 0, opBuilt, 0, opSend, 0, opDeadline | 0x40, 1,
+		opDeadline | 0x40, 1, opDeadline | 0x40, 1, opSend, 0, opAck, 0x12, opAck, 0x22, opDeadline | 0x40, 2})
+	// The in-flight bound, and Teardown with messages unresolved.
+	f.Add(false, []byte{opSend, 0, opSend, 0, opSend, 0, opSend, 0, opSend, 0, opAck, 0x31, opTeardown, 0,
+		opAck, 0x32, opDeadline | 0x40, 3, opDeadline | 0x40, 2, opSend, 0})
+	f.Add(true, []byte{opReplace, 2, opAbandon, 0, opProbe, 0, opFailed, 0, opReplace, 1, opBuilt, 0, opSend, 0})
+
+	type round struct {
+		probe, resolved, forgotten bool
+		acked                      map[int32]bool
+		rounds                     int
+	}
+	f.Fuzz(func(t *testing.T, repair bool, script []byte) {
+		const maxRetransmits, maxInflight, ackTimeout = 2, 4, 4 * sec
+		code, err := erasure.New(2, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := session.New(session.Config{K: 4, M: 2, N: 4, Responder: 9, AckTimeout: ackTimeout,
+			MaxRetransmits: maxRetransmits, MaxInflight: maxInflight})
+		if repair {
+			m.EnableRepair()
+		}
+		for i := 0; i < 4; i++ {
+			m.PathUp(i, []netsim.NodeID{netsim.NodeID(i + 1)})
+		}
+		var (
+			now      int64
+			mids     []uint64 // every round set begun, in order
+			sets     = make(map[uint64]*round)
+			data     = make(map[uint64][][]byte) // a data message's segment bytes, by index
+			verdicts = make(map[uint64]int)
+			forgot   = make(map[uint64]int)
+			builds   []session.Output // Build outputs not yet concluded
+			torn     bool
+			descs    []erasure.Segment // Send's scratch, overwritten after every Send
+		)
+		inflight := func() (n int) {
+			for _, r := range sets {
+				if !r.probe && !r.resolved {
+					n++
+				}
+			}
+			return n
+		}
+		// check takes in the outputs of one input; acks are the Acked and
+		// delivered Resolved the model expects of it.
+		check := func(in string, outs []session.Output, acks []session.Output) {
+			t.Helper()
+			var got []session.Output
+			for _, o := range outs {
+				r := sets[o.MID]
+				if torn && o.Kind != session.Forget {
+					t.Fatalf("%s after Teardown: output %+v", in, o)
+				}
+				switch o.Kind {
+				case session.Acked:
+					got = append(got, o)
+				case session.Resolved:
+					if r == nil || r.probe || r.resolved {
+						t.Fatalf("%s: Resolved %d, a round set %+v", in, o.MID, r)
+					}
+					r.resolved = true
+					verdicts[o.MID]++
+					if o.Delivered {
+						got = append(got, o)
+					} else if r.rounds < maxRetransmits {
+						t.Fatalf("%s: %d lost after %d retransmissions", in, o.MID, r.rounds)
+					}
+				case session.Forget:
+					if r == nil || r.probe || !(r.resolved || torn) {
+						t.Fatalf("%s: Forget %d, a round set %+v", in, o.MID, r)
+					}
+					forgot[o.MID]++
+					if forgot[o.MID] != 1 {
+						t.Fatalf("%s: %d forgotten twice", in, o.MID)
+					}
+				case session.Transmit:
+					if segs := data[o.MID]; o.Index < 0 || int(o.Index) >= len(segs) || !bytes.Equal(o.Data, segs[o.Index]) {
+						t.Fatalf("%s: segment %d of %d transmitted as %x", in, o.Index, o.MID, o.Data)
+					}
+				case session.Build:
+					builds = append(builds, o)
+				}
+			}
+			if !slices.EqualFunc(got, acks, func(a, b session.Output) bool {
+				return a.Kind == b.Kind && a.MID == b.MID && a.Index == b.Index && a.OfProbe == b.OfProbe && a.Delivered == b.Delivered
+			}) {
+				t.Fatalf("%s: acks and verdicts %+v, want %+v", in, got, acks)
+			}
+			live := 0
+			for _, r := range sets {
+				if !r.forgotten {
+					live++
+				}
+			}
+			if n := inflight(); !torn && (m.Inflight() != n || n > maxInflight || m.Armed() != live) {
+				t.Fatalf("%s: %d in flight (model %d, bound %d), %d armed (model %d)", in, m.Inflight(), n, maxInflight, m.Armed(), live)
+			}
+		}
+		// deadline fires round set mid's deadline, in the model too.
+		deadline := func(mid uint64) {
+			var buf [session.Scratch]session.Output
+			r := sets[mid]
+			outs := m.Deadline(buf[:0], now, mid)
+			if r == nil || r.forgotten {
+				if len(outs) != 0 {
+					t.Fatalf("the deadline of a forgotten round set %d: %v", mid, kinds(outs))
+				}
+				return
+			}
+			retransmit := !torn && !r.probe && !r.resolved && r.rounds < maxRetransmits
+			if retransmit {
+				r.rounds++
+			}
+			r.forgotten = !retransmit
+			check(fmt.Sprintf("Deadline(%d)", mid), outs, nil)
+			if retransmit != slices.Contains(kinds(outs), session.Retransmit) {
+				t.Fatalf("Deadline(%d): outputs %v, retransmission expected %v", mid, kinds(outs), retransmit)
+			}
+		}
+		pick := func(b byte) uint64 {
+			if len(mids) == 0 {
+				return 1 << 40 // no round set: an unknown ID
+			}
+			return mids[int(b)%len(mids)]
+		}
+		for next := uint64(1); len(script) >= 2; script = script[2:] {
+			op, arg := int(script[0]&0xf)%nOps, script[1]
+			now += int64(script[0]>>4) * ackTimeout / 4
+			var buf [session.Scratch]session.Output
+			switch op {
+			case opSend:
+				mid := next
+				next++
+				msg := []byte(fmt.Sprintf("message %d", mid))
+				split, err := code.SplitInto(descs[:0], msg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				descs = split
+				var segs [][]byte
+				for _, s := range split {
+					segs = append(segs, s.Data)
+				}
+				data[mid] = segs
+				outs, err := m.Send(buf[:0], now, mid, 9, split, nil)
+				for i := range descs {
+					descs[i] = erasure.Segment{Index: 3 - i, Data: []byte("scratch")}
+				}
+				full := inflight() >= maxInflight
+				switch {
+				case torn && !errors.Is(err, session.ErrTornDown), !torn && full && !errors.Is(err, session.ErrFull):
+					t.Fatalf("Send on a machine torn down %v, full %v: %v", torn, full, err)
+				case err == nil:
+					if torn || full {
+						t.Fatalf("Send accepted on a machine torn down %v, full %v", torn, full)
+					}
+					mids = append(mids, mid)
+					sets[mid] = &round{acked: make(map[int32]bool)}
+				}
+				check(fmt.Sprintf("Send(%d)", mid), outs, nil)
+			case opAck:
+				mid, idx := pick(arg), int32(arg>>4)-1 // indices -1..14
+				var want []session.Output
+				if r := sets[mid]; r != nil && !r.forgotten && !torn && idx >= 0 && !r.acked[idx] {
+					r.acked[idx] = true
+					want = append(want, session.Output{Kind: session.Acked, MID: mid, Index: idx, OfProbe: r.probe})
+					if !r.probe && !r.resolved && len(r.acked) >= 2 {
+						want = append(want, session.Output{Kind: session.Resolved, MID: mid, Delivered: true})
+					}
+				}
+				var abuf [session.AckScratch]session.Output
+				check(fmt.Sprintf("Ack(%d, %d)", mid, idx), m.Ack(abuf[:0], mid, idx), want)
+			case opDeadline:
+				deadline(pick(arg))
+			case opProbe:
+				mid := next
+				next++
+				alive := m.Alive()
+				outs := m.ProbeRound(buf[:0], now, mid)
+				if !torn && alive > 0 {
+					mids = append(mids, mid)
+					sets[mid] = &round{probe: true, acked: make(map[int32]bool)}
+				}
+				check(fmt.Sprintf("ProbeRound(%d)", mid), outs, nil)
+			case opBuilt, opFailed, opAbandon:
+				if len(builds) == 0 {
+					continue
+				}
+				i := int(arg) % len(builds)
+				b := builds[i]
+				builds = append(builds[:i], builds[i+1:]...)
+				switch op {
+				case opBuilt:
+					check("PathBuilt", m.PathBuilt(buf[:0], b.Slot, []netsim.NodeID{netsim.NodeID(20 + arg)}), nil)
+				case opFailed:
+					m.PathFailed(b.Slot)
+				default:
+					m.Abandon(b)
+				}
+			case opReplace:
+				check("Replace", m.Replace(buf[:0], int(arg)%4), nil)
+			case opTeardown:
+				m.Teardown()
+				torn = true
+			}
+		}
+		for _, mid := range mids {
+			for i := 0; i <= maxRetransmits; i++ {
+				now += ackTimeout
+				deadline(mid)
+			}
+		}
+		for _, mid := range mids {
+			r := sets[mid]
+			if !r.forgotten {
+				t.Fatalf("round set %d outlived its last deadline", mid)
+			}
+			if !r.probe && (verdicts[mid] != 1 && !torn || forgot[mid] != 1) {
+				t.Fatalf("message %d: %d verdicts, forgotten %d times", mid, verdicts[mid], forgot[mid])
+			}
+		}
+		if m.Armed() != 0 || m.Inflight() != 0 {
+			t.Fatalf("at the end: %d armed, %d in flight", m.Armed(), m.Inflight())
+		}
+	})
 }

@@ -42,18 +42,28 @@ const (
 // reads them — once Reconstruct has decoded the message, or when Sweep
 // forgets a message that never was. The handle of a segment it did not
 // store (Rejected, Duplicate, Late) stays the caller's to release.
-type Reassembler struct {
+//
+// Each message also keeps a list of H for its driver, which lives as
+// long as the message: core's responder keeps there one reply handle
+// per path that delivered a segment, the reverse paths a response can
+// use. Records are recycled: Sweep clears the record of a message it
+// forgets, the list of H included, and keeps it for a new message, so
+// nothing may hold on to a message's list past that Sweep.
+type Reassembler[H any] struct {
 	horizon int64
-	msgs    map[uint64]*assembly
+	msgs    map[uint64]*assembly[H]
 	code    *erasure.Code    // the most recent shape's decoder
 	release func(bp *[]byte) // bufpool.Release; tests count through it
 	// spare holds the emptied lists of messages rebuilt or forgotten, for
-	// new messages to fill.
+	// new messages to fill; free holds the cleared records of forgotten
+	// messages, with their lists of H, for new messages.
 	spare []lists
+	free  []*assembly[H]
 }
 
-type assembly struct {
+type assembly[H any] struct {
 	lists         // empty once done
+	replies       []H
 	needed, total int32
 	done          bool
 	first         int64
@@ -68,26 +78,35 @@ type lists struct {
 }
 
 // NewReassembler returns a reassembler whose messages expire horizon
-// clock units after their last segment.
-func NewReassembler(horizon int64) *Reassembler {
-	return &Reassembler{horizon: horizon, msgs: make(map[uint64]*assembly), release: bufpool.Release}
+// clock units after their last segment. A driver that keeps nothing
+// per message makes H struct{}.
+func NewReassembler[H any](horizon int64) *Reassembler[H] {
+	return &Reassembler[H]{horizon: horizon, msgs: make(map[uint64]*assembly[H]), release: bufpool.Release}
 }
 
 // Add takes in one segment, whose bytes lie in the pooled buffer buf
 // (nil when they are in no pooled buffer). On Stored and Ready the
 // reassembler keeps buf; on any other verdict the caller still owns it.
 // On Ready the caller (after acknowledging, which §4.5's failure
-// detector is waiting for) calls Reconstruct.
-func (r *Reassembler) Add(now int64, s Segment, buf *[]byte) Verdict {
+// detector is waiting for) calls Reconstruct. Unless the verdict is
+// Rejected, replies points at the message's list of H — empty for a
+// message new to the reassembler — for the caller to read and append
+// to: one lookup serves the segment and the driver's state.
+func (r *Reassembler[H]) Add(now int64, s Segment, buf *[]byte) (v Verdict, replies *[]H) {
 	if !ValidCodeShape(s.Needed, s.Total) || s.Index < 0 || s.Index >= s.Total {
-		return Rejected
+		return Rejected, nil
 	}
 	a := r.msgs[s.MID]
 	if a == nil {
+		if n := len(r.free); n > 0 {
+			a, r.free = r.free[n-1], r.free[:n-1]
+		} else {
+			a = new(assembly[H])
+		}
+		a.needed, a.total, a.first = s.Needed, s.Total, now
 		// m segments complete the message; ValidCodeShape bounds m.
 		// A spare too short for this shape is dropped, not kept: spare
 		// then never outnumbers the messages held at once.
-		a = &assembly{needed: s.Needed, total: s.Total, first: now}
 		if n := len(r.spare); n > 0 {
 			a.lists, r.spare = r.spare[n-1], r.spare[:n-1]
 		}
@@ -98,44 +117,44 @@ func (r *Reassembler) Add(now int64, s Segment, buf *[]byte) Verdict {
 	}
 	a.expires = now + r.horizon
 	if a.needed != s.Needed || a.total != s.Total {
-		return Rejected
+		return Rejected, nil
 	}
 	if a.done {
-		return Late
+		return Late, &a.replies
 	}
 	for _, have := range a.segs {
 		if have.Index == int(s.Index) {
-			return Duplicate
+			return Duplicate, &a.replies
 		}
 	}
 	// Every segment of a message is as long as its first, so a Ready
 	// message's m segments are m × that length of bytes received — what
 	// a caller sizes ReconstructInto's buffer by.
 	if len(a.segs) > 0 && len(s.Data) != len(a.segs[0].Data) {
-		return Rejected
+		return Rejected, nil
 	}
 	a.segs = append(a.segs, erasure.Segment{Index: int(s.Index), Data: s.Data})
 	if buf != nil {
 		a.bufs = append(a.bufs, buf)
 	}
 	if len(a.segs) >= int(a.needed) {
-		return Ready
+		return Ready, &a.replies
 	}
-	return Stored
+	return Stored, &a.replies
 }
 
 // Reconstruct decodes a message that reported Ready. On success the
 // message is done: its segments are dropped, the buffers they lay in go
 // back to the pool, and it is never delivered again. It returns the
 // message, how many segments it held and when its first one arrived.
-func (r *Reassembler) Reconstruct(mid uint64) (data []byte, segments int, first int64, ok bool) {
+func (r *Reassembler[H]) Reconstruct(mid uint64) (data []byte, segments int, first int64, ok bool) {
 	return r.ReconstructInto(mid, nil)
 }
 
 // ReconstructInto is Reconstruct decoding into dst, as
 // erasure.(*Code).ReconstructInto does: dst needs the message's m times
 // a segment's length of capacity, or a fresh buffer is allocated.
-func (r *Reassembler) ReconstructInto(mid uint64, dst []byte) (data []byte, segments int, first int64, ok bool) {
+func (r *Reassembler[H]) ReconstructInto(mid uint64, dst []byte) (data []byte, segments int, first int64, ok bool) {
 	a := r.msgs[mid]
 	if a == nil || a.done || len(a.segs) < int(a.needed) {
 		return nil, 0, 0, false
@@ -159,7 +178,7 @@ func (r *Reassembler) ReconstructInto(mid uint64, dst []byte) (data []byte, segm
 
 // drop forgets a message's segments, releases the buffers they lay in
 // and keeps the emptied lists for another message.
-func (r *Reassembler) drop(a *assembly) {
+func (r *Reassembler[H]) drop(a *assembly[H]) {
 	if a.segs == nil {
 		return
 	}
@@ -172,26 +191,31 @@ func (r *Reassembler) drop(a *assembly) {
 	a.lists = lists{}
 }
 
-// Shape returns the code shape of a message and whether it has been
-// reconstructed; ok is false for an unknown (or expired) message.
-func (r *Reassembler) Shape(mid uint64) (needed, total int32, done, ok bool) {
+// Shape returns the code shape of a message, whether it has been
+// reconstructed and its list of H; ok is false for an unknown (or
+// expired) message.
+func (r *Reassembler[H]) Shape(mid uint64) (needed, total int32, done bool, replies []H, ok bool) {
 	a := r.msgs[mid]
 	if a == nil {
-		return 0, 0, false, false
+		return 0, 0, false, nil, false
 	}
-	return a.needed, a.total, a.done, true
+	return a.needed, a.total, a.done, a.replies, true
 }
 
 // Sweep forgets every message whose expiry has passed, releasing the
-// buffers of those never reconstructed.
-func (r *Reassembler) Sweep(now int64) {
+// buffers of those never reconstructed, and keeps their records,
+// cleared, for new messages.
+func (r *Reassembler[H]) Sweep(now int64) {
 	for mid, a := range r.msgs {
 		if a.expires <= now {
 			r.drop(a)
 			delete(r.msgs, mid)
+			clear(a.replies)
+			*a = assembly[H]{replies: a.replies[:0]}
+			r.free = append(r.free, a)
 		}
 	}
 }
 
 // Len returns the number of messages remembered, done or not.
-func (r *Reassembler) Len() int { return len(r.msgs) }
+func (r *Reassembler[H]) Len() int { return len(r.msgs) }

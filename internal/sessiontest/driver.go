@@ -70,7 +70,7 @@ type Driver struct {
 	code    *erasure.Code
 	paths   []*path
 	epoch   []int // bumped when a node goes down: path state of older epochs is gone
-	asm     *session.Reassembler
+	asm     *session.Reassembler[struct{}]
 	nextMID uint64
 	ticks   []*sim.Timer
 	torn    bool
@@ -102,7 +102,7 @@ func NewDriver(nodes int, hop sim.Time, seed int64, self, responder netsim.NodeI
 		opts: opts, code: code,
 		paths: make([]*path, cfg.K),
 		epoch: make([]int, nodes),
-		asm:   session.NewReassembler(1 << 62),
+		asm:   session.NewReassembler[struct{}](1 << 62),
 	}
 	// A message is what happens when it arrives.
 	arrive := netsim.HandlerFunc(func(_ netsim.NodeID, msg netsim.Message) { msg.Payload.(func())() })
@@ -374,7 +374,7 @@ func (d *Driver) deliver(p *path, payload []byte) {
 	case session.KindProbe:
 		reply(msg.Ack)
 	case session.KindSegment:
-		v := d.asm.Add(int64(d.Eng.Now()), msg.Seg, nil)
+		v, _ := d.asm.Add(int64(d.Eng.Now()), msg.Seg, nil)
 		if v == session.Rejected {
 			return
 		}
