@@ -12,8 +12,9 @@ build:
 	$(GO) vet ./...
 
 # Tier 1. Without -race on purpose: the allocation budgets
-# (core.TestSimEraMessageAllocs ≤ 1 allocation and
-# TestSimEraMessageBytes ≤ 128 B,
+# (core.TestSimEraMessageAllocs ≤ 1 allocation,
+# TestSimEraMessageBytes ≤ 128 B and TestPathConstructionAllocs ≤ 6
+# allocations per path construction,
 # livenet.TestLiveSmallAllocBudget ≤ 20 KB and ≤ 320 allocations,
 # TestLiveBulkAllocBudget ≤ 40 KB and ≤ 600 allocations, flat out,
 # livenet.TestFrameWriteAllocs) skip under the race detector, where

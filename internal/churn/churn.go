@@ -12,7 +12,6 @@ package churn
 
 import (
 	"fmt"
-	"math/rand"
 
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/sim"
@@ -32,6 +31,10 @@ type Driver struct {
 	lifetime stats.Dist
 	pinned   map[netsim.NodeID]bool
 	started  bool
+	// leave and join are the transitions as typed engine events, with
+	// the node id as the argument: registered once, at Start, so a
+	// transition costs no closure.
+	leave, join sim.Func
 
 	transitions uint64
 }
@@ -72,13 +75,15 @@ func (d *Driver) Start() error {
 		return fmt.Errorf("churn: driver already started")
 	}
 	d.started = true
-	rng := d.net.Engine().RNG()
+	eng := d.net.Engine()
+	d.leave = eng.Register(func(id uint64) { d.transition(netsim.NodeID(id), false) })
+	d.join = eng.Register(func(id uint64) { d.transition(netsim.NodeID(id), true) })
 	for i := 0; i < d.net.Size(); i++ {
 		id := netsim.NodeID(i)
 		if d.pinned[id] {
 			continue
 		}
-		d.scheduleLeave(id, rng)
+		d.schedule(id, d.leave)
 	}
 	return nil
 }
@@ -86,20 +91,21 @@ func (d *Driver) Start() error {
 // Transitions returns the number of up/down transitions applied so far.
 func (d *Driver) Transitions() uint64 { return d.transitions }
 
-func (d *Driver) scheduleLeave(id netsim.NodeID, rng *rand.Rand) {
-	session := sim.FromSeconds(d.lifetime.Sample(rng))
-	d.net.Engine().Schedule(session, func() {
-		d.transitions++
-		d.net.SetUp(id, false)
-		d.scheduleJoin(id, rng)
-	})
+// transition takes node id up or down and schedules its next
+// transition, the other way.
+func (d *Driver) transition(id netsim.NodeID, up bool) {
+	d.transitions++
+	d.net.SetUp(id, up)
+	next := d.leave
+	if !up {
+		next = d.join
+	}
+	d.schedule(id, next)
 }
 
-func (d *Driver) scheduleJoin(id netsim.NodeID, rng *rand.Rand) {
-	down := sim.FromSeconds(d.lifetime.Sample(rng))
-	d.net.Engine().Schedule(down, func() {
-		d.transitions++
-		d.net.SetUp(id, true)
-		d.scheduleLeave(id, rng)
-	})
+// schedule draws how long node id stays as it is and schedules the
+// transition f then.
+func (d *Driver) schedule(id netsim.NodeID, f sim.Func) {
+	eng := d.net.Engine()
+	eng.ScheduleTyped(sim.FromSeconds(d.lifetime.Sample(eng.RNG())), f, uint64(id))
 }

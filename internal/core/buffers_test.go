@@ -17,8 +17,10 @@ import (
 // message, the responder's probe, service, stored, duplicate and late
 // segments, the rebuilt message when onDelivered returns, the
 // initiator's acks, response segments (its own and not) and inbound
-// segments, and the partial messages a sweep forgets — with released
-// buffers poisoned, and requires every payload that arrives to arrive
+// segments, the partial messages a sweep forgets, a message the network
+// drops, and a construction onion at its terminal relay or, with the
+// segment that rode it, at the responder — with released buffers
+// poisoned, and requires every payload that arrives to arrive
 // byte-exact: the messages, their responses, immediate
 // (Receiver.Respond inside the callback) and delayed (as
 // examples/anonmail does: the mail cloned, answered replyDelay later),
@@ -27,7 +29,11 @@ import (
 // next user, and what is read there is wrong or fails to rebuild. A
 // segment that fails to decode or rebuild is dropped without a word, so
 // the world runs twice, unpoisoned and poisoned, and must tally the same:
-// poison can only change what a released buffer holds.
+// poison can only change what a released buffer holds. The tally counts
+// the paths built and replaced and the layers the relays could not
+// open, too: a relay whose state kept a slice of a construction onion —
+// its hop key, which Null's cipher reads where it lies — opens nothing
+// once the buffer is poisoned, and the path it is on dies.
 //
 // SimEra(4,2) under Pareto churn with repair, and 5 % link loss once the
 // path sets stand: segments are lost, late (two of four rebuild a
@@ -41,9 +47,12 @@ func TestSimReleasedBuffersPoisoned(t *testing.T) {
 	}
 }
 
-// buffersTally is what releasedBuffersWorld's run delivered.
+// buffersTally is what releasedBuffersWorld's run delivered, and what
+// its paths and relays did.
 type buffersTally struct {
 	delivered, responses, delayed, served, answered int
+	replaced, died                                  int
+	constructed, badLayers                          uint64
 	net                                             netsim.Stats
 }
 
@@ -194,5 +203,19 @@ func releasedBuffersWorld(t *testing.T) buffersTally {
 	if st.DroppedLoss == 0 || st.DroppedReceiver == 0 {
 		t.Error("loss or churn dropped no message")
 	}
-	return buffersTally{delivered, responses, delayed, served, answered, st}
+	tally := buffersTally{delivered: delivered, responses: responses, delayed: delayed, served: served, answered: answered, net: st}
+	for _, sess := range []*Session{s, service, client} {
+		tally.replaced += sess.Stats().PathsReplaced
+		tally.died += sess.Stats().PathsDied
+	}
+	for _, n := range w.Nodes {
+		rs := n.Relay.Stats()
+		tally.constructed += rs.Constructed
+		tally.badLayers += rs.DroppedBad
+	}
+	t.Logf("%d paths replaced, %d died; relays installed %d states, could not open %d layers", tally.replaced, tally.died, tally.constructed, tally.badLayers)
+	if tally.replaced < 10 {
+		t.Errorf("%d paths replaced: too few for the construction onions' lifetimes to mean anything", tally.replaced)
+	}
+	return tally
 }

@@ -50,6 +50,9 @@ type Receiver struct {
 	// delivering path: the reverse paths a response can use.
 	asm       *session.Reassembler[onion.ReplyHandle]
 	delivered uint64
+	// handleBlock is where new messages' lists of reply handles are
+	// cut from.
+	handleBlock []onion.ReplyHandle
 }
 
 // bindObs attaches the world's tracer and metrics. Receivers built
@@ -129,8 +132,15 @@ func (r *Receiver) HandleData(h onion.ReplyHandle, plain []byte) {
 		return
 	}
 	if cap(*handles) == 0 {
-		// At most one handle per segment; the reassembler vetted the shape.
-		*handles = make([]onion.ReplyHandle, 0, seg.Total)
+		// At most one handle per segment; the reassembler vetted the
+		// shape. A message's list lives on with its recycled record, so
+		// only the first horizon's messages need one, cut from a block
+		// sized as the reassembler's records are.
+		if len(r.handleBlock) < int(seg.Total) {
+			r.handleBlock = make([]onion.ReplyHandle, min(max(r.asm.Len(), 8), 256)*int(seg.Total))
+		}
+		*handles = r.handleBlock[:0:seg.Total]
+		r.handleBlock = r.handleBlock[seg.Total:]
 	}
 	*handles = addHandle(*handles, h)
 	ack(h, session.Ack{MID: seg.MID, Index: seg.Index})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"resilientmix/internal/bufpool"
 	"resilientmix/internal/erasure"
@@ -50,11 +51,30 @@ type Session struct {
 	// paths holds the path standing (or last standing) in each slot.
 	paths []*onion.Path
 	// choose picks n disjoint relay lists avoiding exclude: the mix
-	// choice of §4.9 over the membership view (tests script it).
+	// choice of §4.9 over the membership view (tests script it). The
+	// lists lie in the session's scratch (relays, lists) until the next
+	// choice; a path copies its relays.
 	choose func(n int, exclude []netsim.NodeID) ([][]netsim.NodeID, error)
-	// reverse is the OnReverse every path of the session carries, made
-	// once.
-	reverse onion.ReverseFunc
+	relays []netsim.NodeID
+	lists  [][]netsim.NodeID
+	// exclude is the scratch a choice's exclusion set is put together in.
+	exclude []netsim.NodeID
+	// reverse is the OnReverse every path of the session carries, and
+	// onAttempt and onBuilt the construction callbacks of establishment's
+	// paths and of replacements: each made once, each finding its slot
+	// by the path (pending, building).
+	reverse   onion.ReverseFunc
+	onAttempt func(*onion.Path, bool)
+	onBuilt   func(*onion.Path, bool)
+	// pending holds the current establishment attempt's paths by slot,
+	// stood which of them stand, and resolved and stoodN how many
+	// have reported and stood; building holds each slot's replacement
+	// under construction.
+	pending  []*onion.Path
+	stood    []bool
+	resolved int
+	stoodN   int
+	building []*onion.Path
 
 	// deadline is onDeadline as registered with the engine, on the first
 	// Arm: a session that never sends registers nothing.
@@ -126,6 +146,9 @@ func (w *World) NewSession(self, responder netsim.NodeID, params Params) (*Sessi
 		code:      code,
 		provider:  w.Provider(self),
 		paths:     make([]*onion.Path, params.K),
+		pending:   make([]*onion.Path, params.K),
+		stood:     make([]bool, params.K),
+		building:  make([]*onion.Path, params.K),
 		splits:    make(map[uint64][]byte),
 		sent:      make(map[uint64]sim.Time),
 		responses: session.NewReassembler[struct{}](int64(inboundTTL)),
@@ -133,11 +156,20 @@ func (w *World) NewSession(self, responder netsim.NodeID, params Params) (*Sessi
 	}
 	s.choose = func(n int, exclude []netsim.NodeID) ([][]netsim.NodeID, error) {
 		w.cands = s.provider.AppendCandidates(w.cands[:0], self)
-		return mixchoice.SelectPaths(w.Eng.RNG(), params.Strategy, w.cands, n, params.L, exclude...)
+		relays, err := mixchoice.AppendPaths(s.relays[:0], w.Eng.RNG(), params.Strategy, w.cands, n, params.L, exclude)
+		if err != nil {
+			return nil, err
+		}
+		s.relays, s.lists = relays, slices.Grow(s.lists[:0], n)
+		for i := 0; i < n; i++ {
+			s.lists = append(s.lists, relays[i*params.L:(i+1)*params.L])
+		}
+		return s.lists, nil
 	}
 	s.reverse = func(_ *onion.Path, _ netsim.NodeID, plain []byte, buf *[]byte, _ *metrics.Flow) {
 		s.handleReverse(plain, buf)
 	}
+	s.onAttempt, s.onBuilt = s.attemptDone, s.built
 	m, n := params.codeShape()
 	// MaxRetransmits and MaxInflight stay zero: the simulator's message
 	// gets one round and its queue no bound, so the machine arms one
@@ -200,75 +232,77 @@ func (s *Session) Establish() {
 func (s *Session) attempt() {
 	s.stats.EstablishAttempts++
 	s.w.m.establishAttempts.Inc()
-	lists, err := s.choose(s.params.K, []netsim.NodeID{s.self, s.responder})
+	clear(s.stood)
+	s.resolved, s.stoodN = 0, 0
+	s.exclude = append(s.exclude[:0], s.self, s.responder)
+	lists, err := s.choose(s.params.K, s.exclude)
 	if err != nil {
-		s.concludeAttempt(nil, nil)
+		s.concludeAttempt()
 		return
 	}
 	initiator := s.w.Nodes[s.self].Initiator
-	paths := make([]*onion.Path, s.params.K)
-	stood := make([]bool, s.params.K)
-	done := 0
-	succeeded := 0
 	for i, relays := range lists {
-		i := i
-		p, err := initiator.Construct(relays, s.responder, &s.stats.ConstructFlow, func(p *onion.Path, ok bool) {
-			done++
-			if ok {
-				stood[i] = true
-				succeeded++
-				s.notePath(obs.PathBuilt, p, i, obs.ReasonNone, s.w.m.pathsBuilt)
-			}
-			if done == s.params.K {
-				s.concludeAttempt(paths, stood)
-			}
-		})
+		p, err := initiator.Construct(relays, s.responder, &s.stats.ConstructFlow, s.onAttempt)
 		if err != nil {
 			// Immediate failure (should not happen after SelectPaths
 			// validation); count the slot as resolved.
-			done++
+			s.resolved++
 			continue
 		}
-		paths[i] = p
+		s.pending[i] = p
 		p.OnReverse = s.reverse
 	}
-	if done == s.params.K && succeeded == 0 {
+	if s.resolved == s.params.K {
 		// All constructions failed synchronously.
-		s.concludeAttempt(paths, stood)
+		s.concludeAttempt()
 	}
 }
 
-func (s *Session) concludeAttempt(paths []*onion.Path, stood []bool) {
+// attemptDone is the construction outcome of one of the current
+// attempt's paths; the attempt concludes with the last of them.
+func (s *Session) attemptDone(p *onion.Path, ok bool) {
+	i := slices.Index(s.pending, p)
+	s.resolved++
+	if ok {
+		s.stood[i] = true
+		s.stoodN++
+		s.notePath(obs.PathBuilt, p, i, obs.ReasonNone, s.w.m.pathsBuilt)
+	}
+	if s.resolved == s.params.K {
+		s.concludeAttempt()
+	}
+}
+
+// concludeAttempt settles the current attempt (pending, stood): the
+// session is established with the paths that stood, or everything is
+// released and another attempt, if any is left, runs next.
+func (s *Session) concludeAttempt() {
 	if s.established || s.failed {
 		return
 	}
-	succeeded := 0
-	for _, ok := range stood {
-		if ok {
-			succeeded++
-		}
-	}
-	if succeeded >= s.params.MinPaths() {
+	if s.stoodN >= s.params.MinPaths() {
 		s.established = true
 		s.establishAt = s.w.Eng.Now()
 		// Slots that failed construction already count as failed paths.
-		for i, p := range paths {
-			if stood[i] {
+		for i, p := range s.pending {
+			if s.stood[i] {
 				s.paths[i] = p
 				s.m.PathUp(i, p.Relays)
 			} else {
 				s.release(p)
 			}
 		}
+		clear(s.pending)
 		if s.OnEstablished != nil {
 			s.OnEstablished(true, s.stats.EstablishAttempts)
 		}
 		return
 	}
 	// Failed attempt: release everything and maybe retry.
-	for _, p := range paths {
+	for _, p := range s.pending {
 		s.release(p)
 	}
+	clear(s.pending)
 	if s.stats.EstablishAttempts < s.params.MaxEstablishAttempts {
 		s.w.Eng.Schedule(0, s.attempt)
 		return
@@ -412,40 +446,45 @@ func (s *Session) build(b session.Output) {
 	// The exclusion set is the request's, not the present one: the pinned
 	// traces have a slot's replacement chosen before the same deadline
 	// condemns the next slot, whose relays it therefore still avoids.
-	lists, err := s.choose(1, append([]netsim.NodeID{s.self, s.responder}, b.Exclude...))
+	s.exclude = append(append(s.exclude[:0], s.self, s.responder), b.Exclude...)
+	lists, err := s.choose(1, s.exclude)
 	if err != nil {
 		s.m.Abandon(b)
 		return
 	}
 	relays := lists[0]
 	initiator := s.w.Nodes[s.self].Initiator
-	slot := b.Slot // the callback must not keep b's segment alive
-	done := func(p *onion.Path, ok bool) {
-		if !ok {
-			s.release(p)
-			s.m.PathFailed(slot)
-			return
-		}
-		s.release(s.paths[slot])
-		s.paths[slot] = p
-		var buf [1]session.Output
-		s.run(s.m.PathBuilt(buf[:0], slot, p.Relays))
-	}
 	var p *onion.Path
 	if b.First {
 		tag := obs.Tag{ID: b.MID, Seg: b.Index, Slot: int32(b.Slot)}
-		p, err = initiator.ConstructWithDataTagged(relays, s.responder, s.m.Payload(b), &s.stats.DataFlow, tag, done)
+		p, err = initiator.ConstructWithDataTagged(relays, s.responder, s.m.Payload(b), &s.stats.DataFlow, tag, s.onBuilt)
 	} else {
-		p, err = initiator.Construct(relays, s.responder, &s.stats.ConstructFlow, done)
+		p, err = initiator.Construct(relays, s.responder, &s.stats.ConstructFlow, s.onBuilt)
 	}
 	if err != nil {
 		s.m.Abandon(b)
 		return
 	}
+	s.building[b.Slot] = p
 	p.OnReverse = s.reverse
 	if b.First {
 		s.noteSegmentSent(b)
 	}
+}
+
+// built is the construction outcome of a slot's replacement path.
+func (s *Session) built(p *onion.Path, ok bool) {
+	slot := slices.Index(s.building, p)
+	s.building[slot] = nil
+	if !ok {
+		s.release(p)
+		s.m.PathFailed(slot)
+		return
+	}
+	s.release(s.paths[slot])
+	s.paths[slot] = p
+	var buf [1]session.Output
+	s.run(s.m.PathBuilt(buf[:0], slot, p.Relays))
 }
 
 // noteSegmentSent records one coded data segment leaving the

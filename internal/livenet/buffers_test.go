@@ -48,7 +48,7 @@ func newReverseWalk(t testing.TB, suite onioncrypt.Suite) *reverseWalk {
 	const ttl = 1 << 40
 	w := &reverseWalk{tab: onion.NewTable(env, dir.Private(1), ttl), streams: onion.NewStreams(env, dir.Private(2), ttl)}
 	var launch onion.Send
-	if w.keys, launch, err = onion.NewPathKeys(env, dir, 0, []netsim.NodeID{1}, 2, []byte("first"), true); err != nil {
+	if launch, err = w.keys.Launch(env, dir, 0, []netsim.NodeID{1}, 2, nil, []byte("first"), true); err != nil {
 		t.Fatal(err)
 	}
 	st := w.tab.ConstructData(0, 0, launch.SID, launch.Onion, launch.Body)

@@ -44,19 +44,22 @@ func (n *Node) launch(ctx context.Context, relays []netsim.NodeID, responder net
 	if _, err := roster.Peer(responder); err != nil {
 		return nil, err
 	}
-	keys, first, err := onion.NewPathKeys(n.env, roster, n.cfg.ID, relays, responder, data, withData)
-	if err != nil {
-		return nil, err
-	}
 	p := &Path{
-		SID:       uint64(first.SID),
 		Relays:    append([]netsim.NodeID(nil), relays...),
 		Responder: responder,
 		node:      n,
-		keys:      keys,
 		replies:   make(chan []byte, 64),
 		onReply:   onReply,
 	}
+	// The first frame's onions are built in a pooled buffer that goes
+	// back once the frame is written.
+	bp := bufpool.Get(onion.LaunchSize(n.env.Suite, len(relays), len(data), withData))
+	first, err := p.keys.Launch(n.env, roster, n.cfg.ID, relays, responder, (*bp)[:0], data, withData)
+	if err != nil {
+		bufpool.Release(bp)
+		return nil, err
+	}
+	p.SID = uint64(first.SID)
 	ack := make(chan struct{})
 	n.mu.Lock()
 	n.acks[p.SID] = ack
@@ -66,6 +69,7 @@ func (n *Node) launch(ctx context.Context, relays []netsim.NodeID, responder net
 	n.mu.Unlock()
 
 	err = n.sendCtx(ctx, first, nil)
+	bufpool.Release(bp)
 	if err == nil {
 		select {
 		case <-ack:

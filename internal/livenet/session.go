@@ -227,6 +227,7 @@ type LiveSession struct {
 	splits   map[uint64]split         // the buffer each message's segments lie in, until released
 	degraded bool                     // mirrored into the node's degraded gauge
 	rng      *mrand.Rand              // relay choice, cover path pick
+	exclude  []netsim.NodeID          // choose's scratch
 	probe    *time.Timer
 	cover    *time.Timer
 
@@ -715,12 +716,9 @@ func (s *LiveSession) choose(slot int) ([]netsim.NodeID, error) {
 	self := s.node.cfg.ID
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	paths, err := mixchoice.SelectPaths(s.rng, mixchoice.Biased, condemnedLast{s}.Candidates(self),
-		1, len(s.m.Relays(slot)), append(s.m.InUse(slot), self, s.responder)...)
-	if err != nil {
-		return nil, err
-	}
-	return paths[0], nil
+	s.exclude = append(s.m.AppendInUse(s.exclude[:0], slot), self, s.responder)
+	return mixchoice.AppendPaths(nil, s.rng, mixchoice.Biased, condemnedLast{s}.Candidates(self),
+		1, len(s.m.Relays(slot)), s.exclude)
 }
 
 // buildLoop is the session's one goroutine: it constructs the

@@ -19,6 +19,7 @@ package mixchoice
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"resilientmix/internal/membership"
@@ -58,18 +59,31 @@ var pools = sync.Pool{New: func() any { return new([]membership.Candidate) }}
 // the responder). The rng is used for the random strategy and for
 // tie-shuffling; candidates are not modified.
 func SelectPaths(rng *rand.Rand, strategy Strategy, cands []membership.Candidate, k, l int, exclude ...netsim.NodeID) ([][]netsim.NodeID, error) {
+	relays, err := AppendPaths(nil, rng, strategy, cands, k, l, exclude)
+	if err != nil {
+		return nil, err
+	}
+	paths := make([][]netsim.NodeID, k)
+	for p := range paths {
+		paths[p] = relays[p*l : (p+1)*l : (p+1)*l]
+	}
+	return paths, nil
+}
+
+// AppendPaths is SelectPaths into the caller's storage: the k paths'
+// relays are appended to dst, path after path, l each — the same picks
+// from the same draws.
+func AppendPaths(dst []netsim.NodeID, rng *rand.Rand, strategy Strategy, cands []membership.Candidate, k, l int, exclude []netsim.NodeID) ([]netsim.NodeID, error) {
 	if k < 1 || l < 1 {
 		return nil, fmt.Errorf("mixchoice: need k >= 1 and l >= 1, got k=%d l=%d", k, l)
-	}
-	skip := make(map[netsim.NodeID]bool, len(exclude))
-	for _, id := range exclude {
-		skip[id] = true
 	}
 	pp := pools.Get().(*[]membership.Candidate)
 	defer pools.Put(pp)
 	pool := (*pp)[:0]
 	for _, c := range cands {
-		if !skip[c.ID] {
+		// A scan: exclude is the two endpoints and the relays of the
+		// other paths, a few dozen at most.
+		if !slices.Contains(exclude, c.ID) {
 			pool = append(pool, c)
 		}
 	}
@@ -91,17 +105,11 @@ func SelectPaths(rng *rand.Rand, strategy Strategy, cands []membership.Candidate
 		return nil, fmt.Errorf("mixchoice: unknown strategy %d", strategy)
 	}
 
-	paths := make([][]netsim.NodeID, k)
-	idx := 0
-	for p := 0; p < k; p++ {
-		path := make([]netsim.NodeID, l)
-		for h := 0; h < l; h++ {
-			path[h] = pool[idx].ID
-			idx++
-		}
-		paths[p] = path
+	dst = slices.Grow(dst, need)
+	for _, c := range pool[:need] {
+		dst = append(dst, c.ID)
 	}
-	return paths, nil
+	return dst, nil
 }
 
 // better is the biased ranking: higher q first, ties broken by longer

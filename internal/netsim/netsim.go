@@ -38,14 +38,30 @@ const Invalid NodeID = -1
 // or bytes in a pooled buffer, and the handler recycles them when it
 // is done (internal/onion's packet goes back to its pool as soon as it
 // is read; the payload buffer it carries goes back to internal/bufpool
-// once the last hop or the application is done with it); a message
-// dropped in flight simply leaves its payload, and any buffer in it,
-// to the collector. Anything that delivers a message twice (a replay
-// fault) must clone the payload, and what it points to, first.
+// once the last hop or the application is done with it). A message the
+// network does not deliver — its sender down, lost, consumed by a
+// fault, or its receiver down — is the network's last: a payload that
+// is a Recycler is recycled, once, when the drop is traced, and any
+// other is left to the collector. Anything that delivers a message
+// twice (a replay fault) must clone the payload, and what it points to,
+// first.
 type Message struct {
 	Payload any
 	Size    int
 	Trace   obs.Tag
+}
+
+// Recycler is a pooled payload: Recycle gives it, and what it carries,
+// back to its pool when the network drops the message it rides in.
+type Recycler interface {
+	Recycle()
+}
+
+// recycle is the end of a message the network drops.
+func recycle(msg Message) {
+	if r, ok := msg.Payload.(Recycler); ok {
+		r.Recycle()
+	}
 }
 
 // Handler receives messages delivered to a node. It owns msg.Payload
@@ -281,6 +297,7 @@ func (n *Network) Send(from, to NodeID, msg Message) bool {
 		if n.tracer != nil {
 			n.tracer.Emit(msgEvent(obs.MsgDropped, int64(n.eng.Now()), fi, ti, msg, obs.ReasonSenderDown))
 		}
+		recycle(msg)
 		return false
 	}
 	n.stats.Sent++
@@ -300,10 +317,12 @@ func (n *Network) Send(from, to NodeID, msg Message) bool {
 		if n.tracer != nil {
 			n.tracer.Emit(msgEvent(obs.MsgDropped, int64(n.eng.Now()), fi, ti, msg, obs.ReasonLinkLoss))
 		}
+		recycle(msg)
 		return true // bytes entered the wire; the message just never arrives
 	}
 	lat, dropped := n.faultDrop(fi, ti, msg)
 	if dropped {
+		recycle(msg)
 		return true // on the wire, but an injected fault consumed it
 	}
 	n.eng.ScheduleTyped(lat, n.deliver, uint64(n.flights.Put(flight{from, to, msg})))
@@ -324,6 +343,7 @@ func (n *Network) arrive(slot uint64) {
 		if n.tracer != nil {
 			n.tracer.Emit(msgEvent(obs.MsgDropped, int64(n.eng.Now()), fi, ti, msg, obs.ReasonReceiverDown))
 		}
+		recycle(msg)
 		return
 	}
 	h := n.handlers[ti]
@@ -335,6 +355,7 @@ func (n *Network) arrive(slot uint64) {
 		if n.tracer != nil {
 			n.tracer.Emit(msgEvent(obs.MsgDropped, int64(n.eng.Now()), fi, ti, msg, obs.ReasonNoHandler))
 		}
+		recycle(msg)
 		return
 	}
 	n.stats.Delivered++

@@ -29,35 +29,75 @@ type KeyLookup interface {
 // The layer for the terminal relay names the responder as its next hop
 // and carries the ⊥ marker so the relay knows the path ends with it.
 func BuildConstructOnion(suite onioncrypt.Suite, r io.Reader, dir KeyLookup, relays []netsim.NodeID, responder netsim.NodeID, keys [][]byte) ([]byte, error) {
+	return appendConstructOnion(nil, suite, r, dir, relays, responder, keys)
+}
+
+// constructHeader is what a construction layer's plaintext holds beside
+// its key and inner onion: the next hop, the terminal marker and the
+// two lengths.
+const constructHeader = 4 + 1 + 4 + 4
+
+// constructOnionSize is the length of the construction onion over
+// pathLen relays with hop keys of the suites' size.
+func constructOnionSize(suite onioncrypt.Suite, pathLen int) int {
+	return pathLen * (suite.SealOverhead() + constructHeader + onioncrypt.SymKeySize)
+}
+
+// appendConstructOnion appends the construction onion to dst, growing it
+// at most once, and writes every byte where it leaves. With p bytes of a
+// sealed layer in front of its plaintext and q behind
+// (Suite.SealPrefix), the onion over L relays is
+//
+//	p | P_2,0,len,R_1,len | p | P_3,0,len,R_2,len | … | p | D,1,len,R_L,0 | q·L
+//
+// so the layers' headers are laid down first, outermost first, and then
+// each layer is sealed in place around what it wraps, innermost first:
+// the order BuildConstructOnion has always drawn from r in, so the bytes
+// are the ones the layer-by-layer construction gave.
+func appendConstructOnion(dst []byte, suite onioncrypt.Suite, r io.Reader, dir KeyLookup, relays []netsim.NodeID, responder netsim.NodeID, keys [][]byte) ([]byte, error) {
 	if len(relays) == 0 {
 		return nil, fmt.Errorf("onion: a path needs at least one relay")
 	}
 	if len(keys) != len(relays) {
 		return nil, fmt.Errorf("onion: %d keys for %d relays", len(keys), len(relays))
 	}
-	inner := []byte(nil) // ⊥
-	for i := len(relays) - 1; i >= 0; i-- {
-		w := wire.NewWriter()
-		next := responder
-		if i < len(relays)-1 {
-			next = relays[i+1]
+	pre, post := suite.SealPrefix(), suite.SealOverhead()-suite.SealPrefix()
+	size := 0
+	for _, key := range keys {
+		size += pre + constructHeader + len(key) + post
+	}
+	dst = slices.Grow(dst, size)
+	inner := size // the length of what the layer being written wraps
+	for i, key := range keys {
+		next, terminal := responder, byte(1)
+		if i < len(keys)-1 {
+			next, terminal = relays[i+1], 0
 		}
-		w.Int32(int32(next))
-		w.Bool(i == len(relays)-1)
-		w.Bytes32(keys[i])
-		w.Bytes32(inner)
-		sealed, err := suite.Seal(r, dir.Public(relays[i]), w.Bytes())
-		if err != nil {
+		inner -= pre + constructHeader + len(key) + post
+		dst = dst[:len(dst)+pre]
+		dst = binary.BigEndian.AppendUint32(dst, uint32(next))
+		dst = append(dst, terminal)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(key)))
+		dst = append(dst, key...)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(inner))
+	}
+	at := len(dst)
+	for i := len(keys) - 1; i >= 0; i-- {
+		at -= pre + constructHeader + len(keys[i])
+		dst = dst[:len(dst)+post]
+		if err := suite.SealInPlace(r, dir.Public(relays[i]), dst[at:]); err != nil {
 			return nil, fmt.Errorf("onion: sealing layer %d: %w", i, err)
 		}
-		inner = sealed
 	}
-	return inner, nil
+	return dst, nil
 }
 
 // ConstructLayer is one decrypted layer of a construction onion: the
 // next hop, the terminal marker (next hop is the responder and the
-// inner onion is ⊥), the hop's symmetric key and the inner onion.
+// inner onion is ⊥), the hop's symmetric key and the inner onion. Key
+// and Inner lie in the opened plaintext, which under Null is the onion
+// itself: whoever keeps either past the onion's buffer copies it, as a
+// relay's Table copies the key into the state it makes.
 type ConstructLayer struct {
 	Next     netsim.NodeID
 	Terminal bool
@@ -84,9 +124,9 @@ func parseConstructLayer(priv onioncrypt.Opener, onion []byte) (ConstructLayer, 
 	layer := ConstructLayer{
 		Next:     netsim.NodeID(rd.Int32()),
 		Terminal: rd.Bool(),
+		Key:      rd.Bytes32(),
+		Inner:    rd.Bytes32(),
 	}
-	layer.Key = append([]byte(nil), rd.Bytes32()...)
-	layer.Inner = append([]byte(nil), rd.Bytes32()...)
 	if err := rd.Done(); err != nil {
 		return ConstructLayer{}, fmt.Errorf("%w: %v", ErrMalformedOnion, err)
 	}
@@ -113,7 +153,7 @@ func BuildPayloadOnion(suite onioncrypt.Suite, r io.Reader, keys [][]byte, respo
 // appendPayloadOnion is appendKeyedOnion for keys by their bytes, each
 // set up for this one onion; a path's PathKeys sets its keys up once.
 func appendPayloadOnion(dst []byte, suite onioncrypt.Suite, r io.Reader, keys [][]byte, responder netsim.NodeID, respKey, sealedRespKey []byte, plainLen int, plain func([]byte) []byte) ([]byte, error) {
-	var few [8]onioncrypt.Cipher // as in NewPathKeys
+	var few [8]onioncrypt.Cipher // the paper's L = 3 and more; append grows past it
 	hops := few[:0]
 	for i, key := range keys {
 		c, err := suite.NewCipher(key)

@@ -162,8 +162,8 @@ func TestSendDataToUnknownTargetKeyGeneration(t *testing.T) {
 // TestWorldsShareThePacketPool runs two worlds on two goroutines, as
 // internal/experiments does, over the one packet pool: every message
 // must reach its own world's responder intact and in order and be
-// echoed back, also while link loss leaves packets to the collector and
-// a down sender hands its packet straight back. Run under -race: a
+// echoed back, also while link loss drops packets, which netsim
+// recycles, and a down sender's are recycled at once. Run under -race: a
 // packet recycled while a hop still read it would show as a race
 // between the worlds.
 func TestWorldsShareThePacketPool(t *testing.T) {

@@ -78,7 +78,8 @@ func FuzzRelayTable(f *testing.F) {
 	}
 	env := simEnv(eng.RNG(), suite)
 	relays := []netsim.NodeID{1, 2}
-	keys, launch, err := NewPathKeys(env, dir, 0, relays, 5, []byte("first"), true)
+	var keys PathKeys
+	launch, err := keys.Launch(env, dir, 0, relays, 5, nil, []byte("first"), true)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"resilientmix/internal/netsim"
@@ -149,6 +150,10 @@ type pathState struct {
 	key      onioncrypt.Cipher // R_i, keyed when the state was made
 	terminal bool              // next hop is the responder
 	expires  int64
+	// raw is R_i's bytes, copied out of the construction onion: key may
+	// refer to them (Null's does), and the onion's buffer goes on to
+	// the next hop.
+	raw [onioncrypt.SymKeySize]byte
 }
 
 // Table is one node's relay state: it installs path state from
@@ -163,12 +168,20 @@ type Table struct {
 	forward map[StreamID]*pathState // keyed by upstream (inbound) stream ID
 	reverse map[StreamID]*pathState // keyed by downstream (outbound) stream ID
 	stats   RelayStats
+	// free holds states Sweep and Wipe took out of the maps, for the
+	// next constructions — in a table whose driver is one goroutine
+	// (Env.Lock nil, so free needs no lock) only: where frames run
+	// concurrently, one may still be using a state it looked up before
+	// the lock was let go, so the collector reclaims them.
+	free    []*pathState
+	recycle bool
 }
 
 // NewTable creates an empty relay table whose idle states live ttl
 // ticks. The node's private key is parsed here, once; a table made with
 // a key its suite refuses turns every construction away.
 func NewTable(env Env, priv onioncrypt.PrivateKey, ttl int64) *Table {
+	recycle := env.Lock == nil
 	env = env.locked()
 	return &Table{
 		env:     env,
@@ -177,6 +190,25 @@ func NewTable(env Env, priv onioncrypt.PrivateKey, ttl int64) *Table {
 		ttl:     ttl,
 		forward: make(map[StreamID]*pathState),
 		reverse: make(map[StreamID]*pathState),
+		recycle: recycle,
+	}
+}
+
+// newState returns a state for a construction, a recycled one when the
+// table has one. Its fields are the construction's to set, every one.
+func (t *Table) newState() *pathState {
+	if n := len(t.free); t.recycle && n > 0 {
+		st := t.free[n-1]
+		t.free = t.free[:n-1]
+		return st
+	}
+	return new(pathState)
+}
+
+// drop gives up a state no map holds any more.
+func (t *Table) drop(st *pathState) {
+	if t.recycle {
+		t.free = append(t.free, st)
 	}
 }
 
@@ -194,20 +226,22 @@ func (t *Table) States() (forward, reverse int) {
 	return len(t.forward), len(t.reverse)
 }
 
-// Wipe loses all state, as a failing node does. An empty table is left
-// as it is, so an idle node's departure allocates nothing.
+// Wipe loses all state, as a failing node does, and allocates nothing:
+// the maps keep their room, and the states go to the free list.
 func (t *Table) Wipe() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.forward) == 0 && len(t.reverse) == 0 {
-		return
-	}
 	t.stats.Wiped += uint64(len(t.forward))
-	t.forward = make(map[StreamID]*pathState)
-	t.reverse = make(map[StreamID]*pathState)
+	for _, st := range t.forward {
+		t.drop(st)
+	}
+	clear(t.forward)
+	clear(t.reverse)
 }
 
-// Sweep reclaims states whose TTL ran out (§4.3).
+// Sweep reclaims states whose TTL ran out (§4.3). A state leaves both
+// maps in the same sweep — its entries share its expiry — and goes to
+// the free list from the forward map, where each state has one entry.
 func (t *Table) Sweep(now int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -215,6 +249,7 @@ func (t *Table) Sweep(now int64) {
 		if st.expires <= now {
 			delete(t.forward, sid)
 			t.stats.Expired++
+			t.drop(st)
 		}
 	}
 	for sid, st := range t.reverse {
@@ -263,30 +298,25 @@ func (t *Table) ConstructData(now int64, from netsim.NodeID, sid StreamID, onion
 
 func (t *Table) construct(now int64, from netsim.NodeID, sid StreamID, onion, body []byte, withData bool) Step {
 	layer, err := parseConstructLayer(t.priv, onion)
-	if err != nil {
-		return t.bad()
-	}
 	// A key of the wrong size is refused here: a state that could never
 	// open a frame would sit in the table, acknowledged, until its TTL.
-	key, err := t.env.Suite.NewCipher(layer.Key)
-	if err != nil {
+	if err != nil || len(layer.Key) != len(pathState{}.raw) {
 		return t.bad()
 	}
+	st := t.newState()
+	copy(st.raw[:], layer.Key)
+	st.key, err = t.env.Suite.NewCipher(st.raw[:])
 	var pt []byte
-	if withData {
-		if pt, err = key.OpenInPlace(body); err != nil {
-			return t.bad()
-		}
+	if err == nil && withData {
+		pt, err = st.key.OpenInPlace(body)
 	}
-	st := &pathState{
-		prev:     from,
-		prevSID:  sid,
-		next:     layer.Next,
-		nextSID:  t.env.NewSID(),
-		key:      key,
-		terminal: layer.Terminal,
-		expires:  now + t.ttl,
+	if err != nil {
+		t.drop(st)
+		return t.bad()
 	}
+	st.prev, st.prevSID = from, sid
+	st.next, st.nextSID = layer.Next, t.env.NewSID()
+	st.terminal, st.expires = layer.Terminal, now+t.ttl
 	t.mu.Lock()
 	t.forward[sid] = st
 	t.reverse[st.nextSID] = st
@@ -511,12 +541,13 @@ func (s *Streams) Open(now int64, sid StreamID, blob []byte) (key onioncrypt.Cip
 		if err != nil {
 			return nil, nil, false
 		}
-		// Private copies: the blob belongs to the caller's frame, and
-		// Null's Open returns a slice of it.
-		if rec.key, err = s.env.Suite.NewCipher(bytes.Clone(raw)); err != nil {
+		// Private copies, in one buffer: the blob belongs to the
+		// caller's frame, and Null's Open returns a slice of it.
+		own := append(append(make([]byte, 0, len(raw)+len(sealedKey)), raw...), sealedKey...)
+		if rec.key, err = s.env.Suite.NewCipher(own[:len(raw):len(raw)]); err != nil {
 			return nil, nil, false
 		}
-		rec.sealed = bytes.Clone(sealedKey)
+		rec.sealed = own[len(raw):]
 	}
 	if plain, err = rec.key.OpenInPlace(ct); err != nil {
 		return nil, nil, false
@@ -591,6 +622,10 @@ type target struct {
 	sealed []byte
 }
 
+// inlineHops is how many hops a PathKeys keys in its own storage: the
+// paper's L = 3. A longer path allocates its lists.
+const inlineHops = 3
+
 // PathKeys is the initiator's half of one path: the hop keys R_1..R_L
 // and the responder keys, set up for use (their bytes are needed once,
 // by the construction onion and the sealed responder key), and the
@@ -598,56 +633,113 @@ type target struct {
 // responder the path already has keys for only reads, so an established
 // path may be used concurrently; introducing a new responder (§4.4)
 // must not race other calls on the same path.
+//
+// A path of up to inlineHops relays with one responder is keyed in the
+// PathKeys' own storage: the hop handles, the target and the key bytes
+// behind them — a handle may refer to its key's bytes (Null's does), so
+// the bytes stay with it — and the sealed responder key
+// (sealedKeyRoom). A PathKeys that is copied goes on working, from the
+// original's storage.
 type PathKeys struct {
-	env     Env
+	suite   onioncrypt.Suite
+	rand    io.Reader
 	sid     StreamID
 	first   netsim.NodeID
+	used    int32 // bytes of mem handed out
 	hops    []onioncrypt.Cipher
 	targets []target
+
+	hopStore    [inlineHops]onioncrypt.Cipher
+	targetStore [1]target
+	mem         [inlineHops*onioncrypt.SymKeySize + sealedKeyRoom]byte // handed out by bytes
 }
 
-// NewPathKeys keys a fresh path from self through the relays to the
-// responder and returns the message that launches it: the construction
-// onion (§4.1), carrying data's payload onion in the same pass when
-// withData is set (§4.2).
-func NewPathKeys(env Env, dir KeyLookup, self netsim.NodeID, relays []netsim.NodeID, responder netsim.NodeID, data []byte, withData bool) (k PathKeys, launch Send, err error) {
+// sealedKeyRoom is what a PathKeys' storage keeps for its responder: the
+// key, and the key sealed (SymKeySize + SealOverhead, 48 under both
+// suites).
+const sealedKeyRoom = onioncrypt.SymKeySize + onioncrypt.SymKeySize + 48
+
+// bytes hands out the next n bytes of k's storage, or a fresh buffer
+// once the storage is spent.
+func (k *PathKeys) bytes(n int) []byte {
+	at := int(k.used)
+	if at+n > len(k.mem) {
+		return make([]byte, n)
+	}
+	k.used += int32(n)
+	return k.mem[at : at+n : at+n]
+}
+
+// LaunchSize is the length of the message Launch appends: the
+// construction onion over pathLen relays and, withData, the payload
+// onion carrying dataLen bytes behind it.
+func LaunchSize(suite onioncrypt.Suite, pathLen, dataLen int, withData bool) int {
+	n := constructOnionSize(suite, pathLen)
+	if withData {
+		n += PayloadOnionSize(suite, pathLen, dataLen)
+	}
+	return n
+}
+
+// Launch keys k as a fresh path from self through the relays to the
+// responder and appends to dst the message that launches it: the
+// construction onion (§4.1), carrying data's payload onion behind it
+// in the same pass when withData is set (§4.2). The Send's Onion and
+// Body are slices of dst, which grows at most once, and not at all with
+// LaunchSize bytes to spare. The draws from env.Rand are, in order: the
+// hop keys, the stream id, the responder key and its seal, the
+// construction onion's seals, the payload onion's.
+func (k *PathKeys) Launch(env Env, dir KeyLookup, self netsim.NodeID, relays []netsim.NodeID, responder netsim.NodeID, dst, data []byte, withData bool) (Send, error) {
 	if len(relays) == 0 {
-		return k, launch, fmt.Errorf("onion: path needs at least one relay")
+		return Send{}, fmt.Errorf("onion: path needs at least one relay")
 	}
 	for _, rid := range relays {
 		if rid == self || rid == responder {
-			return k, launch, fmt.Errorf("onion: relay %d collides with an endpoint", rid)
+			return Send{}, fmt.Errorf("onion: relay %d collides with an endpoint", rid)
 		}
 	}
-	k = PathKeys{env: env, first: relays[0], hops: make([]onioncrypt.Cipher, len(relays))}
-	// The paper's L = 3 hop keys and more fit the array; append grows
-	// past it.
-	var few [8][]byte
-	raw := few[:0]
-	for i := range k.hops {
-		key, err := env.Suite.NewSymKey(env.Rand)
+	*k = PathKeys{suite: env.Suite, rand: env.Rand, first: relays[0]}
+	k.hops, k.targets = k.hopStore[:0], k.targetStore[:0]
+	raw := k.bytes(len(relays) * onioncrypt.SymKeySize)
+	var few [inlineHops][]byte // the hop keys' bytes, for the onion
+	keys := few[:0]
+	for i := range relays {
+		key := raw[i*onioncrypt.SymKeySize : (i+1)*onioncrypt.SymKeySize]
+		c, err := newSymKey(env.Suite, env.Rand, key)
 		if err != nil {
-			return k, launch, fmt.Errorf("onion: generating hop key: %w", err)
+			return Send{}, fmt.Errorf("onion: keying hop %d: %w", i, err)
 		}
-		if k.hops[i], err = env.Suite.NewCipher(key); err != nil {
-			return k, launch, fmt.Errorf("onion: keying hop %d: %w", i, err)
-		}
-		raw = append(raw, key)
+		k.hops = append(k.hops, c)
+		keys = append(keys, key)
 	}
 	k.sid = env.NewSID()
-	if _, err = k.target(dir, responder); err != nil {
-		return k, launch, err
+	if _, err := k.target(dir, responder); err != nil {
+		return Send{}, err
 	}
-	launch = Send{To: k.first, Kind: KindConstruct, SID: k.sid}
-	if launch.Onion, err = BuildConstructOnion(env.Suite, env.Rand, dir, relays, responder, raw); err != nil {
-		return k, launch, err
+	dst = slices.Grow(dst, LaunchSize(env.Suite, len(relays), len(data), withData))
+	start := len(dst)
+	dst, err := appendConstructOnion(dst, env.Suite, env.Rand, dir, relays, responder, keys)
+	if err != nil {
+		return Send{}, err
 	}
+	launch := Send{To: k.first, Kind: KindConstruct, SID: k.sid, Onion: dst[start:]}
 	if withData {
-		var d Send
-		d, err = k.Data(dir, responder, data)
+		d, err := k.AppendData(dst, dir, responder, len(data), func(b []byte) []byte { return append(b, data...) })
+		if err != nil {
+			return Send{}, err
+		}
 		launch.Kind, launch.Body = KindConstructData, d.Body
 	}
-	return k, launch, err
+	return launch, nil
+}
+
+// newSymKey draws a symmetric key into key, as Suite.NewSymKey draws
+// one, and sets it up.
+func newSymKey(suite onioncrypt.Suite, r io.Reader, key []byte) (onioncrypt.Cipher, error) {
+	if _, err := io.ReadFull(r, key); err != nil {
+		return nil, fmt.Errorf("drawing a key: %w", err)
+	}
+	return suite.NewCipher(key)
 }
 
 // Targets returns how many responders the path has keys for.
@@ -661,17 +753,15 @@ func (k *PathKeys) target(dir KeyLookup, responder netsim.NodeID) (target, error
 			return t, nil
 		}
 	}
-	key, err := k.env.Suite.NewSymKey(k.env.Rand)
-	if err != nil {
-		return target{}, fmt.Errorf("onion: generating responder key: %w", err)
-	}
-	sealed, err := k.env.Suite.Seal(k.env.Rand, dir.Public(responder), key)
-	if err != nil {
-		return target{}, fmt.Errorf("onion: sealing responder key: %w", err)
-	}
-	c, err := k.env.Suite.NewCipher(key)
+	raw := k.bytes(onioncrypt.SymKeySize)
+	c, err := newSymKey(k.suite, k.rand, raw)
 	if err != nil {
 		return target{}, fmt.Errorf("onion: keying responder key: %w", err)
+	}
+	sealed := k.bytes(k.suite.SealOverhead() + len(raw))
+	copy(sealed[k.suite.SealPrefix():], raw)
+	if err := k.suite.SealInPlace(k.rand, dir.Public(responder), sealed); err != nil {
+		return target{}, fmt.Errorf("onion: sealing responder key: %w", err)
 	}
 	k.targets = append(k.targets, target{dest: responder, key: c, sealed: sealed})
 	return k.targets[len(k.targets)-1], nil
@@ -687,7 +777,7 @@ func (k *PathKeys) Data(dir KeyLookup, responder netsim.NodeID, plain []byte) (S
 // DataSize is the length of the payload onion that carries plainLen
 // bytes over the path.
 func (k *PathKeys) DataSize(plainLen int) int {
-	return PayloadOnionSize(k.env.Suite, len(k.hops), plainLen)
+	return PayloadOnionSize(k.suite, len(k.hops), plainLen)
 }
 
 // AppendData is Data into the caller's buffer: the onion is appended to
@@ -701,7 +791,7 @@ func (k *PathKeys) AppendData(dst []byte, dir KeyLookup, responder netsim.NodeID
 	if err != nil {
 		return Send{}, err
 	}
-	body, err := appendKeyedOnion(dst, k.env.Suite, k.env.Rand, k.hops, responder, t.key, t.sealed, plainLen, plain)
+	body, err := appendKeyedOnion(dst, k.suite, k.rand, k.hops, responder, t.key, t.sealed, plainLen, plain)
 	if err != nil {
 		return Send{}, err
 	}

@@ -154,7 +154,8 @@ func TestHopCoreScript(t *testing.T) {
 				run  func(t *testing.T)
 			}{
 				{"construct", func(t *testing.T) {
-					k, launch, err := NewPathKeys(h.env, h.dir, hopInitiator, relays, respA, nil, false)
+					var k PathKeys
+					launch, err := k.Launch(h.env, h.dir, hopInitiator, relays, respA, nil, nil, false)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -271,7 +272,8 @@ func TestHopCoreScript(t *testing.T) {
 					}
 				}},
 				{"construct+data", func(t *testing.T) {
-					k, launch, err := NewPathKeys(h.env, h.dir, hopInitiator, relays, respA, []byte("first"), true)
+					var k PathKeys
+					launch, err := k.Launch(h.env, h.dir, hopInitiator, relays, respA, nil, []byte("first"), true)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -355,7 +357,7 @@ func TestHopCoreScript(t *testing.T) {
 					}
 				}},
 				{"wipe", func(t *testing.T) {
-					_, launch, err := NewPathKeys(h.env, h.dir, hopInitiator, relays, respA, nil, false)
+					launch, err := new(PathKeys).Launch(h.env, h.dir, hopInitiator, relays, respA, nil, nil, false)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -394,7 +396,8 @@ func TestHopCoreRejects(t *testing.T) {
 	if f, _ := h.tabs[2].States(); f != 0 {
 		t.Fatal("garbage onion installed state")
 	}
-	keys, launch, err := NewPathKeys(h.env, h.dir, hopInitiator, relays, 7, nil, false)
+	var keys PathKeys
+	launch, err := keys.Launch(h.env, h.dir, hopInitiator, relays, 7, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +420,7 @@ func TestHopCoreRejects(t *testing.T) {
 		}
 	}
 	for _, bad := range [][]netsim.NodeID{nil, {0, 2}, {7, 2}} {
-		if _, _, err := NewPathKeys(h.env, h.dir, hopInitiator, bad, 7, nil, false); err == nil {
+		if _, err := new(PathKeys).Launch(h.env, h.dir, hopInitiator, bad, 7, nil, nil, false); err == nil {
 			t.Fatalf("relays %v accepted", bad)
 		}
 	}
@@ -514,7 +517,8 @@ func TestTableConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				keys, launch, err := NewPathKeys(env, dir, netsim.NodeID(g%2), []netsim.NodeID{relay}, responder, nil, false)
+				var keys PathKeys
+				launch, err := keys.Launch(env, dir, netsim.NodeID(g%2), []netsim.NodeID{relay}, responder, nil, nil, false)
 				if err != nil {
 					t.Error(err)
 					return

@@ -56,7 +56,8 @@ type Path struct {
 	// returns, before any reply can arrive.
 	OnReverse ReverseFunc
 
-	keys PathKeys
+	keys      PathKeys
+	relayList [inlineHops]netsim.NodeID // where Relays starts out
 
 	onResult func(*Path, bool) // construction outcome callback
 	timer    *sim.Timer
@@ -135,22 +136,22 @@ func (in *Initiator) ConstructWithDataTagged(relays []netsim.NodeID, responder n
 }
 
 // launch keys a path, records it, sends its first message and arms the
-// construction timeout.
+// construction timeout. The message is built in one pooled buffer,
+// which travels with it from hop to hop (Relay.apply) and goes back
+// where the last of it is read — at the terminal relay, or at the
+// responder with the payload that rode it — or where it is dropped.
 func (in *Initiator) launch(relays []netsim.NodeID, responder netsim.NodeID, plain []byte, withData bool, flow *metrics.Flow, tag obs.Tag, done func(*Path, bool)) (*Path, error) {
-	keys, first, err := NewPathKeys(in.env, in.dir, in.id, relays, responder, plain, withData)
+	p := &Path{Responder: responder, State: PathConstructing, onResult: done}
+	bp := bufpool.Get(LaunchSize(in.env.Suite, len(relays), len(plain), withData))
+	first, err := p.keys.Launch(in.env, in.dir, in.id, relays, responder, (*bp)[:0], plain, withData)
 	if err != nil {
+		bufpool.Release(bp)
 		return nil, err
 	}
-	p := &Path{
-		SID:       first.SID,
-		Relays:    append([]netsim.NodeID(nil), relays...),
-		Responder: responder,
-		State:     PathConstructing,
-		keys:      keys,
-		onResult:  done,
-	}
+	p.SID = first.SID
+	p.Relays = append(p.relayList[:0], relays...)
 	in.paths[p.SID] = p
-	transmit(in.net, in.id, &first, nil, flow, tag)
+	transmit(in.net, in.id, &first, bp, flow, tag)
 	p.timer = in.eng.After(in.timeout, func() {
 		if p.State == PathConstructing {
 			p.State = PathFailed

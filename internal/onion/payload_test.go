@@ -223,7 +223,8 @@ func TestPayloadOnionTamper(t *testing.T) {
 	for _, suite := range []onioncrypt.Suite{onioncrypt.ECIES{}, onioncrypt.Null{}} {
 		t.Run(suite.Name(), func(t *testing.T) {
 			h := newHopNet(t, suite, relays, []netsim.NodeID{resp})
-			keys, launch, err := NewPathKeys(h.env, h.dir, hopInitiator, relays, resp, nil, false)
+			var keys PathKeys
+			launch, err := keys.Launch(h.env, h.dir, hopInitiator, relays, resp, nil, nil, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -354,7 +355,8 @@ func TestHotPathAllocs(t *testing.T) {
 	relays := []netsim.NodeID{2, 3}
 	h := newHopNet(t, onioncrypt.ECIES{}, relays, []netsim.NodeID{7})
 	h.env.Rand = rng
-	keys, launch, err := NewPathKeys(h.env, h.dir, hopInitiator, relays, 7, nil, false)
+	var keys PathKeys
+	launch, err := keys.Launch(h.env, h.dir, hopInitiator, relays, 7, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

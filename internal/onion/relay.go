@@ -57,14 +57,15 @@ var dropReasons = [...]obs.Reason{DropNoSID: obs.ReasonNoState, DropBad: obs.Rea
 // advanced one hop, and records a tagged message the table consumed:
 // without that event its causal chain would end at a MsgDelivered with
 // no explanation. buf, the pooled buffer the input lay in, goes on with
-// the first send when that send's body still lies in it — a layer
-// opened or sealed in place — and back to the pool otherwise: a drop,
-// or a reverse body the table moved.
+// the first send when that send's body or construction onion still
+// lies in it — a layer opened or sealed in place, an inner onion — and
+// back to the pool otherwise: a drop, an ack, or a reverse body the
+// table moved.
 func (r *Relay) apply(st *Step, buf *[]byte, flow *metrics.Flow, tag obs.Tag, size int) {
 	if st.Drop != DropNone {
 		emitRelayDropped(r.net, r.id, tag, size, dropReasons[st.Drop])
 	}
-	if buf != nil && (st.N == 0 || OffsetIn(*buf, st.Out[0].Body) < 0) {
+	if buf != nil && (st.N == 0 || OffsetIn(*buf, st.Out[0].Body) < 0 && OffsetIn(*buf, st.Out[0].Onion) < 0) {
 		bufpool.Release(buf)
 		buf = nil
 	}

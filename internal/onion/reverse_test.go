@@ -31,17 +31,18 @@ type reversePath struct {
 
 type swapReader struct{ io.Reader }
 
-// keyLog is a suite that remembers the symmetric keys it hands out: for
-// one NewPathKeys, the hop keys R_1..R_L and then the responder key.
+// keyLog is a random reader that remembers what each read drew: for one
+// PathKeys.Launch, the first are the hop keys R_1..R_L and then the
+// responder key (the stream id is drawn from the rng directly).
 type keyLog struct {
-	onioncrypt.Suite
-	keys *[][]byte
+	io.Reader
+	draws *[][]byte
 }
 
-func (k keyLog) NewSymKey(r io.Reader) ([]byte, error) {
-	key, err := k.Suite.NewSymKey(r)
-	*k.keys = append(*k.keys, bytes.Clone(key))
-	return key, err
+func (k keyLog) Read(b []byte) (int, error) {
+	n, err := k.Reader.Read(b)
+	*k.draws = append(*k.draws, bytes.Clone(b[:n]))
+	return n, err
 }
 
 func newReversePath(t testing.TB, suite onioncrypt.Suite, l int) *reversePath {
@@ -61,8 +62,8 @@ func newReversePath(t testing.TB, suite onioncrypt.Suite, l int) *reversePath {
 	var msg Send
 	var drawn [][]byte
 	initiator := env
-	initiator.Suite = keyLog{suite, &drawn}
-	if p.keys, msg, err = NewPathKeys(initiator, dir, 0, relays, responder, []byte("first"), true); err != nil {
+	initiator.Rand = keyLog{p.rand, &drawn}
+	if msg, err = p.keys.Launch(initiator, dir, 0, relays, responder, nil, []byte("first"), true); err != nil {
 		t.Fatal(err)
 	}
 	p.hopKeys, p.respKey = drawn[:l], drawn[l]

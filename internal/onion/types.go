@@ -54,8 +54,8 @@ const msgHeaderSize = 1 + 8
 // open and seal their layers in place. The node a packet arrives at
 // owns Buf: a relay hands it on with the body it forwards or releases
 // it, the responder hands it to the DataFunc on its ReplyHandle and the
-// initiator to the ReverseFunc. A packet netsim drops in flight leaves
-// its buffer to the collector, as it leaves the packet.
+// initiator to the ReverseFunc. A packet netsim drops goes back to the
+// pool, with its buffer, by its Recycle.
 type packet struct {
 	Kind  Kind
 	SID   StreamID
@@ -68,6 +68,14 @@ type packet struct {
 }
 
 var packetPool = sync.Pool{New: func() any { return new(packet) }}
+
+// Recycle is the end of a packet netsim dropped: nothing holds it, or
+// its buffer, any more.
+func (p *packet) Recycle() {
+	bufpool.Release(p.Buf)
+	*p = packet{}
+	packetPool.Put(p)
+}
 
 // wireSize is a packet's on-the-wire size: the header, and a 4-byte
 // length in front of each field its kind carries.
@@ -125,11 +133,7 @@ func transmit(net *netsim.Network, from netsim.NodeID, s *Send, buf *[]byte, flo
 	p.Onion, p.Body, p.Room = s.Onion, s.Body, s.Room
 	size := wireSize(s.Kind, s.Onion, s.Body)
 	if !net.Send(from, s.To, netsim.Message{Payload: p, Size: size, Trace: tag}) {
-		// Never on the wire: nothing else has seen it.
-		*p = packet{}
-		packetPool.Put(p)
-		bufpool.Release(buf)
-		return false
+		return false // never on the wire; netsim recycled the packet
 	}
 	flow.Add(size)
 	return true

@@ -76,28 +76,39 @@ func newGCM(key []byte) (cipher.AEAD, error) {
 }
 
 // Seal encrypts plaintext to pub with an ephemeral X25519 key.
-func (ECIES) Seal(r io.Reader, pub PublicKey, plaintext []byte) ([]byte, error) {
+func (e ECIES) Seal(r io.Reader, pub PublicKey, plaintext []byte) ([]byte, error) {
+	return seal(e, r, pub, plaintext)
+}
+
+// SealInPlace encrypts the plaintext between the ephemeral public key
+// and the tag it is about to get. The plaintext is exactly where its
+// ciphertext goes, the one overlap cipher.AEAD allows.
+func (ECIES) SealInPlace(r io.Reader, pub PublicKey, sealed []byte) error {
+	if len(sealed) < x25519KeySize+gcmTagSize {
+		return tooShort(len(sealed))
+	}
 	recipient, err := ecdh.X25519().NewPublicKey(pub)
 	if err != nil {
-		return nil, fmt.Errorf("onioncrypt: bad recipient key: %w", err)
+		return fmt.Errorf("onioncrypt: bad recipient key: %w", err)
 	}
 	eph, err := newX25519Key(r)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	shared, err := eph.ECDH(recipient)
 	if err != nil {
-		return nil, fmt.Errorf("onioncrypt: ECDH: %w", err)
+		return fmt.Errorf("onioncrypt: ECDH: %w", err)
 	}
 	ephPub := eph.PublicKey().Bytes()
 	gcm, err := newGCM(kdf(shared, ephPub, pub))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	nonce := make([]byte, gcmNonceSize) // zero: key is single-use
-	out := make([]byte, 0, x25519KeySize+len(plaintext)+gcmTagSize)
-	out = append(out, ephPub...)
-	return gcm.Seal(out, nonce, plaintext, nil), nil
+	var nonce [gcmNonceSize]byte // zero: key is single-use
+	copy(sealed, ephPub)
+	ct := sealed[x25519KeySize : len(sealed)-gcmTagSize]
+	gcm.Seal(ct[:0], nonce[:], ct, nil)
+	return nil
 }
 
 // Open decrypts a sealed ciphertext with the private key.
@@ -164,6 +175,10 @@ func (o *x25519Opener) Open(ciphertext []byte) ([]byte, error) {
 // SealOverhead returns the asymmetric layer overhead (48 bytes).
 func (ECIES) SealOverhead() int { return x25519KeySize + gcmTagSize }
 
+// SealPrefix returns the ephemeral public key's size: the tag follows
+// the ciphertext.
+func (ECIES) SealPrefix() int { return x25519KeySize }
+
 // NewSymKey draws a fresh AES-256 key.
 func (ECIES) NewSymKey(r io.Reader) ([]byte, error) {
 	key := make([]byte, SymKeySize)
@@ -212,7 +227,7 @@ func (ECIES) SymSeal(r io.Reader, key, plaintext []byte) ([]byte, error) {
 // and the tag it is about to get.
 func (c aesGCM) SealInPlace(r io.Reader, layer []byte) error {
 	if len(layer) < gcmNonceSize+gcmTagSize {
-		return fmt.Errorf("onioncrypt: %d-byte buffer cannot hold a layer", len(layer))
+		return tooShort(len(layer))
 	}
 	return c.seal(r, layer, layer[gcmNonceSize:len(layer)-gcmTagSize])
 }

@@ -37,15 +37,23 @@ func (Null) GenerateKeyPair(r io.Reader) (KeyPair, error) {
 }
 
 // Seal tags the plaintext with the recipient key and pads to ECIES size.
-func (Null) Seal(_ io.Reader, pub PublicKey, plaintext []byte) ([]byte, error) {
+func (n Null) Seal(r io.Reader, pub PublicKey, plaintext []byte) ([]byte, error) {
+	return seal(n, r, pub, plaintext)
+}
+
+// SealInPlace writes the recipient key, the plaintext's length and the
+// zero padding in front of the plaintext.
+func (Null) SealInPlace(_ io.Reader, pub PublicKey, sealed []byte) error {
 	if len(pub) != x25519KeySize {
-		return nil, ErrBadKeySize
+		return ErrBadKeySize
 	}
-	out := make([]byte, 0, x25519KeySize+gcmTagSize+len(plaintext))
-	out = append(out, pub...)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(plaintext)))
-	out = append(out, make([]byte, gcmTagSize-4)...)
-	return append(out, plaintext...), nil
+	if len(sealed) < x25519KeySize+gcmTagSize {
+		return tooShort(len(sealed))
+	}
+	copy(sealed, pub)
+	binary.BigEndian.PutUint32(sealed[x25519KeySize:], uint32(len(sealed)-x25519KeySize-gcmTagSize))
+	clear(sealed[x25519KeySize+4 : x25519KeySize+gcmTagSize])
+	return nil
 }
 
 // Open verifies the recipient tag and embedded length, then strips the
@@ -92,6 +100,9 @@ func (o *nullOpener) Open(ciphertext []byte) ([]byte, error) {
 // SealOverhead matches ECIES (48 bytes).
 func (Null) SealOverhead() int { return x25519KeySize + gcmTagSize }
 
+// SealPrefix is the whole overhead.
+func (Null) SealPrefix() int { return x25519KeySize + gcmTagSize }
+
 // NewSymKey draws 32 random bytes.
 func (Null) NewSymKey(r io.Reader) ([]byte, error) {
 	key := make([]byte, SymKeySize)
@@ -128,7 +139,7 @@ func (n Null) SymSeal(r io.Reader, key, plaintext []byte) ([]byte, error) {
 // plaintext.
 func (c *nullCipher) SealInPlace(_ io.Reader, layer []byte) error {
 	if len(layer) < nullSymHeader {
-		return fmt.Errorf("onioncrypt: %d-byte buffer cannot hold a layer", len(layer))
+		return tooShort(len(layer))
 	}
 	copy(layer, c[:nullSymHeader-4])
 	binary.BigEndian.PutUint32(layer[nullSymHeader-4:], uint32(len(layer)-nullSymHeader))

@@ -20,6 +20,7 @@ package onioncrypt
 
 import (
 	"errors"
+	"fmt"
 	"io"
 )
 
@@ -71,8 +72,17 @@ type Suite interface {
 	GenerateKeyPair(r io.Reader) (KeyPair, error)
 
 	// Seal encrypts plaintext to the holder of pub. Only the matching
-	// private key can Open it.
+	// private key can Open it. It is SealInPlace on a fresh buffer.
 	Seal(r io.Reader, pub PublicKey, plaintext []byte) ([]byte, error)
+
+	// SealInPlace seals to the holder of pub the ciphertext that fills
+	// the whole of sealed, whose plaintext the caller has already put
+	// where it stays: sealed[SealPrefix() :
+	// len(sealed)-(SealOverhead()-SealPrefix())]. It draws from r what
+	// Seal draws and leaves in sealed the bytes Seal would have
+	// returned, without a second buffer: a builder lays a nested onion
+	// out in one buffer and seals it from the inside out.
+	SealInPlace(r io.Reader, pub PublicKey, sealed []byte) error
 
 	// Open decrypts a sealed ciphertext with the private key:
 	// NewOpener(priv) and its Open, in one call.
@@ -85,6 +95,10 @@ type Suite interface {
 	// SealOverhead is the constant size difference between a sealed
 	// ciphertext and its plaintext.
 	SealOverhead() int
+
+	// SealPrefix is how many of SealOverhead's bytes a sealed
+	// ciphertext puts before its plaintext; the rest follow it.
+	SealPrefix() int
 
 	// NewSymKey draws a fresh symmetric key.
 	NewSymKey(r io.Reader) ([]byte, error)
@@ -138,4 +152,21 @@ type Opener interface {
 	// buffer of its own (or, where nothing is decrypted, a sub-slice of
 	// ciphertext).
 	Open(ciphertext []byte) ([]byte, error)
+}
+
+// seal is Suite.Seal for both suites: the plaintext copied into a
+// buffer of its own and sealed there.
+func seal(s Suite, r io.Reader, pub PublicKey, plaintext []byte) ([]byte, error) {
+	out := make([]byte, s.SealOverhead()+len(plaintext))
+	copy(out[s.SealPrefix():], plaintext)
+	if err := s.SealInPlace(r, pub, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// tooShort is SealInPlace's and Cipher.SealInPlace's error for a
+// buffer that cannot hold what it is to be sealed into.
+func tooShort(n int) error {
+	return fmt.Errorf("onioncrypt: %d-byte buffer cannot hold a layer", n)
 }

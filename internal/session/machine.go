@@ -65,9 +65,10 @@ const (
 	// Build: construct a path for Slot through relays of the driver's
 	// choosing and report PathBuilt, PathFailed or Abandon. With First
 	// set, segment (MID, Index, Data) rides the construction onion
-	// (§4.2). Exclude is InUse(Slot) as it was when the machine asked: a
-	// driver that builds later than at once asks InUse again when it
-	// chooses.
+	// (§4.2). Exclude is AppendInUse(nil, Slot) as it was when the
+	// machine asked, in the slot's storage until its build concludes: a
+	// driver that builds later than at once asks AppendInUse again when
+	// it chooses.
 	Build
 	// Broken: Slot's path was given up for Reason.
 	Broken
@@ -126,6 +127,7 @@ type slot struct {
 	alive     bool
 	repairing bool // a Build for this slot is outstanding
 	relays    []netsim.NodeID
+	exclude   []netsim.NodeID // the outstanding Build's Exclude
 	// gen counts the constructions this slot has concluded; a job
 	// carries the generation of the path it went out on.
 	gen uint32
@@ -383,26 +385,29 @@ func (m *Machine) Send(out []Output, now int64, mid uint64, dest netsim.NodeID, 
 	return append(out, Output{Kind: Arm, MID: mid, At: now + m.cfg.AckTimeout}), nil
 }
 
-// InUse returns the relays a new path for slot must avoid to keep the
-// k paths node-disjoint: those of every other path that stands now.
-func (m *Machine) InUse(slot int) []netsim.NodeID {
-	var used []netsim.NodeID
+// AppendInUse appends to dst the relays a new path for slot must avoid
+// to keep the k paths node-disjoint: those of every other path that
+// stands now.
+func (m *Machine) AppendInUse(dst []netsim.NodeID, slot int) []netsim.NodeID {
 	for i := range m.slots {
 		if i != slot && m.slots[i].alive {
-			used = append(used, m.slots[i].relays...)
+			dst = append(dst, m.slots[i].relays...)
 		}
 	}
-	return used
+	return dst
 }
 
-// build marks slot as under construction and emits the Build request.
+// build marks slot as under construction and emits the Build request,
+// its Exclude in the slot's storage: a slot has one Build outstanding
+// at a time.
 func (m *Machine) build(out []Output, si int, o Output) []Output {
 	sl := &m.slots[si]
 	if sl.repairing {
 		return out
 	}
 	sl.repairing = true
-	o.Kind, o.Slot, o.Exclude = Build, si, m.InUse(si)
+	sl.exclude = m.AppendInUse(sl.exclude[:0], si)
+	o.Kind, o.Slot, o.Exclude = Build, si, sl.exclude
 	return append(out, o)
 }
 

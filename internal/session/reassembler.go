@@ -56,9 +56,11 @@ type Reassembler[H any] struct {
 	release func(bp *[]byte) // bufpool.Release; tests count through it
 	// spare holds the emptied lists of messages rebuilt or forgotten, for
 	// new messages to fill; free holds the cleared records of forgotten
-	// messages, with their lists of H, for new messages.
+	// messages, with their lists of H, for new messages; block holds
+	// records never used yet, made a block at a time (fresh).
 	spare []lists
 	free  []*assembly[H]
+	block []assembly[H]
 }
 
 type assembly[H any] struct {
@@ -84,6 +86,21 @@ func NewReassembler[H any](horizon int64) *Reassembler[H] {
 	return &Reassembler[H]{horizon: horizon, msgs: make(map[uint64]*assembly[H]), release: bufpool.Release}
 }
 
+// fresh returns a record never used before. Until the first Sweep
+// forgets a message every new message needs one, and the reassembler
+// holds them all at once — up to two horizons of messages — and keeps
+// them for reuse after, so they are made a block at a time, as many as
+// are held already (8 at least, 256 at most): the records of a horizon
+// cost a few allocations, not one each.
+func (r *Reassembler[H]) fresh() *assembly[H] {
+	if len(r.block) == 0 {
+		r.block = make([]assembly[H], min(max(len(r.msgs), 8), 256))
+	}
+	a := &r.block[0]
+	r.block = r.block[1:]
+	return a
+}
+
 // Add takes in one segment, whose bytes lie in the pooled buffer buf
 // (nil when they are in no pooled buffer). On Stored and Ready the
 // reassembler keeps buf; on any other verdict the caller still owns it.
@@ -101,7 +118,7 @@ func (r *Reassembler[H]) Add(now int64, s Segment, buf *[]byte) (v Verdict, repl
 		if n := len(r.free); n > 0 {
 			a, r.free = r.free[n-1], r.free[:n-1]
 		} else {
-			a = new(assembly[H])
+			a = r.fresh()
 		}
 		a.needed, a.total, a.first = s.Needed, s.Total, now
 		// m segments complete the message; ValidCodeShape bounds m.
