@@ -13,8 +13,9 @@ build:
 
 # Tier 1. Without -race on purpose: the allocation budgets
 # (core.TestSimEraMessageAllocs ≤ 1 allocation,
-# TestSimEraMessageBytes ≤ 128 B and TestPathConstructionAllocs ≤ 6
-# allocations per path construction,
+# TestSimEraMessageBytes ≤ 128 B, TestPathConstructionAllocs ≤ 0.25
+# allocations per path construction and TestEstablishmentEventAllocs
+# ≤ 6 per establishment event,
 # livenet.TestLiveSmallAllocBudget ≤ 20 KB and ≤ 320 allocations,
 # TestLiveBulkAllocBudget ≤ 40 KB and ≤ 600 allocations, flat out,
 # livenet.TestFrameWriteAllocs) skip under the race detector, where

@@ -8,6 +8,7 @@ import (
 	"resilientmix/internal/bufpool"
 	"resilientmix/internal/erasure"
 	"resilientmix/internal/netsim"
+	"resilientmix/internal/onion"
 	"resilientmix/internal/session"
 	"resilientmix/internal/sim"
 )
@@ -44,6 +45,23 @@ func TestSimReleasedBuffersPoisoned(t *testing.T) {
 	t.Cleanup(func() { bufpool.SetPoison(false) })
 	if poisoned := releasedBuffersWorld(t); poisoned != clean {
 		t.Errorf("poisoned run tallied %+v, unpoisoned %+v: a payload read after its release failed to decode or rebuild", poisoned, clean)
+	}
+}
+
+// TestForgottenPathsPoisoned runs TestSimReleasedBuffersPoisoned's world
+// — under churn and loss, its sessions repair, establishment retries
+// and rendezvous use path after path — with the initiators' path
+// records poisoned at Forget (onion.SetPoison): a record read after its
+// Forget reads as a failed path on an invalid stream, through invalid
+// relays, to no responder. A session that kept using a path it had
+// released would send nothing, or to nobody, so the run must tally
+// exactly what the unpoisoned run does.
+func TestForgottenPathsPoisoned(t *testing.T) {
+	clean := releasedBuffersWorld(t)
+	onion.SetPoison(true)
+	t.Cleanup(func() { onion.SetPoison(false) })
+	if poisoned := releasedBuffersWorld(t); poisoned != clean {
+		t.Errorf("poisoned run tallied %+v, unpoisoned %+v: a path record was read after its Forget", poisoned, clean)
 	}
 }
 

@@ -43,7 +43,7 @@ type CoverAgent struct {
 	id       netsim.NodeID
 	cfg      CoverConfig
 	stats    CoverStats
-	timer    *sim.Timer
+	timer    sim.Timer
 	sessions []*Session
 }
 
@@ -72,9 +72,7 @@ func (a *CoverAgent) Start() {
 
 // Stop cancels future rounds.
 func (a *CoverAgent) Stop() {
-	if a.timer != nil {
-		a.timer.Cancel()
-	}
+	a.timer.Cancel()
 }
 
 // Stats returns a snapshot of the agent's counters. Bandwidth is

@@ -139,6 +139,7 @@ func (s *Session) RegisterService(tag uint64) error {
 	if !s.established {
 		return fmt.Errorf("core: session not established")
 	}
+	s.openIO()
 	initiator := s.w.Nodes[s.self].Initiator
 	msg := session.EncodeRegister(tag)
 	sent := 0
@@ -180,6 +181,7 @@ func (s *Session) sendServiceSegments(kind byte, tag, conv uint64, data []byte) 
 	if !s.established {
 		return fmt.Errorf("core: session not established")
 	}
+	s.openIO()
 	segs, err := s.code.Split(data)
 	if err != nil {
 		return err

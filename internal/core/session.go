@@ -50,28 +50,17 @@ type Session struct {
 	m *session.Machine
 	// paths holds the path standing (or last standing) in each slot.
 	paths []*onion.Path
-	// choose picks n disjoint relay lists avoiding exclude: the mix
-	// choice of §4.9 over the membership view (tests script it). The
-	// lists lie in the session's scratch (relays, lists) until the next
-	// choice; a path copies its relays.
+	// choose, when set, replaces the mix choice of §4.9 (pick): tests
+	// script it.
 	choose func(n int, exclude []netsim.NodeID) ([][]netsim.NodeID, error)
-	relays []netsim.NodeID
-	lists  [][]netsim.NodeID
-	// exclude is the scratch a choice's exclusion set is put together in.
-	exclude []netsim.NodeID
-	// reverse is the OnReverse every path of the session carries, and
-	// onAttempt and onBuilt the construction callbacks of establishment's
-	// paths and of replacements: each made once, each finding its slot
-	// by the path (pending, building).
-	reverse   onion.ReverseFunc
-	onAttempt func(*onion.Path, bool)
-	onBuilt   func(*onion.Path, bool)
+	// onPath is the construction callback of every path of the session,
+	// made once: it finds the path among the current establishment
+	// attempt's (pending) or the slots' replacements (building).
+	onPath func(*onion.Path, bool)
 	// pending holds the current establishment attempt's paths by slot,
-	// stood which of them stand, and resolved and stoodN how many
-	// have reported and stood; building holds each slot's replacement
-	// under construction.
+	// and resolved and stoodN how many of them have reported and stood;
+	// building holds each slot's replacement under construction.
 	pending  []*onion.Path
-	stood    []bool
 	resolved int
 	stoodN   int
 	building []*onion.Path
@@ -79,15 +68,12 @@ type Session struct {
 	// deadline is onDeadline as registered with the engine, on the first
 	// Arm: a session that never sends registers nothing.
 	deadline sim.Func
-	// splits holds the buffer each message's coded segments lie in until
-	// the machine's Forget, at the message's verdict; spare holds those it
-	// has forgotten, for the next message to be split into. A transmit
-	// reads its segment within the input that emits it, so no buffer is
-	// pinned past its Forget.
-	splits map[uint64][]byte
-	spare  [][]byte
-	// segs is SplitInto's descriptors, scratch the machine copies from.
-	segs []erasure.Segment
+	// reverse is the OnReverse the session's paths carry, made with
+	// the sessionIO by openIO when the session first sends: a session
+	// that only establishes — the establishment experiments make one per
+	// construction event — has neither.
+	reverse onion.ReverseFunc
+	*sessionIO
 
 	established bool
 	failed      bool
@@ -95,17 +81,6 @@ type Session struct {
 	setDead     bool
 	setDeadAt   sim.Time
 	repair      bool // EnableRepair was called: the path set heals instead of dying
-
-	// Responses reassemble by the ID of a message this session sent,
-	// rendezvous-forwarded conversations by their conversation ID. All
-	// three forget a message between one and two inboundTTLs after they
-	// last heard of it, by a sweep the first send or arrival of each
-	// horizon runs (sweepAt): a session's memory is bounded by its rate,
-	// not its age, and no engine event is added for it.
-	sent      map[uint64]sim.Time // when each message went out
-	responses *session.Reassembler[struct{}]
-	inbound   *session.Reassembler[struct{}]
-	sweepAt   sim.Time
 
 	stats SessionStats
 
@@ -125,6 +100,30 @@ type Session struct {
 	OnInbound func(conv uint64, data []byte, at sim.Time)
 }
 
+// sessionIO is what a session keeps of the messages it sends and hears.
+type sessionIO struct {
+	// splits holds the buffer each message's coded segments lie in until
+	// the machine's Forget, at the message's verdict; spare holds those it
+	// has forgotten, for the next message to be split into. A transmit
+	// reads its segment within the input that emits it, so no buffer is
+	// pinned past its Forget.
+	splits map[uint64][]byte
+	spare  [][]byte
+	// segs is SplitInto's descriptors, scratch the machine copies from.
+	segs []erasure.Segment
+
+	// Responses reassemble by the ID of a message this session sent,
+	// rendezvous-forwarded conversations by their conversation ID. All
+	// three forget a message between one and two inboundTTLs after they
+	// last heard of it, by a sweep the first send or arrival of each
+	// horizon runs (sweepAt): a session's memory is bounded by its rate,
+	// not its age, and no engine event is added for it.
+	sent      map[uint64]sim.Time // when each message went out
+	responses *session.Reassembler[struct{}]
+	inbound   *session.Reassembler[struct{}]
+	sweepAt   sim.Time
+}
+
 // NewSession creates a session; Establish starts it.
 func (w *World) NewSession(self, responder netsim.NodeID, params Params) (*Session, error) {
 	if err := params.Validate(); err != nil {
@@ -138,6 +137,8 @@ func (w *World) NewSession(self, responder netsim.NodeID, params Params) (*Sessi
 	if self == responder {
 		return nil, fmt.Errorf("core: initiator and responder are the same node %d", self)
 	}
+	k := params.K
+	slots := make([]*onion.Path, 3*k)
 	s := &Session{
 		w:         w,
 		self:      self,
@@ -145,31 +146,11 @@ func (w *World) NewSession(self, responder netsim.NodeID, params Params) (*Sessi
 		params:    params,
 		code:      code,
 		provider:  w.Provider(self),
-		paths:     make([]*onion.Path, params.K),
-		pending:   make([]*onion.Path, params.K),
-		stood:     make([]bool, params.K),
-		building:  make([]*onion.Path, params.K),
-		splits:    make(map[uint64][]byte),
-		sent:      make(map[uint64]sim.Time),
-		responses: session.NewReassembler[struct{}](int64(inboundTTL)),
-		inbound:   session.NewReassembler[struct{}](int64(inboundTTL)),
+		paths:     slots[:k:k],
+		pending:   slots[k : 2*k : 2*k],
+		building:  slots[2*k:],
 	}
-	s.choose = func(n int, exclude []netsim.NodeID) ([][]netsim.NodeID, error) {
-		w.cands = s.provider.AppendCandidates(w.cands[:0], self)
-		relays, err := mixchoice.AppendPaths(s.relays[:0], w.Eng.RNG(), params.Strategy, w.cands, n, params.L, exclude)
-		if err != nil {
-			return nil, err
-		}
-		s.relays, s.lists = relays, slices.Grow(s.lists[:0], n)
-		for i := 0; i < n; i++ {
-			s.lists = append(s.lists, relays[i*params.L:(i+1)*params.L])
-		}
-		return s.lists, nil
-	}
-	s.reverse = func(_ *onion.Path, _ netsim.NodeID, plain []byte, buf *[]byte, _ *metrics.Flow) {
-		s.handleReverse(plain, buf)
-	}
-	s.onAttempt, s.onBuilt = s.attemptDone, s.built
+	s.onPath = s.pathDone
 	m, n := params.codeShape()
 	// MaxRetransmits and MaxInflight stay zero: the simulator's message
 	// gets one round and its queue no bound, so the machine arms one
@@ -184,6 +165,61 @@ func (w *World) NewSession(self, responder netsim.NodeID, params Params) (*Sessi
 
 // Params returns the session's (defaulted) parameters.
 func (s *Session) Params() Params { return s.params }
+
+// openIO makes what a session needs once it sends: the OnReverse its
+// paths carry, which it gives the paths it already has, and its
+// sessionIO. Every way of sending on the session's paths opens it
+// first — reverse traffic answers a send — and so does anything
+// arriving by handleReverse.
+func (s *Session) openIO() {
+	if s.sessionIO != nil {
+		return
+	}
+	s.reverse = func(_ *onion.Path, _ netsim.NodeID, plain []byte, buf *[]byte, _ *metrics.Flow) {
+		s.handleReverse(plain, buf)
+	}
+	for _, paths := range [...][]*onion.Path{s.paths, s.pending, s.building} {
+		for _, p := range paths {
+			if p != nil {
+				p.OnReverse = s.reverse
+			}
+		}
+	}
+	s.sessionIO = &sessionIO{
+		splits:    make(map[uint64][]byte),
+		sent:      make(map[uint64]sim.Time),
+		responses: session.NewReassembler[struct{}](int64(inboundTTL)),
+		inbound:   session.NewReassembler[struct{}](int64(inboundTTL)),
+	}
+}
+
+// pick chooses n disjoint relay lists avoiding exclude: the mix choice
+// of §4.9 over the membership view, or the test's script (choose). The
+// lists lie in world scratch until the next choice in the world; a path
+// copies its relays.
+func (s *Session) pick(n int, exclude []netsim.NodeID) ([][]netsim.NodeID, error) {
+	if s.choose != nil {
+		return s.choose(n, exclude)
+	}
+	w, l := s.w, s.params.L
+	w.cands = s.provider.AppendCandidates(w.cands[:0], s.self)
+	relays, err := mixchoice.AppendPaths(w.relays[:0], w.Eng.RNG(), s.params.Strategy, w.cands, n, l, exclude)
+	if err != nil {
+		return nil, err
+	}
+	w.relays, w.lists = relays, slices.Grow(w.lists[:0], n)
+	for i := 0; i < n; i++ {
+		w.lists = append(w.lists, relays[i*l:(i+1)*l])
+	}
+	return w.lists, nil
+}
+
+// exclusion returns the world's exclusion scratch holding the session's
+// endpoints and then more.
+func (s *Session) exclusion(more []netsim.NodeID) []netsim.NodeID {
+	s.w.exclude = append(append(s.w.exclude[:0], s.self, s.responder), more...)
+	return s.w.exclude
+}
 
 // release drops a path's initiator-side record, and with it the path's
 // reverse traffic.
@@ -232,17 +268,15 @@ func (s *Session) Establish() {
 func (s *Session) attempt() {
 	s.stats.EstablishAttempts++
 	s.w.m.establishAttempts.Inc()
-	clear(s.stood)
 	s.resolved, s.stoodN = 0, 0
-	s.exclude = append(s.exclude[:0], s.self, s.responder)
-	lists, err := s.choose(s.params.K, s.exclude)
+	lists, err := s.pick(s.params.K, s.exclusion(nil))
 	if err != nil {
 		s.concludeAttempt()
 		return
 	}
 	initiator := s.w.Nodes[s.self].Initiator
 	for i, relays := range lists {
-		p, err := initiator.Construct(relays, s.responder, &s.stats.ConstructFlow, s.onAttempt)
+		p, err := initiator.Construct(relays, s.responder, &s.stats.ConstructFlow, s.onPath)
 		if err != nil {
 			// Immediate failure (should not happen after SelectPaths
 			// validation); count the slot as resolved.
@@ -250,7 +284,7 @@ func (s *Session) attempt() {
 			continue
 		}
 		s.pending[i] = p
-		p.OnReverse = s.reverse
+		p.OnReverse = s.reverse // nil until openIO: no reverse traffic before a send
 	}
 	if s.resolved == s.params.K {
 		// All constructions failed synchronously.
@@ -258,13 +292,20 @@ func (s *Session) attempt() {
 	}
 }
 
-// attemptDone is the construction outcome of one of the current
-// attempt's paths; the attempt concludes with the last of them.
-func (s *Session) attemptDone(p *onion.Path, ok bool) {
-	i := slices.Index(s.pending, p)
+// pathDone is the construction outcome of one of the session's paths.
+func (s *Session) pathDone(p *onion.Path, ok bool) {
+	if i := slices.Index(s.pending, p); i >= 0 {
+		s.attemptDone(i, p, ok)
+	} else {
+		s.built(p, ok)
+	}
+}
+
+// attemptDone is the construction outcome of the current attempt's
+// path in slot i; the attempt concludes with the last of them.
+func (s *Session) attemptDone(i int, p *onion.Path, ok bool) {
 	s.resolved++
 	if ok {
-		s.stood[i] = true
 		s.stoodN++
 		s.notePath(obs.PathBuilt, p, i, obs.ReasonNone, s.w.m.pathsBuilt)
 	}
@@ -273,9 +314,10 @@ func (s *Session) attemptDone(p *onion.Path, ok bool) {
 	}
 }
 
-// concludeAttempt settles the current attempt (pending, stood): the
-// session is established with the paths that stood, or everything is
-// released and another attempt, if any is left, runs next.
+// concludeAttempt settles the current attempt (pending): the session is
+// established with the paths that stood, or everything is released and
+// another attempt, if any is left, runs next. A path of the attempt
+// stood if its construction ended established.
 func (s *Session) concludeAttempt() {
 	if s.established || s.failed {
 		return
@@ -285,7 +327,7 @@ func (s *Session) concludeAttempt() {
 		s.establishAt = s.w.Eng.Now()
 		// Slots that failed construction already count as failed paths.
 		for i, p := range s.pending {
-			if s.stood[i] {
+			if p != nil && p.State == onion.PathEstablished {
 				s.paths[i] = p
 				s.m.PathUp(i, p.Relays)
 			} else {
@@ -331,6 +373,7 @@ func (s *Session) SendMessageTo(dest netsim.NodeID, data []byte) (uint64, error)
 	if dest == s.self {
 		return 0, fmt.Errorf("core: cannot send to self")
 	}
+	s.openIO()
 	var split []byte
 	if n := len(s.spare); n > 0 {
 		split, s.spare = s.spare[n-1], s.spare[:n-1]
@@ -446,8 +489,7 @@ func (s *Session) build(b session.Output) {
 	// The exclusion set is the request's, not the present one: the pinned
 	// traces have a slot's replacement chosen before the same deadline
 	// condemns the next slot, whose relays it therefore still avoids.
-	s.exclude = append(append(s.exclude[:0], s.self, s.responder), b.Exclude...)
-	lists, err := s.choose(1, s.exclude)
+	lists, err := s.pick(1, s.exclusion(b.Exclude))
 	if err != nil {
 		s.m.Abandon(b)
 		return
@@ -457,9 +499,9 @@ func (s *Session) build(b session.Output) {
 	var p *onion.Path
 	if b.First {
 		tag := obs.Tag{ID: b.MID, Seg: b.Index, Slot: int32(b.Slot)}
-		p, err = initiator.ConstructWithDataTagged(relays, s.responder, s.m.Payload(b), &s.stats.DataFlow, tag, s.onBuilt)
+		p, err = initiator.ConstructWithDataTagged(relays, s.responder, s.m.Payload(b), &s.stats.DataFlow, tag, s.onPath)
 	} else {
-		p, err = initiator.Construct(relays, s.responder, &s.stats.ConstructFlow, s.onBuilt)
+		p, err = initiator.Construct(relays, s.responder, &s.stats.ConstructFlow, s.onPath)
 	}
 	if err != nil {
 		s.m.Abandon(b)
@@ -556,6 +598,7 @@ func (s *Session) EnableRepair(probeInterval sim.Time) {
 	}
 	s.repair = true
 	s.m.EnableRepair()
+	s.openIO()
 	s.w.Eng.Every(probeInterval, probeInterval, func() {
 		if !s.established {
 			return
@@ -576,6 +619,7 @@ func (s *Session) EnablePrediction(threshold float64, interval sim.Time) {
 	if interval <= 0 {
 		interval = 30 * sim.Second
 	}
+	s.openIO()
 	s.w.Eng.Every(interval, interval, func() {
 		if !s.established || s.setDead {
 			return
@@ -594,6 +638,7 @@ func (s *Session) EnablePrediction(threshold float64, interval sim.Time) {
 // none): an ack's goes back once the machine has taken the ack in, a
 // segment's to the reassembler that stores it.
 func (s *Session) handleReverse(plain []byte, buf *[]byte) {
+	s.openIO()
 	s.sweep(s.w.Eng.Now())
 	msg, err := session.DecodeApp(plain)
 	if err != nil {

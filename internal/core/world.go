@@ -129,9 +129,14 @@ type World struct {
 	tracer obs.Tracer
 	m      *worldMetrics
 
-	// cands is the membership view a session's mix choice reads, one
-	// buffer for every session: the choice copies what it keeps.
-	cands []membership.Candidate
+	// cands is the membership view a session's mix choice reads, and
+	// relays, lists and exclude the choice's relays, their lists and its
+	// exclusion set: one buffer each for every session, since a choice
+	// is used up before the next (a path copies its relays).
+	cands   []membership.Candidate
+	relays  []netsim.NodeID
+	lists   [][]netsim.NodeID
+	exclude []netsim.NodeID
 }
 
 // NewWorld builds and wires a world. Churn (if configured) does not

@@ -296,6 +296,14 @@ func relayRecycles(t *testing.T, suite onioncrypt.Suite, keep func([]byte) []byt
 		}
 	}
 
+	// Probe rounds come off the session's ticker, every 20 ms, and under
+	// Null the whole exchange below can finish inside one interval: wait
+	// for the first round, so the probes' frames are on the relays, and
+	// in the pool, before the messages' are.
+	waitFor(t, "the session's first probe round", func() bool {
+		return c.nodes[0].Metrics().Counter("live.repair.probes").Value() > 0
+	})
+
 	const rounds = 6
 	var wg sync.WaitGroup
 	sent := make(map[uint64][]byte)

@@ -537,6 +537,8 @@ func (s *LiveSession) settle(mid uint64, forget bool) {
 // may arrive — and resolve the message — while its last is being
 // written (which is why the split stays pinned until run returns).
 func (s *LiveSession) run(outs []session.Output) {
+	var buf [4]session.Output
+	verdicts := buf[:0]
 	for _, o := range outs {
 		switch o.Kind {
 		case session.Transmit:
@@ -583,10 +585,17 @@ func (s *LiveSession) run(outs []session.Output) {
 		case session.Retransmit:
 			s.node.m.retransmits.Inc()
 		case session.Resolved:
-			s.resolve(o.MID, o.Delivered)
+			verdicts = append(verdicts, o)
 		case session.Forget:
 			s.settle(o.MID, true)
 		}
+	}
+	// Verdicts wake their Awaits last: a message's Forget follows its
+	// Resolved in the same outputs, and an Await woken first could split
+	// its next message before this one's buffer is back (a fresh Split
+	// buffer for the next message, now and then, on two CPUs).
+	for _, o := range verdicts {
+		s.resolve(o.MID, o.Delivered)
 	}
 }
 

@@ -32,7 +32,7 @@ type OneHop struct {
 	up     []bool
 
 	pending      []map[netsim.NodeID]oneHopEvent // events buffered at each node for its next batch
-	awaiting     []map[uint64]*sim.Timer         // outstanding ping timeouts per prober
+	awaiting     []map[uint64]sim.Timer          // outstanding ping timeouts per prober
 	lastAnnounce []sim.Time                      // last liveness refresh each node issued for its successor
 
 	stats OneHopStats
@@ -121,7 +121,7 @@ func NewOneHop(net *netsim.Network, cfg OneHopConfig) (*OneHop, error) {
 		join:         make([]sim.Time, n),
 		up:           make([]bool, n),
 		pending:      make([]map[netsim.NodeID]oneHopEvent, n),
-		awaiting:     make([]map[uint64]*sim.Timer, n),
+		awaiting:     make([]map[uint64]sim.Timer, n),
 		lastAnnounce: make([]sim.Time, n),
 	}
 	now := net.Engine().Now()
@@ -130,7 +130,7 @@ func NewOneHop(net *netsim.Network, cfg OneHopConfig) (*OneHop, error) {
 		o.join[i] = now
 		o.up[i] = net.IsUp(netsim.NodeID(i))
 		o.pending[i] = make(map[netsim.NodeID]oneHopEvent)
-		o.awaiting[i] = make(map[uint64]*sim.Timer)
+		o.awaiting[i] = make(map[uint64]sim.Timer)
 	}
 	net.AddStateListener(func(id netsim.NodeID, up bool) {
 		o.up[id] = up
@@ -139,7 +139,7 @@ func NewOneHop(net *netsim.Network, cfg OneHopConfig) (*OneHop, error) {
 		} else {
 			// All protocol soft state is lost with the node.
 			o.pending[id] = make(map[netsim.NodeID]oneHopEvent)
-			o.awaiting[id] = make(map[uint64]*sim.Timer)
+			o.awaiting[id] = make(map[uint64]sim.Timer)
 		}
 	})
 	return o, nil

@@ -12,9 +12,14 @@ import (
 // to everyone. The paper assumes "each node learns other nodes' public
 // keys through some mechanism (e.g., out-of-band or piggybacking in
 // messages)" (§4); the directory models that mechanism.
+//
+// A directory serves the nodes of one simulated world, which run on one
+// goroutine: they share its spares, the relay path states and initiator
+// path records given back for reuse.
 type Directory struct {
-	suite onioncrypt.Suite
-	keys  []onioncrypt.KeyPair
+	suite  onioncrypt.Suite
+	keys   []onioncrypt.KeyPair
+	spares spares
 }
 
 // NewDirectory generates key pairs for n nodes using the suite and the

@@ -76,7 +76,7 @@ func FuzzRelayTable(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	env := simEnv(eng.RNG(), suite)
+	env := simEnv(eng.RNG(), suite, nil)
 	relays := []netsim.NodeID{1, 2}
 	var keys PathKeys
 	launch, err := keys.Launch(env, dir, 0, relays, 5, nil, []byte("first"), true)

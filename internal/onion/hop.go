@@ -112,6 +112,10 @@ type Env struct {
 	Rand   io.Reader
 	NewSID func() StreamID
 	Lock   sync.Locker
+	// spares is where the tables made with this Env (Lock nil only)
+	// take their path states from and give them back to; nil gives each
+	// table its own. The simulator's nodes share their world's (simEnv).
+	spares *spares
 }
 
 type noLock struct{}
@@ -172,16 +176,32 @@ type Table struct {
 	// next constructions — in a table whose driver is one goroutine
 	// (Env.Lock nil, so free needs no lock) only: where frames run
 	// concurrently, one may still be using a state it looked up before
-	// the lock was let go, so the collector reclaims them.
-	free    []*pathState
-	recycle bool
+	// the lock was let go, so free is nil and the collector reclaims
+	// them.
+	free *spares
+}
+
+// spares holds the records given back for reuse by the nodes that share
+// it (Env.spares), all on one goroutine: relay path states, which Sweep
+// and Wipe give back, and the simulator's initiator path records, which
+// Initiator.Forget does. A state wiped at one relay can serve a
+// construction at another, and a path record forgotten by one initiator
+// a launch at another.
+type spares struct {
+	states []*pathState
+	paths  []*Path
 }
 
 // NewTable creates an empty relay table whose idle states live ttl
 // ticks. The node's private key is parsed here, once; a table made with
 // a key its suite refuses turns every construction away.
 func NewTable(env Env, priv onioncrypt.PrivateKey, ttl int64) *Table {
-	recycle := env.Lock == nil
+	var free *spares
+	if env.Lock == nil {
+		if free = env.spares; free == nil {
+			free = new(spares)
+		}
+	}
 	env = env.locked()
 	return &Table{
 		env:     env,
@@ -190,25 +210,27 @@ func NewTable(env Env, priv onioncrypt.PrivateKey, ttl int64) *Table {
 		ttl:     ttl,
 		forward: make(map[StreamID]*pathState),
 		reverse: make(map[StreamID]*pathState),
-		recycle: recycle,
+		free:    free,
 	}
 }
 
 // newState returns a state for a construction, a recycled one when the
 // table has one. Its fields are the construction's to set, every one.
 func (t *Table) newState() *pathState {
-	if n := len(t.free); t.recycle && n > 0 {
-		st := t.free[n-1]
-		t.free = t.free[:n-1]
-		return st
+	if t.free != nil {
+		if n := len(t.free.states); n > 0 {
+			st := t.free.states[n-1]
+			t.free.states = t.free.states[:n-1]
+			return st
+		}
 	}
 	return new(pathState)
 }
 
 // drop gives up a state no map holds any more.
 func (t *Table) drop(st *pathState) {
-	if t.recycle {
-		t.free = append(t.free, st)
+	if t.free != nil {
+		t.free.states = append(t.free.states, st)
 	}
 }
 
@@ -596,15 +618,12 @@ func (s *Streams) Sweep(now int64) {
 	}
 }
 
-// Wipe forgets every stream, as a failing node does; with none to
-// forget it allocates nothing.
+// Wipe forgets every stream, as a failing node does, and allocates
+// nothing: the map keeps its room.
 func (s *Streams) Wipe() {
 	s.env.Lock.Lock()
 	defer s.env.Lock.Unlock()
-	if len(s.live) == 0 {
-		return
-	}
-	s.live = make(map[StreamID]stream)
+	clear(s.live)
 }
 
 // Len returns the number of live inbound streams.

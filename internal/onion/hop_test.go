@@ -53,7 +53,7 @@ func newHopNet(t *testing.T, suite onioncrypt.Suite, relays, responders []netsim
 	}
 	h := &hopNet{
 		t: t, now: 1000, ttl: 600, dir: dir,
-		env:  simEnv(rng, suite),
+		env:  simEnv(rng, suite, nil),
 		tabs: make(map[netsim.NodeID]*Table),
 		resp: make(map[netsim.NodeID]*Streams),
 	}
@@ -559,7 +559,7 @@ func TestIdleWipeAllocsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := simEnv(rng, suite)
+	env := simEnv(rng, suite, nil)
 	tab := NewTable(env, dir.Private(1), 100)
 	streams := NewStreams(env, dir.Private(2), 100)
 	if n := testing.AllocsPerRun(100, tab.Wipe); n != 0 {
@@ -570,6 +570,48 @@ func TestIdleWipeAllocsNothing(t *testing.T) {
 	}
 	if w := tab.Stats().Wiped; w != 0 {
 		t.Errorf("Wiped = %d after wiping an empty table, want 0", w)
+	}
+}
+
+// TestBusyWipeAllocsNothing: a departure of a node holding path states
+// and live streams allocates nothing either. Both maps keep their room
+// for the node's next life, and the states go to the free list, which
+// the next constructions draw from.
+func TestBusyWipeAllocsNothing(t *testing.T) {
+	suite := onioncrypt.Null{}
+	rng := rand.New(rand.NewSource(5))
+	dir, err := NewDirectory(suite, rng, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := simEnv(rng, suite, nil)
+	tab := NewTable(env, dir.Private(1), 100)
+	streams := NewStreams(env, dir.Private(2), 100)
+	const n = 64
+	fillTable := func() {
+		for i := 0; i < n; i++ {
+			st := tab.newState()
+			tab.forward[StreamID(i)], tab.reverse[StreamID(n+i)] = st, st
+		}
+		tab.Wipe()
+	}
+	if a := testing.AllocsPerRun(100, fillTable); a != 0 {
+		t.Errorf("Table.Wipe of %d states, and as many constructions' states and entries: %v allocations, want 0", n, a)
+	}
+	if w := tab.Stats().Wiped; w != 101*n {
+		t.Errorf("Wiped = %d, want %d", w, 101*n)
+	}
+	fillStreams := func() {
+		for i := 0; i < n; i++ {
+			streams.live[StreamID(i)] = stream{expires: 1}
+		}
+		streams.Wipe()
+	}
+	if a := testing.AllocsPerRun(100, fillStreams); a != 0 {
+		t.Errorf("Streams.Wipe of %d streams, and as many entries: %v allocations, want 0", n, a)
+	}
+	if streams.Len() != 0 {
+		t.Errorf("%d streams left after Wipe", streams.Len())
 	}
 }
 
@@ -676,7 +718,7 @@ func TestStreamsKeyMemo(t *testing.T) {
 				t.Fatal(err)
 			}
 			var opens atomic.Int64
-			env := simEnv(rng, countingSuite{tc.suite, &opens})
+			env := simEnv(rng, countingSuite{tc.suite, &opens}, nil)
 			a := newSealedStream(t, tc.suite, rng, kp.Public)
 			b := newSealedStream(t, tc.suite, rng, kp.Public)
 
@@ -865,7 +907,7 @@ func BenchmarkStreamsOpen(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s := NewStreams(simEnv(rng, bc.suite), kp.Private, 1<<40)
+			s := NewStreams(simEnv(rng, bc.suite, nil), kp.Private, 1<<40)
 			plain := string(make([]byte, 1024))
 			var blobs [2][]byte
 			for i := range blobs {

@@ -2,6 +2,7 @@ package onion
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"resilientmix/internal/bufpool"
 	"resilientmix/internal/metrics"
@@ -39,7 +40,10 @@ func (s PathState) String() string {
 	}
 }
 
-// Path is the initiator's record of one anonymous forwarding path.
+// Path is the initiator's record of one anonymous forwarding path. The
+// record is its initiator's: Construct hands it out and Forget takes it
+// back, for a later construction in the world to reuse (the
+// directory's spares). Nothing may read a Path after its Forget.
 type Path struct {
 	// SID is the stream ID on the initiator→first-relay link.
 	SID StreamID
@@ -60,7 +64,11 @@ type Path struct {
 	relayList [inlineHops]netsim.NodeID // where Relays starts out
 
 	onResult func(*Path, bool) // construction outcome callback
-	timer    *sim.Timer
+	timer    sim.Timer
+	// expire is the construction timer's callback (timedOut), bound to
+	// the record once, when it is made: every life of the record arms
+	// it.
+	expire func()
 }
 
 // ReverseFunc receives a decrypted reverse-path payload at the
@@ -97,7 +105,7 @@ func NewInitiator(net *netsim.Network, id netsim.NodeID, dir *Directory, timeout
 		id:        id,
 		net:       net,
 		eng:       net.Engine(),
-		env:       simEnv(net.Engine().RNG(), dir.Suite()),
+		env:       simEnv(net.Engine().RNG(), dir.Suite(), &dir.spares),
 		dir:       dir,
 		timeout:   timeout,
 		paths:     make(map[StreamID]*Path),
@@ -109,8 +117,64 @@ func NewInitiator(net *netsim.Network, id netsim.NodeID, dir *Directory, timeout
 func (in *Initiator) Paths() int { return len(in.paths) }
 
 // Forget drops a path's local record (e.g. after it failed and was
-// replaced). Its reverse traffic is dropped from then on.
-func (in *Initiator) Forget(p *Path) { delete(in.paths, p.SID) }
+// replaced) and takes it back for a later construction: the caller
+// reads p no more. A construction timeout still armed is cancelled, so
+// it cannot fire into the record's next life, and the path's reverse
+// traffic is dropped from then on. Forget of a path the initiator does
+// not hold (one already forgotten) does nothing.
+func (in *Initiator) Forget(p *Path) {
+	if in.paths[p.SID] != p {
+		return
+	}
+	delete(in.paths, p.SID)
+	p.timer.Cancel()
+	if poison.Load() {
+		p.poison()
+	}
+	in.env.spares.paths = append(in.env.spares.paths, p)
+}
+
+// poison makes Forget overwrite a record before keeping it: a test seam
+// that turns any use of a path after its Forget into a failed path on
+// an invalid stream, through invalid relays, to no responder.
+var poison atomic.Bool
+
+// SetPoison turns Forget's poisoning on or off. It is a test seam for
+// lifetime bugs, like bufpool.SetPoison: a test that sets it restores
+// it when done, and tests that run concurrently share it.
+func SetPoison(on bool) { poison.Store(on) }
+
+func (p *Path) poison() {
+	for i := range p.relayList {
+		p.relayList[i] = poisonNode
+	}
+	*p = Path{
+		SID:       StreamID(0xdbdbdbdbdbdbdbdb),
+		Relays:    p.relayList[:],
+		Responder: poisonNode,
+		State:     PathFailed,
+		keys:      PathKeys{first: poisonNode, sid: StreamID(0xdbdbdbdbdbdbdbdb)},
+		relayList: p.relayList,
+		expire:    p.expire,
+	}
+}
+
+// poisonNode is the node a poisoned record names everywhere.
+const poisonNode = netsim.NodeID(-0x2424)
+
+// record returns a path record for a launch: one a Forget gave back, or
+// a new one, its timeout callback bound to it.
+func (in *Initiator) record() *Path {
+	free := in.env.spares
+	if n := len(free.paths); n > 0 {
+		p := free.paths[n-1]
+		free.paths = free.paths[:n-1]
+		return p
+	}
+	p := new(Path)
+	p.expire = p.timedOut
+	return p
+}
 
 // Construct builds and launches a path through the given relays to the
 // responder. The done callback fires exactly once: with true when the
@@ -141,27 +205,32 @@ func (in *Initiator) ConstructWithDataTagged(relays []netsim.NodeID, responder n
 // where the last of it is read — at the terminal relay, or at the
 // responder with the payload that rode it — or where it is dropped.
 func (in *Initiator) launch(relays []netsim.NodeID, responder netsim.NodeID, plain []byte, withData bool, flow *metrics.Flow, tag obs.Tag, done func(*Path, bool)) (*Path, error) {
-	p := &Path{Responder: responder, State: PathConstructing, onResult: done}
+	p := in.record()
 	bp := bufpool.Get(LaunchSize(in.env.Suite, len(relays), len(plain), withData))
 	first, err := p.keys.Launch(in.env, in.dir, in.id, relays, responder, (*bp)[:0], plain, withData)
 	if err != nil {
 		bufpool.Release(bp)
 		return nil, err
 	}
-	p.SID = first.SID
+	p.SID, p.Responder, p.State = first.SID, responder, PathConstructing
 	p.Relays = append(p.relayList[:0], relays...)
+	p.EstablishedAt, p.OnReverse, p.onResult = 0, nil, done
 	in.paths[p.SID] = p
 	transmit(in.net, in.id, &first, bp, flow, tag)
-	p.timer = in.eng.After(in.timeout, func() {
-		if p.State == PathConstructing {
-			p.State = PathFailed
-			in.finish(p, false)
-		}
-	})
+	p.timer = in.eng.After(in.timeout, p.expire)
 	return p, nil
 }
 
-func (in *Initiator) finish(p *Path, ok bool) {
+// timedOut is a construction timeout: a path still constructing failed.
+func (p *Path) timedOut() {
+	if p.State == PathConstructing {
+		p.State = PathFailed
+		p.finish(false)
+	}
+}
+
+// finish reports the construction's outcome, once.
+func (p *Path) finish(ok bool) {
 	if cb := p.onResult; cb != nil {
 		p.onResult = nil
 		cb(p, ok)
@@ -214,7 +283,7 @@ func (in *Initiator) handleConstructAck(p *Path) {
 	p.State = PathEstablished
 	p.EstablishedAt = in.eng.Now()
 	p.timer.Cancel()
-	in.finish(p, true)
+	p.finish(true)
 }
 
 // handleReverse peels all relay layers plus the responder layer of a

@@ -37,7 +37,7 @@ type NodeConfig struct {
 func NewNode(net *netsim.Network, id netsim.NodeID, dir *Directory, mux *netsim.Mux, cfg NodeConfig) *Node {
 	n := &Node{
 		ID:    id,
-		Relay: NewRelay(net, id, dir.Suite(), dir.Private(id), cfg.StateTTL),
+		Relay: NewRelay(net, id, dir, cfg.StateTTL),
 	}
 	n.Initiator = NewInitiator(net, id, dir, cfg.ConstructTimeout, cfg.OnReverse)
 	if cfg.OnData != nil {

@@ -193,6 +193,48 @@ func TestConstructionTimeoutMarksFailed(t *testing.T) {
 	}
 }
 
+// TestForgetMidConstructionDisarmsTheTimeout: a path forgotten while it
+// is still constructing gives its record back, and the next launch in
+// the world — at another initiator, here — takes it. The forgotten
+// construction's timeout must not fire into the record's new life: the
+// new path, launched 100 ms before the old timeout and acked ≈ 400 ms
+// after its launch, must stand, its callback fired once, with true.
+func TestForgetMidConstructionDisarmsTheTimeout(t *testing.T) {
+	e := newEnv(t, 8, onioncrypt.Null{}, 6)
+	e.net.SetUp(4, false) // the first path's ack never comes
+	old, err := e.nodes[0].Initiator.Construct([]netsim.NodeID{2, 3, 4}, 7, nil, func(*Path, bool) {
+		t.Error("the forgotten path's callback fired")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.eng.Run(DefaultConstructTimeout - 100*sim.Millisecond)
+	e.nodes[0].Initiator.Forget(old)
+	var results []bool
+	p, err := e.nodes[1].Initiator.Construct([]netsim.NodeID{2, 3, 5}, 6, nil, func(_ *Path, ok bool) {
+		results = append(results, ok)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p != old {
+		t.Fatal("the launch did not take the record the Forget gave back")
+	}
+	e.eng.Run(e.eng.Now() + 2*DefaultConstructTimeout)
+	if len(results) != 1 || !results[0] || p.State != PathEstablished {
+		t.Fatalf("the new path's callback reported %v and it is %v; want one success and established", results, p.State)
+	}
+	if e.nodes[0].Initiator.Paths() != 0 || e.nodes[1].Initiator.Paths() != 1 {
+		t.Fatalf("initiators hold %d and %d paths, want 0 and 1", e.nodes[0].Initiator.Paths(), e.nodes[1].Initiator.Paths())
+	}
+	// A second Forget of a record already given back, and since taken,
+	// must not take the new path's away.
+	e.nodes[0].Initiator.Forget(old)
+	if e.nodes[1].Initiator.Paths() != 1 {
+		t.Fatal("a stale Forget dropped the record's new path")
+	}
+}
+
 func TestRelayFailureBreaksEstablishedPath(t *testing.T) {
 	e := newEnv(t, 8, onioncrypt.Null{}, 5)
 	p, ok := construct(t, e, 0, []netsim.NodeID{2, 3, 4}, 7)

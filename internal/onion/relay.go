@@ -5,7 +5,6 @@ import (
 	"resilientmix/internal/metrics"
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/obs"
-	"resilientmix/internal/onioncrypt"
 	"resilientmix/internal/sim"
 )
 
@@ -26,12 +25,14 @@ type Relay struct {
 
 // NewRelay creates the relay for a node, registers its churn listener
 // (state is wiped when the node goes down) and starts the TTL sweeper.
-func NewRelay(net *netsim.Network, id netsim.NodeID, suite onioncrypt.Suite, priv onioncrypt.PrivateKey, ttl sim.Time) *Relay {
+// Its path states come from the directory's spares, and go back there.
+func NewRelay(net *netsim.Network, id netsim.NodeID, dir *Directory, ttl sim.Time) *Relay {
 	if ttl <= 0 {
 		ttl = DefaultStateTTL
 	}
 	eng := net.Engine()
-	r := &Relay{id: id, net: net, eng: eng, tab: NewTable(simEnv(eng.RNG(), suite), priv, int64(ttl))}
+	env := simEnv(eng.RNG(), dir.Suite(), &dir.spares)
+	r := &Relay{id: id, net: net, eng: eng, tab: NewTable(env, dir.Private(id), int64(ttl))}
 	net.AddNodeListener(id, func(_ netsim.NodeID, up bool) {
 		if !up {
 			r.tab.Wipe()

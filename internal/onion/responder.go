@@ -37,7 +37,7 @@ func NewResponder(net *netsim.Network, id netsim.NodeID, suite onioncrypt.Suite,
 		ttl = DefaultStateTTL
 	}
 	eng := net.Engine()
-	r := &Responder{id: id, net: net, eng: eng, streams: NewStreams(simEnv(eng.RNG(), suite), priv, int64(ttl)), onData: onData}
+	r := &Responder{id: id, net: net, eng: eng, streams: NewStreams(simEnv(eng.RNG(), suite, nil), priv, int64(ttl)), onData: onData}
 	net.AddNodeListener(id, func(_ netsim.NodeID, up bool) {
 		if !up {
 			r.streams.Wipe()

@@ -113,9 +113,11 @@ func emitRelayDropped(net *netsim.Network, node netsim.NodeID, tag obs.Tag, size
 }
 
 // simEnv is the simulator's hop-layer environment: every draw comes
-// from the engine's seeded source, so a seed fixes the whole history.
-func simEnv(rng *rand.Rand, suite onioncrypt.Suite) Env {
-	return Env{Suite: suite, Rand: rng, NewSID: func() StreamID { return StreamID(rng.Uint64()) }}
+// from the engine's seeded source, so a seed fixes the whole history,
+// and records given back go to the spares of the world the node is in
+// (nil: a table keeps its own).
+func simEnv(rng *rand.Rand, suite onioncrypt.Suite, spares *spares) Env {
+	return Env{Suite: suite, Rand: rng, NewSID: func() StreamID { return StreamID(rng.Uint64()) }, spares: spares}
 }
 
 // transmit puts one hop-layer output on the simulated wire as a packet

@@ -161,25 +161,23 @@ func (m *message) isAcked(idx int32) bool { return m.acked[idx>>6]&(1<<(idx&63))
 type Machine struct {
 	cfg      Config
 	slots    []slot
-	msgs     map[uint64]*message
-	free     []*message // forgotten records, cleared, for new round sets
+	msgs     map[uint64]*message // made by the first record
+	free     []*message          // forgotten records, cleared, for new round sets
 	inflight int
 	repair   bool
 	torn     bool
-	// allocation scratch: each slot's share and its fractional remainder
+	// allocation scratch: each slot's share and its fractional
+	// remainder, made by the first apportion
 	counts []int
 	rem    []float64
 }
 
-// New creates a machine with every slot down.
+// New creates a machine with every slot down. A machine that never
+// sends — a session that only establishes — has its slots and nothing
+// more: the ledger's map and the allocation scratch come with the
+// first round set.
 func New(cfg Config) *Machine {
-	return &Machine{
-		cfg:    cfg,
-		slots:  make([]slot, cfg.K),
-		msgs:   make(map[uint64]*message),
-		counts: make([]int, cfg.K),
-		rem:    make([]float64, cfg.K),
-	}
+	return &Machine{cfg: cfg, slots: make([]slot, cfg.K)}
 }
 
 // EnableRepair turns on §4.5 reconstruction: a condemned slot asks for
@@ -265,6 +263,9 @@ func (m *Machine) PathDown(slot int, relays []netsim.NodeID) { m.slots[slot].rel
 // apportion fills counts with each slot's share of nSegs segments.
 func (m *Machine) apportion(nSegs int, scores []float64) {
 	k := len(m.slots)
+	if m.counts == nil {
+		m.counts, m.rem = make([]int, k), make([]float64, k)
+	}
 	if scores == nil {
 		// Any remainder goes round-robin (only possible when nSegs is
 		// not a multiple of k, which the paper excludes).
@@ -545,6 +546,9 @@ func (m *Machine) record(mid uint64) *message {
 		msg, m.free = m.free[n-1], m.free[:n-1]
 	} else {
 		msg = &message{jobs: make([]job, 0, max(m.cfg.N, m.cfg.K))}
+	}
+	if m.msgs == nil {
+		m.msgs = make(map[uint64]*message)
 	}
 	m.msgs[mid] = msg
 	return msg

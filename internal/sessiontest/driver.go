@@ -72,7 +72,7 @@ type Driver struct {
 	epoch   []int // bumped when a node goes down: path state of older epochs is gone
 	asm     *session.Reassembler[struct{}]
 	nextMID uint64
-	ticks   []*sim.Timer
+	ticks   []sim.Timer
 	torn    bool
 }
 

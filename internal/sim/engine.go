@@ -67,12 +67,46 @@ type event struct {
 	fn  Func
 }
 
-// thunk is what a closure event runs: the callback and, for a
-// cancelable timer, its lazy-deletion flag.
+// thunk is what a closure event runs: the callback and, for a timer,
+// its period (Every; zero for After) and lazy-deletion flag. gen counts
+// the slot's occupants, so a Timer outliving its callback names a slot
+// that has moved on.
 type thunk struct {
-	fn     func()
-	cancel *bool
+	fn       func()
+	interval Time
+	gen      uint32
+	canceled bool
 }
+
+// thunkTable is the engine's slab of thunks. Unlike Slab it keeps each
+// slot's generation across occupants: the cancel flag a Timer names
+// lives here, and the generation is what makes a stale Timer harmless.
+type thunkTable struct {
+	vals []thunk
+	free []uint32
+}
+
+// put stores a callback and returns its slot.
+func (t *thunkTable) put(fn func()) uint32 {
+	if n := len(t.free); n > 0 {
+		i := t.free[n-1]
+		t.free = t.free[:n-1]
+		t.vals[i].fn = fn
+		return i
+	}
+	t.vals = append(t.vals, thunk{fn: fn})
+	return uint32(len(t.vals) - 1)
+}
+
+// release empties slot i for its next occupant: the callback goes, the
+// flag clears, and the generation moves on.
+func (t *thunkTable) release(i uint32) {
+	t.vals[i] = thunk{gen: t.vals[i].gen + 1}
+	t.free = append(t.free, i)
+}
+
+// Len returns the number of occupied slots.
+func (t *thunkTable) Len() int { return len(t.vals) - len(t.free) }
 
 // Slab stores values in numbered slots and hands freed slots out again,
 // so a steady population allocates nothing. It is where the state
@@ -120,7 +154,7 @@ type Engine struct {
 	canceled int    // canceled entries still occupying queue slots
 
 	funcs  []func(uint64) // registered handlers; Func 0 is the closure event
-	thunks Slab[thunk]    // callbacks of the queued closure events
+	thunks thunkTable     // callbacks of the queued closure events
 
 	// tracer, when non-nil, receives EventScheduled/EventFired for
 	// every queue operation. The nil default costs one branch per
@@ -159,13 +193,13 @@ func (e *Engine) Schedule(delay Time, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
-	e.schedule(e.now+delay, fn, nil, "Schedule")
+	e.schedule(e.now+delay, fn, "Schedule")
 }
 
 // ScheduleAt runs fn at the given absolute virtual time. Times in the
 // past are clamped to now.
 func (e *Engine) ScheduleAt(at Time, fn func()) {
-	e.schedule(at, fn, nil, "ScheduleAt")
+	e.schedule(at, fn, "ScheduleAt")
 }
 
 // Register adds a handler for typed events and returns its name. A
@@ -195,16 +229,16 @@ func (e *Engine) ScheduleTyped(delay Time, f Func, arg uint64) {
 	e.enqueue(e.now+delay, f, arg)
 }
 
-// schedule enqueues a closure event. cancel, when non-nil, marks the
-// event for lazy deletion — the run loop still pops and counts it (so
-// seeded histories and the executed counter match the always-fire
-// behaviour exactly) but skips fn. op is the public entry point's name,
-// so a nil-callback panic names the call the user actually made.
-func (e *Engine) schedule(at Time, fn func(), cancel *bool, op string) {
+// schedule enqueues a closure event and returns its thunk's slot. op is
+// the public entry point's name, so a nil-callback panic names the call
+// the user actually made.
+func (e *Engine) schedule(at Time, fn func(), op string) uint32 {
 	if fn == nil {
 		panic("sim: " + op + " with nil callback")
 	}
-	e.enqueue(at, 0, uint64(e.thunks.Put(thunk{fn: fn, cancel: cancel})))
+	slot := e.thunks.put(fn)
+	e.enqueue(at, 0, uint64(slot))
+	return slot
 }
 
 // enqueue is the single enqueue path: clamp, number, trace, push.
@@ -223,31 +257,40 @@ func (e *Engine) enqueue(at Time, f Func, arg uint64) {
 	e.queue.push(event{at: at, seq: e.seq, arg: arg, fn: f})
 }
 
-// Timer is a cancelable scheduled callback.
+// Timer is a cancelable scheduled callback, as a value: the engine slot
+// that holds the callback and its cancel flag, and the slot's
+// generation. The slot goes to another callback once the timer has
+// fired, been skipped or been compacted away; the generation tells the
+// two apart, so Cancel through a stale Timer is a no-op. The zero Timer
+// is one that never fires.
 type Timer struct {
-	eng      *Engine
-	canceled *bool
+	eng  *Engine
+	slot uint32
+	gen  uint32
 }
 
-// Cancel stops the timer; the callback will not run. Cancel after firing
-// is a no-op. The queue entry is lazily deleted; when canceled entries
-// come to dominate the queue the engine compacts them away (see
-// Engine.compact).
-func (t *Timer) Cancel() {
-	if t == nil || t.canceled == nil || *t.canceled {
+// Cancel stops the timer; the callback will not run. Cancel after
+// firing, or a second time, is a no-op. The queue entry is lazily
+// deleted; when canceled entries come to dominate the queue the engine
+// compacts them away (see Engine.compact).
+func (t Timer) Cancel() {
+	e := t.eng
+	if e == nil {
 		return
 	}
-	*t.canceled = true
-	if t.eng != nil {
-		t.eng.noteCanceled()
+	th := &e.thunks.vals[t.slot]
+	if th.gen != t.gen || th.canceled {
+		return
 	}
+	th.canceled = true
+	e.noteCanceled()
 }
 
 // noteCanceled accounts a newly canceled timer and compacts the queue
-// when canceled entries exceed half of it. The counter can overcount
-// when a timer is canceled after it already fired (its entry is gone);
-// compaction recounts from the queue itself, so drift only ever costs a
-// sweep, never correctness.
+// when canceled entries exceed half of it. The counter overcounts when
+// an Every is canceled from its own callback (its next entry is not
+// queued yet); compaction recounts from the queue itself, so drift
+// only ever costs a sweep, never correctness.
 func (e *Engine) noteCanceled() {
 	e.canceled++
 	// Sweep once canceled entries exceed half the queue. Each sweep
@@ -270,54 +313,45 @@ func (e *Engine) noteCanceled() {
 // byte-identical traces.
 func (e *Engine) compact() {
 	e.queue.filter(func(ev *event) bool {
-		if ev.fn == 0 {
-			if c := e.thunks.vals[ev.arg].cancel; c != nil && *c {
-				e.thunks.Take(uint32(ev.arg))
-				return false
-			}
+		if ev.fn == 0 && e.thunks.vals[ev.arg].canceled {
+			e.thunks.release(uint32(ev.arg))
+			return false
 		}
 		return true
 	})
 	e.canceled = 0
 }
 
-// After schedules fn after delay and returns a cancelable Timer.
-// A canceled timer is lazily deleted: its queue entry is skipped by the
+// After schedules fn after delay and returns a cancelable Timer. It
+// allocates nothing: the cancel flag is the engine's, in fn's slot. A
+// canceled timer is lazily deleted: its queue entry is skipped by the
 // run loop when its time arrives rather than wrapping fn in a
 // check-and-bail closure.
-func (e *Engine) After(delay Time, fn func()) *Timer {
+func (e *Engine) After(delay Time, fn func()) Timer {
 	if delay < 0 {
 		delay = 0
 	}
-	canceled := new(bool)
-	e.schedule(e.now+delay, fn, canceled, "After")
-	return &Timer{eng: e, canceled: canceled}
+	return e.timer(e.schedule(e.now+delay, fn, "After"))
+}
+
+// timer returns the Timer naming slot's present occupant.
+func (e *Engine) timer(slot uint32) Timer {
+	return Timer{eng: e, slot: slot, gen: e.thunks.vals[slot].gen}
 }
 
 // Every schedules fn at t = start, start+interval, ... until the
-// returned Timer is canceled or the engine stops.
-func (e *Engine) Every(start, interval Time, fn func()) *Timer {
+// returned Timer is canceled or the engine stops. The chain keeps one
+// slot, so one Timer names every tick of it.
+func (e *Engine) Every(start, interval Time, fn func()) Timer {
 	if interval <= 0 {
 		panic("sim: Every requires a positive interval")
-	}
-	if fn == nil {
-		panic("sim: Every with nil callback")
 	}
 	if start < 0 {
 		start = 0
 	}
-	canceled := new(bool)
-	var tick func()
-	tick = func() {
-		fn()
-		// Re-check after fn: canceling inside the callback must stop
-		// the rescheduling chain, not just mark the next entry dead.
-		if !*canceled {
-			e.schedule(e.now+interval, tick, canceled, "Every")
-		}
-	}
-	e.schedule(e.now+start, tick, canceled, "Every")
-	return &Timer{eng: e, canceled: canceled}
+	slot := e.schedule(e.now+start, fn, "Every")
+	e.thunks.vals[slot].interval = interval
+	return e.timer(slot)
 }
 
 // Stop halts the run loop after the current event finishes.
@@ -375,16 +409,33 @@ func (e *Engine) fire(next event) {
 		e.funcs[next.fn](next.arg)
 		return
 	}
-	// The thunk's slot is free before its callback runs, so a callback
-	// that schedules reuses it.
-	t := e.thunks.Take(uint32(next.arg))
+	th := &e.thunks.vals[next.arg]
+	fn := th.fn
 	// A canceled timer that escaped compaction is still popped, traced,
 	// and counted — the pre-lazy-deletion implementation ran a no-op
 	// closure here, and seeded histories must not notice the difference
 	// — but its callback is skipped.
-	if t.cancel == nil || !*t.cancel {
-		t.fn()
-	} else if e.canceled > 0 {
-		e.canceled--
+	if th.canceled {
+		e.thunks.release(uint32(next.arg))
+		if e.canceled > 0 {
+			e.canceled--
+		}
+		return
 	}
+	if th.interval == 0 {
+		// The slot is free before its callback runs, so a callback that
+		// schedules reuses it.
+		e.thunks.release(uint32(next.arg))
+		fn()
+		return
+	}
+	// An Every's tick keeps its slot, so its Timer still names it
+	// during the callback. Re-check after fn: canceling inside the
+	// callback must stop the chain, not just mark the next entry dead.
+	fn()
+	if th = &e.thunks.vals[next.arg]; th.canceled {
+		e.thunks.release(uint32(next.arg))
+		return
+	}
+	e.enqueue(e.now+th.interval, 0, next.arg)
 }

@@ -139,14 +139,76 @@ func TestTimerCancel(t *testing.T) {
 	}
 	// Cancel after the queue drained must be a no-op.
 	tm.Cancel()
-	var nilTimer *Timer
-	nilTimer.Cancel() // must not panic
+	var zero Timer
+	zero.Cancel() // must not panic
+}
+
+// TestStaleTimerCancelKeepsNewTimer: a timer's slot goes to the next
+// callback once it has fired, so the handle of the old one is stale.
+// Cancel through it must leave the slot's new timer armed — and
+// unaccounted, so no compaction is owed to it.
+func TestStaleTimerCancelKeepsNewTimer(t *testing.T) {
+	e := NewEngine(1)
+	old := e.After(Second, func() {})
+	e.Run(2 * Second)
+	fired := false
+	fresh := e.After(Second, func() { fired = true })
+	if fresh.slot != old.slot {
+		t.Fatalf("the new timer took slot %d, not the fired one's %d", fresh.slot, old.slot)
+	}
+	old.Cancel()
+	if e.canceled != 0 {
+		t.Fatalf("a stale Cancel counted %d canceled entries", e.canceled)
+	}
+	e.RunAll()
+	if !fired {
+		t.Fatal("a stale Cancel stopped the slot's new timer")
+	}
+	// And the other way: a canceled timer's entry compacted away frees
+	// its slot, and the next occupant is not canceled by the old flag.
+	gone := e.After(Hour, func() { t.Fatal("canceled timer fired") })
+	gone.Cancel() // alone in the queue: compacted at once
+	if e.Pending() != 0 {
+		t.Fatalf("Pending() = %d after canceling the only timer", e.Pending())
+	}
+	fired = false
+	next := e.After(Second, func() { fired = true })
+	gone.Cancel()
+	if next.slot != gone.slot {
+		t.Fatalf("the new timer took slot %d, not the compacted one's %d", next.slot, gone.slot)
+	}
+	e.RunAll()
+	if !fired {
+		t.Fatal("a second Cancel of a compacted timer stopped its slot's new timer")
+	}
+}
+
+// TestAfterCancelZeroAlloc: a timer is a value and its cancel flag the
+// engine's, so once the slab and the queue have their room, arming and
+// cancelling one allocates nothing — nor does firing one.
+func TestAfterCancelZeroAlloc(t *testing.T) {
+	e := NewEngine(1)
+	fn := func() {}
+	for i := 0; i < 1024; i++ {
+		e.After(Time(i), fn)
+	}
+	e.RunAll()
+	keep := e.After(Hour, fn) // so a lone cancel does not compact every time
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.After(Second, fn).Cancel()
+		e.After(Millisecond, fn)
+		e.Run(e.Now() + 2*Second)
+	})
+	keep.Cancel()
+	if allocs != 0 {
+		t.Fatalf("After+Cancel allocated %.1f times per op, want 0", allocs)
+	}
 }
 
 func TestEvery(t *testing.T) {
 	e := NewEngine(1)
 	var ticks []Time
-	var tm *Timer
+	var tm Timer
 	tm = e.Every(Second, 2*Second, func() {
 		ticks = append(ticks, e.Now())
 		if len(ticks) == 3 {
@@ -257,7 +319,7 @@ func TestNilCallbackPanicNamesEntryPoint(t *testing.T) {
 func TestCancelCompaction(t *testing.T) {
 	e := NewEngine(1)
 	const nTimers = 100
-	timers := make([]*Timer, nTimers)
+	timers := make([]Timer, nTimers)
 	for i := range timers {
 		timers[i] = e.After(Time(i+1)*Hour, func() { t.Fatal("canceled timer fired") })
 	}
@@ -301,7 +363,7 @@ func TestCompactionPreservesHistory(t *testing.T) {
 			e.Schedule(Time(i)*100*Millisecond, func() { got = append(got, firing{i, e.Now()}) })
 		}
 		if withTimers {
-			timers := make([]*Timer, 200)
+			timers := make([]Timer, 200)
 			for j := range timers {
 				timers[j] = e.After(Time(j+1)*Minute, func() { t.Fatal("canceled timer fired") })
 			}
@@ -332,13 +394,12 @@ func TestCompactionPreservesHistory(t *testing.T) {
 	}
 }
 
-// TestCancelAfterFireSelfHeals checks the overcount path: canceling a
-// timer that already fired bumps the canceled counter with no matching
-// queue entry; a later compaction must recount from the queue and not
-// remove or miscount live events.
+// TestCancelAfterFireSelfHeals: canceling timers that already fired
+// names slots whose callbacks are gone. It must neither touch the live
+// event nor count toward compaction.
 func TestCancelAfterFireSelfHeals(t *testing.T) {
 	e := NewEngine(1)
-	fired := make([]*Timer, 64)
+	fired := make([]Timer, 64)
 	for i := range fired {
 		fired[i] = e.After(Time(i)*Millisecond, func() {})
 	}
@@ -346,7 +407,10 @@ func TestCancelAfterFireSelfHeals(t *testing.T) {
 	live := 0
 	e.Schedule(Hour, func() { live++ })
 	for _, tm := range fired {
-		tm.Cancel() // all already fired: pure overcount
+		tm.Cancel() // all already fired: stale handles
+	}
+	if e.canceled != 0 {
+		t.Fatalf("stale cancels counted %d canceled entries", e.canceled)
 	}
 	if got := e.Pending(); got != 1 {
 		t.Fatalf("Pending() = %d, want 1 (live event must survive recount)", got)
@@ -514,7 +578,7 @@ func mixedScript(e *Engine, typed bool) (order []uint64, at []Time) {
 	}
 	// A burst of timers canceled from inside the run, more than half the
 	// queue: compact() sweeps them while the steps below are pending.
-	timers := make([]*Timer, 64)
+	timers := make([]Timer, 64)
 	for i := range timers {
 		timers[i] = e.After(Hour, func() { step(2000) })
 		sched(2 * Second)

@@ -71,15 +71,16 @@ func (q heapQueue) siftDown(i int, ev event) {
 
 // refEngine is the heap engine's queue behaviour and nothing else: its
 // clock and numbering, lazy cancellation and the compaction trigger,
-// and Run's bounds, as Engine had them. An event's arg is the script's
-// id for it.
+// and Run's bounds, as Engine had them — except that canceling an event
+// already popped is a no-op, as Cancel through a stale Timer is. An
+// event's arg is the script's id for it.
 type refEngine struct {
 	now      Time
 	seq      uint64
 	q        heapQueue
 	ran      uint64
 	canceled int
-	dead     map[uint64]bool // canceled ids still queued or fired
+	dead     map[uint64]bool // ids canceled or popped
 	stopped  bool
 	fire     func(id uint64)
 }
@@ -117,6 +118,7 @@ func (r *refEngine) step() {
 	r.now = ev.at
 	r.ran++
 	if !r.dead[ev.arg] {
+		r.dead[ev.arg] = true
 		r.fire(ev.arg)
 	} else if r.canceled > 0 {
 		r.canceled--
@@ -197,7 +199,7 @@ func runQueueScript(t *testing.T, script []byte) {
 	e := NewEngine(1)
 	ref := &refEngine{dead: make(map[uint64]bool)}
 	var es, rs queueSide
-	timers := map[uint64]*Timer{}
+	timers := map[uint64]Timer{}
 	h := e.Register(func(id uint64) { es.onFire(id) })
 	es.now, rs.now = e.Now, func() Time { return ref.now }
 	es.stop, rs.stop = e.Stop, func() { ref.stopped = true }
