@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-build repro repro-quick fuzz cover examples profile trace analyze cluster-smoke watch-smoke chaos-smoke lint-http lint-session lint-cluster clean
+.PHONY: all build test race bench bench-build repro repro-quick fuzz cover examples profile trace analyze cluster-smoke watch-smoke chaos-smoke lint clean
 
 all: build test
 
@@ -125,22 +125,16 @@ chaos-smoke:
 	$(GO) run ./cmd/anonctl chaos -spawn 9 -bin bin/anonnode \
 		-schedule ci/chaos-schedule.jsonl -msgs 10 -verify
 
-# Repo-local HTTP hygiene lint: no bare http.ListenAndServe, every
-# http.Server literal sets ReadHeaderTimeout, and net/http/pprof stays
-# confined to the gated debug mux. See ci/linthttp.
-lint-http:
-	$(GO) run ./ci/linthttp
-
-# Keep internal/session sans-IO: no socket, clock, context, randomness,
-# engine or driver import and no `go` statement in its non-test files.
-# See ci/lintsession.
-lint-session:
-	$(GO) run ./ci/lintsession
-
-# Keep fleet observation one pipeline: in internal/cluster and
-# cmd/anonctl only recorder.go may fetch "/metrics". See ci/lintcluster.
-lint-cluster:
-	$(GO) run ./ci/lintcluster
+# The repo-local rules go vet does not know, one program (ci/lint):
+# internal/session stays sans-IO (no socket, clock, context,
+# randomness, engine or driver import and no `go` statement in its
+# non-test files); every debug/metrics server is built with timeouts,
+# no handler lands on DefaultServeMux and net/http/pprof stays confined
+# to the gated debug mux; and in internal/cluster and cmd/anonctl only
+# recorder.go may fetch "/metrics", so fleet observation stays one
+# pipeline. `go test ./ci/lint` runs the same rules, so tier 1 does too.
+lint:
+	$(GO) run ./ci/lint
 
 # Short fuzz passes over the wire-facing parsers, the session machine's
 # ledger and the reassembler against models of them, the in-place onion and

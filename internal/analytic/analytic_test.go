@@ -2,7 +2,6 @@ package analytic
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -234,18 +233,5 @@ func TestInitiatorProbabilityExact(t *testing.T) {
 	}
 	if _, err := InitiatorProbabilityExact(1000, 0.2, 0); err == nil {
 		t.Error("bad L accepted")
-	}
-}
-
-func TestSimulationMatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, f := range []float64{0.1, 0.25} {
-		got := SimulatePredecessorAttack(rng, f, 3, 200000)
-		if math.Abs(got-PredecessorCase1Exact(f)) > 0.01 {
-			t.Fatalf("simulated %g, exact %g", got, f)
-		}
-	}
-	if SimulatePredecessorAttack(rng, 0.5, 3, 0) != 0 {
-		t.Error("zero trials should return 0")
 	}
 }

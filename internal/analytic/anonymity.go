@@ -3,7 +3,6 @@ package analytic
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // PredecessorCase1 returns the probability that the first relay node of
@@ -16,7 +15,8 @@ import (
 // the binomial coefficient C(L,i), so it is not the true probability
 // that the first relay is malicious — that is simply f, see
 // PredecessorCase1Exact — but Equation 4 is built on this form, so we
-// implement it verbatim and cross-check both against simulation.)
+// implement it verbatim; analyze.ReadPaths's tests cross-check both
+// against sampled paths.)
 func PredecessorCase1(f float64, l int) (float64, error) {
 	if f < 0 || f >= 1 {
 		return 0, fmt.Errorf("analytic: malicious fraction %g outside [0,1)", f)
@@ -72,27 +72,4 @@ func InitiatorProbabilityExact(n int, f float64, l int) (float64, error) {
 	}
 	c1 := PredecessorCase1Exact(f)
 	return c1 + (1-c1)/(float64(n)*(1-f)), nil
-}
-
-// SimulatePredecessorAttack estimates by Monte Carlo the probability
-// that the first relay of a random length-l path is malicious, with each
-// relay independently malicious with probability f. It converges to
-// PredecessorCase1Exact (i.e. to f), which is how tests demonstrate that
-// the published P(Case1) formula is a lower bound rather than the exact
-// value.
-func SimulatePredecessorAttack(rng *rand.Rand, f float64, l, trials int) float64 {
-	if trials <= 0 {
-		return 0
-	}
-	hits := 0
-	for t := 0; t < trials; t++ {
-		first := rng.Float64() < f
-		for j := 1; j < l; j++ {
-			rng.Float64() // the rest of the path, drawn for fidelity
-		}
-		if first {
-			hits++
-		}
-	}
-	return float64(hits) / float64(trials)
 }

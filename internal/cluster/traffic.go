@@ -90,10 +90,10 @@ type TrafficResult struct {
 // multipath session to the planned responder, sends msgs messages, and
 // waits (up to ackWait) for the segment acks to drain back.
 func RunTraffic(m Manifest, msgs int, payload []byte, ackWait time.Duration) (*TrafficResult, error) {
-	// The client's own trace events land in a ring, to be merged with
+	// The client's own trace events are collected, to be merged with
 	// the nodes' /debug/trace captures.
-	ring := obs.NewRing(1 << 16)
-	node, relayLists, responder, r, err := StartClient(m, ring)
+	events := obs.NewCollector()
+	node, relayLists, responder, r, err := StartClient(m, events)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ func RunTraffic(m Manifest, msgs int, payload []byte, ackWait time.Duration) (*T
 	}
 	res.SegmentsSent = want
 	res.SegmentsAcked = reg.Counter("session.segments_acked").Value()
-	res.Events = ring.Events()
+	res.Events = events.Events()
 	res.Client = reg.Snapshot()
 	return res, nil
 }

@@ -93,7 +93,7 @@ func (a *CoverAgent) round() {
 	}
 	a.stats.Rounds++
 	// Random destination from the membership view.
-	cands := a.w.Provider(a.id).Candidates(a.id)
+	cands := a.w.Provider(a.id).AppendCandidates(nil, a.id)
 	if len(cands) == 0 {
 		return
 	}

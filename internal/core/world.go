@@ -58,8 +58,6 @@ type WorldConfig struct {
 	// this probability — random link loss on top of churn (an extension
 	// to the paper's node-failure-only model).
 	LossRate float64
-	// StateTTL is the relay state TTL (§4.3); zero selects the default.
-	StateTTL sim.Time
 	// ConstructTimeout is the construction-ack timeout; zero selects the
 	// default.
 	ConstructTimeout sim.Time
@@ -210,7 +208,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		recv := NewReceiver(id, eng, nil)
 		recv.bindObs(cfg.Tracer, w.m)
 		node := onion.NewNode(net, id, dir, mux, onion.NodeConfig{
-			StateTTL:         cfg.StateTTL,
 			ConstructTimeout: cfg.ConstructTimeout,
 			OnData:           recv.HandleData,
 		})

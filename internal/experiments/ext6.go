@@ -3,10 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"resilientmix/internal/adversary"
 	"resilientmix/internal/core"
+	"resilientmix/internal/membership"
 	"resilientmix/internal/mixchoice"
 	"resilientmix/internal/netsim"
+	"resilientmix/internal/obs/analyze"
 	"resilientmix/internal/sim"
 	"resilientmix/internal/stats"
 )
@@ -50,9 +51,9 @@ func Ext6(opts Options) (*Result, error) {
 		}
 		w.Run(90 * sim.Minute) // honest nodes churn; attackers accrue age
 
-		adv := adversary.New(malicious)
 		rng := w.Eng.RNG()
-		var slots, malSlots, paths, case1 int
+		var sample []analyze.Path[netsim.NodeID]
+		var cands []membership.Candidate
 		for ev := 0; ev < events; ev++ {
 			init := netsim.NodeID(rng.Intn(n - len(malicious))) // honest initiator
 			if !w.Net.IsUp(init) {
@@ -62,26 +63,15 @@ func Ext6(opts Options) (*Result, error) {
 			if resp == netsim.Invalid {
 				continue
 			}
-			cands := w.Provider(init).Candidates(init)
+			cands = w.Provider(init).AppendCandidates(cands[:0], init)
 			selected, err := mixchoice.SelectPaths(rng, strategy, cands, 1, core.DefaultL, init, resp)
 			if err != nil {
 				continue
 			}
-			paths++
-			for h, relay := range selected[0] {
-				slots++
-				if adv.Compromised(relay) {
-					malSlots++
-					if h == 0 {
-						case1++
-					}
-				}
-			}
+			sample = append(sample, analyze.Path[netsim.NodeID]{Initiator: init, Relays: selected[0]})
 		}
-		if slots == 0 || paths == 0 {
-			return 0, 0, nil
-		}
-		return float64(malSlots) / float64(slots), float64(case1) / float64(paths), nil
+		r, err := analyze.ReadPaths(n, sample, malicious)
+		return r.SlotShare, r.FirstRelayShare, err
 	}
 
 	type outcome struct{ slots, case1 float64 }

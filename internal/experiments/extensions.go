@@ -7,12 +7,14 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 
-	"resilientmix/internal/adversary"
 	"resilientmix/internal/analytic"
 	"resilientmix/internal/core"
+	"resilientmix/internal/membership"
 	"resilientmix/internal/mixchoice"
 	"resilientmix/internal/netsim"
+	"resilientmix/internal/obs/analyze"
 	"resilientmix/internal/sim"
 	"resilientmix/internal/stats"
 )
@@ -35,11 +37,8 @@ func Ext1(opts Options) (*Result, error) {
 
 	// Record real constructed paths (healthy network: construction
 	// always succeeds, so the sample is unbiased).
-	type pathObs struct {
-		initiator netsim.NodeID
-		relays    []netsim.NodeID
-	}
-	var observed []pathObs
+	var observed []analyze.Path[netsim.NodeID]
+	var cands []membership.Candidate
 	rng := w.Eng.RNG()
 	provider := w.Provider(0)
 	for ev := 0; ev < events; ev++ {
@@ -48,11 +47,12 @@ func Ext1(opts Options) (*Result, error) {
 		if init == resp {
 			continue
 		}
-		paths, err := mixchoice.SelectPaths(rng, mixchoice.Random, provider.Candidates(init), 1, core.DefaultL, init, resp)
+		cands = provider.AppendCandidates(cands[:0], init)
+		paths, err := mixchoice.SelectPaths(rng, mixchoice.Random, cands, 1, core.DefaultL, init, resp)
 		if err != nil {
 			continue
 		}
-		observed = append(observed, pathObs{init, paths[0]})
+		observed = append(observed, analyze.Path[netsim.NodeID]{Initiator: init, Relays: paths[0]})
 	}
 
 	res := &Result{
@@ -61,18 +61,14 @@ func Ext1(opts Options) (*Result, error) {
 		Header:  []string{"f", "empirical", "Eq.4 exact", "Eq.4 published", "uniform guess"},
 	}
 	for _, f := range []float64{0.05, 0.10, 0.20, 0.30} {
-		adv, err := adversary.NewRandom(rng, n, f)
+		compromised, err := randomAttackers(rng, n, f)
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range observed {
-			if adv.Compromised(p.initiator) {
-				continue // §5 analyzes paths initiated by honest nodes
-			}
-			adv.ObservePath(p.initiator, p.relays)
+		score, err := analyze.ReadPaths(n, observed, compromised)
+		if err != nil {
+			return nil, err
 		}
-		honest := n - adv.Count()
-		score := adv.Score(honest)
 		exact, err := analytic.InitiatorProbabilityExact(n, f, core.DefaultL)
 		if err != nil {
 			return nil, err
@@ -94,6 +90,31 @@ func Ext1(opts Options) (*Result, error) {
 		"the published Eq.4 omits C(L,i) and is a lower bound; both far exceed the uniform-guess baseline",
 	)
 	return res, nil
+}
+
+// randomAttackers is §3's attack model: "the attacker controls a
+// fraction of nodes", here a fraction f of the n nodes chosen uniformly,
+// excluding the listed nodes (e.g. designated honest endpoints).
+func randomAttackers(rng *rand.Rand, n int, f float64, exclude ...netsim.NodeID) ([]netsim.NodeID, error) {
+	if f < 0 || f >= 1 {
+		return nil, fmt.Errorf("experiments: attacker fraction %g outside [0,1)", f)
+	}
+	skip := make(map[netsim.NodeID]bool, len(exclude))
+	for _, id := range exclude {
+		skip[id] = true
+	}
+	pool := make([]netsim.NodeID, 0, n)
+	for i := 0; i < n; i++ {
+		if !skip[netsim.NodeID(i)] {
+			pool = append(pool, netsim.NodeID(i))
+		}
+	}
+	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	take := int(f * float64(n))
+	if take > len(pool) {
+		take = len(pool)
+	}
+	return pool[:take], nil
 }
 
 // Ext2 measures what membership staleness costs: biased-choice setup

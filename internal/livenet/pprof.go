@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the node's profiling surface. net/http/pprof may only
-// be imported here (ci/linthttp enforces it): its init registers
+// be imported here (ci/lint enforces it): its init registers
 // handlers on http.DefaultServeMux, and confining the import to this
 // package — which never serves the default mux — keeps profile
 // endpoints strictly behind the operator-gated -debug listener.

@@ -8,7 +8,6 @@ package membership
 
 import (
 	"slices"
-	"sort"
 
 	"resilientmix/internal/netsim"
 	"resilientmix/internal/predictor"
@@ -27,11 +26,9 @@ type Candidate struct {
 
 // Provider exposes the candidate set a node draws relay nodes from.
 type Provider interface {
-	// Candidates returns every known node except self, in unspecified
-	// order. The slice is freshly allocated and owned by the caller.
-	Candidates(self netsim.NodeID) []Candidate
-	// AppendCandidates appends what Candidates returns to dst, so a
-	// caller that reads the set and lets it go can reuse one buffer.
+	// AppendCandidates appends every known node except self to dst, in
+	// unspecified order, so a caller that reads the set and lets it go
+	// can reuse one buffer.
 	AppendCandidates(dst []Candidate, self netsim.NodeID) []Candidate
 }
 
@@ -51,7 +48,6 @@ type Cache struct {
 	eng   *sim.Engine
 	slots []slot          // by node id, grown on demand
 	ids   []netsim.NodeID // the known ids, ascending
-	limit int             // 0 = unbounded
 }
 
 // slot is one node id's entry; known is false until the node is heard of.
@@ -64,45 +60,6 @@ type slot struct {
 // ids [0, n); a larger id grows it.
 func newCache(self netsim.NodeID, eng *sim.Engine, n int) *Cache {
 	return &Cache{self: self, eng: eng, slots: make([]slot, n), ids: make([]netsim.NodeID, 0, max(n-1, 0))}
-}
-
-// SetLimit bounds the cache to at most limit entries; when a new node
-// would exceed it, the entry with the lowest liveness predictor (the
-// stalest or deadest information) is evicted. Zero removes the bound.
-// The paper sizes node caches implicitly by the membership protocol;
-// real deployments need an explicit cap.
-func (c *Cache) SetLimit(limit int) {
-	if limit < 0 {
-		limit = 0
-	}
-	c.limit = limit
-	c.enforceLimit()
-}
-
-// enforceLimit evicts lowest-q entries until the cache fits.
-func (c *Cache) enforceLimit() {
-	if c.limit <= 0 || len(c.ids) <= c.limit {
-		return
-	}
-	now := c.eng.Now()
-	type scored struct {
-		id netsim.NodeID
-		q  float64
-	}
-	all := make([]scored, 0, len(c.ids))
-	for _, id := range c.ids {
-		all = append(all, scored{id, predictor.Q(c.slots[id].info, now)})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].q != all[j].q {
-			return all[i].q < all[j].q
-		}
-		return all[i].id < all[j].id
-	})
-	for _, s := range all[:len(all)-c.limit] {
-		c.slots[s.id] = slot{}
-	}
-	c.ids = slices.DeleteFunc(c.ids, func(id netsim.NodeID) bool { return !c.slots[id].known })
 }
 
 // set stores id's entry, adding id to the known ids if it is new.
@@ -121,7 +78,6 @@ func (c *Cache) set(id netsim.NodeID, info predictor.Info) {
 		}
 	}
 	s.info = info
-	c.enforceLimit()
 }
 
 // Len returns the number of cached nodes.
@@ -197,14 +153,9 @@ func (c *Cache) Q(id netsim.NodeID) float64 {
 	return predictor.Q(info, c.eng.Now())
 }
 
-// Candidates implements Provider: all cached nodes with their q values,
-// in id order. Callers that need a shuffle do it themselves with the
-// engine's RNG.
-func (c *Cache) Candidates(self netsim.NodeID) []Candidate {
-	return c.AppendCandidates(make([]Candidate, 0, len(c.ids)), self)
-}
-
-// AppendCandidates implements Provider.
+// AppendCandidates implements Provider: all cached nodes with their q
+// values, in id order. Callers that need a shuffle do it themselves
+// with the engine's RNG.
 func (c *Cache) AppendCandidates(out []Candidate, self netsim.NodeID) []Candidate {
 	now := c.eng.Now()
 	for _, id := range c.ids {

@@ -19,43 +19,10 @@ type mapCache struct {
 	self    netsim.NodeID
 	eng     *sim.Engine
 	entries map[netsim.NodeID]predictor.Info
-	limit   int
 }
 
 func newMapCache(self netsim.NodeID, eng *sim.Engine) *mapCache {
 	return &mapCache{self: self, eng: eng, entries: make(map[netsim.NodeID]predictor.Info)}
-}
-
-func (c *mapCache) SetLimit(limit int) {
-	if limit < 0 {
-		limit = 0
-	}
-	c.limit = limit
-	c.enforceLimit()
-}
-
-func (c *mapCache) enforceLimit() {
-	if c.limit <= 0 || len(c.entries) <= c.limit {
-		return
-	}
-	now := c.eng.Now()
-	type scored struct {
-		id netsim.NodeID
-		q  float64
-	}
-	all := make([]scored, 0, len(c.entries))
-	for id, info := range c.entries {
-		all = append(all, scored{id, predictor.Q(info, now)})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].q != all[j].q {
-			return all[i].q < all[j].q
-		}
-		return all[i].id < all[j].id
-	})
-	for _, s := range all[:len(all)-c.limit] {
-		delete(c.entries, s.id)
-	}
 }
 
 func (c *mapCache) Len() int { return len(c.entries) }
@@ -70,7 +37,6 @@ func (c *mapCache) HeardDirectly(id netsim.NodeID, aliveFor sim.Time) {
 		return
 	}
 	c.entries[id] = predictor.Info{AliveFor: aliveFor, Since: 0, LastHeard: c.eng.Now()}
-	c.enforceLimit()
 }
 
 func (c *mapCache) HeardIndirectly(id netsim.NodeID, aliveFor, since sim.Time) {
@@ -82,7 +48,6 @@ func (c *mapCache) HeardIndirectly(id netsim.NodeID, aliveFor, since sim.Time) {
 		return
 	}
 	c.entries[id] = predictor.Info{AliveFor: aliveFor, Since: since, LastHeard: now}
-	c.enforceLimit()
 }
 
 func (c *mapCache) HeardDown(id netsim.NodeID, aliveFor, since sim.Time) {
@@ -94,7 +59,6 @@ func (c *mapCache) HeardDown(id netsim.NodeID, aliveFor, since sim.Time) {
 		return
 	}
 	c.entries[id] = predictor.Info{AliveFor: aliveFor, Since: since, LastHeard: now, Down: true}
-	c.enforceLimit()
 }
 
 func (c *mapCache) Q(id netsim.NodeID) float64 {
@@ -157,8 +121,8 @@ func (c *mapCache) round(aliveFor sim.Time, cfg GossipConfig) (GossipMsg, []nets
 }
 
 // cachePair drives an id-indexed cache and the map reference, each on
-// its own equal-seeded engine, through the same random merges, limits
-// and clock steps.
+// its own equal-seeded engine, through the same random merges and clock
+// steps.
 type cachePair struct {
 	t          *testing.T
 	n          int
@@ -183,10 +147,6 @@ func (p *cachePair) step() {
 	case k < 16:
 		p.got.HeardDown(id, aliveFor, since)
 		p.want.HeardDown(id, aliveFor, since)
-	case k < 17:
-		limit := []int{0, 0, -1, 3, p.n / 4, p.n / 2}[p.ops.Intn(6)]
-		p.got.SetLimit(limit)
-		p.want.SetLimit(limit)
 	default:
 		dt := sim.Time(p.ops.Int63n(int64(2 * sim.Minute)))
 		p.engA.Run(p.engA.Now() + dt)
@@ -213,8 +173,8 @@ func (p *cachePair) check(at int) {
 		}
 	}
 	for _, self := range []netsim.NodeID{p.got.self, netsim.NodeID(at % p.n)} {
-		if a, b := p.got.Candidates(self), p.want.Candidates(self); !slices.Equal(a, b) {
-			t.Fatalf("step %d: Candidates(%d) = %v, reference %v", at, self, a, b)
+		if a, b := p.got.AppendCandidates(nil, self), p.want.Candidates(self); !slices.Equal(a, b) {
+			t.Fatalf("step %d: AppendCandidates(%d) = %v, reference %v", at, self, a, b)
 		}
 	}
 	max := 1 + p.ops.Intn(p.n)
@@ -224,9 +184,9 @@ func (p *cachePair) check(at int) {
 }
 
 // TestCacheMatchesMapReference pins the id-indexed cache to the map it
-// replaced, over random merge sequences with limits set, moved and
-// lifted: every answer equal, and the engines' RNGs in the same state at
-// the end (no draw added, lost or moved).
+// replaced, over random merge sequences: every answer equal, and the
+// engines' RNGs in the same state at the end (no draw added, lost or
+// moved).
 func TestCacheMatchesMapReference(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		const n = 40
@@ -291,8 +251,6 @@ func TestGossipRoundMatchesMapReference(t *testing.T) {
 		for i := 0; i < steps; i++ {
 			p.step()
 		}
-		p.got.SetLimit(0)
-		p.want.SetLimit(0)
 		if known := p.want.Len(); known == 0 || (known > cfg.MaxEntries) != (seed%2 == 0) {
 			t.Fatalf("seed %d: %d known nodes, not the case this seed is for", seed, known)
 		}

@@ -99,7 +99,7 @@ func TestCandidatesExcludeSelfAndSorted(t *testing.T) {
 	for i := 7; i >= 1; i-- {
 		c.HeardDirectly(netsim.NodeID(i), sim.Time(i)*sim.Second)
 	}
-	cands := c.Candidates(0)
+	cands := c.AppendCandidates(nil, 0)
 	if len(cands) != 7 {
 		t.Fatalf("got %d candidates, want 7", len(cands))
 	}
@@ -125,51 +125,6 @@ func TestGossipEntriesAgeSince(t *testing.T) {
 	}
 	if entries[0].Since != 50*sim.Second {
 		t.Fatalf("piggybacked since = %v, want 20s stored + 30s local", entries[0].Since)
-	}
-}
-
-func TestCacheLimitEvictsStalest(t *testing.T) {
-	eng, _ := newEnv(t, 16, 1)
-	c := newCache(0, eng, 0)
-	c.SetLimit(3)
-	// Insert entries of increasing freshness/quality.
-	c.HeardDown(1, 100*sim.Second, 10*sim.Second)       // q = 0 (down)
-	c.HeardIndirectly(2, 100*sim.Second, 90*sim.Second) // stale
-	c.HeardDirectly(3, 1000*sim.Second)                 // fresh
-	c.HeardDirectly(4, 2000*sim.Second)                 // fresh, older node
-	if c.Len() != 3 {
-		t.Fatalf("len = %d, want 3", c.Len())
-	}
-	// The down entry (lowest q) must be the one evicted.
-	if _, ok := c.Lookup(1); ok {
-		t.Fatal("down entry survived eviction")
-	}
-	for _, id := range []netsim.NodeID{2, 3, 4} {
-		if _, ok := c.Lookup(id); !ok {
-			t.Fatalf("entry %d evicted wrongly", id)
-		}
-	}
-	// Shrinking the limit evicts immediately.
-	c.SetLimit(1)
-	if c.Len() != 1 {
-		t.Fatalf("len = %d after shrink, want 1", c.Len())
-	}
-	if _, ok := c.Lookup(3); !ok {
-		if _, ok := c.Lookup(4); !ok {
-			t.Fatal("both fresh entries evicted")
-		}
-	}
-	// Zero removes the bound.
-	c.SetLimit(0)
-	for i := 5; i < 15; i++ {
-		c.HeardDirectly(netsim.NodeID(i), sim.Second)
-	}
-	if c.Len() != 11 {
-		t.Fatalf("unbounded len = %d, want 11", c.Len())
-	}
-	c.SetLimit(-5) // negative clamps to unbounded
-	if c.Len() != 11 {
-		t.Fatal("negative limit evicted entries")
 	}
 }
 
@@ -214,7 +169,7 @@ func TestOracleCandidates(t *testing.T) {
 		net.SetUp(3, false)
 	})
 	eng.Schedule(2*sim.Hour, func() {
-		cands := o.Candidates(0)
+		cands := o.AppendCandidates(nil, 0)
 		if len(cands) != 7 {
 			t.Errorf("%d candidates, want 7", len(cands))
 		}
@@ -239,8 +194,8 @@ func TestOracleCandidates(t *testing.T) {
 	eng.RunAll()
 }
 
-// TestAppendCandidates checks that both providers append what
-// Candidates returns, into the buffer they are handed.
+// TestAppendCandidates checks that both providers append the same set,
+// into the buffer they are handed, whatever it already holds.
 func TestAppendCandidates(t *testing.T) {
 	eng, net := newEnv(t, 8, 1)
 	c := newCache(0, eng, 0)
@@ -250,8 +205,8 @@ func TestAppendCandidates(t *testing.T) {
 	for name, p := range map[string]Provider{"oracle": NewOracle(net), "cache": c} {
 		buf := make([]Candidate, 1, 16)
 		got := p.AppendCandidates(buf, 0)
-		if want := p.Candidates(0); len(want) != 7 || !reflect.DeepEqual(got[1:], want) {
-			t.Errorf("%s: appended %v, Candidates %v", name, got[1:], want)
+		if want := p.AppendCandidates(nil, 0); len(want) != 7 || !reflect.DeepEqual(got[1:], want) {
+			t.Errorf("%s: appended %v, into an empty buffer %v", name, got[1:], want)
 		}
 		if &got[0] != &buf[0] {
 			t.Errorf("%s: appended into a new buffer", name)

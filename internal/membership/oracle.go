@@ -74,11 +74,6 @@ func (o *Oracle) Q(id netsim.NodeID) float64 {
 	return predictor.Q(o.Info(id), o.eng.Now())
 }
 
-// Candidates implements Provider.
-func (o *Oracle) Candidates(self netsim.NodeID) []Candidate {
-	return o.AppendCandidates(make([]Candidate, 0, len(o.nodes)-1), self)
-}
-
 // AppendCandidates implements Provider.
 func (o *Oracle) AppendCandidates(out []Candidate, self netsim.NodeID) []Candidate {
 	now := o.eng.Now()

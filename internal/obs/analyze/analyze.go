@@ -6,7 +6,10 @@
 // into link-propagation, relay-queueing and retry components, and what
 // a passive wire observer learns: the anonymity observables of a
 // global one (Summary.Anonymity) and the §4.6 timing-correlation attack
-// of one tapping a fraction of the nodes (Result.Correlate).
+// of one tapping a fraction of the nodes (Result.Correlate). What the
+// relays themselves learn is read from a sample of constructed paths
+// (ReadPaths): §5's predecessor attack by a colluding compromised set,
+// its share of relay slots (§7), and how relay duty spreads.
 //
 // The engine is streaming: feed events to an Analyzer in trace order
 // (Emit — an Analyzer is an obs.Tracer, so a simulated world can feed

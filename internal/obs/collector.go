@@ -5,8 +5,8 @@ import "sync"
 // Collector is an unbounded in-memory tracer: it keeps every emitted
 // event in arrival order. It is the input stage for offline analysis
 // (internal/obs/analyze) when a run wants an analysis summary without
-// writing a trace file first. Memory grows with the trace — use Ring
-// for always-on flight recording. Safe for concurrent use.
+// writing a trace file first. Memory grows with the trace. Safe for
+// concurrent use.
 type Collector struct {
 	mu     sync.Mutex
 	events []Event

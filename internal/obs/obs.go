@@ -31,8 +31,6 @@
 // join a stream's wire events into a causal per-hop timeline.
 package obs
 
-import "sync/atomic"
-
 // Type enumerates trace event kinds.
 type Type uint8
 
@@ -273,7 +271,7 @@ func (t Tag) Next() Tag {
 
 // Tracer receives trace events. Implementations used from concurrent
 // code (livenet, parallel experiment harnesses) must be safe for
-// concurrent Emit; Ring and JSONL both are.
+// concurrent Emit; Collector and JSONL both are.
 type Tracer interface {
 	Emit(Event)
 }
@@ -311,49 +309,4 @@ func Multi(ts ...Tracer) Tracer {
 		return kept[0]
 	}
 	return kept
-}
-
-// Counts is a tracer that tallies events by type and drops by reason —
-// the cheap aggregate view of a trace stream, used by reports to
-// reconcile against full JSONL traces. Safe for concurrent use.
-type Counts struct {
-	byType [numTypes]atomic.Uint64
-	drops  [numReasons]atomic.Uint64
-}
-
-// Emit tallies the event.
-func (c *Counts) Emit(e Event) {
-	if e.Type < numTypes {
-		c.byType[e.Type].Add(1)
-	}
-	if e.Type == MsgDropped && e.Reason < numReasons {
-		c.drops[e.Reason].Add(1)
-	}
-}
-
-// Of returns the number of events of one type.
-func (c *Counts) Of(t Type) uint64 {
-	if t < numTypes {
-		return c.byType[t].Load()
-	}
-	return 0
-}
-
-// Dropped returns the number of MsgDropped events with the reason.
-func (c *Counts) Dropped(r Reason) uint64 {
-	if r < numReasons {
-		return c.drops[r].Load()
-	}
-	return 0
-}
-
-// DropReasons returns the nonzero drop counts keyed by reason name.
-func (c *Counts) DropReasons() map[string]uint64 {
-	out := make(map[string]uint64)
-	for r := ReasonNone; r < numReasons; r++ {
-		if n := c.drops[r].Load(); n > 0 {
-			out[r.String()] = n
-		}
-	}
-	return out
 }

@@ -24,53 +24,6 @@ func sampleEvent(t Type, i int) Event {
 	}
 }
 
-func TestRingWraparound(t *testing.T) {
-	r := NewRing(4)
-	if r.Len() != 0 || r.Total() != 0 {
-		t.Fatalf("fresh ring: len=%d total=%d", r.Len(), r.Total())
-	}
-	// Partially filled: order preserved, nothing lost.
-	for i := 0; i < 3; i++ {
-		r.Emit(Event{Type: MsgSent, Seq: int64(i)})
-	}
-	evs := r.Events()
-	if len(evs) != 3 || evs[0].Seq != 0 || evs[2].Seq != 2 {
-		t.Fatalf("partial ring events: %+v", evs)
-	}
-	// Overfill: oldest overwritten, oldest-first order across the seam.
-	for i := 3; i < 10; i++ {
-		r.Emit(Event{Type: MsgSent, Seq: int64(i)})
-	}
-	evs = r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("full ring holds %d events, want 4", len(evs))
-	}
-	for i, e := range evs {
-		if want := int64(6 + i); e.Seq != want {
-			t.Errorf("event %d: seq %d, want %d", i, e.Seq, want)
-		}
-	}
-	if r.Total() != 10 {
-		t.Errorf("total %d, want 10", r.Total())
-	}
-	r.Reset()
-	if r.Len() != 0 || r.Total() != 0 || len(r.Events()) != 0 {
-		t.Error("reset ring not empty")
-	}
-}
-
-// TestRingExactFill covers the boundary where next wraps to 0 exactly.
-func TestRingExactFill(t *testing.T) {
-	r := NewRing(3)
-	for i := 0; i < 3; i++ {
-		r.Emit(Event{Seq: int64(i)})
-	}
-	evs := r.Events()
-	if len(evs) != 3 || evs[0].Seq != 0 || evs[2].Seq != 2 {
-		t.Fatalf("exactly-full ring events: %+v", evs)
-	}
-}
-
 func TestJSONLRoundTripEveryType(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJSONL(&buf)
@@ -235,31 +188,18 @@ func TestReportSnapshotStability(t *testing.T) {
 	}
 }
 
-func TestCountsAndMulti(t *testing.T) {
-	var c Counts
-	ring := NewRing(8)
-	tr := Multi(nil, &c, nil, ring)
+func TestMulti(t *testing.T) {
+	a, b := NewCollector(), NewCollector()
+	tr := Multi(nil, a, nil, b)
 	tr.Emit(Event{Type: MsgSent})
 	tr.Emit(Event{Type: MsgDropped, Reason: ReasonLinkLoss})
-	tr.Emit(Event{Type: MsgDropped, Reason: ReasonReceiverDown})
-	tr.Emit(Event{Type: MsgDropped, Reason: ReasonLinkLoss})
-	if c.Of(MsgSent) != 1 || c.Of(MsgDropped) != 3 {
-		t.Errorf("type counts: sent=%d dropped=%d", c.Of(MsgSent), c.Of(MsgDropped))
-	}
-	if c.Dropped(ReasonLinkLoss) != 2 || c.Dropped(ReasonReceiverDown) != 1 {
-		t.Error("drop reason counts wrong")
-	}
-	want := map[string]uint64{"link_loss": 2, "receiver_down": 1}
-	if got := c.DropReasons(); !reflect.DeepEqual(got, want) {
-		t.Errorf("DropReasons: %v, want %v", got, want)
-	}
-	if ring.Len() != 4 {
-		t.Errorf("multi did not reach ring: %d events", ring.Len())
+	if a.Len() != 2 || b.Len() != 2 {
+		t.Errorf("multi reached %d and %d events, want 2 each", a.Len(), b.Len())
 	}
 	if Multi(nil, nil) != nil {
 		t.Error("Multi of nils should be nil")
 	}
-	if Multi(ring) != Tracer(ring) {
+	if Multi(a) != Tracer(a) {
 		t.Error("Multi of one tracer should be that tracer")
 	}
 }
